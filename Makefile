@@ -19,9 +19,9 @@
 #   bench-io    - the store-vs-JSONL ingest/pushdown bench; writes
 #                 benchmarks/results/BENCH_io.json.
 #   test-kernels - just the batch-kernel suite (`kernels` marker): the
-#                 batch-vs-row differential oracle matrix and the
+#                 build_dataset-vs-row-oracle differential matrix and the
 #                 per-kernel Hypothesis properties. Also part of tier-1.
-#   bench-analyze - the batch-vs-row analysis-engine bench; writes
+#   bench-analyze - build_dataset timed against the row oracle; writes
 #                 benchmarks/results/BENCH_analyze.json.
 #   test-streaming - just the streaming suite (`streaming` marker): the
 #                 route-monitor window semantics and the ingest
@@ -37,7 +37,7 @@
 #                 benchmarks/results/BENCH_serve.json.
 #   test-dist   - just the dispatch suite (`dist` marker): the wire
 #                 protocol, the worker daemon, dispatch-vs-serial
-#                 equivalence (golden trace, both engines), worker-death
+#                 equivalence (golden trace), worker-death
 #                 reassignment, and the executor-conformance contract
 #                 across all four backends. Also part of tier-1.
 #   bench-dist  - dispatch over two local daemons vs the process pool on
@@ -68,7 +68,13 @@ NETSIM_TESTS = tests/test_netsim_engine.py tests/test_netsim_link.py \
                tests/test_netsim_tcp.py tests/test_netsim_congestion.py \
                tests/test_netsim_scenarios.py tests/test_netsim_pep.py \
                tests/test_netsim_trace.py tests/test_cc_contract.py
+COV_TESTS = $(OBS_TESTS) $(STORE_TESTS) $(FAULT_TESTS) $(KERNEL_TESTS) \
+            $(STREAMING_TESTS) $(SERVE_TESTS) $(DIST_TESTS) $(NETSIM_TESTS)
 COV_FLOOR = 85
+COV_ARGS = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
+           --cov=repro.kernels --cov=repro.pipeline.ingest \
+           --cov=repro.serve --cov=repro.dist --cov=repro.netsim.congestion \
+           --cov-report=term-missing --cov-fail-under=$(COV_FLOOR)
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
 	test-dist test-netsim coverage bench bench-scaling bench-io \
@@ -100,23 +106,14 @@ test-netsim:
 	$(PYTEST) -q -m netsim
 
 coverage:
-	@if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
-		$(PYTEST) -q -m "" $(OBS_TESTS) $(STORE_TESTS) $(FAULT_TESTS) \
-			$(KERNEL_TESTS) $(STREAMING_TESTS) $(SERVE_TESTS) \
-			$(DIST_TESTS) $(NETSIM_TESTS) \
-			--cov=repro.obs --cov=repro.store --cov=repro.faultinject \
-			--cov=repro.kernels --cov=repro.pipeline.ingest \
-			--cov=repro.serve --cov=repro.dist \
-			--cov=repro.netsim.congestion \
-			--cov-report=term-missing \
-			--cov-fail-under=$(COV_FLOOR); \
+	@cov=""; \
+	if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
+		cov="$(COV_ARGS)"; \
 	else \
 		echo "pytest-cov not installed; running obs/store/fault/kernel/" \
 		     "streaming/serve/dist/netsim tests without the $(COV_FLOOR)% floor"; \
-		$(PYTEST) -q -m "" $(OBS_TESTS) $(STORE_TESTS) $(FAULT_TESTS) \
-			$(KERNEL_TESTS) $(STREAMING_TESTS) $(SERVE_TESTS) \
-			$(DIST_TESTS) $(NETSIM_TESTS); \
-	fi
+	fi; \
+	$(PYTEST) -q -m "" $(COV_TESTS) $$cov
 
 bench:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m "" benchmarks/

@@ -1,17 +1,18 @@
-"""Analysis-engine benchmark: batch column kernels vs the row oracle.
+"""Analysis benchmark: ``build_dataset`` (column kernels) vs the row oracle.
 
 Builds one synthetic trace, materializes it as a columnar store and as
-plain JSONL, then times the full trace→report path (``build_dataset`` +
-the Figure-6 driver) under both engines (best of N). Results — seconds,
-sessions/sec, and the batch/row speedup per source — land in
-``benchmarks/results/BENCH_analyze.json``.
+plain JSONL, then times the full trace→report path (dataset build + the
+Figure-6 driver) through ``build_dataset`` and through the reference the
+differential tests call (``tests.helpers.row_oracle``:
+``StudyDataset(...).ingest(read_samples(...))``), best of N. Results — seconds, sessions/sec, and the batch/row speedup
+per source — land in ``benchmarks/results/BENCH_analyze.json``.
 
-The acceptance floor: over the columnar store — where the batch engine's
+The acceptance floor: over the columnar store — where the kernels'
 ``read_columns`` fast path skips Session-record materialization entirely —
-batch must run the trace→report path at >=2x the row engine. Both engines
-are pure single-threaded CPU on the same decoded bytes, so the floor
+``build_dataset`` must run the trace→report path at >=2x the row fold.
+Both are pure single-threaded CPU on the same decoded bytes, so the floor
 applies on any host. The JSONL numbers are reported for context only
-(``json.loads`` dominates there and is paid by both engines).
+(``json.loads`` dominates there and is paid by both).
 
 Scale knob: ``REPRO_BENCH_ANALYZE_SESSIONS`` (default 20_000).
 
@@ -30,7 +31,7 @@ import pytest
 from repro.pipeline import build_dataset, fig6_global_performance
 from repro.pipeline.io import convert, write_samples
 
-from tests.helpers import make_trace_samples
+from tests.helpers import make_trace_samples, row_oracle
 
 pytestmark = pytest.mark.bench
 
@@ -43,15 +44,21 @@ REPEATS = 4
 BATCH_SPEEDUP_FLOOR = 2.0
 
 
-def _analyze_seconds(source, engine: str) -> "tuple[int, float]":
+def _batch(source):
+    return build_dataset(source, study_windows=STUDY_WINDOWS)
+
+
+def _row_oracle(source):
+    return row_oracle(source, study_windows=STUDY_WINDOWS)
+
+
+def _analyze_seconds(source, build) -> "tuple[int, float]":
     """Best-of-N trace→report time and the session count (sanity-checked)."""
     best = float("inf")
     sessions = 0
     for _ in range(REPEATS):
         start = time.perf_counter()
-        dataset = build_dataset(
-            source, study_windows=STUDY_WINDOWS, engine=engine
-        )
+        dataset = build(source)
         fig6_global_performance(dataset)
         best = min(best, time.perf_counter() - start)
         sessions = dataset.session_count
@@ -73,8 +80,8 @@ def test_batch_vs_row_analyze(tmp_path):
     }
     speedups = {}
     for source_name, source in (("store", store), ("jsonl", jsonl)):
-        row_sessions, row_s = _analyze_seconds(source, "row")
-        batch_sessions, batch_s = _analyze_seconds(source, "batch")
+        row_sessions, row_s = _analyze_seconds(source, _row_oracle)
+        batch_sessions, batch_s = _analyze_seconds(source, _batch)
         assert row_sessions == batch_sessions > 0
         speedup = row_s / batch_s
         speedups[source_name] = speedup
@@ -93,6 +100,6 @@ def test_batch_vs_row_analyze(tmp_path):
     )
 
     assert speedups["store"] >= BATCH_SPEEDUP_FLOOR, (
-        f"batch engine only {speedups['store']:.2f}x over the row engine "
+        f"build_dataset only {speedups['store']:.2f}x over the row oracle "
         f"on the store path (floor {BATCH_SPEEDUP_FLOOR}x)"
     )

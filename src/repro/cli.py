@@ -119,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="fail fast on the first exhausted shard instead of "
             "quarantining it and completing degraded",
         )
-        command.add_argument(
-            "--engine", choices=("row", "batch"), default="batch",
-            help="analysis engine: 'batch' runs the column kernels "
-            "(default), 'row' the per-record oracle fold; outputs are "
-            "byte-identical",
-        )
 
     fig4 = sub.add_parser("figure4", help="run the Figure-4 goodput walkthrough")
     fig4.add_argument(
@@ -284,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks a free port; default 8321)",
     )
     serve.add_argument(
-        "--engine", choices=("row", "batch"), default="batch",
-        help="dataset engine for unfiltered queries (outputs are "
-        "byte-identical; filtered queries always run the pruned row fold)",
-    )
-    serve.add_argument(
         "--cache-capacity", type=int, default=64, dest="cache_capacity",
         metavar="N",
         help="hot-aggregation LRU entries kept resident (default 64)",
@@ -352,12 +341,36 @@ def _print_degraded(dataset) -> None:
         print(f"WARNING: degraded run — {dataset.degraded.summary()}")
 
 
-def _worker_addrs(args: argparse.Namespace) -> tuple:
-    """The --workers-addr list as a tuple of host:port strings."""
-    raw = getattr(args, "workers_addr", None)
-    if not raw:
-        return ()
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+def _parallel_options(args: argparse.Namespace):
+    """The sharding flags as a ``ParallelOptions``; ``ValueError`` if bad."""
+    from repro.pipeline import ParallelOptions
+
+    addrs = args.workers_addr or ""
+    return ParallelOptions(
+        workers=args.workers,
+        shards=args.shards,
+        executor=args.executor,
+        max_retries=args.max_retries,
+        retry_backoff=args.retry_backoff,
+        strict=args.strict,
+        worker_addrs=tuple(
+            part.strip() for part in addrs.split(",") if part.strip()
+        ),
+    )
+
+
+def _dataset_options(args: argparse.Namespace):
+    """What a command hands ``build_dataset``: ``None`` for a plain serial
+    run, which takes the one-pass fold (no shard plan, no shard report).
+    Dispatch always shards — its point is *where* the work runs."""
+    options = _parallel_options(args)
+    if (
+        options.executor != "dispatch"
+        and options.workers == 1
+        and options.effective_shards == 1
+    ):
+        return None
+    return options
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
@@ -431,7 +444,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.pipeline import dataset_from_source, fig6_global_performance
+    from repro.pipeline import build_dataset, fig6_global_performance
     from repro.pipeline.report import format_metric, format_percent, format_table
     from repro.workload import EdgeScenario, ScenarioConfig
 
@@ -446,17 +459,10 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         f"Generating {args.days} day(s), {len(scenario.networks)} networks, "
         f"{len(scenario.pops)} PoPs…"
     )
-    dataset = dataset_from_source(
+    dataset = build_dataset(
         scenario.generate(),
         study_windows=config.total_windows,
-        workers=args.workers,
-        shards=args.shards,
-        executor=args.executor,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
-        strict=args.strict,
-        engine=args.engine,
-        worker_addrs=_worker_addrs(args),
+        options=_dataset_options(args),
     )
     print(f"{dataset.session_count:,} sampled sessions")
     _print_degraded(dataset)
@@ -483,7 +489,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_routing(args: argparse.Namespace) -> int:
-    from repro.pipeline import dataset_from_source, fig9_opportunity
+    from repro.pipeline import build_dataset, fig9_opportunity
     from repro.pipeline.report import format_percent
     from repro.workload import EdgeScenario, ScenarioConfig
 
@@ -500,19 +506,12 @@ def _cmd_routing(args: argparse.Namespace) -> int:
             f"{len(scenario.networks)} groups…"
         )
         source = scenario.generate()
-    dataset = dataset_from_source(
+    dataset = build_dataset(
         source,
         study_windows=args.days * 24,
         keep_response_sizes=False,
         window_seconds=3600.0,
-        workers=args.workers,
-        shards=args.shards,
-        executor=args.executor,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
-        strict=args.strict,
-        engine=args.engine,
-        worker_addrs=_worker_addrs(args),
+        options=_dataset_options(args),
     )
     print(f"{dataset.session_count:,} sampled sessions")
     _print_degraded(dataset)
@@ -589,20 +588,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.pipeline import dataset_from_source, fig6_global_performance
+    from repro.pipeline import build_dataset, fig6_global_performance
     from repro.pipeline.report import format_metric, format_percent
 
-    dataset = dataset_from_source(
+    dataset = build_dataset(
         args.trace,
         study_windows=args.windows,
-        workers=args.workers,
-        shards=args.shards,
-        executor=args.executor,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
-        strict=args.strict,
-        engine=args.engine,
-        worker_addrs=_worker_addrs(args),
+        options=_dataset_options(args),
     )
     print(f"{dataset.session_count:,} sessions loaded from {args.trace}")
     _print_degraded(dataset)
@@ -701,7 +693,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_requests=args.max_requests,
-        engine=args.engine,
         cache_capacity=args.cache_capacity,
         study_windows=args.windows,
         metrics=active_metrics(),
@@ -713,7 +704,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {args.store} on http://{host}:{port} "
         f"({engine.study_windows} windows × {engine.window_seconds:.0f}s, "
-        f"engine={engine.engine}, cache={engine.cache.capacity})",
+        f"cache={engine.cache.capacity})",
         flush=True,
     )
     print(
@@ -827,27 +818,21 @@ _COMMANDS = {
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject option combinations that would otherwise be silently ignored."""
-    workers = getattr(args, "workers", None)
-    shards = getattr(args, "shards", None)
-    executor = getattr(args, "executor", None)
-    addrs = getattr(args, "workers_addr", None)
-    if (
-        shards is not None
-        and executor != "dispatch"
-        and (workers is None or workers <= 1)
-    ):
-        parser.error(
-            f"--shards {shards} has no effect without --workers > 1; "
-            "pass --workers N (or drop --shards) to run sharded"
-        )
-    if executor == "dispatch" and not addrs:
-        parser.error(
-            "--executor dispatch requires --workers-addr HOST:PORT,..."
-        )
-    if addrs and executor != "dispatch":
-        parser.error(
-            "--workers-addr is only meaningful with --executor dispatch"
-        )
+    if hasattr(args, "workers"):
+        try:
+            options = _parallel_options(args)
+        except ValueError as error:
+            parser.error(str(error))
+        if (
+            options.shards is not None
+            and options.executor != "dispatch"
+            and options.workers == 1
+        ):
+            parser.error(
+                f"--shards {options.shards} has no effect without "
+                "--workers > 1; pass --workers N (or drop --shards) to run "
+                "sharded"
+            )
     fmt = getattr(args, "trace_format", None)
     if fmt is not None:
         from repro.pipeline.io import detect_format
@@ -870,23 +855,17 @@ def _shard_plan(args: argparse.Namespace) -> dict:
     """Describe the partitioning this invocation asked for (execution facts)."""
     if not hasattr(args, "workers"):
         return {}
-    addrs = _worker_addrs(args)
-    if args.shards is not None:
-        shards = args.shards
-    elif args.executor == "dispatch":
-        shards = max(args.workers, len(addrs))
-    else:
-        shards = args.workers
+    options = _parallel_options(args)
     plan = {
-        "workers": args.workers,
-        "shards": shards,
-        "executor": args.executor,
-        "max_retries": args.max_retries,
-        "retry_backoff": args.retry_backoff,
-        "strict": args.strict,
+        "workers": options.workers,
+        "shards": options.effective_shards,
+        "executor": options.executor,
+        "max_retries": options.max_retries,
+        "retry_backoff": options.retry_backoff,
+        "strict": options.strict,
     }
-    if addrs:
-        plan["worker_addrs"] = list(addrs)
+    if options.worker_addrs:
+        plan["worker_addrs"] = list(options.worker_addrs)
     return plan
 
 

@@ -7,11 +7,12 @@ directly over decoded column arrays — flat per-transaction lists indexed by a
 per-session length column, the layout the columnar store already holds — with
 no per-row object materialization on the hot path.
 
-The row path is the **equivalence oracle**: every kernel here is required to
+These kernels are the only path ``build_dataset`` runs. The row path is the
+**equivalence oracle** the tests call: every kernel here is required to
 reproduce its row implementation bit for bit (same expressions, evaluated in
-the same order, on the same Python numeric types), so batch-engine output —
-rows, aggregations, reports, figures, counters — is byte-identical to the row
-engine's. The invariant is enforced by ``tests/test_batch_equivalence.py``
+the same order, on the same Python numeric types), so kernel output — rows,
+aggregations, reports, figures, counters — is byte-identical to the row
+fold's. The invariant is enforced by ``tests/test_batch_equivalence.py``
 (end-to-end differential matrix) and ``tests/test_kernels_property.py``
 (per-kernel Hypothesis properties), so a divergence names the kernel.
 

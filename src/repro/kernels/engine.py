@@ -12,8 +12,8 @@ execution topologies:
   (batches may interleave: store partitions are keyed by PoP and time
   band, not stream position);
 - **sharded**: ``repro.pipeline.parallel`` builds one ingestor per shard
-  and ships ``finalize()``'s output as a ``ShardResult`` through the same
-  order-independent merge the row engine uses.
+  and ships ``finalize()``'s output as a ``ShardResult`` through the
+  order-independent merge.
 
 Counter parity is exact, not just sum-equal: the registry creates a
 counter key on any ``inc``, including ``inc(name, 0)``, so the ingestor
@@ -57,8 +57,8 @@ DEFAULT_BATCH_ROWS = 2048
 class BatchIngestor:
     """Accumulate batches; finalize into rows + aggregation pieces.
 
-    Constructor arguments match :class:`StudyDataset`'s so the pipeline's
-    ``dataset_kwargs`` dict drives either engine unchanged.
+    Constructor arguments match :class:`StudyDataset`'s, so one
+    ``dataset_kwargs`` dict builds the ingestor and the dataset it fills.
     """
 
     def __init__(
@@ -415,7 +415,7 @@ def batches_for_chunk(
 
     Store chunks decode their partitions straight to columns; JSONL
     chunks reuse the chunk readers' order keys (byte offsets / line
-    indexes), so shard results merge identically to the row engine's.
+    indexes), so shard results merge in exact stream order.
     """
     from repro.pipeline.io import StoreChunk, read_chunk
     from repro.store import TraceStoreReader

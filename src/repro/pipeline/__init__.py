@@ -18,7 +18,6 @@ from repro.pipeline.dataset import SessionRow, StudyDataset
 from repro.pipeline.experiments import (
     CdfSeries,
     ablation_naive_goodput,
-    dataset_from_source,
     fig1_session_behaviour,
     fig2_transfer_sizes,
     fig3_transaction_counts,
@@ -68,7 +67,6 @@ __all__ = [
     "StudyDataset",
     "build_dataset",
     "convert",
-    "dataset_from_source",
     "detect_format",
     "read_samples",
     "write_samples",

@@ -182,46 +182,6 @@ class StudyDataset:
             self.ingest_one(sample)
         return self
 
-    @classmethod
-    def from_trace(
-        cls,
-        path,
-        *,
-        study_windows: int,
-        keep_response_sizes: bool = True,
-        compute_naive: bool = False,
-        window_seconds: float = 900.0,
-        scan_filter=None,
-    ) -> "StudyDataset":
-        """Build a dataset straight from a trace path (JSONL or store).
-
-        The format is auto-detected (:func:`repro.pipeline.io.detect_format`).
-        ``scan_filter`` — a :class:`repro.store.ScanFilter` — restricts a
-        store-backed build to matching samples, pruning whole partitions
-        from the manifest before any bytes are decoded; it requires a store
-        path (JSONL has no pushdown to give).
-        """
-        from repro.pipeline.io import detect_format, read_samples
-        from repro.store import TraceStoreReader
-
-        dataset = cls(
-            study_windows=study_windows,
-            keep_response_sizes=keep_response_sizes,
-            compute_naive=compute_naive,
-            window_seconds=window_seconds,
-        )
-        if scan_filter is not None:
-            if detect_format(path) != "store":
-                raise ValueError(
-                    "scan_filter requires a columnar store trace; convert "
-                    "the JSONL trace first (repro convert)"
-                )
-            reader = TraceStoreReader(path)
-            return dataset.ingest(
-                reader.scan(scan_filter, metrics=dataset.metrics)
-            )
-        return dataset.ingest(read_samples(path, metrics=dataset.metrics))
-
     # ------------------------------------------------------------------ #
     @property
     def session_count(self) -> int:

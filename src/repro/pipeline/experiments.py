@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import span, traced
+from repro.obs import traced
 from repro.pipeline.dataset import StudyDataset
 from repro.stats.weighted import ecdf, percentile
 
 __all__ = [
     "CdfSeries",
-    "dataset_from_source",
     "fig1_session_behaviour",
     "fig2_transfer_sizes",
     "fig3_transaction_counts",
@@ -29,76 +28,6 @@ __all__ = [
     "fig7_rtt_vs_hdratio",
     "ablation_naive_goodput",
 ]
-
-
-# --------------------------------------------------------------------- #
-# Dataset construction (serial or sharded-parallel)
-# --------------------------------------------------------------------- #
-def dataset_from_source(
-    source,
-    *,
-    study_windows: int,
-    keep_response_sizes: bool = True,
-    compute_naive: bool = False,
-    window_seconds: float = 900.0,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    executor: str = "process",
-    max_retries: int = 2,
-    retry_backoff: float = 0.05,
-    strict: bool = False,
-    engine: str = "row",
-    worker_addrs: Sequence[str] = (),
-) -> StudyDataset:
-    """Build the :class:`StudyDataset` every figure driver consumes.
-
-    ``source`` is a trace path (JSONL or columnar store, auto-detected) or
-    an in-memory sample stream. With ``workers > 1`` (or ``shards > 1``)
-    ingestion runs through the sharded pipeline
-    (:mod:`repro.pipeline.parallel`), whose output is bit-identical to the
-    serial pass — so fig6/fig8/fig10 results depend on neither the trace
-    format nor how the dataset was built. ``max_retries``,
-    ``retry_backoff``, and ``strict`` set the sharded pipeline's fault
-    policy (retry, then quarantine — or fail fast under ``strict``); see
-    :class:`repro.pipeline.parallel.ParallelOptions`.
-
-    ``engine`` selects the row fold (``"row"``, the oracle) or the
-    column-batch kernels (``"batch"``, :mod:`repro.kernels`); outputs are
-    byte-identical either way (``tests/test_batch_equivalence.py``).
-
-    ``executor="dispatch"`` fans shards out over :mod:`repro.dist` worker
-    daemons named by ``worker_addrs`` (``host:port`` strings); the
-    dispatch path always goes through the sharded pipeline, whatever
-    ``workers`` says, because its point is *where* the work runs.
-    """
-    from repro.pipeline.parallel import ParallelOptions, build_dataset
-
-    if (
-        executor != "dispatch"
-        and workers == 1
-        and (shards is None or shards == 1)
-    ):
-        options = None
-    else:
-        options = ParallelOptions(
-            workers=workers,
-            shards=shards,
-            executor=executor,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            strict=strict,
-            worker_addrs=tuple(worker_addrs),
-        )
-    with span("pipeline.dataset_from_source"):
-        return build_dataset(
-            source,
-            study_windows=study_windows,
-            keep_response_sizes=keep_response_sizes,
-            compute_naive=compute_naive,
-            window_seconds=window_seconds,
-            options=options,
-            engine=engine,
-        )
 
 
 @dataclass(frozen=True)

@@ -87,14 +87,7 @@ from repro.obs import (
 )
 from repro.pipeline.dataset import SessionRow, StudyDataset
 from repro.pipeline.filters import FilterStats
-from repro.pipeline.io import (
-    PathLike,
-    StoreChunk,
-    TraceChunk,
-    plan_chunks,
-    read_chunk,
-    read_samples,
-)
+from repro.pipeline.io import PathLike, StoreChunk, TraceChunk, plan_chunks
 
 __all__ = [
     "EXECUTORS",
@@ -379,54 +372,19 @@ class _ShardTask:
     #: Planned sample count (None when the plan cannot know it, e.g. a
     #: JSONL byte-range chunk). Feeds the degraded ledger's loss estimate.
     expected_rows: Optional[int] = None
-    #: Analysis engine: ``"row"`` (the oracle StudyDataset fold) or
-    #: ``"batch"`` (column kernels, :mod:`repro.kernels`). Both produce
-    #: the same ShardResult shape, so retry/quarantine/merge are shared.
-    engine: str = "row"
 
 
 def _run_shard(task: _ShardTask) -> ShardResult:
-    """Ingest one partition through the selected engine's fold."""
-    faultinject.check_shard(task.ordinal)
-    if task.engine == "batch":
-        return _run_shard_batch(task)
-    start = time.perf_counter()
-    dataset = StudyDataset(**task.dataset_kwargs)
-    if task.chunk is not None:
-        source = read_chunk(task.chunk, metrics=dataset.metrics)
-    else:
-        source = iter(task.indexed_samples or [])
-    result = ShardResult(
-        ordinal=task.ordinal,
-        filter_stats=dataset.filter_stats,
-        metrics=dataset.metrics,
-    )
-    first_seen: Dict[AggregationKey, int] = {}
-    for order_key, sample in source:
-        result.samples_ingested += 1
-        if not dataset.ingest_one(sample):
-            continue
-        result.rows.append((order_key, dataset.rows[-1]))
-        key = dataset.store.key_for(sample)
-        first_seen.setdefault(key, order_key)
-    aggregations = dict(dataset.store.items())
-    result.aggregations = [
-        (first_seen[key], key, aggregations[key]) for key in aggregations
-    ]
-    result.wall_seconds = time.perf_counter() - start
-    return result
-
-
-def _run_shard_batch(task: _ShardTask) -> ShardResult:
     """Ingest one partition through the column-batch kernels.
 
-    Same inputs, same ShardResult contract as the row fold — the batch
-    ingestor's finalized rows/aggregations are already in the (order key,
-    payload) shapes :func:`_merge_results` consumes, so the merger cannot
-    tell the engines apart.
+    The batch ingestor's finalized rows/aggregations are already in the
+    (order key, payload) shapes :func:`_merge_results` consumes.
     """
+    # Imported here, not at module top: repro.kernels.engine imports
+    # repro.pipeline.filters, whose package __init__ imports this module.
     from repro.kernels.engine import BatchIngestor, batches_for_chunk, batches_from_pairs
 
+    faultinject.check_shard(task.ordinal)
     start = time.perf_counter()
     ingestor = BatchIngestor(**task.dataset_kwargs)
     if task.chunk is not None:
@@ -710,22 +668,24 @@ def build_dataset(
     compute_naive: bool = False,
     window_seconds: float = 900.0,
     options: Optional[ParallelOptions] = None,
-    engine: str = "row",
 ) -> StudyDataset:
     """Build a :class:`StudyDataset` from a trace file or sample stream.
 
-    With ``options`` absent (or one shard under the serial executor) this
-    is exactly ``StudyDataset(...).ingest(...)``. Otherwise the source is
-    partitioned — JSONL traces into byte-range/line-block chunks, columnar
-    stores into partition-aligned chunks, in-memory streams by group hash —
-    executed per ``options``, and merged back into a dataset whose state is
-    bit-identical to the serial pass.
-
-    ``engine`` selects the analysis path: ``"row"`` is the per-record
-    oracle fold; ``"batch"`` runs the same methodology over column arrays
-    (:mod:`repro.kernels`) with byte-identical reports, figures, and data
-    counters — the equivalence the differential suite enforces
+    The one path from a trace (JSONL or columnar store, auto-detected) or
+    an in-memory sample stream to the dataset every figure driver
+    consumes. The §3.2 methodology runs over column arrays
+    (:mod:`repro.kernels`); the result — rows, aggregations, reports,
+    figures, data counters — is byte-identical to the per-record reference
+    fold ``StudyDataset(...).ingest(read_samples(source))``, which the
+    differential suite calls as its oracle
     (``tests/test_batch_equivalence.py``).
+
+    With ``options`` absent (or one shard under the serial executor) the
+    source is folded in one pass. Otherwise it is partitioned — JSONL
+    traces into byte-range/line-block chunks, columnar stores into
+    partition-aligned chunks, in-memory streams by group hash — executed
+    per ``options``, and merged back into a dataset whose state is
+    bit-identical to the one-pass fold.
 
     Sharded runs tolerate shard failures per the options' retry policy:
     shards that exhaust their retries under non-strict mode are quarantined
@@ -736,8 +696,6 @@ def build_dataset(
     ``fault.samples_lost``, ``fault.partitions_skipped``) only when
     non-zero, so clean manifests are unchanged.
     """
-    if engine not in ("row", "batch"):
-        raise ValueError(f"engine must be 'row' or 'batch', not {engine!r}")
     dataset_kwargs = dict(
         study_windows=study_windows,
         keep_response_sizes=keep_response_sizes,
@@ -751,25 +709,16 @@ def build_dataset(
     with span("pipeline.ingest"):
         if options.effective_shards == 1 and options.executor == "serial":
             with span("serial"):
-                if engine == "batch":
-                    from repro.kernels.engine import (
-                        BatchIngestor,
-                        fold_into_dataset,
-                        iter_batches,
-                    )
+                from repro.kernels.engine import (
+                    BatchIngestor,
+                    fold_into_dataset,
+                    iter_batches,
+                )
 
-                    ingestor = BatchIngestor(**dataset_kwargs)
-                    for batch in iter_batches(
-                        source, metrics=ingestor.metrics
-                    ):
-                        ingestor.ingest_batch(batch)
-                    fold_into_dataset(dataset, ingestor)
-                else:
-                    dataset.ingest(
-                        read_samples(source, metrics=dataset.metrics)
-                        if is_path
-                        else source
-                    )
+                ingestor = BatchIngestor(**dataset_kwargs)
+                for batch in iter_batches(source, metrics=ingestor.metrics):
+                    ingestor.ingest_batch(batch)
+                fold_into_dataset(dataset, ingestor)
         else:
             with span("plan"):
                 if is_path:
@@ -779,7 +728,6 @@ def build_dataset(
                             chunk=chunk,
                             ordinal=index,
                             expected_rows=_planned_rows(chunk),
-                            engine=engine,
                         )
                         for index, chunk in enumerate(
                             plan_chunks(source, options.effective_shards)
@@ -799,7 +747,6 @@ def build_dataset(
                             indexed_samples=shard,
                             ordinal=index,
                             expected_rows=len(shard),
-                            engine=engine,
                         )
                         for index, shard in enumerate(shards)
                     ]

@@ -2,7 +2,7 @@
 
 :class:`LruCache` is a deliberately small, exactly-accounted LRU map. The
 serving engine (:mod:`repro.serve.engine`) keys it by the normalized query
-coordinates — (PoPs, countries, window band, engine profile) — and stores
+coordinates — (profile, PoPs, countries, window band) — and stores
 the built sealed-window aggregation (a
 :class:`~repro.pipeline.dataset.StudyDataset` plus its rendered response
 memo) as the value, the same shape the lazy spatial caches the ROADMAP

@@ -20,7 +20,7 @@ Resolution pipeline per query:
    and appends only ever add bytes past the previous manifest's range, so
    a concurrent reader always observes a consistent snapshot.
 2. **Cache lookup.** Aggregations are cached in an :class:`~repro.serve.cache.LruCache`
-   keyed by the normalized query coordinates — (profile, engine, PoPs,
+   keyed by the normalized query coordinates — (profile, PoPs,
    countries, window band) — with exact hit/miss/eviction accounting.
 3. **Build on miss.** A :class:`ScanFilter` prunes non-matching partitions
    from the manifest before any data byte is read (the ``store.*``
@@ -119,9 +119,10 @@ class QueryEngine:
     the store manifest (the partition bands span the study); pass them
     explicitly to pin equivalence against a specific batch invocation.
     ``routing_windows`` defaults to the routing CLI's two-day study.
-    ``engine`` selects the dataset build for *unfiltered* queries
-    (``"batch"`` runs the column kernels); filtered queries always run the
-    row fold, whose output is byte-identical by the PR-5 oracle contract.
+    Unfiltered queries build through
+    :func:`~repro.pipeline.parallel.build_dataset`; filtered queries fold
+    the pruned scan per sample, whose output is byte-identical by the
+    oracle contract (DESIGN.md §10).
     """
 
     def __init__(
@@ -131,16 +132,12 @@ class QueryEngine:
         window_seconds: Optional[float] = None,
         routing_windows: int = DEFAULT_ROUTING_WINDOWS,
         routing_window_seconds: float = 3600.0,
-        engine: str = "batch",
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if engine not in ("row", "batch"):
-            raise ValueError(f"unknown engine {engine!r} (use 'row' or 'batch')")
         if routing_windows < 1:
             raise ValueError("routing_windows must be >= 1")
         self.path = pathlib.Path(store_path)
-        self.engine = engine
         self.routing_windows = routing_windows
         self.routing_window_seconds = routing_window_seconds
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -243,7 +240,6 @@ class QueryEngine:
         hdratio["full_fraction"] = result.hdratio_full_fraction
         payload = {
             "endpoint": "quantiles",
-            "engine": self.engine,
             "generation": generation,
             "filters": self._echo_filters(pops, countries, window),
             "window_seconds": self.window_seconds,
@@ -324,7 +320,6 @@ class QueryEngine:
             )
         payload = {
             "endpoint": "degradation",
-            "engine": self.engine,
             "generation": generation,
             "filters": self._echo_filters(pops, countries, window),
             "metric": metric,
@@ -373,7 +368,6 @@ class QueryEngine:
         )
         payload = {
             "endpoint": "routing",
-            "engine": self.engine,
             "generation": generation,
             "filters": self._echo_filters(pops, countries, window),
             "window_seconds": self.routing_window_seconds,
@@ -407,7 +401,6 @@ class QueryEngine:
         payload: dict = {
             "endpoint": "health",
             "store": str(self.path),
-            "engine": self.engine,
             "cache": {
                 "size": len(self.cache),
                 "capacity": self.cache.capacity,
@@ -481,7 +474,6 @@ class QueryEngine:
         generation = self._refresh_generation()
         key = (
             profile,
-            self.engine,
             tuple(sorted(pops)) if pops is not None else None,
             tuple(sorted(countries)) if countries is not None else None,
             window,
@@ -535,8 +527,7 @@ class QueryEngine:
             study_windows = self.routing_windows
             keep_response_sizes = False
 
-        unfiltered = pops is None and countries is None and window is None
-        if unfiltered and self.engine == "batch":
+        if pops is None and countries is None and window is None:
             from repro.pipeline.parallel import build_dataset
 
             dataset = build_dataset(
@@ -544,7 +535,6 @@ class QueryEngine:
                 study_windows=study_windows,
                 keep_response_sizes=keep_response_sizes,
                 window_seconds=window_seconds,
-                engine="batch",
             )
             self.metrics.merge(dataset.metrics)
             return dataset
@@ -554,20 +544,16 @@ class QueryEngine:
             keep_response_sizes=keep_response_sizes,
             window_seconds=window_seconds,
         )
-        scan_filter = None
-        if not unfiltered:
-            scan_filter = ScanFilter(
-                pops=pops,
-                countries=countries,
-                min_end_time=(
-                    window[0] * window_seconds if window is not None else None
-                ),
-                max_end_time=(
-                    (window[1] + 1) * window_seconds
-                    if window is not None
-                    else None
-                ),
-            )
+        scan_filter = ScanFilter(
+            pops=pops,
+            countries=countries,
+            min_end_time=(
+                window[0] * window_seconds if window is not None else None
+            ),
+            max_end_time=(
+                (window[1] + 1) * window_seconds if window is not None else None
+            ),
+        )
         reader = TraceStoreReader(self.path)
         samples = reader.scan(scan_filter, metrics=dataset.metrics)
         if window is not None:

@@ -115,7 +115,7 @@ def make_server(
 ) -> TraceStoreHTTPServer:
     """Build a server over ``store_path``; ``port=0`` picks a free port.
 
-    Engine keyword arguments (``engine=``, ``cache_capacity=``,
+    Engine keyword arguments (``cache_capacity=``,
     ``metrics=``, window overrides) pass through to
     :class:`QueryEngine`. The caller owns the serve loop::
 

@@ -166,7 +166,8 @@ class TraceStoreReader:
         manifest_path = self.path / MANIFEST_NAME
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
+            # NotADirectoryError: ``path`` is a file, e.g. a JSONL trace.
             raise StoreError(
                 f"{self.path}: not a trace store (missing {MANIFEST_NAME}; "
                 "an interrupted write leaves no manifest on purpose)"

@@ -7,6 +7,7 @@ be tested without running the workload generator.
 
 from __future__ import annotations
 
+import pathlib
 import random
 import zlib
 from typing import Iterable, List, Optional
@@ -21,6 +22,7 @@ from repro.core.records import (
     TransactionRecord,
     UserGroupKey,
 )
+from repro.pipeline import StudyDataset, read_samples
 
 DEFAULT_GROUP = UserGroupKey(pop="ams1", prefix="203.0.112.0/20", country="NL")
 
@@ -187,3 +189,16 @@ def fill_window(
         )
         hd = min(max(rng.gauss(hdratio, 0.01), 0.0), 1.0)
         store.add(sample, hdratio=hd)
+
+
+def row_oracle(source, **dataset_kwargs):
+    """The reference dataset: one serial per-sample row fold of ``source``.
+
+    ``source`` is a trace path (JSONL or store) or a sample iterable. No
+    runtime path selects this fold; the differential tests and
+    ``benchmarks/test_bench_analyze.py`` hold ``build_dataset`` to it.
+    """
+    dataset = StudyDataset(**dataset_kwargs)
+    if isinstance(source, (str, pathlib.Path)):
+        source = read_samples(source, metrics=dataset.metrics)
+    return dataset.ingest(source)

@@ -1,12 +1,14 @@
-"""Differential oracle: the batch engine must equal the row engine exactly.
+"""Differential oracle: ``build_dataset`` must equal the row fold exactly.
 
-The row path (`StudyDataset.ingest` and its parallel fold) is the reference
-implementation of the §3.2 methodology; the column-batch kernels in
-:mod:`repro.kernels` are a from-scratch reimplementation of the same math
-over decoded column arrays. This harness asserts the two engines produce
-**identical** output — rows, filter accounting, observability counters,
-gauges, aggregation contents, figure/report numbers, and run-manifest
-accounting — across the full execution matrix:
+The row path (the serial per-sample ``StudyDataset.ingest`` over
+:mod:`repro.core`) is the reference implementation of the §3.2
+methodology; the column-batch kernels in :mod:`repro.kernels` — the only
+path ``build_dataset`` runs — are a from-scratch reimplementation of the
+same math over decoded column arrays. No option selects the row fold; it
+is called from here. This harness asserts the two produce **identical**
+output — rows, filter accounting, observability counters, gauges,
+aggregation contents, figure/report numbers, and run-manifest accounting —
+across the full execution matrix:
 
     {serial, workers=4} x {jsonl trace, columnar store}
 
@@ -21,7 +23,7 @@ import pathlib
 
 import pytest
 
-from tests.helpers import make_trace_samples
+from tests.helpers import make_trace_samples, row_oracle
 from repro.obs import RunManifest
 from repro.pipeline import (
     ParallelOptions,
@@ -60,15 +62,16 @@ def golden_store(tmp_path_factory):
     return store
 
 
-def build(source, engine, options=None, **kwargs):
+def build(source, options=None, **kwargs):
     parallel = ParallelOptions(**options) if options else None
     return build_dataset(
-        source,
-        study_windows=STUDY_WINDOWS,
-        engine=engine,
-        options=parallel,
-        **kwargs,
+        source, study_windows=STUDY_WINDOWS, options=parallel, **kwargs
     )
+
+
+def oracle(source, **kwargs):
+    """The reference: one serial per-sample row fold, whatever the plan."""
+    return row_oracle(source, study_windows=STUDY_WINDOWS, **kwargs)
 
 
 def dataset_facts(dataset: StudyDataset, store_source: bool):
@@ -76,7 +79,7 @@ def dataset_facts(dataset: StudyDataset, store_source: bool):
 
     For store sources the *within*-aggregation raw sample order is not
     pinned (partitions interleave sequence ranges, and the parallel row
-    path already merges them piece-wise), so per-aggregation lists are
+    merge folds them piece-wise), so per-aggregation lists are
     compared as sorted multisets there; jsonl and in-memory sources are
     compared with raw order intact. Every derived statistic is an order
     statistic or a sum, so the figure-level comparisons below stay exact
@@ -87,7 +90,6 @@ def dataset_facts(dataset: StudyDataset, store_source: bool):
         dataset.rows,
         dataset.filter_stats,
         dataset.metrics.counters,
-        dataset.metrics.gauges,
         [key for key, _ in dataset.store.items()],
         dataset.store.windows(),
         sorted(dataset.store.groups(), key=str),
@@ -128,37 +130,47 @@ def manifest_facts(dataset: StudyDataset):
     return manifest.sample_accounting(), manifest.degraded
 
 
-def assert_engines_equal(source, options, store_source=False, **kwargs):
-    row = build(source, "row", options, **kwargs)
-    batch = build(source, "batch", options, **kwargs)
-    assert dataset_facts(batch, store_source) == dataset_facts(row, store_source)
-    assert figure_facts(batch) == figure_facts(row)
-    assert manifest_facts(batch) == manifest_facts(row)
+def assert_shape_gauges(built: StudyDataset, row: StudyDataset):
+    """``build_dataset``'s dataset-shape gauges, against the oracle's shape."""
+    assert built.metrics.gauges == {
+        "pipeline.rows": len(row.rows),
+        "pipeline.aggregations": len(row.store),
+        "pipeline.groups": len(row.store.groups()),
+    }
+
+
+def assert_equals_oracle(source, options, store_source=False, **kwargs):
+    row = oracle(source, **kwargs)
+    built = build(source, options, **kwargs)
+    assert dataset_facts(built, store_source) == dataset_facts(row, store_source)
+    assert_shape_gauges(built, row)
+    assert figure_facts(built) == figure_facts(row)
+    assert manifest_facts(built) == manifest_facts(row)
 
 
 class TestGoldenTraceMatrix:
     """The ISSUE-mandated matrix: {serial, workers=4} x {jsonl, store}."""
 
     def test_jsonl_serial(self):
-        assert_engines_equal(TRACE, SERIAL)
+        assert_equals_oracle(TRACE, SERIAL)
 
     def test_jsonl_workers4(self):
-        assert_engines_equal(TRACE, WORKERS4)
+        assert_equals_oracle(TRACE, WORKERS4)
 
     def test_store_serial(self, golden_store):
-        assert_engines_equal(golden_store, SERIAL, store_source=True)
+        assert_equals_oracle(golden_store, SERIAL, store_source=True)
 
     def test_store_workers4(self, golden_store):
-        assert_engines_equal(golden_store, WORKERS4, store_source=True)
+        assert_equals_oracle(golden_store, WORKERS4, store_source=True)
 
 
 class TestCrossSourceConsistency:
-    """Batch over a store must also equal row over the original jsonl,
-    modulo the store.* read counters that only a store source emits."""
+    """A build over a store must also equal the row fold over the original
+    jsonl, modulo the store.* read counters that only a store source emits."""
 
     def test_batch_store_equals_row_jsonl(self, golden_store):
-        row = build(TRACE, "row")
-        batch = build(golden_store, "batch")
+        row = oracle(TRACE)
+        batch = build(golden_store)
         assert batch.rows == row.rows
         assert batch.filter_stats == row.filter_stats
         row_counters = {
@@ -180,31 +192,37 @@ class TestInMemoryAndModes:
 
     def test_in_memory_serial(self):
         samples = make_trace_samples(400)
-        assert_engines_equal(samples, SERIAL)
+        assert_equals_oracle(samples, SERIAL)
 
     def test_in_memory_sharded(self):
         samples = make_trace_samples(400)
-        assert_engines_equal(samples, WORKERS4)
+        assert_equals_oracle(samples, WORKERS4)
 
     def test_compute_naive_ablation(self):
         samples = make_trace_samples(300)
-        row = build(samples, "row", compute_naive=True)
-        batch = build(samples, "batch", compute_naive=True)
+        row = oracle(samples, compute_naive=True)
+        batch = build(samples, compute_naive=True)
         assert dataset_facts(batch, False) == dataset_facts(row, False)
+        assert_shape_gauges(batch, row)
         assert ablation_naive_goodput(batch) == ablation_naive_goodput(row)
 
     def test_without_response_sizes(self):
         samples = make_trace_samples(300)
-        assert_engines_equal(samples, SERIAL, keep_response_sizes=False)
+        assert_equals_oracle(samples, SERIAL, keep_response_sizes=False)
 
     def test_empty_source(self):
-        row = build([], "row")
-        batch = build([], "batch")
+        row = oracle([])
+        batch = build([])
         assert dataset_facts(batch, False) == dataset_facts(row, False)
+        assert_shape_gauges(batch, row)
         assert manifest_facts(batch) == manifest_facts(row)
 
 
 class TestEngineSelection:
+    """There is none: every engine name is unknown to ``build_dataset``, and
+    the row fold is reachable from tests only."""
+
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine must be 'row' or 'batch'"):
-            build_dataset([], study_windows=1, engine="vector")
+        for engine in ("row", "batch", "vector"):
+            with pytest.raises(TypeError, match="engine"):
+                build_dataset([], study_windows=1, engine=engine)

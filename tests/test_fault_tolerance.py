@@ -327,7 +327,18 @@ class TestRetryAndQuarantine:
             options=_options("serial"),
         )
         assert dataset.degraded is not None
-        assert "CorruptBlockError" in dataset.degraded.shards[0]["error"]
+        entry = dataset.degraded.shards[0]
+        assert "CorruptBlockError" in entry["error"]
+        assert f"partition {partition['id']}" in entry["error"]
+        # The ledger charges exactly the chunk that held the bad block.
+        (chunk,) = [
+            chunk
+            for chunk in TraceStoreReader(store_path).plan_chunks(4)
+            if partition["id"] in chunk.partition_ids
+        ]
+        assert dataset.degraded.to_dict()["shards_lost"] == 1
+        assert entry["samples_lost"] == chunk.rows
+        assert entry["partitions_skipped"] == len(chunk.partition_ids)
         with pytest.raises(ShardError):
             build_dataset(
                 store_path,
@@ -389,13 +400,12 @@ class TestRetryAndQuarantine:
 
 
 # --------------------------------------------------------------------- #
-# 2b. The batch engine inherits the whole failure model
+# 2b. The column read path inherits the whole failure model
 # --------------------------------------------------------------------- #
 class TestBatchEngineFaults:
-    """The column fast path must fail exactly like the row path: same
-    typed errors with the same attribution, same retry/quarantine
-    accounting, same degraded ledger — engine choice is invisible to the
-    failure model."""
+    """The column fast path fails with the same typed errors and the same
+    attribution as the row readers; retry/quarantine accounting over it is
+    asserted absolutely by ``TestRetryAndQuarantine`` above."""
 
     def test_column_read_names_partition_column_offset(self, store_path):
         partition, block = _flip_block_byte(store_path)
@@ -408,37 +418,6 @@ class TestBatchEngineFaults:
         assert error.offset == partition["offset"] + block["offset"]
         assert "crc32 mismatch" in str(error)
 
-    def test_corrupt_block_quarantine_matches_row_engine(self, store_path):
-        partition, _ = _flip_block_byte(store_path)
-        ledgers = {}
-        for engine in ("row", "batch"):
-            dataset = build_dataset(
-                store_path,
-                study_windows=STUDY_WINDOWS,
-                options=_options("serial"),
-                engine=engine,
-            )
-            assert dataset.degraded is not None
-            assert "CorruptBlockError" in dataset.degraded.shards[0]["error"]
-            assert (
-                f"partition {partition['id']}"
-                in dataset.degraded.shards[0]["error"]
-            )
-            ledgers[engine] = dataset.degraded.to_dict()
-
-        def accounting(ledger):
-            return (
-                ledger["shards_lost"],
-                ledger["samples_lost"],
-                ledger["partitions_skipped"],
-                [
-                    (e["ordinal"], e["samples_lost"], e["partitions_skipped"])
-                    for e in ledger["shards"]
-                ],
-            )
-
-        assert accounting(ledgers["batch"]) == accounting(ledgers["row"])
-
     def test_corrupt_block_strict_fails_fast(self, store_path):
         _flip_block_byte(store_path)
         with pytest.raises(ShardError) as excinfo:
@@ -446,37 +425,8 @@ class TestBatchEngineFaults:
                 store_path,
                 study_windows=STUDY_WINDOWS,
                 options=_options("serial", strict=True),
-                engine="batch",
             )
         assert isinstance(excinfo.value.cause, CorruptBlockError)
-
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_kill_shard_accounting_matches_row_engine(
-        self, samples, executor
-    ):
-        counters = {}
-        for engine in ("row", "batch"):
-            faultinject.reset()
-            registry = MetricsRegistry()
-            plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
-            with activate_metrics(registry), faultinject.inject(plan):
-                dataset = build_dataset(
-                    iter(samples),
-                    study_windows=STUDY_WINDOWS,
-                    options=_options(executor),
-                    engine=engine,
-                )
-            assert dataset.degraded.shards_lost == 1
-            counters[engine] = (
-                dataset.degraded.to_dict(),
-                {
-                    name: value
-                    for name, value in registry.to_dict()["counters"].items()
-                    if name.startswith("fault.")
-                },
-                dataset.rows,
-            )
-        assert counters["batch"] == counters["row"]
 
     def test_transient_failure_retries_to_row_identical_result(self, samples):
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
@@ -486,7 +436,6 @@ class TestBatchEngineFaults:
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
                 options=_options("serial"),
-                engine="batch",
             )
         assert dataset.degraded is None
         assert dataset.rows == serial.rows

@@ -6,8 +6,7 @@ the batch pipeline computes (same figure drivers, same dataset fold), and
 the CLI-formatted strings embedded in responses must match ``repro
 analyze`` / ``repro routing`` stdout character for character. Cold-cache
 and warm-cache responses must be *byte*-identical (canonical rendering +
-response memoization), and the row and batch engines must serve identical
-bytes.
+response memoization), and no payload names an engine — there is one.
 
 Filtered queries are checked against an independent oracle: the golden
 trace re-read in plain Python with the filter applied by hand, folded
@@ -254,20 +253,8 @@ class TestByteIdentity:
         warm = [render_payload(engine.handle(p, q)[1]) for p, q in queries]
         assert cold == warm
         assert engine.cache.hits >= len(queries)
-
-    def test_row_vs_batch_engine_byte_identical(self, store_path):
-        row = QueryEngine(store_path, engine="row")
-        batch = QueryEngine(store_path, engine="batch")
-        for path in ("/v1/quantiles", "/v1/degradation", "/v1/routing"):
-            _, row_payload = row.handle(path, {})
-            _, batch_payload = batch.handle(path, {})
-            row_payload = dict(row_payload)
-            batch_payload = dict(batch_payload)
-            # The engine name is echoed in the payload by design; the
-            # numbers must match byte-for-byte once it is removed.
-            assert row_payload.pop("engine") == "row"
-            assert batch_payload.pop("engine") == "batch"
-            assert render_payload(row_payload) == render_payload(batch_payload)
+        for body in cold + [render_payload(engine.handle("/v1/health", {})[1])]:
+            assert "engine" not in json.loads(body)
 
     def test_fresh_engine_byte_identical_to_warm_engine(self, store_path):
         first = QueryEngine(store_path)

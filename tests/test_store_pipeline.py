@@ -17,7 +17,6 @@ from repro.pipeline import (
     StudyDataset,
     build_dataset,
     convert,
-    dataset_from_source,
     detect_format,
 )
 from repro.store import ScanFilter, TraceStoreReader
@@ -126,13 +125,13 @@ class TestGoldenEquivalence:
             == fig9_b.minrtt.valid_traffic_fraction
         )
 
-    def test_dataset_from_source_accepts_store_paths(
+    def test_build_dataset_accepts_str_store_paths(
         self, golden_store, store_dataset, snapshot
     ):
-        via_driver = dataset_from_source(
+        via_str = build_dataset(
             str(golden_store), study_windows=snapshot["study_windows"]
         )
-        assert_same_analysis_state(via_driver, store_dataset)
+        assert_same_analysis_state(via_str, store_dataset)
 
 
 class TestPredicatePushdown:
@@ -165,11 +164,8 @@ class TestPredicatePushdown:
 
         reader = TraceStoreReader(golden_store)
         scan_filter = ScanFilter(pops=reader.partitions[0]["pop"])
-        pushed = StudyDataset.from_trace(
-            golden_store,
-            study_windows=snapshot["study_windows"],
-            scan_filter=scan_filter,
-        )
+        pushed = StudyDataset(study_windows=snapshot["study_windows"])
+        pushed.ingest(reader.scan(scan_filter))
         plain = StudyDataset(study_windows=snapshot["study_windows"])
         plain.ingest(
             s for s in read_samples(TRACE) if scan_filter.admits_sample(s)
@@ -179,10 +175,7 @@ class TestPredicatePushdown:
             k for k, _ in plain.store.items()
         ]
 
-    def test_scan_filter_on_jsonl_is_rejected(self, snapshot):
-        with pytest.raises(ValueError, match="store"):
-            StudyDataset.from_trace(
-                TRACE,
-                study_windows=snapshot["study_windows"],
-                scan_filter=ScanFilter(pops="ams1"),
-            )
+    def test_scan_filter_on_jsonl_is_rejected(self):
+        # JSONL has no pushdown to give: a filtered scan needs a store.
+        with pytest.raises(ValueError, match="not a trace store"):
+            TraceStoreReader(TRACE).scan(ScanFilter(pops="ams1"))
