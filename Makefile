@@ -14,8 +14,6 @@
 #                 run, without the floor, instead of erroring (the container
 #                 may not ship coverage tooling).
 #   bench       - the full figure/ablation benchmark harness.
-#   bench-scaling - just the parallel-pipeline throughput bench; writes
-#                 benchmarks/results/parallel_scaling.txt.
 #   bench-io    - the store-vs-JSONL ingest/pushdown bench; writes
 #                 benchmarks/results/BENCH_io.json.
 #   test-kernels - just the batch-kernel suite (`kernels` marker): the
@@ -39,7 +37,8 @@
 #                 protocol, the worker daemon, dispatch-vs-serial
 #                 equivalence (golden trace), worker-death
 #                 reassignment, and the executor-conformance contract
-#                 across all four backends. Also part of tier-1.
+#                 across the three backends (inline, process pool,
+#                 dispatch). Also part of tier-1.
 #   bench-dist  - dispatch over two local daemons vs the process pool on
 #                 the same workload; writes benchmarks/results/BENCH_dist.json.
 #   test-netsim - just the simulator suite (`netsim` marker): the packet
@@ -77,7 +76,7 @@ COV_ARGS = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
            --cov-report=term-missing --cov-fail-under=$(COV_FLOOR)
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
-	test-dist test-netsim coverage bench bench-scaling bench-io \
+	test-dist test-netsim coverage bench bench-io \
 	bench-analyze bench-ingest bench-serve bench-dist bench-cc-matrix
 
 test:
@@ -117,9 +116,6 @@ coverage:
 
 bench:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m "" benchmarks/
-
-bench-scaling:
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_parallel_scaling.py
 
 bench-io:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_io.py

@@ -69,7 +69,7 @@ def test_dispatch_overhead():
 
     pool_dataset, pool_wall, _ = _timed_build(
         samples,
-        ParallelOptions(workers=WORKERS, shards=SHARDS, executor="process"),
+        ParallelOptions(workers=WORKERS, shards=SHARDS),
     )
     assert_datasets_equal(pool_dataset, serial)
 
@@ -79,7 +79,6 @@ def test_dispatch_overhead():
             ParallelOptions(
                 workers=WORKERS,
                 shards=SHARDS,
-                executor="dispatch",
                 worker_addrs=(first.address, second.address),
             ),
         )

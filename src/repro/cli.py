@@ -11,7 +11,7 @@ The subcommands mirror the library's main entry points:
   or over a saved trace via ``--trace``);
 - ``repro trace`` / ``repro analyze`` — export a synthetic trace and
   re-analyse it later; both formats (JSONL and the columnar store of
-  :mod:`repro.store`) are supported, selected by path or ``--format``;
+  :mod:`repro.store`) are supported, selected by the path;
 - ``repro ingest`` — stream a trace (or JSONL on stdin via ``-``) through
   watermarked incremental windows: sealed windows append to a ``--out``
   store and the §5 temporal classifier plus degradation alerts run online
@@ -27,7 +27,7 @@ The subcommands mirror the library's main entry points:
   ``repro ingest`` appends windows to the same store;
 - ``repro worker`` — run a shard-executing worker daemon
   (:mod:`repro.dist`); point a sharded subcommand at a fleet of these
-  with ``--executor dispatch --workers-addr host:port,...`` to fan the
+  with ``--workers-addr host:port,...`` to fan the
   analysis out across hosts (DESIGN.md §13);
 - ``repro compact-store`` — merge a store's many small streamed
   partitions into few large ones (CRC re-verified, crash-safe
@@ -83,24 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_parallel_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--workers", type=int, default=1,
-            help="worker-pool size for sharded ingestion (1 = serial)",
+            help="process-pool size for sharded ingestion (1 = run inline)",
         )
         command.add_argument(
             "--shards", type=int, default=None,
             help="number of partitions (defaults to --workers)",
         )
         command.add_argument(
-            "--executor",
-            choices=("process", "thread", "serial", "dispatch"),
-            default="process",
-            help="worker pool kind for --workers > 1, or 'dispatch' to fan "
-            "shards out over `repro worker` daemons (--workers-addr)",
-        )
-        command.add_argument(
             "--workers-addr", default=None, metavar="HOST:PORT,...",
             dest="workers_addr",
-            help="comma-separated worker-daemon addresses for "
-            "--executor dispatch",
+            help="fan the shards out over these `repro worker` daemons "
+            "(comma-separated) instead of a local pool",
         )
         command.add_argument(
             "--max-retries", type=int, default=2, dest="max_retries",
@@ -159,14 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_parallel_options(snapshot)
     _add_observability_options(snapshot)
 
-    def add_format_option(command: argparse.ArgumentParser, what: str) -> None:
-        command.add_argument(
-            "--format", choices=("jsonl", "store"), default=None,
-            dest="trace_format",
-            help=f"trace format of {what} (default: auto-detect from the "
-            "path — a *.store directory is a columnar store)",
-        )
-
     routing = sub.add_parser("routing", help="run the §6 routing audit")
     routing.add_argument("--seed", type=int, default=42)
     routing.add_argument("--days", type=int, default=2)
@@ -176,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit a saved trace (JSONL or store) instead of generating "
         "a scenario; --seed/--rate are ignored",
     )
-    add_format_option(routing, "--trace")
     add_parallel_options(routing)
     _add_observability_options(routing)
 
@@ -190,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--networks-per-metro", type=int, default=1, dest="networks_per_metro"
     )
-    add_format_option(trace, "the output")
     _add_observability_options(trace)
 
     analyze = sub.add_parser(
@@ -203,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--windows", type=int, default=96,
         help="number of 15-minute windows the trace spans",
     )
-    add_format_option(analyze, "the trace")
     add_parallel_options(analyze)
     _add_observability_options(analyze)
 
@@ -296,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="run a shard-executing worker daemon for --executor dispatch",
+        help="run a shard-executing worker daemon for --workers-addr",
     )
     worker.add_argument(
         "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -345,32 +327,17 @@ def _parallel_options(args: argparse.Namespace):
     """The sharding flags as a ``ParallelOptions``; ``ValueError`` if bad."""
     from repro.pipeline import ParallelOptions
 
-    addrs = args.workers_addr or ""
+    # Empty parts are kept so that `--workers-addr ""` or a trailing comma
+    # is rejected as a bad address rather than quietly running locally.
+    addrs = () if args.workers_addr is None else args.workers_addr.split(",")
     return ParallelOptions(
         workers=args.workers,
         shards=args.shards,
-        executor=args.executor,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
         strict=args.strict,
-        worker_addrs=tuple(
-            part.strip() for part in addrs.split(",") if part.strip()
-        ),
+        worker_addrs=tuple(part.strip() for part in addrs),
     )
-
-
-def _dataset_options(args: argparse.Namespace):
-    """What a command hands ``build_dataset``: ``None`` for a plain serial
-    run, which takes the one-pass fold (no shard plan, no shard report).
-    Dispatch always shards — its point is *where* the work runs."""
-    options = _parallel_options(args)
-    if (
-        options.executor != "dispatch"
-        and options.workers == 1
-        and options.effective_shards == 1
-    ):
-        return None
-    return options
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
@@ -462,7 +429,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     dataset = build_dataset(
         scenario.generate(),
         study_windows=config.total_windows,
-        options=_dataset_options(args),
+        options=_parallel_options(args),
     )
     print(f"{dataset.session_count:,} sampled sessions")
     _print_degraded(dataset)
@@ -511,7 +478,7 @@ def _cmd_routing(args: argparse.Namespace) -> int:
         study_windows=args.days * 24,
         keep_response_sizes=False,
         window_seconds=3600.0,
-        options=_dataset_options(args),
+        options=_parallel_options(args),
     )
     print(f"{dataset.session_count:,} sampled sessions")
     _print_degraded(dataset)
@@ -548,7 +515,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     scenario = EdgeScenario(config)
     print(f"Generating {args.days} day(s) across {len(scenario.networks)} networks…")
-    fmt = args.trace_format or detect_format(args.output)
+    fmt = detect_format(args.output)
     if fmt == "store":
         count = write_store(
             args.output, scenario.generate(), metrics=active_metrics()
@@ -594,7 +561,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     dataset = build_dataset(
         args.trace,
         study_windows=args.windows,
-        options=_dataset_options(args),
+        options=_parallel_options(args),
     )
     print(f"{dataset.session_count:,} sessions loaded from {args.trace}")
     _print_degraded(dataset)
@@ -817,38 +784,12 @@ _COMMANDS = {
 
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject option combinations that would otherwise be silently ignored."""
+    """Turn sharding values ``ParallelOptions`` rejects into usage errors."""
     if hasattr(args, "workers"):
         try:
-            options = _parallel_options(args)
+            _parallel_options(args)
         except ValueError as error:
             parser.error(str(error))
-        if (
-            options.shards is not None
-            and options.executor != "dispatch"
-            and options.workers == 1
-        ):
-            parser.error(
-                f"--shards {options.shards} has no effect without "
-                "--workers > 1; pass --workers N (or drop --shards) to run "
-                "sharded"
-            )
-    fmt = getattr(args, "trace_format", None)
-    if fmt is not None:
-        from repro.pipeline.io import detect_format
-
-        if args.command == "trace":
-            trace_path = args.output
-        else:  # analyze / routing: --format asserts the input's format
-            trace_path = getattr(args, "trace", None)
-            if trace_path is None:
-                parser.error("--format requires --trace PATH")
-        detected = detect_format(trace_path)
-        if detected != fmt:
-            parser.error(
-                f"--format {fmt} does not match {trace_path} (which is "
-                f"{detected}); a columnar store is a *.store directory"
-            )
 
 
 def _shard_plan(args: argparse.Namespace) -> dict:
@@ -859,7 +800,7 @@ def _shard_plan(args: argparse.Namespace) -> dict:
     plan = {
         "workers": options.workers,
         "shards": options.effective_shards,
-        "executor": options.executor,
+        "executor": options.backend,
         "max_retries": options.max_retries,
         "retry_backoff": options.retry_backoff,
         "strict": options.strict,

@@ -2,23 +2,24 @@
 
 The paper's setting — measurement over millions of sessions from every
 edge load balancer — outgrows a single host's pools. This package adds
-the multi-node rung of the executor ladder without touching the math:
+the multi-node backend without touching the math:
 
 - :mod:`repro.dist.protocol` — a length-prefixed socket framing layer
   (magic + message type + payload length) with hard frame-size limits.
 - :mod:`repro.dist.serialization` — shard task/result transport encoding
-  (pickle for the picklable dataclasses the pool executors already rely
+  (pickle for the picklable dataclasses the process pool already relies
   on; JSON for failures, so a worker's error can never poison the wire).
 - :mod:`repro.dist.daemon` — :class:`WorkerDaemon`, the ``repro worker``
   process: accepts connections, executes :func:`repro.pipeline.parallel.
   _run_shard` per task, replies result-or-failure.
-- :mod:`repro.dist.client` — :class:`DispatchExecutor`, the ``dispatch``
-  backend of :func:`repro.pipeline.parallel.executor_for`: health-checks
-  the daemons, fans the shard plan across them, and reassigns the tasks
-  of dead workers to survivors through the standard retry/quarantine
-  policy.
+- :mod:`repro.dist.client` — :class:`DispatchExecutor`, the backend
+  :func:`repro.pipeline.parallel.build_dataset` uses whenever
+  ``ParallelOptions.worker_addrs`` is non-empty (nothing else selects
+  it): health-checks the daemons, fans the shard plan across them, and
+  reassigns the tasks of dead workers to survivors through the standard
+  retry/quarantine policy.
 
-The acceptance bar is the same one every executor honors: datasets,
+The acceptance bar is the same one every backend honors: datasets,
 data counters, figures, and manifests byte-identical to the serial pass
 (``tests/test_executor_contract.py``, ``tests/test_dist.py``).
 """

@@ -1,4 +1,4 @@
-"""The ``dispatch`` executor: fan shard tasks out across worker daemons.
+"""The ``dispatch`` backend: fan shard tasks out across worker daemons.
 
 :class:`DispatchExecutor` implements the
 :class:`~repro.pipeline.parallel.ShardExecutor` contract over a fleet of

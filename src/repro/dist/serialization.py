@@ -1,7 +1,7 @@
 """Transport encoding for shard tasks, results, and failures.
 
 Tasks and results ride as pickles: they are the exact dataclasses the
-``process`` executor already pickles to its children, so the dispatch
+process pool already pickles to its children, so the dispatch
 wire inherits the same (trusted-cluster) serialization contract rather
 than inventing a second one. Decoders type-check what they load — a
 frame that unpickles to the wrong type is a protocol violation, not a

@@ -12,13 +12,14 @@ Activation, two ways:
 
 - **programmatic** — ``with faultinject.inject(plan): ...`` installs the
   plan for the current process (threads included). This is what the test
-  matrix uses with the ``serial``/``thread`` executors.
+  matrix uses with the inline backend, and with the pool's retry loop
+  patched onto threads (``tests.helpers.in_process_pool``).
 - **environment** — ``REPRO_FAULTS='{"kill_shard": {...}}'`` (the plan's
   JSON form). Child processes inherit the environment, which is how
   ``ProcessPoolExecutor`` shard workers pick a plan up. Count-limited
   ("times") faults keep their budget *per process* under this mode — a
   transient fault may fire once in every pool worker — so transient-fault
-  tests should prefer programmatic activation with in-process executors.
+  tests should prefer programmatic activation with an in-process backend.
 
 Fault kinds (each an optional field of :class:`FaultPlan`; all are dicts
 so the JSON form is the API):

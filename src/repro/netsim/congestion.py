@@ -20,8 +20,7 @@ that diversity the simulator supports:
   modulates the window around it, and loss is *not* a primary signal.
 
 Controllers register by name (:func:`register_congestion_control`) and are
-resolved by :func:`cc_for` — mirroring the executor registry in
-:mod:`repro.pipeline.parallel` — so ``TcpParams(congestion_control=...)``
+resolved by :func:`cc_for`, so ``TcpParams(congestion_control=...)``
 and the ``--cc`` CLI flag accept any registered name, and third parties can
 plug in new models without touching :mod:`repro.netsim.tcp`. All registered
 controllers are held to one contract by ``tests/test_cc_contract.py``.

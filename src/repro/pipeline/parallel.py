@@ -48,16 +48,16 @@ restores fail-fast: the first exhausted shard raises a typed
 :class:`ShardError` naming the shard. Fault-free runs take the exact same
 code path and stay bit-identical to the pre-retry pipeline.
 
-Executor backends (DESIGN.md §13): execution is pluggable behind
-:class:`ShardExecutor` — ``submit shard task → ShardResult`` with
-order-independent, picklable partial states, so *where* shards run is
-orthogonal to *what* they compute. Built in: ``serial`` (the determinism
-baseline), ``thread`` / ``process`` (single-host pools), and ``dispatch``
-(fan-out over :mod:`repro.dist` worker daemons reached by socket;
-``worker_addrs`` names them). Third parties can plug in more via
-:func:`register_executor`. Every backend is held to the same contract by
-``tests/test_executor_contract.py``: byte-identical datasets and data
-counters versus serial, and identical retry/quarantine accounting.
+Backends (DESIGN.md §13): *where* shards run is worked out from the
+options, never chosen. ``worker_addrs`` non-empty fans the plan out over
+those :mod:`repro.dist` worker daemons; otherwise ``workers > 1`` runs it
+on a process pool; otherwise it runs inline in this process, one task at
+a time in plan order (the determinism baseline). All three sit behind
+:class:`ShardExecutor` — ``shard task → ShardResult`` with
+order-independent, picklable partial states — and are held to one
+contract by ``tests/test_executor_contract.py``: byte-identical datasets
+and data counters versus the inline run, and identical retry/quarantine
+accounting.
 """
 
 from __future__ import annotations
@@ -67,14 +67,9 @@ import pathlib
 import pickle
 import time
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import faultinject
 from repro.core.aggregation import Aggregation
@@ -90,8 +85,6 @@ from repro.pipeline.filters import FilterStats
 from repro.pipeline.io import PathLike, StoreChunk, TraceChunk, plan_chunks
 
 __all__ = [
-    "EXECUTORS",
-    "LOCAL_EXECUTORS",
     "DegradedLedger",
     "ParallelOptions",
     "RemoteCause",
@@ -100,18 +93,11 @@ __all__ = [
     "ShardExecutor",
     "ShardResult",
     "build_dataset",
-    "executor_for",
-    "register_executor",
     "shard_of",
     "shard_samples",
 ]
 
 _LOG = logging.getLogger("repro.pipeline.parallel")
-
-#: Backends that run wholly inside this host (no daemons required).
-LOCAL_EXECUTORS = ("process", "thread", "serial")
-#: Every built-in backend ``ParallelOptions.executor`` accepts.
-EXECUTORS = LOCAL_EXECUTORS + ("dispatch",)
 
 AggregationKey = Tuple[UserGroupKey, int, int]
 Source = Union[PathLike, Iterable[SessionSample]]
@@ -284,25 +270,25 @@ class ParallelOptions:
 
     ``workers`` is the pool size; ``shards`` the number of partitions
     (defaults to ``workers`` — more shards than workers is fine and can
-    smooth load imbalance); ``executor`` selects ``process`` (true
-    parallelism, samples/chunks are pickled to children), ``thread``
-    (GIL-bound; useful when ingestion is I/O-dominated), ``serial``
-    (same sharded code path, one task at a time — the determinism
-    baseline), or ``dispatch`` (fan-out over :mod:`repro.dist` worker
-    daemons; ``worker_addrs`` names them as ``host:port`` strings and is
-    required for — and exclusive to — this backend).
+    smooth load imbalance); ``worker_addrs`` names :mod:`repro.dist`
+    worker daemons as ``host:port`` strings. Where the shards run follows
+    from those (:attr:`backend`): on the daemons when ``worker_addrs`` is
+    non-empty, else on a process pool when ``workers > 1`` (true
+    parallelism, samples/chunks are pickled to children), else inline in
+    this process — the default ``ParallelOptions()`` is the plain
+    one-pass serial run, and ``ParallelOptions(shards=N)`` is the same
+    N-shard plan one task at a time, the determinism baseline.
 
     Fault handling: a failing shard is re-run up to ``max_retries`` times
     with exponential backoff (``retry_backoff * 2**(attempt-1)`` seconds
     between attempts) before being quarantined; ``strict=True`` raises
-    :class:`ShardError` instead of quarantining. Under ``dispatch`` a
-    dead worker's in-flight task counts one attempt and is reassigned to
-    a surviving daemon through the same policy.
+    :class:`ShardError` instead of quarantining. Under dispatch a dead
+    worker's in-flight task counts one attempt and is reassigned to a
+    surviving daemon through the same policy.
     """
 
     workers: int = 1
     shards: Optional[int] = None
-    executor: str = "process"
     max_retries: int = 2
     retry_backoff: float = 0.05
     strict: bool = False
@@ -313,30 +299,32 @@ class ParallelOptions:
             raise ValueError("workers must be >= 1")
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
         object.__setattr__(self, "worker_addrs", tuple(self.worker_addrs))
-        if self.executor == "dispatch" and not self.worker_addrs:
-            raise ValueError(
-                "executor 'dispatch' requires worker_addrs (host:port, ...)"
-            )
-        if self.worker_addrs and self.executor != "dispatch":
-            raise ValueError(
-                "worker_addrs is only meaningful with executor 'dispatch'"
-            )
+        if self.worker_addrs:
+            # Imported lazily: repro.dist imports this module for the
+            # task/result types, so a top-level import would be circular.
+            from repro.dist.client import parse_addr
+
+            for addr in self.worker_addrs:
+                parse_addr(addr)
+
+    @property
+    def backend(self) -> str:
+        """Where the shard plan runs: ``dispatch``, ``process`` or ``serial``."""
+        if self.worker_addrs:
+            return "dispatch"
+        return "process" if self.workers > 1 else "serial"
 
     @property
     def effective_shards(self) -> int:
         if self.shards is not None:
             return self.shards
-        if self.executor == "dispatch":
-            # One shard per daemon at minimum, more if workers asks for it.
-            return max(self.workers, len(self.worker_addrs))
-        return self.workers
+        # One shard per daemon at minimum, more if workers asks for it.
+        return max(self.workers, len(self.worker_addrs))
 
 
 @dataclass
@@ -510,13 +498,16 @@ class SerialExecutor(ShardExecutor):
 
 
 class _PoolExecutor(ShardExecutor):
-    """Single-host pool backend over ``concurrent.futures``.
+    """Single-host process pool over ``concurrent.futures``.
 
     Failed attempts are resubmitted to the pool (FIRST_COMPLETED wait loop)
     so a retry never blocks other shards' progress.
     """
 
-    pool_cls = None  # type: ignore[assignment]
+    #: The one seam tests patch (to a thread pool) so this retry loop can
+    #: be driven in-process by programmatic ``faultinject`` plans, whose
+    #: count-limited faults are per-process (DESIGN.md §13).
+    pool_cls = ProcessPoolExecutor
 
     def run(
         self, tasks: Sequence[_ShardTask], ledger: DegradedLedger
@@ -557,54 +548,6 @@ class _PoolExecutor(ShardExecutor):
         return results
 
 
-class _ThreadExecutor(_PoolExecutor):
-    pool_cls = ThreadPoolExecutor
-
-
-class _ProcessExecutor(_PoolExecutor):
-    pool_cls = ProcessPoolExecutor
-
-
-def _dispatch_executor(options: ParallelOptions) -> ShardExecutor:
-    # Imported lazily: repro.dist imports this module for the task/result
-    # types, so a top-level import would be circular.
-    from repro.dist.client import DispatchExecutor
-
-    return DispatchExecutor(options)
-
-
-_EXECUTOR_FACTORIES: Dict[str, Callable[[ParallelOptions], ShardExecutor]] = {
-    "serial": SerialExecutor,
-    "thread": _ThreadExecutor,
-    "process": _ProcessExecutor,
-    "dispatch": _dispatch_executor,
-}
-
-
-def register_executor(
-    name: str, factory: Callable[[ParallelOptions], ShardExecutor]
-) -> None:
-    """Register (or replace) an executor backend under ``name``.
-
-    ``factory`` takes the run's :class:`ParallelOptions` and returns a
-    :class:`ShardExecutor`. Registered names are accepted by
-    ``ParallelOptions(executor=...)`` only if also present in
-    :data:`EXECUTORS`; test doubles usually replace a built-in instead.
-    """
-    _EXECUTOR_FACTORIES[name] = factory
-
-
-def executor_for(options: ParallelOptions) -> ShardExecutor:
-    """Build the executor backend the options name."""
-    try:
-        factory = _EXECUTOR_FACTORIES[options.executor]
-    except KeyError:
-        raise ValueError(
-            f"no executor backend registered as {options.executor!r}"
-        ) from None
-    return factory(options)
-
-
 def _execute(
     tasks: Sequence[_ShardTask],
     options: ParallelOptions,
@@ -617,13 +560,20 @@ def _execute(
     """
     if not tasks:
         return []
-    # A one-task plan gains nothing from a pool — run it inline. Dispatch
-    # is exempt: its point is *where* the task runs, not concurrency.
-    if options.executor == "serial" or (
-        len(tasks) == 1 and options.executor != "dispatch"
-    ):
-        return SerialExecutor(options).run(tasks, ledger)
-    executor = executor_for(options)
+    backend = options.backend
+    executor: ShardExecutor
+    if backend == "dispatch":
+        # Imported lazily: repro.dist imports this module for the
+        # task/result types, so a top-level import would be circular.
+        from repro.dist.client import DispatchExecutor
+
+        executor = DispatchExecutor(options)
+    elif backend == "process" and len(tasks) > 1:
+        executor = _PoolExecutor(options)
+    else:
+        # A one-task plan gains nothing from a pool — run it inline.
+        # (Dispatch still ships it: its point is *where* the task runs.)
+        executor = SerialExecutor(options)
     try:
         return executor.run(tasks, ledger)
     finally:
@@ -680,8 +630,8 @@ def build_dataset(
     differential suite calls as its oracle
     (``tests/test_batch_equivalence.py``).
 
-    With ``options`` absent (or one shard under the serial executor) the
-    source is folded in one pass. Otherwise it is partitioned — JSONL
+    With ``options`` absent (or a one-shard plan with no worker daemons)
+    the source is folded in one pass. Otherwise it is partitioned — JSONL
     traces into byte-range/line-block chunks, columnar stores into
     partition-aligned chunks, in-memory streams by group hash — executed
     per ``options``, and merged back into a dataset whose state is
@@ -704,10 +654,10 @@ def build_dataset(
     )
     dataset = StudyDataset(**dataset_kwargs)
     is_path = isinstance(source, (str, pathlib.Path))
-    options = options or ParallelOptions(workers=1, executor="serial")
+    options = options or ParallelOptions()
     ledger = DegradedLedger()
     with span("pipeline.ingest"):
-        if options.effective_shards == 1 and options.executor == "serial":
+        if options.effective_shards == 1 and not options.worker_addrs:
             with span("serial"):
                 from repro.kernels.engine import (
                     BatchIngestor,

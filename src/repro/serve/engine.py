@@ -47,7 +47,6 @@ O(1) under the lock; only cold builds pay a scan.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import threading
 from typing import Dict, List, Optional, Tuple, Union
@@ -68,7 +67,7 @@ from repro.pipeline.routing_analysis import (
 )
 from repro.store import ScanFilter, TraceStoreReader, verify_store
 from repro.store.errors import StoreError
-from repro.store.writer import MANIFEST_NAME
+from repro.store.writer import load_manifest
 from repro.serve.cache import LruCache
 
 __all__ = [
@@ -488,21 +487,11 @@ class QueryEngine:
 
     def _refresh_generation(self) -> dict:
         """Read the manifest's generation triple; flush the cache on change."""
-        manifest_path = self.path / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise StoreError(
-                f"{self.path}: not a trace store (missing {MANIFEST_NAME})"
-            ) from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            from repro.store.errors import CorruptManifestError
-
-            raise CorruptManifestError(manifest_path, str(error)) from error
+        manifest = load_manifest(self.path)
         generation = {
-            "row_count": manifest.get("row_count"),
-            "data_bytes": manifest.get("data_bytes"),
-            "partitions": len(manifest.get("partitions", ())),
+            "row_count": manifest["row_count"],
+            "data_bytes": manifest["data_bytes"],
+            "partitions": len(manifest["partitions"]),
         }
         if generation != self._generation:
             if self._generation is not None:

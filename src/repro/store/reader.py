@@ -37,7 +37,6 @@ counter-equality invariant):
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -49,17 +48,11 @@ from repro.store.encoding import block_checksum
 from repro.store.errors import (
     ColumnDecodeError,
     CorruptBlockError,
-    CorruptManifestError,
     StoreError,
     TruncatedPartitionError,
 )
-from repro.store.schema import SCHEMA_VERSION, decode_columns, decode_rows
-from repro.store.writer import (
-    DATA_NAME,
-    MANIFEST_NAME,
-    STORE_FORMAT,
-    SUPPORTED_STORE_VERSIONS,
-)
+from repro.store.schema import decode_columns, decode_rows
+from repro.store.writer import DATA_NAME, load_manifest
 
 __all__ = [
     "ScanFilter",
@@ -163,38 +156,8 @@ class TraceStoreReader:
 
     def __init__(self, path: PathLike) -> None:
         self.path = pathlib.Path(path)
-        manifest_path = self.path / MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, NotADirectoryError):
-            # NotADirectoryError: ``path`` is a file, e.g. a JSONL trace.
-            raise StoreError(
-                f"{self.path}: not a trace store (missing {MANIFEST_NAME}; "
-                "an interrupted write leaves no manifest on purpose)"
-            ) from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise CorruptManifestError(manifest_path, str(error)) from error
-        if not isinstance(manifest, dict):
-            raise CorruptManifestError(manifest_path, "not a JSON object")
-        if manifest.get("format") != STORE_FORMAT:
-            raise StoreError(
-                f"{manifest_path}: unrecognized format "
-                f"{manifest.get('format')!r}"
-            )
-        if manifest.get("version") not in SUPPORTED_STORE_VERSIONS:
-            raise StoreError(
-                f"{manifest_path}: unsupported store version "
-                f"{manifest.get('version')!r} (reader supports "
-                f"{SUPPORTED_STORE_VERSIONS})"
-            )
-        if manifest.get("schema_version") != SCHEMA_VERSION:
-            raise StoreError(
-                f"{manifest_path}: unsupported schema version "
-                f"{manifest.get('schema_version')!r} (reader supports "
-                f"{SCHEMA_VERSION})"
-            )
-        self.manifest = manifest
-        self.data_path = self.path / manifest.get("data_file", DATA_NAME)
+        self.manifest = load_manifest(self.path)
+        self.data_path = self.path / self.manifest.get("data_file", DATA_NAME)
 
     # ------------------------------------------------------------------ #
     @property

@@ -37,6 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.core.aggregation import window_index
 from repro.core.records import SessionSample
 from repro.fsutil import atomic_write_bytes
+from repro.store.errors import CorruptManifestError, StoreError
 from repro.store.schema import COLUMNS, SCHEMA_VERSION, encode_rows
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "TraceStoreWriter",
     "append_to_store",
     "is_store_path",
+    "load_manifest",
     "write_store",
 ]
 
@@ -68,6 +70,55 @@ DATA_NAME = "data.bin"
 DEFAULT_BAND_WINDOWS = 4
 
 PathLike = Union[str, pathlib.Path]
+
+
+def load_manifest(path: PathLike) -> dict:
+    """Read and vet ``<path>/manifest.json`` — the one place it is parsed.
+
+    Raises :class:`StoreError` when ``path`` holds no manifest or one
+    written by a format, store version or schema version this build does
+    not read, and :class:`CorruptManifestError` when the file is not
+    JSON or not the shape every reader relies on (an object with integer
+    ``row_count`` / ``data_bytes`` and a ``partitions`` list).
+    """
+    path = pathlib.Path(path)
+    manifest_path = path / MANIFEST_NAME
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, NotADirectoryError):
+        # NotADirectoryError: ``path`` is a file, e.g. a JSONL trace.
+        raise StoreError(
+            f"{path}: not a trace store (missing {MANIFEST_NAME}; "
+            "an interrupted write leaves no manifest on purpose)"
+        ) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise CorruptManifestError(manifest_path, str(error)) from error
+    if not isinstance(manifest, dict):
+        raise CorruptManifestError(manifest_path, "not a JSON object")
+    if manifest.get("format") != STORE_FORMAT:
+        raise StoreError(
+            f"{manifest_path}: unrecognized format {manifest.get('format')!r}"
+        )
+    if manifest.get("version") not in SUPPORTED_STORE_VERSIONS:
+        raise StoreError(
+            f"{manifest_path}: unsupported store version "
+            f"{manifest.get('version')!r} (supported: "
+            f"{SUPPORTED_STORE_VERSIONS})"
+        )
+    if manifest.get("schema_version") != SCHEMA_VERSION:
+        raise StoreError(
+            f"{manifest_path}: unsupported schema version "
+            f"{manifest.get('schema_version')!r} (supported: "
+            f"{SCHEMA_VERSION})"
+        )
+    for name in ("row_count", "data_bytes"):
+        if type(manifest.get(name)) is not int:
+            raise CorruptManifestError(
+                manifest_path, f"{name!r} is not an integer"
+            )
+    if not isinstance(manifest.get("partitions"), list):
+        raise CorruptManifestError(manifest_path, "'partitions' is not a list")
+    return manifest
 
 
 def _atomic_write(path: pathlib.Path, data: bytes) -> None:
@@ -285,21 +336,7 @@ def append_to_store(
             metrics=metrics,
         )
 
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format") != STORE_FORMAT:
-        raise ValueError(
-            f"{manifest_path}: unrecognized format {manifest.get('format')!r}"
-        )
-    if manifest.get("version") not in SUPPORTED_STORE_VERSIONS:
-        raise ValueError(
-            f"{manifest_path}: unsupported store version "
-            f"{manifest.get('version')!r}"
-        )
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"{manifest_path}: schema version "
-            f"{manifest.get('schema_version')!r} != writer's {SCHEMA_VERSION}"
-        )
+    manifest = load_manifest(path)
     if manifest.get("band_windows") != band_windows:
         raise ValueError(
             f"band_windows {band_windows} does not match the store's "
@@ -317,14 +354,14 @@ def append_to_store(
         window_seconds=window_seconds,
         compress=compress,
     )
-    writer._next_seq = int(manifest["row_count"])
+    writer._next_seq = manifest["row_count"]
     first_seq = writer._next_seq
     count = writer.add_all(samples) - first_seq
     writer._closed = True  # bucketed by hand; never .close() this writer
     if count == 0:
         return 0
 
-    base_offset = int(manifest["data_bytes"])
+    base_offset = manifest["data_bytes"]
     payload, partitions = _encode_buckets(
         writer._buckets,
         compress=compress,
@@ -345,7 +382,7 @@ def append_to_store(
     manifest["version"] = STORE_FORMAT_VERSION
     manifest["row_count"] = first_seq + count
     manifest["data_bytes"] = base_offset + len(payload)
-    manifest["partitions"] = list(manifest["partitions"]) + partitions
+    manifest["partitions"] = manifest["partitions"] + partitions
     # Crash safety requires rewriting the whole manifest atomically, so
     # each append costs O(total partitions) serialization. Fine-grained
     # appenders (one call per sealed window) should batch windows or

@@ -10,7 +10,10 @@ from __future__ import annotations
 import pathlib
 import random
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional
+
+import pytest
 
 from repro.core.aggregation import AggregationStore
 from repro.core.constants import AGGREGATION_WINDOW_SECONDS
@@ -22,7 +25,43 @@ from repro.core.records import (
     TransactionRecord,
     UserGroupKey,
 )
-from repro.pipeline import StudyDataset, read_samples
+from repro.pipeline import ParallelOptions, StudyDataset, read_samples
+from repro.pipeline.parallel import _PoolExecutor
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Run the pool backend's shards on threads of this process.
+
+    ``ParallelOptions(workers > 1)`` still picks the pool and its
+    FIRST_COMPLETED retry loop runs unchanged; only the pool class is
+    swapped, so a programmatic ``faultinject.inject(...)`` plan reaches
+    the shards and a count-limited fault keeps one budget (under the
+    env-var activation a real process pool needs, every child has its
+    own). Import the fixture into a test module to use it.
+    """
+    monkeypatch.setattr(_PoolExecutor, "pool_cls", ThreadPoolExecutor)
+
+
+#: The single-host ways to run a shard plan — the real process pool, the
+#: pool on threads (``in_process_pool``), and inline — as test ids.
+LOCAL_BACKENDS = ("process", "thread", "serial")
+
+
+@pytest.fixture
+def local_options(request):
+    """``build(backend, shards, workers=4, **kw)``: the ``ParallelOptions``
+    whose inputs derive the named :data:`LOCAL_BACKENDS` entry."""
+
+    def build(backend: str, shards: int, workers: int = 4, **kwargs):
+        if backend == "thread":
+            request.getfixturevalue("in_process_pool")
+        if backend == "serial":
+            workers = 1
+        return ParallelOptions(workers=workers, shards=shards, **kwargs)
+
+    return build
+
 
 DEFAULT_GROUP = UserGroupKey(pop="ams1", prefix="203.0.112.0/20", country="NL")
 

@@ -23,7 +23,7 @@ import pathlib
 
 import pytest
 
-from tests.helpers import make_trace_samples, row_oracle
+from tests.helpers import in_process_pool, make_trace_samples, row_oracle  # noqa: F401
 from repro.obs import RunManifest
 from repro.pipeline import (
     ParallelOptions,
@@ -44,14 +44,15 @@ from repro.pipeline import (
 )
 from repro.store import write_store
 
-pytestmark = pytest.mark.kernels
+# The workers=4 plans run the pool's shards on threads of this process.
+pytestmark = [pytest.mark.kernels, pytest.mark.usefixtures("in_process_pool")]
 
 DATA = pathlib.Path(__file__).parent / "data"
 TRACE = DATA / "golden_trace.jsonl.gz"
 STUDY_WINDOWS = 4
 
 SERIAL = None
-WORKERS4 = {"workers": 4, "shards": 4, "executor": "thread"}
+WORKERS4 = {"workers": 4, "shards": 4}
 
 
 @pytest.fixture(scope="module")

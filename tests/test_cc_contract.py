@@ -15,8 +15,7 @@ machinery around it — but only if every controller upholds the invariants
   harnesses and golden numbers depend on it).
 
 Adding a controller via ``register_congestion_control`` means inheriting
-this whole bar — the suite parameterizes over the live registry, exactly
-like ``tests/test_executor_contract.py`` does for shard executors.
+this whole bar — the suite parameterizes over the live registry.
 """
 
 from __future__ import annotations

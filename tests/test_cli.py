@@ -108,23 +108,8 @@ class TestNewSubcommands:
 
 
 class TestShardsValidation:
-    """Satellite: --shards without --workers > 1 must error, not no-op."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["snapshot", "--shards", "4"],
-            ["routing", "--shards", "2"],
-            ["analyze", "t.jsonl", "--shards", "8"],
-            ["snapshot", "--workers", "1", "--shards", "4"],
-        ],
-    )
-    def test_shards_without_workers_errors(self, argv, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--shards" in err and "--workers" in err
+    """The sharding flags: bad values are usage errors, and nothing but
+    ``--workers`` / ``--workers-addr`` decides where the shards run."""
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -133,8 +118,8 @@ class TestShardsValidation:
             (["--workers", "2", "--shards", "0"], "shards must be >= 1"),
             (["--workers", "2", "--max-retries", "-1"], "max_retries must be >= 0"),
             (["--retry-backoff", "-1"], "retry_backoff must be >= 0"),
-            (["--executor", "dispatch"], "requires worker_addrs"),
-            (["--workers-addr", "127.0.0.1:9"], "only meaningful with executor"),
+            (["--workers-addr", "nonsense"], "'nonsense' is not host:port"),
+            (["--workers-addr", "h:1,h:x"], "'h:x' has a non-numeric port"),
         ],
     )
     def test_bad_parallel_values_are_usage_errors(self, flags, message, capsys):
@@ -161,15 +146,41 @@ class TestShardsValidation:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
-    def test_shards_with_workers_accepted(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "t.jsonl", "--executor", "serial"],
+            ["routing", "--workers", "2", "--executor", "process"],
+            ["snapshot", "--executor", "thread"],
+            ["analyze", "t.jsonl", "--format", "jsonl"],
+            ["routing", "--trace", "t.store", "--format", "store"],
+        ],
+    )
+    def test_executor_and_format_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    def test_shards_with_workers_accepted(self, tmp_path, capsys):
+        """``--shards`` alone is the N-shard plan run inline in plan order
+        (the determinism baseline): same report as the one-pass run, and
+        the manifest says what ran."""
+        snapshot = ["snapshot", "--rate", "1", "--networks-per-metro", "1"]
+        assert main(snapshot) == 0
+        one_pass = capsys.readouterr().out
+        manifest_path = tmp_path / "m.json"
         code = main(
-            [
-                "snapshot", "--rate", "1", "--networks-per-metro", "1",
-                "--workers", "2", "--shards", "4", "--executor", "serial",
-            ]
+            snapshot + ["--shards", "4", "--metrics-out", str(manifest_path)]
         )
         assert code == 0
-        assert "global MinRTT p50" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "global MinRTT p50" in out
+        assert out.splitlines()[:-1] == one_pass.splitlines()
+        plan = json.loads(manifest_path.read_text())["shard_plan"]
+        assert (plan["workers"], plan["shards"], plan["executor"]) == (
+            1, 4, "serial",
+        )
 
 
 SMOKE_ARGS = {
@@ -239,7 +250,7 @@ class TestObservabilityOptions:
 
 
 class TestStoreCli:
-    """Tentpole: `repro convert` + `--format jsonl|store` surface area."""
+    """`repro convert` and the rule that a trace's format follows its path."""
 
     def test_convert_parser(self):
         args = build_parser().parse_args(["convert", "a.jsonl", "b.store"])
@@ -255,29 +266,33 @@ class TestStoreCli:
         assert args.no_compress
 
     def test_format_option_parsers(self):
-        args = build_parser().parse_args(["trace", "t.store", "--format", "store"])
-        assert args.trace_format == "store"
-        args = build_parser().parse_args(
-            ["analyze", "t.jsonl", "--format", "jsonl"]
+        """No parser carries a format: it is read off the path."""
+        parser = build_parser()
+        for argv in (
+            ["trace", "t.store"],
+            ["analyze", "t.jsonl"],
+            ["routing", "--trace", "t.store"],
+        ):
+            assert not hasattr(parser.parse_args(argv), "trace_format")
+        assert parser.parse_args(["routing", "--trace", "t.store"]).trace == (
+            "t.store"
         )
-        assert args.trace_format == "jsonl"
-        args = build_parser().parse_args(
-            ["routing", "--trace", "t.store", "--format", "store"]
-        )
-        assert args.trace == "t.store"
-        assert args.trace_format == "store"
 
-    def test_format_mismatch_errors(self, capsys):
+    def test_format_mismatch_errors(self, tmp_path, capsys):
+        """A format that disagrees with the path cannot even be spelled,
+        and nothing is written."""
+        out = tmp_path / "t.jsonl"
         with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "t.jsonl", "--format", "store"])
+            main(["trace", str(out), "--format", "store"])
         assert excinfo.value.code == 2
-        assert "--format store" in capsys.readouterr().err
+        assert "unrecognized arguments: --format store" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_format_without_trace_errors(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["routing", "--format", "store"])
         assert excinfo.value.code == 2
-        assert "--trace" in capsys.readouterr().err
+        assert "unrecognized arguments: --format store" in capsys.readouterr().err
 
     def test_trace_writes_store_directly(self, tmp_path, capsys):
         from repro.store import is_store_path
@@ -366,6 +381,12 @@ class TestCounterEqualityAcceptance:
         # The execution facts do differ: the shard plans disagree.
         assert serial["shard_plan"]["workers"] == 1
         assert parallel["shard_plan"]["workers"] == 4
+        # ... and say what ran, worked out from --workers; no option of
+        # that name (nor a trace format) is left to echo in the config.
+        assert serial["shard_plan"]["executor"] == "serial"
+        assert parallel["shard_plan"]["executor"] == "process"
+        for manifest in (serial, parallel):
+            assert not {"executor", "trace_format"} & set(manifest["config"])
 
 
 class TestIngestCli:

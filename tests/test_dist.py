@@ -10,13 +10,14 @@ Four layers, each tested against its own contract:
 3. **Worker daemon** — PING/PONG health checks, task execution through
    the same ``_run_shard`` the local pools use, failure replies, budgeted
    lifetime, and the injected-death path (connection severed, no reply).
-4. **Dispatch executor** — the ISSUE's acceptance bar: dispatch over two
+4. **Dispatch backend** — the ISSUE's acceptance bar: dispatch over two
    daemons is byte-identical to serial on the golden trace; a worker killed mid-run degrades into reassignment (or the
    quarantine ledger when no worker survives) instead of crashing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pathlib
 import pickle
@@ -92,9 +93,32 @@ def _dispatch_options(addrs, **kwargs) -> ParallelOptions:
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("shards", 4)
     kwargs.setdefault("retry_backoff", 0.0)
-    return ParallelOptions(
-        executor="dispatch", worker_addrs=tuple(addrs), **kwargs
+    options = ParallelOptions(worker_addrs=tuple(addrs), **kwargs)
+    assert options.backend == "dispatch"
+    return options
+
+
+@contextlib.contextmanager
+def _worker_subprocess():
+    """`repro worker` in its own process, rooted at the repo; yields
+    ``(proc, addr)`` and kills the process if the test left it running."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "worker",
+         "--listen", "127.0.0.1:0"],
+        cwd=str(pathlib.Path(__file__).parent.parent),
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
     )
+    try:
+        banner = proc.stdout.readline()
+        assert "listening on" in banner
+        yield proc, banner.strip().rpartition(" ")[2]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
 
 
 def _make_task(samples, ordinal=0) -> _ShardTask:
@@ -400,10 +424,10 @@ class TestDispatchEquivalence:
             )
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="requires worker_addrs"):
-            ParallelOptions(executor="dispatch")
-        with pytest.raises(ValueError, match="only meaningful"):
-            ParallelOptions(executor="thread", worker_addrs=("h:1",))
+        # The addresses alone select dispatch, so they are vetted up front
+        # rather than at connect time, after the shard plan is built.
+        with pytest.raises(ValueError, match="not host:port"):
+            ParallelOptions(worker_addrs=("a:1", "nonsense"))
         options = _dispatch_options(("a:1", "b:2", "c:3"), shards=None, workers=1)
         assert options.effective_shards == 3  # one shard per daemon minimum
 
@@ -552,7 +576,6 @@ class TestDistCLI:
                 "analyze",
                 str(trace),
                 "--workers", "2",
-                "--executor", "dispatch",
                 "--workers-addr", ",".join(two_daemons),
                 "--metrics-out", str(manifest_path),
             ]
@@ -566,19 +589,18 @@ class TestDistCLI:
             "tasks_dispatched"
         ]
 
-    def test_dispatch_requires_workers_addr(self, tmp_path):
+    def test_dispatch_requires_workers_addr(self, tmp_path, capsys):
+        # A --workers-addr that names no daemon (or trails an empty one)
+        # must not fall back to a local run without saying so.
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["analyze", str(tmp_path / "t.jsonl"),
-                  "--executor", "dispatch"])
-
-    def test_workers_addr_requires_dispatch(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["analyze", str(tmp_path / "t.jsonl"),
-                  "--workers-addr", "127.0.0.1:9"])
+        for addrs in ("", ",", "127.0.0.1:9,"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["analyze", str(tmp_path / "t.jsonl"),
+                      "--workers-addr", addrs])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "worker address '' is not host:port" in err
 
     def test_worker_rejects_non_numeric_port(self):
         from repro.cli import main
@@ -591,19 +613,7 @@ class TestDistCLI:
     ):
         # The real deployment shape: `repro worker` in its own process,
         # the dispatch client in this one.
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "worker",
-             "--listen", "127.0.0.1:0"],
-            cwd=str(pathlib.Path(__file__).parent.parent),
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "listening on" in banner
-            addr = banner.strip().rpartition(" ")[2]
+        with _worker_subprocess() as (proc, addr):
             dataset = build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
@@ -614,10 +624,27 @@ class TestDistCLI:
             out, _ = proc.communicate(timeout=30)
             assert proc.returncode == 0
             assert "served 2 task(s)" in out
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+
+    def test_workers_addr_alone_selects_dispatch(self, tmp_path, capsys):
+        # Nothing but the addresses asks for dispatch, and the report is
+        # the serial one byte for byte.
+        from repro.cli import main
+
+        assert main(["analyze", str(GOLDEN_TRACE)]) == 0
+        serial_report = capsys.readouterr().out
+        manifest_path = tmp_path / "m.json"
+        with _worker_subprocess() as (proc, addr):
+            code = main(["analyze", str(GOLDEN_TRACE), "--workers-addr", addr,
+                         "--metrics-out", str(manifest_path)])
+            dispatched = capsys.readouterr().out
+            request_shutdown(addr)
+            worker_out, _ = proc.communicate(timeout=30)
+        assert code == 0
+        assert dispatched.splitlines()[:-1] == serial_report.splitlines()
+        assert "served 1 task(s)" in worker_out
+        payload = json.loads(manifest_path.read_text())
+        assert payload["shard_plan"]["executor"] == "dispatch"
+        assert payload["dist"]["tasks_completed"] == 1
 
     def test_relative_trace_path_survives_worker_cwd(
         self, samples, serial_dataset, tmp_path, monkeypatch
@@ -629,18 +656,7 @@ class TestDistCLI:
         # and the run silently degraded to zero rows. plan_chunks now
         # pins the resolved path client-side.
         write_samples(tmp_path / "trace.jsonl", samples)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "worker",
-             "--listen", "127.0.0.1:0"],
-            cwd=str(pathlib.Path(__file__).parent.parent),
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            addr = banner.strip().rpartition(" ")[2]
+        with _worker_subprocess() as (proc, addr):
             monkeypatch.chdir(tmp_path)
             dataset = build_dataset(
                 "trace.jsonl",
@@ -651,7 +667,3 @@ class TestDistCLI:
             assert_datasets_equal(dataset, serial_dataset)
             request_shutdown(addr)
             proc.communicate(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)

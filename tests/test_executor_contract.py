@@ -2,18 +2,22 @@
 
 The :class:`~repro.pipeline.parallel.ShardExecutor` contract (DESIGN.md
 §13) is what makes *where* shards run orthogonal to *what* they compute:
-any backend — serial, thread pool, process pool, or dispatch over socket
-daemons — must produce datasets and data counters byte-identical to the
-serial pass, and must route every failed attempt through the same
+any backend — inline, process pool, or dispatch over socket daemons —
+must produce datasets and data counters byte-identical to the serial
+pass, and must route every failed attempt through the same
 retry/quarantine/strict policy so accounting is indistinguishable across
 backends.
 
-This suite runs the same assertions over all four built-ins. Adding a
-fifth backend via :func:`register_executor` means adding one line to
-``BACKENDS`` here and inheriting the whole bar.
+Nothing names a backend to the library: ``options_for`` builds the
+``ParallelOptions`` whose inputs *derive* each ``BACKENDS`` entry. The
+pool appears twice — once for real ("process"), once with its shards on
+threads of this process ("thread", ``tests.helpers.in_process_pool``),
+which is how its retry loop meets a count-limited fault plan.
 """
 
 from __future__ import annotations
+
+import pathlib
 
 import pytest
 
@@ -27,22 +31,21 @@ from repro.pipeline import (
     StudyDataset,
     build_dataset,
 )
-from repro.pipeline.parallel import (
-    SerialExecutor,
-    ShardExecutor,
-    _EXECUTOR_FACTORIES,
-    executor_for,
-    register_executor,
-)
+from repro.pipeline.parallel import ShardExecutor
 
-from tests.helpers import make_trace_samples
+from tests.helpers import (  # noqa: F401 — fixtures are used by name
+    LOCAL_BACKENDS,
+    in_process_pool,
+    local_options,
+    make_trace_samples,
+)
 from tests.test_pipeline_parallel import assert_datasets_equal
 
 pytestmark = pytest.mark.dist
 
 STUDY_WINDOWS = 8
 
-BACKENDS = ("serial", "thread", "process", "dispatch")
+BACKENDS = LOCAL_BACKENDS + ("dispatch",)
 #: Backends whose shards run in this process (or its threads), where a
 #: programmatic ``faultinject.inject`` plan is visible. The process pool
 #: picks plans up from the environment instead, with per-child budgets —
@@ -73,13 +76,22 @@ def daemons():
         yield (first.address, second.address)
 
 
-def _options(backend, daemons, **kwargs) -> ParallelOptions:
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("shards", 4)
-    kwargs.setdefault("retry_backoff", 0.0)
-    if backend == "dispatch":
-        kwargs.setdefault("worker_addrs", daemons)
-    return ParallelOptions(executor=backend, **kwargs)
+@pytest.fixture
+def options_for(local_options, daemons):
+    """``build(backend, **kw)``: a 4-shard, 2-worker plan on ``backend``."""
+
+    def build(backend, **kwargs) -> ParallelOptions:
+        kwargs.setdefault("retry_backoff", 0.0)
+        if backend == "dispatch":
+            kwargs["worker_addrs"] = daemons
+            options = ParallelOptions(workers=2, shards=4, **kwargs)
+        else:
+            options = local_options(backend, shards=4, workers=2, **kwargs)
+        # "thread" is the process backend with its pool class patched.
+        assert options.backend == {"thread": "process"}.get(backend, backend)
+        return options
+
+    return build
 
 
 def _ledger_accounting(ledger) -> tuple:
@@ -110,24 +122,24 @@ def _ledger_accounting(ledger) -> tuple:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEquivalence:
     def test_dataset_identical_to_serial(
-        self, samples, serial_dataset, daemons, backend
+        self, samples, serial_dataset, options_for, backend
     ):
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=_options(backend, daemons),
+            options=options_for(backend),
         )
         assert_datasets_equal(dataset, serial_dataset)
         assert dataset.degraded is None
 
     def test_counters_and_gauges_identical_to_serial(
-        self, samples, daemons, backend
+        self, samples, options_for, backend
     ):
         serial = build_dataset(iter(samples), study_windows=STUDY_WINDOWS)
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=_options(backend, daemons),
+            options=options_for(backend),
         )
         assert dataset.metrics.counters == serial.metrics.counters
         assert dataset.metrics.gauges == serial.metrics.gauges
@@ -139,7 +151,7 @@ class TestEquivalence:
 class TestFailurePolicy:
     @pytest.mark.parametrize("backend", IN_PROCESS_BACKENDS)
     def test_transient_failure_retried_to_clean_result(
-        self, samples, serial_dataset, daemons, backend
+        self, samples, serial_dataset, options_for, backend
     ):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
@@ -147,7 +159,7 @@ class TestFailurePolicy:
             dataset = build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
-                options=_options(backend, daemons),
+                options=options_for(backend),
             )
         assert dataset.degraded is None
         assert_datasets_equal(dataset, serial_dataset)
@@ -156,7 +168,7 @@ class TestFailurePolicy:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_quarantine_accounting_identical(
-        self, samples, daemons, backend, monkeypatch
+        self, samples, options_for, backend, monkeypatch
     ):
         # Permanent kill of shard 1, activated via the environment so the
         # process pool's children see it too (budget per process, but a
@@ -167,13 +179,13 @@ class TestFailurePolicy:
         serial = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=_options("serial", daemons),
+            options=options_for("serial"),
         )
         faultinject.reset()
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=_options(backend, daemons),
+            options=options_for(backend),
         )
         assert dataset.degraded is not None
         assert _ledger_accounting(dataset.degraded) == _ledger_accounting(
@@ -189,7 +201,7 @@ class TestFailurePolicy:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_strict_raises_shard_error_naming_the_shard(
-        self, samples, daemons, backend, monkeypatch
+        self, samples, options_for, backend, monkeypatch
     ):
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         monkeypatch.setenv(faultinject.ENV_VAR, plan.to_json())
@@ -198,7 +210,7 @@ class TestFailurePolicy:
             build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
-                options=_options(backend, daemons, strict=True, max_retries=0),
+                options=options_for(backend, strict=True, max_retries=0),
             )
         assert excinfo.value.shard_id == 1
         assert excinfo.value.attempts == 1
@@ -206,52 +218,22 @@ class TestFailurePolicy:
 
 
 # --------------------------------------------------------------------- #
-# The registry: lookup, replacement, and the base-class contract
+# The base-class contract
 # --------------------------------------------------------------------- #
 class TestExecutorRegistry:
-    def test_every_builtin_resolves(self, daemons):
-        for backend in BACKENDS:
-            executor = executor_for(_options(backend, daemons))
-            assert isinstance(executor, ShardExecutor)
-            executor.close()  # idempotent, resourceless here
-
-    def test_unregistered_name_is_a_value_error(self, daemons):
-        options = _options("thread", daemons)
-        factory = _EXECUTOR_FACTORIES.pop("thread")
-        try:
-            with pytest.raises(ValueError, match="no executor backend"):
-                executor_for(options)
-        finally:
-            _EXECUTOR_FACTORIES["thread"] = factory
-
-    def test_register_replaces_a_builtin(self, samples, daemons):
-        # The documented test-double path: swap a built-in for a custom
-        # backend and get the whole pipeline (plan, merge, faults) free.
-        calls = []
-
-        class RecordingExecutor(SerialExecutor):
-            def run(self, tasks, ledger):
-                calls.append(len(tasks))
-                return super().run(tasks, ledger)
-
-        original = _EXECUTOR_FACTORIES["thread"]
-        register_executor("thread", RecordingExecutor)
-        try:
-            serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(
-                iter(samples[:100])
-            )
-            dataset = build_dataset(
-                iter(samples[:100]),
-                study_windows=STUDY_WINDOWS,
-                options=_options("thread", daemons),
-            )
-        finally:
-            register_executor("thread", original)
-        assert calls == [4]
-        assert dataset.rows == serial.rows
-
-    def test_base_run_is_abstract(self, daemons):
-        executor = ShardExecutor(_options("serial", daemons))
+    def test_base_run_is_abstract(self, options_for):
+        executor = ShardExecutor(options_for("serial"))
         with pytest.raises(NotImplementedError):
             executor.run([], None)
         executor.close()  # the default close is a safe no-op
+
+    def test_no_production_code_names_a_thread_pool(self):
+        # The GIL-bound pool has no workload it wins; threads exist only
+        # as the test seam ``_PoolExecutor.pool_cls`` is patched to.
+        src = pathlib.Path(__file__).parent.parent / "src"
+        offenders = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if "ThreadPoolExecutor" in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []

@@ -41,7 +41,11 @@ from repro.store import (
     verify_store,
     write_store,
 )
-from tests.helpers import make_trace_samples
+from tests.helpers import (  # noqa: F401 — fixtures are used by name
+    in_process_pool,
+    local_options,
+    make_trace_samples,
+)
 
 pytestmark = pytest.mark.faults
 
@@ -208,17 +212,17 @@ class TestVerifyStore:
 # --------------------------------------------------------------------- #
 # 2. Retry, quarantine, degraded ledger
 # --------------------------------------------------------------------- #
-def _options(executor="serial", **kwargs) -> ParallelOptions:
-    kwargs.setdefault("workers", 2)
+def _options(**kwargs) -> ParallelOptions:
+    """A 4-shard plan run inline unless ``workers`` asks for the pool."""
     kwargs.setdefault("shards", 4)
     kwargs.setdefault("retry_backoff", 0.0)
-    return ParallelOptions(executor=executor, **kwargs)
+    return ParallelOptions(**kwargs)
 
 
 class TestRetryAndQuarantine:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_transient_failure_retries_to_identical_result(
-        self, samples, executor
+        self, samples, executor, local_options
     ):
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
         registry = MetricsRegistry()
@@ -227,7 +231,9 @@ class TestRetryAndQuarantine:
             dataset = build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
-                options=_options(executor),
+                options=local_options(
+                    executor, shards=4, workers=2, retry_backoff=0.0
+                ),
             )
         assert dataset.degraded is None
         assert dataset.rows == serial.rows
@@ -237,7 +243,7 @@ class TestRetryAndQuarantine:
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_permanent_failure_quarantines_with_exact_counts(
-        self, samples, executor
+        self, samples, executor, local_options
     ):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
@@ -245,7 +251,9 @@ class TestRetryAndQuarantine:
             dataset = build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
-                options=_options(executor),
+                options=local_options(
+                    executor, shards=4, workers=2, retry_backoff=0.0
+                ),
             )
         ledger = dataset.degraded
         assert isinstance(ledger, DegradedLedger)
@@ -271,7 +279,7 @@ class TestRetryAndQuarantine:
                 build_dataset(
                     iter(samples),
                     study_windows=STUDY_WINDOWS,
-                    options=_options("serial", strict=True),
+                    options=_options(strict=True),
                 )
         assert excinfo.value.shard_id == 1
         assert excinfo.value.attempts == 3
@@ -284,7 +292,7 @@ class TestRetryAndQuarantine:
             dataset = build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
-                options=_options("serial", max_retries=0),
+                options=_options(max_retries=0),
             )
         assert dataset.degraded.shards[0]["attempts"] == 1
         assert registry.counter("fault.shard_retries") == 0
@@ -298,7 +306,7 @@ class TestRetryAndQuarantine:
                 build_dataset(
                     iter(samples),
                     study_windows=STUDY_WINDOWS,
-                    options=_options("serial", strict=True, max_retries=0),
+                    options=_options(strict=True, max_retries=0),
                 )
         assert isinstance(excinfo.value.cause, OSError)
 
@@ -309,7 +317,7 @@ class TestRetryAndQuarantine:
             dataset = build_dataset(
                 store_path,
                 study_windows=STUDY_WINDOWS,
-                options=_options("serial"),
+                options=_options(),
             )
         chunk = TraceStoreReader(store_path).plan_chunks(4)[0]
         entry = dataset.degraded.shards[0]
@@ -324,7 +332,7 @@ class TestRetryAndQuarantine:
         dataset = build_dataset(
             store_path,
             study_windows=STUDY_WINDOWS,
-            options=_options("serial"),
+            options=_options(),
         )
         assert dataset.degraded is not None
         entry = dataset.degraded.shards[0]
@@ -343,7 +351,7 @@ class TestRetryAndQuarantine:
             build_dataset(
                 store_path,
                 study_windows=STUDY_WINDOWS,
-                options=_options("serial", strict=True),
+                options=_options(strict=True),
             )
 
     def test_process_pool_kill_via_env(self, samples, tmp_path, monkeypatch):
@@ -358,7 +366,7 @@ class TestRetryAndQuarantine:
         dataset = build_dataset(
             trace,
             study_windows=STUDY_WINDOWS,
-            options=_options("process", workers=2, shards=2),
+            options=_options(workers=2, shards=2),
         )
         assert dataset.degraded is not None
         assert dataset.degraded.shards[0]["ordinal"] == 0
@@ -370,7 +378,7 @@ class TestRetryAndQuarantine:
                 build_dataset(
                     iter(samples),
                     study_windows=STUDY_WINDOWS,
-                    options=_options("serial"),
+                    options=_options(),
                 )
         assert any(
             "shard 1" in record.message and "retrying" in record.message
@@ -386,7 +394,7 @@ class TestRetryAndQuarantine:
             dataset = build_dataset(
                 trace,
                 study_windows=STUDY_WINDOWS,
-                options=_options("serial", shards=2),
+                options=_options(shards=2),
             )
         assert dataset.degraded is None
         assert registry.counter("fault.injected.io_errors") == 1
@@ -424,7 +432,7 @@ class TestBatchEngineFaults:
             build_dataset(
                 store_path,
                 study_windows=STUDY_WINDOWS,
-                options=_options("serial", strict=True),
+                options=_options(strict=True),
             )
         assert isinstance(excinfo.value.cause, CorruptBlockError)
 
@@ -435,7 +443,7 @@ class TestBatchEngineFaults:
             dataset = build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
-                options=_options("serial"),
+                options=_options(),
             )
         assert dataset.degraded is None
         assert dataset.rows == serial.rows
@@ -445,12 +453,14 @@ class TestBatchEngineFaults:
 # 3. No-fault transparency + manifest integration
 # --------------------------------------------------------------------- #
 class TestNoFaultTransparency:
-    def test_parallel_identical_without_faults(self, samples, store_path):
+    def test_parallel_identical_without_faults(
+        self, samples, store_path, local_options
+    ):
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
         for options in (
             None,
-            _options("serial"),
-            _options("thread", workers=4, shards=4),
+            _options(),
+            local_options("thread", shards=4),
         ):
             dataset = build_dataset(
                 store_path, study_windows=STUDY_WINDOWS, options=options
@@ -464,7 +474,7 @@ class TestNoFaultTransparency:
             build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
-                options=_options("serial"),
+                options=_options(),
             )
         assert not [
             name
@@ -479,7 +489,7 @@ class TestNoFaultTransparency:
             build_dataset(
                 iter(samples),
                 study_windows=STUDY_WINDOWS,
-                options=_options("serial"),
+                options=_options(),
             )
         manifest = RunManifest.collect(command="analyze", registry=registry)
         assert manifest.degraded["shards_lost"] == 1
@@ -513,8 +523,7 @@ class TestNoFaultTransparency:
             [
                 "analyze",
                 str(store),
-                "--workers", "2",
-                "--executor", "serial",
+                "--shards", "2",
                 "--retry-backoff", "0",
                 "--metrics-out", str(manifest_path),
             ]
@@ -537,8 +546,7 @@ class TestNoFaultTransparency:
                 [
                     "analyze",
                     str(store),
-                    "--workers", "2",
-                    "--executor", "serial",
+                    "--shards", "2",
                     "--retry-backoff", "0",
                     "--strict",
                 ]

@@ -23,6 +23,8 @@ from repro.pipeline import (
     read_samples,
 )
 
+from tests.helpers import in_process_pool  # noqa: F401
+
 DATA = pathlib.Path(__file__).parent / "data"
 TRACE = DATA / "golden_trace.jsonl.gz"
 
@@ -96,15 +98,16 @@ class TestGoldenTrace:
         parallel = build_dataset(
             TRACE,
             study_windows=snapshot["study_windows"],
-            options=ParallelOptions(workers=2, shards=3, executor="serial"),
+            options=ParallelOptions(workers=1, shards=3),
         )
         assert_matches_snapshot(parallel, snapshot)
 
+    @pytest.mark.usefixtures("in_process_pool")
     def test_parallel_equals_serial_exactly(self, dataset, snapshot):
         parallel = build_dataset(
             TRACE,
             study_windows=snapshot["study_windows"],
-            options=ParallelOptions(workers=2, shards=4, executor="thread"),
+            options=ParallelOptions(workers=2, shards=4),
         )
         assert parallel.rows == dataset.rows
         assert [k for k, _ in parallel.store.items()] == [
@@ -184,13 +187,14 @@ class TestGoldenMethodologyCounters:
             >= counters["methodology.transactions.achieved"]
         )
 
+    @pytest.mark.usefixtures("in_process_pool")
     def test_parallel_counters_match_serial_on_golden_trace(
         self, counted, snapshot
     ):
         parallel = build_dataset(
             TRACE,
             study_windows=snapshot["study_windows"],
-            options=ParallelOptions(workers=2, shards=3, executor="thread"),
+            options=ParallelOptions(workers=2, shards=3),
         )
         assert parallel.metrics.counters == counted.metrics.counters
         assert parallel.metrics.gauges == counted.metrics.gauges

@@ -1,7 +1,7 @@
 """Observability through the pipeline: the counter-equality invariant.
 
 Counters and gauges are *data facts*: running the same input through any
-shard plan (any executor, any shard count, in-memory or file-backed) must
+shard plan (any backend, any shard count, in-memory or file-backed) must
 produce byte-identical counters and gauges to the serial pass. This
 mirrors the state-equality matrix in ``tests/test_pipeline_parallel.py``
 at the metrics layer. Timings (``timers``, ``shard_report``) are execution
@@ -16,9 +16,13 @@ from repro.core.hdratio import session_goodput
 from repro.obs import MetricsRegistry, activate_metrics, active_metrics
 from repro.pipeline import ParallelOptions, StudyDataset, build_dataset
 from repro.pipeline.io import read_samples, write_samples
-from repro.pipeline.parallel import LOCAL_EXECUTORS
 
-from tests.helpers import make_trace_samples
+from tests.helpers import (  # noqa: F401 — fixtures are used by name
+    LOCAL_BACKENDS,
+    in_process_pool,
+    local_options,
+    make_trace_samples,
+)
 
 STUDY_WINDOWS = 8
 
@@ -64,16 +68,17 @@ class TestInMemoryCounterEquality:
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=shards, executor="serial"),
+            options=ParallelOptions(workers=1, shards=shards),
         )
         assert_counters_equal(dataset, serial_dataset)
 
+    @pytest.mark.usefixtures("in_process_pool")
     @pytest.mark.parametrize("shards", [2, 4])
     def test_thread_executor(self, samples, serial_dataset, shards):
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=4, shards=shards, executor="thread"),
+            options=ParallelOptions(workers=4, shards=shards),
         )
         assert_counters_equal(dataset, serial_dataset)
 
@@ -81,18 +86,20 @@ class TestInMemoryCounterEquality:
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=4, executor="process"),
+            options=ParallelOptions(workers=2, shards=4),
         )
         assert_counters_equal(dataset, serial_dataset)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("executor", LOCAL_EXECUTORS)
+    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
     @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_full_matrix(self, samples, serial_dataset, executor, shards):
+    def test_full_matrix(
+        self, samples, serial_dataset, backend, shards, local_options
+    ):
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=4, shards=shards, executor=executor),
+            options=local_options(backend, shards),
         )
         assert_counters_equal(dataset, serial_dataset)
 
@@ -103,7 +110,7 @@ class TestFileCounterEquality:
         dataset = build_dataset(
             trace_paths[kind],
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=shards, executor="serial"),
+            options=ParallelOptions(workers=1, shards=shards),
         )
         # File-backed runs additionally count io.rows_read, which an
         # in-memory serial baseline cannot have; compare against the
@@ -118,7 +125,7 @@ class TestFileCounterEquality:
         dataset = build_dataset(
             trace_paths["plain"],
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=3, executor="process"),
+            options=ParallelOptions(workers=2, shards=3),
         )
         baseline = build_dataset(trace_paths["plain"], study_windows=STUDY_WINDOWS)
         assert_counters_equal(dataset, baseline)
@@ -229,7 +236,7 @@ class TestExecutionFacts:
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=4, executor="serial"),
+            options=ParallelOptions(workers=1, shards=4),
         )
         assert len(dataset.shard_report) == 4
         assert sum(entry["samples"] for entry in dataset.shard_report) == len(samples)

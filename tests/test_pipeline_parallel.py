@@ -1,7 +1,7 @@
 """Equivalence tests: the sharded parallel pipeline vs the serial pass.
 
 The contract under test (see ``repro/pipeline/parallel.py``): for any shard
-count and any executor, ``build_dataset`` produces a ``StudyDataset`` whose
+count and any backend, ``build_dataset`` produces a ``StudyDataset`` whose
 state — rows in stream order, aggregation-store insertion order, raw
 per-aggregation value lists, filter counters — is **exactly** equal to the
 serial pass, and therefore every derived statistic (per-group medians,
@@ -24,17 +24,16 @@ from repro.pipeline import (
     fig9_opportunity,
 )
 from repro.pipeline.io import write_samples
-from repro.pipeline.parallel import (
-    LOCAL_EXECUTORS,
-    RemoteCause,
-    shard_of,
-    shard_samples,
+from repro.pipeline.parallel import RemoteCause, shard_of, shard_samples
+
+from tests.helpers import (  # noqa: F401 — fixtures are used by name
+    LOCAL_BACKENDS,
+    in_process_pool,
+    local_options,
+    make_trace_samples,
 )
 
-from tests.helpers import make_trace_samples
-
 STUDY_WINDOWS = 8
-
 
 @pytest.fixture(scope="module")
 def samples():
@@ -103,16 +102,17 @@ class TestInMemoryEquivalence:
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=shards, executor="serial"),
+            options=ParallelOptions(workers=1, shards=shards),
         )
         assert_datasets_equal(dataset, serial_dataset)
 
+    @pytest.mark.usefixtures("in_process_pool")
     @pytest.mark.parametrize("shards", [2, 4])
     def test_thread_executor(self, samples, serial_dataset, shards):
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=4, shards=shards, executor="thread"),
+            options=ParallelOptions(workers=4, shards=shards),
         )
         assert_datasets_equal(dataset, serial_dataset)
 
@@ -120,36 +120,36 @@ class TestInMemoryEquivalence:
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=4, executor="process"),
+            options=ParallelOptions(workers=2, shards=4),
         )
         assert_datasets_equal(dataset, serial_dataset)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("executor", LOCAL_EXECUTORS)
+    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
     @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_full_matrix(self, samples, serial_dataset, executor, shards):
+    def test_full_matrix(
+        self, samples, serial_dataset, backend, shards, local_options
+    ):
         dataset = build_dataset(
             iter(samples),
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=4, shards=shards, executor=executor),
+            options=local_options(backend, shards),
         )
         assert_datasets_equal(dataset, serial_dataset)
 
     @pytest.mark.slow
+    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_randomized_traces(self, seed):
+    def test_randomized_traces(self, seed, backend, local_options):
         randomized = make_trace_samples(400, seed=seed, windows=STUDY_WINDOWS)
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(randomized))
-        for executor in LOCAL_EXECUTORS:
-            for shards in (1, 2, 4, 8):
-                dataset = build_dataset(
-                    iter(randomized),
-                    study_windows=STUDY_WINDOWS,
-                    options=ParallelOptions(
-                        workers=2, shards=shards, executor=executor
-                    ),
-                )
-                assert_datasets_equal(dataset, serial)
+        for shards in (1, 2, 4, 8):
+            dataset = build_dataset(
+                iter(randomized),
+                study_windows=STUDY_WINDOWS,
+                options=local_options(backend, shards, workers=2),
+            )
+            assert_datasets_equal(dataset, serial)
 
 
 # --------------------------------------------------------------------- #
@@ -161,7 +161,7 @@ class TestFileEquivalence:
         dataset = build_dataset(
             trace_paths[kind],
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=shards, executor="serial"),
+            options=ParallelOptions(workers=1, shards=shards),
         )
         assert_datasets_equal(dataset, serial_dataset)
 
@@ -169,19 +169,21 @@ class TestFileEquivalence:
         dataset = build_dataset(
             trace_paths["plain"],
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=3, executor="process"),
+            options=ParallelOptions(workers=2, shards=3),
         )
         assert_datasets_equal(dataset, serial_dataset)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("kind", ["plain", "gz"])
-    @pytest.mark.parametrize("executor", LOCAL_EXECUTORS)
+    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
     @pytest.mark.parametrize("shards", [1, 2, 5, 8])
-    def test_full_matrix(self, trace_paths, serial_dataset, kind, executor, shards):
+    def test_full_matrix(
+        self, trace_paths, serial_dataset, kind, backend, shards, local_options
+    ):
         dataset = build_dataset(
             trace_paths[kind],
             study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=4, shards=shards, executor=executor),
+            options=local_options(backend, shards),
         )
         assert_datasets_equal(dataset, serial_dataset)
 
@@ -221,16 +223,32 @@ class TestSharding:
             ParallelOptions(workers=0)
         with pytest.raises(ValueError):
             ParallelOptions(workers=1, shards=0)
-        with pytest.raises(ValueError):
-            ParallelOptions(workers=1, executor="gpu")
+        with pytest.raises(ValueError, match="not host:port"):
+            ParallelOptions(worker_addrs=("nonsense",))
         assert ParallelOptions(workers=3).effective_shards == 3
         assert ParallelOptions(workers=3, shards=5).effective_shards == 5
+
+    def test_backend_is_derived_never_chosen(self):
+        with pytest.raises(TypeError):
+            ParallelOptions(executor="process")
+        assert ParallelOptions() == ParallelOptions(workers=1)
+        assert ParallelOptions(workers=1).backend == "serial"
+        assert ParallelOptions(workers=1, shards=8).backend == "serial"
+        assert ParallelOptions(workers=4).backend == "process"
+        dispatch = ParallelOptions(workers=1, worker_addrs=("h:1", "h:2", "h:3"))
+        assert dispatch.backend == "dispatch"
+        assert dispatch.effective_shards == 3  # max(workers, len(addrs))
+        assert ParallelOptions(
+            workers=4, worker_addrs=("h:1",)
+        ).effective_shards == 4
+        with pytest.raises(AttributeError):
+            dispatch.backend = "process"
 
     def test_empty_source(self):
         dataset = build_dataset(
             iter([]),
             study_windows=4,
-            options=ParallelOptions(workers=2, shards=4, executor="serial"),
+            options=ParallelOptions(workers=1, shards=4),
         )
         assert dataset.session_count == 0
         assert len(dataset.store) == 0
@@ -252,9 +270,7 @@ class TestSharding:
             build_dataset(
                 iter(broken),
                 study_windows=STUDY_WINDOWS,
-                options=ParallelOptions(
-                    workers=2, shards=2, executor="serial", strict=True
-                ),
+                options=ParallelOptions(workers=1, shards=2, strict=True),
             )
         assert excinfo.value.shard_id == 0
         assert isinstance(excinfo.value.cause, ValueError)
@@ -266,7 +282,7 @@ class TestSharding:
             keep_response_sizes=False,
             compute_naive=True,
             window_seconds=3600.0,
-            options=ParallelOptions(workers=2, shards=2, executor="serial"),
+            options=ParallelOptions(workers=1, shards=2),
         )
         serial = StudyDataset(
             study_windows=STUDY_WINDOWS,

@@ -315,6 +315,42 @@ class TestHealthAndErrors:
         status, _ = get(engine, "/v1/degradation", metric=["minrtt", "hdratio"])
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: "[]",
+            lambda text: text[: len(text) // 2],
+            lambda text: json.dumps({**json.loads(text), "partitions": None}),
+        ],
+        ids=["not-an-object", "truncated", "partitions-null"],
+    )
+    def test_malformed_manifest_is_a_typed_503(
+        self, store_path, tmp_path, damage
+    ):
+        """Regression: the per-request generation check parsed the
+        manifest on its own, so a live store whose manifest went bad made
+        handle() raise AttributeError / TypeError instead of answering."""
+        import shutil
+
+        copy = tmp_path / "golden.store"
+        shutil.copytree(store_path, copy)
+        engine = QueryEngine(copy)
+        assert engine.handle("/v1/quantiles", {})[0] == 200
+        manifest_path = copy / "manifest.json"
+        manifest_path.write_text(damage(manifest_path.read_text()))
+        status, payload = engine.handle("/v1/quantiles", {})
+        assert status == 503
+        assert payload["error"] == "CorruptManifestError"
+        assert "manifest.json" in payload["detail"]
+        status, health = engine.handle("/v1/health", {})
+        assert status == 200
+        assert health["status"] == "degraded"
+        assert health["generation"] is None
+        assert health["quarantine"]["entries"] == [
+            {"partition": None, "column": None, "error": payload["detail"]}
+        ]
+        assert engine.metrics.counter("serve.responses.server_error") == 1
+
     def test_counters_account_for_every_request(self, store_path):
         engine = QueryEngine(store_path)
         outcomes = [

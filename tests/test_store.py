@@ -336,6 +336,35 @@ class TestAppend:
         with pytest.raises(ValueError, match="format"):
             append_to_store(store, make_trace_samples(5, seed=50))
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: "[]",
+            lambda text: text[: len(text) // 2],
+            lambda text: json.dumps({**json.loads(text), "partitions": None}),
+            lambda text: json.dumps({**json.loads(text), "row_count": "10"}),
+        ],
+        ids=["not-an-object", "truncated", "partitions-null", "row-count-str"],
+    )
+    def test_malformed_manifest_is_a_typed_error_everywhere(
+        self, tmp_path, damage
+    ):
+        """Regression: append_to_store parsed the manifest on its own and
+        let AttributeError / TypeError / JSONDecodeError escape; it now
+        shares the reader's loader."""
+        from repro.store import CorruptManifestError
+
+        store = tmp_path / "t.store"
+        write_store(store, make_trace_samples(10, seed=49))
+        manifest_path = store / MANIFEST_NAME
+        manifest_path.write_text(damage(manifest_path.read_text()))
+        data_before = (store / "data.bin").read_bytes()
+        with pytest.raises(CorruptManifestError):
+            append_to_store(store, make_trace_samples(5, seed=50))
+        with pytest.raises(CorruptManifestError):
+            TraceStoreReader(store)
+        assert (store / "data.bin").read_bytes() == data_before
+
     def test_append_counters(self, tmp_path):
         store = tmp_path / "t.store"
         write_store(store, make_trace_samples(30, seed=51))

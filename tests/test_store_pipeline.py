@@ -21,6 +21,8 @@ from repro.pipeline import (
 )
 from repro.store import ScanFilter, TraceStoreReader
 
+from tests.helpers import in_process_pool, local_options  # noqa: F401
+
 DATA = pathlib.Path(__file__).parent / "data"
 TRACE = DATA / "golden_trace.jsonl.gz"
 
@@ -91,12 +93,13 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_store_backed_parallel_equals_serial(
-        self, golden_store, store_dataset, snapshot, executor
+        self, golden_store, store_dataset, snapshot, executor, local_options
     ):
+        # The same 4-shard plan: inline, pooled on threads, pooled for real.
         parallel = build_dataset(
             golden_store,
             study_windows=snapshot["study_windows"],
-            options=ParallelOptions(workers=4, executor=executor),
+            options=local_options(executor, shards=4),
         )
         assert_same_analysis_state(parallel, store_dataset)
         # The full counter-equality invariant extends to store.* counters:
