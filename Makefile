@@ -24,8 +24,6 @@
 #   test-streaming - just the streaming suite (`streaming` marker): the
 #                 route-monitor window semantics and the ingest
 #                 watermark/replay-equivalence tests. Also part of tier-1.
-#   bench-ingest - the streaming-ingest throughput/seal-latency bench;
-#                 writes benchmarks/results/BENCH_ingest.json.
 #   test-serve  - just the query-serving suite (`serve` marker): endpoint
 #                 contracts vs the batch path, the LRU cache property,
 #                 concurrent-client + live-append semantics, and served
@@ -77,7 +75,7 @@ COV_ARGS = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
 	test-dist test-netsim coverage bench bench-io \
-	bench-analyze bench-ingest bench-serve bench-dist bench-cc-matrix
+	bench-analyze bench-serve bench-dist bench-cc-matrix
 
 test:
 	$(PYTEST) -x -q
@@ -122,9 +120,6 @@ bench-io:
 
 bench-analyze:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_analyze.py
-
-bench-ingest:
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_ingest.py
 
 bench-serve:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_serve.py

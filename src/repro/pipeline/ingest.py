@@ -25,9 +25,9 @@ Sealed windows feed three sinks, in canonical order:
 
 1. the :class:`~repro.pipeline.dataset.StudyDataset` (rows, aggregations,
    filter accounting — the same single-pass fold the batch engine runs);
-2. the output store, appended as new CRC'd, prunable partitions
-   (:func:`repro.store.append_to_store`) — *unfiltered*, so a batch
-   re-scan of the store reproduces the exact filtering decisions;
+2. the output store, appended as new CRC'd, prunable partitions through
+   one :class:`repro.store.StoreAppender` session — *unfiltered*, so a
+   batch re-scan of the store reproduces the exact filtering decisions;
 3. the :class:`OnlineTemporalAnalyzer` — §5 degradation verdicts against a
    trailing baseline and the uneventful/diurnal/episodic classifier,
    re-evaluated incrementally as each window seals.
@@ -65,6 +65,7 @@ from repro.core.constants import (
 from repro.core.records import SessionSample, UserGroupKey
 from repro.obs import MetricsRegistry
 from repro.pipeline.dataset import StudyDataset
+from repro.store import DEFAULT_BAND_WINDOWS, StoreAppender
 
 __all__ = [
     "DEFAULT_ALLOWED_LATENESS_SECONDS",
@@ -320,9 +321,6 @@ class StreamingIngestor:
             raise ValueError("allowed_lateness_seconds must be >= 0")
         self.window_seconds = window_seconds
         self.allowed_lateness_seconds = allowed_lateness_seconds
-        self.out_store = out_store
-        self.band_windows = band_windows
-        self.compress = compress
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.dataset = StudyDataset(
             study_windows=study_windows,
@@ -339,6 +337,23 @@ class StreamingIngestor:
             self.analyzer.metrics = self.metrics
         self.late = LateSampleLedger(max_retained=max_retained_late)
         self._pending: Dict[int, List[SessionSample]] = {}
+        #: The one append session on ``out_store``. It touches nothing until
+        #: the first non-empty seal appends through it.
+        self._appender = (
+            None
+            if out_store is None
+            else StoreAppender(
+                out_store,
+                band_windows=(
+                    band_windows
+                    if band_windows is not None
+                    else DEFAULT_BAND_WINDOWS
+                ),
+                window_seconds=window_seconds,
+                compress=compress,
+                metrics=self.metrics,
+            )
+        )
         self._watermark = -math.inf
         #: Next window index to seal; ``None`` until the first seal decides
         #: where the gapless sealed record starts.
@@ -360,7 +375,15 @@ class StreamingIngestor:
         return self._windows_sealed
 
     def offer(self, sample: SessionSample) -> bool:
-        """Feed one sample; returns False when it was late (ledgered)."""
+        """Feed one sample; returns False when it was late (ledgered).
+
+        An offer that advances the watermark seals the windows it passes.
+        A seal is all-or-nothing: if appending a window to ``out_store``
+        raises, the exception propagates from here with the window still
+        pending and no counter moved, and the next watermark advance or
+        :meth:`finish` retries it. The offered sample itself *was*
+        accepted — do not offer it again.
+        """
         if self._finished:
             raise ValueError("ingestor is finished; create a new one")
         self._samples_offered += 1
@@ -436,7 +459,18 @@ class StreamingIngestor:
             self._next_seal += 1
 
     def _seal_one(self, window: int) -> None:
-        samples = self._pending.pop(window, [])
+        samples = self._pending.get(window, [])
+        # Canonical seal order: window membership depends only on end_time,
+        # so this sort makes every downstream byte independent of arrival
+        # order within the lateness bound (the replay invariant).
+        samples.sort(key=lambda s: (s.end_time, s.session_id))
+        if samples and self._appender is not None:
+            # The one step that can fail comes first, while the window is
+            # still pending and uncounted: a failed append is retried whole,
+            # never re-sealed as a phantom empty window. Unfiltered: the
+            # batch replay re-decides filtering.
+            self._appender.append(samples)
+        self._pending.pop(window, None)
         self._windows_sealed += 1
         self.metrics.inc("stream.windows.sealed")
         if not samples:
@@ -444,10 +478,6 @@ class StreamingIngestor:
             self.metrics.inc("stream.windows.empty")
             self.analyzer.on_window_sealed(window, {})
             return
-        # Canonical seal order: window membership depends only on end_time,
-        # so this sort makes every downstream byte independent of arrival
-        # order within the lateness bound (the replay invariant).
-        samples.sort(key=lambda s: (s.end_time, s.session_id))
         self._samples_sealed += len(samples)
         self.metrics.inc("stream.samples.sealed", len(samples))
         store = self.dataset.store
@@ -465,19 +495,4 @@ class StreamingIngestor:
                         aggregation = store.get(group, 0, window)
                         if aggregation is not None:
                             sealed_groups[group] = aggregation
-        if self.out_store is not None:
-            from repro.store import DEFAULT_BAND_WINDOWS, append_to_store
-
-            append_to_store(
-                self.out_store,
-                samples,  # unfiltered: the batch replay re-decides filtering
-                band_windows=(
-                    self.band_windows
-                    if self.band_windows is not None
-                    else DEFAULT_BAND_WINDOWS
-                ),
-                window_seconds=self.window_seconds,
-                compress=self.compress,
-                metrics=self.metrics,
-            )
         self.analyzer.on_window_sealed(window, sealed_groups)

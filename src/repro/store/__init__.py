@@ -13,7 +13,10 @@ versioned binary **columnar** layout:
   :class:`~repro.core.records.SessionSample` rows;
 - :mod:`repro.store.writer` — :class:`TraceStoreWriter`: partitions keyed
   by (PoP, time-window band) plus a JSON manifest of offsets and min/max
-  statistics, written atomically;
+  statistics, written atomically; :class:`StoreAppender`: an append
+  session whose every append costs what it adds (:func:`append_to_store`
+  is its one-shot spelling); :func:`load_manifest` / :func:`dump_manifest`:
+  the one parser and the one (compact) serialiser of ``manifest.json``;
 - :mod:`repro.store.reader` — :class:`TraceStoreReader`:
   ``scan(filter)`` with manifest-level partition pruning, and
   partition-aligned :class:`StoreChunk` planning for the sharded pipeline;
@@ -51,9 +54,12 @@ from repro.store.writer import (
     STORE_FORMAT,
     STORE_FORMAT_VERSION,
     SUPPORTED_STORE_VERSIONS,
+    StoreAppender,
     TraceStoreWriter,
     append_to_store,
+    dump_manifest,
     is_store_path,
+    load_manifest,
     write_store,
 )
 
@@ -68,6 +74,7 @@ __all__ = [
     "CorruptBlockError",
     "CorruptManifestError",
     "ScanFilter",
+    "StoreAppender",
     "StoreChunk",
     "StoreError",
     "StoreVerifyFinding",
@@ -77,7 +84,9 @@ __all__ = [
     "TruncatedPartitionError",
     "append_to_store",
     "compact_store",
+    "dump_manifest",
     "is_store_path",
+    "load_manifest",
     "read_store_chunk",
     "verify_store",
     "write_store",

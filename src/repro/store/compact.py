@@ -26,7 +26,9 @@ What is preserved, exactly:
   swap and cleanup leaves an orphan file the next compaction removes.
 - **appendability** — the manifest keeps the same format (``data_file``
   names the live generation), so :func:`~repro.store.writer.
-  append_to_store` keeps working on a compacted store unchanged.
+  append_to_store` keeps working on a compacted store unchanged, and a
+  live :class:`~repro.store.writer.StoreAppender` session sees the swap
+  (a new manifest file) and reloads before its next append.
 
 ``band_windows`` may re-band the store while compacting (e.g. widen
 1-window streaming bands to 4-window batch bands); by default the
@@ -35,14 +37,11 @@ store's existing banding is kept.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
-from repro.core.aggregation import window_index
-from repro.core.records import SessionSample
 from repro.fsutil import atomic_write_bytes
 from repro.obs import span
 from repro.store.encoding import block_checksum
@@ -52,7 +51,10 @@ from repro.store.writer import (
     DATA_NAME,
     MANIFEST_NAME,
     STORE_FORMAT_VERSION,
+    Buckets,
+    _bucket,
     _encode_buckets,
+    dump_manifest,
 )
 
 __all__ = ["CompactionReport", "compact_store"]
@@ -138,15 +140,11 @@ def compact_store(
         # One CRC-verified pass in seq order; bucketing by first
         # appearance reproduces TraceStoreWriter's layout, and keeping
         # the original seq keys preserves the scan stream bit-exactly.
-        buckets: Dict[Tuple[str, int], List[Tuple[int, SessionSample]]] = {}
+        buckets: Buckets = {}
         rows = 0
         for seq, sample in reader.scan_pairs(metrics=None):
             rows += 1
-            band = (
-                window_index(sample.end_time, window_seconds)
-                // new_band_windows
-            )
-            buckets.setdefault((sample.pop, band), []).append((seq, sample))
+            _bucket(buckets, seq, sample, window_seconds, new_band_windows)
 
         if partitions_before <= len(buckets) and (
             new_band_windows == old_band_windows
@@ -183,8 +181,7 @@ def compact_store(
         # The swap: until this rename lands, readers see the old
         # generation; after it, only the new one. Never both.
         atomic_write_bytes(
-            store_path / MANIFEST_NAME,
-            json.dumps(new_manifest, indent=1).encode("utf-8"),
+            store_path / MANIFEST_NAME, dump_manifest(new_manifest)
         )
 
         # Best-effort cleanup of superseded generations (the old data

@@ -21,6 +21,11 @@ directory without a valid manifest — never a truncated store that parses
 as a short-but-valid trace — and a rename that returned cannot be undone
 by a crash.
 
+The manifest is one compact JSON object (no whitespace, ``"partitions"``
+last) with one serialiser, :func:`dump_manifest`, beside its one parser,
+:func:`load_manifest`; ``python -m json.tool manifest.json`` renders it
+for reading. Manifests written indented by earlier builds load unchanged.
+
 Integrity: store format v2 records a CRC32 per column block (computed in
 :func:`repro.store.schema.encode_rows` over the on-disk bytes), which the
 reader verifies before decoding. v1 stores (no checksums) remain readable;
@@ -37,7 +42,11 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.core.aggregation import window_index
 from repro.core.records import SessionSample
 from repro.fsutil import atomic_write_bytes
-from repro.store.errors import CorruptManifestError, StoreError
+from repro.store.errors import (
+    CorruptManifestError,
+    StoreError,
+    TruncatedPartitionError,
+)
 from repro.store.schema import COLUMNS, SCHEMA_VERSION, encode_rows
 
 __all__ = [
@@ -47,8 +56,10 @@ __all__ = [
     "SUPPORTED_STORE_VERSIONS",
     "MANIFEST_NAME",
     "DATA_NAME",
+    "StoreAppender",
     "TraceStoreWriter",
     "append_to_store",
+    "dump_manifest",
     "is_store_path",
     "load_manifest",
     "write_store",
@@ -121,10 +132,56 @@ def load_manifest(path: PathLike) -> dict:
     return manifest
 
 
+def _fragment(value) -> bytes:
+    """Compact JSON text of one manifest piece: the head or one partition.
+
+    The only place a store manifest meets the JSON encoder. No ``indent``:
+    that would select the pure-Python encoder, ~5x slower than the C one.
+    """
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+def _splice_manifest(head: dict, fragments: Iterable[bytes]) -> bytes:
+    """Manifest bytes from the non-partition fields and encoded partitions."""
+    return b"".join(
+        (_fragment(head)[:-1], b',"partitions":[', b",".join(fragments), b"]}")
+    )
+
+
+def dump_manifest(manifest: dict) -> bytes:
+    """Serialise a store manifest — the one place it is written.
+
+    The inverse of :func:`load_manifest`: one compact JSON object with
+    ``"partitions"`` last, so that an appender can splice already-encoded
+    partition descriptors after a re-encoded head and get these exact
+    bytes (:class:`StoreAppender`).
+    """
+    head = {key: value for key, value in manifest.items() if key != "partitions"}
+    return _splice_manifest(head, map(_fragment, manifest["partitions"]))
+
+
 def _atomic_write(path: pathlib.Path, data: bytes) -> None:
     # Module-level indirection kept for tests that monkeypatch the write
     # path; the durable temp+fsync+rename protocol lives in fsutil.
     atomic_write_bytes(path, data)
+
+
+Buckets = Dict[Tuple[str, int], List[Tuple[int, SessionSample]]]
+
+
+def _bucket(
+    buckets: Buckets,
+    seq: int,
+    sample: SessionSample,
+    window_seconds: float,
+    band_windows: int,
+) -> None:
+    """File ``(seq, sample)`` under its (PoP, band) partition key.
+
+    A sample's band is keyed by session end, like its window.
+    """
+    band = window_index(sample.end_time, window_seconds) // band_windows
+    buckets.setdefault((sample.pop, band), []).append((seq, sample))
 
 
 class TraceStoreWriter:
@@ -152,9 +209,7 @@ class TraceStoreWriter:
         self.window_seconds = window_seconds
         self.compress = compress
         self.metrics = metrics
-        self._buckets: Dict[
-            Tuple[str, int], List[Tuple[int, SessionSample]]
-        ] = {}
+        self._buckets: Buckets = {}
         self._next_seq = 0
         self._closed = False
 
@@ -172,8 +227,9 @@ class TraceStoreWriter:
             raise ValueError("writer is closed")
         seq = self._next_seq
         self._next_seq += 1
-        key = (sample.pop, self.band_of(sample))
-        self._buckets.setdefault(key, []).append((seq, sample))
+        _bucket(
+            self._buckets, seq, sample, self.window_seconds, self.band_windows
+        )
         return seq
 
     def add_all(self, samples: Iterable[SessionSample]) -> int:
@@ -213,10 +269,7 @@ class TraceStoreWriter:
 
         self.path.mkdir(parents=True, exist_ok=True)
         _atomic_write(self.path / DATA_NAME, bytes(payload))
-        _atomic_write(
-            self.path / MANIFEST_NAME,
-            json.dumps(manifest, indent=1).encode("utf-8"),
-        )
+        _atomic_write(self.path / MANIFEST_NAME, dump_manifest(manifest))
 
         if self.metrics is not None:
             self.metrics.inc("store.rows.written", self._next_seq)
@@ -228,7 +281,7 @@ class TraceStoreWriter:
 
 
 def _encode_buckets(
-    buckets: Dict[Tuple[str, int], List[Tuple[int, SessionSample]]],
+    buckets: Buckets,
     compress: bool,
     first_part_id: int = 0,
     base_offset: int = 0,
@@ -291,6 +344,169 @@ def write_store(
     return count
 
 
+class StoreAppender:
+    """An append session on one store: each append costs what it adds.
+
+    The incremental-write path for streaming ingest
+    (:mod:`repro.pipeline.ingest`): each :meth:`append` packs its samples
+    into fresh (PoP, band) partitions whose sequence numbers continue the
+    store's ``row_count``, so a full :meth:`~repro.store.TraceStoreReader.scan`
+    yields the concatenation of every append in order — byte-identical to
+    having written the whole stream at once through a
+    :class:`TraceStoreWriter` **when sample (PoP, band) runs don't repeat**;
+    in general each append seals its own partitions (the reader's seq-merge
+    absorbs duplicates of a (PoP, band) key).
+
+    The session parses and vets the manifest once (:func:`load_manifest`,
+    plus the ``band_windows`` / ``window_seconds`` match — partitions
+    banded inconsistently would break pruning) and keeps only its
+    non-partition fields and one encoded fragment per partition. An append
+    encodes the partitions it adds and splices them behind the cached
+    fragments; the result is :func:`dump_manifest` of the whole manifest,
+    byte for byte, without re-walking the descriptors of earlier appends.
+
+    Another writer is noticed, not clobbered: every publisher replaces
+    ``manifest.json`` by renaming a fresh temp file, so before each append
+    the session compares the file's ``(st_dev, st_ino, st_size,
+    st_mtime_ns)`` with what it saw after its own last publish and, when
+    they differ — a second appender, a compaction's generation swap —
+    loads and vets the manifest again.
+
+    Durability keeps the writer's manifest-last protocol: new payload bytes
+    are appended to the data file and fsync'd *before* the manifest is
+    atomically replaced, and the session's own state advances only after
+    that rename returns. A crash or error mid-append leaves the previous
+    manifest pointing at the previous byte range — the trailing
+    unreferenced bytes are invisible to readers and are truncated away by
+    the next successful append. A data file *shorter* than the manifest
+    says is damage, not a torn tail: the append is refused with a
+    :class:`TruncatedPartitionError` before anything is written.
+    Appending to a version-1 store upgrades the manifest to the current
+    format version (old blocks simply carry no checksum).
+
+    A missing store is created (even for an empty sample stream, so a
+    streaming run's output is always scannable). ``metrics`` receives the
+    same counters as :class:`TraceStoreWriter`.
+    """
+
+    def __init__(
+        self,
+        path: PathLike,
+        band_windows: int = DEFAULT_BAND_WINDOWS,
+        window_seconds: float = 900.0,
+        compress: bool = True,
+        metrics=None,
+    ) -> None:
+        self.path = pathlib.Path(path)
+        self.band_windows = band_windows
+        self.window_seconds = window_seconds
+        self.compress = compress
+        self.metrics = metrics
+        #: The manifest minus ``"partitions"``, and each partition's encoded
+        #: descriptor, as of the manifest file ``_identity`` names.
+        self._head: dict = {}
+        self._fragments: List[bytes] = []
+        self._identity: Optional[Tuple[int, int, int, int]] = None
+
+    def _manifest_identity(self) -> Optional[Tuple[int, int, int, int]]:
+        try:
+            stat = os.stat(self.path / MANIFEST_NAME)
+        except FileNotFoundError:
+            return None
+        return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+    def _load(self) -> None:
+        manifest = load_manifest(self.path)
+        for name in ("band_windows", "window_seconds"):
+            if manifest.get(name) != getattr(self, name):
+                raise ValueError(
+                    f"{name} {getattr(self, name)} does not match the "
+                    f"store's {manifest.get(name)}"
+                )
+        self._fragments = [_fragment(p) for p in manifest.pop("partitions")]
+        self._head = manifest
+
+    def append(self, samples: Iterable[SessionSample]) -> int:
+        """Append samples as new partitions; returns the row count."""
+        # Identity is read before the manifest it vouches for, so a writer
+        # racing the load is caught by the next append's comparison.
+        identity = self._manifest_identity()
+        if identity is None:
+            # Nothing cached: the next append loads what this one writes.
+            return write_store(
+                self.path,
+                samples,
+                band_windows=self.band_windows,
+                window_seconds=self.window_seconds,
+                compress=self.compress,
+                metrics=self.metrics,
+            )
+        if identity != self._identity:
+            self._load()
+            self._identity = identity
+
+        first_seq = self._head["row_count"]
+        buckets: Buckets = {}
+        count = 0
+        for count, sample in enumerate(samples, start=1):
+            _bucket(
+                buckets,
+                first_seq + count - 1,
+                sample,
+                self.window_seconds,
+                self.band_windows,
+            )
+        if count == 0:
+            return 0
+
+        base_offset = self._head["data_bytes"]
+        payload, partitions = _encode_buckets(
+            buckets,
+            compress=self.compress,
+            first_part_id=len(self._fragments),
+            base_offset=base_offset,
+        )
+
+        data_path = self.path / self._head.get("data_file", DATA_NAME)
+        with open(data_path, "r+b") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size < base_offset:
+                # truncate() would zero-fill the hole and a new manifest
+                # would bless it; name the last partition, whose end the
+                # manifest puts at ``data_bytes``.
+                raise TruncatedPartitionError(
+                    data_path, len(self._fragments) - 1, base_offset, size
+                )
+            # Discard unreferenced tail bytes a crashed append may have left,
+            # so the manifest's offsets stay the single source of truth.
+            handle.truncate(base_offset)
+            handle.seek(base_offset)
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+
+        head = dict(
+            self._head,
+            version=STORE_FORMAT_VERSION,
+            row_count=first_seq + count,
+            data_bytes=base_offset + len(payload),
+        )
+        fragments = self._fragments + [_fragment(p) for p in partitions]
+        _atomic_write(
+            self.path / MANIFEST_NAME, _splice_manifest(head, fragments)
+        )
+        self._head = head
+        self._fragments = fragments
+        self._identity = self._manifest_identity()
+
+        if self.metrics is not None:
+            self.metrics.inc("store.rows.written", count)
+            self.metrics.inc("store.partitions.written", len(partitions))
+            self.metrics.inc("store.bytes.written", len(payload))
+            self.metrics.inc("io.rows_written", count)
+        return count
+
+
 def append_to_store(
     path: PathLike,
     samples: Iterable[SessionSample],
@@ -299,105 +515,14 @@ def append_to_store(
     compress: bool = True,
     metrics=None,
 ) -> int:
-    """Append samples to a store as new partitions; returns the row count.
-
-    The incremental-write path for streaming ingest
-    (:mod:`repro.pipeline.ingest`): each call packs its samples into fresh
-    (PoP, band) partitions whose sequence numbers continue the store's
-    ``row_count``, so a full :meth:`~repro.store.TraceStoreReader.scan`
-    yields the concatenation of every append in order — byte-identical to
-    having written the whole stream at once through a
-    :class:`TraceStoreWriter` **when sample (PoP, band) runs don't repeat**;
-    in general each append seals its own partitions (the reader's seq-merge
-    absorbs duplicates of a (PoP, band) key).
-
-    Durability keeps the writer's manifest-last protocol: new payload bytes
-    are appended to ``data.bin`` and fsync'd *before* the manifest is
-    atomically replaced. A crash mid-append leaves the previous manifest
-    pointing at the previous byte range — the trailing unreferenced bytes
-    are invisible to readers and are truncated away by the next successful
-    append. Appending to a version-1 store upgrades the manifest to the
-    current format version (old blocks simply carry no checksum).
-
-    A missing store is created (even for an empty sample stream, so a
-    streaming run's output is always scannable). ``band_windows`` and
-    ``window_seconds`` must match the existing manifest — partitions
-    banded inconsistently would break pruning.
-    """
-    path = pathlib.Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.is_file():
-        return write_store(
-            path,
-            samples,
-            band_windows=band_windows,
-            window_seconds=window_seconds,
-            compress=compress,
-            metrics=metrics,
-        )
-
-    manifest = load_manifest(path)
-    if manifest.get("band_windows") != band_windows:
-        raise ValueError(
-            f"band_windows {band_windows} does not match the store's "
-            f"{manifest.get('band_windows')}"
-        )
-    if manifest.get("window_seconds") != window_seconds:
-        raise ValueError(
-            f"window_seconds {window_seconds} does not match the store's "
-            f"{manifest.get('window_seconds')}"
-        )
-
-    writer = TraceStoreWriter(
+    """One-shot :meth:`StoreAppender.append`; returns the row count."""
+    return StoreAppender(
         path,
         band_windows=band_windows,
         window_seconds=window_seconds,
         compress=compress,
-    )
-    writer._next_seq = manifest["row_count"]
-    first_seq = writer._next_seq
-    count = writer.add_all(samples) - first_seq
-    writer._closed = True  # bucketed by hand; never .close() this writer
-    if count == 0:
-        return 0
-
-    base_offset = manifest["data_bytes"]
-    payload, partitions = _encode_buckets(
-        writer._buckets,
-        compress=compress,
-        first_part_id=len(manifest["partitions"]),
-        base_offset=base_offset,
-    )
-
-    data_path = path / manifest.get("data_file", DATA_NAME)
-    with open(data_path, "r+b") as handle:
-        # Discard unreferenced tail bytes a crashed append may have left,
-        # so the manifest's offsets stay the single source of truth.
-        handle.truncate(base_offset)
-        handle.seek(base_offset)
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-    manifest["version"] = STORE_FORMAT_VERSION
-    manifest["row_count"] = first_seq + count
-    manifest["data_bytes"] = base_offset + len(payload)
-    manifest["partitions"] = manifest["partitions"] + partitions
-    # Crash safety requires rewriting the whole manifest atomically, so
-    # each append costs O(total partitions) serialization. Fine-grained
-    # appenders (one call per sealed window) should batch windows or
-    # accept the cost for modest stores; see DESIGN.md on the streaming
-    # seal path.
-    _atomic_write(
-        manifest_path, json.dumps(manifest, indent=1).encode("utf-8")
-    )
-
-    if metrics is not None:
-        metrics.inc("store.rows.written", count)
-        metrics.inc("store.partitions.written", len(partitions))
-        metrics.inc("store.bytes.written", len(payload))
-        metrics.inc("io.rows_written", count)
-    return count
+        metrics=metrics,
+    ).append(samples)
 
 
 def is_store_path(path: PathLike) -> bool:

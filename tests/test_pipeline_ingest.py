@@ -283,6 +283,156 @@ class TestReplayEquivalence:
 
 
 # --------------------------------------------------------------------- #
+def _scan(store):
+    from repro.store import TraceStoreReader
+
+    return list(TraceStoreReader(store).scan())
+
+
+class TestSealIsAllOrNothing:
+    def test_failed_append_is_retried_not_sealed_empty(
+        self, trace_samples, tmp_path, monkeypatch
+    ):
+        """Regression: a seal popped, counted and folded its window before
+        appending it, so an append that raised left the store a window
+        short while ``sealed + late == offered`` still held, and the next
+        watermark advance re-sealed the same index as an empty window."""
+        import errno
+
+        import repro.store.writer as writer_mod
+
+        ordered = sorted(trace_samples, key=lambda s: s.end_time)
+        clean_store = tmp_path / "clean.store"
+        clean = StreamingIngestor(
+            study_windows=8, out_store=clean_store, allowed_lateness_seconds=0.0
+        )
+        clean.offer_all(ordered)
+        expected = clean.finish()
+
+        real = writer_mod._atomic_write
+        publishes = []
+
+        def flaky(path, data):
+            publishes.append(path.name)
+            if len(publishes) == 4:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(path, data)
+
+        monkeypatch.setattr(writer_mod, "_atomic_write", flaky)
+        store = tmp_path / "flaky.store"
+        metrics = MetricsRegistry()
+        ingestor = StreamingIngestor(
+            study_windows=8,
+            out_store=store,
+            allowed_lateness_seconds=0.0,
+            metrics=metrics,
+        )
+        failures = 0
+        for sample in ordered:
+            sealed_before = ingestor.windows_sealed
+            try:
+                ingestor.offer(sample)  # accepted even when its seal raises
+            except OSError:
+                failures += 1
+                assert ingestor.windows_sealed == sealed_before
+        result = ingestor.finish()
+
+        assert failures == 1
+        assert result.samples_offered == len(ordered)
+        assert result.late.count == 0
+        assert result.windows_sealed == expected.windows_sealed == 8
+        assert result.windows_empty == 0
+        assert metrics.counter("stream.windows.sealed") == 8
+        assert metrics.counter("stream.windows.empty") == 0
+        read = result.dataset.metrics.counter("pipeline.samples.read")
+        assert len(_scan(store)) == result.samples_sealed == read == len(ordered)
+        assert metrics.counter("store.rows.written") == len(ordered)
+        assert_same_analysis_state(result.dataset, expected.dataset)
+        for name in ("data.bin", "manifest.json"):
+            assert (store / name).read_bytes() == (
+                clean_store / name
+            ).read_bytes()
+
+    def test_failed_append_is_retried_by_finish(self, tmp_path, monkeypatch):
+        import repro.store.writer as writer_mod
+
+        store = tmp_path / "sealed.store"
+        ingestor = StreamingIngestor(
+            study_windows=4, out_store=store, allowed_lateness_seconds=0.0
+        )
+        ingestor.offer(in_window(0, 10.0))
+        real = writer_mod._atomic_write
+        monkeypatch.setattr(
+            writer_mod,
+            "_atomic_write",
+            lambda path, data: (_ for _ in ()).throw(OSError("boom")),
+        )
+        with pytest.raises(OSError):
+            ingestor.offer(in_window(1, 10.0))
+        assert ingestor.windows_sealed == 0
+        monkeypatch.setattr(writer_mod, "_atomic_write", real)
+        result = ingestor.finish()
+        assert result.windows_sealed == 2
+        assert result.samples_sealed == len(_scan(store)) == 2
+
+
+class TestLiveStoreHasOtherWriters:
+    """The ingestor's append session notices a manifest it did not publish
+    (DESIGN §8's stat-identity rule) and reloads instead of clobbering it."""
+
+    def _stream_with_interruption(self, samples, store, interrupt):
+        ordered = sorted(samples, key=lambda s: s.end_time)
+        ingestor = StreamingIngestor(
+            study_windows=8, out_store=store, allowed_lateness_seconds=0.0
+        )
+        interrupted = False
+        for sample in ordered:
+            ingestor.offer(sample)
+            if not interrupted and ingestor.windows_sealed == 5:
+                interrupt()
+                interrupted = True
+        assert interrupted
+        return ingestor.finish()
+
+    def test_compaction_between_seals(self, trace_samples, tmp_path):
+        from repro.store import compact_store, load_manifest, verify_store
+
+        store = tmp_path / "sealed.store"
+        reports = []
+        result = self._stream_with_interruption(
+            trace_samples, store, lambda: reports.append(compact_store(store))
+        )
+        assert not reports[0].skipped
+        assert load_manifest(store)["data_file"] == "data-g1.bin"
+        assert verify_store(store).ok
+        assert _scan(store) == sorted(
+            trace_samples, key=lambda s: (s.end_time, s.session_id)
+        )
+        batch = build_dataset(store, study_windows=8)
+        assert_same_analysis_state(result.dataset, batch)
+        assert data_counters(result.dataset) == data_counters(batch)
+
+    def test_foreign_append_between_seals(self, trace_samples, tmp_path):
+        from repro.store import append_to_store, verify_store
+
+        store = tmp_path / "sealed.store"
+        foreign = make_trace_samples(40, seed=77, windows=8)
+        result = self._stream_with_interruption(
+            trace_samples, store, lambda: append_to_store(store, foreign)
+        )
+        assert verify_store(store).ok
+        assert result.samples_sealed == len(trace_samples)
+        key = lambda s: s.session_id  # noqa: E731 - unique per sample
+        assert sorted(_scan(store), key=key) == sorted(
+            trace_samples + foreign, key=key
+        )
+        batch = build_dataset(store, study_windows=8)
+        assert batch.metrics.counter("pipeline.samples.read") == (
+            result.samples_sealed + len(foreign)
+        )
+
+
+# --------------------------------------------------------------------- #
 class TestShuffleProperty:
     """Hypothesis: ANY admissible arrival order replays byte-identically."""
 

@@ -13,12 +13,17 @@ from repro.store import (
     DEFAULT_BAND_WINDOWS,
     STORE_FORMAT_VERSION,
     ScanFilter,
+    StoreAppender,
     StoreChunk,
     TraceStoreReader,
     TraceStoreWriter,
+    TruncatedPartitionError,
     append_to_store,
+    dump_manifest,
     is_store_path,
+    load_manifest,
     read_store_chunk,
+    verify_store,
     write_store,
 )
 from repro.store.encoding import (
@@ -297,6 +302,26 @@ class TestAppend:
         manifest = json.loads((store / MANIFEST_NAME).read_text())
         assert (store / "data.bin").stat().st_size == manifest["data_bytes"]
 
+    def test_append_refuses_data_file_shorter_than_manifest(self, tmp_path):
+        """Regression: ``truncate(data_bytes)`` also *extends* — appending
+        to a cut data file zero-filled the hole and published a manifest
+        over it, turning a located truncation into anonymous CRC noise."""
+        samples = make_trace_samples(80, seed=45)
+        store = tmp_path / "t.store"
+        write_store(store, samples[:40])
+        data = (store / "data.bin").read_bytes()
+        (store / "data.bin").write_bytes(data[:-500])
+        manifest_before = (store / MANIFEST_NAME).read_bytes()
+        with pytest.raises(TruncatedPartitionError) as excinfo:
+            append_to_store(store, samples[40:])
+        assert excinfo.value.expected == len(data)
+        assert excinfo.value.actual == len(data) - 500
+        # Nothing was written: the damage is still what the verifier names.
+        assert (store / "data.bin").read_bytes() == data[:-500]
+        assert (store / MANIFEST_NAME).read_bytes() == manifest_before
+        errors = [f.error for f in verify_store(store).findings]
+        assert f"data file is {len(data) - 500} bytes" in errors[0]
+
     def test_append_upgrades_v1_store(self, tmp_path):
         samples = make_trace_samples(60, seed=46)
         store = tmp_path / "t.store"
@@ -374,6 +399,180 @@ class TestAppend:
         assert metrics.counter("io.rows_written") == 25
         assert metrics.counter("store.partitions.written") > 0
         assert metrics.counter("store.bytes.written") > 0
+
+
+def _as_v1(store):
+    """Rewrite a store's manifest as an indented version-1 one (no CRCs)."""
+    manifest = json.loads((store / MANIFEST_NAME).read_text())
+    manifest["version"] = 1
+    for partition in manifest["partitions"]:
+        for block in partition["blocks"]:
+            block.pop("crc32", None)
+    (store / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1))
+
+
+class TestAppendSession:
+    """One StoreAppender ≡ the same appends one-shot, at a cost per append
+    that does not grow with the store."""
+
+    def test_manifest_is_compact_json_with_partitions_last(self, tmp_path):
+        store = tmp_path / "t.store"
+        write_store(store, make_trace_samples(40, seed=60))
+        raw = (store / MANIFEST_NAME).read_bytes()
+        manifest = load_manifest(store)
+        assert list(manifest)[-1] == "partitions"
+        # One format, not a fragment dialect: the splice is json.dumps.
+        assert raw == json.dumps(manifest, separators=(",", ":")).encode()
+        assert raw == dump_manifest(manifest)
+        moved = {"partitions": manifest["partitions"], **manifest}
+        assert dump_manifest(moved) == raw
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(min_value=0, max_value=90), max_size=6),
+        v1=st.booleans(),
+    )
+    def test_session_equals_one_shot_appends(
+        self, tmp_path_factory, cuts, v1
+    ):
+        samples = make_trace_samples(90, seed=61, windows=12)
+        bounds = [0, *sorted(cuts), len(samples)]
+        splits = [samples[a:b] for a, b in zip(bounds, bounds[1:])]
+        root = tmp_path_factory.mktemp("session")
+        session_store, oneshot_store = root / "session.store", root / "oneshot.store"
+        if v1:
+            for store in (session_store, oneshot_store):
+                write_store(store, samples[:10])
+                _as_v1(store)
+        session = StoreAppender(session_store)
+        for split in splits:
+            assert session.append(split) == len(split)
+            assert append_to_store(oneshot_store, split) == len(split)
+            for name in ("data.bin", MANIFEST_NAME):
+                assert (session_store / name).read_bytes() == (
+                    oneshot_store / name
+                ).read_bytes()
+            # Spliced fragments are the whole-dict dump, byte for byte —
+            # unless nothing has been published over the indented v1 yet.
+            raw = (session_store / MANIFEST_NAME).read_bytes()
+            if not raw.startswith(b"{\n"):
+                assert dump_manifest(load_manifest(session_store)) == raw
+        expected = (samples[:10] if v1 else []) + samples
+        assert list(TraceStoreReader(session_store).scan()) == expected
+        assert verify_store(session_store).ok
+        if any(splits):
+            assert load_manifest(session_store)["version"] == STORE_FORMAT_VERSION
+
+    def test_each_partition_is_encoded_once(self, tmp_path, monkeypatch):
+        """The guard for the quadratic, as a count: an append encodes the
+        partitions it adds, a (re)load each existing one once — never the
+        whole index again."""
+        import repro.store.writer as writer_mod
+
+        encoded = []
+        real = writer_mod._fragment
+
+        def counting(value):
+            if "blocks" in value:
+                encoded.append(value["id"])
+            return real(value)
+
+        monkeypatch.setattr(writer_mod, "_fragment", counting)
+
+        def partitions():
+            return len(load_manifest(store)["partitions"])
+
+        samples = make_trace_samples(200, seed=62, windows=10)
+        store = tmp_path / "t.store"
+        session = StoreAppender(store)
+        session.append(samples[:40])  # creates the store
+        created = partitions()
+        assert encoded == list(range(created))
+        del encoded[:]
+        session.append(samples[40:80])  # first look at the manifest: a load
+        after_load = partitions()
+        assert encoded == list(range(after_load))
+        for start in range(80, 200, 40):
+            del encoded[:]
+            before = partitions()
+            session.append(samples[start : start + 40])
+            assert encoded == list(range(before, partitions()))
+        # A foreign publish changes the manifest's identity: one reload.
+        append_to_store(store, make_trace_samples(30, seed=63))
+        del encoded[:]
+        before = partitions()
+        session.append(make_trace_samples(30, seed=64))
+        assert encoded == list(range(partitions()))
+        assert partitions() > before
+        assert verify_store(store).ok
+
+    def test_fsyncs_per_append_are_pinned(self, tmp_path, monkeypatch):
+        """Durability is pinned, not assumed: data, manifest temp file and
+        directory are each fsync'd once per append, session or one-shot."""
+        import os
+
+        samples = make_trace_samples(120, seed=65)
+        store = tmp_path / "t.store"
+        write_store(store, samples[:30])
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1]
+        )
+        session = StoreAppender(store)
+        for start in (30, 60):
+            del fsyncs[:]
+            session.append(samples[start : start + 30])
+            assert len(fsyncs) == 3
+        del fsyncs[:]
+        append_to_store(store, samples[90:])
+        assert len(fsyncs) == 3
+
+    def test_session_reloads_after_foreign_writers(self, tmp_path):
+        from repro.store import compact_store
+
+        samples = make_trace_samples(160, seed=66)
+        store = tmp_path / "t.store"
+        session = StoreAppender(store)
+        session.append(samples[:40])
+        session.append(samples[40:80])
+        append_to_store(store, samples[80:100])  # a second appender
+        session.append(samples[100:120])
+        report = compact_store(store)  # generation swap to data-g1.bin
+        assert not report.skipped
+        session.append(samples[120:])
+        assert load_manifest(store)["data_file"] == "data-g1.bin"
+        assert list(TraceStoreReader(store).scan()) == samples
+        assert verify_store(store).ok
+
+    def test_failed_publish_leaves_session_retryable(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.writer as writer_mod
+
+        samples = make_trace_samples(90, seed=67)
+        store, clean = tmp_path / "t.store", tmp_path / "clean.store"
+        for target in (store, clean):
+            write_store(target, samples[:30])
+        session = StoreAppender(store)
+        session.append(samples[30:60])
+        real = writer_mod._atomic_write
+        monkeypatch.setattr(
+            writer_mod,
+            "_atomic_write",
+            lambda path, data: (_ for _ in ()).throw(OSError(28, "full")),
+        )
+        with pytest.raises(OSError):
+            session.append(samples[60:])
+        monkeypatch.setattr(writer_mod, "_atomic_write", real)
+        # The torn tail is invisible, and the retry reclaims it.
+        assert list(TraceStoreReader(store).scan()) == samples[:60]
+        session.append(samples[60:])
+        clean_session = StoreAppender(clean)
+        clean_session.append(samples[30:60])
+        clean_session.append(samples[60:])
+        for name in ("data.bin", MANIFEST_NAME):
+            assert (store / name).read_bytes() == (clean / name).read_bytes()
 
 
 class TestAtomicity:
