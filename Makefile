@@ -14,13 +14,9 @@
 #                 run, without the floor, instead of erroring (the container
 #                 may not ship coverage tooling).
 #   bench       - the full figure/ablation benchmark harness.
-#   bench-io    - the store-vs-JSONL ingest/pushdown bench; writes
-#                 benchmarks/results/BENCH_io.json.
 #   test-kernels - just the batch-kernel suite (`kernels` marker): the
 #                 build_dataset-vs-row-oracle differential matrix and the
 #                 per-kernel Hypothesis properties. Also part of tier-1.
-#   bench-analyze - build_dataset timed against the row oracle; writes
-#                 benchmarks/results/BENCH_analyze.json.
 #   test-streaming - just the streaming suite (`streaming` marker): the
 #                 route-monitor window semantics and the ingest
 #                 watermark/replay-equivalence tests. Also part of tier-1.
@@ -28,9 +24,6 @@
 #                 contracts vs the batch path, the LRU cache property,
 #                 concurrent-client + live-append semantics, and served
 #                 fault attribution. Also part of tier-1.
-#   bench-serve - the serving load benchmark (concurrent clients, p50/p99
-#                 latency, cache hit-rate floor); writes
-#                 benchmarks/results/BENCH_serve.json.
 #   test-dist   - just the dispatch suite (`dist` marker): the wire
 #                 protocol, the worker daemon, dispatch-vs-serial
 #                 equivalence (golden trace), worker-death
@@ -74,8 +67,7 @@ COV_ARGS = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
            --cov-report=term-missing --cov-fail-under=$(COV_FLOOR)
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
-	test-dist test-netsim coverage bench bench-io \
-	bench-analyze bench-serve bench-dist bench-cc-matrix
+	test-dist test-netsim coverage bench bench-dist bench-cc-matrix
 
 test:
 	$(PYTEST) -x -q
@@ -114,15 +106,6 @@ coverage:
 
 bench:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m "" benchmarks/
-
-bench-io:
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_io.py
-
-bench-analyze:
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_analyze.py
-
-bench-serve:
-	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_serve.py
 
 bench-dist:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m bench benchmarks/test_bench_dist.py

@@ -14,7 +14,7 @@ import dataclasses
 
 from repro.core.classification import classify_group
 from repro.core.comparison import compute_baseline
-from repro.pipeline import StudyDataset
+from repro.pipeline import build_dataset
 from repro.pipeline.report import format_table
 from repro.workload import DiurnalCongestion, EdgeScenario, ScenarioConfig
 
@@ -51,12 +51,12 @@ def main() -> None:
         f"congestion…"
     )
 
-    dataset = StudyDataset(
+    dataset = build_dataset(
+        scenario.generate(),
         study_windows=config.days * 24,
         keep_response_sizes=False,
         window_seconds=3600.0,
     )
-    dataset.ingest(scenario.generate())
     print(f"  {dataset.session_count:,} sampled sessions\n")
 
     group = dataset.store.groups()[0]

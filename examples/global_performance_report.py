@@ -12,7 +12,7 @@ Run:  python examples/global_performance_report.py  (takes ~half a minute)
 import dataclasses
 
 from repro.pipeline import (
-    StudyDataset,
+    build_dataset,
     fig6_global_performance,
     fig7_rtt_vs_hdratio,
 )
@@ -39,8 +39,9 @@ def main() -> None:
     )
     scenario = EdgeScenario(config)
     print(f"Generating {config.days}-day snapshot across {len(scenario.pops)} PoPs…")
-    dataset = StudyDataset(study_windows=config.total_windows)
-    dataset.ingest(scenario.generate())
+    dataset = build_dataset(
+        scenario.generate(), study_windows=config.total_windows
+    )
     print(
         f"  {dataset.session_count:,} sampled sessions "
         f"({format_percent(dataset.filter_stats.dropped_traffic_fraction)} of "

@@ -10,7 +10,7 @@ interconnect it uses.
 Run:  python examples/routing_opportunity_audit.py  (takes ~a minute)
 """
 
-from repro.pipeline import StudyDataset, fig9_opportunity
+from repro.pipeline import build_dataset, fig9_opportunity
 from repro.pipeline.report import format_percent, format_table
 from repro.pipeline.routing_analysis import table2_opportunity_relationships
 from repro.workload import EdgeScenario, ScenarioConfig
@@ -29,12 +29,12 @@ def main() -> None:
         f"Measuring {len(scenario.networks)} user groups, "
         f"{config.days} day(s), preferred + 2 alternates per group…"
     )
-    dataset = StudyDataset(
+    dataset = build_dataset(
+        scenario.generate(),
         study_windows=config.days * 24,
         keep_response_sizes=False,
         window_seconds=3600.0,   # hourly aggregations at demo scale
     )
-    dataset.ingest(scenario.generate())
     print(f"  {dataset.session_count:,} sampled sessions\n")
 
     result = fig9_opportunity(dataset)

@@ -745,8 +745,7 @@ def _cmd_compact_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.obs import merge_into_active
-    from repro.pipeline import StudyDataset
+    from repro.pipeline import build_dataset
     from repro.workload import EdgeScenario, ScenarioConfig
     from repro.workload.calibration import render_report, run_calibration
 
@@ -758,9 +757,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     )
     scenario = EdgeScenario(config)
     print(f"Generating calibration snapshot ({len(scenario.networks)} networks)…")
-    dataset = StudyDataset(study_windows=config.total_windows)
-    dataset.ingest(scenario.generate())
-    merge_into_active(dataset.metrics)
+    dataset = build_dataset(
+        scenario.generate(), study_windows=config.total_windows
+    )
     results = run_calibration(dataset)
     print(render_report(results))
     return 0 if all(result.passed for result in results) else 1

@@ -13,7 +13,10 @@ execution topologies:
   band, not stream position);
 - **sharded**: ``repro.pipeline.parallel`` builds one ingestor per shard
   and ships ``finalize()``'s output as a ``ShardResult`` through the
-  order-independent merge.
+  order-independent merge;
+- **streaming**: ``repro.pipeline.ingest`` stages each sealed window in
+  its own ingestor and installs it with :func:`fold_into_dataset`, whose
+  returned aggregation list feeds the online analyzer.
 
 Counter parity is exact, not just sum-equal: the registry creates a
 counter key on any ``inc``, including ``inc(name, 0)``, so the ingestor
@@ -433,7 +436,9 @@ def fold_into_dataset(dataset, ingestor: BatchIngestor):
 
     The serial batch path's last step: rows in global order, aggregations
     installed in first-seen order (reproducing serial insertion order),
-    filter stats and counters merged. Returns the dataset.
+    filter stats and counters merged. Returns the installed
+    ``(first order key, key, Aggregation)`` list — what this fold added to
+    the store, which a streaming seal hands to its analyzer.
     """
     rows, aggregations = ingestor.finalize()
     dataset.rows.extend(row for _, row in rows)
@@ -441,4 +446,4 @@ def fold_into_dataset(dataset, ingestor: BatchIngestor):
         dataset.store.put(key, aggregation)
     dataset.filter_stats.merge(ingestor.filter_stats)
     dataset.metrics.merge(ingestor.metrics)
-    return dataset
+    return aggregations

@@ -118,10 +118,10 @@ class StudyDataset:
     def ingest_one(self, sample: SessionSample) -> bool:
         """Filter, measure, and aggregate one sample; True if it was kept.
 
-        This is the unit of work the sharded pipeline
-        (:mod:`repro.pipeline.parallel`) fans out, so everything a sample
-        contributes — row, aggregation, filter accounting — must happen
-        here and nowhere else.
+        The reference fold: everything a sample contributes — row,
+        aggregation, filter accounting, counters — spelled per record.
+        Nothing under ``src/repro`` calls it; the tests hold
+        ``build_dataset`` (the column kernels) to it byte for byte.
         """
         metrics = self.metrics
         metrics.inc("pipeline.samples.read")
@@ -177,7 +177,7 @@ class StudyDataset:
         return True
 
     def ingest(self, samples: Iterable[SessionSample]) -> "StudyDataset":
-        """Filter, measure, and aggregate a sample stream. Returns self."""
+        """The row oracle: :meth:`ingest_one` over a stream. Returns self."""
         for sample in samples:
             self.ingest_one(sample)
         return self

@@ -24,13 +24,21 @@ per window, and **sealed** by an event-time watermark:
 Sealed windows feed three sinks, in canonical order:
 
 1. the :class:`~repro.pipeline.dataset.StudyDataset` (rows, aggregations,
-   filter accounting — the same single-pass fold the batch engine runs);
+   filter accounting — each window folds through the column kernels
+   ``build_dataset`` runs, :mod:`repro.kernels.engine`);
 2. the output store, appended as new CRC'd, prunable partitions through
    one :class:`repro.store.StoreAppender` session — *unfiltered*, so a
    batch re-scan of the store reproduces the exact filtering decisions;
 3. the :class:`OnlineTemporalAnalyzer` — §5 degradation verdicts against a
    trailing baseline and the uneventful/diurnal/episodic classifier,
    re-evaluated incrementally as each window seals.
+
+A seal **stages, appends, installs**: the window is folded into a fresh
+:class:`~repro.kernels.engine.BatchIngestor` (no shared state touched),
+then appended to the store, and only then popped, counted, installed into
+the dataset and handed to the analyzer. A fold that refuses a sample or an
+append that fails therefore leaves the window pending, nothing counted and
+nothing appended — never a phantom empty window.
 
 **Standing invariant** (enforced by ``tests/test_pipeline_ingest.py``):
 replaying the sealed output store batch-style produces a byte-identical
@@ -322,12 +330,14 @@ class StreamingIngestor:
         self.window_seconds = window_seconds
         self.allowed_lateness_seconds = allowed_lateness_seconds
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.dataset = StudyDataset(
+        #: One dict builds the dataset and each seal's batch ingestor.
+        self._dataset_kwargs = dict(
             study_windows=study_windows,
             keep_response_sizes=keep_response_sizes,
             compute_naive=compute_naive,
             window_seconds=window_seconds,
         )
+        self.dataset = StudyDataset(**self._dataset_kwargs)
         self.analyzer = (
             analyzer
             if analyzer is not None
@@ -377,15 +387,23 @@ class StreamingIngestor:
     def offer(self, sample: SessionSample) -> bool:
         """Feed one sample; returns False when it was late (ledgered).
 
+        A kept (non-hosting) sample without a route annotation is refused
+        with the fold's own ``ValueError`` before it is buffered or
+        counted: no seal could ever fold it, so buffering it would wedge
+        its window and every later one. Hosting-flagged samples may lack
+        a route — the filter drops them before the route is read.
+
         An offer that advances the watermark seals the windows it passes.
-        A seal is all-or-nothing: if appending a window to ``out_store``
-        raises, the exception propagates from here with the window still
-        pending and no counter moved, and the next watermark advance or
-        :meth:`finish` retries it. The offered sample itself *was*
-        accepted — do not offer it again.
+        A seal is all-or-nothing: if folding a window or appending it to
+        ``out_store`` raises, the exception propagates from here with the
+        window still pending and no counter moved, and the next watermark
+        advance or :meth:`finish` retries it. The offered sample itself
+        *was* accepted — do not offer it again.
         """
         if self._finished:
             raise ValueError("ingestor is finished; create a new one")
+        if sample.route is None and not sample.client_ip_is_hosting:
+            raise ValueError("sample is missing its egress route annotation")
         self._samples_offered += 1
         window = window_index(sample.end_time, self.window_seconds)
         if self._next_seal is not None and window < self._next_seal:
@@ -459,40 +477,42 @@ class StreamingIngestor:
             self._next_seal += 1
 
     def _seal_one(self, window: int) -> None:
+        # Imported here, not at module top: repro.kernels.engine imports
+        # repro.pipeline.filters, whose package __init__ imports this module.
+        from repro.kernels.engine import (
+            BatchIngestor,
+            batches_from_pairs,
+            fold_into_dataset,
+        )
+
         samples = self._pending.get(window, [])
         # Canonical seal order: window membership depends only on end_time,
         # so this sort makes every downstream byte independent of arrival
         # order within the lateness bound (the replay invariant).
         samples.sort(key=lambda s: (s.end_time, s.session_id))
+        # Stage, append, install (module docstring): both steps that can
+        # fail run while the window is still pending and uncounted.
+        staged = BatchIngestor(**self._dataset_kwargs)
+        for batch in batches_from_pairs(enumerate(samples)):
+            staged.ingest_batch(batch)
         if samples and self._appender is not None:
-            # The one step that can fail comes first, while the window is
-            # still pending and uncounted: a failed append is retried whole,
-            # never re-sealed as a phantom empty window. Unfiltered: the
-            # batch replay re-decides filtering.
+            # Unfiltered: the batch replay re-decides filtering.
             self._appender.append(samples)
         self._pending.pop(window, None)
         self._windows_sealed += 1
         self.metrics.inc("stream.windows.sealed")
-        if not samples:
+        if samples:
+            self._samples_sealed += len(samples)
+            self.metrics.inc("stream.samples.sealed", len(samples))
+        else:
             self._windows_empty += 1
             self.metrics.inc("stream.windows.empty")
-            self.analyzer.on_window_sealed(window, {})
-            return
-        self._samples_sealed += len(samples)
-        self.metrics.inc("stream.samples.sealed", len(samples))
-        store = self.dataset.store
-        sealed_groups: Dict[UserGroupKey, Aggregation] = {}
-        for sample in samples:
-            if self.dataset.ingest_one(sample):
-                route = sample.route
-                if route is not None and route.preference_rank == 0:
-                    group = UserGroupKey(
-                        pop=sample.pop,
-                        prefix=route.prefix,
-                        country=sample.client_country,
-                    )
-                    if group not in sealed_groups:
-                        aggregation = store.get(group, 0, window)
-                        if aggregation is not None:
-                            sealed_groups[group] = aggregation
-        self.analyzer.on_window_sealed(window, sealed_groups)
+        installed = fold_into_dataset(self.dataset, staged)
+        self.analyzer.on_window_sealed(
+            window,
+            {
+                group: aggregation
+                for _, (group, rank, _), aggregation in installed
+                if rank == 0
+            },
+        )

@@ -13,7 +13,7 @@ boundary is a saved trace, in one of two interchangeable formats:
   (DESIGN.md §8).
 
 Every entry point here (:func:`read_samples`, :func:`write_samples`,
-:func:`plan_chunks`, :func:`read_chunk`) auto-detects the format from the
+:func:`plan_chunks`) auto-detects the format from the
 path — a store is a directory with a ``manifest.json`` (conventionally
 ``*.store``) — so the dataset builders and the sharded pipeline work over
 either without caring which. :func:`convert` moves a trace between the
@@ -47,7 +47,6 @@ from repro.store import (
     StoreChunk,
     TraceStoreReader,
     is_store_path,
-    read_store_chunk,
     write_store,
 )
 
@@ -509,14 +508,13 @@ def _read_line_block_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
             yield index, sample_from_dict(payload)
 
 
-def read_chunk(chunk, metrics=None) -> Iterator[tuple]:
-    """Yield ``(order_key, sample)`` pairs for one chunk (either a JSONL
-    :class:`TraceChunk` or a store :class:`StoreChunk`; see each class for
-    its key's ordering guarantee). ``metrics`` receives the same counters
-    as :func:`read_samples`, so the chunked counters sum to exactly the
-    serial read's."""
-    if isinstance(chunk, StoreChunk):
-        return read_store_chunk(chunk, metrics)
+def read_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
+    """Yield ``(order_key, sample)`` pairs for one JSONL chunk (see
+    :class:`TraceChunk` for the key's ordering guarantee; a store chunk
+    decodes straight to columns,
+    :func:`repro.kernels.engine.batches_for_chunk`). ``metrics`` receives
+    the same counters as :func:`read_samples`, so the chunked counters sum
+    to exactly the serial read's."""
     if chunk.byte_range:
         return _read_byte_range_chunk(chunk, metrics)
     return _read_line_block_chunk(chunk, metrics)
@@ -525,21 +523,11 @@ def read_chunk(chunk, metrics=None) -> Iterator[tuple]:
 def read_samples_chunked(
     path: PathLike, num_chunks: int
 ) -> Iterator[SessionSample]:
-    """Read a trace through the chunk planner.
+    """Read a JSONL trace through the chunk planner.
 
     Equivalent to :func:`read_samples`; exists so the equivalence can be
-    tested directly and as the serial fallback of the parallel pipeline.
-    JSONL chunks concatenate in file order; store chunks carry interleaved
-    sequence ranges, so their pairs are merged on the order key — the same
-    restoration the parallel pipeline's merger performs.
+    tested directly. JSONL chunks concatenate in file order.
     """
-    chunks = plan_chunks(path, num_chunks)
-    if chunks and isinstance(chunks[0], StoreChunk):
-        pairs = [pair for chunk in chunks for pair in read_chunk(chunk)]
-        pairs.sort(key=lambda pair: pair[0])
-        for _, sample in pairs:
-            yield sample
-        return
-    for chunk in chunks:
+    for chunk in plan_chunks(path, num_chunks):
         for _, sample in read_chunk(chunk):
             yield sample

@@ -3,16 +3,16 @@
 :class:`LruCache` is a deliberately small, exactly-accounted LRU map. The
 serving engine (:mod:`repro.serve.engine`) keys it by the normalized query
 coordinates — (profile, PoPs, countries, window band) — and stores
-the built sealed-window aggregation (a
-:class:`~repro.pipeline.dataset.StudyDataset` plus its rendered response
-memo) as the value, the same shape the lazy spatial caches the ROADMAP
+what one ``build_dataset`` call over that slice of the store returned (a
+:class:`~repro.pipeline.dataset.StudyDataset`) plus its rendered response
+memo as the value, the same shape the lazy spatial caches the ROADMAP
 points at use for repeated-key workloads.
 
 Accounting is part of the contract, not a nicety: every ``get`` is exactly
 one hit or one miss, every capacity overflow is exactly one eviction of the
 least-recently-used entry, and every ``invalidate_all`` counts the entries
 it dropped. ``tests/test_serve_cache.py`` holds a Hypothesis model against
-these semantics, and the serving benchmark's hit-rate floor is computed
+these semantics, and the benchmark's ``serve.cache_hit_ratio`` is computed
 from these counters — so they must never drift from the true behaviour.
 
 The cache itself is **not** thread-safe; the engine serializes access

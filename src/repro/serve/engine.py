@@ -2,8 +2,8 @@
 
 :class:`QueryEngine` answers the four ``/v1`` endpoints over a sealed
 columnar store (:mod:`repro.store`). Every query resolves through the same
-code path the batch CLI runs — :class:`~repro.pipeline.dataset.StudyDataset`
-ingestion, :func:`~repro.pipeline.experiments.fig6_global_performance`,
+code path the batch CLI runs — :func:`~repro.pipeline.parallel.build_dataset`,
+:func:`~repro.pipeline.experiments.fig6_global_performance`,
 :func:`~repro.pipeline.routing_analysis.fig9_opportunity`, the §5
 verdict/classification stack — so a served number is *defined* to be the
 batch number (the serving layer inherits the equivalence-to-serial
@@ -22,13 +22,14 @@ Resolution pipeline per query:
 2. **Cache lookup.** Aggregations are cached in an :class:`~repro.serve.cache.LruCache`
    keyed by the normalized query coordinates — (profile, PoPs,
    countries, window band) — with exact hit/miss/eviction accounting.
-3. **Build on miss.** A :class:`ScanFilter` prunes non-matching partitions
-   from the manifest before any data byte is read (the ``store.*``
-   pruned/bytes counters land in the serving registry), then the admitted
-   samples fold into a ``StudyDataset`` exactly as the batch path folds
-   them. Window bounds are enforced exactly: the filter's inclusive time
-   range over-admits at most the band boundary, and a row-level
-   ``window_index`` predicate drops the overshoot.
+3. **Build on miss.** One ``build_dataset`` call, whatever the query: its
+   source is the store path, or — for a filtered query — the scan a
+   :class:`ScanFilter` has pruned from the manifest before any data byte
+   is read. Window bounds are enforced exactly: the filter's inclusive
+   time range over-admits at most the band boundary, and a row-level
+   ``window_index`` predicate drops the overshoot. A build's data
+   counters (``pipeline.*``, ``store.*``, ...) land in the serving
+   registry exactly once, whether or not it is the activated one.
 4. **Render.** Responses are JSON-ready dicts memoized per (endpoint,
    params) on the cache entry, so a warm response is byte-identical to the
    cold one by construction.
@@ -47,6 +48,7 @@ O(1) under the lock; only cold builds pay a scan.
 
 from __future__ import annotations
 
+import math
 import pathlib
 import threading
 from typing import Dict, List, Optional, Tuple, Union
@@ -57,9 +59,10 @@ from repro.core.constants import (
     DEFAULT_HDRATIO_THRESHOLD,
     DEFAULT_MINRTT_THRESHOLD_MS,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, active_metrics
 from repro.pipeline.dataset import StudyDataset
 from repro.pipeline.experiments import fig6_global_performance
+from repro.pipeline.parallel import build_dataset
 from repro.pipeline.report import format_metric, format_percent
 from repro.pipeline.routing_analysis import (
     WeightedDifferenceCdf,
@@ -114,31 +117,23 @@ class _CacheEntry:
 class QueryEngine:
     """Resolve serving queries over one sealed columnar store.
 
-    ``study_windows``/``window_seconds`` default to values derived from
-    the store manifest (the partition bands span the study); pass them
-    explicitly to pin equivalence against a specific batch invocation.
-    ``routing_windows`` defaults to the routing CLI's two-day study.
-    Unfiltered queries build through
-    :func:`~repro.pipeline.parallel.build_dataset`; filtered queries fold
-    the pruned scan per sample, whose output is byte-identical by the
-    oracle contract (DESIGN.md §10).
+    ``study_windows`` defaults to the span of the manifest's partition
+    bands; pass it to pin equivalence against a specific batch invocation.
+    ``window_seconds`` is the store's own; ``/v1/routing`` builds at the
+    routing CLI's shape (one-hour windows over a two-day study).
     """
+
+    routing_windows = DEFAULT_ROUTING_WINDOWS
+    routing_window_seconds = 3600.0
 
     def __init__(
         self,
         store_path: PathLike,
         study_windows: Optional[int] = None,
-        window_seconds: Optional[float] = None,
-        routing_windows: int = DEFAULT_ROUTING_WINDOWS,
-        routing_window_seconds: float = 3600.0,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if routing_windows < 1:
-            raise ValueError("routing_windows must be >= 1")
         self.path = pathlib.Path(store_path)
-        self.routing_windows = routing_windows
-        self.routing_window_seconds = routing_window_seconds
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = LruCache(cache_capacity, metrics=self.metrics)
         self._lock = threading.RLock()
@@ -153,11 +148,7 @@ class QueryEngine:
         # same typed StoreError a scan would.)
         reader = TraceStoreReader(self.path)
         manifest = reader.manifest
-        self.window_seconds = (
-            float(window_seconds)
-            if window_seconds is not None
-            else float(manifest.get("window_seconds", 900.0))
-        )
+        self.window_seconds = float(manifest.get("window_seconds", 900.0))
         if study_windows is not None:
             if study_windows < 1:
                 raise ValueError("study_windows must be >= 1")
@@ -516,47 +507,43 @@ class QueryEngine:
             study_windows = self.routing_windows
             keep_response_sizes = False
 
-        if pops is None and countries is None and window is None:
-            from repro.pipeline.parallel import build_dataset
-
-            dataset = build_dataset(
-                str(self.path),
-                study_windows=study_windows,
-                keep_response_sizes=keep_response_sizes,
-                window_seconds=window_seconds,
+        source = str(self.path)
+        #: A filtered scan's ``store.*`` / ``io.rows_read`` counters.
+        scanned = MetricsRegistry()
+        if not (pops is None and countries is None and window is None):
+            scan_filter = ScanFilter(
+                pops=pops,
+                countries=countries,
+                min_end_time=(
+                    window[0] * window_seconds if window is not None else None
+                ),
+                max_end_time=(
+                    (window[1] + 1) * window_seconds if window is not None else None
+                ),
             )
-            self.metrics.merge(dataset.metrics)
-            return dataset
-
-        dataset = StudyDataset(
+            source = TraceStoreReader(self.path).scan(scan_filter, metrics=scanned)
+            if window is not None:
+                # The filter's inclusive time bounds over-admit only a sample
+                # ending exactly on the range's right edge; this exact
+                # predicate restores window semantics (floor(end/W) in range).
+                lo, hi = window
+                source = (
+                    s
+                    for s in source
+                    if lo <= window_index(s.end_time, window_seconds) <= hi
+                )
+        dataset = build_dataset(
+            source,
             study_windows=study_windows,
             keep_response_sizes=keep_response_sizes,
             window_seconds=window_seconds,
         )
-        scan_filter = ScanFilter(
-            pops=pops,
-            countries=countries,
-            min_end_time=(
-                window[0] * window_seconds if window is not None else None
-            ),
-            max_end_time=(
-                (window[1] + 1) * window_seconds if window is not None else None
-            ),
-        )
-        reader = TraceStoreReader(self.path)
-        samples = reader.scan(scan_filter, metrics=dataset.metrics)
-        if window is not None:
-            # The filter's inclusive time bounds over-admit only a sample
-            # ending exactly on the range's right edge; this exact
-            # predicate restores window semantics (floor(end/W) in range).
-            lo, hi = window
-            samples = (
-                s
-                for s in samples
-                if lo <= window_index(s.end_time, window_seconds) <= hi
-            )
-        dataset.ingest(samples)
-        self.metrics.merge(dataset.metrics)
+        # One accounting: build_dataset has already folded these counters
+        # into the activated registry, which under `repro serve` is this
+        # engine's — merging again would double every one of them.
+        if active_metrics() is not self.metrics:
+            self.metrics.merge(dataset.metrics)
+        self.metrics.merge(scanned)
         return dataset
 
     # ------------------------------------------------------------------ #
@@ -600,9 +587,16 @@ class QueryEngine:
         if raw == "":
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
-            raise BadRequest(f"parameter {name} must be a number, got {raw!r}")
+            value = math.nan
+        # nan != nan would mint a response memo per request, and neither
+        # NaN nor Infinity renders as JSON.
+        if not math.isfinite(value):
+            raise BadRequest(
+                f"parameter {name} must be a finite number, got {raw!r}"
+            )
+        return value
 
     def _int(
         self,
@@ -632,7 +626,8 @@ class QueryEngine:
         try:
             start = int(lo)
             end = int(hi) if hi else start
-        except ValueError:
+            float(end + 1)  # the scan bounds are float times
+        except (ValueError, OverflowError):
             raise BadRequest(
                 f"parameter window must be N or A-B, got {raw!r}"
             )

@@ -115,9 +115,9 @@ def make_server(
 ) -> TraceStoreHTTPServer:
     """Build a server over ``store_path``; ``port=0`` picks a free port.
 
-    Engine keyword arguments (``cache_capacity=``,
-    ``metrics=``, window overrides) pass through to
-    :class:`QueryEngine`. The caller owns the serve loop::
+    Engine keyword arguments (``study_windows=``, ``cache_capacity=``,
+    ``metrics=``) pass through to :class:`QueryEngine`. The caller owns
+    the serve loop::
 
         server = make_server(store, port=8321)
         print(server.server_address)

@@ -45,7 +45,6 @@ from repro.store.reader import (
     StoreVerifyFinding,
     StoreVerifyReport,
     TraceStoreReader,
-    read_store_chunk,
     verify_store,
 )
 from repro.store.schema import SCHEMA_VERSION
@@ -87,7 +86,6 @@ __all__ = [
     "dump_manifest",
     "is_store_path",
     "load_manifest",
-    "read_store_chunk",
     "verify_store",
     "write_store",
 ]

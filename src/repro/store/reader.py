@@ -10,13 +10,13 @@ yields the *identical* sample sequence the original JSONL trace held.
 For parallel ingestion, :meth:`TraceStoreReader.plan_chunks` groups
 partitions into :class:`StoreChunk` units that plug into the sharded
 pipeline's planner (:mod:`repro.pipeline.parallel`): every worker decodes
-a disjoint set of partitions with one contiguous read each, and the
-pipeline's order-key merge restores global order. Within a chunk, rows
-still come out in sequence order (a sorted-run merge over the chunk's
-partitions); across chunks the sequence ranges may interleave, which the
-pipeline's sort-by-order-key merge absorbs — all derived statistics are
-order statistics or integer sums, so results stay byte-identical to the
-serial pass (asserted by ``tests/test_store_pipeline.py``).
+a disjoint set of partitions with one contiguous read each
+(:meth:`TraceStoreReader.read_column_batches`), and the pipeline's
+order-key merge restores global order. Sequence ranges may interleave
+across partitions and chunks, which that sort-by-order-key merge absorbs —
+all derived statistics are order statistics or integer sums, so results
+stay byte-identical to the serial pass (asserted by
+``tests/test_store_pipeline.py``).
 
 Integrity: every block read is CRC32-verified against the manifest before
 its decoder runs (store format v2; v1 blocks carry no checksum and skip
@@ -60,7 +60,6 @@ __all__ = [
     "StoreVerifyFinding",
     "StoreVerifyReport",
     "TraceStoreReader",
-    "read_store_chunk",
     "verify_store",
 ]
 
@@ -136,8 +135,8 @@ class StoreChunk:
 
     ``ordinal`` is the smallest sequence number in the chunk, which orders
     chunks against each other the same way byte offsets order JSONL
-    chunks; :func:`read_store_chunk` yields ``(seq, sample)`` pairs whose
-    keys extend that ordering, satisfying the
+    chunks; ``read_column_batches(partition_ids=...)`` yields batches whose
+    ``seq`` order keys extend that ordering, satisfying the
     :class:`repro.pipeline.io.TraceChunk` order-key contract.
     """
 
@@ -247,10 +246,11 @@ class TraceStoreReader:
     ):
         """Yield one :class:`ColumnBatch` per partition, in manifest order.
 
-        ``partition_ids`` restricts the scan (the shard-aligned path).
-        Batches carry the store's ``seq`` column as their order keys, so a
-        consumer that sorts on them reconstructs exact stream order — the
-        same contract :meth:`scan_pairs` satisfies row by row.
+        ``partition_ids`` restricts the scan (the shard-aligned path); the
+        counters sum across a shard plan's chunks to exactly a serial
+        scan's. Batches carry the store's ``seq`` column as their order
+        keys, so a consumer that sorts on them reconstructs exact stream
+        order — the same contract :meth:`scan_pairs` satisfies row by row.
         """
         candidates = self.partitions
         if partition_ids is not None:
@@ -338,23 +338,15 @@ class TraceStoreReader:
         return rows
 
     def scan_pairs(
-        self,
-        scan_filter: Optional[ScanFilter] = None,
-        metrics=None,
-        partition_ids: Optional[Iterable[int]] = None,
+        self, scan_filter: Optional[ScanFilter] = None, metrics=None
     ) -> Iterator[Tuple[int, SessionSample]]:
         """Yield ``(seq, sample)`` in sequence order, pruning via the
-        manifest; ``partition_ids`` restricts the scan to those partitions
-        (the shard-aligned path) before the filter applies."""
-        candidates = self.partitions
-        if partition_ids is not None:
-            wanted = set(partition_ids)
-            candidates = [p for p in candidates if p["id"] in wanted]
+        manifest."""
         if scan_filter is None:
-            selected = list(candidates)
+            selected = self.partitions
         else:
             selected = []
-            for partition in candidates:
+            for partition in self.partitions:
                 if scan_filter.admits_partition(partition):
                     selected.append(partition)
                 elif metrics is not None:
@@ -615,12 +607,3 @@ def verify_store(path: PathLike, metrics=None) -> StoreVerifyReport:
         partitions_total=len(reader.partitions),
         findings=reader.verify(metrics=metrics),
     )
-
-
-def read_store_chunk(
-    chunk: StoreChunk, metrics=None
-) -> Iterator[Tuple[int, SessionSample]]:
-    """Yield ``(seq, sample)`` pairs for one store chunk; the counters sum
-    across a shard plan's chunks to exactly a serial scan's."""
-    reader = TraceStoreReader(chunk.path)
-    return reader.scan_pairs(metrics=metrics, partition_ids=chunk.partition_ids)

@@ -230,12 +230,42 @@ def fill_window(
         store.add(sample, hdratio=hd)
 
 
+#: Counters describing the storage/transport, not the data: a live stream
+#: reads no trace, a batch re-scan reads no stream and a JSONL read decodes
+#: no partition, so these legitimately differ between two routes to the
+#: same dataset while everything else must be byte-identical.
+EXECUTION_PREFIXES = ("io.", "store.")
+
+
+def data_counters(dataset: StudyDataset) -> dict:
+    return {
+        name: value
+        for name, value in dataset.metrics.counters.items()
+        if not name.startswith(EXECUTION_PREFIXES)
+    }
+
+
+def assert_same_analysis_state(a: StudyDataset, b: StudyDataset) -> None:
+    """Bit-identical dataset state: rows, aggregation store, accounting."""
+    assert a.rows == b.rows
+    assert [k for k, _ in a.store.items()] == [k for k, _ in b.store.items()]
+    for (_, agg_a), (_, agg_b) in zip(a.store.items(), b.store.items()):
+        assert agg_a.min_rtts_ms == agg_b.min_rtts_ms
+        assert agg_a.hdratios == agg_b.hdratios
+        assert agg_a.traffic_bytes == agg_b.traffic_bytes
+        assert agg_a.session_count == agg_b.session_count
+        assert agg_a.route == agg_b.route
+    assert a.filter_stats == b.filter_stats
+    assert data_counters(a) == data_counters(b)
+
+
 def row_oracle(source, **dataset_kwargs):
     """The reference dataset: one serial per-sample row fold of ``source``.
 
     ``source`` is a trace path (JSONL or store) or a sample iterable. No
-    runtime path selects this fold; the differential tests and
-    ``benchmarks/test_bench_analyze.py`` hold ``build_dataset`` to it.
+    runtime path selects this fold (``tests/test_batch_equivalence.py``
+    walks ``src/`` to prove it); the differential tests hold
+    ``build_dataset`` and everything built on it to this.
     """
     dataset = StudyDataset(**dataset_kwargs)
     if isinstance(source, (str, pathlib.Path)):

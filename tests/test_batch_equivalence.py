@@ -227,3 +227,21 @@ class TestEngineSelection:
         for engine in ("row", "batch", "vector"):
             with pytest.raises(TypeError, match="engine"):
                 build_dataset([], study_windows=1, engine=engine)
+
+    def test_row_fold_has_no_caller_under_src(self):
+        """The oracle is only an oracle: nothing under ``src/repro`` calls
+        ``.ingest(...)`` / ``.ingest_one(...)`` except ``ingest`` itself, so
+        no production path can drift onto the fold it is refereed by."""
+        import ast
+
+        src = pathlib.Path(__file__).parent.parent / "src" / "repro"
+        callers = [
+            f"{path.relative_to(src)}:{node.lineno}"
+            for path in sorted(src.rglob("*.py"))
+            if path.relative_to(src) != pathlib.Path("pipeline/dataset.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("ingest", "ingest_one")
+        ]
+        assert callers == []

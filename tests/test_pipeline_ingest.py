@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core.aggregation import window_index
 from repro.core.constants import AGGREGATION_WINDOW_SECONDS
+from repro.core.records import UserGroupKey
 from repro.obs import MetricsRegistry
 from repro.pipeline import (
     StreamingIngestor,
-    StudyDataset,
     build_dataset,
     fig6_global_performance,
 )
@@ -30,25 +30,19 @@ from repro.pipeline.ingest import (
     LateSampleLedger,
     OnlineTemporalAnalyzer,
 )
-from tests.helpers import DEFAULT_GROUP, make_route, make_sample, make_trace_samples
-from tests.test_store_pipeline import assert_same_analysis_state
+from tests.helpers import (
+    DEFAULT_GROUP,
+    assert_same_analysis_state,
+    data_counters,
+    make_route,
+    make_sample,
+    make_trace_samples,
+    row_oracle,
+)
 
 pytestmark = pytest.mark.streaming
 
 WINDOW = AGGREGATION_WINDOW_SECONDS
-
-#: Counters describing the storage/transport, not the data: a live stream
-#: reads no trace and a batch re-scan reads no stream, so these legitimately
-#: differ between the two while everything else must be byte-identical.
-EXECUTION_PREFIXES = ("io.", "store.")
-
-
-def data_counters(dataset: StudyDataset) -> dict:
-    return {
-        name: value
-        for name, value in dataset.metrics.counters.items()
-        if not name.startswith(EXECUTION_PREFIXES)
-    }
 
 
 def in_window(window: int, offset: float, rtt_ms: float = 40.0, rank: int = 0):
@@ -376,6 +370,109 @@ class TestSealIsAllOrNothing:
         assert result.samples_sealed == len(_scan(store)) == 2
 
 
+    def test_refused_fold_leaves_window_pending_and_unappended(
+        self, tmp_path, monkeypatch
+    ):
+        """A seal stages before it appends: a fold that raises — here after
+        it has absorbed the whole window — moves no counter, appends
+        nothing and installs nothing, and the retry seals the window whole."""
+        from repro.kernels.engine import BatchIngestor
+
+        store = tmp_path / "sealed.store"
+        metrics = MetricsRegistry()
+        ingestor = StreamingIngestor(
+            study_windows=4,
+            out_store=store,
+            allowed_lateness_seconds=0.0,
+            metrics=metrics,
+        )
+        ingestor.offer(in_window(0, 10.0))
+        ingestor.offer(in_window(0, 20.0))
+        real = BatchIngestor.ingest_batch
+
+        def refuse(self, batch):
+            real(self, batch)
+            raise ValueError("refused")
+
+        monkeypatch.setattr(BatchIngestor, "ingest_batch", refuse)
+        with pytest.raises(ValueError, match="refused"):
+            ingestor.offer(in_window(1, 10.0))  # accepted; its seal raises
+        assert ingestor.windows_sealed == 0
+        assert not store.exists()
+        assert metrics.counters == {}
+        assert ingestor.dataset.rows == [] and len(ingestor.dataset.store) == 0
+        assert ingestor.dataset.metrics.counters == {}
+        monkeypatch.setattr(BatchIngestor, "ingest_batch", real)
+        result = ingestor.finish()
+        assert result.windows_sealed == 2
+        assert result.windows_empty == 0
+        assert result.samples_sealed == len(_scan(store)) == 3
+        assert_same_analysis_state(
+            result.dataset, build_dataset(store, study_windows=4)
+        )
+
+    def test_routeless_sample_is_refused_at_offer(self, tmp_path):
+        """Regression: a kept sample with ``route=None`` (reachable: ``repro
+        ingest -`` accepts ``"route": null``) was buffered; the seal that met
+        it appended the window, popped and counted it, raised half-way
+        through the fold, and the next advance re-sealed the same index as a
+        phantom empty window — store 2,000 rows, dataset 1,900 sessions,
+        9 windows sealed for 8, while ``sealed + late == offered`` held."""
+        import dataclasses
+
+        samples = sorted(
+            make_trace_samples(2000, seed=41, windows=8),
+            key=lambda s: s.end_time,
+        )
+        # A hosting-flagged sample may lack a route: the filter drops it
+        # before the route is read, so it is offered, sealed and stored.
+        hosted = next(
+            i for i, s in enumerate(samples) if s.client_ip_is_hosting
+        )
+        samples[hosted] = dataclasses.replace(samples[hosted], route=None)
+        middle = len(samples) // 2
+        victim = next(
+            s for s in samples[middle:] if not s.client_ip_is_hosting
+        )
+        poison = dataclasses.replace(victim, session_id=-1, route=None)
+
+        def run(stream, store):
+            ingestor = StreamingIngestor(
+                study_windows=8, out_store=store, allowed_lateness_seconds=0.0
+            )
+            refused = 0
+            for sample in stream:
+                try:
+                    ingestor.offer(sample)
+                except ValueError as error:
+                    assert "route" in str(error)
+                    refused += 1
+            return ingestor.finish(), refused
+
+        clean_store = tmp_path / "clean.store"
+        expected, refused = run(samples, clean_store)
+        assert refused == 0
+        store = tmp_path / "poisoned.store"
+        result, refused = run(
+            samples[:middle] + [poison] + samples[middle:], store
+        )
+
+        assert refused == 1
+        assert result.samples_offered == len(samples)  # refused uncounted
+        assert result.late.count == 0
+        batch = build_dataset(store, study_windows=8)
+        read = batch.metrics.counter("pipeline.samples.read")
+        assert len(_scan(store)) == result.samples_sealed == read == len(samples)
+        assert result.windows_sealed == expected.windows_sealed == 8
+        assert result.windows_empty == 0
+        assert_same_analysis_state(result.dataset, batch)
+        assert_same_analysis_state(result.dataset, expected.dataset)
+        for name in ("data.bin", "manifest.json"):
+            assert (store / name).read_bytes() == (
+                clean_store / name
+            ).read_bytes()
+
+
 class TestLiveStoreHasOtherWriters:
     """The ingestor's append session notices a manifest it did not publish
     (DESIGN §8's stat-identity rule) and reloads instead of clobbering it."""
@@ -566,6 +663,79 @@ class TestOnlineAnalyzer:
         alert_windows = [a.window for a in result.alerts]
         assert 3 in alert_windows
         assert 8 not in alert_windows
+
+    @pytest.mark.parametrize("stream", ["golden", "degrading"])
+    def test_analyzer_is_handed_what_the_per_sample_probe_found(self, stream):
+        """Per sealed window the analyzer receives exactly the groups the
+        old per-sample probe collected — each kept rank-0 sample's group —
+        mapped to the aggregation objects the seal installed; alerts and
+        classifications equal an analyzer driven by that probe over the
+        row oracle's store."""
+        import dataclasses
+
+        from repro.pipeline import read_samples
+
+        if stream == "golden":
+            samples = list(
+                read_samples(
+                    pathlib.Path(__file__).parent / "data" / "golden_trace.jsonl.gz"
+                )
+            )
+        else:  # one PoP 40 ms slower in window 6: one alert, one episodic group
+            samples = [
+                dataclasses.replace(s, min_rtt_seconds=s.min_rtt_seconds + 0.040)
+                if s.pop == "ams1" and window_index(s.end_time) == 6
+                else s
+                for s in make_trace_samples(1200, seed=23, windows=8)
+            ]
+        samples.sort(key=lambda s: (s.end_time, s.session_id))
+
+        class Recording(OnlineTemporalAnalyzer):
+            def on_window_sealed(self, window, aggregations):
+                seen.append((window, dict(aggregations)))
+                return super().on_window_sealed(window, aggregations)
+
+        seen = []
+        ingestor = StreamingIngestor(
+            study_windows=8,
+            allowed_lateness_seconds=0.0,
+            analyzer=Recording(min_baseline_windows=1),
+        )
+        result = ingestor.offer_all(samples).finish()
+
+        oracle = row_oracle(samples, study_windows=8)
+        reference = OnlineTemporalAnalyzer(min_baseline_windows=1)
+        by_window = {}
+        for sample in samples:
+            by_window.setdefault(window_index(sample.end_time), []).append(sample)
+        windows = list(range(min(by_window), max(by_window) + 1))
+        assert [window for window, _ in seen] == windows
+        handed = 0
+        for window, received in seen:
+            probe = {}
+            for sample in by_window.get(window, []):
+                if sample.client_ip_is_hosting:
+                    continue
+                if sample.route.preference_rank == 0:
+                    group = UserGroupKey(
+                        pop=sample.pop,
+                        prefix=sample.route.prefix,
+                        country=sample.client_country,
+                    )
+                    probe.setdefault(group, oracle.store.get(group, 0, window))
+            assert set(received) == set(probe)
+            for group, aggregation in received.items():
+                assert aggregation is result.dataset.store.get(group, 0, window)
+                assert aggregation.min_rtts_ms == probe[group].min_rtts_ms
+                assert aggregation.hdratios == probe[group].hdratios
+                assert aggregation.traffic_bytes == probe[group].traffic_bytes
+                handed += 1
+            reference.on_window_sealed(window, probe)
+        assert handed > len(windows)
+        assert result.alerts == reference.alerts
+        assert len(result.alerts) == (1 if stream == "degrading" else 0)
+        assert result.classifications == reference.classifications()
+        assert result.classifications
 
     def test_analyzer_rejects_bad_args(self):
         with pytest.raises(ValueError):

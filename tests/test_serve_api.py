@@ -10,8 +10,10 @@ response memoization), and no payload names an engine — there is one.
 
 Filtered queries are checked against an independent oracle: the golden
 trace re-read in plain Python with the filter applied by hand, folded
-through ``StudyDataset`` directly — no ScanFilter, no store pruning — so
-a pruning bug cannot cancel itself out.
+through ``StudyDataset`` directly — no ScanFilter, no store pruning, no
+kernels — so a pruning bug cannot cancel itself out. The whole served
+dataset (rows, aggregations, filter stats, data counters) must equal it,
+not just the payload fields.
 """
 
 import json
@@ -21,11 +23,15 @@ import pytest
 
 from repro.cli import main
 from repro.core.aggregation import window_index
+from repro.obs import MetricsRegistry, activate_metrics
 from repro.pipeline.dataset import StudyDataset
 from repro.pipeline.experiments import fig6_global_performance
 from repro.pipeline.io import convert, read_samples
 from repro.pipeline.routing_analysis import fig9_opportunity
 from repro.serve import QueryEngine, render_payload
+from repro.store import ScanFilter, TraceStoreReader
+
+from tests.helpers import assert_same_analysis_state
 
 pytestmark = pytest.mark.serve
 
@@ -53,6 +59,19 @@ def get(engine, path, **params):
     }
     status, payload = engine.handle(path, query)
     return status, payload
+
+
+def served_dataset(engine, pops=None, countries=None, window=None):
+    """The dataset the cache holds for an ``analyze``-profile query."""
+    entry = engine.cache.get(
+        (
+            "analyze",
+            tuple(sorted(pops)) if pops else None,
+            tuple(sorted(countries)) if countries else None,
+            window,
+        )
+    )
+    return entry.dataset
 
 
 class TestQuantilesContract:
@@ -204,6 +223,9 @@ class TestFilteredQueries:
         assert payload["sessions"] == oracle.session_count
         assert payload["minrtt_ms"]["p50"] == result.minrtt_all.quantile(0.5)
         assert payload["minrtt_ms"]["p80"] == result.minrtt_all.quantile(0.8)
+        assert_same_analysis_state(
+            served_dataset(engine, pops, countries), oracle
+        )
 
     @pytest.mark.parametrize("window", ["0", "1-2", "0-3", "3"])
     def test_window_range_matches_oracle(self, engine, window):
@@ -220,6 +242,9 @@ class TestFilteredQueries:
         assert payload["sessions"] == oracle.session_count
         result = fig6_global_performance(oracle)
         assert payload["minrtt_ms"]["p50"] == result.minrtt_all.quantile(0.5)
+        assert_same_analysis_state(
+            served_dataset(engine, window=(lo, hi)), oracle
+        )
 
     def test_window_boundary_not_over_admitted(self, engine):
         """A window filter must not leak the next window's first sample.
@@ -238,6 +263,43 @@ class TestFilteredQueries:
         assert payload["sessions"] == 0
         assert payload["minrtt_ms"]["p50"] is None
         assert payload["formatted"]["minrtt_p50"] == "n/a"
+
+
+class TestOneAccounting:
+    """A cold build's data counters reach the engine's registry exactly
+    once — whether that registry is the activated one (``repro serve``:
+    ``build_dataset`` publishes into it), another one is, or none is."""
+
+    @pytest.mark.parametrize("active", ["engine", "other", "none"])
+    @pytest.mark.parametrize("pops", [None, ("ams1",)])
+    def test_cold_build_counts_once(self, store_path, active, pops):
+        registry = MetricsRegistry()
+        engine = QueryEngine(store_path, metrics=registry)
+        params = {"pop": list(pops)} if pops else {}
+        if active == "none":
+            status, payload = engine.handle("/v1/quantiles", params)
+        else:
+            with activate_metrics(
+                registry if active == "engine" else MetricsRegistry()
+            ):
+                status, payload = engine.handle("/v1/quantiles", params)
+        assert status == 200
+        scan = MetricsRegistry()
+        rows = list(
+            TraceStoreReader(store_path).scan(ScanFilter(pops=pops), metrics=scan)
+        )
+        assert registry.counter("pipeline.samples.read") == len(rows)
+        for name in (
+            "io.rows_read",
+            "store.rows.decoded",
+            "store.bytes.read",
+            "store.partitions.scanned",
+        ):
+            assert registry.counter(name) == scan.counter(name), name
+        assert registry.counter("pipeline.samples.kept") == payload["sessions"]
+        # The dataset-shape gauges exist for filtered builds too.
+        assert registry.gauge("pipeline.rows") == payload["sessions"]
+        assert registry.gauge("pipeline.groups") > 0
 
 
 class TestByteIdentity:
@@ -300,16 +362,33 @@ class TestHealthAndErrors:
             {"metric": "loss"},
             {"threshold": "NaNopes"},
             {"limit": "0"},
+            # Non-finite numbers parse as floats but are not JSON, and
+            # nan != nan would mint a response memo per request.
+            {"threshold": "nan"},
+            {"threshold": "-inf"},
+            {"slack_ms": "inf"},
+            {"minrtt_threshold": "Infinity"},
+            # An int no float time can hold: OverflowError out of handle().
+            {"window": "1" * 400},
+            {"window": "0-" + "9" * 400},
         ],
     )
     def test_bad_values_rejected(self, engine, params):
-        path = (
-            "/v1/degradation"
-            if set(params) & {"metric", "threshold", "limit"}
-            else "/v1/quantiles"
-        )
+        if set(params) & {"metric", "threshold", "limit"}:
+            path = "/v1/degradation"
+        elif set(params) & {"slack_ms", "minrtt_threshold"}:
+            path = "/v1/routing"
+        else:
+            path = "/v1/quantiles"
         status, payload = get(engine, path, **params)
         assert status == 400
+        assert payload["error"] == "bad_request"
+        counter = engine.metrics.counter
+        assert counter("serve.requests") == (
+            counter("serve.responses.ok")
+            + counter("serve.responses.client_error")
+            + counter("serve.responses.server_error")
+        )
 
     def test_repeated_scalar_parameter_rejected(self, engine):
         status, _ = get(engine, "/v1/degradation", metric=["minrtt", "hdratio"])

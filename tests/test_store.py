@@ -2,11 +2,13 @@
 
 import json
 import pathlib
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.columns import ColumnBatch
 from repro.obs import MetricsRegistry
 from repro.pipeline.io import read_samples, write_samples
 from repro.store import (
@@ -22,7 +24,6 @@ from repro.store import (
     dump_manifest,
     is_store_path,
     load_manifest,
-    read_store_chunk,
     verify_store,
     write_store,
 )
@@ -739,6 +740,32 @@ class TestPruning:
         )
 
 
+def batch_rows(batch: ColumnBatch):
+    """``(order key, every other column value)`` per row of a batch."""
+    media = iter(batch.media_values)
+    txns = zip(
+        batch.txn_fbt, batch.txn_ack, batch.txn_resp, batch.txn_last,
+        batch.txn_cwnd, batch.txn_inflight, batch.txn_lbwt,
+    )
+    flat = zip(
+        batch.order_keys, batch.start_times, batch.end_times, batch.is_http2,
+        batch.min_rtts, batch.bytes_sents, batch.busy_times, batch.pops,
+        batch.countries, batch.continents, batch.hostings, batch.geo_tags,
+        batch.routes, batch.media_lens, batch.txn_lens,
+    )
+    return [
+        (key, *rest, tuple(islice(media, rest[-2])), tuple(islice(txns, rest[-1])))
+        for key, *rest in flat
+    ]
+
+
+def chunk_batches(chunk, metrics=None):
+    """What a shard decodes for ``chunk`` (``kernels.engine.batches_for_chunk``)."""
+    return TraceStoreReader(chunk.path).read_column_batches(
+        metrics=metrics, partition_ids=chunk.partition_ids
+    )
+
+
 class TestChunkPlanning:
     def test_chunks_cover_store_disjointly(self, store_path):
         reader = TraceStoreReader(store_path)
@@ -751,8 +778,9 @@ class TestChunkPlanning:
     def test_chunk_ordinal_is_min_seq(self, store_path):
         reader = TraceStoreReader(store_path)
         for chunk in reader.plan_chunks(4):
-            pairs = list(read_store_chunk(chunk))
-            assert chunk.ordinal == min(seq for seq, _ in pairs)
+            assert chunk.ordinal == min(
+                seq for batch in chunk_batches(chunk) for seq in batch.order_keys
+            )
 
     def test_more_chunks_than_partitions(self, store_path):
         reader = TraceStoreReader(store_path)
@@ -765,20 +793,27 @@ class TestChunkPlanning:
 
     def test_chunked_counters_sum_to_serial(self, store_path):
         serial = MetricsRegistry()
-        list(TraceStoreReader(store_path).scan(metrics=serial))
+        list(TraceStoreReader(store_path).read_column_batches(metrics=serial))
         merged = MetricsRegistry()
         for chunk in TraceStoreReader(store_path).plan_chunks(4):
             part = MetricsRegistry()
-            list(read_store_chunk(chunk, metrics=part))
+            list(chunk_batches(chunk, metrics=part))
             merged.merge(part)
         assert merged.counters == serial.counters
+        # ... and a column scan's ledger is a row scan's.
+        rows = MetricsRegistry()
+        list(TraceStoreReader(store_path).scan(metrics=rows))
+        assert serial.counters == rows.counters
 
     def test_chunks_reassemble_exact_stream(self, store_path, trace_samples):
-        pairs = []
+        rows = []
         for chunk in TraceStoreReader(store_path).plan_chunks(5):
-            pairs.extend(read_store_chunk(chunk))
-        pairs.sort(key=lambda pair: pair[0])
-        assert [s for _, s in pairs] == trace_samples
+            for batch in chunk_batches(chunk):
+                rows.extend(batch_rows(batch))
+        rows.sort(key=lambda row: row[0])
+        assert len(rows) == len(trace_samples)
+        stream = batch_rows(ColumnBatch.from_pairs(list(enumerate(trace_samples))))
+        assert [row[1:] for row in rows] == [row[1:] for row in stream]
 
     def test_store_chunk_is_picklable(self, store_path):
         import pickle

@@ -21,7 +21,11 @@ from repro.pipeline import (
 )
 from repro.store import ScanFilter, TraceStoreReader
 
-from tests.helpers import in_process_pool, local_options  # noqa: F401
+from tests.helpers import (  # noqa: F401
+    assert_same_analysis_state,
+    in_process_pool,
+    local_options,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 TRACE = DATA / "golden_trace.jsonl.gz"
@@ -47,20 +51,6 @@ def jsonl_dataset(snapshot):
 @pytest.fixture(scope="module")
 def store_dataset(golden_store, snapshot):
     return build_dataset(golden_store, study_windows=snapshot["study_windows"])
-
-
-def assert_same_analysis_state(a: StudyDataset, b: StudyDataset) -> None:
-    """Bit-identical dataset state: rows, aggregation store, accounting."""
-    assert a.rows == b.rows
-    assert [k for k, _ in a.store.items()] == [k for k, _ in b.store.items()]
-    for (_, agg_a), (_, agg_b) in zip(a.store.items(), b.store.items()):
-        assert agg_a.min_rtts_ms == agg_b.min_rtts_ms
-        assert agg_a.hdratios == agg_b.hdratios
-        assert agg_a.traffic_bytes == agg_b.traffic_bytes
-        assert agg_a.session_count == agg_b.session_count
-        assert agg_a.route == agg_b.route
-    assert a.filter_stats.dropped_sessions == b.filter_stats.dropped_sessions
-    assert a.filter_stats.kept_bytes == b.filter_stats.kept_bytes
 
 
 class TestGoldenEquivalence:
