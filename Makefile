@@ -13,7 +13,15 @@
 #                 Gated: when pytest-cov is not installed the tests still
 #                 run, without the floor, instead of erroring (the container
 #                 may not ship coverage tooling).
-#   bench       - the full figure/ablation benchmark harness.
+#   bench       - the full figure/ablation benchmark harness (benchmarks/;
+#                 not `python3 -m bench`, which is the two targets below).
+#   test-bench  - the end-to-end benchmark's own tests (bench/tests: metric
+#                 table = BENCHMARK.json, generator determinism, output
+#                 checks, compare rule). Not tier-1 (~75 s); part of
+#                 test-all.
+#   bench-smoke - every `python3 -m bench` workload once on ~1k-session
+#                 inputs (~15 s): proves the harness still drives the
+#                 program end to end; its numbers mean nothing.
 #   test-kernels - just the batch-kernel suite (`kernels` marker): the
 #                 build_dataset-vs-row-oracle differential matrix and the
 #                 per-kernel Hypothesis properties. Also part of tier-1.
@@ -67,13 +75,14 @@ COV_ARGS = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
            --cov-report=term-missing --cov-fail-under=$(COV_FLOOR)
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
-	test-dist test-netsim coverage bench bench-dist bench-cc-matrix
+	test-dist test-netsim test-bench coverage bench bench-smoke bench-dist \
+	bench-cc-matrix
 
 test:
 	$(PYTEST) -x -q
 
 test-all: coverage test-faults test-kernels test-streaming test-serve \
-		test-dist test-netsim
+		test-dist test-netsim test-bench
 	$(PYTEST) -q -m ""
 
 test-faults:
@@ -93,6 +102,12 @@ test-dist:
 
 test-netsim:
 	$(PYTEST) -q -m netsim
+
+test-bench:
+	$(PYTHON) -m pytest bench/tests -q
+
+bench-smoke:
+	$(PYTHON) -m bench all --smoke
 
 coverage:
 	@cov=""; \

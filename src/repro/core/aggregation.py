@@ -146,6 +146,18 @@ class AggregationStore:
     The store is keyed by (user group, route rank, window index). Samples
     without a route annotation are rejected — the measurement pipeline
     guarantees route annotation at session close (§2.2.2).
+
+    Two structures hold the same aggregation objects. ``_store`` is the
+    insertion-order record behind :meth:`get`, :meth:`items`,
+    :meth:`all_aggregations` and ``len()``. ``_index`` is
+    ``group -> window -> rank -> Aggregation`` in first-insertion order,
+    and is what the §5–§6 comparisons find their aggregations through:
+    :meth:`groups` costs the number of groups, :meth:`route_ranks` the
+    ranks of one (group, window), :meth:`group_windows` /
+    :meth:`group_series` the group's own windows — none of them walks the
+    store. Both are written in one place only, :meth:`_install`, which the
+    miss branches of :meth:`add` and :meth:`put` call; nothing outside
+    this class touches either.
     """
 
     def __init__(
@@ -160,7 +172,14 @@ class AggregationStore:
         #: counts into it (one count per sample routed), never the merge
         #: path — so sharded rebuilds keep counters plan-invariant.
         self.metrics = metrics
+        #: Number of :meth:`add` / :meth:`put` calls so far (a merge into an
+        #: existing key included). Anything derived from the store's
+        #: contents is current only while this has not moved —
+        #: :meth:`repro.pipeline.dataset.StudyDataset.verdicts` drops its
+        #: cache on it.
+        self.mutation_count = 0
         self._store: Dict[Tuple[UserGroupKey, int, int], Aggregation] = {}
+        self._index: Dict[UserGroupKey, Dict[int, Dict[int, Aggregation]]] = {}
 
     def key_for(self, sample: SessionSample) -> Tuple[UserGroupKey, int, int]:
         """The (user group, route rank, window) key ``sample`` lands in."""
@@ -171,6 +190,15 @@ class AggregationStore:
         )
         window = window_index(sample.end_time, self.window_seconds)
         return (group, sample.route.preference_rank, window)
+
+    def _install(
+        self, key: Tuple[UserGroupKey, int, int], aggregation: Aggregation
+    ) -> None:
+        """Record a new key: the only writer of ``_store`` and ``_index``."""
+        group, rank, window = key
+        self._store[key] = aggregation
+        ranks = self._index.setdefault(group, {}).setdefault(window, {})
+        ranks[rank] = aggregation
 
     def add(self, sample: SessionSample, hdratio: Optional[float] = None) -> Aggregation:
         """Route one sample into its aggregation; returns the aggregation.
@@ -188,8 +216,9 @@ class AggregationStore:
             if self.with_digests:
                 aggregation._rtt_digest = TDigest()
                 aggregation._hd_digest = TDigest()
-            self._store[key] = aggregation
+            self._install(key, aggregation)
         aggregation.add(sample, hdratio)
+        self.mutation_count += 1
         if self.metrics is not None:
             self.metrics.inc("core.aggregation.samples")
             if hdratio is not None:
@@ -213,10 +242,7 @@ class AggregationStore:
 
     def groups(self) -> List[UserGroupKey]:
         """Distinct user groups, in insertion order."""
-        seen: Dict[UserGroupKey, None] = {}
-        for group, _, _ in self._store:
-            seen.setdefault(group)
-        return list(seen)
+        return list(self._index)
 
     def windows(self) -> List[int]:
         """Distinct window indices, sorted."""
@@ -226,28 +252,24 @@ class AggregationStore:
         """Windows in which ``group`` has samples at ``route_rank``, sorted."""
         return sorted(
             window
-            for key_group, rank, window in self._store
-            if key_group == group and rank == route_rank
+            for window, ranks in self._index.get(group, {}).items()
+            if route_rank in ranks
         )
 
     def group_series(
         self, group: UserGroupKey, route_rank: int = 0
     ) -> List[Aggregation]:
         """All aggregations of a group at a rank, ordered by window."""
-        items = [
-            aggregation
-            for (key_group, rank, _), aggregation in self._store.items()
-            if key_group == group and rank == route_rank
+        # Windows are dict keys, hence distinct: the sort never compares ranks.
+        return [
+            ranks[route_rank]
+            for _, ranks in sorted(self._index.get(group, {}).items())
+            if route_rank in ranks
         ]
-        return sorted(items, key=lambda aggregation: aggregation.window)
 
     def route_ranks(self, group: UserGroupKey, window: int) -> List[int]:
         """Route ranks with data for ``group`` in ``window``, sorted."""
-        return sorted(
-            rank
-            for key_group, rank, key_window in self._store
-            if key_group == group and key_window == window
-        )
+        return sorted(self._index.get(group, {}).get(window, ()))
 
     def all_aggregations(self) -> List[Aggregation]:
         return list(self._store.values())
@@ -262,17 +284,20 @@ class AggregationStore:
     def put(self, key: Tuple[UserGroupKey, int, int], aggregation: Aggregation) -> None:
         """Install (or fold into) an aggregation under ``key``.
 
-        Used by the sharded pipeline's merger to rebuild a store in exact
-        serial insertion order; ``key`` must match the aggregation's own
-        identity fields.
+        How every built aggregation reaches a store: the column kernels'
+        fold (serial builds and each streaming seal) and the sharded
+        pipeline's merger both install through here, in exact serial
+        insertion order; ``key`` must match the aggregation's own identity
+        fields.
         """
         if key != (aggregation.group, aggregation.route_rank, aggregation.window):
             raise ValueError("key does not match the aggregation's identity")
         existing = self._store.get(key)
         if existing is None:
-            self._store[key] = aggregation
+            self._install(key, aggregation)
         else:
             existing.merge(aggregation)
+        self.mutation_count += 1
 
     def merge_store(self, other: "AggregationStore") -> "AggregationStore":
         """Key-wise merge of another store's aggregations (stream order:

@@ -85,6 +85,8 @@ class StudyDataset:
         #: for clean (or serial) runs.
         self.degraded = None
         self._verdict_cache: dict = {}
+        #: ``store.mutation_count`` the cached series were computed at.
+        self._verdict_cache_at = 0
 
     @property
     def windows_per_day(self) -> int:
@@ -96,9 +98,19 @@ class StudyDataset:
         ``kind`` is ``"degradation"`` or ``"opportunity"``. Several
         figure/table drivers need the same verdict series; recomputing the
         confidence intervals per driver dominates analysis time otherwise.
+
+        The cache lives exactly as long as the data it was computed from:
+        every series is dropped once ``store.mutation_count`` has moved
+        (any ``add`` / ``put`` / ``merge_store`` since), so a live dataset
+        — ``StreamingIngestor.dataset`` between seals — answers for what it
+        holds now, and a built-then-read-only one computes each series once.
         """
         if kind not in ("degradation", "opportunity"):
             raise ValueError(f"unknown verdict kind {kind!r}")
+        mutations = self.store.mutation_count
+        if self._verdict_cache_at != mutations:
+            self._verdict_cache.clear()
+            self._verdict_cache_at = mutations
         key = (metric, kind)
         if key in self._verdict_cache:
             return self._verdict_cache[key]

@@ -9,13 +9,14 @@ Tables 1–2) live in :mod:`repro.pipeline.routing_analysis`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import traced
 from repro.pipeline.dataset import StudyDataset
-from repro.stats.weighted import ecdf, percentile
+from repro.stats.weighted import _percentile_of_sorted, ecdf, percentile
 
 __all__ = [
     "CdfSeries",
@@ -54,8 +55,6 @@ class CdfSeries:
         return len(self.xs)
 
     def fraction_at_most(self, x: float) -> float:
-        import bisect
-
         index = bisect.bisect_right(self.xs, x)
         if index == 0:
             return 0.0
@@ -64,7 +63,7 @@ class CdfSeries:
     def quantile(self, q: float) -> Optional[float]:
         if not self.xs:
             return None
-        return percentile(self.xs, q * 100.0)
+        return _percentile_of_sorted(self.xs, q * 100.0)
 
 
 # --------------------------------------------------------------------- #

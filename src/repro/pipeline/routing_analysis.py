@@ -57,14 +57,6 @@ __all__ = [
 ]
 
 
-def _group_verdicts(
-    dataset: StudyDataset, metric: str, kind: str
-) -> Dict[UserGroupKey, List[WindowVerdict]]:
-    """Degradation or opportunity verdict series for every user group
-    (cached on the dataset — several drivers share them)."""
-    return dataset.verdicts(metric, kind)
-
-
 @dataclass
 class WeightedDifferenceCdf:
     """Traffic-weighted distribution of per-window differences."""
@@ -124,7 +116,7 @@ def fig8_degradation(dataset: StudyDataset) -> Fig8Result:
     """Figure 8: per-window degradation vs each group's baseline, traffic-weighted."""
     result = Fig8Result(WeightedDifferenceCdf(), WeightedDifferenceCdf())
     for metric, acc in (("minrtt", result.minrtt), ("hdratio", result.hdratio)):
-        for verdicts in _group_verdicts(dataset, metric, "degradation").values():
+        for verdicts in dataset.verdicts(metric, "degradation").values():
             for verdict in verdicts:
                 acc.add(verdict)
     return result
@@ -152,7 +144,7 @@ def fig9_opportunity(dataset: StudyDataset) -> Fig9Result:
     """Figure 9: preferred vs best-alternate route differences, traffic-weighted."""
     result = Fig9Result(WeightedDifferenceCdf(), WeightedDifferenceCdf())
     for metric, acc in (("minrtt", result.minrtt), ("hdratio", result.hdratio)):
-        for verdicts in _group_verdicts(dataset, metric, "opportunity").values():
+        for verdicts in dataset.verdicts(metric, "opportunity").values():
             for verdict in verdicts:
                 acc.add(verdict)
     return result
@@ -378,7 +370,7 @@ def table1_temporal_classes(
         cells[kind] = {}
         for metric, thresholds in thresholds_by_metric.items():
             cells[kind][metric] = {}
-            verdict_map = _group_verdicts(dataset, metric, kind)
+            verdict_map = dataset.verdicts(metric, kind)
             for threshold in thresholds:
                 per_class: Dict[TemporalClass, Dict[str, Table1Cell]] = defaultdict(
                     lambda: defaultdict(Table1Cell)
@@ -503,7 +495,7 @@ def table2_opportunity_relationships(
         ("minrtt", minrtt_threshold),
         ("hdratio", hdratio_threshold),
     ):
-        for group, verdicts in _group_verdicts(dataset, metric, "opportunity").items():
+        for group, verdicts in dataset.verdicts(metric, "opportunity").items():
             for verdict in verdicts:
                 if not verdict.event_at(threshold):
                     continue

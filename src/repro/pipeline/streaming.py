@@ -89,7 +89,9 @@ class StreamingRouteMonitor:
         #: ``stream.late_samples`` execution counter.
         self.metrics = metrics
         self._current_window: Optional[int] = None
-        self._state: Dict[Tuple[UserGroupKey, int], StreamingAggregate] = {}
+        #: Current-window state, ``group -> rank -> aggregate`` in first-seen
+        #: order — the order a window's decisions come out in.
+        self._state: Dict[UserGroupKey, Dict[int, StreamingAggregate]] = {}
         self._finished = False
         self.decisions: List[RouteDecision] = []
         #: Late samples seen (window earlier than the current one); they
@@ -131,11 +133,11 @@ class StreamingRouteMonitor:
             prefix=sample.route.prefix,
             country=sample.client_country,
         )
-        key = (group, sample.route.preference_rank)
-        aggregate = self._state.get(key)
+        ranks = self._state.setdefault(group, {})
+        aggregate = ranks.get(sample.route.preference_rank)
         if aggregate is None:
             aggregate = StreamingAggregate.empty(self.compression)
-            self._state[key] = aggregate
+            ranks[sample.route.preference_rank] = aggregate
         aggregate.add(
             sample.min_rtt_ms, compute_hdratio(sample), sample.bytes_sent
         )
@@ -170,21 +172,19 @@ class StreamingRouteMonitor:
             return
         window = self._current_window
         self.closed_windows.append(window)
-        groups = {group for group, _ in self._state}
-        for group in groups:
+        for group in self._state:
             decision = self._decide(group, window)
             if decision is not None:
                 self.decisions.append(decision)
         self._state.clear()
 
     def _decide(self, group: UserGroupKey, window: int) -> Optional[RouteDecision]:
-        preferred = self._state.get((group, 0))
+        ranks = self._state[group]
+        preferred = ranks.get(0)
         if preferred is None:
             return None
         alternates = [
-            (rank, aggregate)
-            for (key_group, rank), aggregate in self._state.items()
-            if key_group == group and rank > 0
+            (rank, aggregate) for rank, aggregate in ranks.items() if rank > 0
         ]
         best: Optional[Tuple[int, float, float]] = None  # rank, rtt gain, hd gain
         for rank, aggregate in alternates:

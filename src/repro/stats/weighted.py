@@ -23,11 +23,15 @@ __all__ = [
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Unweighted percentile with linear interpolation (q in [0, 100])."""
-    if not values:
+    return _percentile_of_sorted(sorted(map(float, values)), q)
+
+
+def _percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of floats already in ascending order (no sort)."""
+    if not ordered:
         raise ValueError("cannot take the percentile of an empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be in [0, 100]")
-    ordered = sorted(float(v) for v in values)
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)
@@ -70,7 +74,7 @@ def ecdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
     """Unweighted ECDF as ``(sorted_values, cumulative_fractions)``."""
     if not values:
         raise ValueError("cannot build an ECDF from an empty sequence")
-    ordered = sorted(float(v) for v in values)
+    ordered = sorted(map(float, values))
     n = len(ordered)
     fractions = [(i + 1) / n for i in range(n)]
     return ordered, fractions

@@ -1,8 +1,10 @@
 """Tests for user-group/window aggregation (§3.3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.aggregation import AggregationStore, window_index
+from repro.core.aggregation import Aggregation, AggregationStore, window_index
 from repro.core.constants import AGGREGATION_WINDOW_SECONDS
 from repro.core.records import Relationship, UserGroupKey
 
@@ -199,3 +201,129 @@ class TestStoreMerge:
         assert [rank for (_, rank, _), _ in store.items()] == [0, 1]
         assert store.get(DEFAULT_GROUP, 0, 0).min_rtts_ms == [40.0, 41.0]
         assert store.get(DEFAULT_GROUP, 1, 0).min_rtts_ms == [45.0]
+
+    def test_mutation_count_moves_on_every_add_put_and_merge(self):
+        store = AggregationStore()
+        assert store.mutation_count == 0
+        store.add(make_sample(10.0, 40.0))
+        store.add(make_sample(11.0, 41.0))  # same key: still a mutation
+        assert store.mutation_count == 2
+        other = AggregationStore()
+        other.add(make_sample(20.0, 50.0))
+        other.add(make_sample(20.0, 51.0, route=make_route(rank=1)))
+        ((key, piece), _) = other.items()
+        store.put(key, piece)  # a merge into an existing key counts too
+        assert store.mutation_count == 3
+        store.merge_store(other)  # one put per key of ``other``
+        assert store.mutation_count == 5
+        assert len(store) == 2
+
+
+# --------------------------------------------------------------------- #
+# The index is held to the scan it replaced
+# --------------------------------------------------------------------- #
+INDEX_GROUPS = [
+    UserGroupKey(pop=pop, prefix=prefix, country=country)
+    for pop, prefix, country in (
+        ("ams1", "203.0.112.0/20", "NL"),
+        ("ams1", "198.51.100.0/24", "NL"),
+        ("sjc1", "203.0.112.0/20", "US"),
+    )
+]
+ABSENT_GROUP = UserGroupKey(pop="gru1", prefix="192.0.2.0/24", country="BR")
+
+_keys = st.tuples(
+    st.sampled_from(INDEX_GROUPS), st.integers(0, 2), st.integers(0, 4)
+)
+_operations = st.one_of(
+    st.tuples(st.just("add"), _keys),
+    st.tuples(st.just("put"), _keys),
+    st.tuples(st.just("merge_store"), st.lists(_keys, max_size=6)),
+)
+
+
+def _sample_for(key):
+    group, rank, window = key
+    return make_sample(
+        end_time=window * AGGREGATION_WINDOW_SECONDS + 10.0,
+        min_rtt_ms=40.0,
+        route=make_route(prefix=group.prefix, rank=rank),
+        pop=group.pop,
+        country=group.country,
+    )
+
+
+def _piece_for(key):
+    group, rank, window = key
+    return Aggregation(
+        group=group,
+        route_rank=rank,
+        window=window,
+        min_rtts_ms=[41.0],
+        traffic_bytes=1_000,
+        session_count=1,
+    )
+
+
+def _apply(store, operation):
+    """Run one operation; returns how many add/put calls it amounts to."""
+    name, argument = operation
+    if name == "add":
+        store.add(_sample_for(argument), hdratio=0.5)
+        return 1
+    if name == "put":
+        # Lands on a new key or merges into an existing one, as drawn.
+        store.put(argument, _piece_for(argument))
+        return 1
+    other = AggregationStore(with_digests=False)
+    for key in argument:
+        other.add(_sample_for(key), hdratio=0.5)
+    store.merge_store(other)
+    return len(other)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_operations, max_size=25))
+def test_indexed_lookups_equal_the_scan_over_items(operations):
+    """``groups`` / ``group_windows`` / ``group_series`` / ``route_ranks``
+    answer from the index; the comprehensions over the whole store they
+    replaced live on here as the oracle, evaluated over ``items()`` —
+    values, objects and order all have to match, for present and absent
+    groups, ranks and windows alike."""
+    store = AggregationStore(with_digests=False)
+    calls = sum(_apply(store, operation) for operation in operations)
+    assert store.mutation_count == calls
+    items = store.items()
+    assert len(items) == len(store)
+
+    scanned_groups = {}
+    for (group, _, _), _ in items:
+        scanned_groups.setdefault(group)
+    assert store.groups() == list(scanned_groups)
+
+    for group in INDEX_GROUPS + [ABSENT_GROUP]:
+        for rank in range(4):  # rank 3 is never inserted
+            assert store.group_windows(group, route_rank=rank) == sorted(
+                window
+                for (key_group, key_rank, window), _ in items
+                if key_group == group and key_rank == rank
+            )
+            series = store.group_series(group, route_rank=rank)
+            scanned = sorted(
+                (
+                    aggregation
+                    for (key_group, key_rank, _), aggregation in items
+                    if key_group == group and key_rank == rank
+                ),
+                key=lambda aggregation: aggregation.window,
+            )
+            assert len(series) == len(scanned)
+            assert all(ours is theirs for ours, theirs in zip(series, scanned))
+        for window in range(6):  # window 5 is never inserted
+            assert store.route_ranks(group, window) == sorted(
+                key_rank
+                for (key_group, key_rank, key_window), _ in items
+                if key_group == group and key_window == window
+            )
+    for (group, rank, window), aggregation in items:
+        assert store.get(group, rank, window) is aggregation

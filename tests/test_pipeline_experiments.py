@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline.dataset import StudyDataset
 from repro.pipeline.experiments import (
@@ -15,6 +17,7 @@ from repro.pipeline.experiments import (
     fig6_global_performance,
     fig7_rtt_vs_hdratio,
 )
+from repro.stats.weighted import percentile
 from repro.workload.scenario import EdgeScenario, ScenarioConfig
 
 # Three networks per metro: per-continent statistics need a few networks to
@@ -57,6 +60,33 @@ class TestCdfSeries:
         assert series.fraction_at_most(2.0) == pytest.approx(0.5)
         assert series.fraction_at_most(0.5) == 0.0
         assert series.quantile(0.5) == pytest.approx(2.5)
+
+    def test_empty_series_has_no_quantile(self):
+        empty = CdfSeries.of("x", [])
+        assert empty.quantile(0.5) is None
+        assert empty.fraction_at_most(1.0) == 0.0
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01, float("nan")])
+    def test_out_of_range_quantile_rejected(self, q):
+        with pytest.raises(ValueError):
+            CdfSeries.of("x", [1.0, 2.0]).quantile(q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-10**6, 10**6),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_quantile_is_percentile_bit_for_bit(self, values, q):
+        # quantile interpolates over the series' own sorted xs; percentile
+        # sorts first — same arithmetic, so the same bits, not approx.
+        assert CdfSeries.of("x", values).quantile(q) == percentile(values, 100 * q)
 
 
 class TestFig1(object):

@@ -30,6 +30,13 @@ from repro.pipeline.ingest import (
     LateSampleLedger,
     OnlineTemporalAnalyzer,
 )
+from repro.pipeline.routing_analysis import (
+    fig8_degradation,
+    fig9_opportunity,
+    fig10_relationship_comparison,
+    table1_temporal_classes,
+    table2_opportunity_relationships,
+)
 from tests.helpers import (
     DEFAULT_GROUP,
     assert_same_analysis_state,
@@ -274,6 +281,39 @@ class TestReplayEquivalence:
         batch = build_dataset(store, study_windows=8)
         assert_same_analysis_state(result.dataset, batch)
         assert data_counters(result.dataset) == data_counters(batch)
+
+
+class TestLiveDatasetStaysCurrent:
+    """``StreamingIngestor.dataset`` is live: whoever reads a routing
+    driver off it between seals must not pin that answer. The verdict
+    series behind fig8/fig9/table1/table2 are cached on the dataset, and
+    the cache used to outlive the data it was computed from."""
+
+    DRIVERS = (
+        fig8_degradation,
+        fig9_opportunity,
+        fig10_relationship_comparison,
+        table1_temporal_classes,
+        table2_opportunity_relationships,
+    )
+
+    def test_mid_stream_peek_does_not_pin_the_answer(self, trace_samples):
+        ordered = sorted(trace_samples, key=lambda s: s.end_time)
+        half = len(ordered) // 2
+        ingestor = StreamingIngestor(study_windows=8)
+        ingestor.offer_all(ordered[:half])
+        assert ingestor.windows_sealed > 0
+        peeked = [driver(ingestor.dataset) for driver in self.DRIVERS]
+        ingestor.offer_all(ordered[half:])
+        result = ingestor.finish()
+        assert result.dataset is ingestor.dataset
+
+        batch = build_dataset(ordered, study_windows=8)
+        assert_same_analysis_state(result.dataset, batch)
+        finished = [driver(result.dataset) for driver in self.DRIVERS]
+        assert finished == [driver(batch) for driver in self.DRIVERS]
+        # The peek saw less data, so this test can tell stale from current.
+        assert finished[0] != peeked[0]
 
 
 # --------------------------------------------------------------------- #

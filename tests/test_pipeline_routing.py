@@ -195,3 +195,82 @@ class TestVerdictCache:
         dataset = controlled_dataset(AggregationStore())
         with pytest.raises(ValueError):
             dataset.verdicts("minrtt", "nonsense")
+
+    def test_cache_is_dropped_when_the_store_changes(self):
+        store = AggregationStore()
+        for window in range(4):
+            fill_window(store, window=window, rtt_ms=40.0, hdratio=0.9)
+        dataset = controlled_dataset(store)
+        before = dataset.verdicts("minrtt", "degradation")
+        assert [v.window for v in before[DEFAULT_GROUP]] == [0, 1, 2, 3]
+        fill_window(store, window=4, rtt_ms=40.0, hdratio=0.9)
+        after = dataset.verdicts("minrtt", "degradation")
+        assert after is not before
+        assert [v.window for v in after[DEFAULT_GROUP]] == [0, 1, 2, 3, 4]
+        assert dataset.verdicts("minrtt", "degradation") is after
+
+
+class _WalkCountingDict(dict):
+    """A dict that counts every walk over the whole of itself."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+
+def _whole_store_walks(groups: int) -> int:
+    """Whole-store iterations made by every §5–§6 driver over ``groups``
+    user groups (3 windows, a preferred and a transit alternate each)."""
+    store = AggregationStore(with_digests=False)
+    for index in range(groups):
+        group = UserGroupKey(
+            pop="ams1", prefix=f"10.{index // 256}.{index % 256}.0/24", country="NL"
+        )
+        for window in range(3):
+            fill_window(
+                store, window=window, rtt_ms=50.0, hdratio=0.9, count=30,
+                rank=0, group=group, relationship=Relationship.PRIVATE,
+            )
+            fill_window(
+                store, window=window, rtt_ms=40.0, hdratio=0.9, count=30,
+                rank=1, group=group, relationship=Relationship.TRANSIT,
+            )
+    assert len(store.groups()) == groups
+    dataset = controlled_dataset(store, study_windows=3)
+    store._store = counted = _WalkCountingDict(store._store)
+    for metric in ("minrtt", "hdratio"):
+        for kind in ("degradation", "opportunity"):
+            assert len(dataset.verdicts(metric, kind)) == groups
+    fig8_degradation(dataset)
+    assert len(fig9_opportunity(dataset).minrtt.differences) == 3 * groups
+    fig10 = fig10_relationship_comparison(dataset)
+    assert len(fig10.by_pair["peering-vs-transit"].differences) == 3 * groups
+    table1_temporal_classes(dataset)
+    table2_opportunity_relationships(dataset)
+    return counted.walks
+
+
+class TestLookupComplexity:
+    """Finding a group's aggregations must cost what it finds, not the
+    store: counted in iterations, so the guard holds on any host."""
+
+    def test_whole_store_walks_do_not_grow_with_groups(self):
+        few, many = _whole_store_walks(12), _whole_store_walks(120)
+        # The tables each total the preferred-route traffic once; nothing
+        # walks the store per group or per (group, window).
+        assert few == many
+        assert many <= 4

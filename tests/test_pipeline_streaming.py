@@ -1,11 +1,20 @@
 """Tests for the single-pass streaming route monitor."""
 
+import dataclasses
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+from repro.core.aggregation import window_index
 from repro.core.constants import AGGREGATION_WINDOW_SECONDS
+from repro.core.records import UserGroupKey
 from repro.pipeline.streaming import StreamingRouteMonitor
 
-from tests.helpers import DEFAULT_GROUP, make_route, make_sample
+from tests.helpers import DEFAULT_GROUP, make_route, make_sample, make_trace_samples
 
 pytestmark = pytest.mark.streaming
 
@@ -287,7 +296,7 @@ class TestCloseWindowLabel:
         aggregate = StreamingAggregate.empty()
         for rtt in (40.0, 41.0, 42.0, 43.0, 44.0):
             aggregate.add(rtt, None, 1000)
-        monitor._state[(DEFAULT_GROUP, 0)] = aggregate
+        monitor._state[DEFAULT_GROUP] = {0: aggregate}
         assert monitor._current_window is None
         with pytest.raises(RuntimeError, match="without a current window"):
             monitor._close_window()
@@ -348,12 +357,8 @@ class TestCiWidthBoundary:
         probe = StreamingRouteMonitor()
         feed_window(probe, 0, rtt_ms=52.0, rank=0)
         feed_window(probe, 0, rtt_ms=38.0, rank=1)
-        (preferred,) = [
-            agg for (_, rank), agg in probe._state.items() if rank == 0
-        ]
-        (alternate,) = [
-            agg for (_, rank), agg in probe._state.items() if rank == 1
-        ]
+        (ranks,) = probe._state.values()
+        preferred, alternate = ranks[0], ranks[1]
         cmp = streaming_compare(preferred.rtt_digest, alternate.rtt_digest)
         width = cmp.ci_high - cmp.ci_low
 
@@ -364,3 +369,71 @@ class TestCiWidthBoundary:
         feed_window(monitor, 0, rtt_ms=52.0, rank=0)
         feed_window(monitor, 0, rtt_ms=38.0, rank=1)
         assert monitor.finish()[0].is_shift_candidate
+
+
+def _multi_group_trace():
+    samples = make_trace_samples(1200, seed=3, hosting_fraction=0.0, windows=4)
+    return sorted(samples, key=lambda s: s.end_time)
+
+
+_DECISIONS_SCRIPT = """
+import dataclasses, json
+from repro.pipeline.streaming import StreamingRouteMonitor
+from tests.test_pipeline_streaming import _multi_group_trace
+
+monitor = StreamingRouteMonitor()
+monitor.observe_all(_multi_group_trace())
+print(json.dumps([dataclasses.asdict(d) for d in monitor.finish()]))
+"""
+
+
+class TestDecisionOrder:
+    """Regression: a window's decisions came out in the iteration order of
+    a *set* of string-hashed group keys, so the same trace gave a
+    different ``decisions`` list under every ``PYTHONHASHSEED``."""
+
+    @staticmethod
+    def _decisions_under(hash_seed: int) -> str:
+        """The whole decision list, as JSON text, from a fresh interpreter."""
+        root = pathlib.Path(__file__).parent.parent
+        completed = subprocess.run(
+            [sys.executable, "-c", _DECISIONS_SCRIPT],
+            cwd=str(root),
+            env={
+                "PYTHONPATH": os.pathsep.join(("src", ".")),
+                "PYTHONHASHSEED": str(hash_seed),
+                "PATH": "/usr/bin:/bin",
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        return completed.stdout
+
+    def test_decisions_do_not_depend_on_the_hash_seed(self):
+        first = self._decisions_under(1)
+        assert first == self._decisions_under(2)
+
+        # ... and the order they share is the one the trace dictates:
+        # windows in order, and within a window the groups in the order
+        # their first sample arrived (those with preferred-route data).
+        first_seen = {}
+        for sample in _multi_group_trace():
+            window = window_index(sample.end_time)
+            group = UserGroupKey(
+                pop=sample.pop,
+                prefix=sample.route.prefix,
+                country=sample.client_country,
+            )
+            ranks = first_seen.setdefault(window, {}).setdefault(group, set())
+            ranks.add(sample.route.preference_rank)
+        expected = [
+            (window, dataclasses.asdict(group))
+            for window in sorted(first_seen)
+            for group, ranks in first_seen[window].items()
+            if 0 in ranks
+        ]
+        decided = [(row["window"], row["group"]) for row in json.loads(first)]
+        assert decided == expected
+        assert len({tuple(group.values()) for _, group in decided}) > 10
