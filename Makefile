@@ -26,8 +26,12 @@
 #                 build_dataset-vs-row-oracle differential matrix and the
 #                 per-kernel Hypothesis properties. Also part of tier-1.
 #   test-streaming - just the streaming suite (`streaming` marker): the
-#                 route-monitor window semantics and the ingest
-#                 watermark/replay-equivalence tests. Also part of tier-1.
+#                 ingest watermark/replay-equivalence tests and the
+#                 seal-time route decisions (streamed = batch §6). Also
+#                 part of tier-1.
+#   test-examples - run every examples/*.py and fail on a non-zero exit.
+#                 Not tier-1 (examples/README.md budgets ~1-2 min each);
+#                 part of test-all.
 #   test-serve  - just the query-serving suite (`serve` marker): endpoint
 #                 contracts vs the batch path, the LRU cache property,
 #                 concurrent-client + live-append semantics, and served
@@ -71,18 +75,19 @@ COV_TESTS = $(OBS_TESTS) $(STORE_TESTS) $(FAULT_TESTS) $(KERNEL_TESTS) \
 COV_FLOOR = 85
 COV_ARGS = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
            --cov=repro.kernels --cov=repro.pipeline.ingest \
+           --cov=repro.pipeline.streaming \
            --cov=repro.serve --cov=repro.dist --cov=repro.netsim.congestion \
            --cov-report=term-missing --cov-fail-under=$(COV_FLOOR)
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
-	test-dist test-netsim test-bench coverage bench bench-smoke bench-dist \
-	bench-cc-matrix
+	test-dist test-netsim test-bench test-examples coverage bench \
+	bench-smoke bench-dist bench-cc-matrix
 
 test:
 	$(PYTEST) -x -q
 
 test-all: coverage test-faults test-kernels test-streaming test-serve \
-		test-dist test-netsim test-bench
+		test-dist test-netsim test-bench test-examples
 	$(PYTEST) -q -m ""
 
 test-faults:
@@ -105,6 +110,12 @@ test-netsim:
 
 test-bench:
 	$(PYTHON) -m pytest bench/tests -q
+
+test-examples:
+	@set -e; for example in examples/*.py; do \
+		echo "== $$example"; \
+		PYTHONPATH=src $(PYTHON) $$example > /dev/null; \
+	done
 
 bench-smoke:
 	$(PYTHON) -m bench all --smoke

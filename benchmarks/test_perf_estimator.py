@@ -4,7 +4,7 @@ The paper stresses that the goodput methodology "is practical and deployed
 in production at Facebook's PoPs worldwide" — i.e. cheap enough to run on
 every sampled transaction at the load balancer. These benchmarks time the
 hot-path primitives (capability test, achievement test, full per-session
-HDratio, streaming aggregation) so regressions in the measurement cost are
+HDratio) so regressions in the measurement cost are
 caught like any other regression.
 """
 
@@ -18,7 +18,6 @@ from repro.core.goodput import (
 )
 from repro.core.hdratio import session_goodput
 from repro.core.records import TransactionRecord
-from repro.stats.streaming import StreamingAggregate
 
 MSS = 1500
 RTT = 0.060
@@ -73,15 +72,3 @@ def test_perf_session_hdratio(benchmark):
     records = _session_records()
     summary = benchmark(session_goodput, records, RTT)
     assert summary.eligible == len(records)
-
-
-def test_perf_streaming_aggregate_add(benchmark):
-    aggregate = StreamingAggregate.empty()
-    counter = iter(range(10**9))
-
-    def add_one():
-        index = next(counter)
-        aggregate.add(40.0 + index % 17, (index % 5) / 4.0, 50_000)
-
-    benchmark(add_one)
-    assert aggregate.session_count > 0

@@ -14,8 +14,8 @@ The subcommands mirror the library's main entry points:
   :mod:`repro.store`) are supported, selected by the path;
 - ``repro ingest`` — stream a trace (or JSONL on stdin via ``-``) through
   watermarked incremental windows: sealed windows append to a ``--out``
-  store and the §5 temporal classifier plus degradation alerts run online
-  (DESIGN.md §11);
+  store and the §5 temporal classifier, degradation alerts and §6 route
+  decisions run online (DESIGN.md §11);
 - ``repro convert`` — convert a trace between JSONL and the columnar
   store;
 - ``repro verify-store`` — scan a columnar store for corruption
@@ -609,9 +609,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     if args.out_store:
         print(f"sealed windows appended to {args.out_store}")
+    candidates = sum(d.is_shift_candidate for d in result.decisions)
     print(
         f"{result.dataset.session_count:,} sessions kept; "
-        f"{len(result.alerts)} degradation alert(s)"
+        f"{len(result.alerts)} degradation alert(s); "
+        f"{candidates} shift candidate(s) in "
+        f"{len(result.decisions)} route decision(s)"
     )
     for alert in result.alerts[:10]:
         print(

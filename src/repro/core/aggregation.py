@@ -14,8 +14,8 @@ Medians (not means) are used to track shifts of the distribution without
 being skewed by second-scale tail RTTs or HDratio's bimodality. The raw
 per-session values are retained inside each aggregation because the
 comparison layer (§3.4) needs them to compute distribution-free confidence
-intervals; a t-digest is maintained alongside as the streaming-production
-analogue (paper footnote 11).
+intervals. (The t-digest construction of the paper's footnote 11 lives in
+:mod:`repro.stats.streaming`; no aggregation holds a digest.)
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.constants import AGGREGATION_WINDOW_SECONDS, MIN_AGGREGATION_SAMPLES
 from repro.core.hdratio import compute_hdratio
 from repro.core.records import RouteInfo, SessionSample, UserGroupKey
-from repro.stats.tdigest import TDigest
 from repro.stats.weighted import percentile
 
 __all__ = ["Aggregation", "AggregationStore", "window_index"]
@@ -55,20 +54,14 @@ class Aggregation:
     traffic_bytes: int = 0
     session_count: int = 0
     route: Optional["RouteInfo"] = None
-    _rtt_digest: Optional[TDigest] = field(default=None, repr=False)
-    _hd_digest: Optional[TDigest] = field(default=None, repr=False)
 
     def add(self, sample: SessionSample, hdratio: Optional[float]) -> None:
         """Add one session sample (HDratio may be None: not testable)."""
         self.min_rtts_ms.append(sample.min_rtt_ms)
         if self.route is None:
             self.route = sample.route
-        if self._rtt_digest is not None:
-            self._rtt_digest.add(sample.min_rtt_ms)
         if hdratio is not None:
             self.hdratios.append(hdratio)
-            if self._hd_digest is not None:
-                self._hd_digest.add(hdratio)
         self.traffic_bytes += sample.bytes_sent
         self.session_count += 1
 
@@ -86,19 +79,6 @@ class Aggregation:
         if not self.hdratios:
             return None
         return percentile(self.hdratios, 50.0)
-
-    def minrtt_p50_streaming(self) -> float:
-        """The t-digest estimate of MinRTT_P50 (production-analytics path)."""
-        if self._rtt_digest is None:
-            raise ValueError("aggregation was built without streaming digests")
-        return self._rtt_digest.median()
-
-    def hdratio_p50_streaming(self) -> Optional[float]:
-        if self._hd_digest is None:
-            raise ValueError("aggregation was built without streaming digests")
-        if self._hd_digest.total_weight == 0:
-            return None
-        return self._hd_digest.median()
 
     # ------------------------------------------------------------------ #
     # Merging (parallel/sharded ingestion)
@@ -125,10 +105,6 @@ class Aggregation:
         self.session_count += other.session_count
         if self.route is None:
             self.route = other.route
-        if self._rtt_digest is not None and other._rtt_digest is not None:
-            self._rtt_digest.merge(other._rtt_digest)
-        if self._hd_digest is not None and other._hd_digest is not None:
-            self._hd_digest.merge(other._hd_digest)
         return self
 
     @property
@@ -161,13 +137,9 @@ class AggregationStore:
     """
 
     def __init__(
-        self,
-        window_seconds: float = AGGREGATION_WINDOW_SECONDS,
-        with_digests: bool = True,
-        metrics=None,
+        self, window_seconds: float = AGGREGATION_WINDOW_SECONDS, metrics=None
     ):
         self.window_seconds = window_seconds
-        self.with_digests = with_digests
         #: Optional :class:`repro.obs.MetricsRegistry`. Only :meth:`add`
         #: counts into it (one count per sample routed), never the merge
         #: path — so sharded rebuilds keep counters plan-invariant.
@@ -213,9 +185,6 @@ class AggregationStore:
         if aggregation is None:
             group, rank, window = key
             aggregation = Aggregation(group=group, route_rank=rank, window=window)
-            if self.with_digests:
-                aggregation._rtt_digest = TDigest()
-                aggregation._hd_digest = TDigest()
             self._install(key, aggregation)
         aggregation.add(sample, hdratio)
         self.mutation_count += 1
@@ -248,11 +217,17 @@ class AggregationStore:
         """Distinct window indices, sorted."""
         return sorted({window for _, _, window in self._store})
 
+    def window_ranks(self, group: UserGroupKey) -> Dict[int, Dict[int, Aggregation]]:
+        """One group's ``window -> {route rank: Aggregation}``, both levels
+        in first-insertion order (empty for an unknown group). This is the
+        store's own index, not a copy: read it, do not write to it."""
+        return self._index.get(group, {})
+
     def group_windows(self, group: UserGroupKey, route_rank: int = 0) -> List[int]:
         """Windows in which ``group`` has samples at ``route_rank``, sorted."""
         return sorted(
             window
-            for window, ranks in self._index.get(group, {}).items()
+            for window, ranks in self.window_ranks(group).items()
             if route_rank in ranks
         )
 
@@ -263,13 +238,13 @@ class AggregationStore:
         # Windows are dict keys, hence distinct: the sort never compares ranks.
         return [
             ranks[route_rank]
-            for _, ranks in sorted(self._index.get(group, {}).items())
+            for _, ranks in sorted(self.window_ranks(group).items())
             if route_rank in ranks
         ]
 
     def route_ranks(self, group: UserGroupKey, window: int) -> List[int]:
         """Route ranks with data for ``group`` in ``window``, sorted."""
-        return sorted(self._index.get(group, {}).get(window, ()))
+        return sorted(self.window_ranks(group).get(window, ()))
 
     def all_aggregations(self) -> List[Aggregation]:
         return list(self._store.values())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.core.aggregation import Aggregation, AggregationStore
 from repro.core.constants import (
@@ -50,7 +50,9 @@ __all__ = [
     "WindowVerdict",
     "compute_baseline",
     "degradation_series",
+    "degradation_verdict",
     "opportunity_series",
+    "opportunity_verdict",
 ]
 
 
@@ -145,6 +147,46 @@ def _one_sample_verdict(
     return WindowVerdict(window, difference, low, high, valid, traffic_bytes)
 
 
+def _check_metric(metric: str) -> None:
+    if metric not in ("minrtt", "hdratio"):
+        raise ValueError("metric must be 'minrtt' or 'hdratio'")
+
+
+def degradation_verdict(
+    aggregation: Aggregation,
+    baseline: GroupBaseline,
+    metric: str,
+) -> Optional[WindowVerdict]:
+    """One preferred-route window judged against ``baseline`` (§5).
+
+    The one statement of the per-window degradation rule:
+    :func:`degradation_series` applies it with a whole-series baseline,
+    the online analyzer with a trailing one. ``None`` when the baseline
+    has no value for ``metric``, or — for HDratio — the window has no
+    testable session; a window failing the validity rules still gets a
+    verdict, flagged invalid, so coverage accounting can see it.
+    """
+    _check_metric(metric)
+    if metric == "minrtt":
+        values, reference = aggregation.min_rtts_ms, baseline.minrtt_p50_ms
+        orientation, max_ci_width = +1.0, MAX_CI_WIDTH_MINRTT_MS
+    else:
+        values, reference = aggregation.hdratios, baseline.hdratio_p50
+        orientation, max_ci_width = -1.0, MAX_CI_WIDTH_HDRATIO
+        if len(values) == 0:
+            return None
+    if reference is None:
+        return None
+    return _one_sample_verdict(
+        aggregation.window,
+        values,
+        reference,
+        orientation,
+        max_ci_width,
+        aggregation.traffic_bytes,
+    )
+
+
 def degradation_series(
     store: AggregationStore,
     group: UserGroupKey,
@@ -152,45 +194,19 @@ def degradation_series(
 ) -> List[WindowVerdict]:
     """Per-window degradation verdicts for one group (§5).
 
-    ``metric`` is ``"minrtt"`` or ``"hdratio"``. Windows with no preferred-
-    route data are skipped; windows failing validity rules are returned but
-    flagged invalid so coverage accounting can still see them.
+    ``metric`` is ``"minrtt"`` or ``"hdratio"``. Every window of the
+    group's preferred route is judged by :func:`degradation_verdict`
+    against the baseline of the whole series.
     """
-    if metric not in ("minrtt", "hdratio"):
-        raise ValueError("metric must be 'minrtt' or 'hdratio'")
+    _check_metric(metric)
     series = store.group_series(group, route_rank=0)
     if not series:
         return []
     baseline = compute_baseline(series)
-    verdicts: List[WindowVerdict] = []
-    for aggregation in series:
-        if metric == "minrtt":
-            if baseline.minrtt_p50_ms is None:
-                continue
-            verdicts.append(
-                _one_sample_verdict(
-                    aggregation.window,
-                    aggregation.min_rtts_ms,
-                    baseline.minrtt_p50_ms,
-                    orientation=+1.0,
-                    max_ci_width=MAX_CI_WIDTH_MINRTT_MS,
-                    traffic_bytes=aggregation.traffic_bytes,
-                )
-            )
-        else:
-            if baseline.hdratio_p50 is None or len(aggregation.hdratios) == 0:
-                continue
-            verdicts.append(
-                _one_sample_verdict(
-                    aggregation.window,
-                    aggregation.hdratios,
-                    baseline.hdratio_p50,
-                    orientation=-1.0,
-                    max_ci_width=MAX_CI_WIDTH_HDRATIO,
-                    traffic_bytes=aggregation.traffic_bytes,
-                )
-            )
-    return verdicts
+    verdicts = (
+        degradation_verdict(aggregation, baseline, metric) for aggregation in series
+    )
+    return [verdict for verdict in verdicts if verdict is not None]
 
 
 def _two_sample_comparison(
@@ -208,20 +224,19 @@ def _two_sample_comparison(
 
 
 def _best_alternate(
-    store: AggregationStore,
-    group: UserGroupKey,
-    window: int,
-    metric: str,
+    ranks: Mapping[int, Aggregation], metric: str
 ) -> Optional[Aggregation]:
-    """The best-performing alternate-route aggregation in a window."""
+    """The best-performing alternate-route aggregation in a window.
+
+    Ranks are tried in ascending order and only a strictly better median
+    displaces the incumbent, so ties go to the more-preferred alternate.
+    """
     best: Optional[Aggregation] = None
     best_value: Optional[float] = None
-    for rank in store.route_ranks(group, window):
+    for rank in sorted(ranks):
         if rank == 0:
             continue
-        candidate = store.get(group, rank, window)
-        if candidate is None:
-            continue
+        candidate = ranks[rank]
         if metric == "minrtt":
             if not candidate.has_min_samples:
                 continue
@@ -237,72 +252,79 @@ def _best_alternate(
     return best
 
 
+def opportunity_verdict(
+    ranks: Mapping[int, Aggregation],
+    metric: str,
+    hd_guard_slack: float = 0.0,
+) -> Optional[WindowVerdict]:
+    """One window's preferred-vs-best-alternate verdict (§6).
+
+    The one statement of the per-window opportunity rule, over one
+    (group, window)'s ``{route rank: Aggregation}``:
+    :func:`opportunity_series` applies it to a stored group, the route
+    monitor to each window as it seals. ``None`` when the window has no
+    preferred-route data or no alternate with enough samples.
+
+    Positive differences mean the best alternate beats the preferred route.
+    For ``metric="minrtt"`` the HDratio guard is applied: the verdict only
+    fires if the alternate's HDratio is statistically equal or better than
+    the preferred route's (within ``hd_guard_slack``). A guard comparison
+    that exists but is not valid (thin or wide) cannot rule out an HD
+    regression, so — the paper prioritizes HDratio — it suppresses the
+    MinRTT opportunity too. A guarded-out verdict is kept, with its
+    ``ci_low`` at −inf so it never fires.
+    """
+    _check_metric(metric)
+    preferred = ranks.get(0)
+    if preferred is None:
+        return None
+    alternate = _best_alternate(ranks, metric)
+    if alternate is None:
+        return None
+    if metric == "hdratio":
+        comparison = _two_sample_comparison(
+            alternate.hdratios, preferred.hdratios, MAX_CI_WIDTH_HDRATIO
+        )
+        ci_low = comparison.ci_low
+    else:
+        comparison = _two_sample_comparison(
+            preferred.min_rtts_ms, alternate.min_rtts_ms, MAX_CI_WIDTH_MINRTT_MS
+        )
+        ci_low = comparison.ci_low
+        # Fewer than 5 HD samples on a side: no CI, no signal to protect.
+        if (
+            comparison.valid
+            and len(alternate.hdratios) >= 5
+            and len(preferred.hdratios) >= 5
+        ):
+            guard = _two_sample_comparison(
+                alternate.hdratios, preferred.hdratios, MAX_CI_WIDTH_HDRATIO
+            )
+            # An invalid guard comparison is never "equal or greater".
+            if not guard.statistically_equal_or_greater(hd_guard_slack):
+                ci_low = -math.inf
+    return WindowVerdict(
+        window=preferred.window,
+        difference=comparison.difference,
+        ci_low=ci_low,
+        ci_high=comparison.ci_high,
+        valid=comparison.valid,
+        traffic_bytes=preferred.traffic_bytes,
+        alternate_rank=alternate.route_rank,
+    )
+
+
 def opportunity_series(
     store: AggregationStore,
     group: UserGroupKey,
     metric: str,
     hd_guard_slack: float = 0.0,
 ) -> List[WindowVerdict]:
-    """Per-window opportunity verdicts for one group (§6).
-
-    Positive differences mean the best alternate beats the preferred route.
-    For ``metric="minrtt"`` the HDratio guard is applied: the verdict is
-    only valid if the alternate's HDratio is statistically equal or better
-    than the preferred route's (within ``hd_guard_slack``); when the guard
-    cannot be evaluated (insufficient HD samples), the paper's
-    prioritization of HDratio means we conservatively treat the window as
-    having no MinRTT opportunity — the verdict is kept but its difference
-    is clamped to the CI so it never fires.
-    """
-    if metric not in ("minrtt", "hdratio"):
-        raise ValueError("metric must be 'minrtt' or 'hdratio'")
-    verdicts: List[WindowVerdict] = []
-    for window in store.group_windows(group, route_rank=0):
-        preferred = store.get(group, 0, window)
-        if preferred is None:
-            continue
-        alternate = _best_alternate(store, group, window, metric)
-        if alternate is None:
-            continue
-        if metric == "minrtt":
-            comparison = _two_sample_comparison(
-                preferred.min_rtts_ms, alternate.min_rtts_ms, MAX_CI_WIDTH_MINRTT_MS
-            )
-            guard_ok = True
-            if comparison.valid:
-                guard = _two_sample_comparison(
-                    alternate.hdratios, preferred.hdratios, MAX_CI_WIDTH_HDRATIO
-                )
-                if guard.valid:
-                    guard_ok = guard.statistically_equal_or_greater(hd_guard_slack)
-                elif len(alternate.hdratios) >= 5 and len(preferred.hdratios) >= 5:
-                    # Not enough signal to rule out an HD regression: be
-                    # conservative and suppress the MinRTT opportunity.
-                    guard_ok = guard.statistically_equal_or_greater(hd_guard_slack)
-            verdicts.append(
-                WindowVerdict(
-                    window=window,
-                    difference=comparison.difference,
-                    ci_low=comparison.ci_low if guard_ok else -math.inf,
-                    ci_high=comparison.ci_high,
-                    valid=comparison.valid,
-                    traffic_bytes=preferred.traffic_bytes,
-                    alternate_rank=alternate.route_rank,
-                )
-            )
-        else:
-            comparison = _two_sample_comparison(
-                alternate.hdratios, preferred.hdratios, MAX_CI_WIDTH_HDRATIO
-            )
-            verdicts.append(
-                WindowVerdict(
-                    window=window,
-                    difference=comparison.difference,
-                    ci_low=comparison.ci_low,
-                    ci_high=comparison.ci_high,
-                    valid=comparison.valid,
-                    traffic_bytes=preferred.traffic_bytes,
-                    alternate_rank=alternate.route_rank,
-                )
-            )
-    return verdicts
+    """Per-window opportunity verdicts for one group (§6): each of the
+    group's windows, in order, through :func:`opportunity_verdict`."""
+    _check_metric(metric)
+    verdicts = (
+        opportunity_verdict(ranks, metric, hd_guard_slack)
+        for _, ranks in sorted(store.window_ranks(group).items())
+    )
+    return [verdict for verdict in verdicts if verdict is not None]

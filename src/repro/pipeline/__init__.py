@@ -6,6 +6,8 @@
 - :mod:`repro.pipeline.dataset` — single-pass study dataset;
 - :mod:`repro.pipeline.ingest` — always-on streaming ingest: watermarked
   incremental windows sealed into the store, analyzed online;
+- :mod:`repro.pipeline.streaming` — the seal-time §6 route monitor, a sink
+  of the ingestor;
 - :mod:`repro.pipeline.experiments` — Figures 1–7 and the naive-goodput
   ablation;
 - :mod:`repro.pipeline.routing_analysis` — Figures 8–10, Tables 1–2;

@@ -73,7 +73,7 @@ class StudyDataset:
         #: the parallel merge cannot double-count.
         self.metrics = MetricsRegistry()
         self.store = AggregationStore(
-            window_seconds=window_seconds, with_digests=False, metrics=self.metrics
+            window_seconds=window_seconds, metrics=self.metrics
         )
         self.filter_stats = FilterStats()
         #: Per-shard execution report filled by the parallel pipeline

@@ -13,15 +13,13 @@ per window, and **sealed** by an event-time watermark:
   sealed too, so the sealed-window record is gapless and monotone.
 - A sample whose window already sealed is **late beyond the lateness
   bound**: it is counted (``stream.late_samples``), routed to the
-  :class:`LateSampleLedger`, and never touches sealed state — the
-  generalization of the :class:`~repro.pipeline.streaming.StreamingRouteMonitor`
-  late-sample fix to the whole analysis pipeline.
+  :class:`LateSampleLedger`, and never touches sealed state.
 - At seal, the window's samples are sorted into **canonical order**
   ``(end_time, session_id)`` before ingestion. Window membership depends
   only on ``end_time``, so any arrival order that respects the lateness
   bound yields byte-identical output — the replay-equivalence invariant.
 
-Sealed windows feed three sinks, in canonical order:
+Sealed windows feed four sinks, in canonical order:
 
 1. the :class:`~repro.pipeline.dataset.StudyDataset` (rows, aggregations,
    filter accounting — each window folds through the column kernels
@@ -31,14 +29,19 @@ Sealed windows feed three sinks, in canonical order:
    batch re-scan of the store reproduces the exact filtering decisions;
 3. the :class:`OnlineTemporalAnalyzer` — §5 degradation verdicts against a
    trailing baseline and the uneventful/diurnal/episodic classifier,
-   re-evaluated incrementally as each window seals.
+   re-evaluated incrementally as each window seals;
+4. the :class:`~repro.pipeline.streaming.StreamingRouteMonitor` — one §6
+   route decision per group with preferred-route traffic in the window.
+
+This module is the only windowing implementation: both analysis sinks are
+handed the aggregations a seal installed and keep no window state.
 
 A seal **stages, appends, installs**: the window is folded into a fresh
 :class:`~repro.kernels.engine.BatchIngestor` (no shared state touched),
 then appended to the store, and only then popped, counted, installed into
-the dataset and handed to the analyzer. A fold that refuses a sample or an
-append that fails therefore leaves the window pending, nothing counted and
-nothing appended — never a phantom empty window.
+the dataset and handed to the analyzer and the monitor. A fold that refuses
+a sample or an append that fails therefore leaves the window pending,
+nothing counted and nothing appended — never a phantom empty window.
 
 **Standing invariant** (enforced by ``tests/test_pipeline_ingest.py``):
 replaying the sealed output store batch-style produces a byte-identical
@@ -62,17 +65,20 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.aggregation import Aggregation, window_index
 from repro.core.classification import GroupClassification, classify_group
-from repro.core.comparison import WindowVerdict, _one_sample_verdict, compute_baseline
+from repro.core.comparison import (
+    WindowVerdict,
+    compute_baseline,
+    degradation_verdict,
+)
 from repro.core.constants import (
     AGGREGATION_WINDOW_SECONDS,
     DEFAULT_HDRATIO_THRESHOLD,
     DEFAULT_MINRTT_THRESHOLD_MS,
-    MAX_CI_WIDTH_HDRATIO,
-    MAX_CI_WIDTH_MINRTT_MS,
 )
 from repro.core.records import SessionSample, UserGroupKey
 from repro.obs import MetricsRegistry
 from repro.pipeline.dataset import StudyDataset
+from repro.pipeline.streaming import RouteDecision, StreamingRouteMonitor
 from repro.store import DEFAULT_BAND_WINDOWS, StoreAppender
 
 __all__ = [
@@ -205,43 +211,20 @@ class OnlineTemporalAnalyzer:
 
     def _judge(self, group, window, aggregation, baseline):
         raised = []
-        if baseline.minrtt_p50_ms is not None:
-            verdict = _one_sample_verdict(
-                window,
-                aggregation.min_rtts_ms,
-                baseline.minrtt_p50_ms,
-                orientation=+1.0,
-                max_ci_width=MAX_CI_WIDTH_MINRTT_MS,
-                traffic_bytes=aggregation.traffic_bytes,
-            )
-            self._verdicts.setdefault((group, "minrtt"), []).append(verdict)
-            if verdict.event_at(self.minrtt_threshold_ms):
+        for metric, threshold in (
+            ("minrtt", self.minrtt_threshold_ms),
+            ("hdratio", self.hdratio_threshold),
+        ):
+            verdict = degradation_verdict(aggregation, baseline, metric)
+            if verdict is None:
+                continue
+            self._verdicts.setdefault((group, metric), []).append(verdict)
+            if verdict.event_at(threshold):
                 raised.append(
                     DegradationAlert(
                         group=group,
                         window=window,
-                        metric="minrtt",
-                        difference=verdict.difference,
-                        ci_low=verdict.ci_low,
-                        traffic_bytes=verdict.traffic_bytes,
-                    )
-                )
-        if baseline.hdratio_p50 is not None and len(aggregation.hdratios):
-            verdict = _one_sample_verdict(
-                window,
-                aggregation.hdratios,
-                baseline.hdratio_p50,
-                orientation=-1.0,
-                max_ci_width=MAX_CI_WIDTH_HDRATIO,
-                traffic_bytes=aggregation.traffic_bytes,
-            )
-            self._verdicts.setdefault((group, "hdratio"), []).append(verdict)
-            if verdict.event_at(self.hdratio_threshold):
-                raised.append(
-                    DegradationAlert(
-                        group=group,
-                        window=window,
-                        metric="hdratio",
+                        metric=metric,
                         difference=verdict.difference,
                         ci_low=verdict.ci_low,
                         traffic_bytes=verdict.traffic_bytes,
@@ -277,6 +260,7 @@ class IngestResult:
 
     dataset: StudyDataset
     alerts: List[DegradationAlert]
+    decisions: List[RouteDecision]
     classifications: Dict[UserGroupKey, GroupClassification]
     late: LateSampleLedger
     windows_sealed: int
@@ -345,6 +329,8 @@ class StreamingIngestor:
         )
         if self.analyzer.metrics is None:
             self.analyzer.metrics = self.metrics
+        #: §6 at the paper's default thresholds; always on, like the analyzer.
+        self.monitor = StreamingRouteMonitor()
         self.late = LateSampleLedger(max_retained=max_retained_late)
         self._pending: Dict[int, List[SessionSample]] = {}
         #: The one append session on ``out_store``. It touches nothing until
@@ -443,6 +429,7 @@ class StreamingIngestor:
         return IngestResult(
             dataset=self.dataset,
             alerts=self.analyzer.alerts,
+            decisions=self.monitor.decisions,
             classifications=self.analyzer.classifications(),
             late=self.late,
             windows_sealed=self._windows_sealed,
@@ -507,12 +494,14 @@ class StreamingIngestor:
         else:
             self._windows_empty += 1
             self.metrics.inc("stream.windows.empty")
-        installed = fold_into_dataset(self.dataset, staged)
+        # group -> rank -> aggregation, in the fold's install order.
+        by_group: Dict[UserGroupKey, Dict[int, Aggregation]] = {}
+        for _, (group, rank, _), aggregation in fold_into_dataset(
+            self.dataset, staged
+        ):
+            by_group.setdefault(group, {})[rank] = aggregation
         self.analyzer.on_window_sealed(
             window,
-            {
-                group: aggregation
-                for _, (group, rank, _), aggregation in installed
-                if rank == 0
-            },
+            {group: ranks[0] for group, ranks in by_group.items() if 0 in ranks},
         )
+        self.monitor.on_window_sealed(window, by_group)

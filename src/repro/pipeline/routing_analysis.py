@@ -23,16 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.aggregation import Aggregation, AggregationStore
-from repro.core.classification import (
-    GroupClassification,
-    TemporalClass,
-    classify_group,
-)
-from repro.core.comparison import (
-    WindowVerdict,
-    degradation_series,
-    opportunity_series,
-)
+from repro.core.classification import TemporalClass, classify_group
+from repro.core.comparison import WindowVerdict
 from repro.core.constants import (
     MAX_CI_WIDTH_HDRATIO,
     MAX_CI_WIDTH_MINRTT_MS,

@@ -1,43 +1,41 @@
-"""Real-time route monitoring over the sample stream.
+"""Seal-time route decisions: §6 applied to each window as it seals.
 
-A bounded-memory, single-pass monitor of the kind the paper's footnote 11
-sketches for production traffic engineering: per (user group, route rank)
-state for the *current* window only, kept as t-digests, emitting a
-:class:`RouteDecision` per group when a window closes. This is the
-near-real-time counterpart of the batch analysis in
-:mod:`repro.pipeline.routing_analysis` — same statistics, O(groups) memory,
-no sample retention.
+:class:`StreamingRouteMonitor` is a sink of
+:class:`repro.pipeline.ingest.StreamingIngestor`, beside the online
+temporal analyzer. It does no windowing of its own — lateness, ordering
+and gaps are the ingestor's — and no statistics of its own either: each
+decision is :func:`repro.core.comparison.opportunity_verdict` over the raw
+samples the sealed aggregations hold, so the decisions of a stream equal
+the batch §6 analysis of the store that stream sealed, exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Mapping, Optional
 
-from repro.core.aggregation import window_index
+from repro.core.aggregation import Aggregation
+from repro.core.comparison import WindowVerdict, opportunity_verdict
 from repro.core.constants import (
-    AGGREGATION_WINDOW_SECONDS,
     DEFAULT_HDRATIO_THRESHOLD,
     DEFAULT_MINRTT_THRESHOLD_MS,
-    MAX_CI_WIDTH_HDRATIO,
-    MAX_CI_WIDTH_MINRTT_MS,
 )
-from repro.core.hdratio import compute_hdratio
-from repro.core.records import SessionSample, UserGroupKey
-from repro.stats.streaming import StreamingAggregate, streaming_compare
+from repro.core.records import UserGroupKey
 
 __all__ = ["RouteDecision", "StreamingRouteMonitor"]
 
 
 @dataclass(frozen=True)
 class RouteDecision:
-    """What the monitor concluded for one group at window close.
+    """What the monitor concluded for one group when a window sealed.
 
     ``action`` is ``"hold"`` (preferred route fine, or not enough signal)
-    or ``"consider_alternate"`` (a CI-confirmed, HD-guarded win exists on
-    ``alternate_rank``). Decisions are advisory: acting on them safely is
-    the job of :class:`repro.edge.detour.GradualController`.
+    or ``"consider_alternate"`` (a CI-confirmed win exists on
+    ``alternate_rank``). The winning metric's improvement is its verdict's
+    ``difference``; the other metric's is reported when its own comparison
+    is valid and names the same alternate, else 0. Decisions are advisory:
+    acting on them safely is the job of
+    :class:`repro.edge.detour.GradualController`.
     """
 
     group: UserGroupKey
@@ -53,182 +51,79 @@ class RouteDecision:
         return self.action == "consider_alternate"
 
 
+def _gain(verdict: Optional[WindowVerdict], winner: WindowVerdict) -> float:
+    """``verdict.difference`` when it is a valid comparison against the
+    winning alternate (the winner itself always is), else 0."""
+    if (
+        verdict is None
+        or not verdict.valid
+        or verdict.alternate_rank != winner.alternate_rank
+    ):
+        return 0.0
+    return verdict.difference
+
+
 class StreamingRouteMonitor:
-    """Single-pass monitor: feed samples, collect per-window decisions.
+    """One :class:`RouteDecision` per (group, sealed window) with
+    preferred-route traffic, accumulated on :attr:`decisions`.
 
-    Samples must arrive roughly in event-time order: the monitor keeps
-    state for the *current* window only, so a sample whose window already
-    closed cannot be aggregated any more. Such **late** samples are
-    excluded from window state (folding them into the current window would
-    corrupt its t-digests), counted on :attr:`late_samples`, and — when a
-    ``metrics`` registry is supplied — under the ``stream.late_samples``
-    counter. Pipelines that must *keep* late samples buffer them upstream
-    with a watermark instead (:class:`repro.pipeline.ingest.StreamingIngestor`,
-    which feeds this monitor only sealed, in-order windows).
-
-    :attr:`closed_windows` records every window the monitor closed, in
-    order, **including empty ones** skipped when a sample jumps more than
-    one window forward — so the record is gapless and monotone, and the
-    windows appearing in :attr:`decisions` are a subset of it in the same
-    order.
+    The paper's two-metric rule: an HDratio opportunity stands alone;
+    failing that, a MinRTT opportunity (which carries the HDratio guard);
+    failing that, hold.
     """
 
     def __init__(
         self,
-        window_seconds: float = AGGREGATION_WINDOW_SECONDS,
         minrtt_threshold_ms: float = DEFAULT_MINRTT_THRESHOLD_MS,
         hdratio_threshold: float = DEFAULT_HDRATIO_THRESHOLD,
-        compression: float = 100.0,
-        metrics=None,
     ) -> None:
-        self.window_seconds = window_seconds
         self.minrtt_threshold_ms = minrtt_threshold_ms
         self.hdratio_threshold = hdratio_threshold
-        self.compression = compression
-        #: Optional :class:`repro.obs.MetricsRegistry` receiving the
-        #: ``stream.late_samples`` execution counter.
-        self.metrics = metrics
-        self._current_window: Optional[int] = None
-        #: Current-window state, ``group -> rank -> aggregate`` in first-seen
-        #: order — the order a window's decisions come out in.
-        self._state: Dict[UserGroupKey, Dict[int, StreamingAggregate]] = {}
-        self._finished = False
         self.decisions: List[RouteDecision] = []
-        #: Late samples seen (window earlier than the current one); they
-        #: are counted, never aggregated.
-        self.late_samples = 0
-        #: Every window closed so far, gapless and monotone (empty skipped
-        #: windows included).
-        self.closed_windows: List[int] = []
 
-    # ------------------------------------------------------------------ #
-    def observe(self, sample: SessionSample) -> bool:
-        """Feed one sample; returns False when it was late (and dropped).
+    def on_window_sealed(
+        self,
+        window: int,
+        aggregations: Mapping[UserGroupKey, Mapping[int, Aggregation]],
+    ) -> List[RouteDecision]:
+        """Decide for every group of one sealed window.
 
-        Samples must arrive roughly in time order; a sample whose window
-        precedes the current one arrived after its window closed and is
-        excluded from aggregation (see the class docstring).
+        ``aggregations`` maps each group to its ``{route rank: Aggregation}``
+        for this window. Decisions come out in the mapping's order — from
+        the ingestor, the seal's canonical install order — and are returned
+        (and accumulated on :attr:`decisions`).
         """
-        if self._finished:
-            raise ValueError("monitor is finished; create a new one")
-        if sample.route is None:
-            raise ValueError("sample is missing its route annotation")
-        window = window_index(sample.end_time, self.window_seconds)
-        if self._current_window is None:
-            self._current_window = window
-        elif window > self._current_window:
-            self._close_window()
-            # A jump of more than one window closes the skipped, empty
-            # windows too, keeping closed_windows gapless and monotone.
-            for skipped in range(self._current_window + 1, window):
-                self.closed_windows.append(skipped)
-            self._current_window = window
-        elif window < self._current_window:
-            self.late_samples += 1
-            if self.metrics is not None:
-                self.metrics.inc("stream.late_samples")
-            return False
-        group = UserGroupKey(
-            pop=sample.pop,
-            prefix=sample.route.prefix,
-            country=sample.client_country,
-        )
-        ranks = self._state.setdefault(group, {})
-        aggregate = ranks.get(sample.route.preference_rank)
-        if aggregate is None:
-            aggregate = StreamingAggregate.empty(self.compression)
-            ranks[sample.route.preference_rank] = aggregate
-        aggregate.add(
-            sample.min_rtt_ms, compute_hdratio(sample), sample.bytes_sent
-        )
-
-    def observe_all(self, samples: Iterable[SessionSample]) -> None:
-        for sample in samples:
-            self.observe(sample)
-
-    def finish(self) -> List[RouteDecision]:
-        """Close the trailing window and return every decision made.
-
-        Idempotent: calling it again returns the same decision list
-        without re-closing state or duplicating decisions.
-        """
-        if self._finished:
-            return self.decisions
-        if self._current_window is not None:
-            self._close_window()
-        self._current_window = None
-        self._finished = True
-        return self.decisions
-
-    # ------------------------------------------------------------------ #
-    def _close_window(self) -> None:
-        if self._current_window is None:
-            # State without a window has no honest label; the old fallback
-            # (window 0) silently mislabeled every decision it produced.
-            if self._state:
-                raise RuntimeError(
-                    "cannot close window state without a current window"
-                )
-            return
-        window = self._current_window
-        self.closed_windows.append(window)
-        for group in self._state:
-            decision = self._decide(group, window)
-            if decision is not None:
-                self.decisions.append(decision)
-        self._state.clear()
-
-    def _decide(self, group: UserGroupKey, window: int) -> Optional[RouteDecision]:
-        ranks = self._state[group]
-        preferred = ranks.get(0)
-        if preferred is None:
-            return None
-        alternates = [
-            (rank, aggregate) for rank, aggregate in ranks.items() if rank > 0
-        ]
-        best: Optional[Tuple[int, float, float]] = None  # rank, rtt gain, hd gain
-        for rank, aggregate in alternates:
-            rtt_cmp = streaming_compare(
-                preferred.rtt_digest,
-                aggregate.rtt_digest,
-                max_ci_width=MAX_CI_WIDTH_MINRTT_MS,
-            )
-            hd_cmp = streaming_compare(
-                aggregate.hd_digest,
-                preferred.hd_digest,
-                max_ci_width=MAX_CI_WIDTH_HDRATIO,
-            )
-            hd_gain = hd_cmp.difference if hd_cmp.valid else 0.0
-            # HDratio win stands alone; a MinRTT win needs the HD guard.
-            if hd_cmp.valid and hd_cmp.exceeds(self.hdratio_threshold):
-                candidate = (rank, max(rtt_cmp.difference, 0.0), hd_gain)
-            elif (
-                rtt_cmp.valid
-                and rtt_cmp.exceeds(self.minrtt_threshold_ms)
-                and (not hd_cmp.valid or hd_cmp.statistically_equal_or_greater())
-            ):
-                candidate = (rank, rtt_cmp.difference, max(hd_gain, 0.0))
-            else:
+        made: List[RouteDecision] = []
+        for group, ranks in aggregations.items():
+            preferred = ranks.get(0)
+            if preferred is None:
                 continue
-            if best is None or candidate[1] + candidate[2] * 100 > (
-                best[1] + best[2] * 100
-            ):
-                best = candidate
-
-        if best is None:
-            return RouteDecision(
-                group=group,
-                window=window,
-                action="hold",
-                preferred_sessions=preferred.session_count,
+            hd = opportunity_verdict(ranks, "hdratio")
+            rtt = opportunity_verdict(ranks, "minrtt")
+            if hd is not None and hd.event_at(self.hdratio_threshold):
+                winner = hd
+            elif rtt is not None and rtt.event_at(self.minrtt_threshold_ms):
+                winner = rtt
+            else:
+                made.append(
+                    RouteDecision(
+                        group=group,
+                        window=window,
+                        action="hold",
+                        preferred_sessions=preferred.session_count,
+                    )
+                )
+                continue
+            made.append(
+                RouteDecision(
+                    group=group,
+                    window=window,
+                    action="consider_alternate",
+                    alternate_rank=winner.alternate_rank,
+                    minrtt_improvement_ms=_gain(rtt, winner),
+                    hdratio_improvement=_gain(hd, winner),
+                    preferred_sessions=preferred.session_count,
+                )
             )
-        rank, rtt_gain, hd_gain = best
-        return RouteDecision(
-            group=group,
-            window=window,
-            action="consider_alternate",
-            alternate_rank=rank,
-            minrtt_improvement_ms=rtt_gain if not math.isnan(rtt_gain) else 0.0,
-            hdratio_improvement=hd_gain,
-            preferred_sessions=preferred.session_count,
-        )
+        self.decisions.extend(made)
+        return made

@@ -3,9 +3,10 @@
 The paper's methodology (§3.3–3.4) relies on three statistical tools, all of
 which are implemented here from scratch:
 
-- :mod:`repro.stats.tdigest` — a merging t-digest (Dunning & Ertl) used for
-  streaming percentile estimation inside aggregations (footnote 11 of the
-  paper notes t-digests are how this runs in production analytics).
+- :mod:`repro.stats.tdigest` — a merging t-digest (Dunning & Ertl) for
+  streaming percentile estimation (footnote 11 of the paper notes t-digests
+  are how this runs in production analytics); here it backs the
+  :mod:`repro.obs` timers and :mod:`repro.stats.streaming`.
 - :mod:`repro.stats.median_ci` — distribution-free confidence intervals for a
   median and for the *difference* of two medians (McKean–Schrader standard
   errors combined in the Price & Bonett style), used to gate every
@@ -29,7 +30,6 @@ from repro.stats.median_ci import (
     median_standard_error,
 )
 from repro.stats.streaming import (
-    StreamingAggregate,
     streaming_compare,
     streaming_median_se,
 )
@@ -43,7 +43,6 @@ from repro.stats.weighted import (
 
 __all__ = [
     "MedianComparison",
-    "StreamingAggregate",
     "TDigest",
     "bootstrap_median_ci",
     "bootstrap_median_difference_ci",

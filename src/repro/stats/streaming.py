@@ -15,16 +15,15 @@ the quantile at ``k / n``. So the streaming construction is:
 4. combine two SEs for the difference CI.
 
 :func:`streaming_compare` mirrors
-:func:`repro.stats.median_ci.compare_medians` but over digests, and
-:class:`StreamingAggregate` is the bounded-memory per-aggregation state a
-real-time pipeline would keep instead of raw sample lists.
+:func:`repro.stats.median_ci.compare_medians` but over digests. Nothing in
+the pipeline calls either function: sealed windows keep their raw samples,
+so every §5–§6 verdict uses the exact estimator, and these two are held to
+it by ``tests/test_property_invariants.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from repro.stats.median_ci import (
     MIN_SAMPLES_FOR_COMPARISON,
@@ -33,7 +32,7 @@ from repro.stats.median_ci import (
 )
 from repro.stats.tdigest import TDigest
 
-__all__ = ["StreamingAggregate", "streaming_median_se", "streaming_compare"]
+__all__ = ["streaming_median_se", "streaming_compare"]
 
 
 def streaming_median_se(digest: TDigest, confidence: float = 0.95) -> float:
@@ -69,55 +68,3 @@ def streaming_compare(
         n_a >= min_samples and n_b >= min_samples and (high - low) <= max_ci_width
     )
     return MedianComparison(difference, low, high, valid, n_a, n_b)
-
-
-@dataclass
-class StreamingAggregate:
-    """Bounded-memory aggregation state for one (group, route, window).
-
-    Holds two digests (MinRTT in milliseconds, HDratio) plus the traffic
-    counter — everything the §§5–6 comparisons need, at O(compression)
-    memory instead of O(samples).
-    """
-
-    rtt_digest: TDigest
-    hd_digest: TDigest
-    traffic_bytes: int = 0
-    session_count: int = 0
-
-    @classmethod
-    def empty(cls, compression: float = 100.0) -> "StreamingAggregate":
-        return cls(
-            rtt_digest=TDigest(compression=compression),
-            hd_digest=TDigest(compression=compression),
-        )
-
-    def add(
-        self, min_rtt_ms: float, hdratio: Optional[float], bytes_sent: int
-    ) -> None:
-        self.rtt_digest.add(min_rtt_ms)
-        if hdratio is not None:
-            self.hd_digest.add(hdratio)
-        self.traffic_bytes += bytes_sent
-        self.session_count += 1
-
-    def merge(self, other: "StreamingAggregate") -> "StreamingAggregate":
-        """Combine state from another collector (e.g. another LB process)."""
-        self.rtt_digest.merge(other.rtt_digest)
-        if other.hd_digest.total_weight > 0:
-            self.hd_digest.merge(other.hd_digest)
-        self.traffic_bytes += other.traffic_bytes
-        self.session_count += other.session_count
-        return self
-
-    @property
-    def minrtt_p50(self) -> Optional[float]:
-        if self.rtt_digest.total_weight == 0:
-            return None
-        return self.rtt_digest.median()
-
-    @property
-    def hdratio_p50(self) -> Optional[float]:
-        if self.hd_digest.total_weight == 0:
-            return None
-        return self.hd_digest.median()

@@ -199,6 +199,19 @@ def make_trace_samples(
     return samples
 
 
+def jittered_order(samples, lateness: float, seed: int):
+    """An arrival order guaranteed to respect the lateness bound.
+
+    Sorting by ``end_time + jitter`` with ``jitter ∈ [0, lateness)`` keeps
+    every earlier-keyed sample's end_time within ``lateness`` of any later
+    one, so no admitted sample can find its window already sealed.
+    """
+    rng = random.Random(seed)
+    return sorted(
+        samples, key=lambda s: s.end_time + rng.uniform(0.0, lateness * 0.99)
+    )
+
+
 def fill_window(
     store: AggregationStore,
     window: int,

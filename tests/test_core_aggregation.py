@@ -81,13 +81,6 @@ class TestAggregationStore:
         store.add(make_sample(10.0, 40.0), hdratio=None)
         assert store.get(DEFAULT_GROUP, 0, 0).hdratio_p50 is None
 
-    def test_streaming_p50_tracks_exact(self):
-        store = AggregationStore()
-        fill_window(store, window=0, rtt_ms=40.0, hdratio=0.9, count=200)
-        agg = store.get(DEFAULT_GROUP, 0, 0)
-        assert agg.minrtt_p50_streaming() == pytest.approx(agg.minrtt_p50, abs=0.5)
-        assert agg.hdratio_p50_streaming() == pytest.approx(agg.hdratio_p50, abs=0.02)
-
     def test_group_series_ordering(self):
         store = AggregationStore()
         for window in (3, 1, 2):
@@ -162,14 +155,13 @@ class TestAggregationMerge:
         assert merged.traffic_bytes == 600
         assert merged.route == route_a
 
-    def test_merge_combines_streaming_digests(self):
+    def test_merge_median_spans_both_sides(self):
         first = AggregationStore()
         second = AggregationStore()
         for i in range(40):
             first.add(make_sample(10.0 + i * 0.1, 30.0), hdratio=0.5)
             second.add(make_sample(14.0 + i * 0.1, 50.0), hdratio=0.5)
         merged = first.get(DEFAULT_GROUP, 0, 0).merge(second.get(DEFAULT_GROUP, 0, 0))
-        assert 30.0 < merged.minrtt_p50_streaming() < 50.0
         assert merged.minrtt_p50 == pytest.approx(40.0)
 
 
@@ -275,7 +267,7 @@ def _apply(store, operation):
         # Lands on a new key or merges into an existing one, as drawn.
         store.put(argument, _piece_for(argument))
         return 1
-    other = AggregationStore(with_digests=False)
+    other = AggregationStore()
     for key in argument:
         other.add(_sample_for(key), hdratio=0.5)
     store.merge_store(other)
@@ -290,7 +282,7 @@ def test_indexed_lookups_equal_the_scan_over_items(operations):
     replaced live on here as the oracle, evaluated over ``items()`` —
     values, objects and order all have to match, for present and absent
     groups, ranks and windows alike."""
-    store = AggregationStore(with_digests=False)
+    store = AggregationStore()
     calls = sum(_apply(store, operation) for operation in operations)
     assert store.mutation_count == calls
     items = store.items()

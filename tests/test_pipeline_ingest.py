@@ -41,6 +41,7 @@ from tests.helpers import (
     DEFAULT_GROUP,
     assert_same_analysis_state,
     data_counters,
+    jittered_order,
     make_route,
     make_sample,
     make_trace_samples,
@@ -57,19 +58,6 @@ def in_window(window: int, offset: float, rtt_ms: float = 40.0, rank: int = 0):
         end_time=window * WINDOW + offset,
         min_rtt_ms=rtt_ms,
         route=make_route(rank=rank),
-    )
-
-
-def jittered_order(samples, lateness: float, seed: int):
-    """An arrival order guaranteed to respect the lateness bound.
-
-    Sorting by ``end_time + jitter`` with ``jitter ∈ [0, lateness)`` keeps
-    every earlier-keyed sample's end_time within ``lateness`` of any later
-    one, so no admitted sample can find its window already sealed.
-    """
-    rng = random.Random(seed)
-    return sorted(
-        samples, key=lambda s: s.end_time + rng.uniform(0.0, lateness * 0.99)
     )
 
 
@@ -162,6 +150,7 @@ class TestWatermarkSealing:
         second = ingestor.finish()
         assert second.windows_sealed == first.windows_sealed == 3
         assert second.dataset is first.dataset
+        assert second.decisions is first.decisions and len(first.decisions) == 3
         assert second.samples_sealed == first.samples_sealed
         with pytest.raises(ValueError, match="finished"):
             ingestor.offer(in_window(9, 1.0))
@@ -592,6 +581,7 @@ class TestShuffleProperty:
         result = ingestor.finish()
 
         assert result.late.count == 0
+        assert result.decisions == expected.decisions
         assert_same_analysis_state(result.dataset, expected.dataset)
         assert data_counters(result.dataset) == data_counters(expected.dataset)
 

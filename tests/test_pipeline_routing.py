@@ -235,7 +235,7 @@ class _WalkCountingDict(dict):
 def _whole_store_walks(groups: int) -> int:
     """Whole-store iterations made by every §5–§6 driver over ``groups``
     user groups (3 windows, a preferred and a transit alternate each)."""
-    store = AggregationStore(with_digests=False)
+    store = AggregationStore()
     for index in range(groups):
         group = UserGroupKey(
             pop="ams1", prefix=f"10.{index // 256}.{index % 256}.0/24", country="NL"

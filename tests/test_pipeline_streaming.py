@@ -1,7 +1,19 @@
-"""Tests for the single-pass streaming route monitor."""
+"""Seal-time route decisions: the monitor as a sink of the ingestor.
 
+:class:`StreamingRouteMonitor` keeps no windows and no statistics of its
+own, so what is under test is (1) the two-metric decision rule over sealed
+aggregations, (2) that lateness and ordering are the ingestor's — on-time
+but out-of-order samples count, samples beyond the bound are ledgered —
+and (3) the invariant that replaces the old "both found something"
+cross-check: **streamed decisions equal the batch §6 analysis of the
+sealed store, exactly**, for any arrival order within the lateness bound
+and under any ``PYTHONHASHSEED``.
+"""
+
+import ast
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,147 +22,153 @@ import sys
 import pytest
 
 from repro.core.aggregation import window_index
-from repro.core.constants import AGGREGATION_WINDOW_SECONDS
-from repro.core.records import UserGroupKey
-from repro.pipeline.streaming import StreamingRouteMonitor
+from repro.core.comparison import opportunity_series
+from repro.core.constants import (
+    AGGREGATION_WINDOW_SECONDS,
+    DEFAULT_HDRATIO_THRESHOLD,
+    DEFAULT_MINRTT_THRESHOLD_MS,
+)
+from repro.core.records import TransactionRecord, UserGroupKey
+from repro.pipeline import StreamingIngestor, build_dataset
+from repro.pipeline.streaming import RouteDecision, StreamingRouteMonitor
+from repro.stats.median_ci import compare_medians
 
-from tests.helpers import DEFAULT_GROUP, make_route, make_sample, make_trace_samples
+from tests.helpers import (
+    DEFAULT_GROUP,
+    jittered_order,
+    make_route,
+    make_sample,
+    make_trace_samples,
+)
 
 pytestmark = pytest.mark.streaming
 
+LATENESS = 2 * AGGREGATION_WINDOW_SECONDS
 
-def feed_capable_window(monitor, window, rtt_ms, hdratio, rank=0, count=40):
-    """Feed a window of sessions whose transactions are HD-capable.
 
-    ``hdratio`` sets the per-session achieved fraction: 1.0 means every
-    transaction achieves HD, 0.0 means none does.
+def window_samples(
+    window, rtt_ms, rank=0, count=40, hdratio=None, prefix=DEFAULT_GROUP.prefix
+):
+    """One route's sessions in one window, spread evenly across it.
+
+    ``hdratio=None`` gives transaction-less sessions (nothing can test HD);
+    a number gives every session one clean, testable transaction and makes
+    that fraction of the sessions achieve HD goodput.
     """
-    from repro.core.records import TransactionRecord
-
     base = window * AGGREGATION_WINDOW_SECONDS
-    route = make_route(rank=rank)
+    route = make_route(prefix=prefix, rank=rank)
+    samples = []
     for index in range(count):
         end = base + (index + 0.5) * AGGREGATION_WINDOW_SECONDS / (count + 1)
         sample = make_sample(
             end_time=end, min_rtt_ms=rtt_ms + (index % 5) * 0.2, route=route
         )
-        rtt = sample.min_rtt_seconds
-        achieved = index / max(count - 1, 1) < hdratio
-        # One clean, testable transaction: cwnd covers the response (so the
-        # goodput test can run) and the pacing encodes achieved/not.
-        response = 80_000
-        transfer = 2.0 * rtt if achieved else 8.0 * rtt
-        sample.transactions = [
-            TransactionRecord(
-                first_byte_time=end - 1.0,
-                ack_time=end - 1.0 + transfer,
-                response_bytes=response,
-                last_packet_bytes=1500,
-                cwnd_bytes_at_first_byte=response * 2,
-                bytes_in_flight_at_start=0,
-            )
-        ]
-        monitor.observe(sample)
+        if hdratio is not None:
+            rtt = sample.min_rtt_seconds
+            achieved = index / max(count - 1, 1) < hdratio
+            # cwnd covers the response (so the goodput test can run) and the
+            # pacing encodes achieved/not.
+            response = 80_000
+            transfer = 2.0 * rtt if achieved else 8.0 * rtt
+            sample.transactions = [
+                TransactionRecord(
+                    first_byte_time=end - 1.0,
+                    ack_time=end - 1.0 + transfer,
+                    response_bytes=response,
+                    last_packet_bytes=1500,
+                    cwnd_bytes_at_first_byte=response * 2,
+                    bytes_in_flight_at_start=0,
+                )
+            ]
+        samples.append(sample)
+    return samples
 
 
-def feed_window(monitor, window, rtt_ms, rank=0, count=40, hd_good=True):
-    base = window * AGGREGATION_WINDOW_SECONDS
-    route = make_route(rank=rank)
-    for index in range(count):
-        end = base + (index + 0.5) * AGGREGATION_WINDOW_SECONDS / (count + 1)
-        sample = make_sample(
-            end_time=end, min_rtt_ms=rtt_ms + (index % 5) * 0.2, route=route
-        )
-        monitor.observe(sample)
+def ingest(*streams, **ingestor_kwargs):
+    """Offer the streams one after another; the finished run's result."""
+    ingestor = StreamingIngestor(study_windows=8, **ingestor_kwargs)
+    for stream in streams:
+        ingestor.offer_all(stream)
+    return ingestor.finish()
 
 
 class TestMonitor:
     def test_hold_when_preferred_is_best(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=40.0, rank=0)
-        feed_window(monitor, 0, rtt_ms=47.0, rank=1)
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=40.0, rank=0),
+            window_samples(0, rtt_ms=47.0, rank=1),
+        ).decisions
         assert len(decisions) == 1
         assert decisions[0].action == "hold"
         assert not decisions[0].is_shift_candidate
 
     def test_shift_candidate_on_confident_win(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=52.0, rank=0)
-        feed_window(monitor, 0, rtt_ms=38.0, rank=1)
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0),
+            window_samples(0, rtt_ms=38.0, rank=1),
+        ).decisions
         assert decisions[0].is_shift_candidate
         assert decisions[0].alternate_rank == 1
         assert decisions[0].minrtt_improvement_ms > 10.0
 
     def test_windows_close_in_order(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=40.0, rank=0)
-        feed_window(monitor, 1, rtt_ms=40.0, rank=0)
-        feed_window(monitor, 2, rtt_ms=40.0, rank=0)
-        decisions = monitor.finish()
+        decisions = ingest(
+            *(window_samples(window, rtt_ms=40.0) for window in range(3))
+        ).decisions
         assert [d.window for d in decisions] == [0, 1, 2]
 
     def test_thin_windows_hold(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=52.0, rank=0, count=10)
-        feed_window(monitor, 0, rtt_ms=38.0, rank=1, count=10)
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0, count=10),
+            window_samples(0, rtt_ms=38.0, rank=1, count=10),
+        ).decisions
         assert decisions[0].action == "hold"
 
-    def test_missing_route_rejected(self):
-        monitor = StreamingRouteMonitor()
-        sample = make_sample(1.0, 40.0)
-        sample.route = None
-        with pytest.raises(ValueError):
-            monitor.observe(sample)
-
     def test_state_cleared_between_windows(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=52.0, rank=0)
-        feed_window(monitor, 0, rtt_ms=38.0, rank=1)
-        # Next window: no alternate data; monitor must not reuse stale state.
-        feed_window(monitor, 1, rtt_ms=52.0, rank=0)
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0),
+            window_samples(0, rtt_ms=38.0, rank=1),
+            # Next window: no alternate data; nothing carries over.
+            window_samples(1, rtt_ms=52.0, rank=0),
+        ).decisions
         assert decisions[0].is_shift_candidate
         assert decisions[1].action == "hold"
 
     def test_no_hd_capable_transactions_still_allows_rtt_shift(self):
-        """Zero capable transactions in the window: both routes' HD digests
-        are empty, the HD guard is vacuous, and a confident RTT win alone
+        """Zero capable transactions in the window: neither route has an
+        HDratio, the HD guard is vacuous, and a confident RTT win alone
         must still produce a shift candidate (with no claimed HD gain)."""
-        monitor = StreamingRouteMonitor()
-        # make_sample emits transaction-less sessions: nothing can test HD.
-        feed_window(monitor, 0, rtt_ms=52.0, rank=0)
-        feed_window(monitor, 0, rtt_ms=38.0, rank=1)
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0),
+            window_samples(0, rtt_ms=38.0, rank=1),
+        ).decisions
         assert decisions[0].is_shift_candidate
         assert decisions[0].hdratio_improvement == 0.0
 
     def test_no_hd_capable_transactions_and_no_rtt_win_holds(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=40.0, rank=0)
-        feed_window(monitor, 0, rtt_ms=39.5, rank=1)
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=40.0, rank=0),
+            window_samples(0, rtt_ms=39.5, rank=1),
+        ).decisions
         assert decisions[0].action == "hold"
         assert decisions[0].alternate_rank is None
 
     def test_missing_alternate_rank_falls_through_to_next(self):
         """Rank 1 went unmeasured mid-window; the decision must come from
         the rank that actually has data, not assume contiguous ranks."""
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=52.0, rank=0)
-        feed_window(monitor, 0, rtt_ms=38.0, rank=2)  # only rank 2 measured
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0),
+            window_samples(0, rtt_ms=38.0, rank=2),  # only rank 2 measured
+        ).decisions
         assert decisions[0].is_shift_candidate
         assert decisions[0].alternate_rank == 2
 
     def test_alternate_vanishing_between_windows_does_not_leak(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=52.0, rank=0)
-        feed_window(monitor, 0, rtt_ms=38.0, rank=2)
-        feed_window(monitor, 1, rtt_ms=52.0, rank=0)  # rank 2 disappears
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0),
+            window_samples(0, rtt_ms=38.0, rank=2),
+            window_samples(1, rtt_ms=52.0, rank=0),  # rank 2 disappears
+        ).decisions
         assert decisions[0].alternate_rank == 2
         assert decisions[1].action == "hold"
         assert decisions[1].alternate_rank is None
@@ -158,162 +176,240 @@ class TestMonitor:
     def test_hd_win_stands_alone_without_rtt_win(self):
         """An HDratio win is a shift candidate even when MinRTT is a wash
         (the paper's two-metric decision rule, HD side)."""
-        monitor = StreamingRouteMonitor()
-        feed_capable_window(monitor, 0, rtt_ms=40.0, hdratio=0.2, rank=0)
-        feed_capable_window(monitor, 0, rtt_ms=40.0, hdratio=0.9, rank=1)
-        decisions = monitor.finish()
+        decisions = ingest(
+            window_samples(0, rtt_ms=40.0, rank=0, hdratio=0.2),
+            window_samples(0, rtt_ms=40.0, rank=1, hdratio=0.9),
+        ).decisions
         assert decisions[0].is_shift_candidate
         assert decisions[0].hdratio_improvement > 0.0
 
-    def test_agrees_with_batch_analysis(self):
-        """The streaming monitor and the batch opportunity analysis must
-        reach the same conclusion on the same stream."""
-        from repro.core.aggregation import AggregationStore
-        from repro.core.comparison import opportunity_series
+    def test_rtt_win_that_costs_hdratio_holds(self):
+        """The HD guard: a faster alternate with worse goodput is no
+        opportunity (§6 never trades goodput for latency)."""
+        decisions = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0, hdratio=0.9),
+            window_samples(0, rtt_ms=38.0, rank=1, hdratio=0.2),
+        ).decisions
+        assert decisions[0].action == "hold"
 
-        monitor = StreamingRouteMonitor()
-        store = AggregationStore()
+    def test_thresholds_are_the_monitors_own(self):
+        """The ingestor's monitor runs the paper's defaults; a monitor with
+        other thresholds is built by hand and fed the same aggregations."""
+        result = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0),
+            window_samples(0, rtt_ms=38.0, rank=1),
+        )
+        assert result.decisions[0].is_shift_candidate
+        ranks = result.dataset.store.window_ranks(DEFAULT_GROUP)[0]
+        strict = StreamingRouteMonitor(minrtt_threshold_ms=20.0)
+        (decision,) = strict.on_window_sealed(0, {DEFAULT_GROUP: ranks})
+        assert decision.action == "hold"
+        assert decision.preferred_sessions == 40
+        assert strict.decisions == [decision]
 
-        from tests.helpers import fill_window
+    def test_agrees_with_batch_analysis(self, tmp_path):
+        """Streamed decisions ≡ the batch §6 analysis of the replayed
+        store, with ``==`` on every field, and shuffled arrival within the
+        lateness bound changes nothing."""
+        samples = _candidate_trace()
+        store = tmp_path / "sealed.store"
+        result = StreamingIngestor(
+            study_windows=4, out_store=store
+        ).offer_all(samples).finish()
+        assert result.late.count == 0
 
-        samples = []
-        base_route, alt_route = make_route(rank=0), make_route(rank=1)
-        for window in range(2):
-            base = window * AGGREGATION_WINDOW_SECONDS
-            for index in range(45):
-                end = base + index * 15.0
-                preferred = make_sample(end, 50.0 + (index % 7) * 0.3, route=base_route)
-                alternate = make_sample(end, 39.0 + (index % 7) * 0.3, route=alt_route)
-                samples.extend([preferred, alternate])
-        for sample in samples:
-            store.add(sample, hdratio=None)
-            monitor.observe(sample)
-        decisions = monitor.finish()
+        batch = build_dataset(store, study_windows=4)
+        assert_decisions_equal_batch(result.decisions, batch.store)
 
-        batch = opportunity_series(store, DEFAULT_GROUP, "minrtt")
-        batch_events = [v for v in batch if v.event_at(5.0)]
-        streaming_events = [d for d in decisions if d.is_shift_candidate]
-        assert bool(batch_events) == bool(streaming_events)
-        assert len(streaming_events) == 2
+        kinds = _decisions_by_prefix(result.decisions)
+        assert all(d.minrtt_improvement_ms > 5.0 for d in kinds[RTT_WIN_PREFIX])
+        assert all(
+            d.is_shift_candidate and d.hdratio_improvement > 0.05
+            for d in kinds[HD_WIN_PREFIX]
+        )
+        for prefix in (THIN_PREFIX, GUARDED_PREFIX):
+            assert [d.action for d in kinds[prefix]] == ["hold", "hold"]
+
+        shuffled = StreamingIngestor(study_windows=4).offer_all(
+            jittered_order(samples, LATENESS, seed=11)
+        ).finish()
+        assert shuffled.late.count == 0
+        assert shuffled.decisions == result.decisions
 
 
+# --------------------------------------------------------------------- #
+RTT_WIN_PREFIX = "192.0.2.0/24"
+HD_WIN_PREFIX = "192.0.3.0/24"
+THIN_PREFIX = "192.0.4.0/24"
+GUARDED_PREFIX = "192.0.5.0/24"
+
+
+def _candidate_trace():
+    """A diverse four-window stream (hosting-flagged sessions included)
+    plus, in windows 0 and 1, one group of each decision kind: mis-preferred
+    on MinRTT, an HDratio-only win, too thin to decide, and an RTT win the
+    HD guard suppresses."""
+    samples = make_trace_samples(1200, seed=3, windows=4)
+    for window in range(2):
+        for prefix, preferred, alternate in (
+            (RTT_WIN_PREFIX, dict(rtt_ms=52.0), dict(rtt_ms=38.0)),
+            (
+                HD_WIN_PREFIX,
+                dict(rtt_ms=40.0, hdratio=0.2),
+                dict(rtt_ms=40.0, hdratio=0.9),
+            ),
+            (THIN_PREFIX, dict(rtt_ms=52.0, count=10), dict(rtt_ms=38.0, count=10)),
+            (
+                GUARDED_PREFIX,
+                dict(rtt_ms=52.0, hdratio=0.9),
+                dict(rtt_ms=38.0, hdratio=0.2),
+            ),
+        ):
+            samples += window_samples(window, rank=0, prefix=prefix, **preferred)
+            samples += window_samples(window, rank=1, prefix=prefix, **alternate)
+    return sorted(samples, key=lambda s: (s.end_time, s.session_id))
+
+
+def _decisions_by_prefix(decisions):
+    kinds = {}
+    for decision in decisions:
+        kinds.setdefault(decision.group.prefix, []).append(decision)
+    return kinds
+
+
+def assert_decisions_equal_batch(decisions, store):
+    """Every decision is what ``opportunity_series`` over ``store`` says:
+    one per (group, window) with preferred-route data, candidate iff the
+    HDratio verdict or else the MinRTT verdict fires at the paper's
+    thresholds, improvements the verdicts' own differences."""
+    assert sorted((d.window, str(d.group)) for d in decisions) == sorted(
+        (window, str(group)) for (group, rank, window), _ in store.items() if rank == 0
+    )
+    verdicts = {
+        (group, metric): {
+            v.window: v for v in opportunity_series(store, group, metric)
+        }
+        for group in store.groups()
+        for metric in ("hdratio", "minrtt")
+    }
+    for decision in decisions:
+        hd = verdicts[decision.group, "hdratio"].get(decision.window)
+        rtt = verdicts[decision.group, "minrtt"].get(decision.window)
+        hd_fires = hd is not None and hd.event_at(DEFAULT_HDRATIO_THRESHOLD)
+        rtt_fires = rtt is not None and rtt.event_at(DEFAULT_MINRTT_THRESHOLD_MS)
+        sessions = store.get(decision.group, 0, decision.window).session_count
+        assert decision.is_shift_candidate == (hd_fires or rtt_fires)
+        if not decision.is_shift_candidate:
+            assert decision == RouteDecision(
+                decision.group, decision.window, "hold", preferred_sessions=sessions
+            )
+            continue
+        winner = hd if hd_fires else rtt
+
+        def gain(verdict):
+            same = (
+                verdict is not None
+                and verdict.valid
+                and verdict.alternate_rank == winner.alternate_rank
+            )
+            return verdict.difference if same else 0.0
+
+        assert decision == RouteDecision(
+            decision.group,
+            decision.window,
+            "consider_alternate",
+            alternate_rank=winner.alternate_rank,
+            minrtt_improvement_ms=gain(rtt),
+            hdratio_improvement=gain(hd),
+            preferred_sessions=sessions,
+        )
+
+
+# --------------------------------------------------------------------- #
 class TestLateSamples:
-    """Regression: ``observe()`` used to fold samples from an *earlier*
-    window into the current window's aggregates, corrupting its digests."""
+    """Lateness is the ingestor's: inside the bound a sample counts, beyond
+    it the sample is ledgered and no decision sees it."""
+
+    def test_out_of_order_within_the_bound_decides_like_in_order(self):
+        """Regression: the monitor used to close window *w* on the first
+        sample of *w*+1, so an alternate's samples arriving just after —
+        on time by the ingestor's bound — were dropped (40 counted late)
+        and the window decided ``hold``."""
+        preferred = window_samples(0, rtt_ms=52.0, rank=0)
+        alternate = window_samples(0, rtt_ms=38.0, rank=1)
+        following = window_samples(1, rtt_ms=52.0, rank=0)
+
+        in_order = ingest(preferred, alternate, following)
+        out_of_order = ingest(preferred, following[:1], alternate, following[1:])
+
+        assert out_of_order.late.count == 0
+        assert out_of_order.decisions == in_order.decisions
+        assert [d.action for d in in_order.decisions] == [
+            "consider_alternate",
+            "hold",
+        ]
 
     def test_late_samples_do_not_pollute_current_window(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 1, rtt_ms=52.0, rank=0)
-        # Late fast alternate: window 0 closed the moment window 1 opened.
-        # Before the fix these 40 samples landed in window 1's rank-1
-        # aggregate and produced a bogus shift candidate.
-        feed_window(monitor, 0, rtt_ms=38.0, rank=1)
-        decisions = monitor.finish()
-        assert monitor.late_samples == 40
-        assert [d.window for d in decisions] == [1]
-        assert decisions[0].action == "hold"
-        assert decisions[0].alternate_rank is None
-
-    def test_late_samples_counted_in_metrics(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        monitor = StreamingRouteMonitor(metrics=registry)
-        feed_window(monitor, 2, rtt_ms=40.0, rank=0, count=5)
-        feed_window(monitor, 1, rtt_ms=40.0, rank=0, count=3)
-        assert registry.counter("stream.late_samples") == 3
-        assert monitor.late_samples == 3
-
-    def test_observe_reports_late_verdict(self):
-        monitor = StreamingRouteMonitor()
-        on_time = make_sample(
-            AGGREGATION_WINDOW_SECONDS * 1.5, 40.0, route=make_route()
+        """Beyond the bound: a fast alternate from a long-sealed window
+        must not turn up in the window that is open when it arrives."""
+        result = ingest(
+            window_samples(0, rtt_ms=52.0, rank=0),
+            window_samples(5, rtt_ms=52.0, rank=0),  # seals windows 0-4
+            window_samples(0, rtt_ms=38.0, rank=1),
+            allowed_lateness_seconds=0.0,
         )
-        late = make_sample(
-            AGGREGATION_WINDOW_SECONDS * 0.5, 40.0, route=make_route()
-        )
-        assert monitor.observe(on_time) is not False
-        assert monitor.observe(late) is False
+        assert result.late.count == 40
+        assert [d.window for d in result.decisions] == [0, 5]
+        for decision in result.decisions:
+            assert decision.action == "hold"
+            assert decision.alternate_rank is None
 
     def test_on_time_samples_within_window_still_aggregate(self):
         """Out-of-order arrivals *within* one window are not late."""
-        monitor = StreamingRouteMonitor()
         base = 1 * AGGREGATION_WINDOW_SECONDS
-        monitor.observe(make_sample(base + 500.0, 40.0, route=make_route()))
-        monitor.observe(make_sample(base + 100.0, 41.0, route=make_route()))
-        assert monitor.late_samples == 0
-        decisions = monitor.finish()
-        assert decisions[0].preferred_sessions == 2
+        result = ingest(
+            [
+                make_sample(base + 500.0, 40.0, route=make_route()),
+                make_sample(base + 100.0, 41.0, route=make_route()),
+            ],
+            allowed_lateness_seconds=0.0,
+        )
+        assert result.late.count == 0
+        assert result.decisions[0].preferred_sessions == 2
 
 
 class TestFinishIdempotent:
-    """Regression: a second ``finish()`` re-closed the trailing window and
-    duplicated its decisions."""
-
     def test_second_finish_does_not_duplicate_decisions(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=40.0, rank=0)
-        first = monitor.finish()
+        ingestor = StreamingIngestor(study_windows=8)
+        ingestor.offer_all(window_samples(0, rtt_ms=40.0))
+        first = ingestor.finish().decisions
         assert len(first) == 1
-        second = monitor.finish()
+        second = ingestor.finish().decisions
         assert second is first
         assert len(second) == 1
-        assert monitor.closed_windows == [0]
-
-    def test_observe_after_finish_rejected(self):
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=40.0, rank=0)
-        monitor.finish()
-        with pytest.raises(ValueError):
-            monitor.observe(make_sample(10.0, 40.0, route=make_route()))
 
     def test_multi_window_jump_closes_intervening_windows(self):
-        """A sample jumping >1 window forward closes the skipped empty
-        windows too: the closed-window record is gapless and monotone and
-        decision windows stay monotone."""
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 3, rtt_ms=40.0, rank=0)
-        feed_window(monitor, 7, rtt_ms=40.0, rank=0)
-        decisions = monitor.finish()
-        assert monitor.closed_windows == [3, 4, 5, 6, 7]
-        assert [d.window for d in decisions] == [3, 7]
+        """A sample jumping >1 window forward seals the skipped empty
+        windows too; they yield no decision and decision windows stay
+        monotone."""
+        result = ingest(
+            window_samples(3, rtt_ms=40.0), window_samples(7, rtt_ms=40.0)
+        )
+        assert (result.windows_sealed, result.windows_empty) == (5, 3)
+        assert [d.window for d in result.decisions] == [3, 7]
 
     def test_finish_on_empty_monitor_is_clean(self):
-        monitor = StreamingRouteMonitor()
-        assert monitor.finish() == []
-        assert monitor.closed_windows == []
-        assert monitor.finish() == []
-
-
-class TestCloseWindowLabel:
-    """Regression: ``_close_window()`` fell back to labeling decisions with
-    window 0 when ``_current_window`` was ``None`` but state existed."""
-
-    def test_state_without_window_raises(self):
-        from repro.stats.streaming import StreamingAggregate
-
-        monitor = StreamingRouteMonitor()
-        aggregate = StreamingAggregate.empty()
-        for rtt in (40.0, 41.0, 42.0, 43.0, 44.0):
-            aggregate.add(rtt, None, 1000)
-        monitor._state[DEFAULT_GROUP] = {0: aggregate}
-        assert monitor._current_window is None
-        with pytest.raises(RuntimeError, match="without a current window"):
-            monitor._close_window()
-        # No decision was minted with a fabricated window label.
-        assert monitor.decisions == []
-
-    def test_close_without_state_or_window_is_noop(self):
-        monitor = StreamingRouteMonitor()
-        monitor._close_window()
-        assert monitor.closed_windows == []
-        assert monitor.decisions == []
+        ingestor = StreamingIngestor(study_windows=8)
+        assert ingestor.finish().decisions == []
+        assert ingestor.finish().decisions == []
+        assert StreamingRouteMonitor().on_window_sealed(0, {}) == []
 
 
 class TestCiWidthBoundary:
     """The CI-width validity gate is inclusive: a comparison whose CI is
     exactly ``MAX_CI_WIDTH_*`` wide is still valid (§5's "sufficiently
-    narrow" is ``<=``, not ``<``)."""
+    narrow" is ``<=``, not ``<``) — for the t-digest estimator and for the
+    exact one the decisions use."""
 
     @staticmethod
     def _digest_pair():
@@ -336,8 +432,6 @@ class TestCiWidthBoundary:
         assert at_limit.valid
 
     def test_width_just_over_limit_is_invalid(self):
-        import math
-
         from repro.stats.streaming import streaming_compare
 
         a, b = self._digest_pair()
@@ -350,51 +444,59 @@ class TestCiWidthBoundary:
 
     def test_monitor_shift_survives_ci_exactly_at_max_width(self, monkeypatch):
         """End to end: pin MAX_CI_WIDTH_MINRTT_MS to the observed CI width
-        and the decision must still be a shift candidate."""
-        from repro.stats.streaming import streaming_compare
-        import repro.pipeline.streaming as streaming_mod
+        and the decision is still a shift candidate; one ulp below, hold."""
+        import repro.core.comparison as comparison_mod
 
-        probe = StreamingRouteMonitor()
-        feed_window(probe, 0, rtt_ms=52.0, rank=0)
-        feed_window(probe, 0, rtt_ms=38.0, rank=1)
-        (ranks,) = probe._state.values()
-        preferred, alternate = ranks[0], ranks[1]
-        cmp = streaming_compare(preferred.rtt_digest, alternate.rtt_digest)
+        def decide():
+            return ingest(
+                window_samples(0, rtt_ms=52.0, rank=0),
+                window_samples(0, rtt_ms=38.0, rank=1),
+            )
+
+        ranks = decide().dataset.store.window_ranks(DEFAULT_GROUP)[0]
+        cmp = compare_medians(ranks[0].min_rtts_ms, ranks[1].min_rtts_ms)
         width = cmp.ci_high - cmp.ci_low
+        assert width > 0.0
 
+        monkeypatch.setattr(comparison_mod, "MAX_CI_WIDTH_MINRTT_MS", width)
+        assert decide().decisions[0].is_shift_candidate
         monkeypatch.setattr(
-            streaming_mod, "MAX_CI_WIDTH_MINRTT_MS", width
+            comparison_mod, "MAX_CI_WIDTH_MINRTT_MS", math.nextafter(width, 0.0)
         )
-        monitor = StreamingRouteMonitor()
-        feed_window(monitor, 0, rtt_ms=52.0, rank=0)
-        feed_window(monitor, 0, rtt_ms=38.0, rank=1)
-        assert monitor.finish()[0].is_shift_candidate
+        assert decide().decisions[0].action == "hold"
 
 
-def _multi_group_trace():
-    samples = make_trace_samples(1200, seed=3, hosting_fraction=0.0, windows=4)
-    return sorted(samples, key=lambda s: s.end_time)
-
-
+# --------------------------------------------------------------------- #
 _DECISIONS_SCRIPT = """
-import dataclasses, json
-from repro.pipeline.streaming import StreamingRouteMonitor
-from tests.test_pipeline_streaming import _multi_group_trace
+import dataclasses, json, pathlib, tempfile
+from repro.pipeline import StreamingIngestor, build_dataset
+from tests.test_pipeline_streaming import (
+    _candidate_trace,
+    assert_decisions_equal_batch,
+)
 
-monitor = StreamingRouteMonitor()
-monitor.observe_all(_multi_group_trace())
-print(json.dumps([dataclasses.asdict(d) for d in monitor.finish()]))
+with tempfile.TemporaryDirectory() as scratch:
+    store = pathlib.Path(scratch) / "sealed.store"
+    ingestor = StreamingIngestor(study_windows=4, out_store=store)
+    decisions = ingestor.offer_all(_candidate_trace()).finish().decisions
+    assert_decisions_equal_batch(
+        decisions, build_dataset(store, study_windows=4).store
+    )
+print(json.dumps([dataclasses.asdict(d) for d in decisions]))
 """
 
 
 class TestDecisionOrder:
-    """Regression: a window's decisions came out in the iteration order of
-    a *set* of string-hashed group keys, so the same trace gave a
-    different ``decisions`` list under every ``PYTHONHASHSEED``."""
+    """Decisions come out in the seal's canonical install order — windows
+    ascending, and within a window the groups in the order their first
+    kept sample sorts — so the list is the same under every
+    ``PYTHONHASHSEED`` (it once followed a set of string-hashed keys), and
+    so is its equality with the batch analysis."""
 
     @staticmethod
     def _decisions_under(hash_seed: int) -> str:
-        """The whole decision list, as JSON text, from a fresh interpreter."""
+        """The whole decision list, as JSON text, from a fresh interpreter
+        (which also checks it against the batch analysis)."""
         root = pathlib.Path(__file__).parent.parent
         completed = subprocess.run(
             [sys.executable, "-c", _DECISIONS_SCRIPT],
@@ -415,11 +517,10 @@ class TestDecisionOrder:
         first = self._decisions_under(1)
         assert first == self._decisions_under(2)
 
-        # ... and the order they share is the one the trace dictates:
-        # windows in order, and within a window the groups in the order
-        # their first sample arrived (those with preferred-route data).
         first_seen = {}
-        for sample in _multi_group_trace():
+        for sample in _candidate_trace():
+            if sample.client_ip_is_hosting:
+                continue
             window = window_index(sample.end_time)
             group = UserGroupKey(
                 pop=sample.pop,
@@ -434,6 +535,62 @@ class TestDecisionOrder:
             for group, ranks in first_seen[window].items()
             if 0 in ranks
         ]
-        decided = [(row["window"], row["group"]) for row in json.loads(first)]
-        assert decided == expected
-        assert len({tuple(group.values()) for _, group in decided}) > 10
+        rows = json.loads(first)
+        assert [(row["window"], row["group"]) for row in rows] == expected
+        assert len({tuple(row["group"].values()) for row in rows}) > 10
+        assert sum(row["action"] == "consider_alternate" for row in rows) >= 4
+
+
+# --------------------------------------------------------------------- #
+class TestOneStatementOfEachRule:
+    """The §5/§6 per-window rules live in ``core/comparison.py``; the
+    windowing lives in ``pipeline/ingest.py``. Nothing else may grow a
+    copy."""
+
+    SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
+
+    @staticmethod
+    def _names(path):
+        """Every identifier a module mentions, imports or defines."""
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1] for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+        return names
+
+    def test_private_rule_helpers_stay_in_comparison(self):
+        private = {"_one_sample_verdict", "_two_sample_comparison", "_best_alternate"}
+        users = [
+            str(path.relative_to(self.SRC))
+            for path in sorted(self.SRC.rglob("*.py"))
+            if private & self._names(path)
+        ]
+        assert users == ["core/comparison.py"]
+
+    def test_monitor_has_no_windowing_and_no_digest_statistics(self):
+        names = self._names(self.SRC / "pipeline" / "streaming.py")
+        assert not names & {
+            "window_index",
+            "streaming_compare",
+            "observe",
+            "finish",
+            "late_samples",
+            "closed_windows",
+            "_current_window",
+        }
+        pipeline_users = [
+            path.name
+            for path in sorted((self.SRC / "pipeline").glob("*.py"))
+            if "window_index" in self._names(path)
+        ]
+        assert pipeline_users == ["experiments.py", "ingest.py"]
+        assert not any(
+            "streaming_compare" in self._names(path)
+            for path in (self.SRC / "pipeline").glob("*.py")
+        )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.stats.median_ci import compare_medians
 from repro.stats.streaming import (
-    StreamingAggregate,
     streaming_compare,
     streaming_median_se,
 )
@@ -64,67 +63,3 @@ class TestStreamingCompare:
         a = TDigest.of([rng.gauss(100.0, 90.0) for _ in range(40)])
         b = TDigest.of([rng.gauss(100.0, 90.0) for _ in range(40)])
         assert not streaming_compare(a, b, max_ci_width=5.0).valid
-
-
-class TestStreamingAggregate:
-    def test_add_and_query(self):
-        aggregate = StreamingAggregate.empty()
-        for index in range(100):
-            aggregate.add(40.0 + index % 5, 1.0 if index % 4 else 0.0, 1000)
-        assert aggregate.session_count == 100
-        assert aggregate.traffic_bytes == 100_000
-        assert 40.0 <= aggregate.minrtt_p50 <= 45.0
-        assert aggregate.hdratio_p50 == 1.0
-
-    def test_untestable_sessions_skip_hd_digest(self):
-        aggregate = StreamingAggregate.empty()
-        aggregate.add(40.0, None, 500)
-        assert aggregate.hdratio_p50 is None
-        assert aggregate.minrtt_p50 == 40.0
-
-    def test_merge_combines_collectors(self):
-        left = StreamingAggregate.empty()
-        right = StreamingAggregate.empty()
-        for _ in range(50):
-            left.add(30.0, 1.0, 100)
-            right.add(50.0, 0.0, 100)
-        left.merge(right)
-        assert left.session_count == 100
-        assert left.traffic_bytes == 10_000
-        assert 30.0 < left.minrtt_p50 < 50.0
-
-    def test_merge_is_commutative(self):
-        rng = random.Random(17)
-        observations = [
-            (rng.gauss(40.0, 5.0), rng.choice((None, 0.0, 0.5, 1.0)), rng.randrange(100, 5000))
-            for _ in range(300)
-        ]
-        left_half, right_half = observations[:150], observations[150:]
-
-        def collect(obs):
-            aggregate = StreamingAggregate.empty()
-            for rtt, hd, sent in obs:
-                aggregate.add(rtt, hd, sent)
-            return aggregate
-
-        ab = collect(left_half).merge(collect(right_half))
-        ba = collect(right_half).merge(collect(left_half))
-        assert ab.session_count == ba.session_count == 300
-        assert ab.traffic_bytes == ba.traffic_bytes
-        assert ab.rtt_digest.total_weight == ba.rtt_digest.total_weight
-        assert ab.hd_digest.total_weight == ba.hd_digest.total_weight
-        # Exact same digest state either way (see TDigest merge contract).
-        assert ab.minrtt_p50 == ba.minrtt_p50
-        assert ab.hdratio_p50 == ba.hdratio_p50
-
-    def test_merge_with_empty_is_identity_both_ways(self):
-        filled = StreamingAggregate.empty()
-        for _ in range(40):
-            filled.add(25.0, 1.0, 200)
-        before = (filled.session_count, filled.traffic_bytes, filled.minrtt_p50)
-        filled.merge(StreamingAggregate.empty())
-        assert (filled.session_count, filled.traffic_bytes, filled.minrtt_p50) == before
-        empty = StreamingAggregate.empty()
-        empty.merge(filled)
-        assert empty.session_count == 40
-        assert empty.minrtt_p50 == filled.minrtt_p50
