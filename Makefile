@@ -52,6 +52,9 @@
 #   bench-cc-matrix - the CC/protocol scenario-matrix ablation (validation
 #                 sweep per CC + mobile HDratio/MinRTT distributions);
 #                 writes benchmarks/results/ablation_cc_matrix.txt.
+#   src-lines   - print the line total of src/**/*.py: the number ROADMAP
+#                 aim 2 tracks (expected sign per PR this round: negative)
+#                 and every CHANGES.md entry reports before/after.
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -81,7 +84,7 @@ COV_ARGS = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
 	test-dist test-netsim test-bench test-examples coverage bench \
-	bench-smoke bench-dist bench-cc-matrix
+	bench-smoke bench-dist bench-cc-matrix src-lines
 
 test:
 	$(PYTEST) -x -q
@@ -138,3 +141,6 @@ bench-dist:
 
 bench-cc-matrix:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m "" benchmarks/test_ablation_cc_matrix.py
+
+src-lines:
+	@find src -name '*.py' | xargs cat | wc -l

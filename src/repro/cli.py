@@ -19,8 +19,9 @@ The subcommands mirror the library's main entry points:
 - ``repro convert`` — convert a trace between JSONL and the columnar
   store;
 - ``repro verify-store`` — scan a columnar store for corruption
-  (per-block checksums plus a full decode; exit 1 with ``CORRUPT:`` lines
-  naming partition/column/offset when anything fails);
+  (per-block checksums — a block whose manifest entry records none is
+  corrupt — plus a full decode; exit 1 with ``CORRUPT:`` lines naming
+  partition/column/offset when anything fails);
 - ``repro serve`` — serve a columnar store over HTTP (DESIGN.md §12):
   ``/v1/quantiles``, ``/v1/degradation``, ``/v1/routing``, ``/v1/health``
   behind a hot-aggregation LRU cache that invalidates when a concurrent
@@ -234,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregation windows per store partition band (default 4 = "
         "one hour of 15-minute windows)",
     )
-    convert.add_argument(
-        "--no-compress", action="store_true", dest="no_compress",
-        help="skip per-block deflate in the store output",
-    )
     _add_observability_options(convert)
 
     verify = sub.add_parser(
@@ -300,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="aggregation windows per compacted partition band (default: "
         "the store's current banding)",
-    )
-    compact.add_argument(
-        "--no-compress", action="store_true", dest="no_compress",
-        help="skip per-block deflate in the rewritten partitions",
     )
     _add_observability_options(compact)
 
@@ -504,7 +497,6 @@ def _cmd_routing(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import active_metrics
     from repro.pipeline.io import detect_format, write_samples
-    from repro.store import write_store
     from repro.workload import EdgeScenario, ScenarioConfig
 
     config = ScenarioConfig(
@@ -515,16 +507,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     scenario = EdgeScenario(config)
     print(f"Generating {args.days} day(s) across {len(scenario.networks)} networks…")
-    fmt = detect_format(args.output)
-    if fmt == "store":
-        count = write_store(
-            args.output, scenario.generate(), metrics=active_metrics()
-        )
-    else:
-        count = write_samples(
-            args.output, scenario.generate(), metrics=active_metrics()
-        )
-    print(f"wrote {count:,} samples to {args.output} ({fmt})")
+    count = write_samples(
+        args.output, scenario.generate(), metrics=active_metrics()
+    )
+    print(
+        f"wrote {count:,} samples to {args.output} "
+        f"({detect_format(args.output)})"
+    )
     print(f"(the trace spans {config.total_windows} fifteen-minute windows)")
     return 0
 
@@ -543,7 +532,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         args.src,
         args.dst,
         band_windows=band_windows,
-        compress=not args.no_compress,
         metrics=active_metrics(),
     )
     print(
@@ -729,7 +717,6 @@ def _cmd_compact_store(args: argparse.Namespace) -> int:
     report = compact_store(
         args.store,
         band_windows=args.band_windows,
-        compress=not args.no_compress,
         metrics=active_metrics(),
     )
     if report.skipped:

@@ -32,14 +32,7 @@ from repro.kernels.goodput import (
     coalesce_kernel,
     eligibility_kernel,
     funnel_single,
-    gtestable_kernel,
-    hdratio_kernel,
-    minrtt_bucket_kernel,
-    minrtt_ms_kernel,
-    next_wstart_kernel,
-    rounds_kernel,
     session_funnel,
-    tmodel_kernel,
 )
 
 __all__ = [
@@ -52,13 +45,6 @@ __all__ = [
     "eligibility_kernel",
     "funnel_single",
     "fold_into_dataset",
-    "gtestable_kernel",
-    "hdratio_kernel",
     "iter_batches",
-    "minrtt_bucket_kernel",
-    "minrtt_ms_kernel",
-    "next_wstart_kernel",
-    "rounds_kernel",
     "session_funnel",
-    "tmodel_kernel",
 ]

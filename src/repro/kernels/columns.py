@@ -178,12 +178,13 @@ class ColumnBatch:
         the schema's flat columns, one partition's worth, seq-sorted. Most
         columns transfer by reference — zero copies, zero objects; only
         the presence-compacted columns (route, ``last_byte_write_time``)
-        are expanded, and routes are interned exactly like the row
-        decoder so repeated routes cost one ``RouteInfo`` each.
+        are expanded, and routes are interned by the row decoder's own
+        :func:`~repro.store.schema.expand_routes`, so repeated routes cost
+        one ``RouteInfo`` each.
         """
-        # Late import: repro.store imports nothing from repro.kernels, so
-        # the dependency points one way (kernels -> store).
-        from repro.store.schema import _new_route, _RELATIONSHIP_BY_VALUE
+        # Late import: repro.store imports nothing from repro.kernels at
+        # module load, so the dependency points one way (kernels -> store).
+        from repro.store.schema import expand_routes
 
         batch = cls()
         batch.order_keys = decoded["seq"]
@@ -220,43 +221,5 @@ class ColumnBatch:
             for present, fallback in zip(decoded["txn_lbwt_present"], fbt)
         ]
 
-        # Routes: presence-compacted and interned, same cache discipline as
-        # the row decoder (repro.store.schema._decode_rows).
-        routes: List[Optional[RouteInfo]] = batch.routes
-        route_prefixes = decoded["route_prefix"]
-        relationships = decoded["route_relationship"]
-        route_ranks = decoded["route_rank"]
-        route_prepends = decoded["route_prepended"]
-        aspath_lens = decoded["route_aspath_lens"]
-        aspath_values = decoded["route_aspath_values"]
-        route_cache: Dict[tuple, RouteInfo] = {}
-        route_cursor = 0
-        aspath_cursor = 0
-        for present in decoded["route_present"]:
-            if not present:
-                routes.append(None)
-                continue
-            aspath_len = aspath_lens[route_cursor]
-            as_path = tuple(
-                aspath_values[aspath_cursor : aspath_cursor + aspath_len]
-            )
-            aspath_cursor += aspath_len
-            key = (
-                route_prefixes[route_cursor],
-                as_path,
-                relationships[route_cursor],
-                route_ranks[route_cursor],
-                route_prepends[route_cursor],
-            )
-            route = route_cache.get(key)
-            if route is None:
-                route = route_cache[key] = _new_route(
-                    key[0],
-                    as_path,
-                    _RELATIONSHIP_BY_VALUE[key[2]],
-                    key[3],
-                    key[4],
-                )
-            routes.append(route)
-            route_cursor += 1
+        batch.routes = expand_routes(decoded)
         return batch

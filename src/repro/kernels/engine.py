@@ -43,7 +43,6 @@ from repro.pipeline.filters import FilterStats
 
 __all__ = [
     "BatchIngestor",
-    "batches_for_chunk",
     "batches_from_pairs",
     "fold_into_dataset",
     "iter_batches",
@@ -54,7 +53,7 @@ AggregationKey = Tuple[UserGroupKey, int, int]
 #: Rows per batch when slicing sample streams (JSONL / in-memory). Large
 #: enough to amortize per-batch setup, small enough to keep a batch's flat
 #: columns cache-resident. Store sources batch per partition instead.
-DEFAULT_BATCH_ROWS = 2048
+BATCH_ROWS = 2048
 
 
 class BatchIngestor:
@@ -367,15 +366,12 @@ class BatchIngestor:
 # --------------------------------------------------------------------- #
 def batches_from_pairs(
     pairs: Iterable[Tuple[int, SessionSample]],
-    batch_size: int = DEFAULT_BATCH_ROWS,
 ) -> Iterator[ColumnBatch]:
     """Slice an ``(order_key, sample)`` stream into column batches."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
     buffer: List[Tuple[int, SessionSample]] = []
     for pair in pairs:
         buffer.append(pair)
-        if len(buffer) >= batch_size:
+        if len(buffer) >= BATCH_ROWS:
             yield ColumnBatch.from_pairs(buffer)
             buffer = []
     if buffer:
@@ -383,52 +379,46 @@ def batches_from_pairs(
 
 
 def iter_batches(
-    source,
-    metrics: Optional[MetricsRegistry] = None,
-    batch_size: int = DEFAULT_BATCH_ROWS,
+    source, metrics: Optional[MetricsRegistry] = None
 ) -> Iterator[ColumnBatch]:
-    """Column batches from any dataset source (path or sample iterable).
+    """Column batches from any source — the one source → batches dispatch.
 
-    Store paths take the column fast path — one batch per partition, no
-    row objects; JSONL paths and in-memory streams are sliced into
-    ``batch_size`` batches with stream-position order keys. ``metrics``
-    receives the same ``io.*``/``store.*`` counters as the row readers.
+    ``source`` is a trace path, one shard's chunk of a trace
+    (:class:`~repro.store.StoreChunk` / :class:`~repro.pipeline.io.TraceChunk`)
+    or a sample iterable. Stores (whole, or a chunk's partitions) take the
+    column fast path — one batch per partition, no row objects, ``seq``
+    order keys. Everything else is sliced into :data:`BATCH_ROWS` batches:
+    JSONL chunks under the chunk readers' order keys (byte offsets / line
+    indexes, so shard results merge in exact stream order), JSONL paths
+    and in-memory streams under stream position. ``metrics`` receives the
+    same ``io.*``/``store.*`` counters as the row readers.
     """
-    if isinstance(source, (str, pathlib.Path)):
-        from repro.pipeline.io import detect_format, read_samples
-        from repro.store import TraceStoreReader
-
-        if detect_format(source) == "store":
-            yield from TraceStoreReader(source).read_column_batches(
-                metrics=metrics
-            )
-            return
-        yield from batches_from_pairs(
-            enumerate(read_samples(source, metrics=metrics)), batch_size
-        )
-        return
-    yield from batches_from_pairs(enumerate(source), batch_size)
-
-
-def batches_for_chunk(
-    chunk, metrics: Optional[MetricsRegistry] = None,
-    batch_size: int = DEFAULT_BATCH_ROWS,
-) -> Iterator[ColumnBatch]:
-    """Column batches for one shard chunk (store or JSONL).
-
-    Store chunks decode their partitions straight to columns; JSONL
-    chunks reuse the chunk readers' order keys (byte offsets / line
-    indexes), so shard results merge in exact stream order.
-    """
-    from repro.pipeline.io import StoreChunk, read_chunk
+    # Imported here, not at module top: repro.pipeline.io loads the whole
+    # repro.pipeline package, whose shard runner imports this module.
+    from repro.pipeline.io import (
+        StoreChunk,
+        TraceChunk,
+        detect_format,
+        read_chunk,
+        read_samples,
+    )
     from repro.store import TraceStoreReader
 
-    if isinstance(chunk, StoreChunk):
-        yield from TraceStoreReader(chunk.path).read_column_batches(
-            metrics=metrics, partition_ids=chunk.partition_ids
+    if isinstance(source, StoreChunk):
+        return TraceStoreReader(source.path).read_column_batches(
+            metrics=metrics, partition_ids=source.partition_ids
         )
-        return
-    yield from batches_from_pairs(read_chunk(chunk, metrics=metrics), batch_size)
+    if isinstance(source, TraceChunk):
+        pairs = read_chunk(source, metrics=metrics)
+    elif isinstance(source, (str, pathlib.Path)):
+        if detect_format(source) == "store":
+            return TraceStoreReader(source).read_column_batches(
+                metrics=metrics
+            )
+        pairs = enumerate(read_samples(source, metrics=metrics))
+    else:
+        pairs = enumerate(source)
+    return batches_from_pairs(pairs)
 
 
 def fold_into_dataset(dataset, ingestor: BatchIngestor):

@@ -38,14 +38,7 @@ __all__ = [
     "coalesce_kernel",
     "eligibility_kernel",
     "funnel_single",
-    "gtestable_kernel",
-    "hdratio_kernel",
-    "minrtt_bucket_kernel",
-    "minrtt_ms_kernel",
-    "next_wstart_kernel",
-    "rounds_kernel",
     "session_funnel",
-    "tmodel_kernel",
 ]
 
 #: Mirrors ``repro.core.goodput._MAX_ROUNDS``.
@@ -134,132 +127,6 @@ def eligibility_kernel(g_inflight: Sequence[int]) -> List[bool]:
         position == 0 or opener_inflight == 0
         for position, opener_inflight in enumerate(g_inflight)
     ]
-
-
-# --------------------------------------------------------------------- #
-# Per-transaction model kernels (§§3.2.2–3.2.3) — array forms of
-# repro.core.goodput, for property testing and reuse; assess_kernel
-# inlines the same expressions on the hot path.
-# --------------------------------------------------------------------- #
-def rounds_kernel(total: Sequence[int], wstart: Sequence[int]) -> List[int]:
-    """Eq. (1) ideal round trips per element — mirrors ``ideal_round_trips``."""
-    ceil = math.ceil
-    log2 = math.log2
-    out = []
-    for total_bytes, wstart_bytes in zip(total, wstart):
-        if total_bytes <= 0:
-            raise ValueError("total_bytes must be positive")
-        if wstart_bytes <= 0:
-            raise ValueError("wstart_bytes must be positive")
-        m = ceil(log2(total_bytes / wstart_bytes + 1.0) - 1e-12)
-        out.append(m if m > 1 else 1)
-    return out
-
-
-def next_wstart_kernel(total: Sequence[int], wstart: Sequence[int]) -> List[int]:
-    """Ideal post-transaction cwnd per element — mirrors ``ideal_wstart``."""
-    pow2 = _POW2
-    out = []
-    for m, wstart_bytes in zip(rounds_kernel(total, wstart), wstart):
-        if m > _MAX_ROUNDS:
-            raise ValueError(_ROUNDS_ERROR)
-        out.append(pow2[m - 1] * wstart_bytes)
-    return out
-
-
-def gtestable_kernel(
-    total: Sequence[int], wstart: Sequence[int], min_rtt: Sequence[float]
-) -> List[float]:
-    """Eq. (3) max testable goodput per element — mirrors
-    ``max_testable_goodput`` (bytes/s)."""
-    pow2 = _POW2
-    out = []
-    for m, total_bytes, wstart_bytes, rtt in zip(
-        rounds_kernel(total, wstart), total, wstart, min_rtt
-    ):
-        if rtt <= 0:
-            raise ValueError("min_rtt_seconds must be positive")
-        if m == 1:
-            best = total_bytes
-        else:
-            if m - 1 > _MAX_ROUNDS:
-                raise ValueError(_ROUNDS_ERROR)
-            penultimate = pow2[m - 2] * wstart_bytes
-            final_round = total_bytes - wstart_bytes * (pow2[m - 1] - 1)
-            best = penultimate if penultimate > final_round else final_round
-        out.append(best / rtt)
-    return out
-
-
-def tmodel_kernel(
-    rate: float,
-    total: Sequence[int],
-    wstart: Sequence[int],
-    min_rtt: Sequence[float],
-) -> List[float]:
-    """Tmodel(R) per element — mirrors ``model_transfer_time`` (seconds)."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    pow2 = _POW2
-    ceil = math.ceil
-    log2 = math.log2
-    out = []
-    for m, total_bytes, wstart_bytes, rtt in zip(
-        rounds_kernel(total, wstart), total, wstart, min_rtt
-    ):
-        if rtt <= 0:
-            raise ValueError("min_rtt_seconds must be positive")
-        needed = rate * rtt
-        if wstart_bytes >= needed:
-            n = 0
-        else:
-            n = ceil(log2(needed / wstart_bytes) - 1e-12)
-            if n < 0:
-                n = 0
-            elif n > _MAX_ROUNDS:
-                n = _MAX_ROUNDS
-        if n > m - 1:
-            n = m - 1
-        remaining = total_bytes - wstart_bytes * (pow2[n] - 1)
-        out.append(n * rtt + remaining / rate + rtt)
-    return out
-
-
-def minrtt_ms_kernel(min_rtt_seconds: Sequence[float]) -> List[float]:
-    """MinRTT column in milliseconds — mirrors
-    :attr:`repro.core.records.SessionSample.min_rtt_ms`."""
-    return [seconds * 1000.0 for seconds in min_rtt_seconds]
-
-
-def hdratio_kernel(
-    tested: Sequence[int], achieved: Sequence[int]
-) -> List[Optional[float]]:
-    """Per-session HDratio from funnel counts — mirrors
-    :attr:`repro.core.hdratio.SessionGoodput.hdratio` (``None`` when the
-    session could not test)."""
-    return [
-        (a / t) if t else None for t, a in zip(tested, achieved)
-    ]
-
-
-def minrtt_bucket_kernel(
-    min_rtt_ms: Sequence[float],
-    buckets: Sequence[Tuple[float, float]],
-) -> List[int]:
-    """Bucket index per MinRTT value — mirrors the Figure-7 row loop
-    (:func:`repro.pipeline.experiments.fig7_rtt_vs_hdratio`): first bucket
-    whose upper bound admits the value, ``-1`` when none does (unreachable
-    while the last bucket is open-ended, kept for bit-fidelity with the
-    row loop's fallthrough)."""
-    out = []
-    for value in min_rtt_ms:
-        index = -1
-        for position, bounds in enumerate(buckets):
-            if value <= bounds[1]:
-                index = position
-                break
-        out.append(index)
-    return out
 
 
 # --------------------------------------------------------------------- #

@@ -300,7 +300,6 @@ class StreamingIngestor:
         allowed_lateness_seconds: float = DEFAULT_ALLOWED_LATENESS_SECONDS,
         out_store=None,
         band_windows: Optional[int] = None,
-        compress: bool = True,
         keep_response_sizes: bool = True,
         compute_naive: bool = False,
         analyzer: Optional[OnlineTemporalAnalyzer] = None,
@@ -346,7 +345,6 @@ class StreamingIngestor:
                     else DEFAULT_BAND_WINDOWS
                 ),
                 window_seconds=window_seconds,
-                compress=compress,
                 metrics=self.metrics,
             )
         )

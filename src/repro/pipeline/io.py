@@ -58,7 +58,6 @@ __all__ = [
     "plan_chunks",
     "read_chunk",
     "read_samples",
-    "read_samples_chunked",
     "read_samples_stream",
     "write_samples",
     "sample_to_dict",
@@ -245,59 +244,64 @@ def read_samples(path: PathLike, metrics=None) -> Iterator[SessionSample]:
     return _read_samples_jsonl(path, metrics)
 
 
+def _decode_line(
+    text: str, prefix: str, position: int, metrics=None
+) -> Optional[SessionSample]:
+    """One JSONL line to a sample (``None`` for a blank line).
+
+    The one place a trace line meets ``json.loads``. ``prefix`` +
+    ``position`` locate the line in the error a bad one raises;
+    ``metrics`` receives ``io.rows_read`` per decoded row and
+    ``io.decode_errors`` before that error.
+    """
+    text = text.strip()
+    if not text:
+        return None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as error:
+        if metrics is not None:
+            metrics.inc("io.decode_errors")
+        raise ValueError(
+            f"{prefix}{position}: invalid JSON ({error})"
+        ) from error
+    if metrics is not None:
+        metrics.inc("io.rows_read")
+    return sample_from_dict(payload)
+
+
 def _read_samples_jsonl(
     path: PathLike, metrics=None
 ) -> Iterator[SessionSample]:
     faultinject.check_io(path)
     with _open(path, "r") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
-                if metrics is not None:
-                    metrics.inc("io.decode_errors")
-                raise ValueError(
-                    f"{path}:{line_number}: invalid JSON ({error})"
-                ) from error
-            if metrics is not None:
-                metrics.inc("io.rows_read")
-            yield sample_from_dict(payload)
+        yield from read_samples_stream(handle, metrics, str(path))
 
 
-def read_samples_stream(handle: IO, metrics=None) -> Iterator[SessionSample]:
+def read_samples_stream(
+    handle: IO, metrics=None, name: str = "<stream>"
+) -> Iterator[SessionSample]:
     """Stream JSONL samples from an open text handle (e.g. ``sys.stdin``).
 
     The unbounded-input path for ``repro ingest -``: unlike
     :func:`read_samples` there is no path to seek or re-open, so the
     samples arrive strictly once, in arrival order — exactly the contract
     :class:`repro.pipeline.ingest.StreamingIngestor` expects. Counts the
-    same ``io.rows_read`` / ``io.decode_errors`` as a JSONL file read.
+    same ``io.rows_read`` / ``io.decode_errors`` as a JSONL file read
+    (which is this function over the opened file); a bad line is named
+    ``{name}:{line number}``.
     """
+    prefix = f"{name}:"
     for line_number, line in enumerate(handle, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            if metrics is not None:
-                metrics.inc("io.decode_errors")
-            raise ValueError(
-                f"<stream>:{line_number}: invalid JSON ({error})"
-            ) from error
-        if metrics is not None:
-            metrics.inc("io.rows_read")
-        yield sample_from_dict(payload)
+        sample = _decode_line(line, prefix, line_number, metrics)
+        if sample is not None:
+            yield sample
 
 
 def convert(
     src: PathLike,
     dst: PathLike,
     band_windows: int = DEFAULT_BAND_WINDOWS,
-    compress: bool = True,
     metrics=None,
 ) -> int:
     """Convert a trace between formats; returns the row count.
@@ -310,11 +314,7 @@ def convert(
     samples = read_samples(src, metrics=metrics)
     if detect_format(dst) == "store":
         return write_store(
-            dst,
-            samples,
-            band_windows=band_windows,
-            compress=compress,
-            metrics=metrics,
+            dst, samples, band_windows=band_windows, metrics=metrics
         )
     return write_samples(dst, samples, metrics=metrics)
 
@@ -459,6 +459,7 @@ def plan_chunks(path: PathLike, num_chunks: int) -> list:
 
 def _read_byte_range_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
     faultinject.check_io(chunk.path)
+    prefix = f"{chunk.path}@byte "
     with open(chunk.path, "rb") as handle:
         handle.seek(chunk.start_byte)
         offset = chunk.start_byte
@@ -468,66 +469,34 @@ def _read_byte_range_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
                 break
             line_start = offset
             offset += len(raw)
-            text = raw.decode("utf-8").strip()
-            if not text:
-                continue
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as error:
-                if metrics is not None:
-                    metrics.inc("io.decode_errors")
-                raise ValueError(
-                    f"{chunk.path}@byte {line_start}: invalid JSON ({error})"
-                ) from error
-            if metrics is not None:
-                metrics.inc("io.rows_read")
-            yield line_start, sample_from_dict(payload)
+            sample = _decode_line(
+                raw.decode("utf-8"), prefix, line_start, metrics
+            )
+            if sample is not None:
+                yield line_start, sample
 
 
 def _read_line_block_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
     faultinject.check_io(chunk.path)
+    prefix = f"{chunk.path}:"
     with _open(chunk.path, "r") as handle:
         for index, line in enumerate(handle):
             if index >= chunk.end_line:
                 break
             if index < chunk.start_line:
                 continue
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as error:
-                if metrics is not None:
-                    metrics.inc("io.decode_errors")
-                raise ValueError(
-                    f"{chunk.path}:{index + 1}: invalid JSON ({error})"
-                ) from error
-            if metrics is not None:
-                metrics.inc("io.rows_read")
-            yield index, sample_from_dict(payload)
+            sample = _decode_line(line, prefix, index + 1, metrics)
+            if sample is not None:
+                yield index, sample
 
 
 def read_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
     """Yield ``(order_key, sample)`` pairs for one JSONL chunk (see
     :class:`TraceChunk` for the key's ordering guarantee; a store chunk
     decodes straight to columns,
-    :func:`repro.kernels.engine.batches_for_chunk`). ``metrics`` receives
+    :func:`repro.kernels.engine.iter_batches`). ``metrics`` receives
     the same counters as :func:`read_samples`, so the chunked counters sum
     to exactly the serial read's."""
     if chunk.byte_range:
         return _read_byte_range_chunk(chunk, metrics)
     return _read_line_block_chunk(chunk, metrics)
-
-
-def read_samples_chunked(
-    path: PathLike, num_chunks: int
-) -> Iterator[SessionSample]:
-    """Read a JSONL trace through the chunk planner.
-
-    Equivalent to :func:`read_samples`; exists so the equivalence can be
-    tested directly. JSONL chunks concatenate in file order.
-    """
-    for chunk in plan_chunks(path, num_chunks):
-        for _, sample in read_chunk(chunk):
-            yield sample

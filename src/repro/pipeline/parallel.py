@@ -370,13 +370,13 @@ def _run_shard(task: _ShardTask) -> ShardResult:
     """
     # Imported here, not at module top: repro.kernels.engine imports
     # repro.pipeline.filters, whose package __init__ imports this module.
-    from repro.kernels.engine import BatchIngestor, batches_for_chunk, batches_from_pairs
+    from repro.kernels.engine import BatchIngestor, batches_from_pairs, iter_batches
 
     faultinject.check_shard(task.ordinal)
     start = time.perf_counter()
     ingestor = BatchIngestor(**task.dataset_kwargs)
     if task.chunk is not None:
-        batches = batches_for_chunk(task.chunk, metrics=ingestor.metrics)
+        batches = iter_batches(task.chunk, metrics=ingestor.metrics)
     else:
         batches = batches_from_pairs(iter(task.indexed_samples or []))
     samples_ingested = 0

@@ -20,6 +20,7 @@ versioned binary **columnar** layout:
 - :mod:`repro.store.reader` — :class:`TraceStoreReader`:
   ``scan(filter)`` with manifest-level partition pruning, and
   partition-aligned :class:`StoreChunk` planning for the sharded pipeline;
+  rows and column batches come off one read → CRC → decode path;
 - :mod:`repro.store.compact` — :func:`compact_store`: merge the many
   small partitions a long-running stream seals into one partition per
   (PoP, band), CRC re-verified and swapped in crash-safely, with scans
@@ -52,7 +53,6 @@ from repro.store.writer import (
     DEFAULT_BAND_WINDOWS,
     STORE_FORMAT,
     STORE_FORMAT_VERSION,
-    SUPPORTED_STORE_VERSIONS,
     StoreAppender,
     TraceStoreWriter,
     append_to_store,
@@ -67,7 +67,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "STORE_FORMAT",
     "STORE_FORMAT_VERSION",
-    "SUPPORTED_STORE_VERSIONS",
     "ColumnDecodeError",
     "CompactionReport",
     "CorruptBlockError",

@@ -44,13 +44,14 @@ from typing import List, Optional, Union
 
 from repro.fsutil import atomic_write_bytes
 from repro.obs import span
-from repro.store.encoding import block_checksum
-from repro.store.errors import CorruptBlockError
-from repro.store.reader import TraceStoreReader
+from repro.store.reader import (
+    TraceStoreReader,
+    checksum_mismatches,
+    corrupt_block,
+)
 from repro.store.writer import (
     DATA_NAME,
     MANIFEST_NAME,
-    STORE_FORMAT_VERSION,
     Buckets,
     _bucket,
     _encode_buckets,
@@ -94,26 +95,20 @@ def _reverify_from_disk(data_path: pathlib.Path, partitions: List[dict]) -> None
     """
     payload = data_path.read_bytes()
     for partition in partitions:
-        base = partition["offset"]
-        for block in partition["blocks"]:
-            start = base + block["offset"]
-            actual = block_checksum(payload[start : start + block["length"]])
-            if actual != block["crc32"]:
-                raise CorruptBlockError(
-                    data_path,
-                    partition["id"],
-                    block["column"],
-                    start,
-                    block["length"],
-                    "compaction re-verify failed "
-                    f"(manifest {block['crc32']:#010x}, data {actual:#010x})",
-                )
+        for column, detail in checksum_mismatches(
+            payload, partition["blocks"], base=partition["offset"]
+        ):
+            raise corrupt_block(
+                data_path,
+                partition,
+                column,
+                f"compaction re-verify failed: {detail}",
+            )
 
 
 def compact_store(
     path: PathLike,
     band_windows: Optional[int] = None,
-    compress: bool = True,
     metrics=None,
 ) -> CompactionReport:
     """Rewrite ``path`` so each (PoP, band) key holds one partition.
@@ -164,7 +159,7 @@ def compact_store(
                 skipped=True,
             )
 
-        payload, partitions = _encode_buckets(buckets, compress=compress)
+        payload, partitions = _encode_buckets(buckets)
 
         old_data_name = manifest.get("data_file", DATA_NAME)
         new_data_name = _next_generation_name(old_data_name)
@@ -173,7 +168,6 @@ def compact_store(
         _reverify_from_disk(new_data_path, partitions)
 
         new_manifest = dict(manifest)
-        new_manifest["version"] = STORE_FORMAT_VERSION
         new_manifest["band_windows"] = new_band_windows
         new_manifest["data_file"] = new_data_name
         new_manifest["data_bytes"] = len(payload)

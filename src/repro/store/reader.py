@@ -19,11 +19,15 @@ stay byte-identical to the serial pass (asserted by
 ``tests/test_store_pipeline.py``).
 
 Integrity: every block read is CRC32-verified against the manifest before
-its decoder runs (store format v2; v1 blocks carry no checksum and skip
-the check). Damage raises a typed :class:`~repro.store.errors.StoreError`
-subclass naming the partition, column, and absolute byte range — never a
-bare ``struct.error`` — and :func:`verify_store` scans a whole store and
-*reports* findings instead of raising, for ``repro verify-store``.
+its decoder runs, and a block whose manifest entry records no checksum is
+damage like any other mismatch — the data cannot switch the check off.
+There is one path from a partition's bytes to anything decoded from them
+(:meth:`TraceStoreReader._decode`) and one checksum comparison
+(:func:`checksum_mismatches`). Damage raises a typed
+:class:`~repro.store.errors.StoreError` subclass naming the partition,
+column, and absolute byte range — never a bare ``struct.error`` — and
+:func:`verify_store` scans a whole store and *reports* findings instead of
+raising, for ``repro verify-store``.
 
 Observability (all data-fact counters, subject to the serial-vs-parallel
 counter-equality invariant):
@@ -31,7 +35,7 @@ counter-equality invariant):
 - ``store.partitions.scanned`` / ``store.partitions.pruned``
 - ``store.bytes.read`` / ``store.bytes.skipped``
 - ``store.rows.decoded``
-- ``store.blocks.verified`` / ``store.blocks.unverified`` (v1 blocks)
+- ``store.blocks.verified`` (added once per partition that passes whole)
 - plus the shared ``io.rows_read`` ledger per yielded sample.
 """
 
@@ -40,7 +44,16 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro import faultinject
 from repro.core.records import SessionSample
@@ -60,10 +73,64 @@ __all__ = [
     "StoreVerifyFinding",
     "StoreVerifyReport",
     "TraceStoreReader",
+    "checksum_mismatches",
+    "corrupt_block",
     "verify_store",
 ]
 
 PathLike = Union[str, pathlib.Path]
+
+
+def checksum_mismatches(
+    payload: bytes, blocks: Sequence[dict], base: int = 0
+) -> Iterator[Tuple[str, str]]:
+    """Yield ``(column, detail)`` for every block that fails its checksum.
+
+    The one comparison of block bytes against the manifest's ``crc32``:
+    ``payload[base:]`` holds the blocks at their manifest offsets. An entry
+    whose ``crc32`` is not an integer is a mismatch too — no manifest this
+    build reads omits it, so its absence is damage, not a version.
+    """
+    view = memoryview(payload)
+    for block in blocks:
+        expected = block.get("crc32")
+        if type(expected) is not int:
+            yield block["column"], "manifest records no crc32"
+            continue
+        start = base + block["offset"]
+        actual = block_checksum(view[start : start + block["length"]])
+        if actual != expected:
+            yield block["column"], (
+                f"crc32 mismatch (manifest {expected:#010x}, "
+                f"data {actual:#010x})"
+            )
+
+
+def corrupt_block(
+    data_path, partition: dict, column: Optional[str], detail: str
+) -> CorruptBlockError:
+    """A :class:`CorruptBlockError` locating ``column``'s block in the file
+    (``column=None``: the partition as a whole)."""
+    offset = length = None
+    if column is not None:
+        block = next(
+            (b for b in partition["blocks"] if b["column"] == column),
+            None,
+        )
+        if block is not None:
+            offset = partition["offset"] + block["offset"]
+            length = block["length"]
+    return CorruptBlockError(
+        data_path, partition["id"], column, offset, length, detail
+    )
+
+
+def _decode_batch(payload: bytes, blocks: List[dict]):
+    # Late import: repro.kernels loads repro.pipeline, which loads this
+    # package.
+    from repro.kernels.columns import ColumnBatch
+
+    return ColumnBatch.from_store_columns(decode_columns(payload, blocks))
 
 
 def _as_frozenset(values) -> Optional[frozenset]:
@@ -167,76 +234,67 @@ class TraceStoreReader:
     def partitions(self) -> List[dict]:
         return self.manifest["partitions"]
 
-    def partition(self, part_id: int) -> dict:
-        for partition in self.partitions:
-            if partition["id"] == part_id:
-                return partition
-        raise KeyError(f"no partition {part_id} in {self.path}")
+    def _assemble(self, partition: dict, payload: bytes, assemble: Callable):
+        """``assemble(payload, blocks)`` under the one decode-error mapping:
+        whatever a decoder trips over leaves as a :class:`CorruptBlockError`
+        naming the partition (and the column, when one block is to blame)."""
+        try:
+            return assemble(payload, partition["blocks"])
+        except ColumnDecodeError as error:
+            raise corrupt_block(
+                self.data_path, partition, error.column, error.detail
+            ) from error
+        except (IndexError, KeyError, StopIteration) as error:
+            # Assembly failures (cursor overruns, short child columns):
+            # the payload is internally inconsistent even though every
+            # block decoded — attribute to the partition as a whole.
+            raise corrupt_block(
+                self.data_path,
+                partition,
+                None,
+                f"row assembly failed ({error!r})",
+            ) from error
 
-    # ------------------------------------------------------------------ #
+    def _decode(self, partition: dict, assemble: Callable, metrics=None):
+        """The one path from a partition's bytes to anything decoded.
+
+        One contiguous read, every block's CRC32 against the manifest,
+        then ``assemble(payload, blocks)``. Raises
+        :class:`TruncatedPartitionError` when the data file ends inside
+        the partition, and :class:`CorruptBlockError` (naming the
+        partition, column, and absolute byte range) when a block fails
+        its checksum or its decode. The ``store.*`` scan counters are
+        added only for a partition that passes whole.
+        """
+        payload = self._read_partition_payload(partition)
+        blocks = partition["blocks"]
+        for column, detail in checksum_mismatches(payload, blocks):
+            raise corrupt_block(self.data_path, partition, column, detail)
+        decoded = self._assemble(partition, payload, assemble)
+        if metrics is not None:
+            metrics.inc("store.blocks.verified", len(blocks))
+            metrics.inc("store.partitions.scanned")
+            metrics.inc("store.bytes.read", partition["length"])
+            metrics.inc("store.rows.decoded", len(decoded))
+        return decoded
+
     def decode_partition(
         self, partition: dict, metrics=None
     ) -> List[Tuple[int, SessionSample]]:
-        """Read, verify, and decode one partition (one contiguous read).
-
-        Raises :class:`TruncatedPartitionError` when the data file ends
-        inside the partition, and :class:`CorruptBlockError` (naming the
-        partition, column, and absolute byte range) when a block fails its
-        CRC32 check or its decode.
-        """
-        payload = self._read_partition_payload(partition)
-        self._verify_blocks(payload, partition, metrics)
-        try:
-            rows = decode_rows(payload, partition["blocks"])
-        except ColumnDecodeError as error:
-            raise self._block_error(
-                partition, error.column, error.detail
-            ) from error
-        except (IndexError, KeyError, StopIteration) as error:
-            # Row-assembly failures (cursor overruns, short child columns):
-            # the payload is internally inconsistent even though every
-            # block decoded — attribute to the partition as a whole.
-            raise self._block_error(
-                partition, None, f"row assembly failed ({error!r})"
-            ) from error
-        if metrics is not None:
-            metrics.inc("store.partitions.scanned")
-            metrics.inc("store.bytes.read", partition["length"])
-            metrics.inc("store.rows.decoded", len(rows))
-        return rows
+        """One partition as ``(seq, sample)`` rows, in stored order."""
+        return self._decode(partition, decode_rows, metrics)
 
     def decode_partition_columns(self, partition: dict, metrics=None):
         """Column fast path: one partition as a :class:`ColumnBatch`.
 
-        Same read, CRC verification, typed error attribution, and counters
-        as :meth:`decode_partition` — but the decoded columns are handed to
-        the batch engine directly instead of being assembled into
-        ``SessionSample`` rows. ``io.rows_read`` is counted here per
-        decoded row, so a column scan's ledger matches a row scan's.
+        The decoded columns are handed to the batch engine directly
+        instead of being assembled into ``SessionSample`` rows.
+        ``io.rows_read`` is counted here per decoded row, so a column
+        scan's ledger matches a row scan's.
         """
-        from repro.kernels.columns import ColumnBatch
-
-        payload = self._read_partition_payload(partition)
-        self._verify_blocks(payload, partition, metrics)
-        try:
-            decoded = decode_columns(payload, partition["blocks"])
-            batch = ColumnBatch.from_store_columns(decoded)
-        except ColumnDecodeError as error:
-            raise self._block_error(
-                partition, error.column, error.detail
-            ) from error
-        except (IndexError, KeyError, StopIteration) as error:
-            # Column assembly failures (cursor overruns, short child
-            # columns): same attribution rule as the row decoder.
-            raise self._block_error(
-                partition, None, f"row assembly failed ({error!r})"
-            ) from error
-        if metrics is not None:
-            metrics.inc("store.partitions.scanned")
-            metrics.inc("store.bytes.read", partition["length"])
-            metrics.inc("store.rows.decoded", len(batch))
-            if len(batch):
-                metrics.inc("io.rows_read", len(batch))
+        batch = self._decode(partition, _decode_batch, metrics)
+        if metrics is not None and len(batch):
+            metrics.inc("io.rows_read", len(batch))
         return batch
 
     def read_column_batches(
@@ -278,47 +336,6 @@ class TraceStoreReader:
                 len(payload),
             )
         return faultinject.corrupt_block_payload(payload, partition)
-
-    def _verify_blocks(
-        self, payload: bytes, partition: dict, metrics=None
-    ) -> None:
-        """CRC-check every block against the manifest before decoding."""
-        view = memoryview(payload)
-        for block in partition["blocks"]:
-            expected = block.get("crc32")
-            if expected is None:
-                # v1 store: blocks predate checksums.
-                if metrics is not None:
-                    metrics.inc("store.blocks.unverified")
-                continue
-            actual = block_checksum(
-                bytes(view[block["offset"] : block["offset"] + block["length"]])
-            )
-            if actual != expected:
-                raise self._block_error(
-                    partition,
-                    block["column"],
-                    f"crc32 mismatch (manifest {expected:#010x}, "
-                    f"data {actual:#010x})",
-                )
-            if metrics is not None:
-                metrics.inc("store.blocks.verified")
-
-    def _block_error(
-        self, partition: dict, column: Optional[str], detail: str
-    ) -> CorruptBlockError:
-        offset = length = None
-        if column is not None:
-            block = next(
-                (b for b in partition["blocks"] if b["column"] == column),
-                None,
-            )
-            if block is not None:
-                offset = partition["offset"] + block["offset"]
-                length = block["length"]
-        return CorruptBlockError(
-            self.data_path, partition["id"], column, offset, length, detail
-        )
 
     def _merged_pairs(
         self, partitions: Sequence[dict], metrics=None
@@ -480,26 +497,16 @@ class TraceStoreReader:
                 )
             ]
         findings: List[StoreVerifyFinding] = []
-        view = memoryview(payload)
-        for block in partition["blocks"]:
-            expected = block.get("crc32")
-            if expected is None:
-                continue
-            actual = block_checksum(
-                bytes(view[block["offset"] : block["offset"] + block["length"]])
-            )
-            if actual != expected:
-                findings.append(
-                    StoreVerifyFinding(
-                        partition_id=partition["id"],
-                        column=block["column"],
-                        offset=partition["offset"] + block["offset"],
-                        error=(
-                            f"crc32 mismatch (manifest {expected:#010x}, "
-                            f"data {actual:#010x})"
-                        ),
-                    )
+        for column, detail in checksum_mismatches(payload, partition["blocks"]):
+            located = corrupt_block(self.data_path, partition, column, detail)
+            findings.append(
+                StoreVerifyFinding(
+                    partition_id=partition["id"],
+                    column=column,
+                    offset=located.offset,
+                    error=detail,
                 )
+            )
         if findings:
             # Decoding checksummed-bad blocks would only duplicate the
             # attribution (or crash on garbage); report the CRCs.
@@ -507,14 +514,14 @@ class TraceStoreReader:
                 metrics.inc("store.partitions.corrupt", 1)
             return findings
         try:
-            rows = decode_rows(payload, partition["blocks"])
-        except StoreError as error:
+            rows = self._assemble(partition, payload, decode_rows)
+        except CorruptBlockError as error:
             findings.append(
                 StoreVerifyFinding(
                     partition_id=partition["id"],
-                    column=getattr(error, "column", None),
+                    column=error.column,
                     offset=partition["offset"],
-                    error=str(error),
+                    error=error.detail,
                 )
             )
         else:

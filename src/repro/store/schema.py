@@ -27,7 +27,7 @@ from __future__ import annotations
 import gc
 import struct
 import zlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.records import (
     HttpVersion,
@@ -61,6 +61,7 @@ __all__ = [
     "encode_rows",
     "decode_columns",
     "decode_rows",
+    "expand_routes",
 ]
 
 SCHEMA_VERSION = 1
@@ -209,6 +210,57 @@ _HTTP_BY_VALUE = {member.value: member for member in HttpVersion}
 _RELATIONSHIP_BY_VALUE = {member.value: member for member in Relationship}
 
 
+def expand_routes(decoded: Dict[str, list]) -> List[Optional[RouteInfo]]:
+    """One :class:`RouteInfo` (or ``None``) per row of a decoded partition.
+
+    The route columns are presence-compacted; this spreads them back over
+    the rows. Identical routes repeat across a partition's rows, so they
+    are interned: one ``RouteInfo`` construction per distinct route.
+    """
+    route_prefixes = decoded["route_prefix"]
+    # The cache key keeps the relationship as its dictionary *string* (1:1
+    # with the enum member, but hashed at C speed); the enum is looked up
+    # once per distinct route on the construction path.
+    relationships = decoded["route_relationship"]
+    route_ranks = decoded["route_rank"]
+    route_prepends = decoded["route_prepended"]
+    aspath_lens = decoded["route_aspath_lens"]
+    aspath_values = decoded["route_aspath_values"]
+    route_cache: Dict[tuple, RouteInfo] = {}
+    routes: List[Optional[RouteInfo]] = []
+    append = routes.append
+    route_cursor = 0
+    aspath_cursor = 0
+    for present in decoded["route_present"]:
+        if not present:
+            append(None)
+            continue
+        aspath_len = aspath_lens[route_cursor]
+        as_path = tuple(
+            aspath_values[aspath_cursor : aspath_cursor + aspath_len]
+        )
+        aspath_cursor += aspath_len
+        key = (
+            route_prefixes[route_cursor],
+            as_path,
+            relationships[route_cursor],
+            route_ranks[route_cursor],
+            route_prepends[route_cursor],
+        )
+        route = route_cache.get(key)
+        if route is None:
+            route = route_cache[key] = _new_route(
+                key[0],
+                as_path,
+                _RELATIONSHIP_BY_VALUE[key[2]],
+                key[3],
+                key[4],
+            )
+        append(route)
+        route_cursor += 1
+    return routes
+
+
 def decode_rows(
     payload: bytes, blocks: List[dict]
 ) -> List[Tuple[int, SessionSample]]:
@@ -273,13 +325,7 @@ def _decode_rows(
     http_versions = list(
         map(_HTTP_BY_VALUE.__getitem__, decoded["http_version"])
     )
-    # The route cache key keeps the relationship as its dictionary *string*
-    # (1:1 with the enum member, but hashed at C speed); the enum is looked
-    # up once per distinct route on the construction path.
-    relationships = decoded["route_relationship"]
-    # Identical routes repeat across a partition's rows; intern them so the
-    # decode loop pays one RouteInfo construction per distinct route.
-    route_cache: Dict[tuple, RouteInfo] = {}
+    routes = expand_routes(decoded)
 
     # Bind every column to a local: the row loop below runs per sample and
     # per transaction, where dict lookups would dominate the decode.
@@ -297,12 +343,6 @@ def _decode_rows(
     geo_tags = decoded["geo_tag"]
     media_lens = decoded["media_lens"]
     media_values = decoded["media_values"]
-    route_presents = decoded["route_present"]
-    route_prefixes = decoded["route_prefix"]
-    route_ranks = decoded["route_rank"]
-    route_prepends = decoded["route_prepended"]
-    aspath_lens = decoded["route_aspath_lens"]
-    aspath_values = decoded["route_aspath_values"]
     txn_lens = decoded["txn_lens"]
     # One zipped cursor over the transaction columns: a single C-level
     # next()+unpack per transaction instead of eight list indexings.
@@ -322,8 +362,6 @@ def _decode_rows(
 
     rows: List[Tuple[int, SessionSample]] = []
     append_row = rows.append
-    route_cursor = 0
-    aspath_cursor = 0
     media_cursor = 0
     # One zip over all per-sample columns: sequential iteration beats
     # per-row list indexing, and building each record's __dict__ as a
@@ -343,7 +381,7 @@ def _decode_rows(
         hosting,
         geo_tag,
         media_len,
-        route_present,
+        route,
         txn_len,
     ) in zip(
         seqs,
@@ -360,34 +398,9 @@ def _decode_rows(
         hostings,
         geo_tags,
         media_lens,
-        route_presents,
+        routes,
         txn_lens,
     ):
-        route = None
-        if route_present:
-            aspath_len = aspath_lens[route_cursor]
-            as_path = tuple(
-                aspath_values[aspath_cursor : aspath_cursor + aspath_len]
-            )
-            aspath_cursor += aspath_len
-            key = (
-                route_prefixes[route_cursor],
-                as_path,
-                relationships[route_cursor],
-                route_ranks[route_cursor],
-                route_prepends[route_cursor],
-            )
-            route = route_cache.get(key)
-            if route is None:
-                route = route_cache[key] = _new_route(
-                    key[0],
-                    as_path,
-                    _RELATIONSHIP_BY_VALUE[key[2]],
-                    key[3],
-                    key[4],
-                )
-            route_cursor += 1
-
         transactions = []
         for _ in range(txn_len):
             fbt, ack, response, last, cwnd, inflight, coalesced, has_lbwt = (

@@ -26,10 +26,11 @@ last) with one serialiser, :func:`dump_manifest`, beside its one parser,
 :func:`load_manifest`; ``python -m json.tool manifest.json`` renders it
 for reading. Manifests written indented by earlier builds load unchanged.
 
-Integrity: store format v2 records a CRC32 per column block (computed in
+Integrity: the manifest records a CRC32 per column block (computed in
 :func:`repro.store.schema.encode_rows` over the on-disk bytes), which the
-reader verifies before decoding. v1 stores (no checksums) remain readable;
-see ``SUPPORTED_STORE_VERSIONS``.
+reader verifies before decoding. Format version 2 is the only one read or
+written: :func:`load_manifest` refuses any other, and a block entry
+without a checksum is damage (:func:`repro.store.reader.checksum_mismatches`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "DEFAULT_BAND_WINDOWS",
     "STORE_FORMAT",
     "STORE_FORMAT_VERSION",
-    "SUPPORTED_STORE_VERSIONS",
     "MANIFEST_NAME",
     "DATA_NAME",
     "StoreAppender",
@@ -66,12 +66,9 @@ __all__ = [
 ]
 
 STORE_FORMAT = "repro-store"
-#: v1: original layout. v2: per-block ``crc32`` fields in the manifest.
-#: The writer emits the newest version; the reader accepts all of
-#: ``SUPPORTED_STORE_VERSIONS`` (a v1 block without a checksum simply
-#: skips verification).
+#: Per-block ``crc32`` fields in the manifest; the one version this build
+#: writes and the one it reads.
 STORE_FORMAT_VERSION = 2
-SUPPORTED_STORE_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
 DATA_NAME = "data.bin"
 
@@ -110,11 +107,11 @@ def load_manifest(path: PathLike) -> dict:
         raise StoreError(
             f"{manifest_path}: unrecognized format {manifest.get('format')!r}"
         )
-    if manifest.get("version") not in SUPPORTED_STORE_VERSIONS:
+    if manifest.get("version") != STORE_FORMAT_VERSION:
         raise StoreError(
             f"{manifest_path}: unsupported store version "
             f"{manifest.get('version')!r} (supported: "
-            f"{SUPPORTED_STORE_VERSIONS})"
+            f"{STORE_FORMAT_VERSION})"
         )
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise StoreError(
@@ -197,7 +194,6 @@ class TraceStoreWriter:
         path: PathLike,
         band_windows: int = DEFAULT_BAND_WINDOWS,
         window_seconds: float = 900.0,
-        compress: bool = True,
         metrics=None,
     ) -> None:
         if band_windows < 1:
@@ -207,20 +203,12 @@ class TraceStoreWriter:
         self.path = pathlib.Path(path)
         self.band_windows = band_windows
         self.window_seconds = window_seconds
-        self.compress = compress
         self.metrics = metrics
         self._buckets: Buckets = {}
         self._next_seq = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    def band_of(self, sample: SessionSample) -> int:
-        """Window band of a sample (keyed by session end, like windows)."""
-        return (
-            window_index(sample.end_time, self.window_seconds)
-            // self.band_windows
-        )
-
     def add(self, sample: SessionSample) -> int:
         """Buffer one sample; returns its sequence number (stream order)."""
         if self._closed:
@@ -247,9 +235,7 @@ class TraceStoreWriter:
             raise ValueError("writer is closed")
         self._closed = True
 
-        payload, partitions = _encode_buckets(
-            self._buckets, compress=self.compress
-        )
+        payload, partitions = _encode_buckets(self._buckets)
 
         manifest = {
             "format": STORE_FORMAT,
@@ -282,7 +268,6 @@ class TraceStoreWriter:
 
 def _encode_buckets(
     buckets: Buckets,
-    compress: bool,
     first_part_id: int = 0,
     base_offset: int = 0,
 ) -> Tuple[bytes, List[dict]]:
@@ -298,7 +283,7 @@ def _encode_buckets(
     payload = bytearray()
     partitions: List[dict] = []
     for part_id, ((pop, band), rows) in enumerate(ordered, start=first_part_id):
-        encoded, blocks = encode_rows(rows, compress=compress)
+        encoded, blocks = encode_rows(rows)
         partitions.append(
             {
                 "id": part_id,
@@ -328,7 +313,6 @@ def write_store(
     samples: Iterable[SessionSample],
     band_windows: int = DEFAULT_BAND_WINDOWS,
     window_seconds: float = 900.0,
-    compress: bool = True,
     metrics=None,
 ) -> int:
     """Write a whole sample stream as a store; returns the row count."""
@@ -336,7 +320,6 @@ def write_store(
         path,
         band_windows=band_windows,
         window_seconds=window_seconds,
-        compress=compress,
         metrics=metrics,
     )
     count = writer.add_all(samples)
@@ -381,8 +364,6 @@ class StoreAppender:
     the next successful append. A data file *shorter* than the manifest
     says is damage, not a torn tail: the append is refused with a
     :class:`TruncatedPartitionError` before anything is written.
-    Appending to a version-1 store upgrades the manifest to the current
-    format version (old blocks simply carry no checksum).
 
     A missing store is created (even for an empty sample stream, so a
     streaming run's output is always scannable). ``metrics`` receives the
@@ -394,13 +375,11 @@ class StoreAppender:
         path: PathLike,
         band_windows: int = DEFAULT_BAND_WINDOWS,
         window_seconds: float = 900.0,
-        compress: bool = True,
         metrics=None,
     ) -> None:
         self.path = pathlib.Path(path)
         self.band_windows = band_windows
         self.window_seconds = window_seconds
-        self.compress = compress
         self.metrics = metrics
         #: The manifest minus ``"partitions"``, and each partition's encoded
         #: descriptor, as of the manifest file ``_identity`` names.
@@ -438,7 +417,6 @@ class StoreAppender:
                 samples,
                 band_windows=self.band_windows,
                 window_seconds=self.window_seconds,
-                compress=self.compress,
                 metrics=self.metrics,
             )
         if identity != self._identity:
@@ -462,7 +440,6 @@ class StoreAppender:
         base_offset = self._head["data_bytes"]
         payload, partitions = _encode_buckets(
             buckets,
-            compress=self.compress,
             first_part_id=len(self._fragments),
             base_offset=base_offset,
         )
@@ -487,7 +464,6 @@ class StoreAppender:
 
         head = dict(
             self._head,
-            version=STORE_FORMAT_VERSION,
             row_count=first_seq + count,
             data_bytes=base_offset + len(payload),
         )
@@ -512,7 +488,6 @@ def append_to_store(
     samples: Iterable[SessionSample],
     band_windows: int = DEFAULT_BAND_WINDOWS,
     window_seconds: float = 900.0,
-    compress: bool = True,
     metrics=None,
 ) -> int:
     """One-shot :meth:`StoreAppender.append`; returns the row count."""
@@ -520,7 +495,6 @@ def append_to_store(
         path,
         band_windows=band_windows,
         window_seconds=window_seconds,
-        compress=compress,
         metrics=metrics,
     ).append(samples)
 

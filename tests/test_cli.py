@@ -258,12 +258,18 @@ class TestStoreCli:
         assert args.src == "a.jsonl"
         assert args.dst == "b.store"
         assert args.band_windows is None
-        assert not args.no_compress
         args = build_parser().parse_args(
-            ["convert", "a.jsonl", "b.store", "--band-windows", "2", "--no-compress"]
+            ["convert", "a.jsonl", "b.store", "--band-windows", "2"]
         )
         assert args.band_windows == 2
-        assert args.no_compress
+        # Block compression is not a knob: the flag is gone from both
+        # subcommands that carried it.
+        for argv in (
+            ["convert", "a.jsonl", "b.store", "--no-compress"],
+            ["compact-store", "b.store", "--no-compress"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_format_option_parsers(self):
         """No parser carries a format: it is read off the path."""

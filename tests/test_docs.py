@@ -79,3 +79,96 @@ class TestBenchmarkCoverage:
             "test_validation_goodput.py",
         ):
             assert artifact in names, f"missing benchmark for {artifact}"
+
+
+# --------------------------------------------------------------------- #
+# Surface guards: what is exported is used, what is written once stays once
+# --------------------------------------------------------------------- #
+def _exported(path: pathlib.Path) -> list:
+    """The names in a module's literal ``__all__``."""
+    import ast
+
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def _references() -> dict:
+    """name -> files that *use* it, over everything the program ships.
+
+    A use is a name load, an attribute access or an import — except an
+    import inside a package ``__init__`` (a re-export). A definition
+    (``def``/``class``/assignment target) and an ``__all__`` string are
+    neither, so a name only its own module spells out is unreferenced.
+    """
+    import ast
+
+    found: dict = {}
+    for top in ("src", "bench", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif (
+                    isinstance(node, ast.ImportFrom)
+                    and path.name != "__init__.py"
+                ):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    found.setdefault(name, set()).add(path)
+    return found
+
+
+class TestSurfaceGuards:
+    def test_every_exported_name_has_a_caller(self):
+        """``__all__`` of the kernels, the store and the trace I/O module
+        lists nothing that no shipped code uses: a function only the tests
+        call is the tests' to own (ISSUE 22 found seven)."""
+        package = ROOT / "src" / "repro"
+        modules = [
+            *sorted((package / "kernels").glob("*.py")),
+            *sorted((package / "store").glob("*.py")),
+            package / "pipeline" / "io.py",
+        ]
+        references = _references()
+        allowlist: set = set()
+        unreferenced = sorted(
+            f"{module.relative_to(package)}:{name}"
+            for module in modules
+            for name in _exported(module)
+            if name not in references and name not in allowlist
+        )
+        assert unreferenced == []
+
+    def test_a_jsonl_line_meets_json_loads_once(self):
+        source = (ROOT / "src" / "repro" / "pipeline" / "io.py").read_text()
+        assert source.count("json.loads(") == 1
+
+    def test_block_checksum_has_one_writer_and_one_reader(self):
+        import ast
+
+        callers = set()
+        store = ROOT / "src" / "repro" / "store"
+        for path in sorted(store.glob("*.py")):
+            for function in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(function):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "block_checksum"
+                    ):
+                        callers.add(f"{path.name}:{function.name}")
+        assert callers == {
+            "schema.py:encode_rows",  # on write
+            "reader.py:checksum_mismatches",  # the one comparison on read
+        }

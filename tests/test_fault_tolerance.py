@@ -41,6 +41,8 @@ from repro.store import (
     verify_store,
     write_store,
 )
+from repro.store.encoding import block_checksum, encode_f64, encode_varints
+from repro.store.schema import decode_columns
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
     in_process_pool,
     local_options,
@@ -146,25 +148,336 @@ class TestCorruptionDetection:
         with pytest.raises(ValueError):
             list(TraceStoreReader(store_path).scan())
 
-    def test_v1_store_without_checksums_still_reads(self, store_path, samples):
-        manifest_path = store_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 1
-        for partition in manifest["partitions"]:
-            for block in partition["blocks"]:
-                block.pop("crc32", None)
-        manifest_path.write_text(json.dumps(manifest))
-        registry = MetricsRegistry()
-        read = list(TraceStoreReader(store_path).scan(metrics=registry))
-        assert read == samples
-        assert registry.counter("store.blocks.unverified") > 0
-        assert registry.counter("store.blocks.verified") == 0
-
     def test_v2_scan_counts_verified_blocks(self, store_path):
         registry = MetricsRegistry()
-        list(TraceStoreReader(store_path).scan(metrics=registry))
-        assert registry.counter("store.blocks.verified") > 0
-        assert registry.counter("store.blocks.unverified") == 0
+        reader = TraceStoreReader(store_path)
+        list(reader.scan(metrics=registry))
+        # Every block of every partition, each added once per partition
+        # that passed whole.
+        assert registry.counter("store.blocks.verified") == sum(
+            len(partition["blocks"]) for partition in reader.partitions
+        )
+
+
+# --------------------------------------------------------------------- #
+# 1b. One read path: rows and columns fail alike
+# --------------------------------------------------------------------- #
+def _rewrite_manifest(store_path, edit):
+    manifest_path = store_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _block_of(partition, column):
+    return next(b for b in partition["blocks"] if b["column"] == column)
+
+
+def _flip_column(column):
+    def damage(store_path):
+        manifest = json.loads((store_path / "manifest.json").read_text())
+        index = [b["column"] for b in manifest["partitions"][1]["blocks"]].index(
+            column
+        )
+        _flip_block_byte(store_path, partition_index=1, block_index=index)
+
+    return damage
+
+
+def _truncate_payload(store_path):
+    data_path = store_path / "data.bin"
+    data_path.write_bytes(data_path.read_bytes()[:-20])
+
+
+def _drop_block(store_path):
+    def edit(manifest):
+        blocks = manifest["partitions"][1]["blocks"]
+        blocks.remove(_block_of(manifest["partitions"][1], "bytes_sent"))
+
+    _rewrite_manifest(store_path, edit)
+
+
+def _unknown_block(store_path):
+    def edit(manifest):
+        _block_of(manifest["partitions"][1], "geo_tag")["column"] = "geo_tagz"
+
+    _rewrite_manifest(store_path, edit)
+
+
+def _short_child(column, encode):
+    """Re-point ``column``'s block of the *last* partition at a freshly
+    encoded, correctly checksummed, one-value-short copy appended to the
+    data file: every block verifies and decodes, the rows do not add up."""
+
+    def damage(store_path):
+        reader = TraceStoreReader(store_path)
+        partition = max(reader.partitions, key=lambda p: p["offset"])
+        payload = reader._read_partition_payload(partition)
+        values = decode_columns(payload, partition["blocks"])[column]
+        assert len(values) > 1
+        short = encode(list(values)[:-1])
+        with open(store_path / "data.bin", "ab") as handle:
+            handle.write(short)
+
+        def edit(manifest):
+            target = next(
+                p for p in manifest["partitions"] if p["id"] == partition["id"]
+            )
+            _block_of(target, column).update(
+                offset=target["length"],
+                length=len(short),
+                codec="raw",
+                crc32=block_checksum(short),
+            )
+            target["length"] += len(short)
+            manifest["data_bytes"] += len(short)
+
+        _rewrite_manifest(store_path, edit)
+
+    return damage
+
+
+DAMAGE_KINDS = {
+    # One flipped byte per column encoding class.
+    "flip-seq": _flip_column("seq"),  # dvarint
+    "flip-bytes_sent": _flip_column("bytes_sent"),  # i64
+    "flip-min_rtt_seconds": _flip_column("min_rtt_seconds"),  # f64
+    "flip-pop": _flip_column("pop"),  # strdict
+    "flip-route_present": _flip_column("route_present"),  # bitmap
+    "flip-txn_lens": _flip_column("txn_lens"),  # varint
+    "truncated-payload": _truncate_payload,
+    "missing-block": _drop_block,
+    "unknown-block": _unknown_block,
+    "short-lbwt-values": _short_child("txn_lbwt_values", encode_f64),
+    "short-route-rank": _short_child("route_rank", encode_varints),
+}
+
+
+class TestRowAndColumnReadsFailAlike:
+    """``decode_partition`` and ``decode_partition_columns`` are one read
+    path under two assemblers: every damage kind raises the same typed
+    error with the same attribution and leaves the same ``store.*``
+    counters, whichever is asked."""
+
+    @staticmethod
+    def _outcome(store_path, method):
+        registry = MetricsRegistry()
+        reader = TraceStoreReader(store_path)
+        with pytest.raises(StoreError) as excinfo:
+            for partition in reader.partitions:
+                getattr(reader, method)(partition, registry)
+        error = excinfo.value
+        counters = {
+            name: value
+            for name, value in registry.counters.items()
+            if name.startswith("store.")
+        }
+        return error, counters
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE_KINDS))
+    def test_same_error_same_attribution_same_counters(self, store_path, kind):
+        DAMAGE_KINDS[kind](store_path)
+        row_error, row_counters = self._outcome(store_path, "decode_partition")
+        col_error, col_counters = self._outcome(
+            store_path, "decode_partition_columns"
+        )
+        assert type(row_error) is type(col_error)
+        assert isinstance(
+            row_error, (CorruptBlockError, TruncatedPartitionError)
+        )
+        for field in ("partition_id", "column", "offset", "length"):
+            assert getattr(row_error, field, None) == getattr(
+                col_error, field, None
+            ), field
+        assert str(row_error) == str(col_error)
+        assert row_counters == col_counters
+        # The damaged partition added nothing: the counters describe the
+        # partitions that passed whole before it, block for block.
+        reader = TraceStoreReader(store_path)
+        passed = reader.partitions[: row_counters.get("store.partitions.scanned", 0)]
+        assert row_counters.get("store.blocks.verified", 0) == sum(
+            len(p["blocks"]) for p in passed
+        )
+        assert row_counters.get("store.rows.decoded", 0) == sum(
+            p["rows"] for p in passed
+        )
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE_KINDS))
+    def test_verify_store_reports_what_a_read_raises(self, store_path, kind):
+        """The audit runs the readers' own error mapping: it names the
+        partition a read would raise on and never raises itself (a short
+        child column used to escape it as a bare ``StopIteration``)."""
+        DAMAGE_KINDS[kind](store_path)
+        error, _ = self._outcome(store_path, "decode_partition")
+        report = verify_store(store_path)
+        assert not report.ok
+        assert error.partition_id in {f.partition_id for f in report.findings}
+        column = getattr(error, "column", None)
+        if column is not None:
+            assert column in {f.column for f in report.findings}
+
+    def test_assembly_failures_name_the_partition(self, store_path):
+        DAMAGE_KINDS["short-lbwt-values"](store_path)
+        error, _ = self._outcome(store_path, "decode_partition_columns")
+        assert isinstance(error, CorruptBlockError)
+        assert error.column is None and error.offset is None
+        assert "row assembly failed (StopIteration" in str(error)
+
+
+# --------------------------------------------------------------------- #
+# 1c. The checks cannot be switched off by the data
+# --------------------------------------------------------------------- #
+def _raw_numeric_block(manifest):
+    """(partition, block) of the first raw-codec fixed-width block — any
+    bytes decode there, so a flipped bit is a wrong value, not an error."""
+    for partition in manifest["partitions"]:
+        for block in partition["blocks"]:
+            if (
+                block["codec"] == "raw"
+                and block["length"]
+                and block["column"] in ("bytes_sent", "session_id", "end_time")
+            ):
+                return partition, block
+    raise AssertionError("fixture store has no raw fixed-width block")
+
+
+@pytest.fixture(params=["bit-flipped", "bytes-intact"])
+def holed_store(store_path, request):
+    """A version-2 store with one block's ``crc32`` key deleted from the
+    manifest — and, in one arm, one bit flipped inside that block. The
+    other arm leaves the bytes alone: the check must not depend on the
+    damage being visible."""
+    manifest_path = store_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["version"] == 2
+    partition, block = _raw_numeric_block(manifest)
+    del block["crc32"]
+    manifest_path.write_text(json.dumps(manifest))
+    if request.param == "bit-flipped":
+        data_path = store_path / "data.bin"
+        data = bytearray(data_path.read_bytes())
+        data[partition["offset"] + block["offset"]] ^= 0x01
+        data_path.write_bytes(bytes(data))
+    return store_path, partition, block
+
+
+class TestMissingChecksumIsDamage:
+    """Regression: a block entry without ``crc32`` used to skip the check
+    whatever the manifest's version — 400 rows back, one with a different
+    value, ``verify_store(...).ok is True``. Every surface now names it."""
+
+    @staticmethod
+    def _assert_names_block(error, partition, block):
+        assert isinstance(error, CorruptBlockError)
+        assert error.partition_id == partition["id"]
+        assert error.column == block["column"]
+        assert error.offset == partition["offset"] + block["offset"]
+        assert error.length == block["length"]
+        assert "manifest records no crc32" in str(error)
+
+    def test_scan(self, holed_store):
+        store, partition, block = holed_store
+        registry = MetricsRegistry()
+        with pytest.raises(CorruptBlockError) as excinfo:
+            list(TraceStoreReader(store).scan(metrics=registry))
+        self._assert_names_block(excinfo.value, partition, block)
+
+    def test_read_column_batches(self, holed_store):
+        store, partition, block = holed_store
+        with pytest.raises(CorruptBlockError) as excinfo:
+            list(TraceStoreReader(store).read_column_batches())
+        self._assert_names_block(excinfo.value, partition, block)
+
+    def test_verify_store(self, holed_store):
+        store, partition, block = holed_store
+        report = verify_store(store)
+        assert not report.ok
+        assert report.partitions_corrupt == 1
+        (finding,) = report.findings
+        assert finding.partition_id == partition["id"]
+        assert finding.column == block["column"]
+        assert finding.offset == partition["offset"] + block["offset"]
+        assert "manifest records no crc32" in finding.error
+
+    def test_cli_verify_store(self, holed_store, capsys):
+        from repro.cli import main
+
+        store, partition, block = holed_store
+        assert main(["verify-store", str(store)]) == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT:" in out
+        assert f"partition {partition['id']}" in out
+        assert repr(block["column"]) in out
+
+    @pytest.mark.serve
+    def test_served_query_then_health(self, holed_store):
+        from repro.serve import QueryEngine
+
+        store, partition, block = holed_store
+        engine = QueryEngine(store)
+        status, payload = engine.handle("/v1/quantiles", {})
+        assert status == 503
+        assert payload["error"] == "CorruptBlockError"
+        assert payload["partition"] == partition["id"]
+        assert payload["column"] == block["column"]
+        assert "manifest records no crc32" in payload["detail"]
+        assert "sessions" not in payload
+        _, health = engine.handle("/v1/health", {})
+        assert health["status"] == "degraded"
+        assert health["quarantine"]["partitions"] == [partition["id"]]
+        _, audited = engine.handle("/v1/health", {"verify": ["1"]})
+        assert audited["verify"]["ok"] is False
+
+
+class TestVersionOneIsRefused:
+    """No writer has emitted version 1 since checksums arrived; a manifest
+    that claims it is refused, typed, before any data byte moves."""
+
+    @staticmethod
+    def _as_version_1(store_path):
+        def edit(manifest):
+            manifest["version"] = 1
+            for partition in manifest["partitions"]:
+                for block in partition["blocks"]:
+                    block.pop("crc32", None)
+
+        _rewrite_manifest(store_path, edit)
+
+    @staticmethod
+    def _files(store_path):
+        return {
+            path.name: path.read_bytes() for path in sorted(store_path.iterdir())
+        }
+
+    def test_load_manifest_names_the_version(self, store_path):
+        from repro.store import load_manifest
+
+        self._as_version_1(store_path)
+        with pytest.raises(StoreError, match="unsupported store version 1"):
+            load_manifest(store_path)
+        with pytest.raises(StoreError, match="unsupported store version 1"):
+            TraceStoreReader(store_path)
+        report = verify_store(store_path)
+        assert not report.ok
+        assert "unsupported store version 1" in report.findings[0].error
+
+    def test_append_refuses_before_writing(self, store_path, samples):
+        from repro.store import StoreAppender
+
+        self._as_version_1(store_path)
+        before = self._files(store_path)
+        with pytest.raises(StoreError, match="unsupported store version 1"):
+            StoreAppender(store_path, band_windows=2).append(samples[:20])
+        assert self._files(store_path) == before
+
+    def test_compact_refuses_before_writing(self, store_path):
+        from repro.store import compact_store
+
+        self._as_version_1(store_path)
+        before = self._files(store_path)
+        with pytest.raises(StoreError, match="unsupported store version 1"):
+            compact_store(store_path, band_windows=4)
+        assert self._files(store_path) == before
 
 
 class TestVerifyStore:

@@ -18,12 +18,6 @@ from repro.core.coalesce import (
     coalesce_transactions,
     filter_eligible,
 )
-from repro.core.goodput import (
-    ideal_round_trips,
-    ideal_wstart,
-    max_testable_goodput,
-    model_transfer_time,
-)
 from repro.core.hdratio import naive_hdratio, session_goodput
 from repro.core.records import TransactionRecord
 from repro.kernels import (
@@ -31,16 +25,8 @@ from repro.kernels import (
     coalesce_kernel,
     eligibility_kernel,
     funnel_single,
-    gtestable_kernel,
-    hdratio_kernel,
-    minrtt_bucket_kernel,
-    minrtt_ms_kernel,
-    next_wstart_kernel,
-    rounds_kernel,
     session_funnel,
-    tmodel_kernel,
 )
-from repro.pipeline.experiments import MINRTT_BUCKETS
 
 pytestmark = pytest.mark.kernels
 
@@ -180,83 +166,6 @@ class TestCoalesceKernel:
 
 
 # --------------------------------------------------------------------- #
-# Scalar math kernels
-# --------------------------------------------------------------------- #
-class TestScalarKernels:
-    @common
-    @given(
-        st.lists(st.tuples(byte_counts, cwnds, rtts), max_size=16),
-        st.floats(min_value=1e3, max_value=1e9),
-    )
-    def test_rounds_wstart_gtestable_tmodel(self, triples, rate):
-        total = [t for t, _, _ in triples]
-        wstart = [w for _, w, _ in triples]
-        rtt = [r for _, _, r in triples]
-        assert rounds_kernel(total, wstart) == [
-            ideal_round_trips(t, w) for t, w in zip(total, wstart)
-        ]
-        assert next_wstart_kernel(total, wstart) == [
-            ideal_wstart(t, w) for t, w in zip(total, wstart)
-        ]
-        assert gtestable_kernel(total, wstart, rtt) == [
-            max_testable_goodput(t, w, r) for t, w, r in zip(total, wstart, rtt)
-        ]
-        assert tmodel_kernel(rate, total, wstart, rtt) == [
-            model_transfer_time(rate, t, w, r)
-            for t, w, r in zip(total, wstart, rtt)
-        ]
-
-    @common
-    @given(st.lists(rtts, max_size=16))
-    def test_minrtt_ms(self, seconds):
-        assert minrtt_ms_kernel(seconds) == [s * 1000.0 for s in seconds]
-
-    @common
-    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=16))
-    def test_hdratio(self, pairs):
-        tested = [max(t, a) for t, a in pairs]
-        achieved = [min(t, a) for t, a in pairs]
-        expected = [
-            (a / t) if t else None for t, a in zip(tested, achieved)
-        ]
-        assert hdratio_kernel(tested, achieved) == expected
-
-    @common
-    @given(st.lists(st.floats(min_value=0.0, max_value=200.0), max_size=16))
-    def test_minrtt_buckets_match_fig7_loop(self, values):
-        def fig7_bucket(value):
-            for position, bounds in enumerate(MINRTT_BUCKETS):
-                if value <= bounds[1]:
-                    return position
-            return -1
-
-        assert minrtt_bucket_kernel(values, MINRTT_BUCKETS) == [
-            fig7_bucket(v) for v in values
-        ]
-
-    def test_rounds_overflow_raises_like_row(self):
-        huge = [1 << 64]
-        with pytest.raises(ValueError, match="round_index implausibly large"):
-            ideal_wstart(huge[0], 1)
-        with pytest.raises(ValueError, match="round_index implausibly large"):
-            next_wstart_kernel(huge, [1])
-        with pytest.raises(ValueError, match="round_index implausibly large"):
-            max_testable_goodput(1 << 65, 1, 0.05)
-        with pytest.raises(ValueError, match="round_index implausibly large"):
-            gtestable_kernel([1 << 65], [1], [0.05])
-
-    def test_nonpositive_inputs_raise_like_row(self):
-        with pytest.raises(ValueError, match="total_bytes must be positive"):
-            rounds_kernel([0], [1])
-        with pytest.raises(ValueError, match="wstart_bytes must be positive"):
-            rounds_kernel([5], [0])
-        with pytest.raises(ValueError, match="min_rtt_seconds must be positive"):
-            gtestable_kernel([5], [1], [0.0])
-        with pytest.raises(ValueError, match="rate must be positive"):
-            tmodel_kernel(0.0, [5], [1], [0.05])
-
-
-# --------------------------------------------------------------------- #
 # Fused session funnel
 # --------------------------------------------------------------------- #
 class TestSessionFunnel:
@@ -369,7 +278,6 @@ class TestEdgeCases:
             [], [], [], [], [], []
         )
         assert eligibility_kernel([]) == []
-        assert rounds_kernel([], []) == []
         assert assess_kernel([], [], [], [], [], [], 0.05) == (0, 0, 0)
 
     def test_single_row_batch(self):

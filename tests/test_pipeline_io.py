@@ -20,13 +20,22 @@ from repro.pipeline.io import (
     plan_chunks,
     read_chunk,
     read_samples,
-    read_samples_chunked,
+    read_samples_stream,
     sample_from_dict,
     sample_to_dict,
     write_samples,
 )
 
+from repro.obs import MetricsRegistry
+
 from tests.helpers import make_route, make_sample, make_trace_samples
+
+
+def read_samples_chunked(path, num_chunks):
+    """``read_samples`` through the chunk planner (chunks concatenate in
+    file order)."""
+    for chunk in plan_chunks(path, num_chunks):
+        yield from (sample for _, sample in read_chunk(chunk))
 
 
 def sample_with_txns():
@@ -306,6 +315,77 @@ class TestChunkPlanning:
             handle.write("{not json}\n")
         with pytest.raises(ValueError, match="invalid JSON"):
             list(read_samples_chunked(path, 2))
+
+
+class TestBadLineIsNamedExactly:
+    """One line decoder (``_decode_line``), five ways to reach it: each
+    names a bad third line by its own location label and leaves the same
+    ledger — the two good rows read, one decode error."""
+
+    @staticmethod
+    def _lines():
+        good = json.dumps(sample_to_dict(sample_with_txns()))
+        return [good, good, "{not json}", good]
+
+    def _write(self, path, gzip_file=False):
+        import gzip as gzip_module
+
+        text = "\n".join(self._lines()) + "\n"
+        if gzip_file:
+            with gzip_module.open(path, "wt", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _assert_bad_line(rows, where, registry):
+        import re
+
+        with pytest.raises(ValueError, match=re.escape(f"{where}: invalid JSON")):
+            list(rows)
+        assert registry.counter("io.decode_errors") == 1
+        assert registry.counter("io.rows_read") == 2
+
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.jsonl.gz"])
+    def test_read_samples(self, tmp_path, name):
+        path = self._write(tmp_path / name, gzip_file=name.endswith(".gz"))
+        registry = MetricsRegistry()
+        self._assert_bad_line(
+            read_samples(path, metrics=registry), f"{path}:3", registry
+        )
+
+    def test_read_samples_stream(self, tmp_path):
+        import io
+
+        registry = MetricsRegistry()
+        handle = io.StringIO("\n".join(self._lines()) + "\n")
+        self._assert_bad_line(
+            read_samples_stream(handle, metrics=registry),
+            "<stream>:3",
+            registry,
+        )
+
+    def test_byte_range_chunk(self, tmp_path):
+        path = self._write(tmp_path / "trace.jsonl")
+        (chunk,) = plan_chunks(path, 1)
+        assert chunk.byte_range
+        offset = 2 * (len(self._lines()[0].encode("utf-8")) + 1)
+        registry = MetricsRegistry()
+        self._assert_bad_line(
+            read_chunk(chunk, metrics=registry),
+            f"{chunk.path}@byte {offset}",
+            registry,
+        )
+
+    def test_line_block_chunk(self, tmp_path):
+        path = self._write(tmp_path / "trace.jsonl.gz", gzip_file=True)
+        (chunk,) = plan_chunks(path, 1)
+        assert not chunk.byte_range
+        registry = MetricsRegistry()
+        self._assert_bad_line(
+            read_chunk(chunk, metrics=registry), f"{chunk.path}:3", registry
+        )
 
 
 class TestFormatDetection:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aggregation import window_index
 from repro.kernels.columns import ColumnBatch
+from repro.kernels.engine import batches_from_pairs, iter_batches
 from repro.obs import MetricsRegistry
-from repro.pipeline.io import read_samples, write_samples
+from repro.pipeline.io import plan_chunks, read_chunk, read_samples, write_samples
 from repro.store import (
     DEFAULT_BAND_WINDOWS,
     STORE_FORMAT_VERSION,
@@ -170,11 +172,13 @@ class TestWriter:
         store = tmp_path / "t.store"
         write_store(store, samples)
         reader = TraceStoreReader(store)
-        writer = TraceStoreWriter(tmp_path / "unused.store")
         for partition in reader.partitions:
             for _, sample in reader.decode_partition(partition):
                 assert sample.pop == partition["pop"]
-                assert writer.band_of(sample) == partition["band"]
+                # A band is DEFAULT_BAND_WINDOWS windows, keyed by session
+                # end like the windows themselves.
+                band = window_index(sample.end_time, 900.0) // DEFAULT_BAND_WINDOWS
+                assert band == partition["band"]
 
     def test_partition_stats_are_exact(self, tmp_path):
         store = tmp_path / "t.store"
@@ -323,23 +327,6 @@ class TestAppend:
         errors = [f.error for f in verify_store(store).findings]
         assert f"data file is {len(data) - 500} bytes" in errors[0]
 
-    def test_append_upgrades_v1_store(self, tmp_path):
-        samples = make_trace_samples(60, seed=46)
-        store = tmp_path / "t.store"
-        write_store(store, samples[:30])
-        manifest_path = store / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 1
-        for partition in manifest["partitions"]:
-            for block in partition["blocks"]:
-                block.pop("crc32", None)
-        manifest_path.write_text(json.dumps(manifest))
-        append_to_store(store, samples[30:])
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["version"] == STORE_FORMAT_VERSION
-        # Old blocks carry no checksum, new ones do; both still scan.
-        assert list(TraceStoreReader(store).scan()) == samples
-
     def test_append_rejects_mismatched_layout(self, tmp_path):
         store = tmp_path / "t.store"
         write_store(store, make_trace_samples(10, seed=47))
@@ -402,13 +389,10 @@ class TestAppend:
         assert metrics.counter("store.bytes.written") > 0
 
 
-def _as_v1(store):
-    """Rewrite a store's manifest as an indented version-1 one (no CRCs)."""
+def _as_indented(store):
+    """Rewrite a store's manifest indented, as builds before the compact
+    serialiser wrote it (same fields, same version)."""
     manifest = json.loads((store / MANIFEST_NAME).read_text())
-    manifest["version"] = 1
-    for partition in manifest["partitions"]:
-        for block in partition["blocks"]:
-            block.pop("crc32", None)
     (store / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1))
 
 
@@ -431,20 +415,20 @@ class TestAppendSession:
     @settings(max_examples=25, deadline=None)
     @given(
         cuts=st.lists(st.integers(min_value=0, max_value=90), max_size=6),
-        v1=st.booleans(),
+        indented=st.booleans(),
     )
     def test_session_equals_one_shot_appends(
-        self, tmp_path_factory, cuts, v1
+        self, tmp_path_factory, cuts, indented
     ):
         samples = make_trace_samples(90, seed=61, windows=12)
         bounds = [0, *sorted(cuts), len(samples)]
         splits = [samples[a:b] for a, b in zip(bounds, bounds[1:])]
         root = tmp_path_factory.mktemp("session")
         session_store, oneshot_store = root / "session.store", root / "oneshot.store"
-        if v1:
+        if indented:
             for store in (session_store, oneshot_store):
                 write_store(store, samples[:10])
-                _as_v1(store)
+                _as_indented(store)
         session = StoreAppender(session_store)
         for split in splits:
             assert session.append(split) == len(split)
@@ -454,11 +438,11 @@ class TestAppendSession:
                     oneshot_store / name
                 ).read_bytes()
             # Spliced fragments are the whole-dict dump, byte for byte —
-            # unless nothing has been published over the indented v1 yet.
+            # unless nothing has been published over the indented one yet.
             raw = (session_store / MANIFEST_NAME).read_bytes()
             if not raw.startswith(b"{\n"):
                 assert dump_manifest(load_manifest(session_store)) == raw
-        expected = (samples[:10] if v1 else []) + samples
+        expected = (samples[:10] if indented else []) + samples
         assert list(TraceStoreReader(session_store).scan()) == expected
         assert verify_store(session_store).ok
         if any(splits):
@@ -760,10 +744,8 @@ def batch_rows(batch: ColumnBatch):
 
 
 def chunk_batches(chunk, metrics=None):
-    """What a shard decodes for ``chunk`` (``kernels.engine.batches_for_chunk``)."""
-    return TraceStoreReader(chunk.path).read_column_batches(
-        metrics=metrics, partition_ids=chunk.partition_ids
-    )
+    """What a shard decodes for ``chunk`` (``parallel._run_shard``'s call)."""
+    return iter_batches(chunk, metrics=metrics)
 
 
 class TestChunkPlanning:
@@ -814,6 +796,36 @@ class TestChunkPlanning:
         assert len(rows) == len(trace_samples)
         stream = batch_rows(ColumnBatch.from_pairs(list(enumerate(trace_samples))))
         assert [row[1:] for row in rows] == [row[1:] for row in stream]
+
+    def test_iter_batches_over_a_store_chunk_is_its_partitions(self, store_path):
+        """The one dispatch, store-chunk arm: the chunk's partitions through
+        the column reader — same batches, same counters."""
+        for chunk in TraceStoreReader(store_path).plan_chunks(3):
+            direct, dispatched = MetricsRegistry(), MetricsRegistry()
+            expected = TraceStoreReader(chunk.path).read_column_batches(
+                metrics=direct, partition_ids=chunk.partition_ids
+            )
+            got = iter_batches(chunk, metrics=dispatched)
+            assert [batch_rows(b) for b in got] == [batch_rows(b) for b in expected]
+            assert dispatched.counters == direct.counters
+
+    @pytest.mark.parametrize("name", ["t.jsonl", "t.jsonl.gz"])
+    @pytest.mark.filterwarnings("ignore:.*not seekable.*:RuntimeWarning")
+    def test_iter_batches_over_a_jsonl_chunk_keeps_its_order_keys(
+        self, tmp_path, trace_samples, name
+    ):
+        """JSONL-chunk arm (byte ranges and line blocks): the chunk reader's
+        (order key, sample) pairs, sliced into batches."""
+        path = tmp_path / name
+        write_samples(path, trace_samples[:300])
+        chunks = plan_chunks(path, 3)
+        assert len(chunks) == 3
+        for chunk in chunks:
+            direct, dispatched = MetricsRegistry(), MetricsRegistry()
+            expected = batches_from_pairs(read_chunk(chunk, metrics=direct))
+            got = iter_batches(chunk, metrics=dispatched)
+            assert [batch_rows(b) for b in got] == [batch_rows(b) for b in expected]
+            assert dispatched.counters == direct.counters
 
     def test_store_chunk_is_picklable(self, store_path):
         import pickle
