@@ -1,20 +1,25 @@
 """Dispatch-overhead benchmark: socket daemons vs the local process pool.
 
-Runs the same sharded analysis three ways over one synthetic trace —
-serial, process pool, and dispatch over two worker daemons on localhost —
-and reports wall time plus the dispatch manifest counters (tasks
-dispatched, bytes over the wire). The daemons here are in-process
-threads, so what the dispatch number measures is exactly the subsystem's
-own overhead: pickling shard tasks, framing them over a real TCP socket,
-and merging results that arrive out of order.
+Runs the same sharded analysis three ways over one synthetic trace saved
+as a columnar store — one-pass, process pool, and dispatch over two worker
+daemons on localhost — and reports wall time plus the dispatch manifest
+counters (tasks dispatched, bytes over the wire). The daemons here are
+in-process threads, so what the dispatch number measures is exactly the
+subsystem's own overhead: framing chunk descriptors over a real TCP
+socket, pickling partial states back, and merging results that arrive out
+of order.
 
-One floor is asserted: dispatch over localhost must stay within
-``OVERHEAD_CEILING``x of the process pool's wall time (default 3.0).
-On a single host the process pool is the natural winner — dispatch pays
-serialization twice (client and daemon) plus socket hops for zero extra
-parallel hardware — so the bound is a regression tripwire for the
-transport, not a performance claim. Cross-host, the same wire buys
-shards on machines the pool cannot reach.
+Two things are asserted. What dispatch ships: a task is a descriptor of
+bytes on disk, so ``dist.bytes.sent`` for the whole plan stays under
+``TASK_BYTES_CEILING`` (64 KiB; the 8 tasks were 5,017,750 B when they
+carried pickled samples) — samples in a task frame fail this at once.
+And a tripwire: dispatch over localhost must stay within
+``OVERHEAD_CEILING``x of the process pool's wall time (default 3.0). On a
+single host the process pool is the natural winner — dispatch pays result
+serialization twice (daemon and client) plus socket hops for zero extra
+parallel hardware — so that bound is a regression tripwire for the
+transport, not a performance claim. Cross-host, the same wire buys shards
+on machines the pool cannot reach.
 
 Results land in ``benchmarks/results/BENCH_dist.json``.
 
@@ -38,6 +43,9 @@ from repro.dist import WorkerDaemon
 from repro.obs import MetricsRegistry, activate_metrics
 from repro.pipeline import ParallelOptions, StudyDataset, build_dataset
 
+from repro.pipeline.io import plan_chunks
+from repro.store import write_store
+
 from tests.helpers import make_trace_samples
 from tests.test_pipeline_parallel import assert_datasets_equal
 
@@ -47,35 +55,40 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SESSIONS = int(os.environ.get("REPRO_BENCH_DIST_SESSIONS", 20_000))
 SHARDS = int(os.environ.get("REPRO_BENCH_DIST_SHARDS", 8))
 OVERHEAD_CEILING = float(os.environ.get("REPRO_BENCH_DIST_OVERHEAD", 3.0))
+TASK_BYTES_CEILING = 64 * 1024
 STUDY_WINDOWS = 8
 WORKERS = 2
 
 
-def _timed_build(samples, options=None):
+def _timed_build(trace, options=None):
     registry = MetricsRegistry()
     start = time.perf_counter()
     with activate_metrics(registry):
         dataset = build_dataset(
-            iter(samples), study_windows=STUDY_WINDOWS, options=options
+            trace, study_windows=STUDY_WINDOWS, options=options
         )
     return dataset, time.perf_counter() - start, registry
 
 
-def test_dispatch_overhead():
+def test_dispatch_overhead(tmp_path):
     samples = make_trace_samples(SESSIONS, seed=23, windows=STUDY_WINDOWS)
     serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
+    trace = tmp_path / "trace.store"
+    # One-window bands: 24 partitions, so the 8-shard plan gets 8 chunks.
+    write_store(trace, samples, band_windows=1)
+    assert len(plan_chunks(trace, SHARDS)) == SHARDS
 
-    _, serial_wall, _ = _timed_build(samples)
+    _, serial_wall, _ = _timed_build(trace)
 
     pool_dataset, pool_wall, _ = _timed_build(
-        samples,
+        trace,
         ParallelOptions(workers=WORKERS, shards=SHARDS),
     )
     assert_datasets_equal(pool_dataset, serial)
 
     with WorkerDaemon() as first, WorkerDaemon() as second:
         dispatch_dataset, dispatch_wall, registry = _timed_build(
-            samples,
+            trace,
             ParallelOptions(
                 workers=WORKERS,
                 shards=SHARDS,
@@ -85,6 +98,7 @@ def test_dispatch_overhead():
     assert_datasets_equal(dispatch_dataset, serial)
     assert registry.counter("dist.tasks.dispatched") == SHARDS
     assert registry.counter("dist.workers.lost") == 0
+    assert 0 < registry.counter("dist.bytes.sent") < TASK_BYTES_CEILING
 
     overhead = dispatch_wall / pool_wall if pool_wall else float("inf")
     results = {
@@ -96,6 +110,7 @@ def test_dispatch_overhead():
         "dispatch_wall_seconds": round(dispatch_wall, 4),
         "dispatch_vs_pool": round(overhead, 3),
         "overhead_ceiling": OVERHEAD_CEILING,
+        "task_bytes_ceiling": TASK_BYTES_CEILING,
         "dist_counters": {
             name: value
             for name, value in registry.counters.items()

@@ -34,7 +34,8 @@ The subcommands mirror the library's main entry points:
   partitions into few large ones (CRC re-verified, crash-safe
   manifest-last swap), keeping long-running ingest stores prunable.
 
-Sharded subcommands (``snapshot``, ``routing``, ``analyze``) take the
+Sharded subcommands (``routing --trace``, ``analyze`` — a shard task names
+a chunk of a trace on disk; a generated stream folds in one pass) take the
 fault policy flags ``--max-retries``, ``--retry-backoff``, and
 ``--strict``: by default a shard that keeps failing is quarantined and the
 run completes degraded (with a ``WARNING: degraded run`` header and a
@@ -150,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument(
         "--networks-per-metro", type=int, default=3, dest="networks_per_metro"
     )
-    add_parallel_options(snapshot)
     _add_observability_options(snapshot)
 
     routing = sub.add_parser("routing", help="run the §6 routing audit")
@@ -420,12 +420,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         f"{len(scenario.pops)} PoPs…"
     )
     dataset = build_dataset(
-        scenario.generate(),
-        study_windows=config.total_windows,
-        options=_parallel_options(args),
+        scenario.generate(), study_windows=config.total_windows
     )
     print(f"{dataset.session_count:,} sampled sessions")
-    _print_degraded(dataset)
 
     result = fig6_global_performance(dataset)
     rows = []
@@ -773,12 +770,20 @@ _COMMANDS = {
 
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Turn sharding values ``ParallelOptions`` rejects into usage errors."""
-    if hasattr(args, "workers"):
-        try:
-            _parallel_options(args)
-        except ValueError as error:
-            parser.error(str(error))
+    """Turn sharding values ``ParallelOptions`` rejects into usage errors,
+    and sharding flags with no trace on disk to shard (``routing``)."""
+    if not hasattr(args, "workers"):
+        return
+    try:
+        options = _parallel_options(args)
+    except ValueError as error:
+        parser.error(str(error))
+    generated = args.command == "routing" and args.trace is None
+    if generated and options != type(options)():
+        parser.error(
+            "sharding flags need --trace PATH: a sharded plan reads a trace "
+            "on disk (write one with `repro trace`)"
+        )
 
 
 def _shard_plan(args: argparse.Namespace) -> dict:

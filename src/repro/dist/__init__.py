@@ -7,8 +7,9 @@ the multi-node backend without touching the math:
 - :mod:`repro.dist.protocol` — a length-prefixed socket framing layer
   (magic + message type + payload length) with hard frame-size limits.
 - :mod:`repro.dist.serialization` — shard task/result transport encoding
-  (pickle for the picklable dataclasses the process pool already relies
-  on; JSON for failures, so a worker's error can never poison the wire).
+  (a task is a JSON chunk descriptor, type-checked field by field, so a
+  daemon never unpickles; results are pickles only the client reads;
+  failures are JSON, so a worker's error can never poison the wire).
 - :mod:`repro.dist.daemon` — :class:`WorkerDaemon`, the ``repro worker``
   process: accepts connections, executes :func:`repro.pipeline.parallel.
   _run_shard` per task, replies result-or-failure.
@@ -27,12 +28,10 @@ data counters, figures, and manifests byte-identical to the serial pass
 from repro.dist.client import DispatchError, DispatchExecutor
 from repro.dist.daemon import WorkerDaemon
 from repro.dist.protocol import ProtocolError
-from repro.dist.serialization import RemoteShardFailure
 
 __all__ = [
     "DispatchError",
     "DispatchExecutor",
     "ProtocolError",
-    "RemoteShardFailure",
     "WorkerDaemon",
 ]

@@ -3,17 +3,20 @@
 One daemon per worker host (or several per host, one per core — the
 fan-out shape SNIPPETS.md §3 uses for its per-worker router daemons).
 The daemon is deliberately thin: it accepts connections, and for every
-``MSG_TASK`` frame runs :func:`repro.pipeline.parallel._run_shard` —
-the *same* function the process/thread pools execute — and replies
-``MSG_RESULT`` or ``MSG_FAILURE``. All retry, quarantine, and merge
-policy stays client-side, so dispatch runs account failures exactly
-like every other backend.
+``MSG_TASK`` frame (a JSON chunk descriptor; nothing here unpickles) runs
+:func:`repro.pipeline.parallel._run_shard` — the *same* function the
+process/thread pools execute — and replies ``MSG_RESULT`` or
+``MSG_FAILURE``. All retry, quarantine, and merge policy stays
+client-side, so dispatch runs account failures exactly like every other
+backend.
 
 Failure semantics (DESIGN.md §13):
 
 - a shard that raises inside ``_run_shard`` produces a ``MSG_FAILURE``
   reply (JSON-stringified); the daemon stays up — shard bugs are the
   client's retry problem, not a reason to lose the worker;
+- a frame over :data:`_MAX_REQUEST_BYTES` or a malformed task descriptor
+  drops that connection with a logged warning; the daemon keeps serving;
 - a :class:`~repro.faultinject.WorkerKilled` injection (and only that)
   makes the daemon drop the connection without replying and stop —
   from the client's side, indistinguishable from the worker host dying
@@ -47,6 +50,9 @@ _ACCEPT_POLL_SECONDS = 0.1
 #: Per-connection receive timeout. Generous — a slow client keeping a
 #: connection open is normal; only a wedged peer should trip this.
 _CONN_TIMEOUT_SECONDS = 600.0
+#: Largest frame a client may send: requests are pings, shutdowns and task
+#: descriptors (a 10,000-partition store chunk is ~59 KB).
+_MAX_REQUEST_BYTES = 1 << 20
 
 
 def _count(name: str, value: int = 1) -> None:
@@ -169,7 +175,9 @@ class WorkerDaemon:
         try:
             with conn:
                 while not self._stop.is_set():
-                    frame = protocol.recv_frame(conn, allow_eof=True)
+                    frame = protocol.recv_frame(
+                        conn, allow_eof=True, limit=_MAX_REQUEST_BYTES
+                    )
                     if frame is None:
                         break
                     msg_type, payload = frame

@@ -13,12 +13,13 @@ The magic makes a stray client (or a version-skewed peer) fail loudly at
 the first frame instead of desynchronizing mid-stream; the length prefix
 makes message boundaries explicit so a reader never guesses. Frames are
 capped at :data:`MAX_FRAME_BYTES` — a corrupt length field must not turn
-into a multi-gigabyte allocation.
+into a multi-gigabyte allocation — or at the lower ``limit`` a reader of
+small frames only (the daemon) passes :func:`recv_frame`.
 
 Message types:
 
 - ``MSG_PING`` / ``MSG_PONG`` — health check; empty payloads.
-- ``MSG_TASK`` — a pickled shard task (client → worker).
+- ``MSG_TASK`` — a shard task as JSON (client → worker; never unpickled).
 - ``MSG_RESULT`` — a pickled shard result (worker → client).
 - ``MSG_FAILURE`` — a JSON-encoded worker exception (worker → client).
   JSON, not pickle: a failure reply must never itself fail to decode.
@@ -115,13 +116,14 @@ def _recv_exact(
 
 
 def recv_frame(
-    sock: socket.socket, allow_eof: bool = False
+    sock: socket.socket, allow_eof: bool = False, limit: int = MAX_FRAME_BYTES
 ) -> Optional[Tuple[int, bytes]]:
-    """Read one ``(msg_type, payload)`` frame.
+    """Read one ``(msg_type, payload)`` frame of at most ``limit`` bytes.
 
     With ``allow_eof`` a clean close *between* frames returns ``None``
     (how a daemon notices a client is done); any other truncation or
-    malformation raises :class:`ProtocolError`.
+    malformation raises :class:`ProtocolError` (a length over ``limit``
+    before any payload byte is read).
     """
     header = _recv_exact(sock, _HEADER.size, allow_eof)
     if header is None:
@@ -131,9 +133,9 @@ def recv_frame(
         raise ProtocolError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
     if msg_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown message type {msg_type}")
-    if length > MAX_FRAME_BYTES:
+    if length > limit:
         raise ProtocolError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
+            f"frame length {length} exceeds the {limit}-byte limit"
         )
     payload = _recv_exact(sock, length, allow_eof=False) if length else b""
     return msg_type, payload or b""

@@ -9,28 +9,22 @@ and merges the partial states back into a ``StudyDataset`` that is
 aggregation insertion order, same per-group medians and confidence
 intervals. The equivalence is enforced by ``tests/test_pipeline_parallel.py``.
 
-Two partitioning strategies, both exact:
-
-- **group sharding** (in-memory streams): each sample is routed to shard
-  ``crc32(str(UserGroupKey)) % num_shards``. Every (group, route rank,
-  window) aggregation lives wholly inside one shard, so the merge step only
-  has to restore global ordering. The hash is CRC32 of the group's string
-  form — *not* Python's ``hash()``, which is salted per process and would
-  make shard assignment non-deterministic across runs and workers.
-- **chunk sharding** (trace files): the trace is split into independently
-  readable chunks — newline-aligned byte ranges for JSONL, line blocks for
-  gzip, partition-aligned :class:`~repro.store.StoreChunk` groups for
-  columnar stores (see :func:`repro.pipeline.io.plan_chunks`) — and each
-  worker parses and aggregates only its slice. Aggregations spanning
-  chunks are folded together with
-  :meth:`~repro.core.aggregation.Aggregation.merge` in order-key order.
-  Store chunks carry interleaved sequence ranges (partitions are keyed by
-  PoP and time band, not by stream position); the merger's order-key sort
-  absorbs that, and every derived statistic is an order statistic or an
-  integer sum, so the bit-identical guarantee holds for stores too.
+One partitioning strategy, exact — **chunk sharding** of a trace on disk:
+the trace is split into independently readable chunks — newline-aligned
+byte ranges for JSONL, line blocks for gzip, partition-aligned
+:class:`~repro.store.StoreChunk` groups for columnar stores (see
+:func:`repro.pipeline.io.plan_chunks`) — and each worker parses and
+aggregates only its slice: a shard task names bytes on disk, and samples
+never cross a process boundary. Aggregations spanning chunks are folded
+together with
+:meth:`~repro.core.aggregation.Aggregation.merge` in order-key order.
+Store chunks carry interleaved sequence ranges (partitions are keyed by
+PoP and time band, not by stream position); the merger's order-key sort
+absorbs that, and every derived statistic is an order statistic or an
+integer sum, so the bit-identical guarantee holds for stores too.
 
 Exactness argument: every sample carries a monotone *order key* (its
-position in the stream, or its byte offset / line index in the file).
+byte offset / line index in the file, or its store sequence number).
 Workers preserve relative order within a partition, and the merger (a)
 re-sorts rows by order key, (b) rebuilds the aggregation store inserting
 keys by first-seen order key, and (c) concatenates each aggregation's raw
@@ -66,7 +60,6 @@ import logging
 import pathlib
 import pickle
 import time
-import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -93,43 +86,12 @@ __all__ = [
     "ShardExecutor",
     "ShardResult",
     "build_dataset",
-    "shard_of",
-    "shard_samples",
 ]
 
 _LOG = logging.getLogger("repro.pipeline.parallel")
 
 AggregationKey = Tuple[UserGroupKey, int, int]
 Source = Union[PathLike, Iterable[SessionSample]]
-
-
-def shard_of(group: UserGroupKey, num_shards: int) -> int:
-    """Deterministic shard index for a user group (stable across processes)."""
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    return zlib.crc32(str(group).encode("utf-8")) % num_shards
-
-
-def _sample_shard(sample: SessionSample, num_shards: int) -> int:
-    prefix = sample.route.prefix if sample.route is not None else ""
-    group = UserGroupKey(
-        pop=sample.pop, prefix=prefix, country=sample.client_country
-    )
-    return shard_of(group, num_shards)
-
-
-def shard_samples(
-    samples: Iterable[SessionSample], num_shards: int
-) -> List[List[Tuple[int, SessionSample]]]:
-    """Partition a stream into per-shard ``(order_key, sample)`` lists.
-
-    Within each shard the samples keep their stream order, so a shard-local
-    fold sees them exactly as the serial pass would.
-    """
-    shards: List[List[Tuple[int, SessionSample]]] = [[] for _ in range(num_shards)]
-    for index, sample in enumerate(samples):
-        shards[_sample_shard(sample, num_shards)].append((index, sample))
-    return shards
 
 
 class RemoteCause(RuntimeError):
@@ -274,7 +236,7 @@ class ParallelOptions:
     worker daemons as ``host:port`` strings. Where the shards run follows
     from those (:attr:`backend`): on the daemons when ``worker_addrs`` is
     non-empty, else on a process pool when ``workers > 1`` (true
-    parallelism, samples/chunks are pickled to children), else inline in
+    parallelism, chunk descriptors are pickled to children), else inline in
     this process — the default ``ParallelOptions()`` is the plain
     one-pass serial run, and ``ParallelOptions(shards=N)`` is the same
     N-shard plan one task at a time, the determinism baseline.
@@ -350,11 +312,10 @@ class ShardResult:
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """One unit of worker input (either a sample list or a file chunk)."""
+    """One unit of worker input: a chunk of a trace on disk."""
 
     dataset_kwargs: dict
-    indexed_samples: Optional[List[Tuple[int, SessionSample]]] = None
-    chunk: Optional[Union[TraceChunk, StoreChunk]] = None
+    chunk: Union[TraceChunk, StoreChunk]
     #: Position in the shard plan; names the shard in errors and ledgers.
     ordinal: int = 0
     #: Planned sample count (None when the plan cannot know it, e.g. a
@@ -370,17 +331,13 @@ def _run_shard(task: _ShardTask) -> ShardResult:
     """
     # Imported here, not at module top: repro.kernels.engine imports
     # repro.pipeline.filters, whose package __init__ imports this module.
-    from repro.kernels.engine import BatchIngestor, batches_from_pairs, iter_batches
+    from repro.kernels.engine import BatchIngestor, iter_batches
 
     faultinject.check_shard(task.ordinal)
     start = time.perf_counter()
     ingestor = BatchIngestor(**task.dataset_kwargs)
-    if task.chunk is not None:
-        batches = iter_batches(task.chunk, metrics=ingestor.metrics)
-    else:
-        batches = batches_from_pairs(iter(task.indexed_samples or []))
     samples_ingested = 0
-    for batch in batches:
+    for batch in iter_batches(task.chunk, metrics=ingestor.metrics):
         samples_ingested += len(batch)
         ingestor.ingest_batch(batch)
     rows, aggregations = ingestor.finalize()
@@ -631,11 +588,11 @@ def build_dataset(
     (``tests/test_batch_equivalence.py``).
 
     With ``options`` absent (or a one-shard plan with no worker daemons)
-    the source is folded in one pass. Otherwise it is partitioned — JSONL
-    traces into byte-range/line-block chunks, columnar stores into
-    partition-aligned chunks, in-memory streams by group hash — executed
-    per ``options``, and merged back into a dataset whose state is
-    bit-identical to the one-pass fold.
+    the source is folded in one pass. Otherwise it must be a trace on
+    disk (a sample iterable raises ``ValueError``, unread), which is
+    partitioned — JSONL traces into byte-range/line-block chunks, columnar
+    stores into partition-aligned chunks — executed per ``options``, and
+    merged back into a dataset bit-identical to the one-pass fold.
 
     Sharded runs tolerate shard failures per the options' retry policy:
     shards that exhaust their retries under non-strict mode are quarantined
@@ -653,11 +610,17 @@ def build_dataset(
         window_seconds=window_seconds,
     )
     dataset = StudyDataset(**dataset_kwargs)
-    is_path = isinstance(source, (str, pathlib.Path))
     options = options or ParallelOptions()
+    one_pass = options.effective_shards == 1 and not options.worker_addrs
+    if not one_pass and not isinstance(source, (str, pathlib.Path)):
+        raise ValueError(
+            "a sharded plan (more than one shard, or worker_addrs) reads a "
+            "trace on disk, not a sample stream: save the samples first "
+            "(write_samples() / `repro trace`) and pass the path"
+        )
     ledger = DegradedLedger()
     with span("pipeline.ingest"):
-        if options.effective_shards == 1 and not options.worker_addrs:
+        if one_pass:
             with span("serial"):
                 from repro.kernels.engine import (
                     BatchIngestor,
@@ -671,35 +634,17 @@ def build_dataset(
                 fold_into_dataset(dataset, ingestor)
         else:
             with span("plan"):
-                if is_path:
-                    tasks = [
-                        _ShardTask(
-                            dataset_kwargs=dataset_kwargs,
-                            chunk=chunk,
-                            ordinal=index,
-                            expected_rows=_planned_rows(chunk),
-                        )
-                        for index, chunk in enumerate(
-                            plan_chunks(source, options.effective_shards)
-                        )
-                    ]
-                else:
-                    shards = [
-                        shard
-                        for shard in shard_samples(
-                            source, options.effective_shards
-                        )
-                        if shard
-                    ]
-                    tasks = [
-                        _ShardTask(
-                            dataset_kwargs=dataset_kwargs,
-                            indexed_samples=shard,
-                            ordinal=index,
-                            expected_rows=len(shard),
-                        )
-                        for index, shard in enumerate(shards)
-                    ]
+                tasks = [
+                    _ShardTask(
+                        dataset_kwargs=dataset_kwargs,
+                        chunk=chunk,
+                        ordinal=index,
+                        expected_rows=_planned_rows(chunk),
+                    )
+                    for index, chunk in enumerate(
+                        plan_chunks(source, options.effective_shards)
+                    )
+                ]
             with span("execute"):
                 results = _execute(tasks, options, ledger)
             with span("merge"):

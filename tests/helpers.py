@@ -26,7 +26,9 @@ from repro.core.records import (
     UserGroupKey,
 )
 from repro.pipeline import ParallelOptions, StudyDataset, read_samples
+from repro.pipeline.io import write_samples
 from repro.pipeline.parallel import _PoolExecutor
+from repro.store import write_store
 
 
 @pytest.fixture
@@ -61,6 +63,26 @@ def local_options(request):
         return ParallelOptions(workers=workers, shards=shards, **kwargs)
 
     return build
+
+
+def write_trace_paths(root: pathlib.Path, samples) -> dict:
+    """``samples`` saved once per file-backed source a shard plan can read:
+    ``{"store": ..., "plain": ..., "gz": ...}``.
+
+    A sharded plan names bytes on disk, so every sharded test reads one of
+    these. The store's bands are two windows wide: an 8-window, 3-PoP
+    stream then has 12 partitions, enough for a 4-shard plan to get four
+    chunks (the default band would leave it three).
+    """
+    paths = {
+        "store": root / "trace.store",
+        "plain": root / "trace.jsonl",
+        "gz": root / "trace.jsonl.gz",
+    }
+    write_store(paths["store"], samples, band_windows=2)
+    write_samples(paths["plain"], samples)
+    write_samples(paths["gz"], samples)
+    return paths
 
 
 DEFAULT_GROUP = UserGroupKey(pop="ams1", prefix="203.0.112.0/20", country="NL")

@@ -23,7 +23,12 @@ import pathlib
 
 import pytest
 
-from tests.helpers import in_process_pool, make_trace_samples, row_oracle  # noqa: F401
+from tests.helpers import (  # noqa: F401 — fixtures are used by name
+    in_process_pool,
+    make_trace_samples,
+    row_oracle,
+    write_trace_paths,
+)
 from repro.obs import RunManifest
 from repro.pipeline import (
     ParallelOptions,
@@ -195,9 +200,12 @@ class TestInMemoryAndModes:
         samples = make_trace_samples(400)
         assert_equals_oracle(samples, SERIAL)
 
-    def test_in_memory_sharded(self):
-        samples = make_trace_samples(400)
-        assert_equals_oracle(samples, WORKERS4)
+    def test_in_memory_sharded(self, tmp_path):
+        # A sharded plan reads a trace on disk: the synthetic stream is
+        # saved first (store and plain JSONL), then held to the same oracle.
+        paths = write_trace_paths(tmp_path, make_trace_samples(400))
+        assert_equals_oracle(paths["plain"], WORKERS4)
+        assert_equals_oracle(paths["store"], WORKERS4, store_source=True)
 
     def test_compute_naive_ablation(self):
         samples = make_trace_samples(300)

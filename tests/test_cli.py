@@ -162,16 +162,61 @@ class TestShardsValidation:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "2"],
+            ["--shards", "4"],
+            ["--workers-addr", "127.0.0.1:9"],
+            ["--max-retries", "0"],
+            ["--retry-backoff", "0"],
+            ["--strict"],
+        ],
+    )
+    def test_snapshot_has_no_sharding_flags(self, flags, capsys):
+        """``snapshot`` only ever generates a stream, which folds in one
+        pass: none of the six flags could do anything but slow it down."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["snapshot", "--rate", "1"] + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+
+    def test_routing_sharding_flags_need_a_trace(self, tmp_path, capsys):
+        """A generated stream has no bytes on disk for a shard task to
+        name: a usage error, not a silent one-pass run."""
+        flag_sets = (["--workers", "2"], ["--shards", "4"], ["--strict"])
+        for flags in flag_sets:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["routing", "--rate", "8", "--days", "1"] + flags)
+            assert excinfo.value.code == 2
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert last.startswith("repro: error: ")
+            assert "sharding flags need --trace PATH" in last
+        # With a trace the same flags run, to the one-pass report.
+        store = tmp_path / "t.store"
+        assert main(["trace", str(store), "--rate", "2", "--days", "1"]) == 0
+        capsys.readouterr()
+        assert main(["routing", "--trace", str(store)]) == 0
+        one_pass = capsys.readouterr().out
+        assert "within 3 ms of optimal" in one_pass
+        for flags in flag_sets:
+            assert main(["routing", "--trace", str(store)] + flags) == 0
+            assert capsys.readouterr().out == one_pass
+
     def test_shards_with_workers_accepted(self, tmp_path, capsys):
         """``--shards`` alone is the N-shard plan run inline in plan order
         (the determinism baseline): same report as the one-pass run, and
         the manifest says what ran."""
-        snapshot = ["snapshot", "--rate", "1", "--networks-per-metro", "1"]
-        assert main(snapshot) == 0
+        store = tmp_path / "t.store"
+        assert main(["trace", str(store), "--rate", "1", "--days", "1"]) == 0
+        capsys.readouterr()
+        analyze = ["analyze", str(store)]
+        assert main(analyze) == 0
         one_pass = capsys.readouterr().out
         manifest_path = tmp_path / "m.json"
         code = main(
-            snapshot + ["--shards", "4", "--metrics-out", str(manifest_path)]
+            analyze + ["--shards", "4", "--metrics-out", str(manifest_path)]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -361,12 +406,14 @@ class TestStoreCli:
 
 
 class TestCounterEqualityAcceptance:
-    """Acceptance: `repro snapshot --workers 4 --metrics-out m.json`
+    """Acceptance: `repro analyze t.store --workers 4 --metrics-out m.json`
     produces a manifest whose counters are byte-identical to the
     `--workers 1` run."""
 
     def test_workers4_manifest_counters_equal_workers1(self, tmp_path, capsys):
-        base = ["snapshot", "--rate", "1", "--networks-per-metro", "1"]
+        store = tmp_path / "t.store"
+        assert main(["trace", str(store), "--rate", "1", "--days", "1"]) == 0
+        base = ["analyze", str(store)]
         serial_out = tmp_path / "serial.json"
         parallel_out = tmp_path / "parallel.json"
         assert main(

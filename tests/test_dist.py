@@ -5,8 +5,10 @@ Four layers, each tested against its own contract:
 1. **Wire protocol** — length-prefixed frames with magic and type
    validation; truncation and malformation always surface as
    :class:`ProtocolError`, never as a hang or a mis-framed read.
-2. **Serialization** — tasks/results pickle round-trip with type-checked
-   decode; failures are JSON and can *never* fail to decode.
+2. **Serialization** — a task is a JSON chunk descriptor rebuilt field
+   by field (anything else is a :class:`ProtocolError`; the daemon never
+   unpickles); results pickle round-trip with type-checked decode;
+   failures are JSON and can *never* fail to decode.
 3. **Worker daemon** — PING/PONG health checks, task execution through
    the same ``_run_shard`` the local pools use, failure replies, budgeted
    lifetime, and the injected-death path (connection severed, no reply).
@@ -19,22 +21,20 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import pathlib
 import pickle
 import socket
 import struct
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from repro import faultinject
-from repro.dist import (
-    DispatchError,
-    ProtocolError,
-    RemoteShardFailure,
-    WorkerDaemon,
-)
+from repro.dist import DispatchError, ProtocolError, WorkerDaemon
 from repro.dist import protocol
 from repro.dist.client import parse_addr, request_shutdown
 from repro.dist.serialization import (
@@ -53,10 +53,15 @@ from repro.pipeline import (
     StudyDataset,
     build_dataset,
 )
-from repro.pipeline.io import write_samples
-from repro.pipeline.parallel import ShardResult, _run_shard, _ShardTask
+from repro.pipeline.io import StoreChunk, plan_chunks
+from repro.pipeline.parallel import (
+    RemoteCause,
+    ShardResult,
+    _run_shard,
+    _ShardTask,
+)
 
-from tests.helpers import make_trace_samples
+from tests.helpers import make_trace_samples, write_trace_paths
 from tests.test_pipeline_parallel import assert_datasets_equal
 
 pytestmark = pytest.mark.dist
@@ -81,6 +86,11 @@ def samples():
 @pytest.fixture(scope="module")
 def serial_dataset(samples):
     return StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
+
+
+@pytest.fixture(scope="module")
+def trace_paths(samples, tmp_path_factory):
+    return write_trace_paths(tmp_path_factory.mktemp("dist-traces"), samples)
 
 
 @pytest.fixture()
@@ -121,12 +131,20 @@ def _worker_subprocess():
             proc.wait(timeout=10)
 
 
-def _make_task(samples, ordinal=0) -> _ShardTask:
+def _make_task(path, ordinal=0) -> _ShardTask:
+    """The first chunk of a 4-shard plan over ``path``, as
+    ``build_dataset`` would task it (under a chosen ``ordinal``)."""
+    chunk = plan_chunks(path, 4)[0]
     return _ShardTask(
-        dataset_kwargs=dict(study_windows=STUDY_WINDOWS),
-        indexed_samples=list(enumerate(samples)),
+        dataset_kwargs=dict(
+            study_windows=STUDY_WINDOWS,
+            keep_response_sizes=True,
+            compute_naive=False,
+            window_seconds=900.0,
+        ),
+        chunk=chunk,
         ordinal=ordinal,
-        expected_rows=len(samples),
+        expected_rows=getattr(chunk, "rows", None),
     )
 
 
@@ -182,6 +200,38 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="exceeds"):
             protocol.recv_frame(right)
 
+    def test_limit_refuses_announced_length_before_reading_payload(self, pair):
+        # What the daemon passes: a header announcing 2 MiB against a
+        # 1 MiB limit is refused on the header alone — the payload bytes
+        # that did arrive are still unread on the socket.
+        left, right = pair
+        header = struct.pack(
+            ">4sBI", protocol.MAGIC, protocol.MSG_TASK, 2 << 20
+        )
+        left.sendall(header + b"first payload bytes")
+        with pytest.raises(ProtocolError, match="exceeds the 1048576-byte"):
+            protocol.recv_frame(right, limit=1 << 20)
+        assert right.recv(64) == b"first payload bytes"
+
+    def test_daemon_refuses_a_two_mebibyte_frame(self, caplog):
+        header = struct.pack(
+            ">4sBI", protocol.MAGIC, protocol.MSG_TASK, 2 << 20
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.dist.daemon"):
+            with WorkerDaemon() as daemon:
+                with socket.create_connection(
+                    parse_addr(daemon.address)
+                ) as sock:
+                    sock.sendall(header)
+                    # Dropped on the header: EOF, not a wait for 2 MiB.
+                    sock.settimeout(10)
+                    assert sock.recv(1) == b""
+            # (shutdown() has joined the connection thread: it has logged)
+        assert any(
+            "exceeds the 1048576-byte limit" in record.getMessage()
+            for record in caplog.records
+        )
+
     def test_clean_eof_between_frames(self, pair):
         left, right = pair
         left.close()
@@ -211,19 +261,60 @@ class TestProtocol:
 # 2. Serialization
 # --------------------------------------------------------------------- #
 class TestSerialization:
-    def test_task_round_trip(self, samples):
-        task = _make_task(samples[:20], ordinal=3)
-        decoded = decode_task(encode_task(task))
-        assert decoded.ordinal == 3
-        assert decoded.expected_rows == 20
-        assert decoded.indexed_samples == task.indexed_samples
+    def test_task_round_trip(self, trace_paths):
+        # Both chunk kinds (and both TraceChunk modes) come back ``==``.
+        chunks = [
+            chunk
+            for path in trace_paths.values()
+            for chunk in plan_chunks(path, 3)
+        ]
+        assert {type(chunk).__name__ for chunk in chunks} == {
+            "StoreChunk", "TraceChunk",
+        }
+        for ordinal, chunk in enumerate(chunks):
+            task = _ShardTask(
+                dataset_kwargs=dict(
+                    study_windows=STUDY_WINDOWS,
+                    keep_response_sizes=False,
+                    compute_naive=True,
+                    window_seconds=3600.0,
+                ),
+                chunk=chunk,
+                ordinal=ordinal,
+                expected_rows=getattr(chunk, "rows", None),
+            )
+            decoded = decode_task(encode_task(task))
+            assert decoded == task
+            assert type(decoded.chunk) is type(chunk)
 
     def test_task_decode_type_checked(self):
-        with pytest.raises(TypeError, match="not a shard task"):
+        # What used to unpickle to "not a shard task" is now not even read
+        # as a pickle: a task frame is JSON or it is a protocol violation.
+        with pytest.raises(ProtocolError, match="not JSON"):
             decode_task(pickle.dumps(["not", "a", "task"]))
+        with pytest.raises(ProtocolError, match="must be an object of"):
+            decode_task(b'["not", "a", "task"]')
 
-    def test_result_round_trip(self, samples):
-        result = _run_shard(_make_task(samples[:50], ordinal=1))
+    def test_task_frame_is_a_small_json_descriptor(self, trace_paths):
+        task = _make_task(trace_paths["store"])
+        wide = _ShardTask(
+            dataset_kwargs=task.dataset_kwargs,
+            chunk=StoreChunk(
+                path=task.chunk.path,
+                ordinal=0,
+                partition_ids=tuple(range(2000)),
+                rows=1_000_000,
+            ),
+            ordinal=7,
+            expected_rows=1_000_000,
+        )
+        payload = encode_task(wide)
+        assert len(payload) < 32 * 1024
+        assert json.loads(payload)["chunk"]["kind"] == "store"
+        assert decode_task(payload) == wide
+
+    def test_result_round_trip(self, trace_paths):
+        result = _run_shard(_make_task(trace_paths["plain"], ordinal=1))
         decoded = decode_result(encode_result(result))
         assert isinstance(decoded, ShardResult)
         assert decoded.ordinal == 1
@@ -236,7 +327,7 @@ class TestSerialization:
 
     def test_failure_round_trip_preserves_type_and_message(self):
         failure = decode_failure(encode_failure(ValueError("bad route")))
-        assert isinstance(failure, RemoteShardFailure)
+        assert type(failure) is RemoteCause
         assert failure.type_name == "ValueError"
         assert failure.message == "bad route"
         assert str(failure) == "ValueError: bad route"
@@ -245,11 +336,11 @@ class TestSerialization:
         # The whole point of JSON failures: a failure reply can never
         # itself fail to decode, whatever bytes arrive.
         failure = decode_failure(b"\xff\xfenot json at all")
-        assert isinstance(failure, RemoteShardFailure)
+        assert type(failure) is RemoteCause
         assert failure.type_name == "UnknownRemoteError"
 
     def test_remote_failure_pickles(self):
-        original = RemoteShardFailure("TypeError", "arity mismatch")
+        original = RemoteCause("TypeError", "arity mismatch")
         clone = pickle.loads(pickle.dumps(original))
         assert clone.type_name == "TypeError"
         assert clone.message == "arity mismatch"
@@ -266,23 +357,28 @@ class TestWorkerDaemon:
                 protocol.send_frame(sock, protocol.MSG_PING)
                 assert protocol.recv_frame(sock) == (protocol.MSG_PONG, b"")
 
-    def test_executes_task_like_local_run(self, samples):
-        task = _make_task(samples[:100])
-        expected = _run_shard(task)
+    def test_executes_task_like_local_run(self, trace_paths):
         with WorkerDaemon() as daemon:
-            with socket.create_connection(parse_addr(daemon.address)) as sock:
-                protocol.send_frame(sock, protocol.MSG_TASK, encode_task(task))
-                msg_type, payload = protocol.recv_frame(sock)
-        assert msg_type == protocol.MSG_RESULT
-        result = decode_result(payload)
-        assert result.rows == expected.rows
-        assert result.aggregations == expected.aggregations
-        assert result.metrics.counters == expected.metrics.counters
+            for kind in ("store", "plain"):
+                task = _make_task(trace_paths[kind])
+                expected = _run_shard(task)
+                with socket.create_connection(
+                    parse_addr(daemon.address)
+                ) as sock:
+                    protocol.send_frame(
+                        sock, protocol.MSG_TASK, encode_task(task)
+                    )
+                    msg_type, payload = protocol.recv_frame(sock)
+                assert msg_type == protocol.MSG_RESULT
+                result = decode_result(payload)
+                assert result.rows == expected.rows and result.rows
+                assert result.aggregations == expected.aggregations
+                assert result.metrics.counters == expected.metrics.counters
 
-    def test_shard_failure_becomes_failure_reply(self, samples):
+    def test_shard_failure_becomes_failure_reply(self, trace_paths):
         # A failing shard is the client's retry problem: the daemon
         # replies MSG_FAILURE and stays alive for the next task.
-        task = _make_task(samples[:50], ordinal=2)
+        task = _make_task(trace_paths["store"], ordinal=2)
         plan = FaultPlan(kill_shard={"ordinal": 2, "times": 1})
         with WorkerDaemon() as daemon:
             with faultinject.inject(plan):
@@ -313,8 +409,8 @@ class TestWorkerDaemon:
             daemon.shutdown()
         assert request_shutdown(daemon.address) is False  # already gone
 
-    def test_max_tasks_bounds_lifetime(self, samples):
-        task = _make_task(samples[:20])
+    def test_max_tasks_bounds_lifetime(self, trace_paths):
+        task = _make_task(trace_paths["plain"])
         with WorkerDaemon(max_tasks=1) as daemon:
             with socket.create_connection(parse_addr(daemon.address)) as sock:
                 protocol.send_frame(sock, protocol.MSG_TASK, encode_task(task))
@@ -337,29 +433,152 @@ class TestWorkerDaemon:
 
 
 # --------------------------------------------------------------------- #
+# 3b. A daemon reads task frames off a socket: nothing malformed gets in
+# --------------------------------------------------------------------- #
+_canary_calls = []
+
+
+def _canary():
+    _canary_calls.append("called")
+
+
+class _Bomb:
+    """Unpickling this calls :func:`_canary` — in whoever unpickles it."""
+
+    def __reduce__(self):
+        return (_canary, ())
+
+
+def _edited(edit):
+    """A malformed-frame builder: a valid task's JSON, after ``edit``."""
+
+    def build(valid: bytes) -> bytes:
+        fields = json.loads(valid)
+        edit(fields)
+        return json.dumps(fields).encode("utf-8")
+
+    return build
+
+
+def _set(fields, *path_and_value):
+    *path, key, value = path_and_value
+    for step in path:
+        fields = fields[step]
+    fields[key] = value
+
+
+MALFORMED_TASKS = {
+    # The three probes that, at the parent, each left an uncaught
+    # exception on a daemon thread — the third after running the callable.
+    "garbage": lambda valid: b"garbage",
+    "pickled-dict": lambda valid: pickle.dumps({"ordinal": 0}),
+    "pickle-that-calls": lambda valid: pickle.dumps(_Bomb()),
+    "truncated-json": lambda valid: valid[:-5],
+    "json-not-an-object": lambda valid: b"[1, 2, 3]",
+    "ordinal-is-a-string": _edited(lambda f: _set(f, "ordinal", "0")),
+    "ordinal-is-a-bool": _edited(lambda f: _set(f, "ordinal", True)),
+    "study-windows-is-a-float": _edited(
+        lambda f: _set(f, "dataset_kwargs", "study_windows", 8.0)
+    ),
+    "flag-is-an-int": _edited(
+        lambda f: _set(f, "dataset_kwargs", "compute_naive", 0)
+    ),
+    "path-is-a-list": _edited(lambda f: _set(f, "chunk", "path", ["/etc"])),
+    "partition-id-is-a-string": _edited(
+        lambda f: _set(f, "chunk", "partition_ids", [0, "1"])
+    ),
+    "chunk-is-a-string": _edited(lambda f: _set(f, "chunk", "t.store")),
+    "unknown-chunk-kind": _edited(lambda f: _set(f, "chunk", "kind", "samples")),
+    "missing-chunk-kind": _edited(lambda f: f["chunk"].pop("kind")),
+    "trace-fields-on-a-store-chunk": _edited(
+        lambda f: _set(f, "chunk", "start_byte", 0)
+    ),
+    "extra-task-key": _edited(lambda f: _set(f, "indexed_samples", [])),
+    "extra-kwarg": _edited(
+        lambda f: _set(f, "dataset_kwargs", "engine", "row")
+    ),
+    "missing-key": _edited(lambda f: f.pop("expected_rows")),
+}
+
+
+class TestMalformedTaskFrame:
+    @pytest.fixture(scope="class")
+    def daemon(self):
+        with WorkerDaemon() as daemon:
+            yield daemon
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TASKS))
+    def test_dropped_with_a_warning_and_the_daemon_keeps_serving(
+        self, name, daemon, trace_paths, caplog, monkeypatch
+    ):
+        valid = encode_task(_make_task(trace_paths["store"]))
+        payload = MALFORMED_TASKS[name](valid)
+        _canary_calls.clear()
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+
+        with pytest.raises(ProtocolError):
+            decode_task(payload)
+
+        with caplog.at_level(logging.WARNING, logger="repro.dist.daemon"):
+            with socket.create_connection(parse_addr(daemon.address)) as sock:
+                sock.settimeout(10)
+                protocol.send_frame(sock, protocol.MSG_TASK, payload)
+                # No reply of any kind: the connection is dropped.
+                assert protocol.recv_frame(sock, allow_eof=True) is None
+                # The daemon closes the socket, then logs; give its
+                # thread a moment to get from one to the other.
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline and not any(
+                    "dropping connection" in record.getMessage()
+                    for record in caplog.records
+                ):
+                    time.sleep(0.01)
+        assert [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.dist.daemon"
+            and "dropping connection" in record.getMessage()
+        ]
+        assert uncaught == []
+        assert _canary_calls == []
+
+        # Same daemon, fresh connection, valid task: still in business.
+        with socket.create_connection(parse_addr(daemon.address)) as sock:
+            protocol.send_frame(sock, protocol.MSG_TASK, valid)
+            msg_type, reply = protocol.recv_frame(sock)
+        assert msg_type == protocol.MSG_RESULT
+        assert decode_result(reply).rows
+
+
+# --------------------------------------------------------------------- #
 # 4a. Dispatch equivalence (the acceptance bar)
 # --------------------------------------------------------------------- #
 class TestDispatchEquivalence:
     def test_dispatch_matches_serial_exactly(
-        self, samples, serial_dataset, two_daemons
+        self, trace_paths, serial_dataset, two_daemons
     ):
-        dataset = build_dataset(
-            iter(samples),
-            study_windows=STUDY_WINDOWS,
-            options=_dispatch_options(two_daemons),
-        )
-        assert_datasets_equal(dataset, serial_dataset)
-        assert dataset.degraded is None
+        for path in trace_paths.values():
+            dataset = build_dataset(
+                path,
+                study_windows=STUDY_WINDOWS,
+                options=_dispatch_options(two_daemons),
+            )
+            assert_datasets_equal(dataset, serial_dataset)
+            assert dataset.degraded is None
 
-    def test_data_counters_and_gauges_match_serial(self, samples, two_daemons):
-        serial = build_dataset(iter(samples), study_windows=STUDY_WINDOWS)
-        dataset = build_dataset(
-            iter(samples),
-            study_windows=STUDY_WINDOWS,
-            options=_dispatch_options(two_daemons),
-        )
-        assert dataset.metrics.counters == serial.metrics.counters
-        assert dataset.metrics.gauges == serial.metrics.gauges
+    def test_data_counters_and_gauges_match_serial(
+        self, trace_paths, two_daemons
+    ):
+        for path in trace_paths.values():
+            serial = build_dataset(path, study_windows=STUDY_WINDOWS)
+            dataset = build_dataset(
+                path,
+                study_windows=STUDY_WINDOWS,
+                options=_dispatch_options(two_daemons),
+            )
+            assert dataset.metrics.counters == serial.metrics.counters
+            assert dataset.metrics.gauges == serial.metrics.gauges
 
     def test_golden_trace_byte_identical_vs_serial(self, two_daemons):
         snapshot = json.loads((DATA / "golden_report.json").read_text())
@@ -378,11 +597,11 @@ class TestDispatchEquivalence:
         assert dispatched.metrics.counters == serial.metrics.counters
         assert dispatched.metrics.gauges == serial.metrics.gauges
 
-    def test_manifest_dist_section(self, samples, two_daemons):
+    def test_manifest_dist_section(self, trace_paths, two_daemons):
         registry = MetricsRegistry()
         with activate_metrics(registry):
             build_dataset(
-                iter(samples),
+                trace_paths["store"],
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -391,8 +610,9 @@ class TestDispatchEquivalence:
         assert manifest.dist["tasks_dispatched"] == 4
         assert manifest.dist["tasks_completed"] == 4
         assert manifest.dist["tasks_reassigned"] == 0
-        assert manifest.dist["bytes_sent"] > 0
-        assert manifest.dist["bytes_received"] > 0
+        # Four descriptors out, four partial states back.
+        assert 0 < manifest.dist["bytes_sent"] < 4096
+        assert manifest.dist["bytes_received"] > manifest.dist["bytes_sent"]
         # dist.* counters are execution facts, never sample accounting.
         assert not [
             name
@@ -401,13 +621,13 @@ class TestDispatchEquivalence:
         ]
 
     def test_unreachable_worker_skipped_not_fatal(
-        self, samples, serial_dataset, two_daemons
+        self, trace_paths, serial_dataset, two_daemons
     ):
         registry = MetricsRegistry()
         addrs = (two_daemons[0], "127.0.0.1:1")  # port 1: nothing listens
         with activate_metrics(registry):
             dataset = build_dataset(
-                iter(samples),
+                trace_paths["plain"],
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(addrs),
             )
@@ -415,10 +635,10 @@ class TestDispatchEquivalence:
         assert registry.counter("dist.workers.unreachable") == 1
         assert registry.counter("dist.workers.connected") == 1
 
-    def test_no_reachable_workers_raises(self, samples):
+    def test_no_reachable_workers_raises(self, trace_paths):
         with pytest.raises(DispatchError, match="no dispatch workers"):
             build_dataset(
-                iter(samples),
+                trace_paths["store"],
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(("127.0.0.1:1", "127.0.0.1:2")),
             )
@@ -447,13 +667,13 @@ class TestDispatchEquivalence:
 # --------------------------------------------------------------------- #
 class TestDispatchFaults:
     def test_killed_worker_reassigns_to_survivor(
-        self, samples, serial_dataset, two_daemons
+        self, trace_paths, serial_dataset, two_daemons
     ):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_worker={"ordinal": 1, "times": 1})
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
-                iter(samples),
+                trace_paths["store"],
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -466,7 +686,7 @@ class TestDispatchFaults:
         assert registry.counter("fault.shard_retries") == 1
 
     def test_dropped_connection_reassigns(
-        self, samples, serial_dataset, two_daemons
+        self, trace_paths, serial_dataset, two_daemons
     ):
         registry = MetricsRegistry()
         first_port = two_daemons[0].rpartition(":")[2]
@@ -475,7 +695,7 @@ class TestDispatchFaults:
         )
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
-                iter(samples),
+                trace_paths["plain"],
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -484,13 +704,13 @@ class TestDispatchFaults:
         assert registry.counter("fault.injected.connection_drops") == 1
         assert registry.counter("dist.tasks.reassigned") == 1
 
-    def test_sole_worker_death_quarantines_instead_of_crashing(self, samples):
+    def test_sole_worker_death_quarantines_instead_of_crashing(self, trace_paths):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_worker={"ordinal": 0, "times": 1})
         with WorkerDaemon() as daemon:
             with activate_metrics(registry), faultinject.inject(plan):
                 dataset = build_dataset(
-                    iter(samples),
+                    trace_paths["store"],
                     study_windows=STUDY_WINDOWS,
                     options=_dispatch_options((daemon.address,)),
                 )
@@ -505,14 +725,20 @@ class TestDispatchFaults:
         assert registry.counter("dist.tasks.stranded") == 4
         assert registry.counter("fault.shards_quarantined") == 4
         assert dataset.session_count == 0
+        # A store plan knows what each lost shard held.
+        chunks = plan_chunks(trace_paths["store"], 4)
+        assert {
+            entry["ordinal"]: entry["samples_lost"] for entry in ledger.shards
+        } == dict(enumerate(chunk.rows for chunk in chunks))
+        assert ledger.samples_lost == sum(chunk.rows for chunk in chunks) == 600
 
-    def test_sole_worker_death_under_strict_raises(self, samples):
+    def test_sole_worker_death_under_strict_raises(self, trace_paths):
         plan = FaultPlan(kill_worker={"ordinal": 0, "times": 1})
         with WorkerDaemon() as daemon:
             with faultinject.inject(plan):
                 with pytest.raises(ShardError) as excinfo:
                     build_dataset(
-                        iter(samples),
+                        trace_paths["plain"],
                         study_windows=STUDY_WINDOWS,
                         options=_dispatch_options(
                             (daemon.address,), strict=True
@@ -521,13 +747,13 @@ class TestDispatchFaults:
         assert isinstance(excinfo.value.cause, DispatchError)
 
     def test_remote_transient_failure_retried_to_clean_result(
-        self, samples, serial_dataset, two_daemons
+        self, trace_paths, serial_dataset, two_daemons
     ):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
-                iter(samples),
+                trace_paths["store"],
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -539,12 +765,12 @@ class TestDispatchFaults:
         assert registry.counter("dist.workers.lost") == 0
 
     def test_remote_permanent_failure_quarantines_with_remote_type(
-        self, samples, two_daemons
+        self, trace_paths, two_daemons
     ):
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         with faultinject.inject(plan):
             dataset = build_dataset(
-                iter(samples),
+                trace_paths["plain"],
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -553,8 +779,10 @@ class TestDispatchFaults:
         entry = ledger.shards[0]
         assert entry["ordinal"] == 1
         assert entry["attempts"] == 3  # 1 try + 2 retries (default)
+        # A JSONL byte-range plan cannot know a shard's line count.
+        assert entry["samples_lost"] is None and ledger.samples_lost == 0
         # The remote failure keeps the original worker-side type name.
-        assert "RemoteShardFailure" in entry["error"]
+        assert entry["error"].startswith("RemoteCause: RuntimeError: ")
         assert "RuntimeError" in entry["error"]
         assert "injected fault" in entry["error"]
 
@@ -564,12 +792,11 @@ class TestDispatchFaults:
 # --------------------------------------------------------------------- #
 class TestDistCLI:
     def test_analyze_dispatch_end_to_end(
-        self, samples, tmp_path, capsys, two_daemons
+        self, trace_paths, tmp_path, capsys, two_daemons
     ):
         from repro.cli import main
 
-        trace = tmp_path / "trace.jsonl"
-        write_samples(trace, samples)
+        trace = trace_paths["plain"]
         manifest_path = tmp_path / "manifest.json"
         code = main(
             [
@@ -609,13 +836,13 @@ class TestDistCLI:
             main(["worker", "--listen", "127.0.0.1:abc"])
 
     def test_worker_subprocess_serves_dispatch_run(
-        self, samples, serial_dataset
+        self, trace_paths, serial_dataset
     ):
         # The real deployment shape: `repro worker` in its own process,
         # the dispatch client in this one.
         with _worker_subprocess() as (proc, addr):
             dataset = build_dataset(
-                iter(samples),
+                trace_paths["store"],
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options((addr,), shards=2),
             )
@@ -647,7 +874,7 @@ class TestDistCLI:
         assert payload["dist"]["tasks_completed"] == 1
 
     def test_relative_trace_path_survives_worker_cwd(
-        self, samples, serial_dataset, tmp_path, monkeypatch
+        self, trace_paths, serial_dataset, monkeypatch
     ):
         # Regression: file-backed shard tasks used to carry the trace
         # path as given. A relative path resolves against the *worker's*
@@ -655,9 +882,8 @@ class TestDistCLI:
         # else entirely — so every shard failed with FileNotFoundError
         # and the run silently degraded to zero rows. plan_chunks now
         # pins the resolved path client-side.
-        write_samples(tmp_path / "trace.jsonl", samples)
         with _worker_subprocess() as (proc, addr):
-            monkeypatch.chdir(tmp_path)
+            monkeypatch.chdir(trace_paths["plain"].parent)
             dataset = build_dataset(
                 "trace.jsonl",
                 study_windows=STUDY_WINDOWS,

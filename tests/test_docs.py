@@ -172,3 +172,49 @@ class TestSurfaceGuards:
             "schema.py:encode_rows",  # on write
             "reader.py:checksum_mismatches",  # the one comparison on read
         }
+
+    def test_a_daemon_does_not_unpickle(self):
+        """A shard task is a descriptor (CONTRIBUTING.md): the daemon, which
+        reads frames from whoever connects, imports no unpickler, and the
+        one ``pickle.loads(`` under ``src/repro/dist/`` reads result frames
+        — on the client, from daemons it dialed."""
+        import ast
+
+        dist = ROOT / "src" / "repro" / "dist"
+        daemon = ast.parse((dist / "daemon.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(daemon):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {node.module, *(alias.name for alias in node.names)}
+        assert "pickle" not in imported
+
+        sources = {
+            path.name: path.read_text(encoding="utf-8")
+            for path in sorted(dist.glob("*.py"))
+        }
+        assert {
+            name: source.count("pickle.loads(")
+            for name, source in sources.items()
+            if "pickle.loads(" in source
+        } == {"serialization.py": 1}
+        (decode_result,) = [
+            node
+            for node in ast.walk(ast.parse(sources["serialization.py"]))
+            if isinstance(node, ast.FunctionDef) and node.name == "decode_result"
+        ]
+        assert "pickle.loads(" in ast.get_source_segment(
+            sources["serialization.py"], decode_result
+        )
+
+    def test_group_sharding_is_gone(self):
+        """Samples never cross a process boundary: nothing under ``src/``
+        spells the in-memory shard plan's names."""
+        offenders = [
+            f"{path.relative_to(ROOT)}: {name}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for name in ("shard_samples", "shard_of", "indexed_samples")
+            if name in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []

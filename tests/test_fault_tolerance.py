@@ -31,7 +31,7 @@ from repro.pipeline import (
     StudyDataset,
     build_dataset,
 )
-from repro.pipeline.io import write_samples
+from repro.pipeline.io import plan_chunks, write_samples
 from repro.store import (
     CorruptBlockError,
     CorruptManifestError,
@@ -47,6 +47,7 @@ from tests.helpers import (  # noqa: F401 — fixtures are used by name
     in_process_pool,
     local_options,
     make_trace_samples,
+    write_trace_paths,
 )
 
 pytestmark = pytest.mark.faults
@@ -64,6 +65,14 @@ def _fresh_fault_state():
 @pytest.fixture(scope="module")
 def samples():
     return make_trace_samples(400, seed=23, windows=STUDY_WINDOWS)
+
+
+@pytest.fixture(scope="module")
+def trace_paths(samples, tmp_path_factory):
+    """The stream saved once as a store and once as plain JSONL, for the
+    tests that only read (``store_path`` below is a copy to damage)."""
+    paths = write_trace_paths(tmp_path_factory.mktemp("fault-traces"), samples)
+    return {kind: paths[kind] for kind in ("store", "plain")}
 
 
 @pytest.fixture()
@@ -535,62 +544,66 @@ def _options(**kwargs) -> ParallelOptions:
 class TestRetryAndQuarantine:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_transient_failure_retries_to_identical_result(
-        self, samples, executor, local_options
+        self, samples, trace_paths, executor, local_options
     ):
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
-        registry = MetricsRegistry()
-        plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
-        with activate_metrics(registry), faultinject.inject(plan):
-            dataset = build_dataset(
-                iter(samples),
-                study_windows=STUDY_WINDOWS,
-                options=local_options(
-                    executor, shards=4, workers=2, retry_backoff=0.0
-                ),
-            )
-        assert dataset.degraded is None
-        assert dataset.rows == serial.rows
-        assert registry.counter("fault.shard_retries") == 2
-        assert registry.counter("fault.injected.shard_kills") == 2
-        assert registry.counter("fault.shards_quarantined") == 0
+        for path in trace_paths.values():
+            registry = MetricsRegistry()
+            plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
+            with activate_metrics(registry), faultinject.inject(plan):
+                dataset = build_dataset(
+                    path,
+                    study_windows=STUDY_WINDOWS,
+                    options=local_options(
+                        executor, shards=4, workers=2, retry_backoff=0.0
+                    ),
+                )
+            assert dataset.degraded is None
+            assert dataset.rows == serial.rows
+            assert registry.counter("fault.shard_retries") == 2
+            assert registry.counter("fault.injected.shard_kills") == 2
+            assert registry.counter("fault.shards_quarantined") == 0
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_permanent_failure_quarantines_with_exact_counts(
-        self, samples, executor, local_options
+        self, trace_paths, executor, local_options
     ):
-        registry = MetricsRegistry()
-        plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
-        with activate_metrics(registry), faultinject.inject(plan):
-            dataset = build_dataset(
-                iter(samples),
-                study_windows=STUDY_WINDOWS,
-                options=local_options(
-                    executor, shards=4, workers=2, retry_backoff=0.0
-                ),
-            )
-        ledger = dataset.degraded
-        assert isinstance(ledger, DegradedLedger)
-        assert ledger.shards_lost == 1
-        entry = ledger.shards[0]
-        assert entry["ordinal"] == 1
-        assert entry["attempts"] == 3  # 1 try + 2 retries (default)
-        assert "injected fault" in entry["error"]
-        # In-memory sharding knows the exact loss: the shard's sample list.
-        from repro.pipeline.parallel import shard_samples
+        for kind, path in trace_paths.items():
+            registry = MetricsRegistry()
+            plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
+            with activate_metrics(registry), faultinject.inject(plan):
+                dataset = build_dataset(
+                    path,
+                    study_windows=STUDY_WINDOWS,
+                    options=local_options(
+                        executor, shards=4, workers=2, retry_backoff=0.0
+                    ),
+                )
+            ledger = dataset.degraded
+            assert isinstance(ledger, DegradedLedger)
+            assert ledger.shards_lost == 1
+            entry = ledger.shards[0]
+            assert entry["ordinal"] == 1
+            assert entry["attempts"] == 3  # 1 try + 2 retries (default)
+            assert "injected fault" in entry["error"]
+            # A store plan knows the exact loss (the chunk's manifest row
+            # count); a JSONL byte range counts lines only when read, so
+            # its loss is None and adds nothing to the known total.
+            planned = getattr(plan_chunks(path, 4)[1], "rows", None)
+            assert (planned is not None) == (kind == "store")
+            assert entry["samples_lost"] == planned
+            assert ledger.samples_lost == (planned or 0)
+            assert registry.counter("fault.shards_quarantined") == 1
+            assert registry.counter("fault.samples_lost") == (planned or 0)
+            # The surviving shards' samples are all present.
+            assert dataset.session_count > 0
 
-        expected_lost = len(shard_samples(iter(samples), 4)[1])
-        assert ledger.samples_lost == expected_lost == entry["samples_lost"]
-        assert registry.counter("fault.shards_quarantined") == 1
-        assert registry.counter("fault.samples_lost") == expected_lost
-        # The surviving shards' samples are all present.
-        assert dataset.session_count > 0
-
-    def test_strict_raises_shard_error(self, samples):
+    def test_strict_raises_shard_error(self, trace_paths):
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         with faultinject.inject(plan):
             with pytest.raises(ShardError) as excinfo:
                 build_dataset(
-                    iter(samples),
+                    trace_paths["store"],
                     study_windows=STUDY_WINDOWS,
                     options=_options(strict=True),
                 )
@@ -598,26 +611,26 @@ class TestRetryAndQuarantine:
         assert excinfo.value.attempts == 3
         assert isinstance(excinfo.value.cause, RuntimeError)
 
-    def test_zero_retries_quarantines_immediately(self, samples):
+    def test_zero_retries_quarantines_immediately(self, trace_paths):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_shard={"ordinal": 0, "times": None})
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
-                iter(samples),
+                trace_paths["plain"],
                 study_windows=STUDY_WINDOWS,
                 options=_options(max_retries=0),
             )
         assert dataset.degraded.shards[0]["attempts"] == 1
         assert registry.counter("fault.shard_retries") == 0
 
-    def test_os_error_kind(self, samples):
+    def test_os_error_kind(self, trace_paths):
         plan = FaultPlan(
             kill_shard={"ordinal": 0, "times": None, "error": "os"}
         )
         with faultinject.inject(plan):
             with pytest.raises(ShardError) as excinfo:
                 build_dataset(
-                    iter(samples),
+                    trace_paths["store"],
                     study_windows=STUDY_WINDOWS,
                     options=_options(strict=True, max_retries=0),
                 )
@@ -684,12 +697,12 @@ class TestRetryAndQuarantine:
         assert dataset.degraded is not None
         assert dataset.degraded.shards[0]["ordinal"] == 0
 
-    def test_retry_log_names_shard(self, samples, caplog):
+    def test_retry_log_names_shard(self, trace_paths, caplog):
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": 1})
         with caplog.at_level(logging.WARNING, logger="repro.pipeline.parallel"):
             with faultinject.inject(plan):
                 build_dataset(
-                    iter(samples),
+                    trace_paths["plain"],
                     study_windows=STUDY_WINDOWS,
                     options=_options(),
                 )
@@ -749,12 +762,12 @@ class TestBatchEngineFaults:
             )
         assert isinstance(excinfo.value.cause, CorruptBlockError)
 
-    def test_transient_failure_retries_to_row_identical_result(self, samples):
+    def test_transient_failure_retries_to_row_identical_result(self, samples, trace_paths):
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
         with faultinject.inject(plan):
             dataset = build_dataset(
-                iter(samples),
+                trace_paths["store"],
                 study_windows=STUDY_WINDOWS,
                 options=_options(),
             )
@@ -781,11 +794,11 @@ class TestNoFaultTransparency:
             assert dataset.rows == serial.rows
             assert dataset.degraded is None
 
-    def test_no_fault_counters_on_clean_runs(self, samples):
+    def test_no_fault_counters_on_clean_runs(self, trace_paths):
         registry = MetricsRegistry()
         with activate_metrics(registry):
             build_dataset(
-                iter(samples),
+                trace_paths["store"],
                 study_windows=STUDY_WINDOWS,
                 options=_options(),
             )
@@ -795,12 +808,12 @@ class TestNoFaultTransparency:
             if name.startswith("fault.")
         ]
 
-    def test_manifest_degraded_section(self, samples):
+    def test_manifest_degraded_section(self, trace_paths):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         with activate_metrics(registry), faultinject.inject(plan):
             build_dataset(
-                iter(samples),
+                trace_paths["store"],
                 study_windows=STUDY_WINDOWS,
                 options=_options(),
             )

@@ -1,8 +1,8 @@
 """Observability through the pipeline: the counter-equality invariant.
 
-Counters and gauges are *data facts*: running the same input through any
-shard plan (any backend, any shard count, in-memory or file-backed) must
-produce byte-identical counters and gauges to the serial pass. This
+Counters and gauges are *data facts*: running the same trace on disk
+through any shard plan (any backend, any shard count, store or JSONL) must
+produce byte-identical counters and gauges to the one-pass fold. This
 mirrors the state-equality matrix in ``tests/test_pipeline_parallel.py``
 at the metrics layer. Timings (``timers``, ``shard_report``) are execution
 facts and are only checked for shape.
@@ -15,13 +15,14 @@ import pytest
 from repro.core.hdratio import session_goodput
 from repro.obs import MetricsRegistry, activate_metrics, active_metrics
 from repro.pipeline import ParallelOptions, StudyDataset, build_dataset
-from repro.pipeline.io import read_samples, write_samples
+from repro.pipeline.io import read_samples
 
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
     LOCAL_BACKENDS,
     in_process_pool,
     local_options,
     make_trace_samples,
+    write_trace_paths,
 )
 
 STUDY_WINDOWS = 8
@@ -39,12 +40,7 @@ def serial_dataset(samples):
 
 @pytest.fixture(scope="module")
 def trace_paths(samples, tmp_path_factory):
-    root = tmp_path_factory.mktemp("obs-traces")
-    plain = root / "trace.jsonl"
-    gz = root / "trace.jsonl.gz"
-    write_samples(plain, samples)
-    write_samples(gz, samples)
-    return {"plain": plain, "gz": gz}
+    return write_trace_paths(tmp_path_factory.mktemp("obs-traces"), samples)
 
 
 def canonical_counters(dataset: StudyDataset) -> str:
@@ -63,45 +59,45 @@ def assert_counters_equal(parallel: StudyDataset, serial: StudyDataset) -> None:
 # Counter equality across shard plans
 # --------------------------------------------------------------------- #
 class TestInMemoryCounterEquality:
+    """The store half of the matrix. The class keeps the name it had when
+    it sharded this stream in memory by user group (deleted: a sharded plan
+    reads a trace on disk), so its test ids stay put; the stream is saved
+    as a store first and each plan is held to the one-pass fold of it."""
+
+    @pytest.fixture(scope="class")
+    def store(self, trace_paths):
+        return trace_paths["store"]
+
+    @pytest.fixture(scope="class")
+    def one_pass(self, store):
+        return build_dataset(store, study_windows=STUDY_WINDOWS)
+
     @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_serial_executor(self, samples, serial_dataset, shards):
+    def test_serial_executor(self, store, one_pass, shards):
         dataset = build_dataset(
-            iter(samples),
+            store,
             study_windows=STUDY_WINDOWS,
             options=ParallelOptions(workers=1, shards=shards),
         )
-        assert_counters_equal(dataset, serial_dataset)
+        assert_counters_equal(dataset, one_pass)
 
     @pytest.mark.usefixtures("in_process_pool")
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_thread_executor(self, samples, serial_dataset, shards):
+    def test_thread_executor(self, store, one_pass, shards):
         dataset = build_dataset(
-            iter(samples),
+            store,
             study_windows=STUDY_WINDOWS,
             options=ParallelOptions(workers=4, shards=shards),
         )
-        assert_counters_equal(dataset, serial_dataset)
+        assert_counters_equal(dataset, one_pass)
 
-    def test_process_executor(self, samples, serial_dataset):
+    def test_process_executor(self, store, one_pass):
         dataset = build_dataset(
-            iter(samples),
+            store,
             study_windows=STUDY_WINDOWS,
             options=ParallelOptions(workers=2, shards=4),
         )
-        assert_counters_equal(dataset, serial_dataset)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
-    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_full_matrix(
-        self, samples, serial_dataset, backend, shards, local_options
-    ):
-        dataset = build_dataset(
-            iter(samples),
-            study_windows=STUDY_WINDOWS,
-            options=local_options(backend, shards),
-        )
-        assert_counters_equal(dataset, serial_dataset)
+        assert_counters_equal(dataset, one_pass)
 
 
 class TestFileCounterEquality:
@@ -112,9 +108,9 @@ class TestFileCounterEquality:
             study_windows=STUDY_WINDOWS,
             options=ParallelOptions(workers=1, shards=shards),
         )
-        # File-backed runs additionally count io.rows_read, which an
-        # in-memory serial baseline cannot have; compare against the
-        # serial *file* read instead.
+        # File-backed runs additionally count io.rows_read (and a store
+        # its store.* decode counters), which an in-memory baseline cannot
+        # have; compare against the one-pass fold of the same file.
         baseline = build_dataset(trace_paths[kind], study_windows=STUDY_WINDOWS)
         assert_counters_equal(dataset, baseline)
         assert dataset.metrics.counter("io.rows_read") == len(
@@ -128,6 +124,19 @@ class TestFileCounterEquality:
             options=ParallelOptions(workers=2, shards=3),
         )
         baseline = build_dataset(trace_paths["plain"], study_windows=STUDY_WINDOWS)
+        assert_counters_equal(dataset, baseline)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["store", "plain", "gz"])
+    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
+    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
+    def test_full_matrix(self, trace_paths, kind, backend, shards, local_options):
+        dataset = build_dataset(
+            trace_paths[kind],
+            study_windows=STUDY_WINDOWS,
+            options=local_options(backend, shards),
+        )
+        baseline = build_dataset(trace_paths[kind], study_windows=STUDY_WINDOWS)
         assert_counters_equal(dataset, baseline)
 
     def test_file_and_memory_agree_on_everything_but_io(
@@ -232,9 +241,9 @@ class TestCounterSemantics:
 # Execution facts & plumbing
 # --------------------------------------------------------------------- #
 class TestExecutionFacts:
-    def test_shard_report_shape(self, samples):
+    def test_shard_report_shape(self, samples, trace_paths):
         dataset = build_dataset(
-            iter(samples),
+            trace_paths["store"],
             study_windows=STUDY_WINDOWS,
             options=ParallelOptions(workers=1, shards=4),
         )

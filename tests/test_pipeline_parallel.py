@@ -1,8 +1,8 @@
 """Equivalence tests: the sharded parallel pipeline vs the serial pass.
 
 The contract under test (see ``repro/pipeline/parallel.py``): for any shard
-count and any backend, ``build_dataset`` produces a ``StudyDataset`` whose
-state — rows in stream order, aggregation-store insertion order, raw
+count and any backend, ``build_dataset`` over a trace on disk (store, plain
+JSONL, gzip JSONL) produces a ``StudyDataset`` whose state — rows in stream order, aggregation-store insertion order, raw
 per-aggregation value lists, filter counters — is **exactly** equal to the
 serial pass, and therefore every derived statistic (per-group medians,
 McKean–Schrader CIs, window tables, figure results) is exactly equal too.
@@ -13,7 +13,6 @@ import pickle
 
 import pytest
 
-from repro.core.records import UserGroupKey
 from repro.pipeline import (
     ParallelOptions,
     ShardError,
@@ -24,13 +23,14 @@ from repro.pipeline import (
     fig9_opportunity,
 )
 from repro.pipeline.io import write_samples
-from repro.pipeline.parallel import RemoteCause, shard_of, shard_samples
+from repro.pipeline.parallel import RemoteCause
 
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
     LOCAL_BACKENDS,
     in_process_pool,
     local_options,
     make_trace_samples,
+    write_trace_paths,
 )
 
 STUDY_WINDOWS = 8
@@ -47,12 +47,7 @@ def serial_dataset(samples):
 
 @pytest.fixture(scope="module")
 def trace_paths(samples, tmp_path_factory):
-    root = tmp_path_factory.mktemp("traces")
-    plain = root / "trace.jsonl"
-    gz = root / "trace.jsonl.gz"
-    write_samples(plain, samples)
-    write_samples(gz, samples)
-    return {"plain": plain, "gz": gz}
+    return write_trace_paths(tmp_path_factory.mktemp("traces"), samples)
 
 
 def assert_datasets_equal(parallel: StudyDataset, serial: StudyDataset) -> None:
@@ -94,65 +89,6 @@ def assert_datasets_equal(parallel: StudyDataset, serial: StudyDataset) -> None:
 
 
 # --------------------------------------------------------------------- #
-# In-memory (group-sharded) equivalence
-# --------------------------------------------------------------------- #
-class TestInMemoryEquivalence:
-    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_serial_executor(self, samples, serial_dataset, shards):
-        dataset = build_dataset(
-            iter(samples),
-            study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=1, shards=shards),
-        )
-        assert_datasets_equal(dataset, serial_dataset)
-
-    @pytest.mark.usefixtures("in_process_pool")
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_thread_executor(self, samples, serial_dataset, shards):
-        dataset = build_dataset(
-            iter(samples),
-            study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=4, shards=shards),
-        )
-        assert_datasets_equal(dataset, serial_dataset)
-
-    def test_process_executor(self, samples, serial_dataset):
-        dataset = build_dataset(
-            iter(samples),
-            study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=4),
-        )
-        assert_datasets_equal(dataset, serial_dataset)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
-    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_full_matrix(
-        self, samples, serial_dataset, backend, shards, local_options
-    ):
-        dataset = build_dataset(
-            iter(samples),
-            study_windows=STUDY_WINDOWS,
-            options=local_options(backend, shards),
-        )
-        assert_datasets_equal(dataset, serial_dataset)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_randomized_traces(self, seed, backend, local_options):
-        randomized = make_trace_samples(400, seed=seed, windows=STUDY_WINDOWS)
-        serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(randomized))
-        for shards in (1, 2, 4, 8):
-            dataset = build_dataset(
-                iter(randomized),
-                study_windows=STUDY_WINDOWS,
-                options=local_options(backend, shards, workers=2),
-            )
-            assert_datasets_equal(dataset, serial)
-
-
-# --------------------------------------------------------------------- #
 # File-backed (chunk-sharded) equivalence
 # --------------------------------------------------------------------- #
 class TestFileEquivalence:
@@ -173,8 +109,19 @@ class TestFileEquivalence:
         )
         assert_datasets_equal(dataset, serial_dataset)
 
+    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
+    def test_store_chunks(
+        self, trace_paths, serial_dataset, backend, local_options
+    ):
+        dataset = build_dataset(
+            trace_paths["store"],
+            study_windows=STUDY_WINDOWS,
+            options=local_options(backend, shards=4, workers=2),
+        )
+        assert_datasets_equal(dataset, serial_dataset)
+
     @pytest.mark.slow
-    @pytest.mark.parametrize("kind", ["plain", "gz"])
+    @pytest.mark.parametrize("kind", ["store", "plain", "gz"])
     @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
     @pytest.mark.parametrize("shards", [1, 2, 5, 8])
     def test_full_matrix(
@@ -187,37 +134,27 @@ class TestFileEquivalence:
         )
         assert_datasets_equal(dataset, serial_dataset)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_randomized_traces(self, seed, backend, local_options, tmp_path):
+        randomized = make_trace_samples(400, seed=seed, windows=STUDY_WINDOWS)
+        serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(randomized))
+        paths = write_trace_paths(tmp_path, randomized)
+        for kind in ("store", "plain"):
+            for shards in (1, 2, 4, 8):
+                dataset = build_dataset(
+                    paths[kind],
+                    study_windows=STUDY_WINDOWS,
+                    options=local_options(backend, shards, workers=2),
+                )
+                assert_datasets_equal(dataset, serial)
+
 
 # --------------------------------------------------------------------- #
 # Mechanics
 # --------------------------------------------------------------------- #
 class TestSharding:
-    def test_shard_of_is_deterministic_and_in_range(self):
-        group = UserGroupKey(pop="ams1", prefix="203.0.112.0/20", country="NL")
-        first = shard_of(group, 7)
-        assert 0 <= first < 7
-        assert all(shard_of(group, 7) == first for _ in range(5))
-
-    def test_shard_of_rejects_bad_count(self):
-        group = UserGroupKey(pop="a", prefix="p", country="c")
-        with pytest.raises(ValueError):
-            shard_of(group, 0)
-
-    def test_shard_samples_partitions_and_preserves_order(self, samples):
-        shards = shard_samples(iter(samples), 4)
-        assert sum(len(shard) for shard in shards) == len(samples)
-        seen = sorted(index for shard in shards for index, _ in shard)
-        assert seen == list(range(len(samples)))
-        for shard in shards:
-            indices = [index for index, _ in shard]
-            assert indices == sorted(indices)
-        # Same group -> same shard.
-        by_group = {}
-        for shard_id, shard in enumerate(shards):
-            for _, sample in shard:
-                key = (sample.pop, sample.route.prefix, sample.client_country)
-                assert by_group.setdefault(key, shard_id) == shard_id
-
     def test_options_validation(self):
         with pytest.raises(ValueError):
             ParallelOptions(workers=0)
@@ -244,16 +181,48 @@ class TestSharding:
         with pytest.raises(AttributeError):
             dispatch.backend = "process"
 
-    def test_empty_source(self):
-        dataset = build_dataset(
-            iter([]),
-            study_windows=4,
-            options=ParallelOptions(workers=1, shards=4),
-        )
-        assert dataset.session_count == 0
-        assert len(dataset.store) == 0
+    @pytest.mark.parametrize(
+        "sharded",
+        [
+            ParallelOptions(shards=2),
+            ParallelOptions(workers=2),
+            ParallelOptions(worker_addrs=("127.0.0.1:1",)),
+        ],
+        ids=["shards", "workers", "worker_addrs"],
+    )
+    def test_sharded_plan_over_a_stream_is_refused_unread(self, samples, sharded):
+        # A shard task names bytes on disk; a stream has none. Refused
+        # before the first sample is drawn, and the message says what to
+        # do instead.
+        stream = iter(samples)
+        with pytest.raises(ValueError, match="trace on disk") as excinfo:
+            build_dataset(stream, study_windows=STUDY_WINDOWS, options=sharded)
+        assert "write_samples" in str(excinfo.value)
+        assert "repro trace" in str(excinfo.value)
+        assert next(stream) is samples[0]
 
-    def test_missing_route_fails_fast_under_strict(self, samples):
+    def test_stream_with_default_options_folds_in_one_pass(
+        self, samples, serial_dataset
+    ):
+        for options in (None, ParallelOptions()):
+            dataset = build_dataset(
+                iter(samples), study_windows=STUDY_WINDOWS, options=options
+            )
+            assert_datasets_equal(dataset, serial_dataset)
+            assert dataset.shard_report == []
+
+    def test_empty_source(self, tmp_path):
+        for name in ("empty.jsonl", "empty.store"):
+            write_samples(tmp_path / name, [])
+            dataset = build_dataset(
+                tmp_path / name,
+                study_windows=4,
+                options=ParallelOptions(workers=1, shards=4),
+            )
+            assert dataset.session_count == 0
+            assert len(dataset.store) == 0
+
+    def test_missing_route_fails_fast_under_strict(self, samples, tmp_path):
         # Under strict mode a broken sample still fails the build, wrapped
         # in a ShardError naming the shard (the default policy quarantines
         # the shard instead; see tests/test_fault_tolerance.py).
@@ -266,18 +235,20 @@ class TestSharding:
                 "client_ip_is_hosting": False,
             }
         )
+        write_samples(tmp_path / "broken.jsonl", broken)
         with pytest.raises(ShardError, match="route") as excinfo:
             build_dataset(
-                iter(broken),
+                tmp_path / "broken.jsonl",
                 study_windows=STUDY_WINDOWS,
                 options=ParallelOptions(workers=1, shards=2, strict=True),
             )
         assert excinfo.value.shard_id == 0
         assert isinstance(excinfo.value.cause, ValueError)
 
-    def test_dataset_kwargs_forwarded(self, samples):
+    def test_dataset_kwargs_forwarded(self, samples, tmp_path):
+        write_samples(tmp_path / "head.jsonl", samples[:50])
         dataset = build_dataset(
-            iter(samples[:50]),
+            tmp_path / "head.jsonl",
             study_windows=STUDY_WINDOWS,
             keep_response_sizes=False,
             compute_naive=True,
