@@ -55,6 +55,12 @@
 #   src-lines   - print the line total of src/**/*.py: the number ROADMAP
 #                 aim 2 tracks (expected sign per PR this round: negative)
 #                 and every CHANGES.md entry reports before/after.
+#   bench-ab    - PARENT=<rev> WORKLOAD=<name> [PAIRS=N] [SEED=N]: alternate
+#                 `python3 -m bench` runs (12 s, --trace 0) between a
+#                 `git archive` of PARENT and the working tree; prints each
+#                 pair, per-metric medians/quartiles, pairs won and the
+#                 gain/regression/unresolved verdict (tools/bench_ab.py,
+#                 which holds the defaults: 10 pairs from seed 1).
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -74,7 +80,7 @@ COV_SOURCES = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
 	test-dist test-netsim test-bench test-examples coverage bench \
-	bench-smoke bench-dist bench-cc-matrix src-lines
+	bench-smoke bench-dist bench-cc-matrix src-lines bench-ab
 
 test:
 	$(PYTEST) -x -q
@@ -137,3 +143,9 @@ bench-cc-matrix:
 
 src-lines:
 	@find src -name '*.py' | xargs cat | wc -l
+
+bench-ab:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<name> [PAIRS=N] [SEED=N]"; exit 2; }
+	$(PYTHON) tools/bench_ab.py $(PARENT) $(WORKLOAD) \
+		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))

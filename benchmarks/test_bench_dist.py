@@ -9,11 +9,15 @@ subsystem's own overhead: framing chunk descriptors over a real TCP
 socket, pickling partial states back, and merging results that arrive out
 of order.
 
-Two things are asserted. What dispatch ships: a task is a descriptor of
+Three things are asserted. What dispatch ships: a task is a descriptor of
 bytes on disk, so ``dist.bytes.sent`` for the whole plan stays under
 ``TASK_BYTES_CEILING`` (64 KiB; the 8 tasks were 5,017,750 B when they
 carried pickled samples) — samples in a task frame fail this at once.
-And a tripwire: dispatch over localhost must stay within
+What a result costs coming back: ``dist.bytes.received`` per session
+stays under ``RESULT_BYTES_CEILING`` (100 B; 117.7 B when rows were
+pickled as frozen dataclasses, ~88 B as plain tuples) — a row type that
+drags a per-row reduce call or class reference back onto the wire fails
+it. And a tripwire: dispatch over localhost must stay within
 ``OVERHEAD_CEILING``x of the process pool's wall time (default 3.0). On a
 single host the process pool is the natural winner — dispatch pays result
 serialization twice (daemon and client) plus socket hops for zero extra
@@ -56,6 +60,8 @@ SESSIONS = int(os.environ.get("REPRO_BENCH_DIST_SESSIONS", 20_000))
 SHARDS = int(os.environ.get("REPRO_BENCH_DIST_SHARDS", 8))
 OVERHEAD_CEILING = float(os.environ.get("REPRO_BENCH_DIST_OVERHEAD", 3.0))
 TASK_BYTES_CEILING = 64 * 1024
+#: Result bytes per session (``dist.bytes.received / SESSIONS``).
+RESULT_BYTES_CEILING = 100
 STUDY_WINDOWS = 8
 WORKERS = 2
 
@@ -101,6 +107,7 @@ def test_dispatch_overhead(tmp_path):
     assert 0 < registry.counter("dist.bytes.sent") < TASK_BYTES_CEILING
 
     overhead = dispatch_wall / pool_wall if pool_wall else float("inf")
+    result_bytes = registry.counter("dist.bytes.received") / SESSIONS
     results = {
         "sessions": SESSIONS,
         "shards": SHARDS,
@@ -111,6 +118,8 @@ def test_dispatch_overhead(tmp_path):
         "dispatch_vs_pool": round(overhead, 3),
         "overhead_ceiling": OVERHEAD_CEILING,
         "task_bytes_ceiling": TASK_BYTES_CEILING,
+        "result_bytes_per_session": round(result_bytes, 1),
+        "result_bytes_ceiling": RESULT_BYTES_CEILING,
         "dist_counters": {
             name: value
             for name, value in registry.counters.items()
@@ -123,6 +132,10 @@ def test_dispatch_overhead(tmp_path):
         json.dumps(results, indent=2) + "\n"
     )
 
+    assert result_bytes < RESULT_BYTES_CEILING, (
+        f"dispatch results cost {result_bytes:.1f} B per session "
+        f"(ceiling {RESULT_BYTES_CEILING} B)"
+    )
     assert overhead <= OVERHEAD_CEILING, (
         f"dispatch over localhost took {overhead:.2f}x the process pool "
         f"(ceiling {OVERHEAD_CEILING:.1f}x): "

@@ -7,11 +7,12 @@ scalars), and :func:`decode_task` rebuilds the dataclasses field by field
 :class:`~repro.dist.protocol.ProtocolError` on anything else, so the
 daemon, the only reader of task frames, never unpickles what a peer sent.
 
-**Results are pickles** — the dataclasses the process pool already pickles
-back from its children — read only by the client, from daemons it chose
-to dial (DESIGN.md §13). **Failures are JSON**: a worker's exception can
-hold anything, so it is stringified to ``{"type", "message"}`` at the
-worker and a failure reply cannot itself fail to decode; the client
+**Results are pickles** — ``ShardResult``'s own wire form, the one the
+process pool pickles back from its children (rows as plain tuples) — read
+only by the client, from daemons it chose to dial (DESIGN.md §13).
+**Failures are JSON**: a worker's exception can hold anything, so it is
+stringified to ``{"type", "message"}`` at the worker and a failure reply
+cannot itself fail to decode; the client
 rehydrates it as :class:`~repro.pipeline.parallel.RemoteCause`, which
 feeds the standard retry/quarantine path like any local exception.
 """

@@ -28,9 +28,6 @@ from repro.kernels.engine import (
 )
 from repro.kernels.goodput import (
     FunnelCounts,
-    assess_kernel,
-    coalesce_kernel,
-    eligibility_kernel,
     funnel_single,
     session_funnel,
 )
@@ -39,10 +36,7 @@ __all__ = [
     "BatchIngestor",
     "ColumnBatch",
     "FunnelCounts",
-    "assess_kernel",
     "batches_from_pairs",
-    "coalesce_kernel",
-    "eligibility_kernel",
     "funnel_single",
     "fold_into_dataset",
     "iter_batches",

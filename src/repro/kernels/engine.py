@@ -137,7 +137,7 @@ class BatchIngestor:
         groups = self._groups
         pieces = self._pieces
         rows_append = self._rows.append
-        new_row = SessionRow.__new__
+        new_row = tuple.__new__
         floor = math.floor
         funnel = session_funnel
         single = funnel_single
@@ -243,23 +243,22 @@ class BatchIngestor:
             else:
                 busy_fraction = min(busy_times[i] / duration, 1.0)
 
-            row = new_row(SessionRow)
-            # SessionRow is frozen: mutating the (empty) __dict__ in place
-            # is the one write path its __setattr__ cannot veto.
-            row.__dict__.update({
-                "min_rtt_ms": min_rtt * 1000.0,
-                "hdratio": hd,
-                "naive_hdratio": naive,
-                "bytes_sent": sent,
-                "duration": duration,
-                "busy_fraction": busy_fraction,
-                "transaction_count": tlen,
-                "is_http2": is_http2[i],
-                "continent": continents[i],
-                "geo_tag": geo_tags[i],
-                "response_sizes": sizes,
-                "media_bytes": media,
-            })
+            # SessionRow's field order; tuple.__new__ skips the NamedTuple
+            # constructor's per-field keyword binding.
+            row = new_row(SessionRow, (
+                min_rtt * 1000.0,
+                hd,
+                naive,
+                sent,
+                duration,
+                busy_fraction,
+                tlen,
+                is_http2[i],
+                continents[i],
+                geo_tags[i],
+                sizes,
+                media,
+            ))
             order_key = order_keys[i]
             rows_append((order_key, row))
 

@@ -1,12 +1,12 @@
 """§3.2 goodput kernels over flat column arrays.
 
-Each kernel mirrors one stage of the row-path methodology —
-:mod:`repro.core.coalesce` (coalescing, bytes-in-flight eligibility),
-:mod:`repro.core.goodput` (Gtestable, Tmodel(R), the ideal-Wstart chain),
-:mod:`repro.core.hdratio` (the per-session funnel) — over parallel lists
-instead of record objects. ``session_funnel`` composes the stages exactly the
-way :func:`repro.core.hdratio.session_goodput` does, operating on a
-``[start, end)`` slice of a batch's flat transaction columns.
+Two kernels, each the whole per-session funnel of
+:func:`repro.core.hdratio.session_goodput` — coalescing and bytes-in-flight
+eligibility (:mod:`repro.core.coalesce`), then Gtestable, Tmodel(R) and the
+ideal-Wstart chain (:mod:`repro.core.goodput`) — over parallel lists instead
+of record objects: ``session_funnel`` on a ``[start, end)`` slice of a
+batch's flat transaction columns, in one fused pass, and ``funnel_single``,
+its scalar form for the dominant one-transaction session.
 
 **Oracle invariant.** Every arithmetic expression here is a transcription of
 its row-path counterpart: the same operations on the same Python numeric
@@ -34,9 +34,6 @@ from repro.core.constants import HD_GOODPUT_BYTES_PER_SEC
 
 __all__ = [
     "FunnelCounts",
-    "assess_kernel",
-    "coalesce_kernel",
-    "eligibility_kernel",
     "funnel_single",
     "session_funnel",
 ]
@@ -51,165 +48,6 @@ _POW2: Tuple[int, ...] = tuple(1 << k for k in range(_MAX_ROUNDS + 2))
 
 _ORDER_ERROR = "transactions must be ordered by first_byte_time"
 _ROUNDS_ERROR = "round_index implausibly large"
-
-
-# --------------------------------------------------------------------- #
-# Coalescing (§3.2.5) — mirrors repro.core.coalesce.coalesce_transactions
-# --------------------------------------------------------------------- #
-def coalesce_kernel(
-    fbt: Sequence[float],
-    ack: Sequence[float],
-    resp: Sequence[int],
-    last: Sequence[int],
-    cwnd: Sequence[int],
-    inflight: Sequence[int],
-    lbwt: Sequence[float],
-    start: int = 0,
-    end: Optional[int] = None,
-) -> Tuple[List[float], List[float], List[int], List[int], List[int], List[int]]:
-    """Coalesce the ``[start, end)`` slice of flat transaction columns.
-
-    ``lbwt`` is the *effective* last-byte-write-time column: rows whose
-    record had no ``last_byte_write_time`` carry their ``first_byte_time``
-    (the row path's fallback, applied when the batch was built).
-
-    Returns group columns ``(fbt, ack, total_bytes, last_packet_bytes,
-    opener_cwnd, opener_inflight)`` — exactly the fields of
-    :class:`repro.core.coalesce.CoalescedTransaction` the downstream stages
-    consume, plus the opening record's bytes-in-flight for the eligibility
-    rule. Raises the row path's ``ValueError`` on out-of-order input.
-    """
-    if end is None:
-        end = len(fbt)
-    g_fbt: List[float] = []
-    g_ack: List[float] = []
-    g_total: List[int] = []
-    g_last: List[int] = []
-    g_cwnd: List[int] = []
-    g_inflight: List[int] = []
-    previous_start = -math.inf
-    open_lbwt = -math.inf
-    gap = BACK_TO_BACK_GAP_SECONDS
-    for t in range(start, end):
-        f = fbt[t]
-        if f < previous_start:
-            raise ValueError(_ORDER_ERROR)
-        previous_start = f
-        lw = lbwt[t]
-        if g_fbt and f <= open_lbwt + gap:
-            a = ack[t]
-            if a > g_ack[-1]:
-                g_ack[-1] = a
-            g_total[-1] += resp[t]
-            g_last[-1] = last[t]
-            if lw > open_lbwt:
-                open_lbwt = lw
-        else:
-            g_fbt.append(f)
-            g_ack.append(ack[t])
-            g_total.append(resp[t])
-            g_last.append(last[t])
-            g_cwnd.append(cwnd[t])
-            g_inflight.append(inflight[t])
-            open_lbwt = lw
-    return g_fbt, g_ack, g_total, g_last, g_cwnd, g_inflight
-
-
-def eligibility_kernel(g_inflight: Sequence[int]) -> List[bool]:
-    """Bytes-in-flight mask over coalesced groups — mirrors
-    :func:`repro.core.coalesce.filter_eligible`.
-
-    ``g_inflight`` holds each group's *opening* record's bytes in flight.
-    The first group is always eligible (handshake/TLS bytes, not a prior
-    response).
-    """
-    return [
-        position == 0 or opener_inflight == 0
-        for position, opener_inflight in enumerate(g_inflight)
-    ]
-
-
-# --------------------------------------------------------------------- #
-# Fused per-session assessment — mirrors repro.core.hdratio._assess_session
-# --------------------------------------------------------------------- #
-def assess_kernel(
-    g_fbt: Sequence[float],
-    g_ack: Sequence[float],
-    g_total: Sequence[int],
-    g_last: Sequence[int],
-    g_cwnd: Sequence[int],
-    eligible: Sequence[bool],
-    min_rtt_seconds: float,
-    target_rate: float = HD_GOODPUT_BYTES_PER_SEC,
-    compute_naive: bool = False,
-) -> Tuple[int, int, int]:
-    """(tested, achieved, naive_achieved) over coalesced groups.
-
-    Walks the eligible groups in order, chaining the ideal Wstart exactly
-    like the row path's ``_assess_session``: a group whose delayed-ACK
-    corrected size is non-positive only grows the chain; every other group
-    is assessed for capability (Gtestable vs target) and, when capable,
-    for achievement (Ttotal vs Tmodel). ``naive_achieved`` applies the §4
-    ablation's ``Btotal/Ttotal`` criterion under the same capability gate;
-    it is only computed when ``compute_naive`` is set (it is independent of
-    the model verdict, so one pass yields both).
-    """
-    pow2 = _POW2
-    ceil = math.ceil
-    log2 = math.log2
-    tested = 0
-    achieved = 0
-    naive_achieved = 0
-    prev_ideal = 0
-    for gi in range(len(g_fbt)):
-        if not eligible[gi]:
-            continue
-        cw = g_cwnd[gi]
-        total_bytes = g_total[gi] - g_last[gi]
-        if total_bytes <= 0:
-            # Single-packet group: nothing left after the delayed-ACK
-            # correction; it still grows the ideal window chain.
-            if cw > prev_ideal:
-                prev_ideal = cw
-            continue
-        wstart = cw if cw > prev_ideal else prev_ideal
-        m = ceil(log2(total_bytes / wstart + 1.0) - 1e-12)
-        if m < 1:
-            m = 1
-        if m == 1:
-            best = total_bytes
-        else:
-            if m - 1 > _MAX_ROUNDS:
-                raise ValueError(_ROUNDS_ERROR)
-            penultimate = pow2[m - 2] * wstart
-            final_round = total_bytes - wstart * (pow2[m - 1] - 1)
-            best = penultimate if penultimate > final_round else final_round
-        testable = best / min_rtt_seconds
-        if m > _MAX_ROUNDS:
-            raise ValueError(_ROUNDS_ERROR)
-        prev_ideal = pow2[m - 1] * wstart
-        if testable < target_rate:
-            continue
-        tested += 1
-        transfer = g_ack[gi] - g_fbt[gi]
-        needed = target_rate * min_rtt_seconds
-        if wstart >= needed:
-            n = 0
-        else:
-            n = ceil(log2(needed / wstart) - 1e-12)
-            if n < 0:
-                n = 0
-            elif n > _MAX_ROUNDS:
-                n = _MAX_ROUNDS
-        if n > m - 1:
-            n = m - 1
-        remaining = total_bytes - wstart * (pow2[n] - 1)
-        model_time = n * min_rtt_seconds + remaining / target_rate + min_rtt_seconds
-        if transfer <= model_time:
-            achieved += 1
-        if compute_naive and transfer > 0 and total_bytes / transfer >= target_rate:
-            naive_achieved += 1
-    return tested, achieved, naive_achieved
 
 
 class FunnelCounts(NamedTuple):
@@ -318,32 +156,111 @@ def session_funnel(
 ) -> FunnelCounts:
     """Full §3.2 funnel for one session's ``[start, end)`` column slice.
 
-    Composes :func:`coalesce_kernel` → :func:`eligibility_kernel` →
-    :func:`assess_kernel` in the row path's order
-    (:func:`repro.core.hdratio.session_goodput`), including its
-    ``min_rtt_seconds`` guard.
+    One pass over the slice coalesces (mirrors
+    :func:`repro.core.coalesce.coalesce_transactions`; ``lbwt`` is the
+    *effective* last-byte-write-time column, ``first_byte_time`` where a
+    record had none) and applies the bytes-in-flight rule as each group
+    opens (:func:`repro.core.coalesce.filter_eligible`: the first group, or
+    one whose opening record had nothing in flight), keeping only eligible
+    groups. A second walk over those chains the ideal Wstart and assesses
+    Gtestable and Tmodel like :func:`repro.core.hdratio._assess_session`:
+    a group whose delayed-ACK corrected size is non-positive only grows the
+    chain; ``naive_achieved`` applies the §4 ablation's ``Btotal/Ttotal``
+    criterion under the same capability gate, when ``compute_naive`` is
+    set. The row path's ``min_rtt_seconds`` guard comes first, and an
+    out-of-order slice raises before any group is assessed — the row
+    path's error order.
     """
     if min_rtt_seconds <= 0:
         raise ValueError("min_rtt_seconds must be positive")
-    g_fbt, g_ack, g_total, g_last, g_cwnd, g_inflight = coalesce_kernel(
-        fbt, ack, resp, last, cwnd, inflight, lbwt, start, end
-    )
-    eligible = eligibility_kernel(g_inflight)
-    tested, achieved, naive_achieved = assess_kernel(
-        g_fbt,
-        g_ack,
-        g_total,
-        g_last,
-        g_cwnd,
-        eligible,
-        min_rtt_seconds,
-        target_rate,
-        compute_naive,
-    )
+    # Eligible groups as [fbt, ack, total_bytes, last_packet_bytes, cwnd];
+    # ``group`` is the open one, None while the open group is ineligible.
+    groups: List[list] = []
+    group = None
+    coalesced = 0
+    previous_start = -math.inf
+    open_lbwt = -math.inf
+    gap = BACK_TO_BACK_GAP_SECONDS
+    for t in range(start, end):
+        f = fbt[t]
+        if f < previous_start:
+            raise ValueError(_ORDER_ERROR)
+        previous_start = f
+        lw = lbwt[t]
+        if coalesced and f <= open_lbwt + gap:
+            if group is not None:
+                a = ack[t]
+                if a > group[1]:
+                    group[1] = a
+                group[2] += resp[t]
+                group[3] = last[t]
+            if lw > open_lbwt:
+                open_lbwt = lw
+        else:
+            if coalesced == 0 or inflight[t] == 0:
+                group = [f, ack[t], resp[t], last[t], cwnd[t]]
+                groups.append(group)
+            else:
+                group = None
+            coalesced += 1
+            open_lbwt = lw
+
+    pow2 = _POW2
+    ceil = math.ceil
+    log2 = math.log2
+    tested = 0
+    achieved = 0
+    naive_achieved = 0
+    prev_ideal = 0
+    for g_fbt, g_ack, g_total, g_last, cw in groups:
+        total_bytes = g_total - g_last
+        if total_bytes <= 0:
+            # Single-packet group: nothing left after the delayed-ACK
+            # correction; it still grows the ideal window chain.
+            if cw > prev_ideal:
+                prev_ideal = cw
+            continue
+        wstart = cw if cw > prev_ideal else prev_ideal
+        m = ceil(log2(total_bytes / wstart + 1.0) - 1e-12)
+        if m < 1:
+            m = 1
+        if m == 1:
+            best = total_bytes
+        else:
+            if m - 1 > _MAX_ROUNDS:
+                raise ValueError(_ROUNDS_ERROR)
+            penultimate = pow2[m - 2] * wstart
+            final_round = total_bytes - wstart * (pow2[m - 1] - 1)
+            best = penultimate if penultimate > final_round else final_round
+        testable = best / min_rtt_seconds
+        if m > _MAX_ROUNDS:
+            raise ValueError(_ROUNDS_ERROR)
+        prev_ideal = pow2[m - 1] * wstart
+        if testable < target_rate:
+            continue
+        tested += 1
+        transfer = g_ack - g_fbt
+        needed = target_rate * min_rtt_seconds
+        if wstart >= needed:
+            n = 0
+        else:
+            n = ceil(log2(needed / wstart) - 1e-12)
+            if n < 0:
+                n = 0
+            elif n > _MAX_ROUNDS:
+                n = _MAX_ROUNDS
+        if n > m - 1:
+            n = m - 1
+        remaining = total_bytes - wstart * (pow2[n] - 1)
+        model_time = n * min_rtt_seconds + remaining / target_rate + min_rtt_seconds
+        if transfer <= model_time:
+            achieved += 1
+        if compute_naive and transfer > 0 and total_bytes / transfer >= target_rate:
+            naive_achieved += 1
     return FunnelCounts(
         tested=tested,
         achieved=achieved,
-        eligible=sum(eligible),
-        coalesced=len(g_fbt),
+        eligible=len(groups),
+        coalesced=coalesced,
         naive_achieved=naive_achieved,
     )

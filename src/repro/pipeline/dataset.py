@@ -3,7 +3,7 @@
 :class:`StudyDataset` ingests the (filtered) session stream once and keeps
 both views the experiments need:
 
-- **per-session rows** (:class:`SessionRow`) — compact tuples for the
+- **per-session rows** (:class:`SessionRow`) — named tuples for the
   distribution figures (1, 2, 3, 6, 7) where each session is one point;
 - **aggregations** — the (user group, route rank, window) store driving the
   temporal/routing analyses (Figures 5, 8, 9, 10, Tables 1–2).
@@ -14,8 +14,7 @@ full §3.2 path (coalescing → eligibility → capability → achievement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from repro.core.aggregation import AggregationStore
 from repro.core.hdratio import naive_hdratio, session_goodput
@@ -26,9 +25,13 @@ from repro.pipeline.filters import FilterStats, record_sample
 __all__ = ["SessionRow", "StudyDataset"]
 
 
-@dataclass(frozen=True)
-class SessionRow:
-    """One session flattened for distribution analysis."""
+class SessionRow(NamedTuple):
+    """One session flattened for distribution analysis.
+
+    A ``tuple`` subclass, so the batch engine builds one with a single
+    ``tuple.__new__(SessionRow, values)`` and a shard result carries it
+    across a process boundary as a plain tuple (CONTRIBUTING.md).
+    """
 
     min_rtt_ms: float
     hdratio: Optional[float]

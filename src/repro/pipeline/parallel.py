@@ -309,6 +309,20 @@ class ShardResult:
     wall_seconds: float = 0.0
     samples_ingested: int = 0
 
+    # The one wire form, for the process pool and the dispatch client
+    # alike: rows travel as ``(order_key, plain tuple)``, so no SessionRow
+    # global and no per-row reduce call is pickled, and each row is
+    # wrapped once on arrival.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["rows"] = [(key, tuple(row)) for key, row in self.rows]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        new = tuple.__new__
+        state["rows"] = [(key, new(SessionRow, row)) for key, row in state["rows"]]
+        self.__dict__.update(state)
+
 
 @dataclass(frozen=True)
 class _ShardTask:

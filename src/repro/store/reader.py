@@ -236,18 +236,26 @@ class TraceStoreReader:
 
     def _assemble(self, partition: dict, payload: bytes, assemble: Callable):
         """``assemble(payload, blocks)`` under the one decode-error mapping:
-        whatever a decoder trips over leaves as a :class:`CorruptBlockError`
-        naming the partition (and the column, when one block is to blame)."""
+        whatever a decoder trips over — including a row count (``seq``'s
+        length) other than the manifest's ``rows`` — leaves as a
+        :class:`CorruptBlockError` naming the partition (and the column,
+        when one block is to blame)."""
         try:
-            return assemble(payload, partition["blocks"])
+            decoded = assemble(payload, partition["blocks"])
+            if len(decoded) != partition["rows"]:
+                raise ColumnDecodeError(
+                    "seq",
+                    f"{len(decoded)} rows; manifest expects {partition['rows']}",
+                )
+            return decoded
         except ColumnDecodeError as error:
             raise corrupt_block(
                 self.data_path, partition, error.column, error.detail
             ) from error
         except (IndexError, KeyError, StopIteration) as error:
-            # Assembly failures (cursor overruns, short child columns):
-            # the payload is internally inconsistent even though every
-            # block decoded — attribute to the partition as a whole.
+            # Failures past the column-length checks (a dictionary index
+            # beyond its table, say): the payload is internally
+            # inconsistent — attribute to the partition as a whole.
             raise corrupt_block(
                 self.data_path,
                 partition,
@@ -514,7 +522,7 @@ class TraceStoreReader:
                 metrics.inc("store.partitions.corrupt", 1)
             return findings
         try:
-            rows = self._assemble(partition, payload, decode_rows)
+            self._assemble(partition, payload, decode_rows)
         except CorruptBlockError as error:
             findings.append(
                 StoreVerifyFinding(
@@ -524,19 +532,6 @@ class TraceStoreReader:
                     error=error.detail,
                 )
             )
-        else:
-            if len(rows) != partition["rows"]:
-                findings.append(
-                    StoreVerifyFinding(
-                        partition_id=partition["id"],
-                        column=None,
-                        offset=partition["offset"],
-                        error=(
-                            f"decoded {len(rows)} rows; manifest expects "
-                            f"{partition['rows']}"
-                        ),
-                    )
-                )
         if metrics is not None:
             metrics.inc(
                 "store.partitions.corrupt" if findings

@@ -103,6 +103,26 @@ COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("txn_lbwt_values", "f64"),
 )
 
+#: Child column -> the column whose entries count its entries: a length
+#: column (one child entry per unit of its sum) or a presence bitmap (one
+#: entry per set bit). Every other column has one entry per row.
+_COUNTED_BY = {
+    "media_values": "media_lens",
+    **dict.fromkeys(
+        ("route_prefix", "route_relationship", "route_rank",
+         "route_prepended", "route_aspath_lens"),
+        "route_present",
+    ),
+    "route_aspath_values": "route_aspath_lens",
+    **dict.fromkeys(
+        ("txn_first_byte_time", "txn_ack_time", "txn_response_bytes",
+         "txn_last_packet_bytes", "txn_cwnd", "txn_inflight",
+         "txn_coalesced", "txn_lbwt_present"),
+        "txn_lens",
+    ),
+    "txn_lbwt_values": "txn_lbwt_present",
+}
+
 _ENCODERS = {
     "f64": encode_f64,
     "i64": encode_i64,
@@ -286,7 +306,10 @@ def decode_columns(payload: bytes, blocks: List[dict]) -> Dict[str, list]:
     batch engine's column fast path
     (:meth:`repro.store.TraceStoreReader.decode_partition_columns`): the
     blocks are decompressed and decoded with per-column error attribution
-    (:class:`ColumnDecodeError`), but no row objects are assembled.
+    (:class:`ColumnDecodeError`), but no row objects are assembled. The
+    columns that come back agree in length (one entry per row, per unit
+    of a length column, or per set bit of a presence bitmap); the first
+    that does not raises :class:`ColumnDecodeError` naming it.
     """
     view = memoryview(payload)
     encodings = dict(COLUMNS)
@@ -313,6 +336,18 @@ def decode_columns(payload: bytes, blocks: List[dict]) -> Dict[str, list]:
     missing = [name for name, _ in COLUMNS if name not in decoded]
     if missing:
         raise ColumnDecodeError(missing[0], "column block missing")
+    # Every block decoded, but the columns must also agree with each other:
+    # a block one value short passes its CRC (it was written that way) and
+    # would otherwise truncate a zip or overrun a cursor downstream.
+    rows = len(decoded["seq"])
+    for name, _ in COLUMNS:
+        parent = _COUNTED_BY.get(name)
+        expected = rows if parent is None else sum(decoded[parent])
+        if len(decoded[name]) != expected:
+            rule = "one per row" if parent is None else f"counted by {parent!r}"
+            raise ColumnDecodeError(
+                name, f"{len(decoded[name])} entries; expected {expected} ({rule})"
+            )
     return decoded
 
 

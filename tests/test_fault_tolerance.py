@@ -41,7 +41,8 @@ from repro.store import (
     verify_store,
     write_store,
 )
-from repro.store.encoding import block_checksum, encode_f64, encode_varints
+from repro.store import schema
+from repro.store.encoding import block_checksum, encode_i64, encode_string_dict
 from repro.store.schema import decode_columns
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
     in_process_pool,
@@ -213,10 +214,10 @@ def _unknown_block(store_path):
     _rewrite_manifest(store_path, edit)
 
 
-def _short_child(column, encode):
-    """Re-point ``column``'s block of the *last* partition at a freshly
-    encoded, correctly checksummed, one-value-short copy appended to the
-    data file: every block verifies and decodes, the rows do not add up."""
+def _replace_block(column, make):
+    """Re-point ``column``'s block of the *last* partition at
+    ``make(decoded values)``, appended raw to the data file and correctly
+    checksummed: every block verifies, the payload does not add up."""
 
     def damage(store_path):
         reader = TraceStoreReader(store_path)
@@ -224,9 +225,9 @@ def _short_child(column, encode):
         payload = reader._read_partition_payload(partition)
         values = decode_columns(payload, partition["blocks"])[column]
         assert len(values) > 1
-        short = encode(list(values)[:-1])
+        raw = make(list(values))
         with open(store_path / "data.bin", "ab") as handle:
-            handle.write(short)
+            handle.write(raw)
 
         def edit(manifest):
             target = next(
@@ -234,16 +235,31 @@ def _short_child(column, encode):
             )
             _block_of(target, column).update(
                 offset=target["length"],
-                length=len(short),
+                length=len(raw),
                 codec="raw",
-                crc32=block_checksum(short),
+                crc32=block_checksum(raw),
             )
-            target["length"] += len(short)
-            manifest["data_bytes"] += len(short)
+            target["length"] += len(raw)
+            manifest["data_bytes"] += len(raw)
 
         _rewrite_manifest(store_path, edit)
 
     return damage
+
+
+def _short_child(column):
+    """``column`` one value short, encoded as the schema encodes it."""
+    encode = schema._ENCODERS[dict(schema.COLUMNS)[column]]
+    return _replace_block(column, lambda values: encode(values[:-1]))
+
+
+def _dangling_dict_index(column):
+    """A string-dictionary column whose indexes point past its table."""
+    return _replace_block(
+        column,
+        lambda values: encode_string_dict(values[:1])[:-8]
+        + encode_i64([1] * len(values)),
+    )
 
 
 DAMAGE_KINDS = {
@@ -257,8 +273,9 @@ DAMAGE_KINDS = {
     "truncated-payload": _truncate_payload,
     "missing-block": _drop_block,
     "unknown-block": _unknown_block,
-    "short-lbwt-values": _short_child("txn_lbwt_values", encode_f64),
-    "short-route-rank": _short_child("route_rank", encode_varints),
+    "short-lbwt-values": _short_child("txn_lbwt_values"),
+    "short-route-rank": _short_child("route_rank"),
+    "dangling-pop-index": _dangling_dict_index("pop"),
 }
 
 
@@ -326,11 +343,105 @@ class TestRowAndColumnReadsFailAlike:
             assert column in {f.column for f in report.findings}
 
     def test_assembly_failures_name_the_partition(self, store_path):
-        DAMAGE_KINDS["short-lbwt-values"](store_path)
+        DAMAGE_KINDS["dangling-pop-index"](store_path)
         error, _ = self._outcome(store_path, "decode_partition_columns")
         assert isinstance(error, CorruptBlockError)
         assert error.column is None and error.offset is None
-        assert "row assembly failed (StopIteration" in str(error)
+        assert "row assembly failed (IndexError" in str(error)
+
+
+#: One short column of each kind ``decode_columns`` checks: per-session
+#: (one entry per row), a child of a length column, a presence-compacted
+#: column (one entry per set bit).
+SHORT_COLUMNS = (
+    "min_rtt_seconds",
+    "txn_cwnd",
+    "media_values",
+    "route_aspath_values",
+    "route_rank",
+    "txn_lbwt_values",
+)
+
+
+class TestShortColumnIsDamage:
+    """Regression: a column block one value short with every CRC valid
+    raised a bare ``IndexError`` from the kernel loop, and ``scan()``
+    yielded one row fewer (a ``zip`` truncated). Every read path now
+    raises a :class:`CorruptBlockError` naming the partition and column,
+    and ``verify_store`` names the column."""
+
+    @pytest.fixture(params=SHORT_COLUMNS)
+    def short_store(self, store_path, request):
+        column = request.param
+        _short_child(column)(store_path)
+        reader = TraceStoreReader(store_path)
+        partition = max(reader.partitions, key=lambda p: p["offset"])
+        return store_path, partition["id"], column
+
+    @staticmethod
+    def _assert_names(error, partition_id, column):
+        assert isinstance(error, CorruptBlockError)
+        assert (error.partition_id, error.column) == (partition_id, column)
+        assert "expected" in error.detail
+
+    def test_build_dataset(self, short_store):
+        store, partition_id, column = short_store
+        with pytest.raises(CorruptBlockError) as excinfo:
+            build_dataset(store, study_windows=STUDY_WINDOWS)
+        self._assert_names(excinfo.value, partition_id, column)
+
+    def test_scan(self, short_store):
+        store, partition_id, column = short_store
+        with pytest.raises(CorruptBlockError) as excinfo:
+            list(TraceStoreReader(store).scan())
+        self._assert_names(excinfo.value, partition_id, column)
+
+    def test_read_column_batches(self, short_store):
+        store, partition_id, column = short_store
+        with pytest.raises(CorruptBlockError) as excinfo:
+            list(TraceStoreReader(store).read_column_batches())
+        self._assert_names(excinfo.value, partition_id, column)
+
+    def test_verify_store(self, short_store):
+        store, partition_id, column = short_store
+        report = verify_store(store)
+        assert [(f.partition_id, f.column) for f in report.findings] == [
+            (partition_id, column)
+        ]
+
+    def test_encoder_dropping_a_value_at_write(self, tmp_path, samples, monkeypatch):
+        """The probe as first found: an ``f64`` encoder that drops one
+        value while the store is written (every CRC then matches)."""
+        encode = schema._ENCODERS["f64"]
+        monkeypatch.setitem(
+            schema._ENCODERS, "f64", lambda values: encode(list(values)[:-1])
+        )
+        path = tmp_path / "short.store"
+        write_store(path, samples, band_windows=2)
+        monkeypatch.undo()
+        with pytest.raises(CorruptBlockError, match="column 'start_time'"):
+            list(TraceStoreReader(path).scan())
+        with pytest.raises(CorruptBlockError, match="column 'start_time'"):
+            build_dataset(path, study_windows=STUDY_WINDOWS)
+        assert {f.column for f in verify_store(path).findings} == {"start_time"}
+
+    def test_rows_short_of_the_manifest(self, store_path):
+        """Columns that agree with each other but not with the manifest's
+        ``rows``: the reader's own count check names ``seq``."""
+        reader = TraceStoreReader(store_path)
+        partition = reader.partitions[0]
+
+        def edit(manifest):
+            manifest["partitions"][0]["rows"] += 1
+
+        _rewrite_manifest(store_path, edit)
+        with pytest.raises(CorruptBlockError) as excinfo:
+            list(TraceStoreReader(store_path).read_column_batches())
+        assert (excinfo.value.partition_id, excinfo.value.column) == (
+            partition["id"],
+            "seq",
+        )
+        assert "manifest expects" in str(excinfo.value)
 
 
 # --------------------------------------------------------------------- #

@@ -20,13 +20,7 @@ from repro.core.coalesce import (
 )
 from repro.core.hdratio import naive_hdratio, session_goodput
 from repro.core.records import TransactionRecord
-from repro.kernels import (
-    assess_kernel,
-    coalesce_kernel,
-    eligibility_kernel,
-    funnel_single,
-    session_funnel,
-)
+from repro.kernels import funnel_single, session_funnel
 
 pytestmark = pytest.mark.kernels
 
@@ -103,66 +97,87 @@ def columns_of(records):
     )
 
 
-def row_groups(records):
-    """The row path's coalesced groups, as the kernel's column tuple."""
-    coalesced = coalesce_transactions(records)
-    opener_inflight = []
-    opener_index = 0
-    for txn in coalesced:
-        opener_inflight.append(records[opener_index].bytes_in_flight_at_start)
-        opener_index += txn.member_count
-    return (
-        [t.first_byte_time for t in coalesced],
-        [t.ack_time for t in coalesced],
-        [t.total_bytes for t in coalesced],
-        [t.last_packet_bytes for t in coalesced],
-        [t.cwnd_bytes_at_first_byte for t in coalesced],
-        opener_inflight,
-    )
-
-
 # --------------------------------------------------------------------- #
 # Coalescing and eligibility
 # --------------------------------------------------------------------- #
-class TestCoalesceKernel:
-    @common
-    @given(transaction_lists())
-    def test_matches_row_coalescing(self, records):
-        assert coalesce_kernel(*columns_of(records)) == row_groups(records)
+class TestFunnelCoalescing:
+    """The funnel's first pass, seen through its ``coalesced`` /
+    ``eligible`` counts against the row path's two stages."""
 
     @common
-    @given(transaction_lists(min_size=2))
-    def test_ordering_violation_raises_like_row(self, records):
+    @given(transaction_lists(), rtts)
+    def test_matches_row_coalescing(self, records, min_rtt):
+        funnel = session_funnel(*columns_of(records), 0, len(records), min_rtt)
+        assert funnel.coalesced == len(coalesce_transactions(records))
+
+    @common
+    @given(transaction_lists(min_size=2), rtts)
+    def test_ordering_violation_raises_like_row(self, records, min_rtt):
         disordered = list(reversed(records))
         if disordered[0].first_byte_time <= disordered[-1].first_byte_time:
             return  # all-equal timestamps: no violation to detect
         with pytest.raises(ValueError, match="ordered by first_byte_time"):
             coalesce_transactions(disordered)
         with pytest.raises(ValueError, match="ordered by first_byte_time"):
-            coalesce_kernel(*columns_of(disordered))
+            session_funnel(
+                *columns_of(disordered), 0, len(disordered), min_rtt
+            )
 
     @common
-    @given(transaction_lists())
-    def test_eligibility_matches_filter_eligible(self, records):
+    @given(transaction_lists(), rtts)
+    def test_eligibility_matches_filter_eligible(self, records, min_rtt):
         coalesced = coalesce_transactions(records)
-        eligible_row = filter_eligible(records, coalesced)
-        groups = coalesce_kernel(*columns_of(records))
-        mask = eligibility_kernel(groups[5])
-        kept = [
-            (groups[0][i], groups[1][i], groups[2][i], groups[3][i], groups[4][i])
-            for i, keep in enumerate(mask)
-            if keep
-        ]
-        assert kept == [
-            (
-                t.first_byte_time,
-                t.ack_time,
-                t.total_bytes,
-                t.last_packet_bytes,
-                t.cwnd_bytes_at_first_byte,
+        funnel = session_funnel(*columns_of(records), 0, len(records), min_rtt)
+        assert funnel.eligible == len(filter_eligible(records, coalesced))
+
+    @common
+    @given(
+        transaction_lists(min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=7),
+        rtts,
+        st.integers(min_value=2**62, max_value=2**63 - 1),
+    )
+    def test_order_error_precedes_round_bound_error(
+        self, records, position, min_rtt, huge
+    ):
+        """A slice that is out of order *and* holds a group past the
+        ``_MAX_ROUNDS`` bound raises what the row path raises: the order
+        error, which the row path finds while coalescing, before any
+        group is assessed."""
+        start = records[0].first_byte_time
+        # Opens group 0 (always eligible) with Wnic 1: ~2**62 bytes need
+        # 62 ideal rounds, past the bound whatever merges into it.
+        giant = TransactionRecord(
+            first_byte_time=start,
+            ack_time=start + 1.0,
+            response_bytes=huge,
+            last_packet_bytes=0,
+            cwnd_bytes_at_first_byte=1,
+        )
+        ordered = [giant] + records
+        for funnel_of in (
+            lambda rows: session_goodput(rows, min_rtt),
+            lambda rows: session_funnel(*columns_of(rows), 0, len(rows), min_rtt),
+        ):
+            with pytest.raises(ValueError, match="implausibly large"):
+                funnel_of(ordered)
+        early = TransactionRecord(
+            first_byte_time=start - 1.0,
+            ack_time=start - 0.5,
+            response_bytes=1_000,
+            last_packet_bytes=100,
+            cwnd_bytes_at_first_byte=10_000,
+        )
+        disordered = list(ordered)
+        disordered.insert(min(position, len(ordered)), early)
+        with pytest.raises(ValueError) as row_error:
+            session_goodput(disordered, min_rtt)
+        with pytest.raises(ValueError) as kernel_error:
+            session_funnel(
+                *columns_of(disordered), 0, len(disordered), min_rtt
             )
-            for t in eligible_row
-        ]
+        assert str(kernel_error.value) == str(row_error.value)
+        assert "ordered by first_byte_time" in str(row_error.value)
 
 
 # --------------------------------------------------------------------- #
@@ -274,11 +289,6 @@ class TestEdgeCases:
         assert funnel == (0, 0, 0, 0, 0)
         assert funnel.hdratio is None
         assert funnel.naive_hdratio is None
-        assert coalesce_kernel([], [], [], [], [], [], []) == (
-            [], [], [], [], [], []
-        )
-        assert eligibility_kernel([]) == []
-        assert assess_kernel([], [], [], [], [], [], 0.05) == (0, 0, 0)
 
     def test_single_row_batch(self):
         record = TransactionRecord(
@@ -295,17 +305,34 @@ class TestEdgeCases:
         assert funnel.eligible == 1
 
     def test_all_ineligible_batch(self):
-        """Every group refused by the mask: funnel counts must all be
-        zero even though the columns carry testable transfers."""
-        groups = (
-            [0.0, 5.0],
-            [0.3, 5.3],
-            [500_000, 600_000],
-            [1_000, 1_000],
-            [20_000, 20_000],
-        )
-        mask = [False, False]
-        assert assess_kernel(*groups, mask, 0.05) == (0, 0, 0)
+        """Every group but the first refused by the bytes-in-flight rule,
+        the first untestable: funnel counts must all be zero even though
+        the refused groups carry testable transfers."""
+        records = [
+            TransactionRecord(
+                first_byte_time=0.0,
+                ack_time=0.3,
+                response_bytes=1_000,
+                last_packet_bytes=1_000,
+                cwnd_bytes_at_first_byte=20_000,
+            ),
+            *(
+                TransactionRecord(
+                    first_byte_time=float(i),
+                    ack_time=float(i) + 0.3,
+                    response_bytes=600_000,
+                    last_packet_bytes=1_000,
+                    cwnd_bytes_at_first_byte=20_000,
+                    bytes_in_flight_at_start=9_000,
+                )
+                for i in (5, 10)
+            ),
+        ]
+        row = session_goodput(records, 0.05)
+        funnel = session_funnel(*columns_of(records), 0, 3, 0.05)
+        assert (funnel.coalesced, funnel.eligible) == (3, 1)
+        assert (funnel.tested, funnel.achieved) == (0, 0)
+        assert (row.coalesced_count, row.eligible, row.tested) == (3, 1, 0)
 
     def test_ineligible_after_first(self):
         """Openers with bytes in flight: only the first group survives —
@@ -347,6 +374,7 @@ class TestEdgeCases:
                 ),
             ]
             assert len(coalesce_transactions(records)) == expected_groups
-            groups = coalesce_kernel(*columns_of(records))
-            assert len(groups[0]) == expected_groups
-            assert groups == row_groups(records)
+            funnel = session_funnel(*columns_of(records), 0, 2, 0.05)
+            assert funnel.coalesced == expected_groups
+            row = session_goodput(records, 0.05)
+            assert (funnel.tested, funnel.achieved) == (row.tested, row.achieved)

@@ -10,11 +10,13 @@ McKean–Schrader CIs, window tables, figure results) is exactly equal too.
 
 import math
 import pickle
+import pickletools
 
 import pytest
 
 from repro.pipeline import (
     ParallelOptions,
+    SessionRow,
     ShardError,
     StudyDataset,
     build_dataset,
@@ -22,8 +24,8 @@ from repro.pipeline import (
     fig8_degradation,
     fig9_opportunity,
 )
-from repro.pipeline.io import write_samples
-from repro.pipeline.parallel import RemoteCause
+from repro.pipeline.io import plan_chunks, write_samples
+from repro.pipeline.parallel import RemoteCause, ShardResult, _run_shard, _ShardTask
 
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
     LOCAL_BACKENDS,
@@ -52,8 +54,12 @@ def trace_paths(samples, tmp_path_factory):
 
 def assert_datasets_equal(parallel: StudyDataset, serial: StudyDataset) -> None:
     """Exact-state equality, then derived-result equality."""
-    # Session rows: same rows, same stream order.
+    # Session rows: same rows, same stream order — and every one a
+    # SessionRow: a plain tuple compares equal to a NamedTuple, so ``==``
+    # alone cannot catch a row a shard result left unwrapped.
     assert parallel.rows == serial.rows
+    assert all(type(row) is SessionRow for row in parallel.rows)
+    assert all(type(row) is SessionRow for row in serial.rows)
     assert parallel.filter_stats == serial.filter_stats
     # Aggregation store: same keys in the same insertion order, with
     # identical raw value lists (-> identical medians and CIs).
@@ -271,6 +277,53 @@ class TestSharding:
 # --------------------------------------------------------------------- #
 # ShardError transport: the error must survive any pickle boundary
 # --------------------------------------------------------------------- #
+class TestShardResultWireForm:
+    """What a shard result costs on the wire: rows cross as plain tuples
+    and are wrapped once on arrival (DESIGN.md §6)."""
+
+    def test_session_row_fields_are_unchanged(self):
+        assert SessionRow._fields == (
+            "min_rtt_ms",
+            "hdratio",
+            "naive_hdratio",
+            "bytes_sent",
+            "duration",
+            "busy_fraction",
+            "transaction_count",
+            "is_http2",
+            "continent",
+            "geo_tag",
+            "response_sizes",
+            "media_bytes",
+        )
+
+    def test_pickle_names_no_session_row_and_round_trips(self, trace_paths):
+        (chunk, *_) = plan_chunks(trace_paths["store"], 2)
+        result = _run_shard(
+            _ShardTask(
+                dataset_kwargs=dict(study_windows=STUDY_WINDOWS), chunk=chunk
+            )
+        )
+        assert result.rows and all(
+            type(row) is SessionRow for _, row in result.rows
+        )
+        payload = pickle.dumps(result, protocol=4)
+        strings = {
+            arg for _, arg, _ in pickletools.genops(payload) if isinstance(arg, str)
+        }
+        assert "SessionRow" not in strings
+        assert "ShardResult" in strings  # the scan sees the globals it should
+        loaded = pickle.loads(payload)
+        assert type(loaded) is ShardResult
+        assert all(type(row) is SessionRow for _, row in loaded.rows)
+        for name in (
+            "ordinal", "rows", "aggregations", "filter_stats",
+            "wall_seconds", "samples_ingested",
+        ):
+            assert getattr(loaded, name) == getattr(result, name), name
+        assert loaded.metrics.to_dict() == result.metrics.to_dict()
+
+
 class _ArityBomb(Exception):
     """Pickles fine, explodes on load: default exception reduction calls
     ``cls(formatted_message)``, the wrong arity for this constructor —
