@@ -7,9 +7,10 @@
 #   test-faults - just the fault-injection matrix (`faults` marker):
 #                 store corruption detection, shard retry/quarantine,
 #                 degraded-run accounting. Also part of tier-1.
-#   coverage    - the obs-, store-, and fault-subsystem tests under
-#                 pytest-cov with a fail-under floor on src/repro/obs/ +
-#                 src/repro/store/ + src/repro/faultinject.py.
+#   coverage    - one pytest run over every test carrying one of the
+#                 COV_MARKERS (obs, store, faults, kernels, streaming, serve,
+#                 dist, netsim — slow-marked ones included) under pytest-cov,
+#                 with a fail-under floor on the COV_SOURCES packages.
 #                 Gated: when pytest-cov is not installed the tests still
 #                 run, without the floor, instead of erroring (the container
 #                 may not ship coverage tooling).
@@ -65,13 +66,10 @@
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-OBS_TESTS = tests/test_obs_registry.py tests/test_obs_tracing.py \
-            tests/test_obs_manifest.py tests/test_obs_pipeline.py
-STORE_TESTS = tests/test_store.py tests/test_store_pipeline.py \
-              tests/test_store_compact.py
-# The other six subsystems under the floor carry a marker each (pyproject.toml),
-# so the marker, not a second list of their files, selects them.
-COV_MARKERS = faults or kernels or streaming or serve or dist or netsim
+# Every subsystem under the floor carries a marker (pyproject.toml), so the
+# marker, not a list of its files, selects its tests.
+COV_MARKERS = obs or store or faults or kernels or streaming or serve or dist \
+              or netsim
 COV_FLOOR = 85
 COV_SOURCES = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
               --cov=repro.kernels --cov=repro.pipeline.ingest \
@@ -120,17 +118,15 @@ bench-smoke:
 	$(PYTHON) -m bench all --smoke
 
 coverage:
-	@unmarked=""; marked=""; \
+	@cov=""; \
 	if $(PYTHON) -c "import pytest_cov" 2>/dev/null; then \
-		unmarked="$(COV_SOURCES) --cov-report="; \
-		marked="$(COV_SOURCES) --cov-append --cov-report=term-missing \
-		        --cov-fail-under=$(COV_FLOOR)"; \
+		cov="$(COV_SOURCES) --cov-report=term-missing \
+		     --cov-fail-under=$(COV_FLOOR)"; \
 	else \
-		echo "pytest-cov not installed; running obs/store/fault/kernel/" \
-		     "streaming/serve/dist/netsim tests without the $(COV_FLOOR)% floor"; \
+		echo "pytest-cov not installed; running the $(COV_MARKERS) tests" \
+		     "without the $(COV_FLOOR)% floor"; \
 	fi; \
-	$(PYTEST) -q -m "" $(OBS_TESTS) $(STORE_TESTS) $$unmarked && \
-	$(PYTEST) -q -m "$(COV_MARKERS)" $$marked
+	$(PYTEST) -q -m "$(COV_MARKERS)" $$cov
 
 bench:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q -m "" benchmarks/

@@ -11,14 +11,14 @@ contract; ``tests/test_serve_api.py`` pins it byte-for-byte).
 
 Resolution pipeline per query:
 
-1. **Generation check.** The store manifest is re-read on every request;
-   its ``(row_count, data_bytes, partitions)`` triple is the store's
-   *generation*. An ``append_to_store`` (e.g. a live ``repro ingest``
-   feeding the same store) changes the triple, which flushes the whole
-   cache — a cached aggregation can therefore never outlive the data it
-   was built from. The manifest is swapped in atomically (temp+rename),
-   and appends only ever add bytes past the previous manifest's range, so
-   a concurrent reader always observes a consistent snapshot.
+1. **Generation check.** The manifest's ``(row_count, data_bytes,
+   partitions)`` triple is the store's *generation*; an append or a
+   compaction changes it, which flushes the whole cache. Each request
+   ``stat``s the manifest (:func:`~repro.store.writer.manifest_identity`,
+   the appender's rule) and re-parses it only when that identity moved,
+   read before the parse so a racing publish shows next request. Appends
+   only add bytes past the previous manifest's range, so a concurrent
+   reader always observes a consistent snapshot.
 2. **Cache lookup.** Aggregations are cached in an :class:`~repro.serve.cache.LruCache`
    keyed by the normalized query coordinates — (profile, PoPs,
    countries, window band) — with exact hit/miss/eviction accounting.
@@ -42,8 +42,8 @@ the engine's quarantine ledger, and surfaced by ``/v1/health`` as a
 
 Thread safety: one re-entrant lock serializes request handling, which is
 what makes ``serve.*`` counters sum exactly to per-client totals under a
-concurrent fleet (``tests/test_serve_concurrency.py``). Cache hits are
-O(1) under the lock; only cold builds pay a scan.
+concurrent fleet (``tests/test_serve_concurrency.py``). A cache hit costs
+a ``stat`` under the lock; only cold builds pay a scan.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.pipeline.routing_analysis import (
 )
 from repro.store import ScanFilter, TraceStoreReader, verify_store
 from repro.store.errors import StoreError
-from repro.store.writer import load_manifest
+from repro.store.writer import load_manifest, manifest_identity
 from repro.serve.cache import LruCache
 
 __all__ = [
@@ -146,18 +146,16 @@ class QueryEngine:
         # Derive study shape from the manifest unless pinned by the caller.
         # (The store must exist to be served; a missing manifest raises the
         # same typed StoreError a scan would.)
-        reader = TraceStoreReader(self.path)
-        manifest = reader.manifest
-        self.window_seconds = float(manifest.get("window_seconds", 900.0))
+        manifest = self._parse_manifest(manifest_identity(self.path))
+        self.window_seconds = float(manifest["window_seconds"])
         if study_windows is not None:
             if study_windows < 1:
                 raise ValueError("study_windows must be >= 1")
             self.study_windows = study_windows
         else:
-            band_windows = int(manifest.get("band_windows", 1))
-            bands = [p["band"] for p in manifest.get("partitions", [])]
-            self.study_windows = max(
-                (max(bands) + 1) * band_windows if bands else 1, 1
+            bands = [p["band"] for p in manifest["partitions"]]
+            self.study_windows = (
+                (max(bands) + 1) * manifest["band_windows"] if bands else 1
             )
 
     # ------------------------------------------------------------------ #
@@ -400,49 +398,37 @@ class QueryEngine:
                 "invalidations": self.cache.invalidations,
             },
             "requests": self.metrics.counter("serve.requests"),
-            "quarantine": {
-                "count": len(self.quarantine),
-                "partitions": sorted(
-                    {
-                        entry["partition"]
-                        for entry in self.quarantine
-                        if entry["partition"] is not None
-                    }
-                ),
-                "entries": list(self.quarantine),
-            },
         }
         try:
-            generation = self._refresh_generation()
+            payload["generation"] = self._refresh_generation()
         except StoreError as error:
-            payload["status"] = "degraded"
-            payload["generation"] = None
-            payload["store_error"] = str(error)
-            return payload
-        payload["generation"] = generation
-        if verify:
-            report = verify_store(self.path, metrics=self.metrics)
-            payload["verify"] = {
-                "ok": report.ok,
-                "partitions_total": report.partitions_total,
-                "partitions_corrupt": report.partitions_corrupt,
-                "findings": [f.describe() for f in report.findings],
-            }
-            if not report.ok:
+            payload.update(generation=None, store_error=str(error))
+        else:
+            if verify:
+                report = verify_store(self.path, metrics=self.metrics)
+                payload["verify"] = {
+                    "ok": report.ok,
+                    "partitions_total": report.partitions_total,
+                    "partitions_corrupt": report.partitions_corrupt,
+                    "findings": [f.describe() for f in report.findings],
+                }
                 for finding in report.findings:
                     self._record_quarantine_entry(
                         finding.partition_id, finding.column, finding.error
                     )
-                payload["quarantine"]["count"] = len(self.quarantine)
-                payload["quarantine"]["entries"] = list(self.quarantine)
-                payload["quarantine"]["partitions"] = sorted(
-                    {
-                        entry["partition"]
-                        for entry in self.quarantine
-                        if entry["partition"] is not None
-                    }
-                )
-        payload["status"] = "degraded" if self.quarantine else "ok"
+        payload["quarantine"] = {
+            "count": len(self.quarantine),
+            "partitions": sorted(
+                {
+                    entry["partition"]
+                    for entry in self.quarantine
+                    if entry["partition"] is not None
+                }
+            ),
+            "entries": list(self.quarantine),
+        }
+        degraded = self.quarantine or payload["generation"] is None
+        payload["status"] = "degraded" if degraded else "ok"
         return payload
 
     # ------------------------------------------------------------------ #
@@ -477,7 +463,16 @@ class QueryEngine:
         return entry, generation
 
     def _refresh_generation(self) -> dict:
-        """Read the manifest's generation triple; flush the cache on change."""
+        """The generation triple, re-parsed only when the manifest moved."""
+        # Identity is read before the manifest it vouches for, so an append
+        # racing the parse is caught by the next request's comparison.
+        identity = manifest_identity(self.path)
+        if identity is None or identity != self._identity:
+            self._parse_manifest(identity)
+        return self._generation
+
+    def _parse_manifest(self, identity) -> dict:
+        """Parse the manifest ``identity`` names; a new generation flushes."""
         manifest = load_manifest(self.path)
         generation = {
             "row_count": manifest["row_count"],
@@ -485,10 +480,10 @@ class QueryEngine:
             "partitions": len(manifest["partitions"]),
         }
         if generation != self._generation:
-            if self._generation is not None:
-                self.cache.invalidate_all()
+            self.cache.invalidate_all()
             self._generation = generation
-        return generation
+        self._identity = identity
+        return manifest
 
     def _build_dataset(
         self,

@@ -36,6 +36,7 @@ without a checksum is damage (:func:`repro.store.reader.checksum_mismatches`).
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -62,6 +63,7 @@ __all__ = [
     "dump_manifest",
     "is_store_path",
     "load_manifest",
+    "manifest_identity",
     "write_store",
 ]
 
@@ -79,6 +81,86 @@ DEFAULT_BAND_WINDOWS = 4
 
 PathLike = Union[str, pathlib.Path]
 
+#: ``(test, what a value must be)`` for each kind of field below.
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_STRING = (lambda v: type(v) is str, "a string")
+_OBJECT = (lambda v: type(v) is dict, "an object")
+_LIST = (lambda v: type(v) is list, "a list")
+#: The manifest fields readers index without checking. Every integer
+#: among them is a count, an id or a byte range, so a negative one is
+#: damage too.
+_HEAD_FIELDS = (
+    ("row_count", _COUNT),
+    ("data_bytes", _COUNT),
+    ("band_windows", (lambda v: type(v) is int and v > 0, "a positive integer")),
+    ("window_seconds", (
+        lambda v: type(v) in (int, float) and 0 < v < math.inf,
+        "a positive finite number",
+    )),
+    ("partitions", _LIST),
+)
+_PARTITION_FIELDS = (
+    ("id", _COUNT), ("pop", _STRING), ("band", _COUNT), ("rows", _COUNT),
+    ("offset", _COUNT), ("length", _COUNT), ("stats", _OBJECT),
+    ("blocks", _LIST),
+)
+_STATS_FIELDS = (
+    ("min_seq", _COUNT), ("max_seq", _COUNT),
+    ("min_end_time", _NUMBER), ("max_end_time", _NUMBER),
+    ("countries", (
+        lambda v: type(v) is list and all(type(c) is str for c in v),
+        "a list of strings",
+    )),
+)
+_BLOCK_FIELDS = (("column", _STRING), ("offset", _COUNT), ("length", _COUNT))
+
+
+def _misshapen(entry, fields) -> Optional[str]:
+    """What keeps ``entry`` from being an object with ``fields``, or None."""
+    if type(entry) is not dict:
+        return "not an object"
+    for name, (test, kind) in fields:
+        if not test(entry.get(name)):
+            return f"{name!r} is not {kind}"
+    return None
+
+
+def _partition_problem(partition) -> Optional[str]:
+    """What is wrong with one partition descriptor's shape, or None."""
+    problem = _misshapen(partition, _PARTITION_FIELDS)
+    if problem is not None:
+        return problem
+    problem = _misshapen(partition["stats"], _STATS_FIELDS)
+    if problem is not None:
+        return f"stats: {problem}"
+    for number, block in enumerate(partition["blocks"]):
+        # ``_misshapen(block, _BLOCK_FIELDS) is None``, spelled out: a
+        # 24k-session store's manifest holds ~9k blocks, and the calls per
+        # block double the check's cost.
+        if (
+            type(block) is dict
+            and type(block.get("column")) is str
+            and type(offset := block.get("offset")) is int
+            and type(length := block.get("length")) is int
+            and offset >= 0
+            and length >= 0
+        ):
+            continue
+        return f"block {number}: {_misshapen(block, _BLOCK_FIELDS)}"
+    return None
+
+
+def manifest_identity(path: PathLike) -> Optional[Tuple[int, int, int, int]]:
+    """``<path>/manifest.json``'s ``(st_dev, st_ino, st_size, st_mtime_ns)``
+    (None: no manifest). While it holds, a parse of the manifest is current:
+    every publisher renames a fresh temp file over it."""
+    try:
+        stat = os.stat(pathlib.Path(path) / MANIFEST_NAME)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
 
 def load_manifest(path: PathLike) -> dict:
     """Read and vet ``<path>/manifest.json`` — the one place it is parsed.
@@ -86,8 +168,10 @@ def load_manifest(path: PathLike) -> dict:
     Raises :class:`StoreError` when ``path`` holds no manifest or one
     written by a format, store version or schema version this build does
     not read, and :class:`CorruptManifestError` when the file is not
-    JSON or not the shape every reader relies on (an object with integer
-    ``row_count`` / ``data_bytes`` and a ``partitions`` list).
+    JSON or not the shape every reader relies on: :data:`_HEAD_FIELDS`,
+    and per partition descriptor :data:`_PARTITION_FIELDS`, its
+    :data:`_STATS_FIELDS` and each block's :data:`_BLOCK_FIELDS` — the
+    error names the partition, the block and the field.
     """
     path = pathlib.Path(path)
     manifest_path = path / MANIFEST_NAME
@@ -119,13 +203,15 @@ def load_manifest(path: PathLike) -> dict:
             f"{manifest.get('schema_version')!r} (supported: "
             f"{SCHEMA_VERSION})"
         )
-    for name in ("row_count", "data_bytes"):
-        if type(manifest.get(name)) is not int:
+    problem = _misshapen(manifest, _HEAD_FIELDS)
+    if problem is not None:
+        raise CorruptManifestError(manifest_path, problem)
+    for index, partition in enumerate(manifest["partitions"]):
+        problem = _partition_problem(partition)
+        if problem is not None:
             raise CorruptManifestError(
-                manifest_path, f"{name!r} is not an integer"
+                manifest_path, f"partition {index}: {problem}"
             )
-    if not isinstance(manifest.get("partitions"), list):
-        raise CorruptManifestError(manifest_path, "'partitions' is not a list")
     return manifest
 
 
@@ -350,10 +436,9 @@ class StoreAppender:
 
     Another writer is noticed, not clobbered: every publisher replaces
     ``manifest.json`` by renaming a fresh temp file, so before each append
-    the session compares the file's ``(st_dev, st_ino, st_size,
-    st_mtime_ns)`` with what it saw after its own last publish and, when
-    they differ — a second appender, a compaction's generation swap —
-    loads and vets the manifest again.
+    the session compares :func:`manifest_identity` with what it saw after
+    its own last publish and, when they differ — a second appender, a
+    compaction's generation swap — loads and vets the manifest again.
 
     Durability keeps the writer's manifest-last protocol: new payload bytes
     are appended to the data file and fsync'd *before* the manifest is
@@ -387,13 +472,6 @@ class StoreAppender:
         self._fragments: List[bytes] = []
         self._identity: Optional[Tuple[int, int, int, int]] = None
 
-    def _manifest_identity(self) -> Optional[Tuple[int, int, int, int]]:
-        try:
-            stat = os.stat(self.path / MANIFEST_NAME)
-        except FileNotFoundError:
-            return None
-        return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
-
     def _load(self) -> None:
         manifest = load_manifest(self.path)
         for name in ("band_windows", "window_seconds"):
@@ -409,7 +487,7 @@ class StoreAppender:
         """Append samples as new partitions; returns the row count."""
         # Identity is read before the manifest it vouches for, so a writer
         # racing the load is caught by the next append's comparison.
-        identity = self._manifest_identity()
+        identity = manifest_identity(self.path)
         if identity is None:
             # Nothing cached: the next append loads what this one writes.
             return write_store(
@@ -473,7 +551,7 @@ class StoreAppender:
         )
         self._head = head
         self._fragments = fragments
-        self._identity = self._manifest_identity()
+        self._identity = manifest_identity(self.path)
 
         if self.metrics is not None:
             self.metrics.inc("store.rows.written", count)

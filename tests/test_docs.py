@@ -173,6 +173,33 @@ class TestSurfaceGuards:
             "reader.py:checksum_mismatches",  # the one comparison on read
         }
 
+    def test_manifest_identity_has_one_definition_and_two_callers(self):
+        """The stat rule that says a manifest parse is still valid is
+        written once, and the appender and the server both call it."""
+        import ast
+
+        spelled, callers = set(), set()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            if "st_mtime_ns" in source:
+                spelled.add(path.name)
+            for function in ast.walk(ast.parse(source)):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "manifest_identity"
+                    ):
+                        callers.add(f"{path.name}:{function.name}")
+        assert spelled == {"writer.py"}
+        assert callers == {
+            "writer.py:append",  # StoreAppender, before and after a publish
+            "engine.py:__init__",  # QueryEngine's seed
+            "engine.py:_refresh_generation",  # and its per-request check
+        }
+
     def test_a_daemon_does_not_unpickle(self):
         """A shard task is a descriptor (CONTRIBUTING.md): the daemon, which
         reads frames from whoever connects, imports no unpickler, and the

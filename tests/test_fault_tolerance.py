@@ -600,6 +600,125 @@ class TestVersionOneIsRefused:
         assert self._files(store_path) == before
 
 
+_DELETE = object()
+
+#: (where in partition 0, new value or _DELETE, what the error names).
+DESCRIPTOR_DAMAGE = [
+    (("blocks", 0, "length"), _DELETE, "block 0: 'length'"),
+    (("blocks", 0, "length"), 1.5, "block 0: 'length'"),
+    (("blocks", 0, "offset"), -4, "block 0: 'offset'"),
+    (("blocks", 0, "column"), 7, "block 0: 'column'"),
+    (("blocks", 0), "seq", "block 0: not an object"),
+    (("id",), _DELETE, "'id'"),
+    (("pop",), 3, "'pop'"),
+    (("band",), "1", "'band'"),
+    (("rows",), 4.0, "'rows'"),
+    (("offset",), -1, "'offset'"),
+    (("length",), True, "'length'"),
+    (("stats",), [], "'stats'"),
+    (("stats", "min_seq"), _DELETE, "stats: 'min_seq'"),
+    (("stats", "max_end_time"), "9", "stats: 'max_end_time'"),
+    (("stats", "countries"), ["NL", 3], "stats: 'countries'"),
+    (("blocks",), {}, "'blocks'"),
+]
+
+HEAD_DAMAGE = [
+    ("row_count", -1),
+    ("data_bytes", "11313"),
+    ("band_windows", 0),
+    ("window_seconds", -900.0),
+    ("window_seconds", float("inf")),
+]
+
+
+def _damage_descriptor(store_path, where, value):
+    def edit(manifest):
+        *parents, last = where
+        target = manifest["partitions"][0]
+        for key in parents:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+
+    _rewrite_manifest(store_path, edit)
+
+
+class TestDamagedDescriptorIsTyped:
+    """Regression: a partition descriptor missing a field (or holding the
+    wrong type) escaped every surface as a bare ``KeyError`` /
+    ``TypeError`` from ``checksum_mismatches`` — ``verify_store`` raised,
+    ``repro verify-store`` printed a traceback, and a served query dropped
+    its connection. ``load_manifest`` now vets each descriptor and names
+    the partition and the field."""
+
+    @pytest.mark.parametrize(
+        "where, value, named",
+        DESCRIPTOR_DAMAGE,
+        ids=[
+            ".".join(map(str, where))
+            + ("-deleted" if value is _DELETE else f"={value!r}")
+            for where, value, _ in DESCRIPTOR_DAMAGE
+        ],
+    )
+    def test_load_manifest_names_partition_and_field(
+        self, store_path, where, value, named
+    ):
+        from repro.store import load_manifest
+
+        _damage_descriptor(store_path, where, value)
+        with pytest.raises(CorruptManifestError) as excinfo:
+            load_manifest(store_path)
+        assert f"partition 0: {named}" in str(excinfo.value)
+        with pytest.raises(CorruptManifestError):
+            TraceStoreReader(store_path)
+
+    @pytest.mark.parametrize("name, value", HEAD_DAMAGE)
+    def test_head_fields_are_vetted(self, store_path, name, value):
+        from repro.store import load_manifest
+
+        _rewrite_manifest(store_path, lambda manifest: manifest.update({name: value}))
+        with pytest.raises(CorruptManifestError, match=repr(name)):
+            load_manifest(store_path)
+
+    @pytest.fixture()
+    def lengthless(self, store_path):
+        """The reproducer: block 0 of partition 0 without its ``length``."""
+        _damage_descriptor(store_path, ("blocks", 0, "length"), _DELETE)
+        return store_path
+
+    def test_verify_store_reports_it(self, lengthless):
+        report = verify_store(lengthless)
+        (finding,) = report.findings
+        assert "partition 0: block 0: 'length'" in finding.error
+
+    def test_cli_verify_store(self, lengthless, capsys):
+        from repro.cli import main
+
+        assert main(["verify-store", str(lengthless)]) == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT:" in out and "partition 0: block 0: 'length'" in out
+
+    @pytest.mark.serve
+    def test_served_query_then_health(self, store_path):
+        from repro.serve import QueryEngine
+
+        engine = QueryEngine(store_path)
+        assert engine.handle("/v1/quantiles", {})[0] == 200
+        _damage_descriptor(store_path, ("blocks", 0, "length"), _DELETE)
+        status, payload = engine.handle("/v1/quantiles", {})
+        assert status == 503
+        assert payload["error"] == "CorruptManifestError"
+        assert "partition 0: block 0: 'length'" in payload["detail"]
+        _, health = engine.handle("/v1/health", {})
+        assert health["status"] == "degraded"
+        assert engine.metrics.counter("serve.requests") == sum(
+            engine.metrics.counter(f"serve.responses.{outcome}")
+            for outcome in ("ok", "client_error", "server_error")
+        )
+
+
 class TestVerifyStore:
     def test_clean_store(self, store_path):
         report = verify_store(store_path)

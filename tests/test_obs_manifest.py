@@ -13,6 +13,8 @@ from repro.obs import (
     span,
 )
 
+pytestmark = pytest.mark.obs
+
 
 def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()

@@ -25,6 +25,8 @@ from tests.helpers import (  # noqa: F401 — fixtures are used by name
     write_trace_paths,
 )
 
+pytestmark = pytest.mark.obs
+
 STUDY_WINDOWS = 8
 
 

@@ -22,6 +22,8 @@ from repro.obs import (
     merge_into_active,
 )
 
+pytestmark = pytest.mark.obs
+
 # --------------------------------------------------------------------- #
 # Counters
 # --------------------------------------------------------------------- #

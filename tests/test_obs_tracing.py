@@ -11,6 +11,8 @@ from repro.obs import (
     traced,
 )
 
+pytestmark = pytest.mark.obs
+
 
 class TestSpanNesting:
     def test_no_active_tracer_is_a_noop(self):

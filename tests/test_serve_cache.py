@@ -11,18 +11,23 @@ pairs at every step.
 The second half pins the generation-invalidation contract end to end:
 after ``append_to_store`` lands new windows in a served store, the next
 query must rebuild from the appended store (never serve the pre-append
-aggregate) and the flush must be visible in the invalidation counters.
+aggregate) and the flush must be visible in the invalidation counters —
+and the manifest is parsed again only when its stat identity moves.
 """
+
+import os
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import repro.serve.engine as serve_engine
+import repro.store.reader as store_reader
 from repro.obs import MetricsRegistry
 from repro.serve import LruCache, QueryEngine
-from repro.store import write_store
-from repro.store.writer import append_to_store
+from repro.store import compact_store, write_store
+from repro.store.writer import append_to_store, load_manifest, manifest_identity
 
 from tests.helpers import make_trace_samples
 
@@ -199,3 +204,130 @@ class TestAppendInvalidation:
         _, again = engine.handle("/v1/health", {})
         assert first["generation"] == again["generation"]
         assert engine.cache.invalidations == 0
+
+
+ENDPOINTS = ("/v1/quantiles", "/v1/degradation", "/v1/routing", "/v1/health")
+
+
+def _generation_of(store):
+    manifest = load_manifest(store)
+    return {
+        "row_count": manifest["row_count"],
+        "data_bytes": manifest["data_bytes"],
+        "partitions": len(manifest["partitions"]),
+    }
+
+
+class TestManifestParsedOnlyWhenItChanges:
+    """A warm request costs a ``stat``: the engine re-parses the manifest
+    only when :func:`manifest_identity` has moved since its last parse."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        path = tmp_path / "live.store"
+        write_store(path, make_trace_samples(400, seed=3, windows=8))
+        return path
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """The stores every ``load_manifest`` call — the engine's own and
+        any a reader makes — was asked to parse."""
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return load_manifest(path)
+
+        monkeypatch.setattr(serve_engine, "load_manifest", counted)
+        monkeypatch.setattr(store_reader, "load_manifest", counted)
+        return calls
+
+    @staticmethod
+    def _warm(engine):
+        for path in ENDPOINTS:
+            assert engine.handle(path, {})[0] == 200
+
+    def test_warm_requests_parse_nothing(self, store, parses):
+        engine = QueryEngine(store)
+        self._warm(engine)
+        hits = engine.cache.hits
+        del parses[:]
+        for request in range(100):
+            assert engine.handle(ENDPOINTS[request % 4], {})[0] == 200
+        assert parses == []
+        assert engine.cache.hits == hits + 75
+
+    def test_append_costs_one_parse_and_flushes(self, store, parses):
+        engine = QueryEngine(store)
+        self._warm(engine)
+        _, before = engine.handle("/v1/health", {})
+        append_to_store(store, make_trace_samples(50, seed=17, windows=8))
+        del parses[:]
+        _, after = engine.handle("/v1/health", {})
+        assert parses == [store]
+        assert after["generation"] != before["generation"]
+        assert after["generation"] == _generation_of(store)
+        # Both cached aggregations: "analyze" (quantiles, degradation) and
+        # "routing".
+        assert len(engine.cache) == 0
+        assert engine.cache.invalidations == 2
+
+    def test_compaction_swap_costs_one_parse_and_flushes(self, tmp_path, parses):
+        store = tmp_path / "streamed.store"
+        samples = make_trace_samples(400, seed=3, windows=8)
+        write_store(store, samples[:200])
+        append_to_store(store, samples[200:])
+        engine = QueryEngine(store)
+        self._warm(engine)
+        _, before = engine.handle("/v1/health", {})
+        report = compact_store(store)
+        assert not report.skipped
+        del parses[:]
+        _, after = engine.handle("/v1/health", {})
+        assert parses == [store]
+        assert after["generation"] != before["generation"]
+        assert after["generation"]["partitions"] == report.partitions_after
+        assert len(engine.cache) == 0
+        assert engine.cache.invalidations == 2
+
+    def test_same_length_rewrite_in_place_is_noticed(self, store, parses):
+        engine = QueryEngine(store)
+        self._warm(engine)
+        manifest_path = store / "manifest.json"
+        raw = manifest_path.read_bytes()
+        edited = raw.replace(b'"row_count":400,', b'"row_count":401,', 1)
+        assert edited != raw and len(edited) == len(raw)
+        before = manifest_identity(store)
+        with open(manifest_path, "r+b") as handle:
+            handle.write(edited)
+        # A filesystem clock may be coarser than this test is quick; a
+        # real writer an instant later leaves a later mtime.
+        os.utime(manifest_path, ns=(before[3], before[3] + 1_000_000))
+        after = manifest_identity(store)
+        assert after[:3] == before[:3] and after[3] != before[3]
+        del parses[:]
+        _, health = engine.handle("/v1/health", {})
+        assert parses == [store]
+        assert health["generation"]["row_count"] == 401
+
+    def test_identity_is_read_before_the_parse(self, store, monkeypatch):
+        """An append that lands between the engine's parse and its caching
+        of the identity must show on the next request. Were the identity
+        read after the parse, it would vouch for a manifest the engine
+        never parsed, and the next request would repeat the stale one."""
+        engine = QueryEngine(store)
+        self._warm(engine)
+        append_to_store(store, make_trace_samples(50, seed=17, windows=8))
+
+        def parse_then_append(path):
+            manifest = load_manifest(path)
+            monkeypatch.setattr(serve_engine, "load_manifest", load_manifest)
+            append_to_store(store, make_trace_samples(50, seed=19, windows=8))
+            return manifest
+
+        monkeypatch.setattr(serve_engine, "load_manifest", parse_then_append)
+        _, raced = engine.handle("/v1/health", {})
+        assert raced["generation"]["row_count"] == 450
+        _, after = engine.handle("/v1/health", {})
+        assert after["generation"] == _generation_of(store)
+        assert after["generation"]["row_count"] == 500

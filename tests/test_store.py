@@ -50,6 +50,8 @@ from repro.store.writer import MANIFEST_NAME
 
 from tests.helpers import make_trace_samples
 
+pytestmark = pytest.mark.store
+
 
 # --------------------------------------------------------------------- #
 # Column codecs

@@ -29,6 +29,8 @@ from repro.store.compact import _next_generation_name
 
 from tests.helpers import make_trace_samples
 
+pytestmark = pytest.mark.store
+
 STUDY_WINDOWS = 8
 APPENDS = 11
 CHUNK = 50

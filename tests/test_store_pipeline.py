@@ -27,6 +27,8 @@ from tests.helpers import (  # noqa: F401
     local_options,
 )
 
+pytestmark = pytest.mark.store
+
 DATA = pathlib.Path(__file__).parent / "data"
 TRACE = DATA / "golden_trace.jsonl.gz"
 
