@@ -34,8 +34,9 @@ The subcommands mirror the library's main entry points:
   partitions into few large ones (CRC re-verified, crash-safe
   manifest-last swap), keeping long-running ingest stores prunable.
 
-Sharded subcommands (``routing --trace``, ``analyze`` — a shard task names
-a chunk of a trace on disk; a generated stream folds in one pass) take the
+Sharded subcommands (``routing --trace``, ``analyze`` over a ``*.store`` —
+a shard task names a chunk of a columnar store; a generated stream or a
+JSONL trace folds in one pass, and sharding flags on one exit 2) take the
 fault policy flags ``--max-retries``, ``--retry-backoff``, and
 ``--strict``: by default a shard that keeps failing is quarantined and the
 run completes degraded (with a ``WARNING: degraded run`` header and a
@@ -771,18 +772,24 @@ _COMMANDS = {
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Turn sharding values ``ParallelOptions`` rejects into usage errors,
-    and sharding flags with no trace on disk to shard (``routing``)."""
+    and sharding flags with no columnar store to shard (a generated
+    stream, or a JSONL trace)."""
+    from repro.pipeline.io import detect_format
+
     if not hasattr(args, "workers"):
         return
     try:
         options = _parallel_options(args)
     except ValueError as error:
         parser.error(str(error))
-    generated = args.command == "routing" and args.trace is None
-    if generated and options != type(options)():
+    if options != type(options)() and (
+        args.trace is None or detect_format(args.trace) != "store"
+    ):
         parser.error(
-            "sharding flags need --trace PATH: a sharded plan reads a trace "
-            "on disk (write one with `repro trace`)"
+            "sharding flags need a store: a sharded plan reads a columnar "
+            f"store on disk, and {args.trace or 'a generated stream'} is "
+            "not one (`repro convert TRACE.jsonl TRACE.store` makes one; "
+            "`routing` takes it as --trace PATH)"
         )
 
 

@@ -58,7 +58,7 @@ from repro.pipeline.parallel import (
     _ShardTask,
 )
 
-__all__ = ["DispatchError", "DispatchExecutor", "parse_addr", "request_shutdown"]
+__all__ = ["DispatchError", "DispatchExecutor", "parse_addr"]
 
 _LOG = logging.getLogger("repro.dist.client")
 
@@ -87,17 +87,6 @@ def parse_addr(addr: str) -> Tuple[str, int]:
     if not 0 < port < 65536:
         raise ValueError(f"worker address {addr!r} port out of range")
     return host, port
-
-
-def request_shutdown(addr: str, timeout: float = _CONNECT_TIMEOUT_SECONDS) -> bool:
-    """Ask the daemon at ``addr`` to stop; True when it acknowledged."""
-    try:
-        with socket.create_connection(parse_addr(addr), timeout=timeout) as sock:
-            protocol.send_frame(sock, protocol.MSG_SHUTDOWN)
-            frame = protocol.recv_frame(sock, allow_eof=True)
-        return frame is not None and frame[0] == protocol.MSG_PONG
-    except (OSError, protocol.ProtocolError):
-        return False
 
 
 class _WorkerLink:

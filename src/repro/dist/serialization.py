@@ -1,9 +1,9 @@
 """Transport encoding for shard tasks, results, and failures.
 
 A **task is JSON**: it names bytes on disk (four ``dataset_kwargs``
-scalars, an ordinal, ``expected_rows``, a ``StoreChunk`` / ``TraceChunk`` of
-scalars), and :func:`decode_task` rebuilds the dataclasses field by field
-— exact key set, exact types, a known chunk kind — raising
+scalars, an ordinal and a ``StoreChunk`` of scalars), and
+:func:`decode_task` rebuilds the dataclasses field by field — exact key
+set, exact types — raising
 :class:`~repro.dist.protocol.ProtocolError` on anything else, so the
 daemon, the only reader of task frames, never unpickles what a peer sent.
 
@@ -22,11 +22,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
-import typing
 
 from repro.dist.protocol import ProtocolError
-from repro.pipeline.io import StoreChunk, TraceChunk
 from repro.pipeline.parallel import RemoteCause, ShardResult, _ShardTask
+from repro.store import StoreChunk
 
 __all__ = [
     "decode_failure",
@@ -42,13 +41,11 @@ __all__ = [
 #: so mixed-version client/daemon pairs interoperate.
 _PICKLE_PROTOCOL = 4
 
-_CHUNK_KINDS = {"store": StoreChunk, "trace": TraceChunk}
 #: Field -> the exact JSON types it may have.
 _TASK_FIELDS = {
     "dataset_kwargs": (dict,),
     "chunk": (dict,),
     "ordinal": (int,),
-    "expected_rows": (int, type(None)),
 }
 _KWARGS_FIELDS = {
     "study_windows": (int,),
@@ -56,15 +53,12 @@ _KWARGS_FIELDS = {
     "compute_naive": (bool,),
     "window_seconds": (int, float),
 }
-
-
-def _chunk_fields(chunk_cls) -> dict:
-    """A chunk dataclass's fields and their JSON types (a tuple is a list)."""
-    hints = typing.get_type_hints(chunk_cls)
-    return {
-        name: (list if typing.get_origin(kind) is tuple else kind,)
-        for name, kind in hints.items()
-    }
+_CHUNK_FIELDS = {
+    "path": (str,),
+    "ordinal": (int,),
+    "partition_ids": (list,),
+    "rows": (int,),
+}
 
 
 def _check(obj, fields: dict, what: str) -> None:
@@ -81,9 +75,6 @@ def _check(obj, fields: dict, what: str) -> None:
 
 def encode_task(task: _ShardTask) -> bytes:
     fields = dataclasses.asdict(task)
-    fields["chunk"]["kind"] = (
-        "store" if isinstance(task.chunk, StoreChunk) else "trace"
-    )
     return json.dumps(fields, separators=(",", ":")).encode("utf-8")
 
 
@@ -97,17 +88,11 @@ def decode_task(payload: bytes) -> _ShardTask:
     _check(fields, _TASK_FIELDS, "task")
     _check(fields["dataset_kwargs"], _KWARGS_FIELDS, "task dataset_kwargs")
     chunk = fields["chunk"]
-    kind = chunk.pop("kind", None)
-    if not isinstance(kind, str) or kind not in _CHUNK_KINDS:
-        raise ProtocolError(f"task chunk has unknown kind {kind!r}")
-    chunk_cls = _CHUNK_KINDS[kind]
-    _check(chunk, _chunk_fields(chunk_cls), f"{kind} chunk")
-    for name, value in chunk.items():
-        if type(value) is list:  # StoreChunk.partition_ids
-            if not all(type(item) is int for item in value):
-                raise ProtocolError(f"{kind} chunk {name} must be integers")
-            chunk[name] = tuple(value)
-    fields["chunk"] = chunk_cls(**chunk)
+    _check(chunk, _CHUNK_FIELDS, "task chunk")
+    if not all(type(item) is int for item in chunk["partition_ids"]):
+        raise ProtocolError("task chunk partition_ids must be integers")
+    chunk["partition_ids"] = tuple(chunk["partition_ids"])
+    fields["chunk"] = StoreChunk(**chunk)
     return _ShardTask(**fields)
 
 

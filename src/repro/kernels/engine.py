@@ -382,42 +382,31 @@ def iter_batches(
 ) -> Iterator[ColumnBatch]:
     """Column batches from any source — the one source → batches dispatch.
 
-    ``source`` is a trace path, one shard's chunk of a trace
-    (:class:`~repro.store.StoreChunk` / :class:`~repro.pipeline.io.TraceChunk`)
-    or a sample iterable. Stores (whole, or a chunk's partitions) take the
-    column fast path — one batch per partition, no row objects, ``seq``
-    order keys. Everything else is sliced into :data:`BATCH_ROWS` batches:
-    JSONL chunks under the chunk readers' order keys (byte offsets / line
-    indexes, so shard results merge in exact stream order), JSONL paths
-    and in-memory streams under stream position. ``metrics`` receives the
-    same ``io.*``/``store.*`` counters as the row readers.
+    ``source`` is a trace path, one shard's chunk of a store
+    (:class:`~repro.store.StoreChunk`) or a sample iterable. Stores
+    (whole, or a chunk's partitions) take the column fast path — one batch
+    per partition, no row objects, ``seq`` order keys, so shard results
+    merge in exact stream order. JSONL paths and in-memory streams are
+    sliced into :data:`BATCH_ROWS` batches under stream position.
+    ``metrics`` receives the same ``io.*``/``store.*`` counters as the row
+    readers.
     """
     # Imported here, not at module top: repro.pipeline.io loads the whole
     # repro.pipeline package, whose shard runner imports this module.
-    from repro.pipeline.io import (
-        StoreChunk,
-        TraceChunk,
-        detect_format,
-        read_chunk,
-        read_samples,
-    )
-    from repro.store import TraceStoreReader
+    from repro.pipeline.io import detect_format, read_samples
+    from repro.store import StoreChunk, TraceStoreReader
 
     if isinstance(source, StoreChunk):
         return TraceStoreReader(source.path).read_column_batches(
             metrics=metrics, partition_ids=source.partition_ids
         )
-    if isinstance(source, TraceChunk):
-        pairs = read_chunk(source, metrics=metrics)
-    elif isinstance(source, (str, pathlib.Path)):
+    if isinstance(source, (str, pathlib.Path)):
         if detect_format(source) == "store":
             return TraceStoreReader(source).read_column_batches(
                 metrics=metrics
             )
-        pairs = enumerate(read_samples(source, metrics=metrics))
-    else:
-        pairs = enumerate(source)
-    return batches_from_pairs(pairs)
+        source = read_samples(source, metrics=metrics)
+    return batches_from_pairs(enumerate(source))
 
 
 def fold_into_dataset(dataset, ingestor: BatchIngestor):

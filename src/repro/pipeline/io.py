@@ -12,25 +12,22 @@ boundary is a saved trace, in one of two interchangeable formats:
   with manifest-level partition pruning; the fast re-analysis format
   (DESIGN.md §8).
 
-Every entry point here (:func:`read_samples`, :func:`write_samples`,
-:func:`plan_chunks`) auto-detects the format from the
-path — a store is a directory with a ``manifest.json`` (conventionally
-``*.store``) — so the dataset builders and the sharded pipeline work over
+:func:`read_samples` and :func:`write_samples` auto-detect the format
+from the path — a store is a directory with a ``manifest.json``
+(conventionally ``*.store``) — so the one-pass dataset builders work over
 either without caring which. :func:`convert` moves a trace between the
-formats losslessly.
+formats losslessly. A sharded plan reads a store only
+(:func:`plan_chunks`): JSONL is an import/export format, folded in one
+pass or converted first.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import os
 import pathlib
-import warnings
 from typing import IO, Iterable, Iterator, Optional, Union
-
-from dataclasses import dataclass
 
 from repro import faultinject
 from repro.core.records import (
@@ -41,22 +38,17 @@ from repro.core.records import (
     TransactionRecord,
 )
 from repro.fsutil import fsync_dir, fsync_file
-from repro.obs import active_metrics
 from repro.store import (
     DEFAULT_BAND_WINDOWS,
-    StoreChunk,
     TraceStoreReader,
     is_store_path,
     write_store,
 )
 
 __all__ = [
-    "StoreChunk",
-    "TraceChunk",
     "convert",
     "detect_format",
     "plan_chunks",
-    "read_chunk",
     "read_samples",
     "read_samples_stream",
     "write_samples",
@@ -244,32 +236,6 @@ def read_samples(path: PathLike, metrics=None) -> Iterator[SessionSample]:
     return _read_samples_jsonl(path, metrics)
 
 
-def _decode_line(
-    text: str, prefix: str, position: int, metrics=None
-) -> Optional[SessionSample]:
-    """One JSONL line to a sample (``None`` for a blank line).
-
-    The one place a trace line meets ``json.loads``. ``prefix`` +
-    ``position`` locate the line in the error a bad one raises;
-    ``metrics`` receives ``io.rows_read`` per decoded row and
-    ``io.decode_errors`` before that error.
-    """
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        if metrics is not None:
-            metrics.inc("io.decode_errors")
-        raise ValueError(
-            f"{prefix}{position}: invalid JSON ({error})"
-        ) from error
-    if metrics is not None:
-        metrics.inc("io.rows_read")
-    return sample_from_dict(payload)
-
-
 def _read_samples_jsonl(
     path: PathLike, metrics=None
 ) -> Iterator[SessionSample]:
@@ -289,13 +255,25 @@ def read_samples_stream(
     :class:`repro.pipeline.ingest.StreamingIngestor` expects. Counts the
     same ``io.rows_read`` / ``io.decode_errors`` as a JSONL file read
     (which is this function over the opened file); a bad line is named
-    ``{name}:{line number}``.
+    ``{name}:{line number}``, and its ``io.decode_errors`` is counted
+    before the error is raised. The one place a trace line meets
+    ``json.loads``; blank lines are skipped.
     """
-    prefix = f"{name}:"
     for line_number, line in enumerate(handle, start=1):
-        sample = _decode_line(line, prefix, line_number, metrics)
-        if sample is not None:
-            yield sample
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as error:
+            if metrics is not None:
+                metrics.inc("io.decode_errors")
+            raise ValueError(
+                f"{name}:{line_number}: invalid JSON ({error})"
+            ) from error
+        if metrics is not None:
+            metrics.inc("io.rows_read")
+        yield sample_from_dict(payload)
 
 
 def convert(
@@ -319,184 +297,27 @@ def convert(
     return write_samples(dst, samples, metrics=metrics)
 
 
-# --------------------------------------------------------------------- #
-# Chunked reading (parallel ingestion)
-# --------------------------------------------------------------------- #
-def _is_gzip(path: PathLike) -> bool:
-    return pathlib.Path(path).suffix == ".gz"
-
-
-#: Paths (resolved) whose gzip chunk-fallback warning already fired in this
-#: process. The ``io.gzip_chunk_fallback`` counter still increments on every
-#: fallback plan — the counter is the record, the warning is the nudge, and
-#: repeating the nudge per shard-plan of the same file is pure noise.
-_GZIP_FALLBACK_WARNED: set = set()
-
-
-@dataclass(frozen=True)
-class TraceChunk:
-    """One independently readable slice of a JSONL trace.
-
-    Plain files are split by **byte range** (``start_byte``/``end_byte``,
-    newline-aligned) so a worker can ``seek`` straight to its slice without
-    touching the rest of the file. Gzip members are not seekable, so ``.gz``
-    traces are split by **line block** (``start_line``/``end_line``,
-    half-open) instead; every worker decompresses from the start but only
-    parses its own block — JSON decoding, not decompression, dominates.
-
-    ``ordinal`` is a key that orders this chunk's samples against every
-    other chunk of the same file: the absolute byte offset of the chunk's
-    first line (byte-range mode) or its first line index (line-block mode).
-    :func:`read_chunk` yields ``(key, sample)`` pairs whose keys extend the
-    same ordering within the chunk, so a merger can restore the exact
-    serial stream order by sorting on the key.
-    """
-
-    path: str
-    ordinal: int
-    start_byte: int = 0
-    end_byte: int = 0
-    start_line: int = 0
-    end_line: int = 0
-    byte_range: bool = True
-
-
-def _newline_aligned_boundary(handle: IO, target: int) -> int:
-    """First byte position at/after ``target`` that starts a fresh line."""
-    if target <= 0:
-        return 0
-    handle.seek(target - 1)
-    handle.readline()  # finish the line straddling the target
-    return handle.tell()
-
-
 def plan_chunks(path: PathLike, num_chunks: int) -> list:
-    """Split a trace into up to ``num_chunks`` independently readable chunks.
+    """Split a columnar store into up to ``num_chunks`` shard chunks.
 
-    Fewer chunks may be returned for small files (a chunk is never empty by
-    construction; an empty file yields no chunks). Concatenating the chunks
-    in order reproduces the whole file. Store traces split along partition
-    boundaries (:meth:`repro.store.TraceStoreReader.plan_chunks`), so each
-    worker gets contiguous reads instead of line blocks.
-
-    Gzipped JSONL is not seekable, so its "chunks" are line blocks: every
-    worker re-decompresses the file from the start and parses only its own
-    block. That caps the parallel speedup well below the worker count (the
-    decompression is repeated serially in each worker); when it happens
-    with more than one chunk, a :class:`RuntimeWarning` is emitted (once
-    per path per process) and the process-wide ``io.gzip_chunk_fallback``
-    counter increments on *every* occurrence. The counter goes to
-    :func:`repro.obs.active_metrics` — it is a fact about this
-    *execution*, not about the data, so recording it in a dataset's
-    registry would break the serial-vs-parallel counter-equality invariant
-    (serial ingestion never plans chunks). Convert the trace with
-    ``repro convert`` (plain JSONL or a columnar store) for seekable
-    chunking.
+    The store reader's partition-aligned plan
+    (:meth:`repro.store.TraceStoreReader.plan_chunks`): every chunk is a
+    :class:`~repro.store.StoreChunk` whose ``rows`` the manifest states.
+    Anything that is not a store raises ``ValueError`` before a byte of it
+    is read: a JSONL trace is folded in one pass, or ``repro convert``-ed
+    first.
 
     Chunks carry the **resolved** path: a shard task may execute in a
     worker daemon whose working directory is not the caller's (DESIGN.md
     §13), so a relative path must be pinned here, client-side, before it
-    ships. (Cross-host dispatch still requires the trace to be reachable
+    ships. (Cross-host dispatch still requires the store to be reachable
     at the same absolute path on every worker — shared storage.)
     """
-    if num_chunks <= 0:
-        raise ValueError("num_chunks must be positive")
-    if detect_format(path) == "store":
-        return TraceStoreReader(pathlib.Path(path).resolve()).plan_chunks(
-            num_chunks
+    if detect_format(path) != "store":
+        raise ValueError(
+            f"{path} is not a columnar store: a shard plan splits a store's "
+            "partitions (`repro convert TRACE.jsonl TRACE.store` makes one)"
         )
-    path = pathlib.Path(path).resolve()
-    if _is_gzip(path):
-        if num_chunks > 1:
-            registry = active_metrics()
-            if registry is not None:
-                registry.inc("io.gzip_chunk_fallback")
-            resolved = str(path.resolve())
-            if resolved not in _GZIP_FALLBACK_WARNED:
-                _GZIP_FALLBACK_WARNED.add(resolved)
-                warnings.warn(
-                    f"{path}: gzip traces are not seekable; falling back "
-                    "to line-block chunks (each worker re-decompresses the "
-                    "whole file). Convert to plain JSONL or a .store for "
-                    "scalable parallel ingestion.",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        with _open(path, "r") as handle:
-            total_lines = sum(1 for _ in handle)
-        if total_lines == 0:
-            return []
-        bounds = sorted(
-            {(total_lines * i) // num_chunks for i in range(num_chunks)}
-            | {total_lines}
-        )
-        return [
-            TraceChunk(
-                path=str(path),
-                ordinal=start,
-                start_line=start,
-                end_line=end,
-                byte_range=False,
-            )
-            for start, end in zip(bounds, bounds[1:])
-            if end > start
-        ]
-    size = path.stat().st_size
-    if size == 0:
-        return []
-    with open(path, "rb") as handle:
-        raw_bounds = {
-            _newline_aligned_boundary(handle, (size * i) // num_chunks)
-            for i in range(num_chunks)
-        }
-    bounds = sorted(bound for bound in raw_bounds if bound < size) + [size]
-    return [
-        TraceChunk(path=str(path), ordinal=start, start_byte=start, end_byte=end)
-        for start, end in zip(bounds, bounds[1:])
-        if end > start
-    ]
-
-
-def _read_byte_range_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
-    faultinject.check_io(chunk.path)
-    prefix = f"{chunk.path}@byte "
-    with open(chunk.path, "rb") as handle:
-        handle.seek(chunk.start_byte)
-        offset = chunk.start_byte
-        while offset < chunk.end_byte:
-            raw = handle.readline()
-            if not raw:
-                break
-            line_start = offset
-            offset += len(raw)
-            sample = _decode_line(
-                raw.decode("utf-8"), prefix, line_start, metrics
-            )
-            if sample is not None:
-                yield line_start, sample
-
-
-def _read_line_block_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
-    faultinject.check_io(chunk.path)
-    prefix = f"{chunk.path}:"
-    with _open(chunk.path, "r") as handle:
-        for index, line in enumerate(handle):
-            if index >= chunk.end_line:
-                break
-            if index < chunk.start_line:
-                continue
-            sample = _decode_line(line, prefix, index + 1, metrics)
-            if sample is not None:
-                yield index, sample
-
-
-def read_chunk(chunk: TraceChunk, metrics=None) -> Iterator[tuple]:
-    """Yield ``(order_key, sample)`` pairs for one JSONL chunk (see
-    :class:`TraceChunk` for the key's ordering guarantee; a store chunk
-    decodes straight to columns,
-    :func:`repro.kernels.engine.iter_batches`). ``metrics`` receives
-    the same counters as :func:`read_samples`, so the chunked counters sum
-    to exactly the serial read's."""
-    if chunk.byte_range:
-        return _read_byte_range_chunk(chunk, metrics)
-    return _read_line_block_chunk(chunk, metrics)
+    return TraceStoreReader(pathlib.Path(path).resolve()).plan_chunks(
+        num_chunks
+    )

@@ -9,22 +9,22 @@ and merges the partial states back into a ``StudyDataset`` that is
 aggregation insertion order, same per-group medians and confidence
 intervals. The equivalence is enforced by ``tests/test_pipeline_parallel.py``.
 
-One partitioning strategy, exact — **chunk sharding** of a trace on disk:
-the trace is split into independently readable chunks — newline-aligned
-byte ranges for JSONL, line blocks for gzip, partition-aligned
-:class:`~repro.store.StoreChunk` groups for columnar stores (see
-:func:`repro.pipeline.io.plan_chunks`) — and each worker parses and
-aggregates only its slice: a shard task names bytes on disk, and samples
-never cross a process boundary. Aggregations spanning chunks are folded
-together with
+One partitioning strategy, exact — **chunk sharding** of a columnar store:
+the store's partitions are grouped into disjoint
+:class:`~repro.store.StoreChunk` sets (see
+:func:`repro.pipeline.io.plan_chunks`), and each worker decodes and
+aggregates only its chunk: a shard task names bytes on disk, and samples
+never cross a process boundary. A JSONL trace is folded in one pass, or
+``repro convert``-ed to a store first. Aggregations spanning chunks are
+folded together with
 :meth:`~repro.core.aggregation.Aggregation.merge` in order-key order.
-Store chunks carry interleaved sequence ranges (partitions are keyed by
-PoP and time band, not by stream position); the merger's order-key sort
-absorbs that, and every derived statistic is an order statistic or an
-integer sum, so the bit-identical guarantee holds for stores too.
+Chunks carry interleaved sequence ranges (partitions are keyed by PoP and
+time band, not by stream position); the merger's order-key sort absorbs
+that, and every derived statistic is an order statistic or an integer
+sum, so the bit-identical guarantee holds.
 
 Exactness argument: every sample carries a monotone *order key* (its
-byte offset / line index in the file, or its store sequence number).
+store sequence number).
 Workers preserve relative order within a partition, and the merger (a)
 re-sorts rows by order key, (b) rebuilds the aggregation store inserting
 keys by first-seen order key, and (c) concatenates each aggregation's raw
@@ -36,8 +36,8 @@ Fault tolerance (DESIGN.md §9): a failing shard is retried with
 exponential backoff (``max_retries`` × ``retry_backoff``), and a shard
 that exhausts its retries is **quarantined** — the run completes on the
 surviving shards and the merged dataset carries a :class:`DegradedLedger`
-(``dataset.degraded``) naming every lost shard, its error, and the best
-estimate of samples and store partitions lost with it. ``strict=True``
+(``dataset.degraded``) naming every lost shard, its error, and the exact
+samples and store partitions lost with it. ``strict=True``
 restores fail-fast: the first exhausted shard raises a typed
 :class:`ShardError` naming the shard. Fault-free runs take the exact same
 code path and stay bit-identical to the pre-retry pipeline.
@@ -75,7 +75,8 @@ from repro.obs import (
 )
 from repro.pipeline.dataset import SessionRow, StudyDataset
 from repro.pipeline.filters import FilterStats
-from repro.pipeline.io import PathLike, StoreChunk, TraceChunk, plan_chunks
+from repro.pipeline.io import PathLike, detect_format, plan_chunks
+from repro.store import StoreChunk
 
 __all__ = [
     "DegradedLedger",
@@ -162,10 +163,9 @@ class DegradedLedger:
     """What a non-strict run lost to quarantined shards.
 
     ``shards`` holds one entry per quarantined shard: ``ordinal``, the
-    stringified ``error``, ``attempts`` made, ``samples_lost`` (the shard's
-    planned sample count, or ``None`` when the plan cannot know it — a
-    JSONL byte-range chunk counts lines only when read), and
-    ``partitions_skipped`` (store partitions the shard covered). ``retries``
+    stringified ``error``, ``attempts`` made, ``samples_lost`` (the
+    chunk's manifest row count — exact) and ``partitions_skipped`` (the
+    store partitions the chunk covered). ``retries``
     counts every re-run attempt across all shards, including ones that
     eventually succeeded. Falsy when nothing was lost, so
     ``if dataset.degraded`` reads naturally.
@@ -183,8 +183,7 @@ class DegradedLedger:
 
     @property
     def samples_lost(self) -> int:
-        """Known lost samples (lower bound when a shard's count is unknown)."""
-        return sum(entry["samples_lost"] or 0 for entry in self.shards)
+        return sum(entry["samples_lost"] for entry in self.shards)
 
     @property
     def partitions_skipped(self) -> int:
@@ -198,12 +197,8 @@ class DegradedLedger:
                 "ordinal": task.ordinal,
                 "error": f"{type(error).__name__}: {error}",
                 "attempts": attempts,
-                "samples_lost": task.expected_rows,
-                "partitions_skipped": (
-                    len(task.chunk.partition_ids)
-                    if isinstance(task.chunk, StoreChunk)
-                    else 0
-                ),
+                "samples_lost": task.chunk.rows,
+                "partitions_skipped": len(task.chunk.partition_ids),
             }
         )
 
@@ -211,7 +206,7 @@ class DegradedLedger:
         ordinals = ", ".join(str(entry["ordinal"]) for entry in self.shards)
         return (
             f"{self.shards_lost} shard(s) quarantined "
-            f"(ordinal(s) {ordinals}); ~{self.samples_lost} sample(s) lost, "
+            f"(ordinal(s) {ordinals}); {self.samples_lost} sample(s) lost, "
             f"{self.partitions_skipped} store partition(s) skipped, "
             f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}"
         )
@@ -326,15 +321,12 @@ class ShardResult:
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """One unit of worker input: a chunk of a trace on disk."""
+    """One unit of worker input: a chunk of a store on disk."""
 
     dataset_kwargs: dict
-    chunk: Union[TraceChunk, StoreChunk]
+    chunk: StoreChunk
     #: Position in the shard plan; names the shard in errors and ledgers.
     ordinal: int = 0
-    #: Planned sample count (None when the plan cannot know it, e.g. a
-    #: JSONL byte-range chunk). Feeds the degraded ledger's loss estimate.
-    expected_rows: Optional[int] = None
 
 
 def _run_shard(task: _ShardTask) -> ShardResult:
@@ -602,11 +594,11 @@ def build_dataset(
     (``tests/test_batch_equivalence.py``).
 
     With ``options`` absent (or a one-shard plan with no worker daemons)
-    the source is folded in one pass. Otherwise it must be a trace on
-    disk (a sample iterable raises ``ValueError``, unread), which is
-    partitioned — JSONL traces into byte-range/line-block chunks, columnar
-    stores into partition-aligned chunks — executed per ``options``, and
-    merged back into a dataset bit-identical to the one-pass fold.
+    the source is folded in one pass. Otherwise it must be a columnar
+    store (a sample iterable or a JSONL trace raises ``ValueError`` before
+    a byte of it is read), which is partitioned into partition-aligned
+    chunks, executed per ``options``, and merged back into a dataset
+    bit-identical to the one-pass fold.
 
     Sharded runs tolerate shard failures per the options' retry policy:
     shards that exhaust their retries under non-strict mode are quarantined
@@ -626,11 +618,16 @@ def build_dataset(
     dataset = StudyDataset(**dataset_kwargs)
     options = options or ParallelOptions()
     one_pass = options.effective_shards == 1 and not options.worker_addrs
-    if not one_pass and not isinstance(source, (str, pathlib.Path)):
+    if not one_pass and not (
+        isinstance(source, (str, pathlib.Path))
+        and detect_format(source) == "store"
+    ):
         raise ValueError(
             "a sharded plan (more than one shard, or worker_addrs) reads a "
-            "trace on disk, not a sample stream: save the samples first "
-            "(write_samples() / `repro trace`) and pass the path"
+            "columnar store, not a sample stream or a JSONL trace: fold "
+            "those in one pass, or save them as a store first (`repro "
+            "convert TRACE.jsonl TRACE.store`, write_samples('TRACE.store', "
+            "samples) or `repro trace OUT.store`) and pass its path"
         )
     ledger = DegradedLedger()
     with span("pipeline.ingest"):
@@ -649,12 +646,7 @@ def build_dataset(
         else:
             with span("plan"):
                 tasks = [
-                    _ShardTask(
-                        dataset_kwargs=dataset_kwargs,
-                        chunk=chunk,
-                        ordinal=index,
-                        expected_rows=_planned_rows(chunk),
-                    )
+                    _ShardTask(dataset_kwargs, chunk, ordinal=index)
                     for index, chunk in enumerate(
                         plan_chunks(source, options.effective_shards)
                     )
@@ -682,10 +674,3 @@ def build_dataset(
     dataset.degraded = ledger if ledger else None
     merge_into_active(dataset.metrics)
     return dataset
-
-
-def _planned_rows(chunk: Union[TraceChunk, StoreChunk]) -> Optional[int]:
-    """Best planned row count for a chunk (None when the plan can't know)."""
-    if isinstance(chunk, StoreChunk) and chunk.rows > 0:
-        return chunk.rows
-    return None

@@ -201,19 +201,17 @@ class StoreChunk:
     """A worker's unit of store input: a disjoint set of partitions.
 
     ``ordinal`` is the smallest sequence number in the chunk, which orders
-    chunks against each other the same way byte offsets order JSONL
-    chunks; ``read_column_batches(partition_ids=...)`` yields batches whose
-    ``seq`` order keys extend that ordering, satisfying the
-    :class:`repro.pipeline.io.TraceChunk` order-key contract.
+    chunks against each other; ``read_column_batches(partition_ids=...)``
+    yields batches whose ``seq`` order keys extend that ordering, so a
+    merger restores the exact serial stream order by sorting on the key.
     """
 
     path: str
     ordinal: int
     partition_ids: Tuple[int, ...]
-    #: Total manifest row count of the chunk's partitions. Lets the
-    #: pipeline's degraded ledger report exactly how many samples a
-    #: quarantined store shard lost (0 = unknown, for hand-built chunks).
-    rows: int = 0
+    #: Total manifest row count of the chunk's partitions: exactly how many
+    #: samples the pipeline's degraded ledger charges a quarantined shard.
+    rows: int
 
 
 class TraceStoreReader:

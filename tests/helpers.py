@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pathlib
 import random
+import socket
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional
@@ -25,6 +26,8 @@ from repro.core.records import (
     TransactionRecord,
     UserGroupKey,
 )
+from repro.dist import protocol
+from repro.dist.client import parse_addr
 from repro.pipeline import ParallelOptions, StudyDataset, read_samples
 from repro.pipeline.io import write_samples
 from repro.pipeline.parallel import _PoolExecutor
@@ -43,6 +46,18 @@ def in_process_pool(monkeypatch):
     own). Import the fixture into a test module to use it.
     """
     monkeypatch.setattr(_PoolExecutor, "pool_cls", ThreadPoolExecutor)
+
+
+def request_shutdown(addr: str, timeout: float = 5.0) -> bool:
+    """Ask the ``repro worker`` daemon at ``addr`` to stop (``MSG_SHUTDOWN``);
+    True when it acknowledged, False when nothing answered."""
+    try:
+        with socket.create_connection(parse_addr(addr), timeout=timeout) as sock:
+            protocol.send_frame(sock, protocol.MSG_SHUTDOWN)
+            frame = protocol.recv_frame(sock, allow_eof=True)
+        return frame is not None and frame[0] == protocol.MSG_PONG
+    except (OSError, protocol.ProtocolError):
+        return False
 
 
 #: The single-host ways to run a shard plan — the real process pool, the

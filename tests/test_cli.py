@@ -108,25 +108,53 @@ class TestNewSubcommands:
 
 
 class TestShardsValidation:
-    """The sharding flags: bad values are usage errors, and nothing but
-    ``--workers`` / ``--workers-addr`` decides where the shards run."""
+    """The sharding flags: bad values are usage errors, they need a store
+    to shard, and nothing but ``--workers`` / ``--workers-addr`` decides
+    where the shards run."""
 
+    # ``flags`` is the whole command line after ``repro``; the parameter
+    # keeps its name so the ids of the value-check cases stay put.
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--workers", "0"], "workers must be >= 1"),
-            (["--workers", "2", "--shards", "0"], "shards must be >= 1"),
-            (["--workers", "2", "--max-retries", "-1"], "max_retries must be >= 0"),
-            (["--retry-backoff", "-1"], "retry_backoff must be >= 0"),
-            (["--workers-addr", "nonsense"], "'nonsense' is not host:port"),
-            (["--workers-addr", "h:1,h:x"], "'h:x' has a non-numeric port"),
+            (["analyze", "t.jsonl", "--workers", "0"], "workers must be >= 1"),
+            (
+                ["analyze", "t.jsonl", "--workers", "2", "--shards", "0"],
+                "shards must be >= 1",
+            ),
+            (
+                ["analyze", "t.jsonl", "--workers", "2", "--max-retries", "-1"],
+                "max_retries must be >= 0",
+            ),
+            (
+                ["analyze", "t.jsonl", "--retry-backoff", "-1"],
+                "retry_backoff must be >= 0",
+            ),
+            (
+                ["analyze", "t.jsonl", "--workers-addr", "nonsense"],
+                "'nonsense' is not host:port",
+            ),
+            (
+                ["analyze", "t.jsonl", "--workers-addr", "h:1,h:x"],
+                "'h:x' has a non-numeric port",
+            ),
+            # A sharded plan reads a store: JSONL is refused before it is
+            # opened (these paths do not even exist), naming the way out.
+            (["analyze", "t.jsonl.gz", "--workers", "4"], "repro convert"),
+            (["routing", "--trace", "t.jsonl", "--shards", "4"], "repro convert"),
+            (
+                ["analyze", "t.jsonl", "--workers-addr", "127.0.0.1:9"],
+                "repro convert",
+            ),
+            (["analyze", "t.jsonl", "--strict"], "sharding flags need a store"),
         ],
     )
     def test_bad_parallel_values_are_usage_errors(self, flags, message, capsys):
         """Regression: these escaped as ValueError tracebacks out of
-        ParallelOptions.__post_init__ instead of argparse usage errors."""
+        ParallelOptions.__post_init__ (or, for JSONL, ran a byte-range or
+        line-block plan) instead of argparse usage errors."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", "t.jsonl"] + flags)
+            main(flags)
         assert excinfo.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("repro: error: ") and message in last
@@ -192,7 +220,7 @@ class TestShardsValidation:
             assert excinfo.value.code == 2
             last = capsys.readouterr().err.splitlines()[-1]
             assert last.startswith("repro: error: ")
-            assert "sharding flags need --trace PATH" in last
+            assert "sharding flags need a store" in last
         # With a trace the same flags run, to the one-pass report.
         store = tmp_path / "t.store"
         assert main(["trace", str(store), "--rate", "2", "--days", "1"]) == 0

@@ -36,7 +36,7 @@ import pytest
 from repro import faultinject
 from repro.dist import DispatchError, ProtocolError, WorkerDaemon
 from repro.dist import protocol
-from repro.dist.client import parse_addr, request_shutdown
+from repro.dist.client import parse_addr
 from repro.dist.serialization import (
     decode_failure,
     decode_result,
@@ -53,15 +53,16 @@ from repro.pipeline import (
     StudyDataset,
     build_dataset,
 )
-from repro.pipeline.io import StoreChunk, plan_chunks
+from repro.pipeline.io import convert, plan_chunks
 from repro.pipeline.parallel import (
     RemoteCause,
     ShardResult,
     _run_shard,
     _ShardTask,
 )
+from repro.store import StoreChunk
 
-from tests.helpers import make_trace_samples, write_trace_paths
+from tests.helpers import make_trace_samples, request_shutdown, write_trace_paths
 from tests.test_pipeline_parallel import assert_datasets_equal
 
 pytestmark = pytest.mark.dist
@@ -89,8 +90,17 @@ def serial_dataset(samples):
 
 
 @pytest.fixture(scope="module")
-def trace_paths(samples, tmp_path_factory):
-    return write_trace_paths(tmp_path_factory.mktemp("dist-traces"), samples)
+def trace_store(samples, tmp_path_factory):
+    root = tmp_path_factory.mktemp("dist-traces")
+    return write_trace_paths(root, samples)["store"]
+
+
+@pytest.fixture(scope="module")
+def golden_store(tmp_path_factory):
+    """The golden trace, converted: a sharded plan reads a store."""
+    store = tmp_path_factory.mktemp("dist-golden") / "golden.store"
+    convert(GOLDEN_TRACE, store)
+    return store
 
 
 @pytest.fixture()
@@ -134,7 +144,6 @@ def _worker_subprocess():
 def _make_task(path, ordinal=0) -> _ShardTask:
     """The first chunk of a 4-shard plan over ``path``, as
     ``build_dataset`` would task it (under a chosen ``ordinal``)."""
-    chunk = plan_chunks(path, 4)[0]
     return _ShardTask(
         dataset_kwargs=dict(
             study_windows=STUDY_WINDOWS,
@@ -142,9 +151,8 @@ def _make_task(path, ordinal=0) -> _ShardTask:
             compute_naive=False,
             window_seconds=900.0,
         ),
-        chunk=chunk,
+        chunk=plan_chunks(path, 4)[0],
         ordinal=ordinal,
-        expected_rows=getattr(chunk, "rows", None),
     )
 
 
@@ -261,17 +269,8 @@ class TestProtocol:
 # 2. Serialization
 # --------------------------------------------------------------------- #
 class TestSerialization:
-    def test_task_round_trip(self, trace_paths):
-        # Both chunk kinds (and both TraceChunk modes) come back ``==``.
-        chunks = [
-            chunk
-            for path in trace_paths.values()
-            for chunk in plan_chunks(path, 3)
-        ]
-        assert {type(chunk).__name__ for chunk in chunks} == {
-            "StoreChunk", "TraceChunk",
-        }
-        for ordinal, chunk in enumerate(chunks):
+    def test_task_round_trip(self, trace_store):
+        for ordinal, chunk in enumerate(plan_chunks(trace_store, 3)):
             task = _ShardTask(
                 dataset_kwargs=dict(
                     study_windows=STUDY_WINDOWS,
@@ -281,11 +280,10 @@ class TestSerialization:
                 ),
                 chunk=chunk,
                 ordinal=ordinal,
-                expected_rows=getattr(chunk, "rows", None),
             )
             decoded = decode_task(encode_task(task))
             assert decoded == task
-            assert type(decoded.chunk) is type(chunk)
+            assert type(decoded.chunk) is StoreChunk
 
     def test_task_decode_type_checked(self):
         # What used to unpickle to "not a shard task" is now not even read
@@ -295,8 +293,8 @@ class TestSerialization:
         with pytest.raises(ProtocolError, match="must be an object of"):
             decode_task(b'["not", "a", "task"]')
 
-    def test_task_frame_is_a_small_json_descriptor(self, trace_paths):
-        task = _make_task(trace_paths["store"])
+    def test_task_frame_is_a_small_json_descriptor(self, trace_store):
+        task = _make_task(trace_store)
         wide = _ShardTask(
             dataset_kwargs=task.dataset_kwargs,
             chunk=StoreChunk(
@@ -306,15 +304,19 @@ class TestSerialization:
                 rows=1_000_000,
             ),
             ordinal=7,
-            expected_rows=1_000_000,
         )
         payload = encode_task(wide)
         assert len(payload) < 32 * 1024
-        assert json.loads(payload)["chunk"]["kind"] == "store"
+        # One wire shape: the task's three fields and the chunk's four.
+        fields = json.loads(payload)
+        assert set(fields) == {"dataset_kwargs", "chunk", "ordinal"}
+        assert set(fields["chunk"]) == {
+            "path", "ordinal", "partition_ids", "rows",
+        }
         assert decode_task(payload) == wide
 
-    def test_result_round_trip(self, trace_paths):
-        result = _run_shard(_make_task(trace_paths["plain"], ordinal=1))
+    def test_result_round_trip(self, trace_store):
+        result = _run_shard(_make_task(trace_store, ordinal=1))
         decoded = decode_result(encode_result(result))
         assert isinstance(decoded, ShardResult)
         assert decoded.ordinal == 1
@@ -357,28 +359,23 @@ class TestWorkerDaemon:
                 protocol.send_frame(sock, protocol.MSG_PING)
                 assert protocol.recv_frame(sock) == (protocol.MSG_PONG, b"")
 
-    def test_executes_task_like_local_run(self, trace_paths):
+    def test_executes_task_like_local_run(self, trace_store):
+        task = _make_task(trace_store)
+        expected = _run_shard(task)
         with WorkerDaemon() as daemon:
-            for kind in ("store", "plain"):
-                task = _make_task(trace_paths[kind])
-                expected = _run_shard(task)
-                with socket.create_connection(
-                    parse_addr(daemon.address)
-                ) as sock:
-                    protocol.send_frame(
-                        sock, protocol.MSG_TASK, encode_task(task)
-                    )
-                    msg_type, payload = protocol.recv_frame(sock)
-                assert msg_type == protocol.MSG_RESULT
-                result = decode_result(payload)
-                assert result.rows == expected.rows and result.rows
-                assert result.aggregations == expected.aggregations
-                assert result.metrics.counters == expected.metrics.counters
+            with socket.create_connection(parse_addr(daemon.address)) as sock:
+                protocol.send_frame(sock, protocol.MSG_TASK, encode_task(task))
+                msg_type, payload = protocol.recv_frame(sock)
+        assert msg_type == protocol.MSG_RESULT
+        result = decode_result(payload)
+        assert result.rows == expected.rows and result.rows
+        assert result.aggregations == expected.aggregations
+        assert result.metrics.counters == expected.metrics.counters
 
-    def test_shard_failure_becomes_failure_reply(self, trace_paths):
+    def test_shard_failure_becomes_failure_reply(self, trace_store):
         # A failing shard is the client's retry problem: the daemon
         # replies MSG_FAILURE and stays alive for the next task.
-        task = _make_task(trace_paths["store"], ordinal=2)
+        task = _make_task(trace_store, ordinal=2)
         plan = FaultPlan(kill_shard={"ordinal": 2, "times": 1})
         with WorkerDaemon() as daemon:
             with faultinject.inject(plan):
@@ -409,8 +406,8 @@ class TestWorkerDaemon:
             daemon.shutdown()
         assert request_shutdown(daemon.address) is False  # already gone
 
-    def test_max_tasks_bounds_lifetime(self, trace_paths):
-        task = _make_task(trace_paths["plain"])
+    def test_max_tasks_bounds_lifetime(self, trace_store):
+        task = _make_task(trace_store)
         with WorkerDaemon(max_tasks=1) as daemon:
             with socket.create_connection(parse_addr(daemon.address)) as sock:
                 protocol.send_frame(sock, protocol.MSG_TASK, encode_task(task))
@@ -488,16 +485,21 @@ MALFORMED_TASKS = {
         lambda f: _set(f, "chunk", "partition_ids", [0, "1"])
     ),
     "chunk-is-a-string": _edited(lambda f: _set(f, "chunk", "t.store")),
-    "unknown-chunk-kind": _edited(lambda f: _set(f, "chunk", "kind", "samples")),
-    "missing-chunk-kind": _edited(lambda f: f["chunk"].pop("kind")),
-    "trace-fields-on-a-store-chunk": _edited(
-        lambda f: _set(f, "chunk", "start_byte", 0)
-    ),
+    "rows-is-a-float": _edited(lambda f: _set(f, "chunk", "rows", 10.0)),
+    "extra-chunk-key": _edited(lambda f: _set(f, "chunk", "start_byte", 0)),
     "extra-task-key": _edited(lambda f: _set(f, "indexed_samples", [])),
     "extra-kwarg": _edited(
         lambda f: _set(f, "dataset_kwargs", "engine", "row")
     ),
-    "missing-key": _edited(lambda f: f.pop("expected_rows")),
+    "missing-key": _edited(lambda f: f.pop("ordinal")),
+    "missing-chunk-key": _edited(lambda f: f["chunk"].pop("rows")),
+    # What an older client still sent: a chunk kind tag, a row estimate.
+    "older-client-chunk-kind": _edited(
+        lambda f: _set(f, "chunk", "kind", "store")
+    ),
+    "older-client-expected-rows": _edited(
+        lambda f: _set(f, "expected_rows", 100)
+    ),
 }
 
 
@@ -509,9 +511,9 @@ class TestMalformedTaskFrame:
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_TASKS))
     def test_dropped_with_a_warning_and_the_daemon_keeps_serving(
-        self, name, daemon, trace_paths, caplog, monkeypatch
+        self, name, daemon, trace_store, caplog, monkeypatch
     ):
-        valid = encode_task(_make_task(trace_paths["store"]))
+        valid = encode_task(_make_task(trace_store))
         payload = MALFORMED_TASKS[name](valid)
         _canary_calls.clear()
         uncaught = []
@@ -556,52 +558,52 @@ class TestMalformedTaskFrame:
 # --------------------------------------------------------------------- #
 class TestDispatchEquivalence:
     def test_dispatch_matches_serial_exactly(
-        self, trace_paths, serial_dataset, two_daemons
+        self, trace_store, serial_dataset, two_daemons
     ):
-        for path in trace_paths.values():
-            dataset = build_dataset(
-                path,
-                study_windows=STUDY_WINDOWS,
-                options=_dispatch_options(two_daemons),
-            )
-            assert_datasets_equal(dataset, serial_dataset)
-            assert dataset.degraded is None
-
-    def test_data_counters_and_gauges_match_serial(
-        self, trace_paths, two_daemons
-    ):
-        for path in trace_paths.values():
-            serial = build_dataset(path, study_windows=STUDY_WINDOWS)
-            dataset = build_dataset(
-                path,
-                study_windows=STUDY_WINDOWS,
-                options=_dispatch_options(two_daemons),
-            )
-            assert dataset.metrics.counters == serial.metrics.counters
-            assert dataset.metrics.gauges == serial.metrics.gauges
-
-    def test_golden_trace_byte_identical_vs_serial(self, two_daemons):
-        snapshot = json.loads((DATA / "golden_report.json").read_text())
-        serial = build_dataset(
-            GOLDEN_TRACE, study_windows=snapshot["study_windows"]
-        )
-        dispatched = build_dataset(
-            GOLDEN_TRACE,
-            study_windows=snapshot["study_windows"],
+        dataset = build_dataset(
+            trace_store,
+            study_windows=STUDY_WINDOWS,
             options=_dispatch_options(two_daemons),
         )
-        assert dispatched.rows == serial.rows
+        assert_datasets_equal(dataset, serial_dataset)
+        assert dataset.degraded is None
+
+    def test_data_counters_and_gauges_match_serial(
+        self, trace_store, two_daemons
+    ):
+        serial = build_dataset(trace_store, study_windows=STUDY_WINDOWS)
+        dataset = build_dataset(
+            trace_store,
+            study_windows=STUDY_WINDOWS,
+            options=_dispatch_options(two_daemons),
+        )
+        assert dataset.metrics.counters == serial.metrics.counters
+        assert dataset.metrics.gauges == serial.metrics.gauges
+
+    def test_golden_trace_byte_identical_vs_serial(
+        self, golden_store, two_daemons
+    ):
+        snapshot = json.loads((DATA / "golden_report.json").read_text())
+        windows = snapshot["study_windows"]
+        serial = build_dataset(golden_store, study_windows=windows)
+        dispatched = build_dataset(
+            golden_store,
+            study_windows=windows,
+            options=_dispatch_options(two_daemons),
+        )
+        jsonl = build_dataset(GOLDEN_TRACE, study_windows=windows)
+        assert dispatched.rows == serial.rows == jsonl.rows
         assert [k for k, _ in dispatched.store.items()] == [
             k for k, _ in serial.store.items()
         ]
         assert dispatched.metrics.counters == serial.metrics.counters
         assert dispatched.metrics.gauges == serial.metrics.gauges
 
-    def test_manifest_dist_section(self, trace_paths, two_daemons):
+    def test_manifest_dist_section(self, trace_store, two_daemons):
         registry = MetricsRegistry()
         with activate_metrics(registry):
             build_dataset(
-                trace_paths["store"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -621,13 +623,13 @@ class TestDispatchEquivalence:
         ]
 
     def test_unreachable_worker_skipped_not_fatal(
-        self, trace_paths, serial_dataset, two_daemons
+        self, trace_store, serial_dataset, two_daemons
     ):
         registry = MetricsRegistry()
         addrs = (two_daemons[0], "127.0.0.1:1")  # port 1: nothing listens
         with activate_metrics(registry):
             dataset = build_dataset(
-                trace_paths["plain"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(addrs),
             )
@@ -635,10 +637,10 @@ class TestDispatchEquivalence:
         assert registry.counter("dist.workers.unreachable") == 1
         assert registry.counter("dist.workers.connected") == 1
 
-    def test_no_reachable_workers_raises(self, trace_paths):
+    def test_no_reachable_workers_raises(self, trace_store):
         with pytest.raises(DispatchError, match="no dispatch workers"):
             build_dataset(
-                trace_paths["store"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(("127.0.0.1:1", "127.0.0.1:2")),
             )
@@ -667,13 +669,13 @@ class TestDispatchEquivalence:
 # --------------------------------------------------------------------- #
 class TestDispatchFaults:
     def test_killed_worker_reassigns_to_survivor(
-        self, trace_paths, serial_dataset, two_daemons
+        self, trace_store, serial_dataset, two_daemons
     ):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_worker={"ordinal": 1, "times": 1})
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
-                trace_paths["store"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -686,7 +688,7 @@ class TestDispatchFaults:
         assert registry.counter("fault.shard_retries") == 1
 
     def test_dropped_connection_reassigns(
-        self, trace_paths, serial_dataset, two_daemons
+        self, trace_store, serial_dataset, two_daemons
     ):
         registry = MetricsRegistry()
         first_port = two_daemons[0].rpartition(":")[2]
@@ -695,7 +697,7 @@ class TestDispatchFaults:
         )
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
-                trace_paths["plain"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -704,13 +706,13 @@ class TestDispatchFaults:
         assert registry.counter("fault.injected.connection_drops") == 1
         assert registry.counter("dist.tasks.reassigned") == 1
 
-    def test_sole_worker_death_quarantines_instead_of_crashing(self, trace_paths):
+    def test_sole_worker_death_quarantines_instead_of_crashing(self, trace_store):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_worker={"ordinal": 0, "times": 1})
         with WorkerDaemon() as daemon:
             with activate_metrics(registry), faultinject.inject(plan):
                 dataset = build_dataset(
-                    trace_paths["store"],
+                    trace_store,
                     study_windows=STUDY_WINDOWS,
                     options=_dispatch_options((daemon.address,)),
                 )
@@ -726,19 +728,19 @@ class TestDispatchFaults:
         assert registry.counter("fault.shards_quarantined") == 4
         assert dataset.session_count == 0
         # A store plan knows what each lost shard held.
-        chunks = plan_chunks(trace_paths["store"], 4)
+        chunks = plan_chunks(trace_store, 4)
         assert {
             entry["ordinal"]: entry["samples_lost"] for entry in ledger.shards
         } == dict(enumerate(chunk.rows for chunk in chunks))
         assert ledger.samples_lost == sum(chunk.rows for chunk in chunks) == 600
 
-    def test_sole_worker_death_under_strict_raises(self, trace_paths):
+    def test_sole_worker_death_under_strict_raises(self, trace_store):
         plan = FaultPlan(kill_worker={"ordinal": 0, "times": 1})
         with WorkerDaemon() as daemon:
             with faultinject.inject(plan):
                 with pytest.raises(ShardError) as excinfo:
                     build_dataset(
-                        trace_paths["plain"],
+                        trace_store,
                         study_windows=STUDY_WINDOWS,
                         options=_dispatch_options(
                             (daemon.address,), strict=True
@@ -747,13 +749,13 @@ class TestDispatchFaults:
         assert isinstance(excinfo.value.cause, DispatchError)
 
     def test_remote_transient_failure_retried_to_clean_result(
-        self, trace_paths, serial_dataset, two_daemons
+        self, trace_store, serial_dataset, two_daemons
     ):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
-                trace_paths["store"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -765,12 +767,12 @@ class TestDispatchFaults:
         assert registry.counter("dist.workers.lost") == 0
 
     def test_remote_permanent_failure_quarantines_with_remote_type(
-        self, trace_paths, two_daemons
+        self, trace_store, two_daemons
     ):
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         with faultinject.inject(plan):
             dataset = build_dataset(
-                trace_paths["plain"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options(two_daemons),
             )
@@ -779,8 +781,9 @@ class TestDispatchFaults:
         entry = ledger.shards[0]
         assert entry["ordinal"] == 1
         assert entry["attempts"] == 3  # 1 try + 2 retries (default)
-        # A JSONL byte-range plan cannot know a shard's line count.
-        assert entry["samples_lost"] is None and ledger.samples_lost == 0
+        # The loss is exact: the lost chunk's manifest row count.
+        chunk = plan_chunks(trace_store, 4)[1]
+        assert entry["samples_lost"] == ledger.samples_lost == chunk.rows > 0
         # The remote failure keeps the original worker-side type name.
         assert entry["error"].startswith("RemoteCause: RuntimeError: ")
         assert "RuntimeError" in entry["error"]
@@ -792,11 +795,11 @@ class TestDispatchFaults:
 # --------------------------------------------------------------------- #
 class TestDistCLI:
     def test_analyze_dispatch_end_to_end(
-        self, trace_paths, tmp_path, capsys, two_daemons
+        self, trace_store, tmp_path, capsys, two_daemons
     ):
         from repro.cli import main
 
-        trace = trace_paths["plain"]
+        trace = trace_store
         manifest_path = tmp_path / "manifest.json"
         code = main(
             [
@@ -836,13 +839,13 @@ class TestDistCLI:
             main(["worker", "--listen", "127.0.0.1:abc"])
 
     def test_worker_subprocess_serves_dispatch_run(
-        self, trace_paths, serial_dataset
+        self, trace_store, serial_dataset
     ):
         # The real deployment shape: `repro worker` in its own process,
         # the dispatch client in this one.
         with _worker_subprocess() as (proc, addr):
             dataset = build_dataset(
-                trace_paths["store"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options((addr,), shards=2),
             )
@@ -852,16 +855,18 @@ class TestDistCLI:
             assert proc.returncode == 0
             assert "served 2 task(s)" in out
 
-    def test_workers_addr_alone_selects_dispatch(self, tmp_path, capsys):
+    def test_workers_addr_alone_selects_dispatch(
+        self, golden_store, tmp_path, capsys
+    ):
         # Nothing but the addresses asks for dispatch, and the report is
         # the serial one byte for byte.
         from repro.cli import main
 
-        assert main(["analyze", str(GOLDEN_TRACE)]) == 0
+        assert main(["analyze", str(golden_store)]) == 0
         serial_report = capsys.readouterr().out
         manifest_path = tmp_path / "m.json"
         with _worker_subprocess() as (proc, addr):
-            code = main(["analyze", str(GOLDEN_TRACE), "--workers-addr", addr,
+            code = main(["analyze", str(golden_store), "--workers-addr", addr,
                          "--metrics-out", str(manifest_path)])
             dispatched = capsys.readouterr().out
             request_shutdown(addr)
@@ -874,7 +879,7 @@ class TestDistCLI:
         assert payload["dist"]["tasks_completed"] == 1
 
     def test_relative_trace_path_survives_worker_cwd(
-        self, trace_paths, serial_dataset, monkeypatch
+        self, trace_store, serial_dataset, monkeypatch
     ):
         # Regression: file-backed shard tasks used to carry the trace
         # path as given. A relative path resolves against the *worker's*
@@ -883,9 +888,9 @@ class TestDistCLI:
         # and the run silently degraded to zero rows. plan_chunks now
         # pins the resolved path client-side.
         with _worker_subprocess() as (proc, addr):
-            monkeypatch.chdir(trace_paths["plain"].parent)
+            monkeypatch.chdir(trace_store.parent)
             dataset = build_dataset(
-                "trace.jsonl",
+                "trace.store",
                 study_windows=STUDY_WINDOWS,
                 options=_dispatch_options((addr,), shards=2),
             )

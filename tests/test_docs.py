@@ -48,6 +48,20 @@ class TestReadme:
         assert (ROOT / "docs" / "methodology.md").exists()
         assert "docs/methodology.md" in read("README.md")
 
+    def test_sharded_examples_name_a_store(self):
+        """A sharded plan reads a columnar store (the CLI exits 2 on
+        anything else), so every ``repro analyze`` / ``repro routing``
+        command in the README that shards names a ``.store``."""
+        commands = read("README.md").replace("\\\n", " ").splitlines()
+        sharded = [
+            line
+            for line in commands
+            if re.search(r"repro (analyze|routing)\b", line)
+            and re.search(r"--(workers|shards)\b", line)
+        ]
+        assert sharded, "README shows no sharded command"
+        assert [line for line in sharded if ".store" not in line] == []
+
 
 class TestExamplesReadme:
     def test_listed_scripts_exist_and_vice_versa(self):
@@ -129,14 +143,18 @@ def _references() -> dict:
 
 class TestSurfaceGuards:
     def test_every_exported_name_has_a_caller(self):
-        """``__all__`` of the kernels, the store and the trace I/O module
-        lists nothing that no shipped code uses: a function only the tests
-        call is the tests' to own (ISSUE 22 found seven)."""
+        """``__all__`` of the kernels, the store, the trace I/O module, the
+        shard pipeline and the dispatch package lists nothing that no
+        shipped code uses: a function only the tests call is the tests' to
+        own (seven kernels and store helpers were, and so was a daemon
+        shutdown request, now ``tests.helpers.request_shutdown``)."""
         package = ROOT / "src" / "repro"
         modules = [
             *sorted((package / "kernels").glob("*.py")),
             *sorted((package / "store").glob("*.py")),
             package / "pipeline" / "io.py",
+            package / "pipeline" / "parallel.py",
+            *sorted((package / "dist").glob("*.py")),
         ]
         references = _references()
         allowlist: set = set()

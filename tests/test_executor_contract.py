@@ -4,8 +4,7 @@ The :class:`~repro.pipeline.parallel.ShardExecutor` contract (DESIGN.md
 §13) is what makes *where* shards run orthogonal to *what* they compute:
 any backend — inline, process pool, or dispatch over socket daemons —
 must produce datasets and data counters byte-identical to the one-pass
-fold of the same trace on disk (a columnar store and plain JSONL here),
-and must route every failed attempt through the same
+fold of the same columnar store, and must route every failed attempt through the same
 retry/quarantine/strict policy so accounting is indistinguishable across
 backends.
 
@@ -74,10 +73,11 @@ def serial_dataset(samples):
 
 
 @pytest.fixture(scope="module")
-def trace_paths(samples, tmp_path_factory):
-    """The sample stream saved once as a store and once as plain JSONL."""
-    paths = write_trace_paths(tmp_path_factory.mktemp("contract"), samples)
-    return {kind: paths[kind] for kind in ("store", "plain")}
+def store(samples, tmp_path_factory):
+    """The sample stream saved as a store: what every shard plan reads."""
+    return write_trace_paths(tmp_path_factory.mktemp("contract"), samples)[
+        "store"
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -133,29 +133,27 @@ def _ledger_accounting(ledger) -> tuple:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEquivalence:
     def test_dataset_identical_to_serial(
-        self, trace_paths, serial_dataset, options_for, backend
+        self, store, serial_dataset, options_for, backend
     ):
-        for path in trace_paths.values():
-            dataset = build_dataset(
-                path,
-                study_windows=STUDY_WINDOWS,
-                options=options_for(backend),
-            )
-            assert_datasets_equal(dataset, serial_dataset)
-            assert dataset.degraded is None
+        dataset = build_dataset(
+            store,
+            study_windows=STUDY_WINDOWS,
+            options=options_for(backend),
+        )
+        assert_datasets_equal(dataset, serial_dataset)
+        assert dataset.degraded is None
 
     def test_counters_and_gauges_identical_to_serial(
-        self, trace_paths, options_for, backend
+        self, store, options_for, backend
     ):
-        for path in trace_paths.values():
-            serial = build_dataset(path, study_windows=STUDY_WINDOWS)
-            dataset = build_dataset(
-                path,
-                study_windows=STUDY_WINDOWS,
-                options=options_for(backend),
-            )
-            assert dataset.metrics.counters == serial.metrics.counters
-            assert dataset.metrics.gauges == serial.metrics.gauges
+        serial = build_dataset(store, study_windows=STUDY_WINDOWS)
+        dataset = build_dataset(
+            store,
+            study_windows=STUDY_WINDOWS,
+            options=options_for(backend),
+        )
+        assert dataset.metrics.counters == serial.metrics.counters
+        assert dataset.metrics.gauges == serial.metrics.gauges
 
 
 # --------------------------------------------------------------------- #
@@ -164,78 +162,74 @@ class TestEquivalence:
 class TestFailurePolicy:
     @pytest.mark.parametrize("backend", IN_PROCESS_BACKENDS)
     def test_transient_failure_retried_to_clean_result(
-        self, trace_paths, serial_dataset, options_for, backend
+        self, store, serial_dataset, options_for, backend
     ):
-        for path in trace_paths.values():
-            registry = MetricsRegistry()
-            plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
-            with activate_metrics(registry), faultinject.inject(plan):
-                dataset = build_dataset(
-                    path,
-                    study_windows=STUDY_WINDOWS,
-                    options=options_for(backend),
-                )
-            assert dataset.degraded is None
-            assert_datasets_equal(dataset, serial_dataset)
-            assert registry.counter("fault.shard_retries") == 2
-            assert registry.counter("fault.shards_quarantined") == 0
+        registry = MetricsRegistry()
+        plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
+        with activate_metrics(registry), faultinject.inject(plan):
+            dataset = build_dataset(
+                store,
+                study_windows=STUDY_WINDOWS,
+                options=options_for(backend),
+            )
+        assert dataset.degraded is None
+        assert_datasets_equal(dataset, serial_dataset)
+        assert registry.counter("fault.shard_retries") == 2
+        assert registry.counter("fault.shards_quarantined") == 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_quarantine_accounting_identical(
-        self, trace_paths, options_for, backend, monkeypatch
+        self, store, options_for, backend, monkeypatch
     ):
         # Permanent kill of shard 1, activated via the environment so the
         # process pool's children see it too (budget per process, but a
         # permanent fault has no budget to diverge on).
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         monkeypatch.setenv(faultinject.ENV_VAR, plan.to_json())
-        for kind, path in trace_paths.items():
-            faultinject.reset()
-            serial = build_dataset(
-                path,
-                study_windows=STUDY_WINDOWS,
-                options=options_for("serial"),
-            )
-            faultinject.reset()
-            dataset = build_dataset(
-                path,
-                study_windows=STUDY_WINDOWS,
-                options=options_for(backend),
-            )
-            assert dataset.degraded is not None
-            assert _ledger_accounting(dataset.degraded) == _ledger_accounting(
-                serial.degraded
-            )
-            # What the plan knew of the lost shard: a store chunk's row
-            # count; nothing for a JSONL byte range (DegradedLedger).
-            planned = getattr(plan_chunks(path, 4)[1], "rows", None)
-            assert (planned is not None) == (kind == "store")
-            assert dataset.degraded.shards[0]["samples_lost"] == planned
-            # The worker-side error is named in every backend's ledger entry.
-            assert "injected fault" in dataset.degraded.shards[0]["error"]
-            # The surviving shards are identical to serial's survivors.
-            assert dataset.rows == serial.rows
-            assert [k for k, _ in dataset.store.items()] == [
-                k for k, _ in serial.store.items()
-            ]
+        faultinject.reset()
+        serial = build_dataset(
+            store,
+            study_windows=STUDY_WINDOWS,
+            options=options_for("serial"),
+        )
+        faultinject.reset()
+        dataset = build_dataset(
+            store,
+            study_windows=STUDY_WINDOWS,
+            options=options_for(backend),
+        )
+        assert dataset.degraded is not None
+        assert _ledger_accounting(dataset.degraded) == _ledger_accounting(
+            serial.degraded
+        )
+        # The loss is exact: the lost chunk's manifest row count.
+        planned = plan_chunks(store, 4)[1].rows
+        assert dataset.degraded.shards[0]["samples_lost"] == planned
+        assert dataset.degraded.samples_lost == planned
+        # The worker-side error is named in every backend's ledger entry.
+        assert "injected fault" in dataset.degraded.shards[0]["error"]
+        # The surviving shards are identical to serial's survivors.
+        assert dataset.rows == serial.rows
+        assert [k for k, _ in dataset.store.items()] == [
+            k for k, _ in serial.store.items()
+        ]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_strict_raises_shard_error_naming_the_shard(
-        self, trace_paths, options_for, backend, monkeypatch
+        self, store, options_for, backend, monkeypatch
     ):
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         monkeypatch.setenv(faultinject.ENV_VAR, plan.to_json())
-        for path in trace_paths.values():
-            faultinject.reset()
-            with pytest.raises(ShardError) as excinfo:
-                build_dataset(
-                    path,
-                    study_windows=STUDY_WINDOWS,
-                    options=options_for(backend, strict=True, max_retries=0),
-                )
-            assert excinfo.value.shard_id == 1
-            assert excinfo.value.attempts == 1
-            assert "injected fault" in str(excinfo.value)
+        faultinject.reset()
+        with pytest.raises(ShardError) as excinfo:
+            build_dataset(
+                store,
+                study_windows=STUDY_WINDOWS,
+                options=options_for(backend, strict=True, max_retries=0),
+            )
+        assert excinfo.value.shard_id == 1
+        assert excinfo.value.attempts == 1
+        assert "injected fault" in str(excinfo.value)
 
 
 # --------------------------------------------------------------------- #

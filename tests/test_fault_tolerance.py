@@ -69,11 +69,11 @@ def samples():
 
 
 @pytest.fixture(scope="module")
-def trace_paths(samples, tmp_path_factory):
-    """The stream saved once as a store and once as plain JSONL, for the
-    tests that only read (``store_path`` below is a copy to damage)."""
-    paths = write_trace_paths(tmp_path_factory.mktemp("fault-traces"), samples)
-    return {kind: paths[kind] for kind in ("store", "plain")}
+def trace_store(samples, tmp_path_factory):
+    """The stream saved as a store, for the tests that only read
+    (``store_path`` below is a copy to damage)."""
+    root = tmp_path_factory.mktemp("fault-traces")
+    return write_trace_paths(root, samples)["store"]
 
 
 @pytest.fixture()
@@ -774,66 +774,62 @@ def _options(**kwargs) -> ParallelOptions:
 class TestRetryAndQuarantine:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_transient_failure_retries_to_identical_result(
-        self, samples, trace_paths, executor, local_options
+        self, samples, trace_store, executor, local_options
     ):
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
-        for path in trace_paths.values():
-            registry = MetricsRegistry()
-            plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
-            with activate_metrics(registry), faultinject.inject(plan):
-                dataset = build_dataset(
-                    path,
-                    study_windows=STUDY_WINDOWS,
-                    options=local_options(
-                        executor, shards=4, workers=2, retry_backoff=0.0
-                    ),
-                )
-            assert dataset.degraded is None
-            assert dataset.rows == serial.rows
-            assert registry.counter("fault.shard_retries") == 2
-            assert registry.counter("fault.injected.shard_kills") == 2
-            assert registry.counter("fault.shards_quarantined") == 0
+        registry = MetricsRegistry()
+        plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
+        with activate_metrics(registry), faultinject.inject(plan):
+            dataset = build_dataset(
+                trace_store,
+                study_windows=STUDY_WINDOWS,
+                options=local_options(
+                    executor, shards=4, workers=2, retry_backoff=0.0
+                ),
+            )
+        assert dataset.degraded is None
+        assert dataset.rows == serial.rows
+        assert registry.counter("fault.shard_retries") == 2
+        assert registry.counter("fault.injected.shard_kills") == 2
+        assert registry.counter("fault.shards_quarantined") == 0
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_permanent_failure_quarantines_with_exact_counts(
-        self, trace_paths, executor, local_options
+        self, trace_store, executor, local_options
     ):
-        for kind, path in trace_paths.items():
-            registry = MetricsRegistry()
-            plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
-            with activate_metrics(registry), faultinject.inject(plan):
-                dataset = build_dataset(
-                    path,
-                    study_windows=STUDY_WINDOWS,
-                    options=local_options(
-                        executor, shards=4, workers=2, retry_backoff=0.0
-                    ),
-                )
-            ledger = dataset.degraded
-            assert isinstance(ledger, DegradedLedger)
-            assert ledger.shards_lost == 1
-            entry = ledger.shards[0]
-            assert entry["ordinal"] == 1
-            assert entry["attempts"] == 3  # 1 try + 2 retries (default)
-            assert "injected fault" in entry["error"]
-            # A store plan knows the exact loss (the chunk's manifest row
-            # count); a JSONL byte range counts lines only when read, so
-            # its loss is None and adds nothing to the known total.
-            planned = getattr(plan_chunks(path, 4)[1], "rows", None)
-            assert (planned is not None) == (kind == "store")
-            assert entry["samples_lost"] == planned
-            assert ledger.samples_lost == (planned or 0)
-            assert registry.counter("fault.shards_quarantined") == 1
-            assert registry.counter("fault.samples_lost") == (planned or 0)
-            # The surviving shards' samples are all present.
-            assert dataset.session_count > 0
+        registry = MetricsRegistry()
+        plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
+        with activate_metrics(registry), faultinject.inject(plan):
+            dataset = build_dataset(
+                trace_store,
+                study_windows=STUDY_WINDOWS,
+                options=local_options(
+                    executor, shards=4, workers=2, retry_backoff=0.0
+                ),
+            )
+        ledger = dataset.degraded
+        assert isinstance(ledger, DegradedLedger)
+        assert ledger.shards_lost == 1
+        entry = ledger.shards[0]
+        assert entry["ordinal"] == 1
+        assert entry["attempts"] == 3  # 1 try + 2 retries (default)
+        assert "injected fault" in entry["error"]
+        # The loss is exact: the chunk's manifest row count.
+        planned = plan_chunks(trace_store, 4)[1].rows
+        assert entry["samples_lost"] == planned
+        assert ledger.samples_lost == planned
+        assert f"); {planned} sample(s) lost, " in ledger.summary()
+        assert registry.counter("fault.shards_quarantined") == 1
+        assert registry.counter("fault.samples_lost") == planned
+        # The surviving shards' samples are all present.
+        assert dataset.session_count > 0
 
-    def test_strict_raises_shard_error(self, trace_paths):
+    def test_strict_raises_shard_error(self, trace_store):
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         with faultinject.inject(plan):
             with pytest.raises(ShardError) as excinfo:
                 build_dataset(
-                    trace_paths["store"],
+                    trace_store,
                     study_windows=STUDY_WINDOWS,
                     options=_options(strict=True),
                 )
@@ -841,26 +837,26 @@ class TestRetryAndQuarantine:
         assert excinfo.value.attempts == 3
         assert isinstance(excinfo.value.cause, RuntimeError)
 
-    def test_zero_retries_quarantines_immediately(self, trace_paths):
+    def test_zero_retries_quarantines_immediately(self, trace_store):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_shard={"ordinal": 0, "times": None})
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
-                trace_paths["plain"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_options(max_retries=0),
             )
         assert dataset.degraded.shards[0]["attempts"] == 1
         assert registry.counter("fault.shard_retries") == 0
 
-    def test_os_error_kind(self, trace_paths):
+    def test_os_error_kind(self, trace_store):
         plan = FaultPlan(
             kill_shard={"ordinal": 0, "times": None, "error": "os"}
         )
         with faultinject.inject(plan):
             with pytest.raises(ShardError) as excinfo:
                 build_dataset(
-                    trace_paths["store"],
+                    trace_store,
                     study_windows=STUDY_WINDOWS,
                     options=_options(strict=True, max_retries=0),
                 )
@@ -914,7 +910,7 @@ class TestRetryAndQuarantine:
         # ProcessPoolExecutor workers pick the plan up from REPRO_FAULTS.
         # A permanent kill exercises cross-process typed-error transport
         # (the exception pickles back to the parent) plus quarantine.
-        trace = tmp_path / "trace.jsonl"
+        trace = tmp_path / "trace.store"
         write_samples(trace, samples)
         plan = FaultPlan(kill_shard={"ordinal": 0, "times": None})
         monkeypatch.setenv(faultinject.ENV_VAR, plan.to_json())
@@ -927,12 +923,12 @@ class TestRetryAndQuarantine:
         assert dataset.degraded is not None
         assert dataset.degraded.shards[0]["ordinal"] == 0
 
-    def test_retry_log_names_shard(self, trace_paths, caplog):
+    def test_retry_log_names_shard(self, trace_store, caplog):
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": 1})
         with caplog.at_level(logging.WARNING, logger="repro.pipeline.parallel"):
             with faultinject.inject(plan):
                 build_dataset(
-                    trace_paths["plain"],
+                    trace_store,
                     study_windows=STUDY_WINDOWS,
                     options=_options(),
                 )
@@ -942,10 +938,10 @@ class TestRetryAndQuarantine:
         )
 
     def test_io_error_is_transient_and_retried(self, samples, tmp_path):
-        trace = tmp_path / "trace.jsonl"
+        trace = tmp_path / "trace.store"
         write_samples(trace, samples)
         registry = MetricsRegistry()
-        plan = FaultPlan(io_error={"times": 1, "path_substr": "trace.jsonl"})
+        plan = FaultPlan(io_error={"times": 1, "path_substr": "trace.store"})
         with activate_metrics(registry), faultinject.inject(plan):
             dataset = build_dataset(
                 trace,
@@ -961,6 +957,29 @@ class TestRetryAndQuarantine:
         assert not ledger
         assert ledger.to_dict()["shards_lost"] == 0
         assert "0 shard(s)" in ledger.summary()
+
+    def test_quarantine_charges_the_chunk_exactly(self):
+        """A quarantined shard's loss is its chunk's manifest row count and
+        partition count, read straight off the ``StoreChunk``."""
+        from repro.pipeline.parallel import _ShardTask
+        from repro.store import StoreChunk
+
+        ledger = DegradedLedger()
+        chunk = StoreChunk("/t.store", ordinal=40, partition_ids=(2, 5), rows=7)
+        ledger.quarantine(_ShardTask({}, chunk, ordinal=3), RuntimeError("x"), 3)
+        assert ledger.shards == [
+            {
+                "ordinal": 3,
+                "error": "RuntimeError: x",
+                "attempts": 3,
+                "samples_lost": 7,
+                "partitions_skipped": 2,
+            }
+        ]
+        assert ledger.summary() == (
+            "1 shard(s) quarantined (ordinal(s) 3); 7 sample(s) lost, "
+            "2 store partition(s) skipped, 0 retries"
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -992,12 +1011,14 @@ class TestBatchEngineFaults:
             )
         assert isinstance(excinfo.value.cause, CorruptBlockError)
 
-    def test_transient_failure_retries_to_row_identical_result(self, samples, trace_paths):
+    def test_transient_failure_retries_to_row_identical_result(
+        self, samples, trace_store
+    ):
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(samples))
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": 2})
         with faultinject.inject(plan):
             dataset = build_dataset(
-                trace_paths["store"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_options(),
             )
@@ -1024,11 +1045,11 @@ class TestNoFaultTransparency:
             assert dataset.rows == serial.rows
             assert dataset.degraded is None
 
-    def test_no_fault_counters_on_clean_runs(self, trace_paths):
+    def test_no_fault_counters_on_clean_runs(self, trace_store):
         registry = MetricsRegistry()
         with activate_metrics(registry):
             build_dataset(
-                trace_paths["store"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_options(),
             )
@@ -1038,12 +1059,12 @@ class TestNoFaultTransparency:
             if name.startswith("fault.")
         ]
 
-    def test_manifest_degraded_section(self, trace_paths):
+    def test_manifest_degraded_section(self, trace_store):
         registry = MetricsRegistry()
         plan = FaultPlan(kill_shard={"ordinal": 1, "times": None})
         with activate_metrics(registry), faultinject.inject(plan):
             build_dataset(
-                trace_paths["store"],
+                trace_store,
                 study_windows=STUDY_WINDOWS,
                 options=_options(),
             )

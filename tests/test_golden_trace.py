@@ -5,7 +5,8 @@ and ``golden_report.json`` the fig6/fig8/fig9 numbers it produced when
 committed. Any refactor of the ingestion, aggregation, or comparison layers
 that shifts these numbers — even in the last float bit — fails here and has
 to either be fixed or regenerate the fixture *deliberately* (see
-``tests/data/make_golden.py``).
+``tests/data/make_golden.py``). The sharded runs read the trace
+converted to a columnar store, the only source a sharded plan reads.
 """
 
 import json
@@ -23,7 +24,9 @@ from repro.pipeline import (
     read_samples,
 )
 
-from tests.helpers import in_process_pool  # noqa: F401
+from repro.pipeline.io import convert
+
+from tests.helpers import data_counters, in_process_pool  # noqa: F401
 
 DATA = pathlib.Path(__file__).parent / "data"
 TRACE = DATA / "golden_trace.jsonl.gz"
@@ -34,6 +37,13 @@ exact = pytest.approx  # readability: approx with tight rel below means "exact"
 @pytest.fixture(scope="module")
 def snapshot():
     return json.loads((DATA / "golden_report.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_store(tmp_path_factory):
+    store = tmp_path_factory.mktemp("golden") / "golden.store"
+    convert(TRACE, store)
+    return store
 
 
 @pytest.fixture(scope="module")
@@ -94,18 +104,20 @@ class TestGoldenTrace:
     def test_serial_pipeline_matches_snapshot(self, dataset, snapshot):
         assert_matches_snapshot(dataset, snapshot)
 
-    def test_parallel_pipeline_matches_snapshot(self, snapshot):
+    def test_parallel_pipeline_matches_snapshot(self, golden_store, snapshot):
         parallel = build_dataset(
-            TRACE,
+            golden_store,
             study_windows=snapshot["study_windows"],
             options=ParallelOptions(workers=1, shards=3),
         )
         assert_matches_snapshot(parallel, snapshot)
 
     @pytest.mark.usefixtures("in_process_pool")
-    def test_parallel_equals_serial_exactly(self, dataset, snapshot):
+    def test_parallel_equals_serial_exactly(
+        self, dataset, golden_store, snapshot
+    ):
         parallel = build_dataset(
-            TRACE,
+            golden_store,
             study_windows=snapshot["study_windows"],
             options=ParallelOptions(workers=2, shards=4),
         )
@@ -189,12 +201,16 @@ class TestGoldenMethodologyCounters:
 
     @pytest.mark.usefixtures("in_process_pool")
     def test_parallel_counters_match_serial_on_golden_trace(
-        self, counted, snapshot
+        self, counted, golden_store, snapshot
     ):
+        windows = snapshot["study_windows"]
+        serial = build_dataset(golden_store, study_windows=windows)
         parallel = build_dataset(
-            TRACE,
-            study_windows=snapshot["study_windows"],
+            golden_store,
+            study_windows=windows,
             options=ParallelOptions(workers=2, shards=3),
         )
-        assert parallel.metrics.counters == counted.metrics.counters
+        assert parallel.metrics.counters == serial.metrics.counters
         assert parallel.metrics.gauges == counted.metrics.gauges
+        # Only the read counters tell the store from the JSONL it came from.
+        assert data_counters(parallel) == data_counters(counted)

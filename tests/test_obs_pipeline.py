@@ -1,8 +1,10 @@
 """Observability through the pipeline: the counter-equality invariant.
 
-Counters and gauges are *data facts*: running the same trace on disk
-through any shard plan (any backend, any shard count, store or JSONL) must
-produce byte-identical counters and gauges to the one-pass fold. This
+Counters and gauges are *data facts*: running the same store through any
+shard plan (any backend, any shard count) must produce byte-identical
+counters and gauges to the one-pass fold, and the one-pass fold of the
+stream saved as JSONL differs from it only in the ``io.*`` / ``store.*``
+read counters. This
 mirrors the state-equality matrix in ``tests/test_pipeline_parallel.py``
 at the metrics layer. Timings (``timers``, ``shard_report``) are execution
 facts and are only checked for shape.
@@ -103,7 +105,7 @@ class TestInMemoryCounterEquality:
 
 
 class TestFileCounterEquality:
-    @pytest.mark.parametrize("kind,shards", [("plain", 1), ("plain", 3), ("gz", 2)])
+    @pytest.mark.parametrize("kind,shards", [("plain", 1), ("gz", 1), ("store", 3)])
     def test_chunked_serial(self, trace_paths, serial_dataset, kind, shards):
         dataset = build_dataset(
             trace_paths[kind],
@@ -119,26 +121,36 @@ class TestFileCounterEquality:
             make_trace_samples(600, seed=11, windows=STUDY_WINDOWS)
         )
 
-    def test_chunked_process(self, trace_paths, serial_dataset):
+    def test_chunked_process(self, trace_paths):
+        """The process pool over the store leaves the one-pass store fold's
+        counters byte for byte, and the one-pass JSONL fold's everywhere
+        but the ``store.*`` decode counters only a store read has."""
         dataset = build_dataset(
-            trace_paths["plain"],
+            trace_paths["store"],
             study_windows=STUDY_WINDOWS,
             options=ParallelOptions(workers=2, shards=3),
         )
-        baseline = build_dataset(trace_paths["plain"], study_windows=STUDY_WINDOWS)
+        baseline = build_dataset(trace_paths["store"], study_windows=STUDY_WINDOWS)
         assert_counters_equal(dataset, baseline)
+        jsonl = build_dataset(trace_paths["gz"], study_windows=STUDY_WINDOWS)
+        assert {
+            name: value
+            for name, value in dataset.metrics.counters.items()
+            if not name.startswith("store.")
+        } == jsonl.metrics.counters
+        assert dataset.metrics.gauges == jsonl.metrics.gauges
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("kind", ["store", "plain", "gz"])
     @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
     @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_full_matrix(self, trace_paths, kind, backend, shards, local_options):
+    def test_full_matrix(self, trace_paths, backend, shards, local_options):
+        store = trace_paths["store"]
         dataset = build_dataset(
-            trace_paths[kind],
+            store,
             study_windows=STUDY_WINDOWS,
             options=local_options(backend, shards),
         )
-        baseline = build_dataset(trace_paths[kind], study_windows=STUDY_WINDOWS)
+        baseline = build_dataset(store, study_windows=STUDY_WINDOWS)
         assert_counters_equal(dataset, baseline)
 
     def test_file_and_memory_agree_on_everything_but_io(

@@ -1,4 +1,4 @@
-"""Tests for JSONL trace serialization and chunked parallel reading."""
+"""Tests for JSONL trace serialization and the store-only shard planner."""
 
 import pathlib
 import json
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import faultinject
 from repro.core.records import (
     HttpVersion,
     Relationship,
@@ -14,11 +15,11 @@ from repro.core.records import (
     SessionSample,
     TransactionRecord,
 )
+from repro.kernels.engine import iter_batches
 from repro.pipeline.io import (
     convert,
     detect_format,
     plan_chunks,
-    read_chunk,
     read_samples,
     read_samples_stream,
     sample_from_dict,
@@ -26,16 +27,12 @@ from repro.pipeline.io import (
     write_samples,
 )
 
-from repro.obs import MetricsRegistry
+from repro.faultinject import FaultPlan
+from repro.obs import MetricsRegistry, activate_metrics
+from repro.pipeline import ParallelOptions, build_dataset
+from repro.store import TraceStoreReader
 
 from tests.helpers import make_route, make_sample, make_trace_samples
-
-
-def read_samples_chunked(path, num_chunks):
-    """``read_samples`` through the chunk planner (chunks concatenate in
-    file order)."""
-    for chunk in plan_chunks(path, num_chunks):
-        yield from (sample for _, sample in read_chunk(chunk))
 
 
 def sample_with_txns():
@@ -206,36 +203,25 @@ class TestPropertyRoundTrip:
     )
     @given(
         samples=st.lists(samples_strategy(), max_size=12),
-        blank_every=st.integers(min_value=0, max_value=3),
-        trailing_newline=st.booleans(),
-        gzip_file=st.booleans(),
         num_chunks=st.integers(min_value=1, max_value=6),
     )
-    @pytest.mark.filterwarnings("ignore:.*not seekable.*:RuntimeWarning")
     def test_chunked_reads_equal_whole_file(
-        self, samples, blank_every, trailing_newline, gzip_file, num_chunks, tmp_path_factory
+        self, samples, num_chunks, tmp_path_factory
     ):
-        import gzip as gzip_module
-
-        root = tmp_path_factory.mktemp("chunked")
-        path = root / ("trace.jsonl.gz" if gzip_file else "trace.jsonl")
-        lines = []
-        for index, sample in enumerate(samples):
-            lines.append(json.dumps(sample_to_dict(sample)))
-            if blank_every and index % blank_every == 0:
-                lines.append("")  # blank lines must be skipped everywhere
-        text = "\n".join(lines)
-        if trailing_newline and text:
-            text += "\n"
-        if gzip_file:
-            with gzip_module.open(path, "wt", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            path.write_text(text, encoding="utf-8")
-
-        whole = list(read_samples(path))
-        chunked = list(read_samples_chunked(path, num_chunks))
-        assert chunked == whole == samples
+        """A store read chunk by chunk and merged on ``seq`` is the store
+        read in one pass, which is the stream that was written."""
+        path = tmp_path_factory.mktemp("chunked") / "trace.store"
+        write_samples(path, samples)
+        reader = TraceStoreReader(path)
+        partitions = {partition["id"]: partition for partition in reader.partitions}
+        pairs = [
+            pair
+            for chunk in plan_chunks(path, num_chunks)
+            for partition_id in chunk.partition_ids
+            for pair in reader.decode_partition(partitions[partition_id])
+        ]
+        pairs.sort(key=lambda pair: pair[0])
+        assert [sample for _, sample in pairs] == list(read_samples(path)) == samples
 
     @settings(
         max_examples=20,
@@ -245,48 +231,48 @@ class TestPropertyRoundTrip:
     @given(
         samples=st.lists(samples_strategy(), min_size=1, max_size=10),
         num_chunks=st.integers(min_value=1, max_value=5),
-        gzip_file=st.booleans(),
     )
-    @pytest.mark.filterwarnings("ignore:.*not seekable.*:RuntimeWarning")
     def test_chunk_order_keys_are_global_and_monotone(
-        self, samples, num_chunks, gzip_file, tmp_path_factory
+        self, samples, num_chunks, tmp_path_factory
     ):
-        root = tmp_path_factory.mktemp("keys")
-        path = root / ("trace.jsonl.gz" if gzip_file else "trace.jsonl")
+        """What a shard decodes (``iter_batches``) is keyed by store
+        sequence numbers: ascending within a partition, a chunk's smallest
+        is its ``ordinal``, its count is its ``rows``, and the chunks
+        together hold every stream position exactly once."""
+        path = tmp_path_factory.mktemp("keys") / "trace.store"
         write_samples(path, samples)
         chunks = plan_chunks(path, num_chunks)
-        assert len(chunks) <= num_chunks
+        assert 1 <= len(chunks) <= num_chunks
         keys = []
-        restored = []
         for chunk in chunks:
-            for key, sample in read_chunk(chunk):
-                keys.append(key)
-                restored.append(sample)
-        assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        assert restored == samples
+            chunk_keys = []
+            for batch in iter_batches(chunk):
+                batch_keys = list(batch.order_keys)
+                assert batch_keys == sorted(batch_keys)
+                chunk_keys.extend(batch_keys)
+            assert chunk.ordinal == min(chunk_keys)
+            assert chunk.rows == len(chunk_keys)
+            keys.extend(chunk_keys)
+        assert sorted(keys) == list(range(len(samples)))
 
 
 class TestChunkPlanning:
+    """A shard plan splits a columnar store's partitions, and nothing else."""
+
     def test_empty_file_has_no_chunks(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
+        path = tmp_path / "empty.store"
+        write_samples(path, [])
         assert plan_chunks(path, 4) == []
 
     def test_zero_chunks_rejected(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.store"
         write_samples(path, [sample_with_txns()])
         with pytest.raises(ValueError):
             plan_chunks(path, 0)
 
-    def test_chunk_paths_are_resolved(self, tmp_path, monkeypatch):
+    def test_store_chunk_paths_are_resolved(self, tmp_path, monkeypatch):
         # Chunks ship to worker daemons whose CWD is not the planner's
         # (DESIGN.md §13): a relative path must be pinned at plan time.
-        write_samples(tmp_path / "trace.jsonl", [sample_with_txns()])
-        monkeypatch.chdir(tmp_path)
-        for chunk in plan_chunks("trace.jsonl", 2):
-            assert pathlib.Path(chunk.path).is_absolute()
-
-    def test_store_chunk_paths_are_resolved(self, tmp_path, monkeypatch):
         write_samples(tmp_path / "t.jsonl", [sample_with_txns()])
         convert(tmp_path / "t.jsonl", tmp_path / "t.store")
         monkeypatch.chdir(tmp_path)
@@ -294,33 +280,49 @@ class TestChunkPlanning:
             assert pathlib.Path(chunk.path).is_absolute()
 
     def test_chunks_cover_file_without_overlap(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_samples(path, [sample_with_txns() for _ in range(25)])
+        """``plan_chunks`` is the store reader's plan: contiguous runs of
+        the manifest's partitions, each planned once, whose rows add up to
+        the store's."""
+        path = tmp_path / "trace.store"
+        write_samples(path, make_trace_samples(200, seed=3, windows=8))
+        reader = TraceStoreReader(path)
         chunks = plan_chunks(path, 4)
-        assert chunks[0].start_byte == 0
-        assert chunks[-1].end_byte == path.stat().st_size
-        for previous, current in zip(chunks, chunks[1:]):
-            assert previous.end_byte == current.start_byte
+        assert chunks == reader.plan_chunks(4)
+        assert 1 < len(chunks) <= 4
+        planned = [pid for chunk in chunks for pid in chunk.partition_ids]
+        assert planned == [partition["id"] for partition in reader.partitions]
+        assert sum(chunk.rows for chunk in chunks) == reader.row_count == 200
 
-    def test_more_chunks_than_lines(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_samples(path, [sample_with_txns(), sample_with_txns()])
-        restored = list(read_samples_chunked(path, 10))
-        assert len(restored) == 2
-
-    def test_corrupt_chunk_line_reports_location(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_samples(path, [sample_with_txns()])
-        with open(path, "a") as handle:
-            handle.write("{not json}\n")
-        with pytest.raises(ValueError, match="invalid JSON"):
-            list(read_samples_chunked(path, 2))
+    @pytest.mark.parametrize("name", ["trace.jsonl", "trace.jsonl.gz"])
+    def test_jsonl_is_refused_before_a_byte_is_read(self, tmp_path, name):
+        """``plan_chunks`` and every sharded ``build_dataset`` refuse JSONL
+        naming ``repro convert``, and open nothing: a one-shot I/O fault
+        armed on the path is still armed afterwards."""
+        path = tmp_path / name
+        write_samples(path, [sample_with_txns() for _ in range(4)])
+        registry = MetricsRegistry()
+        plan = FaultPlan(io_error={"times": 1, "path_substr": name})
+        sharded = (
+            ParallelOptions(shards=2),
+            ParallelOptions(workers=2),
+            ParallelOptions(worker_addrs=("127.0.0.1:1",)),
+        )
+        with activate_metrics(registry), faultinject.inject(plan):
+            with pytest.raises(ValueError, match="repro convert"):
+                plan_chunks(path, 2)
+            for options in sharded:
+                with pytest.raises(ValueError, match="repro convert"):
+                    build_dataset(path, study_windows=4, options=options)
+            assert registry.counter("fault.injected.io_errors") == 0
+            with pytest.raises(OSError, match="injected fault"):
+                list(read_samples(path))
+        assert registry.counter("fault.injected.io_errors") == 1
 
 
 class TestBadLineIsNamedExactly:
-    """One line decoder (``_decode_line``), five ways to reach it: each
-    names a bad third line by its own location label and leaves the same
-    ledger — the two good rows read, one decode error."""
+    """One line decoder (``read_samples_stream``), three ways to reach it:
+    each names a bad third line by its own location label and leaves the
+    same ledger — the two good rows read, one decode error."""
 
     @staticmethod
     def _lines():
@@ -364,27 +366,6 @@ class TestBadLineIsNamedExactly:
             read_samples_stream(handle, metrics=registry),
             "<stream>:3",
             registry,
-        )
-
-    def test_byte_range_chunk(self, tmp_path):
-        path = self._write(tmp_path / "trace.jsonl")
-        (chunk,) = plan_chunks(path, 1)
-        assert chunk.byte_range
-        offset = 2 * (len(self._lines()[0].encode("utf-8")) + 1)
-        registry = MetricsRegistry()
-        self._assert_bad_line(
-            read_chunk(chunk, metrics=registry),
-            f"{chunk.path}@byte {offset}",
-            registry,
-        )
-
-    def test_line_block_chunk(self, tmp_path):
-        path = self._write(tmp_path / "trace.jsonl.gz", gzip_file=True)
-        (chunk,) = plan_chunks(path, 1)
-        assert not chunk.byte_range
-        registry = MetricsRegistry()
-        self._assert_bad_line(
-            read_chunk(chunk, metrics=registry), f"{chunk.path}:3", registry
         )
 
 
@@ -447,65 +428,6 @@ class TestAtomicWrites:
         write_samples(path, [sample_with_txns()])
         with gzip_module.open(path, "rt", encoding="utf-8") as handle:
             assert json.loads(handle.readline())["v"] == 1
-
-
-class TestGzipChunkFallback:
-    def test_multi_chunk_gzip_plan_warns_and_counts(self, tmp_path):
-        from repro.obs import MetricsRegistry, activate_metrics
-
-        path = tmp_path / "t.jsonl.gz"
-        write_samples(path, [sample_with_txns() for _ in range(8)])
-        registry = MetricsRegistry()
-        with activate_metrics(registry):
-            with pytest.warns(RuntimeWarning, match="not seekable"):
-                chunks = plan_chunks(path, 4)
-        assert len(chunks) > 1
-        # An execution fact, recorded process-wide — never in a dataset's
-        # registry, where it would break serial-vs-parallel counter
-        # equality (serial ingestion never plans chunks).
-        assert registry.counter("io.gzip_chunk_fallback") == 1
-
-    def test_warns_once_per_path_but_counts_every_plan(self, tmp_path):
-        import warnings
-
-        from repro.obs import MetricsRegistry, activate_metrics
-
-        path = tmp_path / "t.jsonl.gz"
-        write_samples(path, [sample_with_txns() for _ in range(8)])
-        registry = MetricsRegistry()
-        with activate_metrics(registry):
-            with pytest.warns(RuntimeWarning, match="not seekable"):
-                plan_chunks(path, 4)
-            # Same path again: the counter keeps the tally, the warning
-            # does not repeat (one actionable line per file per process).
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                plan_chunks(path, 4)
-        assert registry.counter("io.gzip_chunk_fallback") == 2
-
-        # A different gzip path is new information and warns afresh.
-        other = tmp_path / "other.jsonl.gz"
-        write_samples(other, [sample_with_txns() for _ in range(8)])
-        with pytest.warns(RuntimeWarning, match="not seekable"):
-            plan_chunks(other, 4)
-
-    def test_single_chunk_gzip_plan_is_silent(self, tmp_path):
-        import warnings
-
-        path = tmp_path / "t.jsonl.gz"
-        write_samples(path, [sample_with_txns()])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plan_chunks(path, 1)
-
-    def test_plain_jsonl_plan_is_silent(self, tmp_path):
-        import warnings
-
-        path = tmp_path / "t.jsonl"
-        write_samples(path, [sample_with_txns() for _ in range(8)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plan_chunks(path, 4)
 
 
 class TestAnalysisOverRestoredTrace:

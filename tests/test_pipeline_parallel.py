@@ -1,11 +1,13 @@
 """Equivalence tests: the sharded parallel pipeline vs the serial pass.
 
 The contract under test (see ``repro/pipeline/parallel.py``): for any shard
-count and any backend, ``build_dataset`` over a trace on disk (store, plain
-JSONL, gzip JSONL) produces a ``StudyDataset`` whose state — rows in stream order, aggregation-store insertion order, raw
-per-aggregation value lists, filter counters — is **exactly** equal to the
-serial pass, and therefore every derived statistic (per-group medians,
-McKean–Schrader CIs, window tables, figure results) is exactly equal too.
+count and any backend, ``build_dataset`` over a columnar store produces a
+``StudyDataset`` whose state — rows in stream order, aggregation-store
+insertion order, raw per-aggregation value lists, filter counters — is
+**exactly** equal to the serial pass (as is the one-pass fold of the same
+stream saved as plain or gzip JSONL), and therefore every derived
+statistic (per-group medians, McKean–Schrader CIs, window tables, figure
+results) is exactly equal too.
 """
 
 import math
@@ -98,20 +100,12 @@ def assert_datasets_equal(parallel: StudyDataset, serial: StudyDataset) -> None:
 # File-backed (chunk-sharded) equivalence
 # --------------------------------------------------------------------- #
 class TestFileEquivalence:
-    @pytest.mark.parametrize("kind,shards", [("plain", 1), ("plain", 3), ("gz", 2)])
+    @pytest.mark.parametrize("kind,shards", [("plain", 1), ("gz", 1), ("store", 3)])
     def test_chunked_serial(self, trace_paths, serial_dataset, kind, shards):
         dataset = build_dataset(
             trace_paths[kind],
             study_windows=STUDY_WINDOWS,
             options=ParallelOptions(workers=1, shards=shards),
-        )
-        assert_datasets_equal(dataset, serial_dataset)
-
-    def test_chunked_process(self, trace_paths, serial_dataset):
-        dataset = build_dataset(
-            trace_paths["plain"],
-            study_windows=STUDY_WINDOWS,
-            options=ParallelOptions(workers=2, shards=3),
         )
         assert_datasets_equal(dataset, serial_dataset)
 
@@ -127,14 +121,13 @@ class TestFileEquivalence:
         assert_datasets_equal(dataset, serial_dataset)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("kind", ["store", "plain", "gz"])
     @pytest.mark.parametrize("backend", LOCAL_BACKENDS)
     @pytest.mark.parametrize("shards", [1, 2, 5, 8])
     def test_full_matrix(
-        self, trace_paths, serial_dataset, kind, backend, shards, local_options
+        self, trace_paths, serial_dataset, backend, shards, local_options
     ):
         dataset = build_dataset(
-            trace_paths[kind],
+            trace_paths["store"],
             study_windows=STUDY_WINDOWS,
             options=local_options(backend, shards),
         )
@@ -147,14 +140,13 @@ class TestFileEquivalence:
         randomized = make_trace_samples(400, seed=seed, windows=STUDY_WINDOWS)
         serial = StudyDataset(study_windows=STUDY_WINDOWS).ingest(iter(randomized))
         paths = write_trace_paths(tmp_path, randomized)
-        for kind in ("store", "plain"):
-            for shards in (1, 2, 4, 8):
-                dataset = build_dataset(
-                    paths[kind],
-                    study_windows=STUDY_WINDOWS,
-                    options=local_options(backend, shards, workers=2),
-                )
-                assert_datasets_equal(dataset, serial)
+        for shards in (1, 2, 4, 8):
+            dataset = build_dataset(
+                paths["store"],
+                study_windows=STUDY_WINDOWS,
+                options=local_options(backend, shards, workers=2),
+            )
+            assert_datasets_equal(dataset, serial)
 
 
 # --------------------------------------------------------------------- #
@@ -197,14 +189,14 @@ class TestSharding:
         ids=["shards", "workers", "worker_addrs"],
     )
     def test_sharded_plan_over_a_stream_is_refused_unread(self, samples, sharded):
-        # A shard task names bytes on disk; a stream has none. Refused
+        # A shard task names a store on disk; a stream has none. Refused
         # before the first sample is drawn, and the message says what to
         # do instead.
         stream = iter(samples)
-        with pytest.raises(ValueError, match="trace on disk") as excinfo:
+        with pytest.raises(ValueError, match="reads a columnar store") as excinfo:
             build_dataset(stream, study_windows=STUDY_WINDOWS, options=sharded)
         assert "write_samples" in str(excinfo.value)
-        assert "repro trace" in str(excinfo.value)
+        assert "repro convert" in str(excinfo.value)
         assert next(stream) is samples[0]
 
     def test_stream_with_default_options_folds_in_one_pass(
@@ -218,12 +210,13 @@ class TestSharding:
             assert dataset.shard_report == []
 
     def test_empty_source(self, tmp_path):
-        for name in ("empty.jsonl", "empty.store"):
+        for name, options in (
+            ("empty.jsonl", None),
+            ("empty.store", ParallelOptions(workers=1, shards=4)),
+        ):
             write_samples(tmp_path / name, [])
             dataset = build_dataset(
-                tmp_path / name,
-                study_windows=4,
-                options=ParallelOptions(workers=1, shards=4),
+                tmp_path / name, study_windows=4, options=options
             )
             assert dataset.session_count == 0
             assert len(dataset.store) == 0
@@ -241,10 +234,10 @@ class TestSharding:
                 "client_ip_is_hosting": False,
             }
         )
-        write_samples(tmp_path / "broken.jsonl", broken)
+        write_samples(tmp_path / "broken.store", broken)
         with pytest.raises(ShardError, match="route") as excinfo:
             build_dataset(
-                tmp_path / "broken.jsonl",
+                tmp_path / "broken.store",
                 study_windows=STUDY_WINDOWS,
                 options=ParallelOptions(workers=1, shards=2, strict=True),
             )
@@ -252,9 +245,9 @@ class TestSharding:
         assert isinstance(excinfo.value.cause, ValueError)
 
     def test_dataset_kwargs_forwarded(self, samples, tmp_path):
-        write_samples(tmp_path / "head.jsonl", samples[:50])
+        write_samples(tmp_path / "head.store", samples[:50])
         dataset = build_dataset(
-            tmp_path / "head.jsonl",
+            tmp_path / "head.store",
             study_windows=STUDY_WINDOWS,
             keep_response_sizes=False,
             compute_naive=True,

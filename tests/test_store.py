@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from repro.core.aggregation import window_index
 from repro.kernels.columns import ColumnBatch
-from repro.kernels.engine import batches_from_pairs, iter_batches
+from repro.kernels.engine import iter_batches
 from repro.obs import MetricsRegistry
-from repro.pipeline.io import plan_chunks, read_chunk, read_samples, write_samples
+from repro.pipeline.io import read_samples, write_samples
 from repro.store import (
     DEFAULT_BAND_WINDOWS,
     STORE_FORMAT_VERSION,
     ScanFilter,
     StoreAppender,
-    StoreChunk,
     TraceStoreReader,
     TraceStoreWriter,
     TruncatedPartitionError,
@@ -811,29 +810,23 @@ class TestChunkPlanning:
             assert [batch_rows(b) for b in got] == [batch_rows(b) for b in expected]
             assert dispatched.counters == direct.counters
 
-    @pytest.mark.parametrize("name", ["t.jsonl", "t.jsonl.gz"])
-    @pytest.mark.filterwarnings("ignore:.*not seekable.*:RuntimeWarning")
-    def test_iter_batches_over_a_jsonl_chunk_keeps_its_order_keys(
-        self, tmp_path, trace_samples, name
-    ):
-        """JSONL-chunk arm (byte ranges and line blocks): the chunk reader's
-        (order key, sample) pairs, sliced into batches."""
-        path = tmp_path / name
-        write_samples(path, trace_samples[:300])
-        chunks = plan_chunks(path, 3)
-        assert len(chunks) == 3
-        for chunk in chunks:
-            direct, dispatched = MetricsRegistry(), MetricsRegistry()
-            expected = batches_from_pairs(read_chunk(chunk, metrics=direct))
-            got = iter_batches(chunk, metrics=dispatched)
-            assert [batch_rows(b) for b in got] == [batch_rows(b) for b in expected]
-            assert dispatched.counters == direct.counters
-
     def test_store_chunk_is_picklable(self, store_path):
         import pickle
 
         chunk = TraceStoreReader(store_path).plan_chunks(2)[0]
         assert pickle.loads(pickle.dumps(chunk)) == chunk
+
+    def test_store_chunk_rows_are_required(self, store_path):
+        """A chunk always states its manifest row count: there is no
+        "unknown" for a quarantined shard's loss to fall back on."""
+        from repro.store import StoreChunk
+
+        with pytest.raises(TypeError, match="rows"):
+            StoreChunk(path=str(store_path), ordinal=0, partition_ids=(0,))
+        chunks = TraceStoreReader(store_path).plan_chunks(3)
+        assert sum(chunk.rows for chunk in chunks) == TraceStoreReader(
+            store_path
+        ).row_count
 
 
 class TestStoreJsonlEquivalence:
