@@ -36,6 +36,7 @@ column dict directly — the store fast path that never builds records.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.records import HttpVersion, RouteInfo, SessionSample
@@ -43,6 +44,18 @@ from repro.core.records import HttpVersion, RouteInfo, SessionSample
 __all__ = ["ColumnBatch"]
 
 _HTTP2_VALUE = HttpVersion.HTTP_2.value
+
+#: One entry per row (``media_lens`` and ``txn_lens`` included).
+_ROW_COLUMNS = (
+    "order_keys", "start_times", "end_times", "is_http2", "min_rtts",
+    "bytes_sents", "busy_times", "pops", "countries", "continents",
+    "hostings", "geo_tags", "routes", "media_lens", "txn_lens",
+)
+#: One entry per transaction, counted by ``txn_lens``.
+_TXN_COLUMNS = (
+    "txn_fbt", "txn_ack", "txn_resp", "txn_last", "txn_cwnd",
+    "txn_inflight", "txn_lbwt",
+)
 
 
 class ColumnBatch:
@@ -101,6 +114,24 @@ class ColumnBatch:
 
     def __len__(self) -> int:
         return len(self.order_keys)
+
+    def take(self, rows: List[int]) -> "ColumnBatch":
+        """Rows ``rows`` (ascending indices) as a batch of their own, with
+        their transactions and media sizes; order keys stay non-decreasing."""
+        batch = ColumnBatch()
+        for name in _ROW_COLUMNS:
+            column = getattr(self, name)
+            setattr(batch, name, [column[i] for i in rows])
+        for lens, children in (
+            (self.txn_lens, _TXN_COLUMNS),
+            (self.media_lens, ("media_values",)),
+        ):
+            starts = [0, *accumulate(lens)]
+            flat = [j for i in rows for j in range(starts[i], starts[i + 1])]
+            for name in children:
+                column = getattr(self, name)
+                setattr(batch, name, [column[j] for j in flat])
+        return batch
 
     # ------------------------------------------------------------------ #
     @classmethod

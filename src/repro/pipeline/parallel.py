@@ -61,7 +61,7 @@ import pathlib
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import faultinject
@@ -77,6 +77,7 @@ from repro.pipeline.dataset import SessionRow, StudyDataset
 from repro.pipeline.filters import FilterStats
 from repro.pipeline.io import PathLike, detect_format, plan_chunks
 from repro.store import StoreChunk
+from repro.store.schema import gc_paused
 
 __all__ = [
     "DegradedLedger",
@@ -329,32 +330,48 @@ class _ShardTask:
     ordinal: int = 0
 
 
-def _run_shard(task: _ShardTask) -> ShardResult:
-    """Ingest one partition through the column-batch kernels.
+def _fold(batches: Iterable, dataset_kwargs: dict, ordinal: int = 0) -> ShardResult:
+    """Fold column batches through one batch ingestor into a ShardResult.
 
-    The batch ingestor's finalized rows/aggregations are already in the
-    (order key, payload) shapes :func:`_merge_results` consumes.
+    A shard's fold and a served partial's (:mod:`repro.serve.engine`): the
+    finalized rows/aggregations are already in the (order key, payload)
+    shapes :func:`_merge_results` consumes. Cyclic GC is paused across the
+    fold, batch decoding included.
     """
     # Imported here, not at module top: repro.kernels.engine imports
     # repro.pipeline.filters, whose package __init__ imports this module.
-    from repro.kernels.engine import BatchIngestor, iter_batches
+    from repro.kernels.engine import BatchIngestor
 
-    faultinject.check_shard(task.ordinal)
-    start = time.perf_counter()
-    ingestor = BatchIngestor(**task.dataset_kwargs)
+    ingestor = BatchIngestor(**dataset_kwargs)
     samples_ingested = 0
-    for batch in iter_batches(task.chunk, metrics=ingestor.metrics):
-        samples_ingested += len(batch)
-        ingestor.ingest_batch(batch)
-    rows, aggregations = ingestor.finalize()
-    result = ShardResult(
-        ordinal=task.ordinal,
+    with gc_paused():
+        for batch in batches:
+            samples_ingested += len(batch)
+            ingestor.ingest_batch(batch)
+        rows, aggregations = ingestor.finalize()
+    return ShardResult(
+        ordinal=ordinal,
         rows=rows,
         aggregations=aggregations,
         filter_stats=ingestor.filter_stats,
         metrics=ingestor.metrics,
         samples_ingested=samples_ingested,
     )
+
+
+def _run_shard(task: _ShardTask) -> ShardResult:
+    """Decode and fold one chunk's partitions through the column kernels."""
+    from repro.kernels.engine import iter_batches
+
+    faultinject.check_shard(task.ordinal)
+    start = time.perf_counter()
+    decoded = MetricsRegistry()
+    result = _fold(
+        iter_batches(task.chunk, metrics=decoded),
+        task.dataset_kwargs,
+        task.ordinal,
+    )
+    result.metrics.merge(decoded)
     result.wall_seconds = time.perf_counter() - start
     return result
 
@@ -544,7 +561,13 @@ def _execute(
 
 
 def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> StudyDataset:
-    """Fold shard results into ``dataset``, restoring exact serial order."""
+    """Fold shard results into ``dataset``, restoring exact serial order.
+
+    Copy-on-merge: no result is mutated. A key with one piece installs
+    that piece; a key with several gets a fresh aggregation. So merging
+    the same results twice — a served query over cached partials
+    (:mod:`repro.serve.engine`) — yields the same dataset twice.
+    """
     indexed_rows: List[Tuple[int, SessionRow]] = []
     parts: Dict[AggregationKey, List[Tuple[int, Aggregation]]] = {}
     for result in results:
@@ -567,8 +590,14 @@ def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> Stu
     for key in sorted(parts, key=lambda k: min(i for i, _ in parts[k])):
         pieces = sorted(parts[key], key=lambda item: item[0])
         merged = pieces[0][1]
-        for _, piece in pieces[1:]:
-            merged.merge(piece)
+        if len(pieces) > 1:
+            merged = replace(
+                merged,
+                min_rtts_ms=list(merged.min_rtts_ms),
+                hdratios=list(merged.hdratios),
+            )
+            for _, piece in pieces[1:]:
+                merged.merge(piece)
         dataset.store.put(key, merged)
     return dataset
 
@@ -640,9 +669,10 @@ def build_dataset(
                 )
 
                 ingestor = BatchIngestor(**dataset_kwargs)
-                for batch in iter_batches(source, metrics=ingestor.metrics):
-                    ingestor.ingest_batch(batch)
-                fold_into_dataset(dataset, ingestor)
+                with gc_paused():
+                    for batch in iter_batches(source, metrics=ingestor.metrics):
+                        ingestor.ingest_batch(batch)
+                    fold_into_dataset(dataset, ingestor)
         else:
             with span("plan"):
                 tasks = [

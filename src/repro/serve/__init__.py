@@ -19,13 +19,14 @@ Endpoints (all GET, canonical sorted-key JSON):
   (§9 failure model), optional full CRC audit via ``?verify=1``.
 
 Numbers are *defined* to be the batch pipeline's numbers: every query
-resolves through the same dataset fold and figure drivers the CLI runs,
-so the serving layer inherits the equivalence-to-serial contract
-(byte-identical cold/warm/serial/threaded — ``tests/test_serve_api.py``).
+resolves through the same column fold, shard merger and figure drivers
+the CLI runs, so the serving layer inherits the equivalence-to-serial
+contract (byte-identical cold/warm/serial/threaded —
+``tests/test_serve_api.py``).
 
-Layering: :mod:`repro.serve.cache` (exactly-accounted LRU of sealed
-aggregations) → :mod:`repro.serve.engine` (ScanFilter-pruned query
-resolution, generation-based invalidation on ``append_to_store``, typed
+Layering: :mod:`repro.serve.cache` (exactly-accounted LRU of query
+results) → :mod:`repro.serve.engine` (per-partition partials merged on
+demand, generation-based invalidation on ``append_to_store``, typed
 400/503 mapping) → :mod:`repro.serve.server` (deterministic HTTP
 renderer). ``repro serve`` is the CLI entry point; DESIGN.md §12 is the
 spec.

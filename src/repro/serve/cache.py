@@ -2,11 +2,11 @@
 
 :class:`LruCache` is a deliberately small, exactly-accounted LRU map. The
 serving engine (:mod:`repro.serve.engine`) keys it by the normalized query
-coordinates — (profile, PoPs, countries, window band) — and stores
-what one ``build_dataset`` call over that slice of the store returned (a
-:class:`~repro.pipeline.dataset.StudyDataset`) plus its rendered response
-memo as the value, the same shape the lazy spatial caches the ROADMAP
-points at use for repeated-key workloads.
+coordinates — (profile, PoPs, countries, window band) — and stores the
+:class:`~repro.pipeline.dataset.StudyDataset` merged for that slice of
+the store plus its rendered response memo as the value, the same shape
+the lazy spatial caches the ROADMAP points at use for repeated-key
+workloads.
 
 Accounting is part of the contract, not a nicety: every ``get`` is exactly
 one hit or one miss, every capacity overflow is exactly one eviction of the

@@ -1,8 +1,9 @@
 """Query engine: the serving layer's store-backed resolver.
 
 :class:`QueryEngine` answers the four ``/v1`` endpoints over a sealed
-columnar store (:mod:`repro.store`). Every query resolves through the same
-code path the batch CLI runs — :func:`~repro.pipeline.parallel.build_dataset`,
+columnar store (:mod:`repro.store`). Every query resolves through the
+batch pipeline's own pieces — the column kernels and the sharded merge of
+:mod:`repro.pipeline.parallel`, then
 :func:`~repro.pipeline.experiments.fig6_global_performance`,
 :func:`~repro.pipeline.routing_analysis.fig9_opportunity`, the §5
 verdict/classification stack — so a served number is *defined* to be the
@@ -12,24 +13,35 @@ contract; ``tests/test_serve_api.py`` pins it byte-for-byte).
 Resolution pipeline per query:
 
 1. **Generation check.** The manifest's ``(row_count, data_bytes,
-   partitions)`` triple is the store's *generation*; an append or a
-   compaction changes it, which flushes the whole cache. Each request
+   partitions)`` triple is the store's *generation*; an append, a
+   rewrite or a compaction moves it or a partition's key (step 3), which
+   flushes the query cache. Each request
    ``stat``s the manifest (:func:`~repro.store.writer.manifest_identity`,
    the appender's rule) and re-parses it only when that identity moved,
    read before the parse so a racing publish shows next request. Appends
    only add bytes past the previous manifest's range, so a concurrent
-   reader always observes a consistent snapshot.
-2. **Cache lookup.** Aggregations are cached in an :class:`~repro.serve.cache.LruCache`
+   reader always observes a consistent snapshot. The parse also opens the
+   generation's one :class:`~repro.store.TraceStoreReader` and re-derives
+   the study shape (``window_seconds``, and ``study_windows`` unless
+   pinned).
+2. **Cache lookup.** Query results are cached in an :class:`~repro.serve.cache.LruCache`
    keyed by the normalized query coordinates — (profile, PoPs,
    countries, window band) — with exact hit/miss/eviction accounting.
-3. **Build on miss.** One ``build_dataset`` call, whatever the query: its
-   source is the store path, or — for a filtered query — the scan a
-   :class:`ScanFilter` has pruned from the manifest before any data byte
-   is read. Window bounds are enforced exactly: the filter's inclusive
-   time range over-admits at most the band boundary, and a row-level
-   ``window_index`` predicate drops the overshoot. A build's data
-   counters (``pipeline.*``, ``store.*``, ...) land in the serving
-   registry exactly once, whether or not it is the activated one.
+3. **Merge on miss.** The engine keeps one *partial* per (profile, store
+   partition): the partition decoded once and folded through the column
+   kernels, split by *cell* — (PoP, country, window in the profile's
+   units), the coordinates every filter names — into one
+   :class:`~repro.pipeline.parallel.ShardResult` per cell. A cold query
+   prunes partitions on the manifest with a :class:`ScanFilter`, builds
+   the partials it lacks, keeps the cells its filters admit and merges
+   them with the sharded pipeline's merger, so its dataset is the one
+   ``build_dataset`` folds from the filtered stream: rows, aggregations,
+   filter stats and data counters. A partial is keyed by the data file's
+   ``(st_dev, st_ino)`` and the partition's byte range, row count and
+   block CRCs: an append keeps every earlier partial, an in-place
+   rewrite or a compaction swap drops them all. A partial's data
+   counters (``pipeline.*``, ``store.*``, ...) land in the engine's
+   registry once, when it is built.
 4. **Render.** Responses are JSON-ready dicts memoized per (endpoint,
    params) on the cache entry, so a warm response is byte-identical to the
    cold one by construction.
@@ -43,12 +55,15 @@ the engine's quarantine ledger, and surfaced by ``/v1/health`` as a
 Thread safety: one re-entrant lock serializes request handling, which is
 what makes ``serve.*`` counters sum exactly to per-client totals under a
 concurrent fleet (``tests/test_serve_concurrency.py``). A cache hit costs
-a ``stat`` under the lock; only cold builds pay a scan.
+a ``stat`` under the lock; a cold query merges partials and decodes only
+partitions no earlier query built.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import pathlib
 import threading
 from typing import Dict, List, Optional, Tuple, Union
@@ -59,10 +74,10 @@ from repro.core.constants import (
     DEFAULT_HDRATIO_THRESHOLD,
     DEFAULT_MINRTT_THRESHOLD_MS,
 )
-from repro.obs import MetricsRegistry, active_metrics
+from repro.obs import MetricsRegistry
 from repro.pipeline.dataset import StudyDataset
 from repro.pipeline.experiments import fig6_global_performance
-from repro.pipeline.parallel import build_dataset
+from repro.pipeline.parallel import ShardResult, _fold, _merge_results
 from repro.pipeline.report import format_metric, format_percent
 from repro.pipeline.routing_analysis import (
     WeightedDifferenceCdf,
@@ -70,6 +85,7 @@ from repro.pipeline.routing_analysis import (
 )
 from repro.store import ScanFilter, TraceStoreReader, verify_store
 from repro.store.errors import StoreError
+from repro.store.schema import gc_paused
 from repro.store.writer import load_manifest, manifest_identity
 from repro.serve.cache import LruCache
 
@@ -82,6 +98,9 @@ __all__ = [
 ]
 
 PathLike = Union[str, pathlib.Path]
+#: (PoP, country, window index in the profile's units): the finest slice
+#: of a partial a query's filters can select.
+Cell = Tuple[str, str, int]
 
 #: Default LRU capacity: a dashboard fleet's working set is its hot
 #: (PoP, country) pairs; 64 sealed-window aggregations cover that with
@@ -102,7 +121,7 @@ class BadRequest(ValueError):
 
 
 class _CacheEntry:
-    """One cached aggregation: the dataset plus its rendered responses."""
+    """One cached query: its merged dataset plus its rendered responses."""
 
     __slots__ = ("dataset", "responses")
 
@@ -117,8 +136,9 @@ class _CacheEntry:
 class QueryEngine:
     """Resolve serving queries over one sealed columnar store.
 
-    ``study_windows`` defaults to the span of the manifest's partition
-    bands; pass it to pin equivalence against a specific batch invocation.
+    ``study_windows`` defaults to the span of the current generation's
+    partition bands, re-derived whenever the manifest changes; pass it to
+    pin equivalence against a specific batch invocation.
     ``window_seconds`` is the store's own; ``/v1/routing`` builds at the
     routing CLI's shape (one-hour windows over a two-day study).
     """
@@ -133,30 +153,28 @@ class QueryEngine:
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        if study_windows is not None and study_windows < 1:
+            raise ValueError("study_windows must be >= 1")
         self.path = pathlib.Path(store_path)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = LruCache(cache_capacity, metrics=self.metrics)
         self._lock = threading.RLock()
+        self._pinned_windows = study_windows
         self._generation: Optional[dict] = None
+        self._inputs: Optional[tuple] = None
+        #: The current generation's reader, and each of its partitions
+        #: with the key its partials are cached under.
+        self._reader: Optional[TraceStoreReader] = None
+        self._partitions: List[Tuple[dict, tuple]] = []
+        #: (profile, window seconds, partition key) -> {cell: ShardResult}.
+        self._partials: Dict[tuple, Dict[Cell, ShardResult]] = {}
         #: Quarantine ledger: every distinct StoreError a served query hit,
         #: with partition/column attribution — the serving face of the §9
         #: degraded-run ledger. Surfaced by /v1/health.
         self.quarantine: List[dict] = []
-
-        # Derive study shape from the manifest unless pinned by the caller.
-        # (The store must exist to be served; a missing manifest raises the
-        # same typed StoreError a scan would.)
-        manifest = self._parse_manifest(manifest_identity(self.path))
-        self.window_seconds = float(manifest["window_seconds"])
-        if study_windows is not None:
-            if study_windows < 1:
-                raise ValueError("study_windows must be >= 1")
-            self.study_windows = study_windows
-        else:
-            bands = [p["band"] for p in manifest["partitions"]]
-            self.study_windows = (
-                (max(bands) + 1) * manifest["band_windows"] if bands else 1
-            )
+        # The store must exist to be served; a missing manifest raises the
+        # same typed StoreError a scan would.
+        self._parse_manifest(manifest_identity(self.path))
 
     # ------------------------------------------------------------------ #
     # Request entry point
@@ -389,33 +407,41 @@ class QueryEngine:
         payload: dict = {
             "endpoint": "health",
             "store": str(self.path),
-            "cache": {
-                "size": len(self.cache),
-                "capacity": self.cache.capacity,
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "evictions": self.cache.evictions,
-                "invalidations": self.cache.invalidations,
-            },
             "requests": self.metrics.counter("serve.requests"),
         }
         try:
             payload["generation"] = self._refresh_generation()
         except StoreError as error:
             payload.update(generation=None, store_error=str(error))
-        else:
-            if verify:
-                report = verify_store(self.path, metrics=self.metrics)
-                payload["verify"] = {
-                    "ok": report.ok,
-                    "partitions_total": report.partitions_total,
-                    "partitions_corrupt": report.partitions_corrupt,
-                    "findings": [f.describe() for f in report.findings],
-                }
-                for finding in report.findings:
-                    self._record_quarantine_entry(
-                        finding.partition_id, finding.column, finding.error
-                    )
+        # Read after the generation check, so both sections describe what
+        # the next query finds.
+        payload["cache"] = {
+            "size": len(self.cache),
+            "capacity": self.cache.capacity,
+            "hits": self.cache.hits,
+            "misses": self.cache.misses,
+            "evictions": self.cache.evictions,
+            "invalidations": self.cache.invalidations,
+        }
+        payload["partials"] = {
+            "cached": len(self._partials),
+            **{
+                outcome: self.metrics.counter(f"serve.partials.{outcome}")
+                for outcome in ("built", "reused", "dropped")
+            },
+        }
+        if verify and payload["generation"] is not None:
+            report = verify_store(self.path, metrics=self.metrics)
+            payload["verify"] = {
+                "ok": report.ok,
+                "partitions_total": report.partitions_total,
+                "partitions_corrupt": report.partitions_corrupt,
+                "findings": [f.describe() for f in report.findings],
+            }
+            for finding in report.findings:
+                self._record_quarantine_entry(
+                    finding.partition_id, finding.column, finding.error
+                )
         payload["quarantine"] = {
             "count": len(self.quarantine),
             "partitions": sorted(
@@ -441,11 +467,11 @@ class QueryEngine:
         countries: Optional[frozenset],
         window: Optional[Tuple[int, int]],
     ) -> Tuple[_CacheEntry, dict]:
-        """Cached aggregation for the normalized query coordinates.
+        """Cached query result for the normalized query coordinates.
 
         Checks the store generation first: a changed manifest flushes the
-        cache *before* the lookup, so a pre-append aggregation is
-        unreachable the moment an append lands.
+        cache *before* the lookup, so a pre-append result is unreachable
+        the moment an append lands.
         """
         generation = self._refresh_generation()
         key = (
@@ -457,7 +483,7 @@ class QueryEngine:
         entry = self.cache.get(key)
         if entry is None:
             entry = _CacheEntry(
-                self._build_dataset(profile, pops, countries, window)
+                self._merge_partials(profile, pops, countries, window)
             )
             self.cache.put(key, entry)
         return entry, generation
@@ -471,41 +497,94 @@ class QueryEngine:
             self._parse_manifest(identity)
         return self._generation
 
-    def _parse_manifest(self, identity) -> dict:
-        """Parse the manifest ``identity`` names; a new generation flushes."""
+    def _parse_manifest(self, identity) -> None:
+        """Adopt the manifest ``identity`` names: a new generation flushes
+        the query cache, and partials no partition of it names are
+        dropped."""
         manifest = load_manifest(self.path)
-        generation = {
+        reader = TraceStoreReader(self.path, manifest)
+        try:
+            stat = os.stat(reader.data_path)
+            data_file = (stat.st_dev, stat.st_ino)
+        except OSError:
+            data_file = None  # every decode raises the typed StoreError
+        # Everything a partition's decode reads: bytes pinned by file
+        # identity, range and block CRCs, and the block layout.
+        partitions = [
+            (
+                p,
+                (data_file, p["offset"], p["length"], p["rows"],
+                 json.dumps(p["blocks"])),
+            )
+            for p in reader.partitions
+        ]
+        bands = [p["band"] for p in reader.partitions]
+        self.window_seconds = float(manifest["window_seconds"])
+        self.study_windows = self._pinned_windows or (
+            (max(bands) + 1) * manifest["band_windows"] if bands else 1
+        )
+        self._generation = {
             "row_count": manifest["row_count"],
             "data_bytes": manifest["data_bytes"],
-            "partitions": len(manifest["partitions"]),
+            "partitions": len(partitions),
         }
-        if generation != self._generation:
+        # Everything a cached query result was merged from: when any of it
+        # moved — an append, a rewrite, a compaction — the results go.
+        inputs = (
+            self._generation,
+            self.window_seconds,
+            self.study_windows,
+            [key for _, key in partitions],
+        )
+        if inputs != self._inputs:
             self.cache.invalidate_all()
-            self._generation = generation
+            self._inputs = inputs
+        shapes = [
+            (profile, self._dataset_kwargs(profile)["window_seconds"])
+            for profile in ("analyze", "routing")
+        ]
+        live = {
+            (profile, seconds, key)
+            for profile, seconds in shapes
+            for _, key in partitions
+        }
+        stale = [key for key in self._partials if key not in live]
+        for key in stale:
+            del self._partials[key]
+        if stale:
+            self.metrics.inc("serve.partials.dropped", len(stale))
+        self._reader, self._partitions = reader, partitions
         self._identity = identity
-        return manifest
 
-    def _build_dataset(
+    def _dataset_kwargs(self, profile: str) -> dict:
+        if profile == "analyze":
+            return dict(
+                study_windows=self.study_windows,
+                keep_response_sizes=True,
+                window_seconds=self.window_seconds,
+            )
+        # routing: the §6 audit's dataset shape (hourly windows)
+        return dict(
+            study_windows=self.routing_windows,
+            keep_response_sizes=False,
+            window_seconds=self.routing_window_seconds,
+        )
+
+    def _merge_partials(
         self,
         profile: str,
         pops: Optional[frozenset],
         countries: Optional[frozenset],
         window: Optional[Tuple[int, int]],
     ) -> StudyDataset:
-        """Build the aggregation the batch path would build for this query."""
-        if profile == "analyze":
-            window_seconds = self.window_seconds
-            study_windows = self.study_windows
-            keep_response_sizes = True
-        else:  # routing: the §6 audit's dataset shape (hourly windows)
-            window_seconds = self.routing_window_seconds
-            study_windows = self.routing_windows
-            keep_response_sizes = False
-
-        source = str(self.path)
-        #: A filtered scan's ``store.*`` / ``io.rows_read`` counters.
-        scanned = MetricsRegistry()
+        """The dataset ``build_dataset`` folds from this query's samples,
+        merged from the cells of the partials the manifest admits."""
+        kwargs = self._dataset_kwargs(profile)
+        scan_filter = None
         if not (pops is None and countries is None and window is None):
+            # Inclusive time bounds over-admit a partition that only touches
+            # the range's edge; the cell's window decides exactly.
+            window_seconds = kwargs["window_seconds"]
             scan_filter = ScanFilter(
                 pops=pops,
                 countries=countries,
@@ -516,30 +595,59 @@ class QueryEngine:
                     (window[1] + 1) * window_seconds if window is not None else None
                 ),
             )
-            source = TraceStoreReader(self.path).scan(scan_filter, metrics=scanned)
-            if window is not None:
-                # The filter's inclusive time bounds over-admit only a sample
-                # ending exactly on the range's right edge; this exact
-                # predicate restores window semantics (floor(end/W) in range).
-                lo, hi = window
-                source = (
-                    s
-                    for s in source
-                    if lo <= window_index(s.end_time, window_seconds) <= hi
+        results: List[ShardResult] = []
+        for partition, key in self._partitions:
+            if scan_filter is not None and not scan_filter.admits_partition(partition):
+                continue
+            partial = self._partial(profile, kwargs, partition, key)
+            results.extend(
+                result
+                for (pop, country, index), result in partial.items()
+                if (pops is None or pop in pops)
+                and (countries is None or country in countries)
+                and (window is None or window[0] <= index <= window[1])
+            )
+        return _merge_results(StudyDataset(**kwargs), results)
+
+    def _partial(
+        self, profile: str, kwargs: dict, partition: dict, key: tuple
+    ) -> Dict[Cell, ShardResult]:
+        """One partition's partial for ``profile``, built on first use.
+
+        A build that raises (a typed ``StoreError``: damage, a truncated
+        file) caches and counts nothing, so the next query retries it.
+        """
+        window_seconds = kwargs["window_seconds"]
+        cache_key = (profile, window_seconds, key)
+        partial = self._partials.get(cache_key)
+        if partial is not None:
+            self.metrics.inc("serve.partials.reused")
+            return partial
+        built = MetricsRegistry()
+        with gc_paused():
+            batch = self._reader.decode_partition_columns(partition, built)
+            rows_by_cell: Dict[Cell, List[int]] = {}
+            for row, cell in enumerate(
+                zip(
+                    batch.pops,
+                    batch.countries,
+                    [window_index(end, window_seconds) for end in batch.end_times],
                 )
-        dataset = build_dataset(
-            source,
-            study_windows=study_windows,
-            keep_response_sizes=keep_response_sizes,
-            window_seconds=window_seconds,
-        )
-        # One accounting: build_dataset has already folded these counters
-        # into the activated registry, which under `repro serve` is this
-        # engine's — merging again would double every one of them.
-        if active_metrics() is not self.metrics:
-            self.metrics.merge(dataset.metrics)
-        self.metrics.merge(scanned)
-        return dataset
+            ):
+                rows_by_cell.setdefault(cell, []).append(row)
+            partial = {
+                cell: _fold(
+                    [batch if len(rows_by_cell) == 1 else batch.take(rows)],
+                    kwargs,
+                )
+                for cell, rows in rows_by_cell.items()
+            }
+        for result in partial.values():
+            built.merge(result.metrics)
+        self.metrics.merge(built)
+        self.metrics.inc("serve.partials.built")
+        self._partials[cache_key] = partial
+        return partial
 
     # ------------------------------------------------------------------ #
     # Parameter parsing

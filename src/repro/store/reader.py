@@ -218,9 +218,11 @@ class TraceStoreReader:
     """Read a partitioned columnar trace store written by
     :class:`repro.store.writer.TraceStoreWriter`."""
 
-    def __init__(self, path: PathLike) -> None:
+    def __init__(self, path: PathLike, manifest: Optional[dict] = None) -> None:
+        """``manifest``: what :func:`load_manifest` already returned for
+        ``path``, so a caller that parsed it does not pay a second parse."""
         self.path = pathlib.Path(path)
-        self.manifest = load_manifest(self.path)
+        self.manifest = load_manifest(self.path) if manifest is None else manifest
         self.data_path = self.path / self.manifest.get("data_file", DATA_NAME)
 
     # ------------------------------------------------------------------ #

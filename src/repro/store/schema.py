@@ -27,7 +27,8 @@ from __future__ import annotations
 import gc
 import struct
 import zlib
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.records import (
     HttpVersion,
@@ -62,6 +63,7 @@ __all__ = [
     "decode_columns",
     "decode_rows",
     "expand_routes",
+    "gc_paused",
 ]
 
 SCHEMA_VERSION = 1
@@ -281,22 +283,33 @@ def expand_routes(decoded: Dict[str, list]) -> List[Optional[RouteInfo]]:
     return routes
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Cyclic GC off for one allocation burst: a row decode, or a column
+    fold into rows and aggregations.
+
+    Everything such a burst builds stays reachable from its result and
+    forms no cycles, so collector passes triggered mid-burst scan a
+    growing heap for nothing (~25% of a large partition's row decode,
+    10-20% of a 24k-session one-pass fold). Nests: only the outermost
+    pause re-enables.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def decode_rows(
     payload: bytes, blocks: List[dict]
 ) -> List[Tuple[int, SessionSample]]:
     """Inverse of :func:`encode_rows`; rows come back in stored order."""
-    # Pause cyclic GC for the allocation burst: every object built here is
-    # reachable from ``rows`` and none form cycles, so collector passes
-    # triggered mid-decode scan a growing heap for nothing (~25% of the
-    # decode on a large partition).
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with gc_paused():
         return _decode_rows(payload, blocks)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def decode_columns(payload: bytes, blocks: List[dict]) -> Dict[str, list]:

@@ -266,40 +266,83 @@ class TestFilteredQueries:
 
 
 class TestOneAccounting:
-    """A cold build's data counters reach the engine's registry exactly
-    once — whether that registry is the activated one (``repro serve``:
-    ``build_dataset`` publishes into it), another one is, or none is."""
+    """Data counters reach the engine's registry once per (partition,
+    profile) build — whether that registry is the activated one (``repro
+    serve``), another one is, or none is — and a query that only merges
+    partials built before it counts no data at all."""
+
+    SCANNED = (
+        "io.rows_read",
+        "store.rows.decoded",
+        "store.bytes.read",
+        "store.partitions.scanned",
+    )
 
     @pytest.mark.parametrize("active", ["engine", "other", "none"])
-    @pytest.mark.parametrize("pops", [None, ("ams1",)])
-    def test_cold_build_counts_once(self, store_path, active, pops):
+    def test_data_counters_once_per_partition_build(self, store_path, active):
         registry = MetricsRegistry()
         engine = QueryEngine(store_path, metrics=registry)
-        params = {"pop": list(pops)} if pops else {}
-        if active == "none":
-            status, payload = engine.handle("/v1/quantiles", params)
-        else:
-            with activate_metrics(
-                registry if active == "engine" else MetricsRegistry()
-            ):
-                status, payload = engine.handle("/v1/quantiles", params)
-        assert status == 200
-        scan = MetricsRegistry()
-        rows = list(
-            TraceStoreReader(store_path).scan(ScanFilter(pops=pops), metrics=scan)
-        )
-        assert registry.counter("pipeline.samples.read") == len(rows)
-        for name in (
-            "io.rows_read",
-            "store.rows.decoded",
-            "store.bytes.read",
-            "store.partitions.scanned",
-        ):
-            assert registry.counter(name) == scan.counter(name), name
+
+        def ask(path, **params):
+            query = {name: [value] for name, value in params.items()}
+            if active == "none":
+                status, payload = engine.handle(path, query)
+            else:
+                with activate_metrics(
+                    registry if active == "engine" else MetricsRegistry()
+                ):
+                    status, payload = engine.handle(path, query)
+            assert status == 200
+            return payload
+
+        def scanned(scan_filter=None):
+            scan = MetricsRegistry()
+            reader = TraceStoreReader(store_path)
+            rows = len(list(reader.scan(scan_filter, metrics=scan)))
+            admitted = len(reader.partitions) - scan.counter(
+                "store.partitions.pruned"
+            )
+            return rows, scan, admitted
+
+        ams1_rows, ams1_scan, ams1_partitions = scanned(ScanFilter(pops="ams1"))
+        ask("/v1/quantiles", pop="ams1")
+        assert registry.counter("pipeline.samples.read") == ams1_rows
+        for name in self.SCANNED:
+            assert registry.counter(name) == ams1_scan.counter(name), name
+
+        rows, full_scan, partitions = scanned()
+        payload = ask("/v1/quantiles")
+        assert registry.counter("pipeline.samples.read") == rows
         assert registry.counter("pipeline.samples.kept") == payload["sessions"]
-        # The dataset-shape gauges exist for filtered builds too.
-        assert registry.gauge("pipeline.rows") == payload["sessions"]
-        assert registry.gauge("pipeline.groups") > 0
+        for name in self.SCANNED:
+            assert registry.counter(name) == full_scan.counter(name), name
+
+        # Every analyze partial exists: a new filter builds nothing.
+        before = registry.counters
+        _, _, nl_partitions = scanned(ScanFilter(countries="NL"))
+        ask("/v1/quantiles", country="NL")
+        ask("/v1/degradation", window="0-1")
+        after = registry.counters
+        assert {
+            name: value
+            for name, value in after.items()
+            if not name.startswith("serve.")
+        } == {
+            name: value
+            for name, value in before.items()
+            if not name.startswith("serve.")
+        }
+
+        ask("/v1/routing")  # the routing profile folds every partition once
+        assert registry.counter("pipeline.samples.read") == 2 * rows
+        assert registry.counter("serve.partials.built") == 2 * partitions
+        _, _, window_partitions = scanned(
+            ScanFilter(min_end_time=0.0, max_end_time=2 * engine.window_seconds)
+        )
+        assert registry.counter("serve.partials.reused") == (
+            ams1_partitions + nl_partitions + window_partitions
+        )
+        assert registry.counter("serve.partials.dropped") == 0
 
 
 class TestByteIdentity:

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import repro.serve.engine as serve_engine
 import repro.store.reader as store_reader
 from repro.obs import MetricsRegistry
-from repro.serve import LruCache, QueryEngine
+from repro.serve import LruCache, QueryEngine, render_payload
 from repro.store import compact_store, write_store
 from repro.store.writer import append_to_store, load_manifest, manifest_identity
 
@@ -195,6 +195,30 @@ class TestAppendInvalidation:
         # whose key was re-requested.
         assert engine.cache.invalidations == 2
         assert len(engine.cache) == 1
+
+    def test_study_period_follows_appends(self, store):
+        """Regression: an unpinned study period was derived once, at
+        startup, so appends past it skewed §5 coverage (a live engine
+        served coverage 2.0 where a fresh one served 1.0). Every body a
+        live engine serves after appends is a fresh engine's."""
+        queries = [
+            ("/v1/quantiles", {}),
+            ("/v1/quantiles", {"pop": ["ams1"]}),
+            ("/v1/degradation", {}),
+            ("/v1/degradation", {"metric": ["hdratio"], "window": ["6-12"]}),
+            ("/v1/routing", {}),
+        ]
+        engine = QueryEngine(store)
+        for path, params in queries:
+            engine.handle(path, params)
+        for seed in (5, 7):
+            append_to_store(store, make_trace_samples(300, seed=seed, windows=16))
+            fresh = QueryEngine(store)
+            for path, params in queries:
+                assert render_payload(engine.handle(path, params)[1]) == (
+                    render_payload(fresh.handle(path, params)[1])
+                ), (path, params)
+        assert engine.study_windows == 16
 
     def test_generation_stable_without_append(self, store):
         engine = QueryEngine(store)

@@ -1,0 +1,273 @@
+"""Served = batch over cached partials, and the partials' lifetime.
+
+A cold query is a merge: the engine keeps one partial per (profile, store
+partition), split by (PoP, country, window) cell, and answers a query by
+merging the cells its filters admit. This file holds that design to the
+batch pipeline:
+
+- a Hypothesis property over random PoPs x countries x window range x
+  profile, on one live engine while its store is appended to, rewritten
+  in place and compacted: the merged dataset equals ``build_dataset``
+  over the equivalently filtered sample stream (rows, aggregations,
+  filter stats, data counters, verdicts), the payloads rendered from the
+  two are byte-identical, and merging the same partials again leaves
+  them byte-unchanged;
+- lifetime: an append builds exactly its new partitions' partials, and
+  an in-place rewrite or a compaction drops every partial;
+- fault isolation: a damaged partition fails only the queries that admit
+  it, and its partial is never cached.
+"""
+
+import pickle
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import faultinject
+from repro.core.aggregation import window_index
+from repro.faultinject import FaultPlan
+from repro.pipeline import build_dataset, read_samples
+from repro.serve import QueryEngine, render_payload
+from repro.serve.engine import _CacheEntry
+from repro.store import TraceStoreReader, compact_store, write_store
+from repro.store.writer import append_to_store, load_manifest
+
+from tests.helpers import assert_same_analysis_state, make_trace_samples
+
+pytestmark = pytest.mark.serve
+
+POPS = ("ams1", "sjc1", "gru1", "nowhere")
+COUNTRIES = ("NL", "DE", "US", "MX", "BR", "AR")
+PATHS = {"analyze": ("/v1/quantiles", "/v1/degradation"), "routing": ("/v1/routing",)}
+
+QUERIES = st.tuples(
+    st.sampled_from(sorted(PATHS)),
+    st.none() | st.frozensets(st.sampled_from(POPS), min_size=1),
+    st.none() | st.frozensets(st.sampled_from(COUNTRIES), min_size=1),
+    st.none()
+    | st.tuples(st.integers(0, 13), st.integers(0, 4)).map(
+        lambda span: (span[0], span[0] + span[1])
+    ),
+)
+
+
+def dataset_kwargs(engine, profile):
+    if profile == "analyze":
+        return dict(
+            study_windows=engine.study_windows,
+            keep_response_sizes=True,
+            window_seconds=engine.window_seconds,
+        )
+    return dict(
+        study_windows=engine.routing_windows,
+        keep_response_sizes=False,
+        window_seconds=engine.routing_window_seconds,
+    )
+
+
+def cache_key(profile, pops, countries, window):
+    return (
+        profile,
+        tuple(sorted(pops)) if pops is not None else None,
+        tuple(sorted(countries)) if countries is not None else None,
+        window,
+    )
+
+
+def params_of(pops, countries, window):
+    params = {}
+    if pops is not None:
+        params["pop"] = sorted(pops)
+    if countries is not None:
+        params["country"] = sorted(countries)
+    if window is not None:
+        params["window"] = [f"{window[0]}-{window[1]}"]
+    return params
+
+
+def batch_dataset(samples, kwargs, pops, countries, window):
+    """``build_dataset`` over the samples the filters name, in stream order."""
+    chosen = [
+        sample
+        for sample in samples
+        if (pops is None or sample.pop in pops)
+        and (countries is None or sample.client_country in countries)
+        and (
+            window is None
+            or window[0]
+            <= window_index(sample.end_time, kwargs["window_seconds"])
+            <= window[1]
+        )
+    ]
+    return build_dataset(chosen, **kwargs)
+
+
+def assert_served_equals_batch(engine, store, query):
+    profile, pops, countries, window = query
+    params = params_of(pops, countries, window)
+    served_bodies = [
+        render_payload(engine.handle(path, params)[1]) for path in PATHS[profile]
+    ]
+    key = cache_key(profile, pops, countries, window)
+    served = engine.cache.get(key).dataset
+    kwargs = dataset_kwargs(engine, profile)
+    batch = batch_dataset(list(read_samples(store)), kwargs, pops, countries, window)
+
+    assert_same_analysis_state(served, batch)
+    kind = "degradation" if profile == "analyze" else "opportunity"
+    for metric in ("minrtt", "hdratio"):
+        assert served.verdicts(metric, kind) == batch.verdicts(metric, kind)
+
+    # The payloads the engine renders from the batch dataset: a fresh
+    # engine whose cache holds it under the query's key.
+    twin = QueryEngine(store)
+    twin.cache.put(key, _CacheEntry(batch))
+    assert served_bodies == [
+        render_payload(twin.handle(path, params)[1]) for path in PATHS[profile]
+    ]
+
+    # Merging is copy-on-merge: the partials a query read are unchanged,
+    # so merging them again gives the same dataset.
+    frozen = pickle.dumps(engine._partials)
+    for _ in range(2):
+        again = engine._merge_partials(profile, pops, countries, window)
+        assert_same_analysis_state(again, batch)
+    assert pickle.dumps(engine._partials) == frozen
+
+
+def test_served_equals_batch_across_appends_rewrite_and_compaction(tmp_path):
+    store = tmp_path / "live.store"
+    write_store(store, make_trace_samples(300, seed=41, windows=8))
+    engine = QueryEngine(store)
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(query=QUERIES)
+    def check(query):
+        assert_served_equals_batch(engine, store, query)
+
+    def rewrite():
+        # Same path, new content and a new data file: every partial goes.
+        write_store(store, list(read_samples(store))[50:])
+
+    def append_then_compact():
+        append_to_store(store, make_trace_samples(80, seed=53, windows=12))
+        assert not compact_store(store).skipped
+
+    steps = [
+        lambda: None,
+        # Same (PoP, band) keys again: aggregations span partitions.
+        lambda: append_to_store(store, make_trace_samples(120, seed=43, windows=8)),
+        # Past the study period: the study shape grows.
+        lambda: append_to_store(store, make_trace_samples(120, seed=47, windows=12)),
+        rewrite,
+        append_then_compact,
+    ]
+    for step in steps:
+        step()
+        check()
+
+
+class TestPartialLifetime:
+    @pytest.fixture()
+    def store(self, tmp_path):
+        path = tmp_path / "live.store"
+        write_store(path, make_trace_samples(400, seed=3, windows=8))
+        return path
+
+    @staticmethod
+    def _warm(engine):
+        for path in ("/v1/quantiles", "/v1/routing"):
+            assert engine.handle(path, {})[0] == 200
+
+    @staticmethod
+    def _partials(engine):
+        return engine.handle("/v1/health", {})[1]["partials"]
+
+    def test_append_builds_exactly_its_new_partitions(self, store):
+        engine = QueryEngine(store)
+        self._warm(engine)
+        before = len(TraceStoreReader(store).partitions)
+        assert self._partials(engine) == {
+            "cached": 2 * before, "built": 2 * before, "reused": 0, "dropped": 0,
+        }
+        append_to_store(store, make_trace_samples(150, seed=17, windows=12))
+        added = len(TraceStoreReader(store).partitions) - before
+        assert added > 0
+        self._warm(engine)
+        assert self._partials(engine) == {
+            "cached": 2 * (before + added),
+            "built": 2 * (before + added),
+            "reused": 2 * before,
+            "dropped": 0,
+        }
+        assert engine.metrics.counter("pipeline.samples.read") == 2 * 550
+
+    @pytest.mark.parametrize("rewrite", ["write_store", "compact_store"])
+    def test_rewrite_or_compaction_drops_every_partial(self, store, rewrite):
+        if rewrite == "compact_store":
+            append_to_store(store, make_trace_samples(100, seed=19, windows=8))
+        engine = QueryEngine(store)
+        self._warm(engine)
+        cached = self._partials(engine)["cached"]
+        if rewrite == "write_store":
+            # The same bytes at the same offsets under the same CRCs, in a
+            # new data file: only the file's identity tells them apart.
+            before = load_manifest(store)["partitions"]
+            write_store(store, list(read_samples(store)))
+            assert load_manifest(store)["partitions"] == before
+        else:
+            assert not compact_store(store).skipped
+        after = len(TraceStoreReader(store).partitions)
+        assert self._partials(engine) == {
+            "cached": 0, "built": cached, "reused": 0, "dropped": cached,
+        }
+        # Both query results were merged from dropped partials.
+        assert engine.cache.invalidations == 2
+        self._warm(engine)
+        assert self._partials(engine)["built"] == cached + 2 * after
+        assert engine.handle("/v1/quantiles", {})[1]["sessions"] == (
+            QueryEngine(store).handle("/v1/quantiles", {})[1]["sessions"]
+        )
+
+
+class TestFaultIsolation:
+    """A flipped block fails the queries that admit its partition, with
+    today's attribution, and nothing else; its partial is never cached,
+    so the engine serves again once the fault is gone."""
+
+    def test_damage_is_confined_to_queries_that_admit_it(self, tmp_path):
+        store = tmp_path / "live.store"
+        write_store(store, make_trace_samples(400, seed=3, windows=8))
+        partitions = TraceStoreReader(store).partitions
+        victim = next(p for p in partitions if p["pop"] == "sjc1")
+        column = victim["blocks"][0]["column"]
+        engine = QueryEngine(store)
+        plan = FaultPlan(
+            flip_byte={"partition": victim["id"], "column": column, "offset": 0}
+        )
+        with faultinject.inject(plan):
+            for params in ({}, {"pop": ["sjc1"]}, {}):
+                status, payload = engine.handle("/v1/quantiles", params)
+                assert status == 503
+                assert payload["error"] == "CorruptBlockError"
+                assert (payload["partition"], payload["column"]) == (
+                    victim["id"],
+                    column,
+                )
+            for params in ({"pop": ["ams1"]}, {"pop": ["ams1", "gru1"]}):
+                assert engine.handle("/v1/quantiles", params)[0] == 200
+            _, health = engine.handle("/v1/health", {})
+            assert health["status"] == "degraded"
+            assert health["quarantine"]["partitions"] == [victim["id"]]
+            cached = health["partials"]["cached"]
+            assert cached == health["partials"]["built"] < len(partitions)
+        status, payload = engine.handle("/v1/quantiles", {})
+        assert status == 200
+        assert payload == QueryEngine(store).handle("/v1/quantiles", {})[1]
+        assert engine.metrics.counter("serve.partials.built") == len(partitions)

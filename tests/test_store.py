@@ -744,6 +744,19 @@ def batch_rows(batch: ColumnBatch):
     ]
 
 
+class TestColumnBatchTake:
+    def test_take_equals_shredding_the_chosen_samples(self, trace_samples):
+        """A served partial splits a partition's batch by cell with
+        ``take``; each slice must be the batch its samples would shred to,
+        transactions and media sizes included."""
+        pairs = list(enumerate(trace_samples))
+        batch = ColumnBatch.from_pairs(pairs)
+        for rows in ([i for i in range(len(pairs)) if i % 3 != 1], [5], []):
+            assert batch_rows(batch.take(rows)) == batch_rows(
+                ColumnBatch.from_pairs([pairs[i] for i in rows])
+            )
+
+
 def chunk_batches(chunk, metrics=None):
     """What a shard decodes for ``chunk`` (``parallel._run_shard``'s call)."""
     return iter_batches(chunk, metrics=metrics)
