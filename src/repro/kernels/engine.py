@@ -398,7 +398,7 @@ def iter_batches(
 
     if isinstance(source, StoreChunk):
         return TraceStoreReader(source.path).read_column_batches(
-            metrics=metrics, partition_ids=source.partition_ids
+            metrics=metrics, chunk=source
         )
     if isinstance(source, (str, pathlib.Path)):
         if detect_format(source) == "store":

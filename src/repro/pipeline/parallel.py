@@ -674,17 +674,18 @@ def build_dataset(
                         ingestor.ingest_batch(batch)
                     fold_into_dataset(dataset, ingestor)
         else:
-            with span("plan"):
-                tasks = [
-                    _ShardTask(dataset_kwargs, chunk, ordinal=index)
-                    for index, chunk in enumerate(
-                        plan_chunks(source, options.effective_shards)
-                    )
-                ]
-            with span("execute"):
-                results = _execute(tasks, options, ledger)
-            with span("merge"):
-                _merge_results(dataset, results)
+            with gc_paused():  # DESIGN.md §6
+                with span("plan"):
+                    tasks = [
+                        _ShardTask(dataset_kwargs, chunk, ordinal=index)
+                        for index, chunk in enumerate(
+                            plan_chunks(source, options.effective_shards)
+                        )
+                    ]
+                with span("execute"):
+                    results = _execute(tasks, options, ledger)
+                with span("merge"):
+                    _merge_results(dataset, results)
     # Dataset-shape gauges are plan-invariant (same rows and store whatever
     # the shard plan), so they participate in the equality invariant too.
     dataset.metrics.set_gauge("pipeline.rows", len(dataset.rows))

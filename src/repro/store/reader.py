@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
     Callable,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -65,7 +64,12 @@ from repro.store.errors import (
     TruncatedPartitionError,
 )
 from repro.store.schema import decode_columns, decode_rows
-from repro.store.writer import DATA_NAME, load_manifest
+from repro.store.writer import (
+    DATA_NAME,
+    MANIFEST_NAME,
+    parse_manifest,
+    read_manifest_bytes,
+)
 
 __all__ = [
     "ScanFilter",
@@ -201,8 +205,8 @@ class StoreChunk:
     """A worker's unit of store input: a disjoint set of partitions.
 
     ``ordinal`` is the smallest sequence number in the chunk, which orders
-    chunks against each other; ``read_column_batches(partition_ids=...)``
-    yields batches whose ``seq`` order keys extend that ordering, so a
+    chunks against each other; ``read_column_batches(chunk=...)`` yields
+    batches whose ``seq`` order keys extend that ordering, so a
     merger restores the exact serial stream order by sorting on the key.
     """
 
@@ -214,15 +218,32 @@ class StoreChunk:
     rows: int
 
 
+#: ``((resolved manifest path, its bytes), their parse)`` of the last
+#: manifest a reader parsed (DESIGN.md §8). Keyed by the bytes: a
+#: same-size rewrite within one mtime tick keeps ``manifest_identity``.
+_last_parse: Optional[Tuple[Tuple[pathlib.Path, bytes], dict]] = None
+
+
+def _shared_manifest(path: pathlib.Path) -> dict:
+    """``path``'s vetted manifest, parsed only when its bytes changed."""
+    global _last_parse
+    manifest_path = path / MANIFEST_NAME
+    key = (manifest_path.resolve(), read_manifest_bytes(path))
+    if _last_parse is None or _last_parse[0] != key:
+        _last_parse = (key, parse_manifest(manifest_path, key[1]))
+    return _last_parse[1]
+
+
 class TraceStoreReader:
     """Read a partitioned columnar trace store written by
     :class:`repro.store.writer.TraceStoreWriter`."""
 
     def __init__(self, path: PathLike, manifest: Optional[dict] = None) -> None:
-        """``manifest``: what :func:`load_manifest` already returned for
-        ``path``, so a caller that parsed it does not pay a second parse."""
+        """``manifest``: ``load_manifest(path)``'s result, so a caller that
+        parsed it pays no second parse; without it the reader shares the
+        last parse of the same bytes, so ``self.manifest`` is read-only."""
         self.path = pathlib.Path(path)
-        self.manifest = load_manifest(self.path) if manifest is None else manifest
+        self.manifest = _shared_manifest(self.path) if manifest is None else manifest
         self.data_path = self.path / self.manifest.get("data_file", DATA_NAME)
 
     # ------------------------------------------------------------------ #
@@ -306,24 +327,40 @@ class TraceStoreReader:
         return batch
 
     def read_column_batches(
-        self,
-        metrics=None,
-        partition_ids: Optional[Iterable[int]] = None,
+        self, metrics=None, chunk: Optional[StoreChunk] = None
     ):
         """Yield one :class:`ColumnBatch` per partition, in manifest order.
 
-        ``partition_ids`` restricts the scan (the shard-aligned path); the
-        counters sum across a shard plan's chunks to exactly a serial
-        scan's. Batches carry the store's ``seq`` column as their order
-        keys, so a consumer that sorts on them reconstructs exact stream
-        order — the same contract :meth:`scan_pairs` satisfies row by row.
+        ``chunk`` restricts the scan to a planned chunk's partitions (the
+        shard-aligned path); the counters sum across a shard plan's chunks
+        to exactly a serial scan's. Batches carry the store's ``seq``
+        column as their order keys, so a consumer that sorts on them
+        reconstructs exact stream order — the same contract
+        :meth:`scan_pairs` satisfies row by row.
         """
-        candidates = self.partitions
-        if partition_ids is not None:
-            wanted = set(partition_ids)
-            candidates = [p for p in candidates if p["id"] in wanted]
+        candidates = (
+            self.partitions if chunk is None else self._chunk_partitions(chunk)
+        )
         for partition in candidates:
             yield self.decode_partition_columns(partition, metrics)
+
+    def _chunk_partitions(self, chunk: StoreChunk) -> List[dict]:
+        """``chunk``'s partitions, or a :class:`StoreError` when the plan is
+        stale: this manifest lacks a planned partition, or its partitions
+        hold other than the planned ``rows`` (the store was compacted or
+        rewritten since the plan was made). Checked before a byte is
+        decoded, so a stale shard is lost whole, never read in part."""
+        wanted = set(chunk.partition_ids)
+        selected = [p for p in self.partitions if p["id"] in wanted]
+        rows = sum(p["rows"] for p in selected)
+        if len(selected) != len(chunk.partition_ids) or rows != chunk.rows:
+            raise StoreError(
+                f"{self.path}: stale shard plan: chunk {chunk.ordinal} names "
+                f"{len(chunk.partition_ids)} partition(s) holding "
+                f"{chunk.rows} rows; the manifest has {len(selected)} of "
+                f"them, holding {rows}"
+            )
+        return selected
 
     def _read_partition_payload(self, partition: dict) -> bytes:
         faultinject.check_io(self.data_path)

@@ -23,13 +23,14 @@ by a crash.
 
 The manifest is one compact JSON object (no whitespace, ``"partitions"``
 last) with one serialiser, :func:`dump_manifest`, beside its one parser,
-:func:`load_manifest`; ``python -m json.tool manifest.json`` renders it
+:func:`parse_manifest` (:func:`load_manifest` reads the file and calls
+it); ``python -m json.tool manifest.json`` renders it
 for reading. Manifests written indented by earlier builds load unchanged.
 
 Integrity: the manifest records a CRC32 per column block (computed in
 :func:`repro.store.schema.encode_rows` over the on-disk bytes), which the
 reader verifies before decoding. Format version 2 is the only one read or
-written: :func:`load_manifest` refuses any other, and a block entry
+written: :func:`parse_manifest` refuses any other, and a block entry
 without a checksum is damage (:func:`repro.store.reader.checksum_mismatches`).
 """
 
@@ -64,6 +65,8 @@ __all__ = [
     "is_store_path",
     "load_manifest",
     "manifest_identity",
+    "parse_manifest",
+    "read_manifest_bytes",
     "write_store",
 ]
 
@@ -162,27 +165,40 @@ def manifest_identity(path: PathLike) -> Optional[Tuple[int, int, int, int]]:
     return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
-def load_manifest(path: PathLike) -> dict:
-    """Read and vet ``<path>/manifest.json`` — the one place it is parsed.
-
-    Raises :class:`StoreError` when ``path`` holds no manifest or one
-    written by a format, store version or schema version this build does
-    not read, and :class:`CorruptManifestError` when the file is not
-    JSON or not the shape every reader relies on: :data:`_HEAD_FIELDS`,
-    and per partition descriptor :data:`_PARTITION_FIELDS`, its
-    :data:`_STATS_FIELDS` and each block's :data:`_BLOCK_FIELDS` — the
-    error names the partition, the block and the field.
-    """
+def read_manifest_bytes(path: PathLike) -> bytes:
+    """``<path>/manifest.json``'s bytes; :class:`StoreError` when ``path``
+    holds no manifest."""
     path = pathlib.Path(path)
-    manifest_path = path / MANIFEST_NAME
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        return (path / MANIFEST_NAME).read_bytes()
     except (FileNotFoundError, NotADirectoryError):
         # NotADirectoryError: ``path`` is a file, e.g. a JSONL trace.
         raise StoreError(
             f"{path}: not a trace store (missing {MANIFEST_NAME}; "
             "an interrupted write leaves no manifest on purpose)"
         ) from None
+
+
+def load_manifest(path: PathLike) -> dict:
+    """Read and vet ``<path>/manifest.json``; a fresh dict on every call."""
+    return parse_manifest(
+        pathlib.Path(path) / MANIFEST_NAME, read_manifest_bytes(path)
+    )
+
+
+def parse_manifest(manifest_path: pathlib.Path, raw: bytes) -> dict:
+    """Parse and vet manifest bytes — the one place a manifest is parsed.
+
+    Raises :class:`StoreError` for a manifest written by a format, store
+    version or schema version this build does not read, and
+    :class:`CorruptManifestError` when ``raw`` is not JSON or not the
+    shape every reader relies on: :data:`_HEAD_FIELDS`, and per partition
+    descriptor :data:`_PARTITION_FIELDS`, its :data:`_STATS_FIELDS` and
+    each block's :data:`_BLOCK_FIELDS` — the error names the partition,
+    the block and the field.
+    """
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise CorruptManifestError(manifest_path, str(error)) from error
     if not isinstance(manifest, dict):

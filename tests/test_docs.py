@@ -218,6 +218,26 @@ class TestSurfaceGuards:
             "engine.py:_refresh_generation",  # and its per-request check
         }
 
+    def test_only_gc_paused_switches_the_collector_off(self):
+        """``store.schema.gc_paused`` is the one pause, and its ``finally``
+        the one resume: a second spelling could leave the collector off
+        on an exit path its tests do not take."""
+        import ast
+
+        spelled = {}
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            if "gc.disable" in source:
+                spelled[path.name] = source.count("gc.disable")
+        assert spelled == {"schema.py": 1}
+        source = (ROOT / "src" / "repro" / "store" / "schema.py").read_text()
+        (pause,) = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == "gc_paused"
+        ]
+        assert "gc.disable()" in ast.get_source_segment(source, pause)
+
     def test_a_daemon_does_not_unpickle(self):
         """A shard task is a descriptor (CONTRIBUTING.md): the daemon, which
         reads frames from whoever connects, imports no unpickler, and the

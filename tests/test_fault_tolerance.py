@@ -16,8 +16,10 @@ Three properties, proven with :mod:`repro.faultinject`:
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
+import re
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.pipeline import (
     StudyDataset,
     build_dataset,
 )
+from repro.pipeline import parallel
 from repro.pipeline.io import plan_chunks, write_samples
 from repro.store import (
     CorruptBlockError,
@@ -38,6 +41,7 @@ from repro.store import (
     StoreError,
     TraceStoreReader,
     TruncatedPartitionError,
+    compact_store,
     verify_store,
     write_store,
 )
@@ -980,6 +984,116 @@ class TestRetryAndQuarantine:
             "1 shard(s) quarantined (ordinal(s) 3); 7 sample(s) lost, "
             "2 store partition(s) skipped, 0 retries"
         )
+
+
+class TestStalePlanIsRefused:
+    """A plan made before the store was compacted names partition ids the
+    new manifest still has — with other rows in them. Read as planned, the
+    four shards of this store (3,000 samples, seed 5, 32 windows)
+    ingested 219 + 256 + 288 + 226 = 989 of its samples with no error and
+    no ledger entry; a shard now checks its chunk against the manifest it
+    decodes with and refuses it whole."""
+
+    STALE = re.compile(
+        r"stale shard plan: chunk (\d+) names \d+ partition\(s\) holding "
+        r"(\d+) rows; the manifest has \d+ of them, holding (\d+)$"
+    )
+
+    @pytest.fixture()
+    def stale_plan(self, tmp_path, monkeypatch):
+        """The store, with ``build_dataset``'s plan compacted under it
+        (24 partitions re-banded into 96) before a shard runs."""
+        path = tmp_path / "stale.store"
+        write_store(path, make_trace_samples(3000, seed=5, windows=32))
+
+        def plan_then_compact(source, num_chunks):
+            chunks = plan_chunks(source, num_chunks)
+            compact_store(source, band_windows=1)
+            return chunks
+
+        monkeypatch.setattr(parallel, "plan_chunks", plan_then_compact)
+        return path
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_strict_raises_naming_the_chunk(
+        self, stale_plan, executor, local_options
+    ):
+        planned = {chunk.ordinal: chunk for chunk in plan_chunks(stale_plan, 4)}
+        with pytest.raises(ShardError) as excinfo:
+            build_dataset(
+                stale_plan,
+                study_windows=32,
+                options=local_options(
+                    executor, shards=4, workers=2, strict=True, max_retries=0
+                ),
+            )
+        cause = excinfo.value.cause
+        assert isinstance(cause, StoreError)
+        # Whichever shard fails first: a pool may finish shard 1 before 0.
+        stale = self.STALE.search(str(cause))
+        assert stale and int(stale[2]) == planned[int(stale[1])].rows
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_quarantine_charges_every_planned_sample(
+        self, stale_plan, executor, local_options
+    ):
+        planned = plan_chunks(stale_plan, 4)
+        dataset = build_dataset(
+            stale_plan,
+            study_windows=32,
+            options=local_options(
+                executor, shards=4, workers=2, max_retries=0
+            ),
+        )
+        ledger = dataset.degraded
+        assert ledger is not None and ledger.shards_lost == len(planned)
+        assert {e["ordinal"]: e["samples_lost"] for e in ledger.shards} == {
+            ordinal: chunk.rows for ordinal, chunk in enumerate(planned)
+        }
+        assert ledger.samples_lost == 3000
+        stale = [self.STALE.search(e["error"]) for e in ledger.shards]
+        assert all(stale)
+        # What the stale plan used to ingest silently.
+        assert sorted(int(s[3]) for s in stale) == [219, 226, 256, 288]
+        assert dataset.session_count == 0
+
+
+class TestCollectorState:
+    """A sharded build pauses the cyclic collector from plan to merge, and
+    every way out of it — clean, quarantined, strict — turns it back on."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_collector_is_on_after_every_exit(
+        self, trace_store, executor, local_options, monkeypatch
+    ):
+        merged_with = []
+        merge = parallel._merge_results
+
+        def observed_merge(dataset, results):
+            merged_with.append(gc.isenabled())
+            return merge(dataset, results)
+
+        monkeypatch.setattr(parallel, "_merge_results", observed_merge)
+        kill = FaultPlan(kill_shard={"ordinal": 1, "times": None})
+
+        def build(**kwargs):
+            return build_dataset(
+                trace_store,
+                study_windows=STUDY_WINDOWS,
+                options=local_options(
+                    executor, shards=4, workers=2, max_retries=0, **kwargs
+                ),
+            )
+
+        assert gc.isenabled()
+        assert build().degraded is None
+        assert merged_with == [False] and gc.isenabled()
+        with faultinject.inject(kill):
+            assert build().degraded.shards_lost == 1
+        assert gc.isenabled()
+        with faultinject.inject(kill), pytest.raises(ShardError):
+            build(strict=True)
+        assert gc.isenabled()
 
 
 # --------------------------------------------------------------------- #

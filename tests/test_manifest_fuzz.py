@@ -1,7 +1,8 @@
 """Byte-level fuzz of the store manifest decoder (DESIGN.md §9).
 
-``load_manifest`` is the one place ``manifest.json`` is parsed, and
-everything that opens a store goes through it. Hypothesis mutates the
+``parse_manifest`` is the one place ``manifest.json`` is parsed, and
+everything that opens a store goes through it (``load_manifest`` and a
+reader's parse-once-per-content memo both call it). Hypothesis mutates the
 bytes of a small clean store's manifest — a digit replaced by another
 digit (which keeps the JSON valid and moves a number), a byte replaced,
 inserted or deleted, or the file truncated — and every consumer must

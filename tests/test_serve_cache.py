@@ -27,7 +27,12 @@ import repro.store.reader as store_reader
 from repro.obs import MetricsRegistry
 from repro.serve import LruCache, QueryEngine, render_payload
 from repro.store import compact_store, write_store
-from repro.store.writer import append_to_store, load_manifest, manifest_identity
+from repro.store.writer import (
+    append_to_store,
+    load_manifest,
+    manifest_identity,
+    read_manifest_bytes,
+)
 
 from tests.helpers import make_trace_samples
 
@@ -254,16 +259,21 @@ class TestManifestParsedOnlyWhenItChanges:
 
     @pytest.fixture()
     def parses(self, monkeypatch):
-        """The stores every ``load_manifest`` call — the engine's own and
-        any a reader makes — was asked to parse."""
+        """The stores whose manifest was read — by the engine's own
+        ``load_manifest`` and by any reader opened without the engine's
+        parse, whether or not that reader's memo then skips the parse."""
         calls = []
 
         def counted(path):
             calls.append(path)
             return load_manifest(path)
 
+        def counted_read(path):
+            calls.append(path)
+            return read_manifest_bytes(path)
+
         monkeypatch.setattr(serve_engine, "load_manifest", counted)
-        monkeypatch.setattr(store_reader, "load_manifest", counted)
+        monkeypatch.setattr(store_reader, "read_manifest_bytes", counted_read)
         return calls
 
     @staticmethod

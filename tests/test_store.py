@@ -1,6 +1,8 @@
 """Tests for the columnar trace store (encodings, writer, reader, pruning)."""
 
 import json
+import multiprocessing
+import os
 import pathlib
 from itertools import islice
 
@@ -8,20 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.store.reader as store_reader
 from repro.core.aggregation import window_index
 from repro.kernels.columns import ColumnBatch
 from repro.kernels.engine import iter_batches
 from repro.obs import MetricsRegistry
+from repro.pipeline import ParallelOptions, build_dataset
 from repro.pipeline.io import read_samples, write_samples
 from repro.store import (
     DEFAULT_BAND_WINDOWS,
     STORE_FORMAT_VERSION,
     ScanFilter,
     StoreAppender,
+    StoreError,
     TraceStoreReader,
     TraceStoreWriter,
     TruncatedPartitionError,
     append_to_store,
+    compact_store,
     dump_manifest,
     is_store_path,
     load_manifest,
@@ -45,7 +51,7 @@ from repro.store.encoding import (
     encode_varints,
 )
 from repro.store.schema import COLUMNS, decode_rows, encode_rows
-from repro.store.writer import MANIFEST_NAME
+from repro.store.writer import MANIFEST_NAME, manifest_identity
 
 from tests.helpers import make_trace_samples
 
@@ -817,7 +823,7 @@ class TestChunkPlanning:
         for chunk in TraceStoreReader(store_path).plan_chunks(3):
             direct, dispatched = MetricsRegistry(), MetricsRegistry()
             expected = TraceStoreReader(chunk.path).read_column_batches(
-                metrics=direct, partition_ids=chunk.partition_ids
+                metrics=direct, chunk=chunk
             )
             got = iter_batches(chunk, metrics=dispatched)
             assert [batch_rows(b) for b in got] == [batch_rows(b) for b in expected]
@@ -840,6 +846,77 @@ class TestChunkPlanning:
         assert sum(chunk.rows for chunk in chunks) == TraceStoreReader(
             store_path
         ).row_count
+
+
+class TestManifestParsedOncePerContent:
+    """A reader reuses the last parse of identical manifest bytes: a
+    sharded build parses its store's manifest once, in the coordinator,
+    and forked pool workers inherit that parse."""
+
+    @pytest.fixture()
+    def parses(self, tmp_path, monkeypatch):
+        """The pids of every reader parse, read back from a file, so parses
+        in forked pool workers (which inherit the patch) count too."""
+        log = tmp_path / "parses.log"
+        parse = store_reader.parse_manifest
+
+        def logged(manifest_path, raw):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return parse(manifest_path, raw)
+
+        monkeypatch.setattr(store_reader, "parse_manifest", logged)
+        monkeypatch.setattr(store_reader, "_last_parse", None)
+        return lambda: log.read_text().split() if log.exists() else []
+
+    def test_a_pool_build_parses_once(self, store_path, parses):
+        if multiprocessing.get_context().get_start_method() != "fork":
+            pytest.skip("pool workers inherit the parse only when forked")
+        options = ParallelOptions(workers=2, shards=4)
+        for _ in range(2):
+            dataset = build_dataset(store_path, study_windows=8, options=options)
+            assert dataset.degraded is None and len(dataset.shard_report) == 4
+            assert parses() == [str(os.getpid())]
+
+    def test_a_same_size_rewrite_in_place_is_reparsed_and_refused(
+        self, tmp_path, trace_samples, parses
+    ):
+        """Same inode, size and mtime — a rewrite inside one coarse mtime
+        tick — but other bytes: a memo keyed by the stat identity would
+        hand back the old parse."""
+        store = tmp_path / "flipped.store"
+        write_store(store, trace_samples)
+        TraceStoreReader(store)
+        manifest_path = store / MANIFEST_NAME
+        raw = manifest_path.read_bytes()
+        flipped = raw.replace(b'"version":2,', b'"version":3,', 1)
+        assert flipped != raw and len(flipped) == len(raw)
+        before = os.stat(manifest_path)
+        identity = manifest_identity(store)
+        with open(manifest_path, "r+b") as handle:
+            handle.write(flipped)
+        os.utime(manifest_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert manifest_identity(store) == identity
+        with pytest.raises(StoreError, match="unsupported store version 3"):
+            TraceStoreReader(store)
+        assert len(parses()) == 2
+
+    def test_no_caller_mutates_the_shared_parse(self, tmp_path, trace_samples):
+        store = tmp_path / "shared.store"
+        write_store(store, trace_samples[:300])
+        append_to_store(store, trace_samples[300:])
+        outcomes = []
+        for step in (
+            lambda: build_dataset(
+                store, study_windows=8, options=ParallelOptions(shards=4)
+            ).degraded,
+            lambda: verify_store(store).ok,
+            lambda: compact_store(store).skipped,
+        ):
+            outcomes.append(step())
+            (_, raw), manifest = store_reader._last_parse
+            assert manifest == json.loads(raw)
+        assert outcomes == [None, True, False]
 
 
 class TestStoreJsonlEquivalence:
