@@ -13,25 +13,26 @@ the multi-node backend without touching the math:
 - :mod:`repro.dist.daemon` — :class:`WorkerDaemon`, the ``repro worker``
   process: accepts connections, executes :func:`repro.pipeline.parallel.
   _run_shard` per task, replies result-or-failure.
-- :mod:`repro.dist.client` — :class:`DispatchExecutor`, the backend
-  :func:`repro.pipeline.parallel.build_dataset` uses whenever
+- :mod:`repro.dist.client` — :class:`DispatchPool`, the
+  ``concurrent.futures`` executor :func:`repro.pipeline.parallel.
+  build_dataset` runs its shard plan on whenever
   ``ParallelOptions.worker_addrs`` is non-empty (nothing else selects
-  it): health-checks the daemons, fans the shard plan across them, and
-  reassigns the tasks of dead workers to survivors through the standard
-  retry/quarantine policy.
+  it): health-checks the daemons and fans tasks across them; the shared
+  retry loop reassigns a dead worker's task to the survivors through the
+  standard retry/quarantine policy.
 
 The acceptance bar is the same one every backend honors: datasets,
 data counters, figures, and manifests byte-identical to the serial pass
 (``tests/test_executor_contract.py``, ``tests/test_dist.py``).
 """
 
-from repro.dist.client import DispatchError, DispatchExecutor
+from repro.dist.client import DispatchError, DispatchPool
 from repro.dist.daemon import WorkerDaemon
 from repro.dist.protocol import ProtocolError
 
 __all__ = [
     "DispatchError",
-    "DispatchExecutor",
+    "DispatchPool",
     "ProtocolError",
     "WorkerDaemon",
 ]

@@ -1,29 +1,31 @@
 """The ``dispatch`` backend: fan shard tasks out across worker daemons.
 
-:class:`DispatchExecutor` implements the
-:class:`~repro.pipeline.parallel.ShardExecutor` contract over a fleet of
-:class:`~repro.dist.daemon.WorkerDaemon`s. The shape mirrors the
-one-daemon-per-worker fan-out in SNIPPETS.md §3: the client health-checks
-every address up front (``MSG_PING``), keeps one connection per live
-worker, and runs one puller thread per connection that draws tasks from a
-shared queue — so a slow worker simply pulls less, and shard→worker
-assignment never needs to be decided up front.
+:class:`DispatchPool` is a ``concurrent.futures`` executor over a fleet
+of :class:`~repro.dist.daemon.WorkerDaemon`s, driven by the same retry
+loop as the local backends (:func:`repro.pipeline.parallel._execute`).
+The shape mirrors the one-daemon-per-worker fan-out in SNIPPETS.md §3:
+the pool health-checks every address up front (``MSG_PING``), keeps one
+connection per live worker, and runs one puller thread per connection
+that draws tasks from a shared queue — so a slow worker simply pulls
+less, and shard→worker assignment never needs to be decided up front.
 
-Failure semantics, all through the standard
-:func:`~repro.pipeline.parallel._on_shard_failure` policy so accounting
-is byte-identical to the local backends:
+A puller resolves every future it takes, so accounting stays with the
+standard :func:`~repro.pipeline.parallel._on_shard_failure` policy:
 
 - **remote shard failure** (``MSG_FAILURE``): the worker is healthy, the
-  shard raised. Counts one attempt; the task is requeued (any worker may
-  retry it) or quarantined when spent.
+  shard raised. The future fails with the :class:`RemoteCause`; the loop
+  retries it (any worker may run the retry) or quarantines it.
 - **worker death** (connection error, EOF mid-frame, protocol violation,
-  or an injected ``drop_connection``): the in-flight task counts one
-  attempt and is *reassigned* — requeued for the surviving workers — and
-  the dead worker's puller thread exits. ``dist.tasks.reassigned`` and
-  ``dist.workers.lost`` record the event.
-- **no survivors**: tasks still queued when every worker is gone are
-  quarantined into the ledger (or raise :class:`ShardError` under
-  ``strict``) with a :class:`DispatchError` cause naming the situation.
+  a reply that does not decode, or an injected ``drop_connection``): the
+  future fails with that error, costing the in-flight task one attempt,
+  and the link retires. The task's resubmission is *reassigned* to the
+  survivors. ``dist.workers.lost`` and ``dist.tasks.reassigned`` record
+  the event.
+- **no survivors**: once the last link retires, every queued future and
+  every later-submitted one fails with :class:`DispatchError`, a
+  :class:`~repro.pipeline.parallel.NoBackendError` — quarantined at its
+  current attempt without a retry (or raised as ``ShardError`` under
+  ``strict``), counted once in ``dist.tasks.stranded``.
 
 ``dist.*`` counters are execution facts (like ``fault.*`` and
 ``stage.*``): they land in the *active* registry and the manifest's
@@ -34,11 +36,11 @@ serial-equality invariant is untouched by how the run was dispatched.
 from __future__ import annotations
 
 import logging
+import queue
 import socket
 import threading
-import time
-from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from concurrent.futures import Executor, Future
+from typing import List, Sequence, Set, Tuple, Union
 
 from repro import faultinject
 from repro.dist import protocol
@@ -49,16 +51,13 @@ from repro.dist.serialization import (
 )
 from repro.obs import active_metrics
 from repro.pipeline.parallel import (
-    DegradedLedger,
-    ParallelOptions,
-    ShardError,
-    ShardExecutor,
+    NoBackendError,
+    RemoteCause,
     ShardResult,
-    _on_shard_failure,
     _ShardTask,
 )
 
-__all__ = ["DispatchError", "DispatchExecutor", "parse_addr"]
+__all__ = ["DispatchError", "DispatchPool", "parse_addr"]
 
 _LOG = logging.getLogger("repro.dist.client")
 
@@ -71,8 +70,9 @@ _CONNECT_TIMEOUT_SECONDS = 5.0
 _REPLY_TIMEOUT_SECONDS = 600.0
 
 
-class DispatchError(RuntimeError):
-    """The dispatch fleet cannot run the plan (no reachable workers)."""
+class DispatchError(NoBackendError):
+    """The dispatch fleet cannot run the plan: no worker is reachable, or
+    every worker has died."""
 
 
 def parse_addr(addr: str) -> Tuple[str, int]:
@@ -114,63 +114,62 @@ class _WorkerLink:
             pass
 
 
-class DispatchExecutor(ShardExecutor):
-    """Fan shard tasks across worker daemons (see module docstring)."""
+class DispatchPool(Executor):
+    """Ship shard tasks to worker daemons (see module docstring).
 
-    def __init__(self, options: ParallelOptions) -> None:
-        super().__init__(options)
+    ``submit(fn, task)`` queues ``task`` for whichever daemon pulls it
+    next; the daemon runs :func:`~repro.pipeline.parallel._run_shard` on
+    it, so ``fn`` (always ``_run_shard`` under ``_execute``) is not
+    shipped.
+    """
+
+    def __init__(self, worker_addrs: Sequence[str]) -> None:
         self._lock = threading.Lock()
-        # Signals queue/outstanding changes to idle puller threads: a
-        # worker with nothing queued must keep waiting while tasks are in
-        # flight elsewhere — a dying peer may requeue its task any moment.
-        self._cond = threading.Condition(self._lock)
-        #: Tasks not yet resolved (completed, quarantined, or fatal).
-        self._outstanding = 0
-        self._links: List[_WorkerLink] = []
-
-    # ----------------------------------------------------------------- #
-    # ShardExecutor contract
-    # ----------------------------------------------------------------- #
-    def run(
-        self, tasks: Sequence[_ShardTask], ledger: DegradedLedger
-    ) -> List[ShardResult]:
-        queue: Deque[Tuple[_ShardTask, int]] = deque(
-            (task, 1) for task in tasks
-        )
-        results: List[ShardResult] = []
-        fatal: List[ShardError] = []
-        stop = threading.Event()
-        self._outstanding = len(queue)
-        links = self._connect()
-        threads = [
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        #: Ordinals whose worker died with them in flight: their next
+        #: submission is a reassignment.
+        self._orphaned: Set[int] = set()
+        self._links = self._connect(worker_addrs)
+        self._live = len(self._links)
+        self._threads = [
             threading.Thread(
-                target=self._pull_loop,
-                args=(link, queue, results, ledger, fatal, stop),
+                target=self._pull,
+                args=(link,),
                 name=f"repro-dispatch-{link.addr}",
                 daemon=True,
             )
-            for link in links
+            for link in self._links
         ]
-        for thread in threads:
+        for thread in self._threads:
             thread.start()
-        for thread in threads:
-            thread.join()
-        if fatal:
-            raise fatal[0]
-        self._drain_leftovers(queue, ledger)
-        results.sort(key=lambda result: result.ordinal)
-        return results
 
-    def close(self) -> None:
+    def submit(self, fn, task: _ShardTask) -> Future:
+        future: Future = Future()
         with self._lock:
-            links, self._links = self._links, []
-        for link in links:
+            reassigned = task.ordinal in self._orphaned
+            self._orphaned.discard(task.ordinal)
+            live = self._live > 0
+            if live:
+                self._queue.put((future, task))
+        if reassigned:
+            self._count("dist.tasks.reassigned")
+        if not live:
+            self._strand(future, task)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        for _ in self._threads:
+            self._queue.put(None)
+        if wait:
+            for thread in self._threads:
+                thread.join()
+        for link in self._links:
             link.close()
 
     # ----------------------------------------------------------------- #
     # Internals
     # ----------------------------------------------------------------- #
-    def _connect(self) -> List[_WorkerLink]:
+    def _connect(self, worker_addrs: Sequence[str]) -> List[_WorkerLink]:
         """Health-check every address; returns the live links.
 
         Unreachable daemons are logged and skipped — the plan runs on the
@@ -178,13 +177,11 @@ class DispatchExecutor(ShardExecutor):
         no backend to degrade onto.
         """
         links: List[_WorkerLink] = []
-        for addr in self.options.worker_addrs:
+        for addr in worker_addrs:
             try:
                 link = _WorkerLink(addr)
                 link.ping()
-            except (OSError, protocol.ProtocolError, ValueError) as error:
-                if isinstance(error, ValueError):
-                    raise  # malformed address: a config bug, not a dead host
+            except (OSError, protocol.ProtocolError) as error:
                 self._count("dist.workers.unreachable")
                 _LOG.warning("worker %s failed health check: %s", addr, error)
                 continue
@@ -192,52 +189,24 @@ class DispatchExecutor(ShardExecutor):
             self._count("dist.workers.connected")
         if not links:
             raise DispatchError(
-                "no dispatch workers reachable among "
-                f"{', '.join(self.options.worker_addrs)}"
+                f"no dispatch workers reachable among {', '.join(worker_addrs)}"
             )
-        with self._lock:
-            self._links.extend(links)
         return links
 
-    def _pull_loop(
-        self,
-        link: _WorkerLink,
-        queue: Deque[Tuple[_ShardTask, int]],
-        results: List[ShardResult],
-        ledger: DegradedLedger,
-        fatal: List[ShardError],
-        stop: threading.Event,
-    ) -> None:
-        while not stop.is_set():
-            with self._cond:
-                # An empty queue is not "done": a task in flight on a
-                # dying peer may be requeued for reassignment. Exit only
-                # when every task is resolved (or on fatal stop).
-                while (
-                    not queue
-                    and self._outstanding > 0
-                    and not stop.is_set()
-                ):
-                    self._cond.wait(timeout=0.05)
-                if stop.is_set() or not queue:
-                    return
-                task, attempt = queue.popleft()
+    def _pull(self, link: _WorkerLink) -> None:
+        """Run queued tasks on ``link`` until shutdown or its death."""
+        while True:
+            item = self._queue.get()
+            if item is None:
+                return
+            future, task = item
+            if not future.set_running_or_notify_cancel():
+                continue
             try:
-                faultinject.check_connection(link.addr)
-                sent = protocol.send_frame(
-                    link.sock, protocol.MSG_TASK, encode_task(task)
-                )
-                self._count("dist.tasks.dispatched")
-                self._count("dist.bytes.sent", sent)
-                frame = protocol.recv_frame(link.sock)
-                msg_type, payload = frame
-                self._count(
-                    "dist.bytes.received", protocol.HEADER_BYTES + len(payload)
-                )
-            except (OSError, protocol.ProtocolError) as error:
-                # Worker death: reassign the in-flight task, retire the
-                # link. socket.timeout is an OSError, so a wedged worker
-                # lands here too.
+                outcome = self._ship(link, task)
+            except Exception as error:  # noqa: BLE001 — any of it kills the link
+                # socket.timeout is an OSError, so a wedged worker lands
+                # here too.
                 self._count("dist.workers.lost")
                 _LOG.warning(
                     "worker %s lost with shard %d in flight: %s",
@@ -245,97 +214,59 @@ class DispatchExecutor(ShardExecutor):
                     task.ordinal,
                     error,
                 )
-                self._handle_failure(
-                    task, attempt, error, queue, ledger, fatal, stop,
-                    reassigned=True,
-                )
-                link.close()
+                self._retire(link, task)
+                future.set_exception(error)
                 return
-            if msg_type == protocol.MSG_RESULT:
-                result = decode_result(payload)
-                with self._cond:
-                    results.append(result)
-                    self._outstanding -= 1
-                    self._cond.notify_all()
-                self._count("dist.tasks.completed")
-                continue
-            if msg_type == protocol.MSG_FAILURE:
-                failure = decode_failure(payload)
-                self._count("dist.remote_failures")
-                self._handle_failure(
-                    task, attempt, failure, queue, ledger, fatal, stop,
-                    reassigned=False,
-                )
-                continue
-            # An unexpected reply type is a protocol violation: treat the
-            # worker as dead and reassign.
-            self._count("dist.workers.lost")
-            self._handle_failure(
-                task,
-                attempt,
-                protocol.ProtocolError(
-                    f"worker {link.addr} sent unexpected reply type {msg_type}"
-                ),
-                queue,
-                ledger,
-                fatal,
-                stop,
-                reassigned=True,
-            )
-            link.close()
-            return
+            if isinstance(outcome, RemoteCause):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
 
-    def _handle_failure(
-        self,
-        task: _ShardTask,
-        attempt: int,
-        error: BaseException,
-        queue: Deque[Tuple[_ShardTask, int]],
-        ledger: DegradedLedger,
-        fatal: List[ShardError],
-        stop: threading.Event,
-        reassigned: bool,
-    ) -> None:
-        """Route one failed attempt through the standard policy."""
-        with self._cond:
-            try:
-                delay = _on_shard_failure(
-                    task, attempt, error, self.options, ledger
-                )
-            except ShardError as exc:
-                fatal.append(exc)
-                stop.set()
-                self._cond.notify_all()
-                return
-            if delay is None:  # quarantined: the task is resolved
-                self._outstanding -= 1
-                self._cond.notify_all()
-                return
-        if delay > 0:
-            time.sleep(delay)
-        with self._cond:
-            queue.append((task, attempt + 1))
-            self._cond.notify_all()
-        if reassigned:
-            self._count("dist.tasks.reassigned")
+    def _ship(
+        self, link: _WorkerLink, task: _ShardTask
+    ) -> Union[ShardResult, RemoteCause]:
+        """One task over ``link``: its result, or its remote failure."""
+        faultinject.check_connection(link.addr)
+        sent = protocol.send_frame(link.sock, protocol.MSG_TASK, encode_task(task))
+        self._count("dist.tasks.dispatched")
+        self._count("dist.bytes.sent", sent)
+        msg_type, payload = protocol.recv_frame(link.sock)
+        self._count("dist.bytes.received", protocol.HEADER_BYTES + len(payload))
+        if msg_type == protocol.MSG_FAILURE:
+            self._count("dist.remote_failures")
+            return decode_failure(payload)
+        if msg_type != protocol.MSG_RESULT:
+            raise protocol.ProtocolError(
+                f"worker {link.addr} sent unexpected reply type {msg_type}"
+            )
+        result = decode_result(payload)
+        self._count("dist.tasks.completed")
+        return result
 
-    def _drain_leftovers(
-        self, queue: Deque[Tuple[_ShardTask, int]], ledger: DegradedLedger
-    ) -> None:
-        """Account tasks stranded by the death of every worker."""
-        while queue:
-            task, attempt = queue.popleft()
-            error = DispatchError(
-                "no surviving dispatch workers to run this shard"
-            )
-            if self.options.strict:
-                raise ShardError(task.ordinal, error, attempt)
-            ledger.quarantine(task, error, attempt)
-            self._count("dist.tasks.stranded")
-            _LOG.warning(
-                "shard %d stranded: every dispatch worker is gone",
-                task.ordinal,
-            )
+    def _retire(self, link: _WorkerLink, task: _ShardTask) -> None:
+        """``link`` died with ``task`` in flight; the last death strands
+        everything still queued."""
+        link.close()
+        stranded = []
+        with self._lock:
+            self._orphaned.add(task.ordinal)
+            self._live -= 1
+            while not self._live and not self._queue.empty():
+                item = self._queue.get_nowait()
+                if item is not None:
+                    stranded.append(item)
+        for future, queued in stranded:
+            if future.set_running_or_notify_cancel():
+                self._strand(future, queued)
+
+    def _strand(self, future: Future, task: _ShardTask) -> None:
+        self._count("dist.tasks.stranded")
+        _LOG.warning(
+            "shard %d stranded: every dispatch worker is gone", task.ordinal
+        )
+        future.set_exception(
+            DispatchError("no surviving dispatch workers to run this shard")
+        )
 
     def _count(self, name: str, value: int = 1) -> None:
         registry = active_metrics()

@@ -44,13 +44,14 @@ code path and stay bit-identical to the pre-retry pipeline.
 
 Backends (DESIGN.md §13): *where* shards run is worked out from the
 options, never chosen. ``worker_addrs`` non-empty fans the plan out over
-those :mod:`repro.dist` worker daemons; otherwise ``workers > 1`` runs it
-on a process pool; otherwise it runs inline in this process, one task at
-a time in plan order (the determinism baseline). All three sit behind
-:class:`ShardExecutor` — ``shard task → ShardResult`` with
-order-independent, picklable partial states — and are held to one
-contract by ``tests/test_executor_contract.py``: byte-identical datasets
-and data counters versus the inline run, and identical retry/quarantine
+those :mod:`repro.dist` worker daemons (a
+:class:`~repro.dist.client.DispatchPool`); otherwise ``workers > 1`` runs
+it on a ``ProcessPoolExecutor``; otherwise it runs inline in this process
+(:class:`_InlineExecutor`), first attempts in plan order (the determinism
+baseline). All three are ``concurrent.futures`` executors driven by one
+retry loop, :func:`_execute`, and are held to one contract by
+``tests/test_executor_contract.py``: byte-identical datasets and data
+counters versus the inline run, and identical retry/quarantine
 accounting.
 """
 
@@ -60,7 +61,13 @@ import logging
 import pathlib
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -81,11 +88,10 @@ from repro.store.schema import gc_paused
 
 __all__ = [
     "DegradedLedger",
+    "NoBackendError",
     "ParallelOptions",
     "RemoteCause",
-    "SerialExecutor",
     "ShardError",
-    "ShardExecutor",
     "ShardResult",
     "build_dataset",
 ]
@@ -126,6 +132,14 @@ def _transportable_cause(cause: BaseException) -> BaseException:
         return cause
     except Exception:  # noqa: BLE001 — any failure means "not transportable"
         return RemoteCause(type(cause).__name__, str(cause))
+
+
+class NoBackendError(RuntimeError):
+    """Nothing is left to run the shard on (every worker is gone).
+
+    A failed attempt with this cause is not retried: the shard is
+    quarantined at its current attempt, or raised under ``strict``.
+    """
 
 
 class ShardError(RuntimeError):
@@ -388,9 +402,11 @@ def _on_shard_failure(
     Returns the backoff delay (seconds) before the next attempt, or
     ``None`` when the shard is spent — quarantined into ``ledger``, or
     raised as :class:`ShardError` under ``strict``. Every worker failure
-    flows through here, so every failure names its shard.
+    flows through here, so every failure names its shard. A
+    :class:`NoBackendError` spends the shard at once: a retry would have
+    nowhere to run.
     """
-    if attempt <= options.max_retries:
+    if attempt <= options.max_retries and not isinstance(error, NoBackendError):
         ledger.retries += 1
         _LOG.warning(
             "shard %d attempt %d/%d failed (%s: %s); retrying",
@@ -414,118 +430,34 @@ def _on_shard_failure(
     return None
 
 
-def _run_shard_with_retry(
-    task: _ShardTask, options: ParallelOptions, ledger: DegradedLedger
-) -> Optional[ShardResult]:
-    attempt = 1
-    while True:
+class _InlineExecutor(Executor):
+    """Runs each submitted call at once, in this process: ``submit``
+    returns a finished future. The backend of one-worker and one-task
+    plans; under :func:`_execute` it runs every first attempt in plan
+    order, then the retries."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
         try:
-            return _run_shard(task)
-        except Exception as error:  # noqa: BLE001 — fate decided below
-            delay = _on_shard_failure(task, attempt, error, options, ledger)
-            if delay is None:
-                return None
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:  # noqa: BLE001 — the caller decides its fate
+            future.set_exception(error)
+        return future
 
 
-# --------------------------------------------------------------------- #
-# Executor interface (DESIGN.md §13)
-# --------------------------------------------------------------------- #
-class ShardExecutor:
-    """Where shards run: takes a shard plan, returns surviving results.
+def _executor_for(options: ParallelOptions, task_count: int) -> Executor:
+    """The executor ``options`` derive (DESIGN.md §13)."""
+    if options.backend == "dispatch":
+        # Imported lazily: repro.dist imports this module for the
+        # task/result types, so a top-level import would be circular.
+        from repro.dist.client import DispatchPool
 
-    The contract every backend must honor (enforced for all built-ins by
-    ``tests/test_executor_contract.py``):
-
-    - ``run`` returns the surviving :class:`ShardResult`s sorted by task
-      ordinal; quarantined shards are simply absent — ``ledger`` records
-      them.
-    - Every failed attempt is routed through :func:`_on_shard_failure`, so
-      retry counting, quarantine accounting, and ``strict`` fail-fast are
-      byte-identical across backends.
-    - Shard execution itself is :func:`_run_shard` (or an exact remote
-      proxy for it), so the data math cannot drift per backend.
-
-    Because results are merged by order key, any backend satisfying this
-    contract yields datasets bit-identical to the serial pass.
-    """
-
-    def __init__(self, options: ParallelOptions) -> None:
-        self.options = options
-
-    def run(
-        self, tasks: Sequence[_ShardTask], ledger: DegradedLedger
-    ) -> List[ShardResult]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (idempotent; default no-op)."""
-
-
-class SerialExecutor(ShardExecutor):
-    """One task at a time, in plan order — the determinism baseline."""
-
-    def run(
-        self, tasks: Sequence[_ShardTask], ledger: DegradedLedger
-    ) -> List[ShardResult]:
-        results = [
-            _run_shard_with_retry(task, self.options, ledger)
-            for task in tasks
-        ]
-        return [result for result in results if result is not None]
-
-
-class _PoolExecutor(ShardExecutor):
-    """Single-host process pool over ``concurrent.futures``.
-
-    Failed attempts are resubmitted to the pool (FIRST_COMPLETED wait loop)
-    so a retry never blocks other shards' progress.
-    """
-
-    #: The one seam tests patch (to a thread pool) so this retry loop can
-    #: be driven in-process by programmatic ``faultinject`` plans, whose
-    #: count-limited faults are per-process (DESIGN.md §13).
-    pool_cls = ProcessPoolExecutor
-
-    def run(
-        self, tasks: Sequence[_ShardTask], ledger: DegradedLedger
-    ) -> List[ShardResult]:
-        options = self.options
-        results: List[ShardResult] = []
-        with self.pool_cls(max_workers=min(options.workers, len(tasks))) as pool:
-            pending = {
-                pool.submit(_run_shard, task): (task, 1) for task in tasks
-            }
-            try:
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        task, attempt = pending.pop(future)
-                        error = future.exception()
-                        if error is None:
-                            results.append(future.result())
-                            continue
-                        if not isinstance(error, Exception):
-                            raise error  # KeyboardInterrupt and kin: not ours
-                        delay = _on_shard_failure(
-                            task, attempt, error, options, ledger
-                        )
-                        if delay is None:
-                            continue
-                        if delay > 0:
-                            time.sleep(delay)
-                        pending[pool.submit(_run_shard, task)] = (
-                            task,
-                            attempt + 1,
-                        )
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
-        results.sort(key=lambda result: result.ordinal)
-        return results
+        return DispatchPool(options.worker_addrs)
+    if options.backend == "process" and task_count > 1:
+        return ProcessPoolExecutor(max_workers=min(options.workers, task_count))
+    # A one-task plan gains nothing from a pool — run it inline.
+    # (Dispatch still ships it: its point is *where* the task runs.)
+    return _InlineExecutor()
 
 
 def _execute(
@@ -535,29 +467,43 @@ def _execute(
 ) -> List[ShardResult]:
     """Run the shard plan; returns surviving results in plan order.
 
-    Quarantined shards (non-strict, retries exhausted) are simply absent
-    from the returned list — the ledger records them.
+    The one retry loop, whatever the backend: every failed attempt goes
+    through :func:`_on_shard_failure`, and a retry is resubmitted without
+    blocking other shards' progress. Quarantined shards (non-strict,
+    retries exhausted) are simply absent from the returned list — the
+    ledger records them, in plan order.
     """
     if not tasks:
         return []
-    backend = options.backend
-    executor: ShardExecutor
-    if backend == "dispatch":
-        # Imported lazily: repro.dist imports this module for the
-        # task/result types, so a top-level import would be circular.
-        from repro.dist.client import DispatchExecutor
-
-        executor = DispatchExecutor(options)
-    elif backend == "process" and len(tasks) > 1:
-        executor = _PoolExecutor(options)
-    else:
-        # A one-task plan gains nothing from a pool — run it inline.
-        # (Dispatch still ships it: its point is *where* the task runs.)
-        executor = SerialExecutor(options)
-    try:
-        return executor.run(tasks, ledger)
-    finally:
-        executor.close()
+    results: List[ShardResult] = []
+    with _executor_for(options, len(tasks)) as pool:
+        pending = {pool.submit(_run_shard, task): (task, 1) for task in tasks}
+        try:
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in sorted(done, key=lambda f: pending[f][0].ordinal):
+                    task, attempt = pending.pop(future)
+                    error = future.exception()
+                    if error is None:
+                        results.append(future.result())
+                        continue
+                    if not isinstance(error, Exception):
+                        raise error  # KeyboardInterrupt and kin: not ours
+                    delay = _on_shard_failure(
+                        task, attempt, error, options, ledger
+                    )
+                    if delay is None:
+                        continue
+                    if delay > 0:
+                        time.sleep(delay)
+                    pending[pool.submit(_run_shard, task)] = (task, attempt + 1)
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
+    results.sort(key=lambda result: result.ordinal)
+    ledger.shards.sort(key=lambda entry: entry["ordinal"])
+    return results
 
 
 def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> StudyDataset:

@@ -28,9 +28,8 @@ from repro.core.records import (
 )
 from repro.dist import protocol
 from repro.dist.client import parse_addr
-from repro.pipeline import ParallelOptions, StudyDataset, read_samples
+from repro.pipeline import ParallelOptions, StudyDataset, parallel, read_samples
 from repro.pipeline.io import write_samples
-from repro.pipeline.parallel import _PoolExecutor
 from repro.store import write_store
 
 
@@ -38,14 +37,14 @@ from repro.store import write_store
 def in_process_pool(monkeypatch):
     """Run the pool backend's shards on threads of this process.
 
-    ``ParallelOptions(workers > 1)`` still picks the pool and its
+    ``ParallelOptions(workers > 1)`` still picks the pool and the
     FIRST_COMPLETED retry loop runs unchanged; only the pool class is
     swapped, so a programmatic ``faultinject.inject(...)`` plan reaches
     the shards and a count-limited fault keeps one budget (under the
     env-var activation a real process pool needs, every child has its
     own). Import the fixture into a test module to use it.
     """
-    monkeypatch.setattr(_PoolExecutor, "pool_cls", ThreadPoolExecutor)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", ThreadPoolExecutor)
 
 
 def request_shutdown(addr: str, timeout: float = 5.0) -> bool:

@@ -60,7 +60,7 @@ from repro.pipeline.parallel import (
     _run_shard,
     _ShardTask,
 )
-from repro.store import StoreChunk
+from repro.store import StoreChunk, TraceStoreReader
 
 from tests.helpers import make_trace_samples, request_shutdown, write_trace_paths
 from tests.test_pipeline_parallel import assert_datasets_equal
@@ -788,6 +788,135 @@ class TestDispatchFaults:
         assert entry["error"].startswith("RemoteCause: RuntimeError: ")
         assert "RuntimeError" in entry["error"]
         assert "injected fault" in entry["error"]
+
+
+@contextlib.contextmanager
+def _undecodable_daemon(payload: bytes):
+    """A daemon that answers PING and replies ``MSG_RESULT`` carrying
+    ``payload`` to every task; yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve(conn):
+        with conn:
+            try:
+                while (frame := protocol.recv_frame(conn, allow_eof=True)):
+                    reply = protocol.MSG_PONG, b""
+                    if frame[0] == protocol.MSG_TASK:
+                        reply = protocol.MSG_RESULT, payload
+                    protocol.send_frame(conn, *reply)
+            except (OSError, ProtocolError):
+                pass
+
+    def accept():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+
+
+def _build_on_a_thread(store, options, registry):
+    """``build_dataset`` on a daemon thread, so a hang fails the test
+    after 60 s instead of wedging the suite."""
+    outcome = {}
+
+    def build():
+        try:
+            with activate_metrics(registry):
+                outcome["dataset"] = build_dataset(
+                    store, study_windows=STUDY_WINDOWS, options=options
+                )
+        except BaseException as error:  # noqa: BLE001 — re-raised below
+            outcome["error"] = error
+
+    thread = threading.Thread(target=build, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "build_dataset did not return in 60 s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["dataset"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [pickle.dumps({}), b"\x80\x04garbage"],
+    ids=["not-a-result", "not-a-pickle"],
+)
+class TestUndecodableResult:
+    """A worker whose ``MSG_RESULT`` does not decode is a dead worker: its
+    in-flight task is reassigned (or stranded), never left unresolved."""
+
+    def test_sole_bad_worker_strands_every_shard(self, trace_store, payload):
+        registry = MetricsRegistry()
+        with _undecodable_daemon(payload) as addr:
+            dataset = _build_on_a_thread(
+                trace_store, _dispatch_options((addr,)), registry
+            )
+        ledger = dataset.degraded
+        assert ledger is not None
+        assert [entry["ordinal"] for entry in ledger.shards] == [0, 1, 2, 3]
+        assert ledger.samples_lost == TraceStoreReader(trace_store).row_count
+        assert dataset.session_count == 0
+        assert registry.counter("dist.workers.lost") == 1
+
+    def test_bad_worker_beside_a_healthy_one_is_reassigned(
+        self, trace_store, serial_dataset, payload
+    ):
+        registry = MetricsRegistry()
+        with _undecodable_daemon(payload) as bad, WorkerDaemon() as good:
+            dataset = _build_on_a_thread(
+                trace_store, _dispatch_options((bad, good.address)), registry
+            )
+        assert dataset.degraded is None
+        assert_datasets_equal(dataset, serial_dataset)
+        assert registry.counter("dist.workers.lost") == 1
+        assert registry.counter("dist.tasks.reassigned") == 1
+
+    def test_three_bad_workers_among_two_good_under_fast_switching(
+        self, trace_store, serial_dataset, payload
+    ):
+        # Five pullers share one queue, one orphan set and one live count;
+        # a lost update would lose a task, a reassignment or a count.
+        registry = MetricsRegistry()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with contextlib.ExitStack() as stack:
+                bad = [
+                    stack.enter_context(_undecodable_daemon(payload))
+                    for _ in range(3)
+                ]
+                good = [
+                    stack.enter_context(WorkerDaemon()).address
+                    for _ in range(2)
+                ]
+                dataset = _build_on_a_thread(
+                    trace_store,
+                    _dispatch_options((*bad, *good), shards=12),
+                    registry,
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert dataset.degraded is None
+        assert_datasets_equal(dataset, serial_dataset)
+        lost = registry.counter("dist.workers.lost")
+        assert 0 <= lost <= 3
+        assert registry.counter("dist.tasks.reassigned") == lost
+        assert registry.counter("fault.shard_retries") == lost
+        assert registry.counter("dist.tasks.completed") == 12
 
 
 # --------------------------------------------------------------------- #

@@ -238,6 +238,28 @@ class TestSurfaceGuards:
         ]
         assert "gc.disable()" in ast.get_source_segment(source, pause)
 
+    def test_one_retry_loop_for_every_backend(self):
+        """Inline, pool and dispatch shards all run under
+        ``parallel._execute``: it is the one function that waits on
+        ``FIRST_COMPLETED`` and the one that calls the failure policy, so
+        a second retry loop cannot come back unnoticed."""
+        import ast
+
+        users = {"FIRST_COMPLETED": set(), "_on_shard_failure": set()}
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(function):
+                    name = getattr(node, "id", None) or getattr(node, "attr", None)
+                    if name in users:
+                        users[name].add(f"{path.name}:{function.name}")
+        assert users == {
+            "FIRST_COMPLETED": {"parallel.py:_execute"},
+            "_on_shard_failure": {"parallel.py:_execute"},
+        }
+
     def test_a_daemon_does_not_unpickle(self):
         """A shard task is a descriptor (CONTRIBUTING.md): the daemon, which
         reads frames from whoever connects, imports no unpickler, and the

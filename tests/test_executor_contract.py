@@ -1,10 +1,11 @@
 """Executor-conformance suite: every backend honors one contract.
 
-The :class:`~repro.pipeline.parallel.ShardExecutor` contract (DESIGN.md
-§13) is what makes *where* shards run orthogonal to *what* they compute:
-any backend — inline, process pool, or dispatch over socket daemons —
-must produce datasets and data counters byte-identical to the one-pass
-fold of the same columnar store, and must route every failed attempt through the same
+The backend contract (DESIGN.md §13) is what makes *where* shards run
+orthogonal to *what* they compute: any backend — inline, process pool, or
+dispatch over socket daemons, each a ``concurrent.futures`` executor under
+the one retry loop ``parallel._execute`` — must produce datasets and data
+counters byte-identical to the one-pass fold of the same columnar store,
+and must route every failed attempt through the same
 retry/quarantine/strict policy so accounting is indistinguishable across
 backends.
 
@@ -32,7 +33,6 @@ from repro.pipeline import (
     build_dataset,
 )
 from repro.pipeline.io import plan_chunks
-from repro.pipeline.parallel import ShardExecutor
 
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
     LOCAL_BACKENDS,
@@ -233,18 +233,13 @@ class TestFailurePolicy:
 
 
 # --------------------------------------------------------------------- #
-# The base-class contract
+# The backend surface
 # --------------------------------------------------------------------- #
 class TestExecutorRegistry:
-    def test_base_run_is_abstract(self, options_for):
-        executor = ShardExecutor(options_for("serial"))
-        with pytest.raises(NotImplementedError):
-            executor.run([], None)
-        executor.close()  # the default close is a safe no-op
-
     def test_no_production_code_names_a_thread_pool(self):
         # The GIL-bound pool has no workload it wins; threads exist only
-        # as the test seam ``_PoolExecutor.pool_cls`` is patched to.
+        # as what the test seam ``parallel.ProcessPoolExecutor`` is
+        # patched to.
         src = pathlib.Path(__file__).parent.parent / "src"
         offenders = [
             str(path.relative_to(src))
