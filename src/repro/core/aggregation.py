@@ -132,8 +132,8 @@ class AggregationStore:
     ranks of one (group, window), :meth:`group_windows` /
     :meth:`group_series` the group's own windows — none of them walks the
     store. Both are written in one place only, :meth:`_install`, which the
-    miss branches of :meth:`add` and :meth:`put` call; nothing outside
-    this class touches either.
+    miss branches of :meth:`add` and :meth:`put`, and :meth:`replace`,
+    call; nothing outside this class touches either.
     """
 
     def __init__(
@@ -166,7 +166,8 @@ class AggregationStore:
     def _install(
         self, key: Tuple[UserGroupKey, int, int], aggregation: Aggregation
     ) -> None:
-        """Record a new key: the only writer of ``_store`` and ``_index``."""
+        """Record a key: the only writer of ``_store`` and ``_index``. A key
+        already present keeps its place in both insertion orders."""
         group, rank, window = key
         self._store[key] = aggregation
         ranks = self._index.setdefault(group, {}).setdefault(window, {})
@@ -272,6 +273,20 @@ class AggregationStore:
             self._install(key, aggregation)
         else:
             existing.merge(aggregation)
+        self.mutation_count += 1
+
+    def replace(
+        self, key: Tuple[UserGroupKey, int, int], aggregation: Aggregation
+    ) -> None:
+        """Install ``aggregation`` in place of the one under ``key`` (which
+        must be present), keeping the key's place in both insertion orders:
+        how :func:`repro.pipeline.parallel._merge_results` extends a key
+        without mutating the aggregation installed there."""
+        if key != (aggregation.group, aggregation.route_rank, aggregation.window):
+            raise ValueError("key does not match the aggregation's identity")
+        if key not in self._store:
+            raise KeyError(key)
+        self._install(key, aggregation)
         self.mutation_count += 1
 
     def merge_store(self, other: "AggregationStore") -> "AggregationStore":

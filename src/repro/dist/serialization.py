@@ -9,7 +9,11 @@ daemon, the only reader of task frames, never unpickles what a peer sent.
 
 **Results are pickles** — ``ShardResult``'s own wire form, the one the
 process pool pickles back from its children (rows as plain tuples) — read
-only by the client, from daemons it chose to dial (DESIGN.md §13).
+only by the client, from daemons it chose to dial (DESIGN.md §13), and
+only through an unpickler that resolves the seven globals a result
+references (:data:`RESULT_GLOBALS`): a frame naming any other raises
+:class:`~repro.dist.protocol.ProtocolError`, as does any frame that does
+not decode, so a result frame cannot run code.
 **Failures are JSON**: a worker's exception can hold anything, so it is
 stringified to ``{"type", "message"}`` at the worker and a failure reply
 cannot itself fail to decode; the client
@@ -20,6 +24,7 @@ feeds the standard retry/quarantine path like any local exception.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import pickle
 
@@ -40,6 +45,22 @@ __all__ = [
 #: every Python this repo supports (3.8+), and stable across minor bumps
 #: so mixed-version client/daemon pairs interoperate.
 _PICKLE_PROTOCOL = 4
+
+#: Every global a result frame references, as ``(module, name)``: the
+#: result, its aggregations and their keys and routes, and its registry
+#: and filter stats (``tests/test_result_fuzz.py`` pins the set against
+#: real frames).
+RESULT_GLOBALS = frozenset(
+    {
+        ("repro.pipeline.parallel", "ShardResult"),
+        ("repro.core.aggregation", "Aggregation"),
+        ("repro.core.records", "UserGroupKey"),
+        ("repro.core.records", "RouteInfo"),
+        ("repro.core.records", "Relationship"),
+        ("repro.obs.registry", "MetricsRegistry"),
+        ("repro.pipeline.filters", "FilterStats"),
+    }
+)
 
 #: Field -> the exact JSON types it may have.
 _TASK_FIELDS = {
@@ -100,10 +121,32 @@ def encode_result(result: ShardResult) -> bytes:
     return pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
 
 
+class _ResultUnpickler(pickle.Unpickler):
+    """Unpickles a result frame, resolving only :data:`RESULT_GLOBALS`: a
+    frame that names any other global (``os.system``, ``builtins.eval``,
+    ...) is refused before anything is called."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) not in RESULT_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"result frame references {module}.{name}, which is not "
+                "part of a shard result"
+            )
+        return super().find_class(module, name)
+
+
 def decode_result(payload: bytes) -> ShardResult:
-    result = pickle.loads(payload)
-    if not isinstance(result, ShardResult):
-        raise TypeError(
+    """Rebuild a shard result; :class:`ProtocolError` if the frame does not
+    decode, names a global outside :data:`RESULT_GLOBALS`, or decodes to
+    anything but a :class:`ShardResult`."""
+    try:
+        result = _ResultUnpickler(io.BytesIO(payload)).load()
+    except Exception as error:  # noqa: BLE001 — whatever a mangled frame raises
+        raise ProtocolError(
+            f"result frame does not decode: {type(error).__name__}: {error}"
+        ) from None
+    if type(result) is not ShardResult:
+        raise ProtocolError(
             f"result frame decoded to {type(result).__name__}, "
             "not a shard result"
         )

@@ -326,22 +326,36 @@ class Fig6Result:
 @traced("pipeline.fig6")
 def fig6_global_performance(dataset: StudyDataset) -> Fig6Result:
     """Figure 6: MinRTT and HDratio distributions, global and per continent."""
-    rows = dataset.rows
-    hd_rows = dataset.hd_rows()
-    minrtt_by = {}
-    hd_by = {}
-    for code in CONTINENT_CODES:
-        continent_rows = [r for r in rows if r.continent == code]
-        continent_hd = [r for r in hd_rows if r.continent == code]
-        if continent_rows:
-            minrtt_by[code] = CdfSeries.of(code, [r.min_rtt_ms for r in continent_rows])
-        if continent_hd:
-            hd_by[code] = CdfSeries.of(code, [r.hdratio for r in continent_hd])
+    # One pass groups the values: stream order within each list, and the
+    # per-continent dicts keep CONTINENT_CODES order (empty ones left out).
+    minrtt_all: List[float] = []
+    hdratio_all: List[float] = []
+    minrtt_of: Dict[str, List[float]] = {code: [] for code in CONTINENT_CODES}
+    hdratio_of: Dict[str, List[float]] = {code: [] for code in CONTINENT_CODES}
+    for row in dataset.rows:
+        minrtt = row.min_rtt_ms
+        minrtt_all.append(minrtt)
+        continent_minrtts = minrtt_of.get(row.continent)
+        if continent_minrtts is not None:
+            continent_minrtts.append(minrtt)
+        hdratio = row.hdratio
+        if hdratio is not None:
+            hdratio_all.append(hdratio)
+            if continent_minrtts is not None:
+                hdratio_of[row.continent].append(hdratio)
     return Fig6Result(
-        minrtt_all=CdfSeries.of("all", [r.min_rtt_ms for r in rows]),
-        hdratio_all=CdfSeries.of("all", [r.hdratio for r in hd_rows]),
-        minrtt_by_continent=minrtt_by,
-        hdratio_by_continent=hd_by,
+        minrtt_all=CdfSeries.of("all", minrtt_all),
+        hdratio_all=CdfSeries.of("all", hdratio_all),
+        minrtt_by_continent={
+            code: CdfSeries.of(code, values)
+            for code, values in minrtt_of.items()
+            if values
+        },
+        hdratio_by_continent={
+            code: CdfSeries.of(code, values)
+            for code, values in hdratio_of.items()
+            if values
+        },
     )
 
 

@@ -509,10 +509,16 @@ def _execute(
 def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> StudyDataset:
     """Fold shard results into ``dataset``, restoring exact serial order.
 
-    Copy-on-merge: no result is mutated. A key with one piece installs
-    that piece; a key with several gets a fresh aggregation. So merging
-    the same results twice — a served query over cached partials
-    (:mod:`repro.serve.engine`) — yields the same dataset twice.
+    ``dataset`` may already hold merged results (a served query extending
+    the previous generation's dataset, :mod:`repro.serve.engine`), on the
+    condition that every order key in ``results`` comes after every order
+    key it holds; the outcome is then the merge of all results at once.
+
+    Copy-on-merge: no result, and no aggregation ``dataset`` already
+    holds, is mutated. A new key with one piece installs that piece; a
+    key with several pieces, or one the dataset already holds, gets a
+    fresh aggregation. So merging the same results twice — a served query
+    over cached partials — yields the same dataset twice.
     """
     indexed_rows: List[Tuple[int, SessionRow]] = []
     parts: Dict[AggregationKey, List[Tuple[int, Aggregation]]] = {}
@@ -533,18 +539,25 @@ def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> Stu
             parts.setdefault(key, []).append((first_index, aggregation))
     indexed_rows.sort(key=lambda item: item[0])
     dataset.rows.extend(row for _, row in indexed_rows)
+    store = dataset.store
     for key in sorted(parts, key=lambda k: min(i for i, _ in parts[k])):
-        pieces = sorted(parts[key], key=lambda item: item[0])
-        merged = pieces[0][1]
+        pieces = [piece for _, piece in sorted(parts[key], key=lambda item: item[0])]
+        installed = store.get(*key)
+        if installed is not None:
+            pieces.insert(0, installed)
+        merged = pieces[0]
         if len(pieces) > 1:
             merged = replace(
                 merged,
                 min_rtts_ms=list(merged.min_rtts_ms),
                 hdratios=list(merged.hdratios),
             )
-            for _, piece in pieces[1:]:
+            for piece in pieces[1:]:
                 merged.merge(piece)
-        dataset.store.put(key, merged)
+        if installed is None:
+            store.put(key, merged)
+        else:
+            store.replace(key, merged)
     return dataset
 
 

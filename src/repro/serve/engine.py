@@ -15,7 +15,9 @@ Resolution pipeline per query:
 1. **Generation check.** The manifest's ``(row_count, data_bytes,
    partitions)`` triple is the store's *generation*; an append, a
    rewrite or a compaction moves it or a partition's key (step 3), which
-   flushes the query cache. Each request
+   flushes the query cache — an append, whose partition keys extend the
+   previous list with the same ``window_seconds``, *carries* the flushed
+   results instead, for step 3 to extend. Each request
    ``stat``s the manifest (:func:`~repro.store.writer.manifest_identity`,
    the appender's rule) and re-parses it only when that identity moved,
    read before the parse so a racing publish shows next request. Appends
@@ -26,7 +28,8 @@ Resolution pipeline per query:
    pinned).
 2. **Cache lookup.** Query results are cached in an :class:`~repro.serve.cache.LruCache`
    keyed by the normalized query coordinates — (profile, PoPs,
-   countries, window band) — with exact hit/miss/eviction accounting.
+   countries, window band) — with exact hit/miss/eviction accounting. A
+   carried result is never a hit.
 3. **Merge on miss.** The engine keeps one *partial* per (profile, store
    partition): the partition decoded once and folded through the column
    kernels, split by *cell* — (PoP, country, window in the profile's
@@ -41,7 +44,12 @@ Resolution pipeline per query:
    block CRCs: an append keeps every earlier partial, an in-place
    rewrite or a compaction swap drops them all. A partial's data
    counters (``pipeline.*``, ``store.*``, ...) land in the engine's
-   registry once, when it is built.
+   registry once, when it is built. A miss whose query has a carried
+   result merges only the appended partitions' admitted cells into the
+   carried dataset, provided each comes after everything that dataset
+   holds in order-key order; the merge is the same one, so the dataset is
+   the full merge's (``serve.merges.extended``). Anything else merges
+   every admitted cell into a fresh dataset (``serve.merges.full``).
 4. **Render.** Responses are JSON-ready dicts memoized per (endpoint,
    params) on the cache entry, so a warm response is byte-identical to the
    cold one by construction.
@@ -56,7 +64,10 @@ Thread safety: one re-entrant lock serializes request handling, which is
 what makes ``serve.*`` counters sum exactly to per-client totals under a
 concurrent fleet (``tests/test_serve_concurrency.py``). A cache hit costs
 a ``stat`` under the lock; a cold query merges partials and decodes only
-partitions no earlier query built.
+partitions no earlier query built, and after an append merges only the
+appended cells. Extending a carried dataset mutates it in place, which
+is safe because only the lock holder can reach it: a carried entry is
+never served, and it is retired the moment its extension is cached.
 """
 
 from __future__ import annotations
@@ -120,13 +131,28 @@ class BadRequest(ValueError):
     """A malformed query: unknown parameter, bad value, bad combination."""
 
 
+def _max_order_key(results: List[ShardResult], floor: int) -> int:
+    """The largest of ``floor`` and the order keys of ``results``' rows."""
+    return max([floor] + [result.rows[-1][0] for result in results if result.rows])
+
+
 class _CacheEntry:
-    """One cached query: its merged dataset plus its rendered responses."""
+    """One cached query: its merged dataset plus its rendered responses.
 
-    __slots__ = ("dataset", "responses")
+    ``partitions`` is how many of the generation's partitions, in manifest
+    order, the dataset was merged over, and ``max_order_key`` the largest
+    order key it holds (-1 for none): what extending it after an append
+    needs to know.
+    """
 
-    def __init__(self, dataset: StudyDataset) -> None:
+    __slots__ = ("dataset", "responses", "partitions", "max_order_key")
+
+    def __init__(
+        self, dataset: StudyDataset, partitions: int = 0, max_order_key: int = -1
+    ) -> None:
         self.dataset = dataset
+        self.partitions = partitions
+        self.max_order_key = max_order_key
         #: (endpoint, extra-params) -> JSON-ready payload dict. Memoizing
         #: the rendered response makes warm responses byte-identical to
         #: cold ones by construction and O(1) under the request lock.
@@ -430,6 +456,10 @@ class QueryEngine:
                 for outcome in ("built", "reused", "dropped")
             },
         }
+        payload["merges"] = {
+            kind: self.metrics.counter(f"serve.merges.{kind}")
+            for kind in ("extended", "full")
+        }
         if verify and payload["generation"] is not None:
             report = verify_store(self.path, metrics=self.metrics)
             payload["verify"] = {
@@ -482,8 +512,8 @@ class QueryEngine:
         )
         entry = self.cache.get(key)
         if entry is None:
-            entry = _CacheEntry(
-                self._merge_partials(profile, pops, countries, window)
+            entry = self._merge_partials(
+                profile, pops, countries, window, self.cache.carried(key)
             )
             self.cache.put(key, entry)
         return entry, generation
@@ -529,15 +559,19 @@ class QueryEngine:
             "partitions": len(partitions),
         }
         # Everything a cached query result was merged from: when any of it
-        # moved — an append, a rewrite, a compaction — the results go.
-        inputs = (
-            self._generation,
-            self.window_seconds,
-            self.study_windows,
-            [key for _, key in partitions],
-        )
+        # moved — an append, a rewrite, a compaction — the results go. An
+        # append keeps the window size and every earlier partition's key,
+        # in order, so its results are carried, to be extended.
+        keys = [key for _, key in partitions]
+        inputs = (self._generation, self.window_seconds, self.study_windows, keys)
         if inputs != self._inputs:
-            self.cache.invalidate_all()
+            _, seconds, _, before = self._inputs or (None, None, None, [])
+            appended = (
+                seconds == self.window_seconds
+                and len(keys) > len(before)
+                and keys[: len(before)] == before
+            )
+            self.cache.invalidate_all(carry=appended)
             self._inputs = inputs
         shapes = [
             (profile, self._dataset_kwargs(profile)["window_seconds"])
@@ -576,9 +610,18 @@ class QueryEngine:
         pops: Optional[frozenset],
         countries: Optional[frozenset],
         window: Optional[Tuple[int, int]],
-    ) -> StudyDataset:
+        carried: Optional[_CacheEntry] = None,
+    ) -> _CacheEntry:
         """The dataset ``build_dataset`` folds from this query's samples,
-        merged from the cells of the partials the manifest admits."""
+        merged from the cells of the partials the manifest admits.
+
+        ``carried`` is this query's entry from before an append: when every
+        order key of the appended partitions' admitted cells comes after
+        its own, its dataset is extended with those cells alone (and adopts
+        the current ``study_windows``). Otherwise every admitted cell is
+        merged into a fresh dataset. Partials are built before the carried
+        dataset is touched, so a ``StoreError`` leaves it as it was.
+        """
         kwargs = self._dataset_kwargs(profile)
         scan_filter = None
         if not (pops is None and countries is None and window is None):
@@ -595,19 +638,47 @@ class QueryEngine:
                     (window[1] + 1) * window_seconds if window is not None else None
                 ),
             )
-        results: List[ShardResult] = []
-        for partition, key in self._partitions:
-            if scan_filter is not None and not scan_filter.admits_partition(partition):
-                continue
-            partial = self._partial(profile, kwargs, partition, key)
-            results.extend(
-                result
-                for (pop, country, index), result in partial.items()
-                if (pops is None or pop in pops)
-                and (countries is None or country in countries)
-                and (window is None or window[0] <= index <= window[1])
-            )
-        return _merge_results(StudyDataset(**kwargs), results)
+
+        def cells(first: int) -> List[ShardResult]:
+            results: List[ShardResult] = []
+            for partition, key in self._partitions[first:]:
+                if scan_filter is not None and not scan_filter.admits_partition(
+                    partition
+                ):
+                    continue
+                partial = self._partial(profile, kwargs, partition, key)
+                results.extend(
+                    result
+                    for (pop, country, index), result in partial.items()
+                    if (pops is None or pop in pops)
+                    and (countries is None or country in countries)
+                    and (window is None or window[0] <= index <= window[1])
+                )
+            return results
+
+        covered = len(self._partitions)
+        if carried is not None:
+            results = cells(carried.partitions)
+            # A cell's rows are sorted by order key: its first is its least.
+            if all(
+                not result.rows or result.rows[0][0] > carried.max_order_key
+                for result in results
+            ):
+                dataset = carried.dataset
+                dataset.study_windows = kwargs["study_windows"]
+                self.metrics.inc("serve.merges.extended")
+                return _CacheEntry(
+                    _merge_results(dataset, results),
+                    covered,
+                    _max_order_key(results, carried.max_order_key),
+                )
+        results = cells(0)
+        self.metrics.inc("serve.merges.full")
+        return _CacheEntry(
+            _merge_results(StudyDataset(**kwargs), results),
+            covered,
+            _max_order_key(results, -1),
+        )
 
     def _partial(
         self, profile: str, kwargs: dict, partition: dict, key: tuple

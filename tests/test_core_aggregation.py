@@ -177,6 +177,13 @@ class TestStoreMerge:
         assert merged.min_rtts_ms == [40.0, 50.0]
         assert merged.session_count == 2
 
+    def test_replace_checks_the_identity_of_what_it_installs(self):
+        store = AggregationStore()
+        store.add(make_sample(10.0, 40.0))
+        ((key, _),) = store.items()
+        with pytest.raises(ValueError):
+            store.replace(key, _piece_for((DEFAULT_GROUP, 1, 0)))
+
     def test_merge_store_requires_matching_window_seconds(self):
         store = AggregationStore(window_seconds=900.0)
         other = AggregationStore(window_seconds=60.0)
@@ -230,6 +237,7 @@ _keys = st.tuples(
 _operations = st.one_of(
     st.tuples(st.just("add"), _keys),
     st.tuples(st.just("put"), _keys),
+    st.tuples(st.just("replace"), _keys),
     st.tuples(st.just("merge_store"), st.lists(_keys, max_size=6)),
 )
 
@@ -258,7 +266,7 @@ def _piece_for(key):
 
 
 def _apply(store, operation):
-    """Run one operation; returns how many add/put calls it amounts to."""
+    """Run one operation; returns how many add/put/replace calls it amounts to."""
     name, argument = operation
     if name == "add":
         store.add(_sample_for(argument), hdratio=0.5)
@@ -266,6 +274,18 @@ def _apply(store, operation):
     if name == "put":
         # Lands on a new key or merges into an existing one, as drawn.
         store.put(argument, _piece_for(argument))
+        return 1
+    if name == "replace":
+        # Swaps the object in place; a key not installed is refused.
+        if store.get(*argument) is None:
+            with pytest.raises(KeyError):
+                store.replace(argument, _piece_for(argument))
+            return 0
+        keys = [key for key, _ in store.items()]
+        piece = _piece_for(argument)
+        store.replace(argument, piece)
+        assert [key for key, _ in store.items()] == keys
+        assert store.get(*argument) is piece
         return 1
     other = AggregationStore()
     for key in argument:

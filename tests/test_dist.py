@@ -324,7 +324,7 @@ class TestSerialization:
         assert decoded.filter_stats == result.filter_stats
 
     def test_result_decode_type_checked(self):
-        with pytest.raises(TypeError, match="not a shard result"):
+        with pytest.raises(ProtocolError, match="not a shard result"):
             decode_result(pickle.dumps({"ordinal": 0}))
 
     def test_failure_round_trip_preserves_type_and_message(self):

@@ -32,6 +32,27 @@ class TestDesignDoc:
             matches = list((ROOT / "src" / "repro").rglob(module))
             assert matches, f"DESIGN.md lists missing module {module}"
 
+    def test_serving_section_names_the_carry_over_fallbacks(self):
+        """§12 states when a cold query after a generation change extends
+        a carried result and when it merges in full: every fallback the
+        engine takes is named there, with the counters that tell them
+        apart and the bound on what carried results hold."""
+        design = read("DESIGN.md")
+        section = design[design.index("## 12.") : design.index("## 13.")]
+        for phrase in (
+            "append-only",
+            "rewrite",
+            "compaction",
+            "window size",
+            "out-of-order",
+            "evicted",
+            "StoreError",
+            "serve.merges.extended",
+            "serve.merges.full",
+            "Memory bound",
+        ):
+            assert phrase in " ".join(section.split()), phrase
+
 
 class TestReadme:
     def test_benchmark_table_targets_exist(self):
@@ -262,9 +283,11 @@ class TestSurfaceGuards:
 
     def test_a_daemon_does_not_unpickle(self):
         """A shard task is a descriptor (CONTRIBUTING.md): the daemon, which
-        reads frames from whoever connects, imports no unpickler, and the
-        one ``pickle.loads(`` under ``src/repro/dist/`` reads result frames
-        — on the client, from daemons it dialed."""
+        reads frames from whoever connects, imports no unpickler. Nothing
+        under ``src/repro/dist/`` calls ``pickle.loads(``: the one unpickler
+        there is ``decode_result``'s, which reads result frames — on the
+        client, from daemons it dialed — and resolves only the globals a
+        shard result references (``tests/test_result_fuzz.py``)."""
         import ast
 
         dist = ROOT / "src" / "repro" / "dist"
@@ -281,17 +304,18 @@ class TestSurfaceGuards:
             path.name: path.read_text(encoding="utf-8")
             for path in sorted(dist.glob("*.py"))
         }
+        assert [name for name, source in sources.items() if "pickle.loads(" in source] == []
         assert {
-            name: source.count("pickle.loads(")
+            name: source.count("Unpickler(")
             for name, source in sources.items()
-            if "pickle.loads(" in source
-        } == {"serialization.py": 1}
+            if "Unpickler(" in source
+        } == {"serialization.py": 2}  # the class statement and its one use
         (decode_result,) = [
             node
             for node in ast.walk(ast.parse(sources["serialization.py"]))
             if isinstance(node, ast.FunctionDef) and node.name == "decode_result"
         ]
-        assert "pickle.loads(" in ast.get_source_segment(
+        assert "_ResultUnpickler(" in ast.get_source_segment(
             sources["serialization.py"], decode_result
         )
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.pipeline.dataset import StudyDataset
 from repro.pipeline.experiments import (
+    CONTINENT_CODES,
     CdfSeries,
     ablation_naive_goodput,
     fig1_session_behaviour,
@@ -175,6 +176,33 @@ class TestFig6:
         assert result.continent_zero_hd_fraction("AF") > (
             result.continent_zero_hd_fraction("EU") + 0.1
         )
+
+    def test_one_pass_equals_a_filter_per_continent(self, dataset):
+        """The grouping pass builds the lists a filter per continent and
+        view builds, in the same order — an unknown continent and an empty
+        one included."""
+        rows = list(dataset.rows)
+        rows.append(rows[0]._replace(continent="??"))
+        rows = [row for row in rows if row.continent != "OC"]
+        copy = StudyDataset(study_windows=1)
+        copy.rows = rows
+        result = fig6_global_performance(copy)
+        hd_rows = [row for row in rows if row.hdratio is not None]
+        expected_minrtt, expected_hd = {}, {}
+        for code in CONTINENT_CODES:
+            minrtts = [row.min_rtt_ms for row in rows if row.continent == code]
+            hdratios = [row.hdratio for row in hd_rows if row.continent == code]
+            if minrtts:
+                expected_minrtt[code] = CdfSeries.of(code, minrtts)
+            if hdratios:
+                expected_hd[code] = CdfSeries.of(code, hdratios)
+        assert "OC" not in expected_minrtt and len(expected_minrtt) >= 4
+        assert result.minrtt_all == CdfSeries.of("all", [r.min_rtt_ms for r in rows])
+        assert result.hdratio_all == CdfSeries.of("all", [r.hdratio for r in hd_rows])
+        assert list(result.minrtt_by_continent.items()) == list(
+            expected_minrtt.items()
+        )
+        assert list(result.hdratio_by_continent.items()) == list(expected_hd.items())
 
 
 class TestFig7:

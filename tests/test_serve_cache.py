@@ -5,8 +5,9 @@ benchmark's hit-rate floor and the concurrency suite's counter-exactness
 assertions are computed from ``hits``/``misses``/``evictions``, so this
 file holds a stateful model against arbitrary operation sequences —
 a plain dict-plus-recency-list executes every sequence alongside the real
-cache and the two must agree on contents, order, accounting, and evicted
-pairs at every step.
+cache and the two must agree on contents, order, accounting, evicted
+pairs and carried entries (an append's flush keeps them, unservable,
+within the capacity) at every step.
 
 The second half pins the generation-invalidation contract end to end:
 after ``append_to_store`` lands new windows in a served store, the next
@@ -46,6 +47,7 @@ class ModelLru:
         self.capacity = capacity
         self.data = {}
         self.order = []  # least- to most-recently used
+        self.carried = []  # (key, value) pairs, oldest first
         self.hits = self.misses = self.evictions = self.invalidations = 0
 
     def get(self, key):
@@ -59,6 +61,7 @@ class ModelLru:
 
     def put(self, key, value):
         evicted = []
+        self.carried = [pair for pair in self.carried if pair[0] != key]
         if key in self.data:
             self.data[key] = value
             self.order.remove(key)
@@ -66,19 +69,29 @@ class ModelLru:
             return evicted
         self.data[key] = value
         self.order.append(key)
-        while len(self.data) > self.capacity:
+        while len(self.data) + len(self.carried) > self.capacity:
+            if self.carried:
+                self.carried.pop(0)
+                continue
             victim = self.order.pop(0)
             evicted.append((victim, self.data.pop(victim)))
             self.evictions += 1
         return evicted
 
-    def invalidate_all(self):
+    def invalidate_all(self, carry=False):
         dropped = len(self.data)
+        if carry:
+            self.carried += [(key, self.data[key]) for key in self.order]
+        else:
+            self.carried = []
         self.data.clear()
         self.order.clear()
         if dropped:
             self.invalidations += dropped
         return dropped
+
+    def carried_value(self, key):
+        return dict(self.carried).get(key)
 
 
 OPS = st.lists(
@@ -86,6 +99,8 @@ OPS = st.lists(
         st.tuples(st.just("get"), st.integers(0, 9)),
         st.tuples(st.just("put"), st.integers(0, 9)),
         st.tuples(st.just("invalidate"), st.just(0)),
+        st.tuples(st.just("carry"), st.just(0)),
+        st.tuples(st.just("carried"), st.integers(0, 9)),
     ),
     max_size=60,
 )
@@ -102,12 +117,18 @@ class TestLruModel:
                 assert cache.get(key) == model.get(key)
             elif op == "put":
                 assert cache.put(key, step) == model.put(key, step)
+            elif op == "carried":
+                assert cache.carried(key) == model.carried_value(key)
             else:
-                assert cache.invalidate_all() == model.invalidate_all()
+                carry = op == "carry"
+                assert cache.invalidate_all(carry=carry) == model.invalidate_all(
+                    carry=carry
+                )
             # Invariants after *every* step, not just at the end.
-            assert len(cache) <= capacity
+            assert len(cache) + len(cache._carried) <= capacity
             assert len(cache) == len(model.data)
             assert cache.keys() == model.order
+            assert list(cache._carried.items()) == model.carried
             assert (cache.hits, cache.misses) == (model.hits, model.misses)
             assert cache.evictions == model.evictions
             assert cache.invalidations == model.invalidations
@@ -125,8 +146,10 @@ class TestLruModel:
                 cache.get(key)
             elif op == "put":
                 cache.put(key, step)
+            elif op == "carried":
+                cache.carried(key)
             else:
-                cache.invalidate_all()
+                cache.invalidate_all(carry=op == "carry")
         assert registry.counter("serve.cache.hits") == cache.hits
         assert registry.counter("serve.cache.misses") == cache.misses
         assert registry.counter("serve.cache.evictions") == cache.evictions

@@ -14,10 +14,17 @@ batch pipeline:
   them byte-unchanged;
 - lifetime: an append builds exactly its new partitions' partials, and
   an in-place rewrite or a compaction drops every partial;
+- carry-over: after an append, a cold query extends its previous
+  result with the appended partitions' cells, and over many appends —
+  late samples into old windows, hourly routing windows that span
+  appends, a growing study period — every body and dataset equals a fresh
+  engine's; anything but an append, or a carried entry that does not
+  qualify, merges in full;
 - fault isolation: a damaged partition fails only the queries that admit
   it, and its partial is never cached.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -133,7 +140,8 @@ def assert_served_equals_batch(engine, store, query):
     frozen = pickle.dumps(engine._partials)
     for _ in range(2):
         again = engine._merge_partials(profile, pops, countries, window)
-        assert_same_analysis_state(again, batch)
+        assert_same_analysis_state(again.dataset, batch)
+        assert again.partitions == len(engine._partitions)
     assert pickle.dumps(engine._partials) == frozen
 
 
@@ -170,7 +178,11 @@ def test_served_equals_batch_across_appends_rewrite_and_compaction(tmp_path):
     ]
     for step in steps:
         step()
+        # Queried at every step, so each append has results to extend.
+        for profile in PATHS:
+            assert_served_equals_batch(engine, store, (profile, None, None, None))
         check()
+    assert engine.metrics.counter("serve.merges.extended") >= 4
 
 
 class TestPartialLifetime:
@@ -189,6 +201,10 @@ class TestPartialLifetime:
     def _partials(engine):
         return engine.handle("/v1/health", {})[1]["partials"]
 
+    @staticmethod
+    def _merges(engine):
+        return engine.handle("/v1/health", {})[1]["merges"]
+
     def test_append_builds_exactly_its_new_partitions(self, store):
         engine = QueryEngine(store)
         self._warm(engine)
@@ -196,17 +212,27 @@ class TestPartialLifetime:
         assert self._partials(engine) == {
             "cached": 2 * before, "built": 2 * before, "reused": 0, "dropped": 0,
         }
+        assert self._merges(engine) == {"extended": 0, "full": 2}
         append_to_store(store, make_trace_samples(150, seed=17, windows=12))
         added = len(TraceStoreReader(store).partitions) - before
         assert added > 0
         self._warm(engine)
+        # Each cold query extends its carried dataset with the appended
+        # partitions' cells alone: it reads no earlier partial, so nothing
+        # is reused — the earlier partitions' cells are already merged in.
         assert self._partials(engine) == {
             "cached": 2 * (before + added),
             "built": 2 * (before + added),
-            "reused": 2 * before,
+            "reused": 0,
             "dropped": 0,
         }
+        assert self._merges(engine) == {"extended": 2, "full": 2}
         assert engine.metrics.counter("pipeline.samples.read") == 2 * 550
+        fresh = QueryEngine(store)
+        for path in ("/v1/quantiles", "/v1/degradation", "/v1/routing"):
+            assert render_payload(engine.handle(path, {})[1]) == render_payload(
+                fresh.handle(path, {})[1]
+            )
 
     @pytest.mark.parametrize("rewrite", ["write_store", "compact_store"])
     def test_rewrite_or_compaction_drops_every_partial(self, store, rewrite):
@@ -227,13 +253,207 @@ class TestPartialLifetime:
         assert self._partials(engine) == {
             "cached": 0, "built": cached, "reused": 0, "dropped": cached,
         }
-        # Both query results were merged from dropped partials.
+        # Both query results were merged from dropped partials, and none
+        # is carried: the next queries merge in full.
         assert engine.cache.invalidations == 2
+        assert engine.cache.carried(("analyze", None, None, None)) is None
         self._warm(engine)
         assert self._partials(engine)["built"] == cached + 2 * after
+        assert self._merges(engine) == {"extended": 0, "full": 4}
         assert engine.handle("/v1/quantiles", {})[1]["sessions"] == (
             QueryEngine(store).handle("/v1/quantiles", {})[1]["sessions"]
         )
+
+
+def in_window(samples, window):
+    """``samples`` (all generated in window 0) moved into ``window``."""
+    offset = window * 900.0
+
+    def moved(txn):
+        return dataclasses.replace(
+            txn,
+            first_byte_time=txn.first_byte_time + offset,
+            ack_time=txn.ack_time + offset,
+            last_byte_write_time=txn.last_byte_write_time + offset,
+        )
+
+    return [
+        dataclasses.replace(
+            sample,
+            start_time=sample.start_time + offset,
+            end_time=sample.end_time + offset,
+            transactions=[moved(txn) for txn in sample.transactions],
+        )
+        for sample in samples
+    ]
+
+
+#: A dashboard over the live store: the analyze queries share a cache key
+#: when their filters do, so eight keys are merged per generation.
+DASHBOARD = (
+    ("/v1/quantiles", {}),
+    ("/v1/degradation", {}),
+    ("/v1/degradation", {"metric": ["hdratio"]}),
+    ("/v1/quantiles", {"pop": ["ams1"]}),
+    ("/v1/quantiles", {"pop": ["sjc1"], "country": ["US"]}),
+    ("/v1/quantiles", {"country": ["NL"]}),
+    # Old windows only: late samples are the sole appends it admits.
+    ("/v1/quantiles", {"window": ["0-3"]}),
+    ("/v1/quantiles", {"window": ["6-9"]}),
+    ("/v1/routing", {}),
+    ("/v1/routing", {"pop": ["ams1"]}),
+)
+
+
+def dashboard_cache_keys():
+    keys = []
+    for path, params in DASHBOARD:
+        profile = "routing" if path == "/v1/routing" else "analyze"
+        window = params.get("window")
+        if window is not None:
+            lo, hi = window[0].split("-")
+            window = (int(lo), int(hi))
+        key = cache_key(
+            profile,
+            frozenset(params["pop"]) if "pop" in params else None,
+            frozenset(params["country"]) if "country" in params else None,
+            window,
+        )
+        if key not in keys:
+            keys.append(key)
+    return keys
+
+
+class TestCarryOver:
+    """A cold query after an append extends the previous generation's
+    dataset with the appended partitions' cells; the result is a fresh
+    engine's in every field, and no partial is touched."""
+
+    def assert_equals_fresh(self, engine, store):
+        fresh = QueryEngine(store)
+        for path, params in DASHBOARD:
+            assert render_payload(engine.handle(path, params)[1]) == render_payload(
+                fresh.handle(path, params)[1]
+            ), (path, params)
+        for key in dashboard_cache_keys():
+            live, built = engine.cache.get(key), fresh.cache.get(key)
+            assert live.partitions == built.partitions == len(fresh._partitions)
+            assert live.max_order_key == built.max_order_key
+            ours, theirs = live.dataset, built.dataset
+            assert_same_analysis_state(ours, theirs)
+            assert ours.study_windows == theirs.study_windows
+            assert ours.shard_report == theirs.shard_report
+            kind = "opportunity" if key[0] == "routing" else "degradation"
+            for metric in ("minrtt", "hdratio"):
+                assert ours.verdicts(metric, kind) == theirs.verdicts(metric, kind)
+
+    def test_churn_appends_equal_a_fresh_engine(self, tmp_path):
+        store = tmp_path / "live.store"
+        write_store(store, make_trace_samples(400, seed=3, windows=8))
+        engine = QueryEngine(store)
+        self.assert_equals_fresh(engine, store)
+        keys = len(dashboard_cache_keys())
+        assert engine.handle("/v1/health", {})[1]["merges"] == {
+            "extended": 0, "full": keys,
+        }
+        studies = {engine.study_windows}
+        for round_ in range(9):
+            window = 8 + round_
+            fresh_window = in_window(
+                make_trace_samples(60, seed=100 + round_, windows=1), window
+            )
+            # Late samples into windows 2 and 7: cells (and aggregation
+            # keys) the carried datasets already hold.
+            late = in_window(make_trace_samples(6, seed=200 + round_, windows=1), 2)
+            late += in_window(make_trace_samples(6, seed=300 + round_, windows=1), 7)
+            append_to_store(store, fresh_window + late)
+            untouched = {key: pickle.dumps(v) for key, v in engine._partials.items()}
+            self.assert_equals_fresh(engine, store)
+            studies.add(engine.study_windows)
+            # Every cold query of the round extended its carried result.
+            assert engine.handle("/v1/health", {})[1]["merges"] == {
+                "extended": keys * (round_ + 1), "full": keys,
+            }
+            assert {
+                key: pickle.dumps(engine._partials[key]) for key in untouched
+            } == untouched
+        # Windows 8..16: the study period grew at bands 2, 3 and 4.
+        assert studies == {8, 12, 16, 20}
+
+    def test_out_of_order_keys_merge_in_full(self, tmp_path):
+        store = tmp_path / "live.store"
+        write_store(store, make_trace_samples(300, seed=5, windows=8))
+        engine = QueryEngine(store)
+        engine.handle("/v1/quantiles", {})
+        append_to_store(store, make_trace_samples(80, seed=7, windows=8))
+        engine.handle("/v1/health", {})  # the engine notices the append
+        key = ("analyze", None, None, None)
+        carried = engine.cache.carried(key)
+        assert carried is not None and not engine.cache.get(key)
+        # A carried entry claiming order keys past the appended ones.
+        claims_more = _CacheEntry(carried.dataset, carried.partitions, 10**9)
+        frozen = pickle.dumps(carried.dataset)
+        merged = engine._merge_partials("analyze", None, None, None, claims_more)
+        assert pickle.dumps(carried.dataset) == frozen
+        assert merged.dataset is not carried.dataset
+        assert engine.metrics.counter("serve.merges.full") == 2
+        assert engine.metrics.counter("serve.merges.extended") == 0
+        fresh = QueryEngine(store)
+        fresh.handle("/v1/quantiles", {})
+        assert_same_analysis_state(merged.dataset, fresh.cache.get(key).dataset)
+
+    def test_an_evicted_entry_merges_in_full(self, tmp_path):
+        store = tmp_path / "live.store"
+        write_store(store, make_trace_samples(300, seed=5, windows=8))
+        engine = QueryEngine(store, cache_capacity=2)
+        pops = ("ams1", "sjc1", "gru1")
+        for pop in pops:
+            engine.handle("/v1/quantiles", {"pop": [pop]})
+        append_to_store(store, make_trace_samples(80, seed=7, windows=8))
+        # ams1 was evicted before the append, so it merges in full; putting
+        # it back makes room by dropping the oldest carried entry, sjc1's.
+        # Only gru1's is extended.
+        for pop in ("ams1", "gru1", "sjc1"):
+            engine.handle("/v1/quantiles", {"pop": [pop]})
+        assert engine.handle("/v1/health", {})[1]["merges"] == {
+            "extended": 1, "full": 5,
+        }
+        fresh = QueryEngine(store)
+        for pop in pops:
+            assert engine.handle("/v1/quantiles", {"pop": [pop]}) == fresh.handle(
+                "/v1/quantiles", {"pop": [pop]}
+            )
+
+    def test_damage_in_an_appended_partition_leaves_the_carried_dataset(
+        self, tmp_path
+    ):
+        store = tmp_path / "live.store"
+        write_store(store, make_trace_samples(400, seed=3, windows=8))
+        engine = QueryEngine(store)
+        assert engine.handle("/v1/quantiles", {})[0] == 200
+        before = len(TraceStoreReader(store).partitions)
+        append_to_store(store, in_window(make_trace_samples(90, seed=9, windows=1), 8))
+        victim = TraceStoreReader(store).partitions[before]
+        column = victim["blocks"][0]["column"]
+        engine.handle("/v1/health", {})  # the engine notices the append
+        carried = engine.cache.carried(("analyze", None, None, None))
+        frozen = pickle.dumps(carried.dataset)
+        plan = FaultPlan(
+            flip_byte={"partition": victim["id"], "column": column, "offset": 0}
+        )
+        with faultinject.inject(plan):
+            status, payload = engine.handle("/v1/quantiles", {})
+        assert status == 503
+        assert payload["error"] == "CorruptBlockError"
+        assert (payload["partition"], payload["column"]) == (victim["id"], column)
+        assert pickle.dumps(carried.dataset) == frozen
+        # The fault is gone: the carried result is extended after all.
+        status, payload = engine.handle("/v1/quantiles", {})
+        assert status == 200
+        assert payload == QueryEngine(store).handle("/v1/quantiles", {})[1]
+        assert engine.handle("/v1/health", {})[1]["merges"] == {
+            "extended": 1, "full": 1,
+        }
 
 
 class TestFaultIsolation:
