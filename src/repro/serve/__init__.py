@@ -3,8 +3,9 @@
 The paper's operational loop is engineers *watching* per-(PoP, country,
 window) MinRTT/HDratio quantiles and degradation verdicts, not reading
 batch reports after the fact. This package turns the reproduction's batch
-pipeline into that service: a dependency-free HTTP API (stdlib
-``http.server``) over a sealed :mod:`repro.store` trace store.
+pipeline into that service: a dependency-free HTTP API (its own HTTP/1.1
+keep-alive loop on stdlib :mod:`socketserver`) over a sealed
+:mod:`repro.store` trace store.
 
 Endpoints (all GET, canonical sorted-key JSON):
 
@@ -27,9 +28,10 @@ contract (byte-identical cold/warm/serial/threaded —
 Layering: :mod:`repro.serve.cache` (exactly-accounted LRU of query
 results) → :mod:`repro.serve.engine` (per-partition partials merged on
 demand, generation-based invalidation on ``append_to_store``, typed
-400/503 mapping) → :mod:`repro.serve.server` (deterministic HTTP
-renderer). ``repro serve`` is the CLI entry point; DESIGN.md §12 is the
-spec.
+400/503 mapping, response memos) → :mod:`repro.serve.server` (request
+parser, typed 400/414/431/501/505 rejections, and the one renderer, which
+renders a memoized payload once). ``repro serve`` is the CLI entry point;
+DESIGN.md §12 is the spec.
 """
 
 from repro.serve.cache import LruCache

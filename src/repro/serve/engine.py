@@ -50,9 +50,10 @@ Resolution pipeline per query:
    holds in order-key order; the merge is the same one, so the dataset is
    the full merge's (``serve.merges.extended``). Anything else merges
    every admitted cell into a fresh dataset (``serve.merges.full``).
-4. **Render.** Responses are JSON-ready dicts memoized per (endpoint,
-   params) on the cache entry, so a warm response is byte-identical to the
-   cold one by construction.
+4. **Render.** Responses are JSON-ready :class:`MemoizedPayload` dicts
+   memoized per (endpoint, params) on the cache entry; the server's one
+   renderer keeps each one's bytes on it the first time, so a warm
+   response is the cold one's bytes by construction.
 
 Failure semantics (§9 failure model, extended to serving): a typed
 :class:`~repro.store.errors.StoreError` raised under a query is mapped to
@@ -104,6 +105,7 @@ __all__ = [
     "BadRequest",
     "DEFAULT_CACHE_CAPACITY",
     "DEFAULT_ROUTING_WINDOWS",
+    "MemoizedPayload",
     "QUANTILE_POINTS",
     "QueryEngine",
 ]
@@ -136,8 +138,20 @@ def _max_order_key(results: List[ShardResult], floor: int) -> int:
     return max([floor] + [result.rows[-1][0] for result in results if result.rows])
 
 
+class MemoizedPayload(dict):
+    """A response payload memoized on a cache entry.
+
+    :func:`~repro.serve.server.render_payload`, the one renderer, keeps
+    the payload's canonical bytes in ``body`` the first time it renders
+    it, so a warm response is the cold response's bytes, and the bytes
+    live and die with the entry. A memoized payload is never mutated.
+    """
+
+    __slots__ = ("body",)
+
+
 class _CacheEntry:
-    """One cached query: its merged dataset plus its rendered responses.
+    """One cached query: its merged dataset plus its memoized responses.
 
     ``partitions`` is how many of the generation's partitions, in manifest
     order, the dataset was merged over, and ``max_order_key`` the largest
@@ -153,10 +167,10 @@ class _CacheEntry:
         self.dataset = dataset
         self.partitions = partitions
         self.max_order_key = max_order_key
-        #: (endpoint, extra-params) -> JSON-ready payload dict. Memoizing
-        #: the rendered response makes warm responses byte-identical to
+        #: (endpoint, extra-params) -> payload, rendered at most once.
+        #: Memoizing the response makes warm responses byte-identical to
         #: cold ones by construction and O(1) under the request lock.
-        self.responses: Dict[tuple, dict] = {}
+        self.responses: Dict[tuple, MemoizedPayload] = {}
 
 
 class QueryEngine:
@@ -247,6 +261,12 @@ class QueryEngine:
             self.metrics.inc("serve.responses.ok")
             return 200, payload
 
+    def note_protocol_error(self) -> None:
+        """Count a request the transport rejected before :meth:`handle`:
+        it is not one of ``serve.requests``."""
+        with self._lock:
+            self.metrics.inc("serve.responses.protocol_error")
+
     # ------------------------------------------------------------------ #
     # Endpoints
     # ------------------------------------------------------------------ #
@@ -270,7 +290,7 @@ class QueryEngine:
         }
         hdratio["positive_fraction"] = result.hdratio_positive_fraction
         hdratio["full_fraction"] = result.hdratio_full_fraction
-        payload = {
+        payload = MemoizedPayload({
             "endpoint": "quantiles",
             "generation": generation,
             "filters": self._echo_filters(pops, countries, window),
@@ -289,7 +309,7 @@ class QueryEngine:
                     result.hdratio_positive_fraction
                 ),
             },
-        }
+        })
         entry.responses[memo_key] = payload
         return payload
 
@@ -350,7 +370,7 @@ class QueryEngine:
                     "event_traffic_bytes": classification.event_traffic_bytes,
                 }
             )
-        payload = {
+        payload = MemoizedPayload({
             "endpoint": "degradation",
             "generation": generation,
             "filters": self._echo_filters(pops, countries, window),
@@ -366,7 +386,7 @@ class QueryEngine:
                 threshold, use_ci_low=True
             ),
             "valid_traffic_fraction": acc.valid_traffic_fraction,
-        }
+        })
         entry.responses[memo_key] = payload
         return payload
 
@@ -398,7 +418,7 @@ class QueryEngine:
         hd_improvable = result.hdratio.traffic_fraction_at_least(
             hdratio_threshold, use_ci_low=True
         )
-        payload = {
+        payload = MemoizedPayload({
             "endpoint": "routing",
             "generation": generation,
             "filters": self._echo_filters(pops, countries, window),
@@ -423,7 +443,7 @@ class QueryEngine:
                 "minrtt_improvable": format_percent(minrtt_improvable),
                 "hdratio_improvable": format_percent(hd_improvable),
             },
-        }
+        })
         entry.responses[memo_key] = payload
         return payload
 
@@ -434,6 +454,9 @@ class QueryEngine:
             "endpoint": "health",
             "store": str(self.path),
             "requests": self.metrics.counter("serve.requests"),
+            "protocol_errors": self.metrics.counter(
+                "serve.responses.protocol_error"
+            ),
         }
         try:
             payload["generation"] = self._refresh_generation()

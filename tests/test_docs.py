@@ -53,6 +53,27 @@ class TestDesignDoc:
         ):
             assert phrase in " ".join(section.split()), phrase
 
+    def test_serving_section_states_the_transport_contract(self):
+        """§12 says what the transport accepts and rejects, its limits,
+        and why a memoized body keeps byte identity."""
+        design = read("DESIGN.md")
+        section = " ".join(design[design.index("## 12.") : design.index("## 13.")].split())
+        for phrase in (
+            "65,536 bytes",
+            "100 header fields",
+            "gh-87389",
+            "Connection: close",
+            "Connection: keep-alive",
+            "(414)",
+            "(431;",
+            "(501)",
+            "(505)",
+            "serve.responses.protocol_error",
+            "MemoizedPayload",
+            "by construction",
+        ):
+            assert phrase in section, phrase
+
 
 class TestReadme:
     def test_benchmark_table_targets_exist(self):
@@ -318,6 +339,62 @@ class TestSurfaceGuards:
         assert "_ResultUnpickler(" in ast.get_source_segment(
             sources["serialization.py"], decode_result
         )
+
+    def test_one_transport_and_one_renderer(self):
+        """``repro serve`` owns its HTTP/1.1 loop (``serve/server.py``):
+        nothing under ``src/`` imports ``http.server``, ``render_payload``
+        is the one place a response body is serialised (the one other
+        ``json.dumps`` under ``serve/`` keys partials), and no flag, option or
+        environment variable selects another transport."""
+        import argparse
+        import ast
+
+        from repro.cli import build_parser
+
+        imports, dumps = [], set()
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                imports += [
+                    f"{path.name}: {name}"
+                    for name in names
+                    if name.startswith("http.server")
+                ]
+            if path.parent.name != "serve":
+                continue
+            assert "environ" not in ast.unparse(tree), path.name
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef):
+                    dumps |= {
+                        f"{path.name}:{function.name}"
+                        for node in ast.walk(function)
+                        if isinstance(node, ast.Attribute) and node.attr == "dumps"
+                    }
+        assert imports == []
+        assert dumps == {
+            "server.py:render_payload",
+            "engine.py:_parse_manifest",  # a partition's cache key, not a body
+        }
+
+        (commands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert {
+            option
+            for action in commands.choices["serve"]._actions
+            for option in action.option_strings
+        } == {
+            "-h", "--help", "--host", "--port", "--cache-capacity",
+            "--windows", "--max-requests", "--metrics-out", "--profile",
+        }
 
     def test_group_sharding_is_gone(self):
         """Samples never cross a process boundary: nothing under ``src/``

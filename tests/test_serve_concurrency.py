@@ -1,7 +1,9 @@
 """Concurrent serving: many clients, live appends, exact accounting.
 
 Three properties a serving layer must hold under fire, each pinned here
-over a real socket (``ThreadingHTTPServer``, one engine):
+over a real socket (``make_server``'s thread-per-connection HTTP/1.1
+loop, one engine; ``tests/test_serve_http.py`` pins the transport
+itself):
 
 1. **No torn responses.** Every body a client reads parses as JSON, names
    a store generation that actually existed, and carries exactly the
@@ -12,7 +14,10 @@ over a real socket (``ThreadingHTTPServer``, one engine):
    bodies no matter which thread asked or what ran in between.
 3. **Exact counters.** ``serve.*`` totals equal the sum of per-client
    tallies — no lost updates under concurrency (the engine serializes
-   request handling, which this suite would catch regressing).
+   request handling, which this suite would catch regressing) — and
+   ``serve.requests`` equals ``ok + client_error + server_error``: a
+   request the transport rejects is a ``protocol_error``, never one of
+   them.
 """
 
 import http.client
@@ -139,6 +144,7 @@ class TestConcurrentClients:
         assert engine.metrics.counter("serve.responses.ok") == total
         assert engine.metrics.counter("serve.responses.client_error") == 0
         assert engine.metrics.counter("serve.responses.server_error") == 0
+        assert engine.metrics.counter("serve.responses.protocol_error") == 0
         data_requests = sum(
             1
             for records in results
