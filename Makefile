@@ -9,7 +9,7 @@
 #                 degraded-run accounting. Also part of tier-1.
 #   coverage    - one pytest run over every test carrying one of the
 #                 COV_MARKERS (obs, store, faults, kernels, streaming, serve,
-#                 dist, netsim — slow-marked ones included) under pytest-cov,
+#                 dist, netsim, io — slow-marked ones included) under pytest-cov,
 #                 with a fail-under floor on the COV_SOURCES packages.
 #                 Gated: when pytest-cov is not installed the tests still
 #                 run, without the floor, instead of erroring (the container
@@ -45,6 +45,11 @@
 #                 dispatch). Also part of tier-1.
 #   bench-dist  - dispatch over two local daemons vs the process pool on
 #                 the same workload; writes benchmarks/results/BENCH_dist.json.
+#   test-io     - just the JSONL decoder suite (`io` marker): the one line
+#                 loop under both assemblers (samples and column batches),
+#                 the column-vs-object differential, line-attributed record
+#                 errors, the io.rows_read ledger and the byte-mutation
+#                 decoder fuzz. Also part of tier-1.
 #   test-netsim - just the simulator suite (`netsim` marker): the packet
 #                 simulator (engine, link, TCP), the CC-conformance contract
 #                 across all registered congestion controls, the validation
@@ -69,22 +74,23 @@ PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 # Every subsystem under the floor carries a marker (pyproject.toml), so the
 # marker, not a list of its files, selects its tests.
 COV_MARKERS = obs or store or faults or kernels or streaming or serve or dist \
-              or netsim
+              or netsim or io
 COV_FLOOR = 85
 COV_SOURCES = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
               --cov=repro.kernels --cov=repro.pipeline.ingest \
               --cov=repro.pipeline.streaming \
-              --cov=repro.serve --cov=repro.dist --cov=repro.netsim.congestion
+              --cov=repro.serve --cov=repro.dist --cov=repro.netsim.congestion \
+              --cov=repro.pipeline.io
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
-	test-dist test-netsim test-bench test-examples coverage bench \
+	test-dist test-netsim test-io test-bench test-examples coverage bench \
 	bench-smoke bench-dist bench-cc-matrix src-lines bench-ab
 
 test:
 	$(PYTEST) -x -q
 
 test-all: coverage test-faults test-kernels test-streaming test-serve \
-		test-dist test-netsim test-bench test-examples
+		test-dist test-netsim test-io test-bench test-examples
 	$(PYTEST) -q -m ""
 
 test-faults:
@@ -104,6 +110,9 @@ test-dist:
 
 test-netsim:
 	$(PYTEST) -q -m netsim
+
+test-io:
+	$(PYTEST) -q -m io
 
 test-bench:
 	$(PYTHON) -m pytest bench/tests -q

@@ -24,6 +24,8 @@ __all__ = [
     "TransactionRecord",
     "SessionSample",
     "UserGroupKey",
+    "check_session",
+    "check_transaction",
 ]
 
 
@@ -80,6 +82,43 @@ class RouteInfo:
         return self.preference_rank == 0
 
 
+def check_transaction(
+    first_byte_time,
+    ack_time,
+    response_bytes,
+    last_packet_bytes,
+    cwnd_bytes_at_first_byte,
+    last_byte_write_time,
+) -> None:
+    """The :class:`TransactionRecord` rules, raising ``ValueError``.
+
+    The one definition: ``__post_init__`` calls it for every constructed
+    record, and the JSONL column assembler (:mod:`repro.pipeline.io`) calls
+    it for every transaction it fills into a batch without building one.
+    """
+    if ack_time < first_byte_time:
+        raise ValueError("ack_time precedes first_byte_time")
+    if last_byte_write_time is not None and last_byte_write_time < first_byte_time:
+        raise ValueError("last_byte_write_time precedes first_byte_time")
+    if response_bytes <= 0:
+        raise ValueError("response_bytes must be positive")
+    if not 0 <= last_packet_bytes <= response_bytes:
+        raise ValueError("last_packet_bytes out of range")
+    if cwnd_bytes_at_first_byte <= 0:
+        raise ValueError("cwnd_bytes_at_first_byte must be positive")
+
+
+def check_session(start_time, end_time, min_rtt_seconds, bytes_sent) -> None:
+    """The :class:`SessionSample` rules, raising ``ValueError`` (called like
+    :func:`check_transaction`)."""
+    if end_time < start_time:
+        raise ValueError("session ends before it starts")
+    if min_rtt_seconds <= 0:
+        raise ValueError("session min_rtt_seconds must be positive")
+    if bytes_sent < 0:
+        raise ValueError("bytes_sent must be non-negative")
+
+
 @dataclass(frozen=True)
 class TransactionRecord:
     """Instrumented state for one HTTP transaction (§§3.2.2–3.2.5).
@@ -116,19 +155,14 @@ class TransactionRecord:
     last_byte_write_time: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.ack_time < self.first_byte_time:
-            raise ValueError("ack_time precedes first_byte_time")
-        if (
-            self.last_byte_write_time is not None
-            and self.last_byte_write_time < self.first_byte_time
-        ):
-            raise ValueError("last_byte_write_time precedes first_byte_time")
-        if self.response_bytes <= 0:
-            raise ValueError("response_bytes must be positive")
-        if not 0 <= self.last_packet_bytes <= self.response_bytes:
-            raise ValueError("last_packet_bytes out of range")
-        if self.cwnd_bytes_at_first_byte <= 0:
-            raise ValueError("cwnd_bytes_at_first_byte must be positive")
+        check_transaction(
+            self.first_byte_time,
+            self.ack_time,
+            self.response_bytes,
+            self.last_packet_bytes,
+            self.cwnd_bytes_at_first_byte,
+            self.last_byte_write_time,
+        )
 
     @property
     def transfer_time(self) -> float:
@@ -169,12 +203,9 @@ class SessionSample:
     media_response_sizes: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.end_time < self.start_time:
-            raise ValueError("session ends before it starts")
-        if self.min_rtt_seconds <= 0:
-            raise ValueError("min_rtt_seconds must be positive")
-        if self.bytes_sent < 0:
-            raise ValueError("bytes_sent must be non-negative")
+        check_session(
+            self.start_time, self.end_time, self.min_rtt_seconds, self.bytes_sent
+        )
 
     @property
     def duration(self) -> float:

@@ -11,8 +11,8 @@ hot path.
 Layout contract (DESIGN.md §10):
 
 - every per-session column has one entry per row, in the batch's order;
-- ``order_keys[i]`` is row *i*'s global order key (stream index, JSONL
-  byte offset/line index, or store ``seq``) — unique across batches, and
+- ``order_keys[i]`` is row *i*'s global order key (stream index — a
+  JSONL trace's row index — or store ``seq``) — unique across batches, and
   non-decreasing **within** a batch (store partitions are seq-sorted;
   pair slices inherit stream order);
 - ``txn_lens[i]`` transactions for row *i* start at the flat transaction
@@ -28,10 +28,14 @@ Layout contract (DESIGN.md §10):
   per-row cost while the per-sample and per-transaction work stays
   object-free.
 
-Two builders cover both trace formats: :meth:`ColumnBatch.from_pairs`
-shreds already-materialized samples (JSONL / in-memory sources), and
-:meth:`ColumnBatch.from_store_columns` adopts a store partition's decoded
-column dict directly — the store fast path that never builds records.
+A batch is filled three ways: :meth:`ColumnBatch.from_pairs` shreds
+already-materialized samples (in-memory sources, a streaming seal's
+window); :meth:`ColumnBatch.from_store_columns` adopts a store
+partition's decoded column dict directly; and the JSONL column assembler
+in :mod:`repro.pipeline.io` appends each parsed trace line straight into
+a working batch, drained (:meth:`~ColumnBatch.drain`) every
+:data:`BATCH_ROWS` rows. Only the first takes records, and only because
+its caller already had them.
 """
 
 from __future__ import annotations
@@ -41,7 +45,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.records import HttpVersion, RouteInfo, SessionSample
 
-__all__ = ["ColumnBatch"]
+__all__ = ["BATCH_ROWS", "ColumnBatch"]
+
+#: Rows per batch when slicing sample streams (JSONL / in-memory). Large
+#: enough to amortize per-batch setup, small enough to keep a batch's flat
+#: columns cache-resident. Store sources batch per partition instead.
+BATCH_ROWS = 2048
 
 _HTTP2_VALUE = HttpVersion.HTTP_2.value
 
@@ -133,6 +142,21 @@ class ColumnBatch:
                 setattr(batch, name, [column[j] for j in flat])
         return batch
 
+    def drain(self) -> "ColumnBatch":
+        """Move every row into a new batch and leave this one empty.
+
+        The columns keep their identity, so appends bound to them stay
+        valid: the JSONL column assembler (:mod:`repro.pipeline.io`) fills
+        one working batch through bound appends and drains it every
+        :data:`BATCH_ROWS` rows.
+        """
+        batch = ColumnBatch()
+        for name in self.__slots__:
+            column = getattr(self, name)
+            setattr(batch, name, column.copy())
+            column.clear()
+        return batch
+
     # ------------------------------------------------------------------ #
     @classmethod
     def from_pairs(
@@ -140,9 +164,10 @@ class ColumnBatch:
     ) -> "ColumnBatch":
         """Shred ``(order_key, sample)`` pairs into columns.
 
-        The sample-object path (JSONL traces, in-memory streams): objects
-        already exist upstream, so this only flattens them; the per-row
-        saving comes from the kernels not re-walking objects afterwards.
+        The sample-object path (in-memory streams, a streaming seal's
+        window): objects already exist upstream, so this only flattens
+        them; the per-row saving comes from the kernels not re-walking
+        objects afterwards.
         """
         batch = cls()
         order_keys = batch.order_keys

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.aggregation import Aggregation
 from repro.core.records import SessionSample, UserGroupKey
-from repro.kernels.columns import ColumnBatch
+from repro.kernels.columns import BATCH_ROWS, ColumnBatch
 from repro.kernels.goodput import funnel_single, session_funnel
 from repro.obs import MetricsRegistry
 from repro.pipeline.filters import FilterStats
@@ -49,11 +49,6 @@ __all__ = [
 ]
 
 AggregationKey = Tuple[UserGroupKey, int, int]
-
-#: Rows per batch when slicing sample streams (JSONL / in-memory). Large
-#: enough to amortize per-batch setup, small enough to keep a batch's flat
-#: columns cache-resident. Store sources batch per partition instead.
-BATCH_ROWS = 2048
 
 
 class BatchIngestor:
@@ -383,17 +378,19 @@ def iter_batches(
     """Column batches from any source — the one source → batches dispatch.
 
     ``source`` is a trace path, one shard's chunk of a store
-    (:class:`~repro.store.StoreChunk`) or a sample iterable. Stores
-    (whole, or a chunk's partitions) take the column fast path — one batch
-    per partition, no row objects, ``seq`` order keys, so shard results
-    merge in exact stream order. JSONL paths and in-memory streams are
-    sliced into :data:`BATCH_ROWS` batches under stream position.
+    (:class:`~repro.store.StoreChunk`) or a sample iterable. Paths go to
+    :func:`repro.pipeline.io.read_column_batches`: a store (whole, or a
+    chunk's partitions) yields one batch per partition with ``seq`` order
+    keys, so shard results merge in exact stream order; a JSONL trace
+    yields :data:`BATCH_ROWS`-row batches under stream position. Neither
+    builds a row object. In-memory streams are sliced into
+    :data:`BATCH_ROWS`-row batches by :meth:`ColumnBatch.from_pairs`.
     ``metrics`` receives the same ``io.*``/``store.*`` counters as the row
     readers.
     """
     # Imported here, not at module top: repro.pipeline.io loads the whole
     # repro.pipeline package, whose shard runner imports this module.
-    from repro.pipeline.io import detect_format, read_samples
+    from repro.pipeline.io import read_column_batches
     from repro.store import StoreChunk, TraceStoreReader
 
     if isinstance(source, StoreChunk):
@@ -401,11 +398,7 @@ def iter_batches(
             metrics=metrics, chunk=source
         )
     if isinstance(source, (str, pathlib.Path)):
-        if detect_format(source) == "store":
-            return TraceStoreReader(source).read_column_batches(
-                metrics=metrics
-            )
-        source = read_samples(source, metrics=metrics)
+        return read_column_batches(source, metrics=metrics)
     return batches_from_pairs(enumerate(source))
 
 

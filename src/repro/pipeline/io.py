@@ -19,6 +19,16 @@ either without caring which. :func:`convert` moves a trace between the
 formats losslessly. A sharded plan reads a store only
 (:func:`plan_chunks`): JSONL is an import/export format, folded in one
 pass or converted first.
+
+JSONL decodes through one line loop (:func:`_decode_lines`) with two
+assemblers, as a store partition's decoded columns feed both its row
+decoder and :meth:`~repro.kernels.columns.ColumnBatch.from_store_columns`
+(DESIGN.md §8, §10): :func:`sample_from_dict` builds the samples
+:func:`read_samples`, :func:`read_samples_stream` and :func:`convert`
+hand out, and the column assembler fills the batches
+:func:`read_column_batches` hands the kernels, building no record. Both
+apply the :mod:`repro.core.records` check functions, so they accept and
+reject the same lines with the same messages.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import gzip
 import json
 import os
 import pathlib
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from repro import faultinject
 from repro.core.records import (
@@ -36,6 +46,8 @@ from repro.core.records import (
     RouteInfo,
     SessionSample,
     TransactionRecord,
+    check_session,
+    check_transaction,
 )
 from repro.fsutil import fsync_dir, fsync_file
 from repro.store import (
@@ -45,10 +57,14 @@ from repro.store import (
     write_store,
 )
 
+if TYPE_CHECKING:
+    from repro.kernels.columns import ColumnBatch
+
 __all__ = [
     "convert",
     "detect_format",
     "plan_chunks",
+    "read_column_batches",
     "read_samples",
     "read_samples_stream",
     "write_samples",
@@ -57,6 +73,13 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+#: The C scanner behind ``json.loads``: one call parses a line's value.
+_scan = json.JSONDecoder().scan_once
+
+#: What a well-formed JSON object that is not a valid record raises in an
+#: assembler: a missing field, a value of the wrong shape, a broken rule.
+_RECORD_ERRORS = (KeyError, TypeError, ValueError)
 
 PathLike = Union[str, pathlib.Path]
 
@@ -110,21 +133,21 @@ def sample_to_dict(sample: SessionSample) -> dict:
     }
 
 
-def sample_from_dict(payload: dict) -> SessionSample:
-    """Inverse of :func:`sample_to_dict` (validates via the dataclasses)."""
+def sample_from_dict(
+    payload: dict, routes: Optional["_RouteTable"] = None
+) -> SessionSample:
+    """Inverse of :func:`sample_to_dict`: the object assembler.
+
+    Validates via the dataclasses. ``routes`` is the reading stream's
+    route table (identical routes share one :class:`RouteInfo`); a call
+    without one interns into a table of its own.
+    """
     version = payload.get("v")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported trace format version {version!r}")
-    route = None
-    if payload.get("route") is not None:
-        raw = payload["route"]
-        route = RouteInfo(
-            prefix=raw["prefix"],
-            as_path=tuple(raw["as_path"]),
-            relationship=Relationship(raw["relationship"]),
-            preference_rank=raw["preference_rank"],
-            prepended=raw["prepended"],
-        )
+    route = payload.get("route")
+    if route is not None:
+        route = (_RouteTable() if routes is None else routes).route(route)
     transactions = [
         TransactionRecord(
             first_byte_time=raw["first_byte_time"],
@@ -142,7 +165,7 @@ def sample_from_dict(payload: dict) -> SessionSample:
         session_id=payload["session_id"],
         start_time=payload["start_time"],
         end_time=payload["end_time"],
-        http_version=HttpVersion(payload["http_version"]),
+        http_version=_http_version(payload["http_version"]),
         min_rtt_seconds=payload["min_rtt_seconds"],
         bytes_sent=payload["bytes_sent"],
         busy_time_seconds=payload["busy_time_seconds"],
@@ -155,6 +178,164 @@ def sample_from_dict(payload: dict) -> SessionSample:
         geo_tag=payload.get("geo_tag", ""),
         media_response_sizes=tuple(payload.get("media_response_sizes", ())),
     )
+
+
+_HTTP_VERSIONS = {member.value: member for member in HttpVersion}
+_HTTP_2 = HttpVersion.HTTP_2
+
+
+def _http_version(value) -> HttpVersion:
+    """``HttpVersion(value)`` at dict-lookup cost; a miss still raises the
+    enum's own error."""
+    return _HTTP_VERSIONS.get(value) or HttpVersion(value)
+
+
+#: Distinct routes one stream keeps interned. Generated traces carry tens
+#: to hundreds; past the bound the table starts over, so an adversarial
+#: trace costs at most this many routes of memory, not one per line.
+ROUTE_TABLE_LIMIT = 4096
+
+
+class _RouteTable(dict):
+    """One stream's interned routes: route key -> :class:`RouteInfo`.
+
+    ``RouteInfo`` is frozen, so samples may share one; routes repeat
+    heavily, so a trace decodes to one ``RouteInfo`` (and one ``as_path``
+    tuple) per distinct route, as the store decoder's
+    :func:`~repro.store.schema.expand_routes` does. The key compares by
+    value: a route spelled ``0`` on one line and ``0.0`` on another
+    decodes (``==``-equal) to the first spelling.
+    """
+
+    def route(self, raw: dict) -> RouteInfo:
+        prefix = raw["prefix"]
+        as_path = tuple(raw["as_path"])
+        key = (
+            prefix,
+            as_path,
+            raw["relationship"],
+            raw["preference_rank"],
+            raw["prepended"],
+        )
+        route = self.get(key)
+        if route is None:
+            if len(self) >= ROUTE_TABLE_LIMIT:
+                self.clear()
+            route = self[key] = RouteInfo(
+                prefix, as_path, Relationship(key[2]), key[3], key[4]
+            )
+        return route
+
+
+def _column_assembler():
+    """The column assembler: parsed records straight into batch columns.
+
+    Returns ``(assemble, finish)``. ``assemble(payload, routes)`` appends
+    one record — exactly the values :meth:`ColumnBatch.from_pairs` would
+    take from ``sample_from_dict(payload, routes)``, keyed by stream
+    position as ``batches_from_pairs(enumerate(...))`` keys them — and
+    hands back a full batch every :data:`BATCH_ROWS` rows, else ``None``;
+    ``finish()`` hands back the rest. No record object is built.
+
+    It accepts what the object assembler accepts: the same field lookups
+    in the same order, the same :func:`check_transaction` /
+    :func:`check_session` rules. A record it rejects is handed to
+    :func:`sample_from_dict` to be rejected again, so the error that
+    escapes is the object assembler's, message included.
+    """
+    # Imported here, not at module top: a process that never folds a JSONL
+    # trace (``repro serve`` starting up) should not load the kernels.
+    from repro.kernels.columns import BATCH_ROWS, ColumnBatch
+
+    work = ColumnBatch()
+    order_keys = work.order_keys.append
+    start_times = work.start_times.append
+    end_times = work.end_times.append
+    is_http2 = work.is_http2.append
+    min_rtts = work.min_rtts.append
+    bytes_sents = work.bytes_sents.append
+    busy_times = work.busy_times.append
+    pops = work.pops.append
+    countries = work.countries.append
+    continents = work.continents.append
+    hostings = work.hostings.append
+    geo_tags = work.geo_tags.append
+    routes_column = work.routes.append
+    media_lens = work.media_lens.append
+    media_values = work.media_values.extend
+    txn_lens = work.txn_lens.append
+    txn_fbt = work.txn_fbt.append
+    txn_ack = work.txn_ack.append
+    txn_resp = work.txn_resp.append
+    txn_last = work.txn_last.append
+    txn_cwnd = work.txn_cwnd.append
+    txn_inflight = work.txn_inflight.append
+    txn_lbwt = work.txn_lbwt.append
+    rows = 0
+
+    def assemble(payload: dict, routes: _RouteTable) -> Optional[ColumnBatch]:
+        nonlocal rows
+        try:
+            if payload.get("v") != FORMAT_VERSION:
+                raise ValueError  # worded below, by the object assembler
+            route = payload.get("route")
+            if route is not None:
+                route = routes.route(route)
+            count = 0
+            for raw in payload["transactions"]:
+                fbt = raw["first_byte_time"]
+                ack = raw["ack_time"]
+                response = raw["response_bytes"]
+                last = raw["last_packet_bytes"]
+                cwnd = raw["cwnd_bytes_at_first_byte"]
+                inflight = raw["bytes_in_flight_at_start"]
+                lbwt = raw.get("last_byte_write_time")
+                check_transaction(fbt, ack, response, last, cwnd, lbwt)
+                txn_fbt(fbt)
+                txn_ack(ack)
+                txn_resp(response)
+                txn_last(last)
+                txn_cwnd(cwnd)
+                txn_inflight(inflight)
+                txn_lbwt(fbt if lbwt is None else lbwt)
+                count += 1
+            payload["session_id"]  # not a column, but every record has one
+            start = payload["start_time"]
+            end = payload["end_time"]
+            http2 = _http_version(payload["http_version"]) is _HTTP_2
+            min_rtt = payload["min_rtt_seconds"]
+            sent = payload["bytes_sent"]
+            busy = payload["busy_time_seconds"]
+            pop = payload["pop"]
+            country = payload["client_country"]
+            continent = payload["client_continent"]
+            hosting = payload["client_ip_is_hosting"]
+            geo_tag = payload.get("geo_tag", "")
+            media = payload.get("media_response_sizes", ())
+            media_values(media)
+            check_session(start, end, min_rtt, sent)
+        except _RECORD_ERRORS:
+            sample_from_dict(payload, routes)
+            raise
+        order_keys(rows)
+        start_times(start)
+        end_times(end)
+        is_http2(http2)
+        min_rtts(min_rtt)
+        bytes_sents(sent)
+        busy_times(busy)
+        pops(pop)
+        countries(country)
+        continents(continent)
+        hostings(hosting)
+        geo_tags(geo_tag)
+        routes_column(route)
+        media_lens(len(media))
+        txn_lens(count)
+        rows += 1
+        return None if rows % BATCH_ROWS else work.drain()
+
+    return assemble, work.drain
 
 
 def _open(path: PathLike, mode: str, compressed: Optional[bool] = None) -> IO:
@@ -223,7 +404,7 @@ def read_samples(path: PathLike, metrics=None) -> Iterator[SessionSample]:
     """Stream samples back from a trace (JSONL or store, by path).
 
     ``metrics`` is an optional :class:`repro.obs.MetricsRegistry` that
-    receives ``io.rows_read`` per decoded row and ``io.decode_errors``
+    receives ``io.rows_read`` (the rows decoded) and ``io.decode_errors``
     (counted before the error is raised, so a manifest written after a
     failure still shows how far the read got). Store reads add the
     ``store.*`` scan counters.
@@ -233,15 +414,38 @@ def read_samples(path: PathLike, metrics=None) -> Iterator[SessionSample]:
         # row by row: the extra generator frame is measurable on long
         # scans. The manifest is read eagerly, the data lazily.
         return TraceStoreReader(path).scan(metrics=metrics)
-    return _read_samples_jsonl(path, metrics)
+    return _read_jsonl(path, metrics, sample_from_dict)
 
 
-def _read_samples_jsonl(
-    path: PathLike, metrics=None
-) -> Iterator[SessionSample]:
+def read_column_batches(path: PathLike, metrics=None) -> Iterator[ColumnBatch]:
+    """:func:`read_samples`, as :class:`ColumnBatch` runs: what the batch
+    kernels fold.
+
+    A store yields one batch per partition, keyed by ``seq``
+    (:meth:`repro.store.TraceStoreReader.read_column_batches`). A JSONL
+    trace goes through the column assembler: :data:`BATCH_ROWS`-row
+    batches keyed by stream position, equal field by field to
+    ``ColumnBatch.from_pairs`` over :func:`read_samples`' samples, with no
+    sample built. The same counters and the same errors as
+    :func:`read_samples`.
+    """
+    if detect_format(path) == "store":
+        return TraceStoreReader(path).read_column_batches(metrics=metrics)
+    return _read_batches_jsonl(path, metrics)
+
+
+def _read_batches_jsonl(path: PathLike, metrics) -> Iterator[ColumnBatch]:
+    assemble, finish = _column_assembler()
+    yield from _read_jsonl(path, metrics, assemble)
+    tail = finish()
+    if len(tail):
+        yield tail
+
+
+def _read_jsonl(path: PathLike, metrics, assemble) -> Iterator:
     faultinject.check_io(path)
     with _open(path, "r") as handle:
-        yield from read_samples_stream(handle, metrics, str(path))
+        yield from _decode_lines(handle, metrics, str(path), assemble)
 
 
 def read_samples_stream(
@@ -252,28 +456,71 @@ def read_samples_stream(
     The unbounded-input path for ``repro ingest -``: unlike
     :func:`read_samples` there is no path to seek or re-open, so the
     samples arrive strictly once, in arrival order — exactly the contract
-    :class:`repro.pipeline.ingest.StreamingIngestor` expects. Counts the
-    same ``io.rows_read`` / ``io.decode_errors`` as a JSONL file read
-    (which is this function over the opened file); a bad line is named
-    ``{name}:{line number}``, and its ``io.decode_errors`` is counted
-    before the error is raised. The one place a trace line meets
-    ``json.loads``; blank lines are skipped.
+    :class:`repro.pipeline.ingest.StreamingIngestor` expects. The object
+    assembler over the one line loop (see :func:`_decode_lines` for the
+    counters and the errors), as a JSONL file read is.
     """
-    for line_number, line in enumerate(handle, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            if metrics is not None:
-                metrics.inc("io.decode_errors")
-            raise ValueError(
-                f"{name}:{line_number}: invalid JSON ({error})"
-            ) from error
-        if metrics is not None:
-            metrics.inc("io.rows_read")
-        yield sample_from_dict(payload)
+    return _decode_lines(handle, metrics, name, sample_from_dict)
+
+
+def _decode_lines(handle: IO, metrics, name: str, assemble) -> Iterator:
+    """The one JSONL line loop, under either assembler.
+
+    Each stripped, non-blank line is scanned by one C call; a line that is
+    not exactly one JSON value goes to ``json.loads``, the reference, only
+    for its exact error. Each JSON object is handed with the stream's
+    route table to ``assemble`` — :func:`sample_from_dict` (yields every
+    sample) or :func:`_column_assembler`'s (yields each full batch; a
+    ``None`` result yields nothing).
+
+    A bad line raises one ``ValueError`` naming ``{name}:{line number}``
+    — ``invalid JSON (…)`` or ``invalid record (…)`` — counting one
+    ``io.decode_errors`` first. ``io.rows_read`` (rows assembled) is
+    counted once, when the read ends: exhausted, closed early or failed.
+    """
+    routes = _RouteTable()
+    rows = 0
+    try:
+        for line_number, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                payload, end = _scan(text, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(text):
+                try:
+                    payload = json.loads(text)
+                except json.JSONDecodeError as error:
+                    raise _bad_line(
+                        metrics, name, line_number, "invalid JSON", error
+                    ) from error
+            try:
+                if type(payload) is not dict:
+                    raise TypeError(
+                        f"a record is a JSON object, not {type(payload).__name__}"
+                    )
+                out = assemble(payload, routes)
+            except _RECORD_ERRORS as error:
+                raise _bad_line(
+                    metrics, name, line_number, "invalid record", error
+                ) from error
+            rows += 1
+            if out is not None:
+                yield out
+    finally:
+        if metrics is not None and rows:
+            metrics.inc("io.rows_read", rows)
+
+
+def _bad_line(metrics, name: str, line_number: int, what: str, error):
+    """The one error a bad line raises, counted in ``io.decode_errors``."""
+    if metrics is not None:
+        metrics.inc("io.decode_errors")
+    if type(error) is KeyError:
+        error = f"missing field {error.args[0]!r}"
+    return ValueError(f"{name}:{line_number}: {what} ({error})")
 
 
 def convert(

@@ -209,8 +209,75 @@ class TestSurfaceGuards:
         assert unreferenced == []
 
     def test_a_jsonl_line_meets_json_loads_once(self):
+        """One scanner, one ``json.loads`` (for its error) and one loop
+        over a trace's lines, whichever assembler the lines feed."""
+        import ast
+
         source = (ROOT / "src" / "repro" / "pipeline" / "io.py").read_text()
         assert source.count("json.loads(") == 1
+        assert source.count("scan_once") == 1
+        line_loops = [
+            function.name
+            for function in ast.walk(ast.parse(source))
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Name)
+            and node.iter.func.id == "enumerate"
+            and ast.unparse(node.iter.args[0]) == "handle"
+        ]
+        assert line_loops == ["_decode_lines"]
+
+    def test_each_record_rule_is_spelled_once(self):
+        """The ``TransactionRecord`` / ``SessionSample`` rules live in the
+        ``core.records`` check functions, which both JSONL assemblers call:
+        each rule's message appears once under ``src/``, there."""
+        import ast
+
+        records = ROOT / "src" / "repro" / "core" / "records.py"
+        messages = [
+            node.exc.args[0].value
+            for function in ast.walk(ast.parse(records.read_text()))
+            if isinstance(function, ast.FunctionDef)
+            and function.name in ("check_transaction", "check_session")
+            for node in ast.walk(function)
+            if isinstance(node, ast.Raise)
+        ]
+        assert len(messages) == 8
+        sources = {
+            path: path.read_text(encoding="utf-8")
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+        }
+        for message in messages:
+            spelled = {
+                path.relative_to(ROOT).as_posix(): source.count(f'"{message}"')
+                for path, source in sources.items()
+                if f'"{message}"' in source
+            }
+            assert spelled == {"src/repro/core/records.py": 1}, message
+
+    def test_the_route_table_stays_bounded(self):
+        """A stream interns its routes in a bounded table: more distinct
+        routes than the bound decode correctly and never grow it past."""
+        from repro.pipeline import io
+
+        table = io._RouteTable()
+        largest = 0
+        for index in range(io.ROUTE_TABLE_LIMIT + 500):
+            raw = {
+                "prefix": f"10.{index // 256}.{index % 256}.0/24",
+                "as_path": [64500, index],
+                "relationship": "transit",
+                "preference_rank": 0,
+                "prepended": False,
+            }
+            route = table.route(raw)
+            assert route.prefix == raw["prefix"]
+            assert route.as_path == (64500, index)
+            assert table.route(dict(raw)) is route
+            largest = max(largest, len(table))
+        assert largest == io.ROUTE_TABLE_LIMIT
 
     def test_block_checksum_has_one_writer_and_one_reader(self):
         import ast

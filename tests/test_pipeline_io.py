@@ -20,6 +20,7 @@ from repro.pipeline.io import (
     convert,
     detect_format,
     plan_chunks,
+    read_column_batches,
     read_samples,
     read_samples_stream,
     sample_from_dict,
@@ -33,6 +34,8 @@ from repro.pipeline import ParallelOptions, build_dataset
 from repro.store import TraceStoreReader
 
 from tests.helpers import make_route, make_sample, make_trace_samples
+
+pytestmark = pytest.mark.io
 
 
 def sample_with_txns():
@@ -320,9 +323,10 @@ class TestChunkPlanning:
 
 
 class TestBadLineIsNamedExactly:
-    """One line decoder (``read_samples_stream``), three ways to reach it:
-    each names a bad third line by its own location label and leaves the
-    same ledger — the two good rows read, one decode error."""
+    """One line loop, four ways to reach it — ``read_samples`` (plain and
+    gzip), ``read_samples_stream`` and ``build_dataset`` (the column
+    assembler): each names a bad third line by its own location label and
+    leaves the same ledger — the two good rows read, one decode error."""
 
     @staticmethod
     def _lines():
@@ -367,6 +371,202 @@ class TestBadLineIsNamedExactly:
             "<stream>:3",
             registry,
         )
+
+    def test_build_dataset(self, tmp_path, monkeypatch):
+        path = self._write(tmp_path / "trace.jsonl")
+        registries = _capture_build_registries(monkeypatch)
+        with pytest.raises(ValueError, match=f"{path}:3: invalid JSON"):
+            build_dataset(path, study_windows=4)
+        (registry,) = registries
+        assert registry.counter("io.decode_errors") == 1
+        assert registry.counter("io.rows_read") == 2
+
+
+def _capture_build_registries(monkeypatch) -> list:
+    """The registries ``build_dataset`` hands ``iter_batches`` (its
+    ingestor's, which a failed build never merges anywhere)."""
+    from repro.kernels import engine
+
+    registries = []
+    iter_batches_of = engine.iter_batches
+
+    def recording(source, metrics=None):
+        registries.append(metrics)
+        return iter_batches_of(source, metrics=metrics)
+
+    monkeypatch.setattr(engine, "iter_batches", recording)
+    return registries
+
+
+def _good_record() -> dict:
+    return sample_to_dict(sample_with_txns())
+
+
+def _without(payload: dict, key: str) -> dict:
+    del payload[key]
+    return payload
+
+
+def _with(payload: dict, **fields) -> dict:
+    payload.update(fields)
+    return payload
+
+
+def _with_txn(payload: dict, **fields) -> dict:
+    payload["transactions"][0].update(fields)
+    return payload
+
+
+def _without_txn(payload: dict, key: str) -> dict:
+    del payload["transactions"][0][key]
+    return payload
+
+
+#: One bad third line per way a well-formed JSON value can fail to be a
+#: record, and the detail its error names.
+BAD_RECORDS = {
+    "missing-field": (
+        lambda: _without(_good_record(), "start_time"),
+        "missing field 'start_time'",
+    ),
+    "transactions-not-a-list": (
+        lambda: _with(_good_record(), transactions=5),
+        "'int' object is not iterable",
+    ),
+    "json-array": (lambda: [1, 2], "a record is a JSON object, not list"),
+    "session-rule": (
+        lambda: _with(_good_record(), end_time=1.0, start_time=2.0),
+        "session ends before it starts",
+    ),
+    "transaction-rule": (
+        lambda: _with_txn(_good_record(), ack_time=0.5),
+        "ack_time precedes first_byte_time",
+    ),
+    "missing-session-id": (  # no batch column holds it, yet it is required
+        lambda: _without(_good_record(), "session_id"),
+        "missing field 'session_id'",
+    ),
+    "missing-transaction-field": (
+        lambda: _without_txn(_good_record(), "ack_time"),
+        "missing field 'ack_time'",
+    ),
+    "version": (
+        lambda: _with(_good_record(), v=99),
+        "unsupported trace format version 99",
+    ),
+    "bad-enum": (
+        lambda: _with(_good_record(), http_version="HTTP/9"),
+        "'HTTP/9' is not a valid HttpVersion",
+    ),
+    "bad-relationship": (
+        lambda: _with(
+            _good_record(),
+            route={**_good_record()["route"], "relationship": "cousin"},
+        ),
+        "'cousin' is not a valid Relationship",
+    ),
+}
+
+
+class TestBadRecordIsNamedExactly:
+    """A line that parses but is no record raises the same one
+    ``ValueError`` as a line that does not parse — named ``{where}:3``,
+    one ``io.decode_errors``, the two good rows read — through the object
+    assembler and the column assembler alike (a ``KeyError``, a
+    ``TypeError`` or an ``AttributeError`` used to escape unnamed)."""
+
+    @staticmethod
+    def _write(path, bad) -> pathlib.Path:
+        good = json.dumps(_good_record())
+        path.write_text(
+            "\n".join([good, good, json.dumps(bad), good]) + "\n",
+            encoding="utf-8",
+        )
+        return path
+
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    @pytest.mark.parametrize(
+        "way", ["read_samples", "read_samples_stream", "read_column_batches",
+                "build_dataset"],
+    )
+    def test_named_and_counted_once(self, tmp_path, monkeypatch, case, way):
+        import re
+
+        make_bad, detail = BAD_RECORDS[case]
+        path = self._write(tmp_path / "trace.jsonl", make_bad())
+        registry = MetricsRegistry()
+        expected = f"{path}:3: invalid record ({detail})"
+        with pytest.raises(ValueError) as raised:
+            if way == "read_samples":
+                list(read_samples(path, metrics=registry))
+            elif way == "read_samples_stream":
+                expected = f"<stream>:3: invalid record ({detail})"
+                with open(path, encoding="utf-8") as handle:
+                    list(read_samples_stream(handle, metrics=registry))
+            elif way == "read_column_batches":
+                list(read_column_batches(path, metrics=registry))
+            else:
+                registries = _capture_build_registries(monkeypatch)
+                build_dataset(path, study_windows=4)
+        assert re.fullmatch(re.escape(expected), str(raised.value))
+        if way == "build_dataset":
+            (registry,) = registries
+        assert registry.counter("io.decode_errors") == 1
+        assert registry.counter("io.rows_read") == 2
+
+
+class TestRowsReadLedger:
+    """``io.rows_read`` is counted once per read, when it ends, and equals
+    the rows the read handed out: on a full read, on a generator closed
+    early, and on a read that fails mid-stream — for samples and for
+    column batches alike."""
+
+    ROWS = 7
+
+    @pytest.fixture
+    def trace(self, tmp_path, monkeypatch):
+        from repro.kernels import columns
+
+        # Three rows a batch, so a closed batch read stops mid-trace.
+        monkeypatch.setattr(columns, "BATCH_ROWS", 3)
+        path = tmp_path / "trace.jsonl"
+        write_samples(path, make_trace_samples(self.ROWS, seed=11))
+        return path
+
+    @staticmethod
+    def _rows(item) -> int:
+        return 1 if isinstance(item, SessionSample) else len(item)
+
+    @pytest.mark.parametrize("reader", [read_samples, read_column_batches])
+    def test_full_read(self, trace, reader):
+        registry = MetricsRegistry()
+        rows = sum(self._rows(item) for item in reader(trace, metrics=registry))
+        assert registry.counter("io.rows_read") == rows == self.ROWS
+
+    @pytest.mark.parametrize("reader", [read_samples, read_column_batches])
+    def test_closed_early(self, trace, reader):
+        registry = MetricsRegistry()
+        items = reader(trace, metrics=registry)
+        taken = self._rows(next(items)) + self._rows(next(items))
+        assert registry.counter("io.rows_read") == 0  # counted at the end
+        items.close()
+        assert registry.counter("io.rows_read") == taken < self.ROWS
+
+    @pytest.mark.parametrize("reader", [read_samples, read_column_batches])
+    def test_failed_mid_stream(self, trace, reader):
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        lines.insert(5, "{not json}")
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        registry = MetricsRegistry()
+        handed_out = 0
+        with pytest.raises(ValueError, match=f"{trace}:6: invalid JSON"):
+            for item in reader(trace, metrics=registry):
+                handed_out += self._rows(item)
+        assert registry.counter("io.rows_read") == 5
+        assert registry.counter("io.decode_errors") == 1
+        # Batches hand out whole batches only: the two rows assembled
+        # after the last full batch were read, never folded.
+        assert handed_out == (5 if reader is read_samples else 3)
 
 
 class TestFormatDetection:
@@ -441,3 +641,85 @@ class TestAnalysisOverRestoredTrace:
         dataset.ingest(read_samples(path))
         assert dataset.session_count == 10
         assert len(dataset.store) == 1
+
+
+class TestDecodedMemory:
+    """Decoded samples hold no more memory than records built field by
+    field through their constructors, one ``RouteInfo`` per sample (the
+    decoder before routes were interned), and no record carries a
+    materialized instance ``__dict__`` — the compact attribute layout that
+    building records by ``__new__`` plus a dict update would lose."""
+
+    GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_trace.jsonl.gz"
+
+    @staticmethod
+    def _constructed(payload: dict) -> SessionSample:
+        route = payload["route"]
+        if route is not None:
+            route = RouteInfo(
+                prefix=route["prefix"],
+                as_path=tuple(route["as_path"]),
+                relationship=Relationship(route["relationship"]),
+                preference_rank=route["preference_rank"],
+                prepended=route["prepended"],
+            )
+        return SessionSample(
+            session_id=payload["session_id"],
+            start_time=payload["start_time"],
+            end_time=payload["end_time"],
+            http_version=HttpVersion(payload["http_version"]),
+            min_rtt_seconds=payload["min_rtt_seconds"],
+            bytes_sent=payload["bytes_sent"],
+            busy_time_seconds=payload["busy_time_seconds"],
+            transactions=[
+                TransactionRecord(**raw) for raw in payload["transactions"]
+            ],
+            route=route,
+            pop=payload["pop"],
+            client_country=payload["client_country"],
+            client_continent=payload["client_continent"],
+            client_ip_is_hosting=payload["client_ip_is_hosting"],
+            geo_tag=payload["geo_tag"],
+            media_response_sizes=tuple(payload["media_response_sizes"]),
+        )
+
+    @staticmethod
+    def _retained(decode):
+        import gc
+        import tracemalloc
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = decode()
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return kept, retained
+
+    def test_decoded_samples_hold_no_more_than_constructed_ones(self):
+        import gc
+        import gzip as gzip_module
+
+        def constructed():
+            with gzip_module.open(self.GOLDEN, "rt", encoding="utf-8") as handle:
+                return [self._constructed(json.loads(line)) for line in handle]
+
+        reference, reference_bytes = self._retained(constructed)
+        decoded, decoded_bytes = self._retained(
+            lambda: list(read_samples(self.GOLDEN))
+        )
+        assert decoded == reference
+        assert decoded_bytes <= reference_bytes
+        records = [
+            record
+            for sample in decoded
+            for record in (sample, sample.route, *sample.transactions)
+            if record is not None
+        ]
+        assert not [
+            record
+            for record in records
+            if any(type(ref) is dict for ref in gc.get_referents(record))
+        ]
