@@ -61,6 +61,9 @@
 #   src-lines   - print the line total of src/**/*.py: the number ROADMAP
 #                 aim 2 tracks (expected sign per PR this round: negative)
 #                 and every CHANGES.md entry reports before/after.
+#   doc-lines   - print the line counts of DESIGN.md, README.md,
+#                 CONTRIBUTING.md and docs/*.md, and their total: the prose
+#                 ROADMAP item 9 tracks beside src-lines.
 #   bench-ab    - PARENT=<rev> WORKLOAD=<name> [PAIRS=N] [SEED=N]: alternate
 #                 `python3 -m bench` runs (12 s, --trace 0) between a
 #                 `git archive` of PARENT and the working tree; prints each
@@ -84,7 +87,7 @@ COV_SOURCES = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
 	test-dist test-netsim test-io test-bench test-examples coverage bench \
-	bench-smoke bench-dist bench-cc-matrix src-lines bench-ab
+	bench-smoke bench-dist bench-cc-matrix src-lines doc-lines bench-ab
 
 test:
 	$(PYTEST) -x -q
@@ -148,6 +151,9 @@ bench-cc-matrix:
 
 src-lines:
 	@find src -name '*.py' | xargs cat | wc -l
+
+doc-lines:
+	@wc -l DESIGN.md README.md CONTRIBUTING.md docs/*.md
 
 bench-ab:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \

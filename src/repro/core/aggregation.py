@@ -14,8 +14,8 @@ Medians (not means) are used to track shifts of the distribution without
 being skewed by second-scale tail RTTs or HDratio's bimodality. The raw
 per-session values are retained inside each aggregation because the
 comparison layer (§3.4) needs them to compute distribution-free confidence
-intervals. (The t-digest construction of the paper's footnote 11 lives in
-:mod:`repro.stats.streaming`; no aggregation holds a digest.)
+intervals. (No aggregation holds a t-digest: the paper's footnote 11
+construction is not needed while the raw values are kept.)
 """
 
 from __future__ import annotations

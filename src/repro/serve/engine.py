@@ -30,21 +30,27 @@ Resolution pipeline per query:
    keyed by the normalized query coordinates — (profile, PoPs,
    countries, window band) — with exact hit/miss/eviction accounting. A
    carried result is never a hit.
-3. **Merge on miss.** The engine keeps one *partial* per (profile, store
-   partition): the partition decoded once and folded through the column
-   kernels, split by *cell* — (PoP, country, window in the profile's
-   units), the coordinates every filter names — into one
+3. **Merge on miss.** The engine keeps one *partial* per store
+   partition: the partition decoded once and folded through the column
+   kernels at the store's own window, split by *cell* — (PoP, country,
+   window), the coordinates every filter names — into one
    :class:`~repro.pipeline.parallel.ShardResult` per cell. A cold query
    prunes partitions on the manifest with a :class:`ScanFilter`, builds
    the partials it lacks, keeps the cells its filters admit and merges
    them with the sharded pipeline's merger, so its dataset is the one
    ``build_dataset`` folds from the filtered stream: rows, aggregations,
-   filter stats and data counters. A partial is keyed by the data file's
-   ``(st_dev, st_ino)`` and the partition's byte range, row count and
-   block CRCs: an append keeps every earlier partial, an in-place
-   rewrite or a compaction swap drops them all. A partial's data
-   counters (``pipeline.*``, ``store.*``, ...) land in the engine's
-   registry once, when it is built. A miss whose query has a carried
+   filter stats and data counters. ``/v1/routing`` merges the same cells
+   at one-hour windows: a store window that tiles an hour ``k`` times
+   puts cell window ``w`` in hour ``w // k``, so each cell's aggregations
+   are re-keyed to their hour before the merge. Its value lists then
+   hold the hour's values window by window rather than in stream order —
+   the same multisets, and every reader sorts them first. A store window
+   that does not tile an hour answers ``/v1/routing`` with a 400. A
+   partial is keyed by the data file's ``(st_dev, st_ino)`` and the
+   partition's byte range, row count and block CRCs: an append keeps
+   every earlier partial, an in-place rewrite or a compaction swap drops
+   them all. A partial's data counters (``pipeline.*``, ``store.*``, ...)
+   land in the engine's registry once, when it is built. A miss whose query has a carried
    result merges only the appended partitions' admitted cells into the
    carried dataset, provided each comes after everything that dataset
    holds in order-key order; the merge is the same one, so the dataset is
@@ -78,6 +84,7 @@ import math
 import os
 import pathlib
 import threading
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.aggregation import window_index
@@ -111,8 +118,8 @@ __all__ = [
 ]
 
 PathLike = Union[str, pathlib.Path]
-#: (PoP, country, window index in the profile's units): the finest slice
-#: of a partial a query's filters can select.
+#: (PoP, country, window index in the store's units): the finest slice of
+#: a partial a query's filters can select.
 Cell = Tuple[str, str, int]
 
 #: Default LRU capacity: a dashboard fleet's working set is its hot
@@ -131,6 +138,19 @@ QUANTILE_POINTS = (0.5, 0.8, 0.9, 0.99)
 
 class BadRequest(ValueError):
     """A malformed query: unknown parameter, bad value, bad combination."""
+
+
+def _coarsened(result: ShardResult, factor: int) -> ShardResult:
+    """``result`` with each aggregation re-keyed to the window ``factor``
+    of its windows tile. The value lists are shared, not copied: the
+    merge's copy-on-merge never mutates a piece."""
+    aggregations = []
+    for first, (group, rank, window), aggregation in result.aggregations:
+        window //= factor
+        aggregations.append(
+            (first, (group, rank, window), replace(aggregation, window=window))
+        )
+    return replace(result, aggregations=aggregations)
 
 
 def _max_order_key(results: List[ShardResult], floor: int) -> int:
@@ -179,7 +199,7 @@ class QueryEngine:
     ``study_windows`` defaults to the span of the current generation's
     partition bands, re-derived whenever the manifest changes; pass it to
     pin equivalence against a specific batch invocation.
-    ``window_seconds`` is the store's own; ``/v1/routing`` builds at the
+    ``window_seconds`` is the store's own; ``/v1/routing`` merges at the
     routing CLI's shape (one-hour windows over a two-day study).
     """
 
@@ -206,7 +226,7 @@ class QueryEngine:
         #: with the key its partials are cached under.
         self._reader: Optional[TraceStoreReader] = None
         self._partitions: List[Tuple[dict, tuple]] = []
-        #: (profile, window seconds, partition key) -> {cell: ShardResult}.
+        #: (window seconds, partition key) -> {cell: ShardResult}.
         self._partials: Dict[tuple, Dict[Cell, ShardResult]] = {}
         #: Quarantine ledger: every distinct StoreError a served query hit,
         #: with partition/column attribution — the serving face of the §9
@@ -596,15 +616,7 @@ class QueryEngine:
             )
             self.cache.invalidate_all(carry=appended)
             self._inputs = inputs
-        shapes = [
-            (profile, self._dataset_kwargs(profile)["window_seconds"])
-            for profile in ("analyze", "routing")
-        ]
-        live = {
-            (profile, seconds, key)
-            for profile, seconds in shapes
-            for _, key in partitions
-        }
+        live = {(self.window_seconds, key) for key in keys}
         stale = [key for key in self._partials if key not in live]
         for key in stale:
             del self._partials[key]
@@ -614,6 +626,8 @@ class QueryEngine:
         self._identity = identity
 
     def _dataset_kwargs(self, profile: str) -> dict:
+        """The shape of ``profile``'s dataset; the analyze one is also the
+        shape every partial is folded at."""
         if profile == "analyze":
             return dict(
                 study_windows=self.study_windows,
@@ -623,7 +637,7 @@ class QueryEngine:
         # routing: the §6 audit's dataset shape (hourly windows)
         return dict(
             study_windows=self.routing_windows,
-            keep_response_sizes=False,
+            keep_response_sizes=True,
             window_seconds=self.routing_window_seconds,
         )
 
@@ -646,11 +660,20 @@ class QueryEngine:
         dataset is touched, so a ``StoreError`` leaves it as it was.
         """
         kwargs = self._dataset_kwargs(profile)
+        window_seconds = kwargs["window_seconds"]
+        # Store windows per window of this dataset: 1 for analyze, 4 for
+        # routing over the CLI's quarter-hours (DESIGN §12, tiling).
+        factor = window_seconds / self.window_seconds
+        if not factor.is_integer():
+            raise BadRequest(
+                f"routing windows of {window_seconds:g} s are not a whole "
+                f"number of this store's {self.window_seconds:g} s windows"
+            )
+        factor = int(factor)
         scan_filter = None
         if not (pops is None and countries is None and window is None):
             # Inclusive time bounds over-admit a partition that only touches
             # the range's edge; the cell's window decides exactly.
-            window_seconds = kwargs["window_seconds"]
             scan_filter = ScanFilter(
                 pops=pops,
                 countries=countries,
@@ -669,13 +692,13 @@ class QueryEngine:
                     partition
                 ):
                     continue
-                partial = self._partial(profile, kwargs, partition, key)
+                partial = self._partial(partition, key)
                 results.extend(
-                    result
+                    result if factor == 1 else _coarsened(result, factor)
                     for (pop, country, index), result in partial.items()
                     if (pops is None or pop in pops)
                     and (countries is None or country in countries)
-                    and (window is None or window[0] <= index <= window[1])
+                    and (window is None or window[0] <= index // factor <= window[1])
                 )
             return results
 
@@ -703,16 +726,16 @@ class QueryEngine:
             _max_order_key(results, -1),
         )
 
-    def _partial(
-        self, profile: str, kwargs: dict, partition: dict, key: tuple
-    ) -> Dict[Cell, ShardResult]:
-        """One partition's partial for ``profile``, built on first use.
+    def _partial(self, partition: dict, key: tuple) -> Dict[Cell, ShardResult]:
+        """One partition's partial, folded at the store's own window on
+        first use.
 
         A build that raises (a typed ``StoreError``: damage, a truncated
         file) caches and counts nothing, so the next query retries it.
         """
+        kwargs = self._dataset_kwargs("analyze")
         window_seconds = kwargs["window_seconds"]
-        cache_key = (profile, window_seconds, key)
+        cache_key = (window_seconds, key)
         partial = self._partials.get(cache_key)
         if partial is not None:
             self.metrics.inc("serve.partials.reused")

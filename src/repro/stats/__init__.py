@@ -6,7 +6,8 @@ which are implemented here from scratch:
 - :mod:`repro.stats.tdigest` — a merging t-digest (Dunning & Ertl) for
   streaming percentile estimation (footnote 11 of the paper notes t-digests
   are how this runs in production analytics); here it backs the
-  :mod:`repro.obs` timers and :mod:`repro.stats.streaming`.
+  :mod:`repro.obs` timers. Every §5–§6 verdict uses the exact estimator
+  below: sealed windows keep their raw samples.
 - :mod:`repro.stats.median_ci` — distribution-free confidence intervals for a
   median and for the *difference* of two medians (McKean–Schrader standard
   errors combined in the Price & Bonett style), used to gate every
@@ -29,10 +30,6 @@ from repro.stats.median_ci import (
     median_ci,
     median_standard_error,
 )
-from repro.stats.streaming import (
-    streaming_compare,
-    streaming_median_se,
-)
 from repro.stats.tdigest import TDigest
 from repro.stats.weighted import (
     ecdf,
@@ -47,8 +44,6 @@ __all__ = [
     "bootstrap_median_ci",
     "bootstrap_median_difference_ci",
     "compare_medians",
-    "streaming_compare",
-    "streaming_median_se",
     "ecdf",
     "median_ci",
     "median_standard_error",

@@ -294,13 +294,21 @@ def data_counters(dataset: StudyDataset) -> dict:
     }
 
 
-def assert_same_analysis_state(a: StudyDataset, b: StudyDataset) -> None:
-    """Bit-identical dataset state: rows, aggregation store, accounting."""
+def assert_same_analysis_state(
+    a: StudyDataset, b: StudyDataset, *, multiset: bool = False
+) -> None:
+    """Bit-identical dataset state: rows, aggregation store, accounting.
+
+    ``multiset`` compares each aggregation's value lists sorted: the
+    contract of a dataset merged at a coarser window than its pieces were
+    folded at (served ``/v1/routing``, DESIGN.md §12).
+    """
+    values = sorted if multiset else list
     assert a.rows == b.rows
     assert [k for k, _ in a.store.items()] == [k for k, _ in b.store.items()]
     for (_, agg_a), (_, agg_b) in zip(a.store.items(), b.store.items()):
-        assert agg_a.min_rtts_ms == agg_b.min_rtts_ms
-        assert agg_a.hdratios == agg_b.hdratios
+        assert values(agg_a.min_rtts_ms) == values(agg_b.min_rtts_ms)
+        assert values(agg_a.hdratios) == values(agg_b.hdratios)
         assert agg_a.traffic_bytes == agg_b.traffic_bytes
         assert agg_a.session_count == agg_b.session_count
         assert agg_a.route == agg_b.route

@@ -408,38 +408,28 @@ class TestFinishIdempotent:
 class TestCiWidthBoundary:
     """The CI-width validity gate is inclusive: a comparison whose CI is
     exactly ``MAX_CI_WIDTH_*`` wide is still valid (§5's "sufficiently
-    narrow" is ``<=``, not ``<``) — for the t-digest estimator and for the
-    exact one the decisions use."""
+    narrow" is ``<=``, not ``<``) for the exact estimator the decisions
+    use."""
 
     @staticmethod
-    def _digest_pair():
-        from repro.stats.tdigest import TDigest
-
-        a, b = TDigest(), TDigest()
-        for index in range(60):
-            a.add(50.0 + (index % 9) * 0.4)
-            b.add(40.0 + (index % 9) * 0.4)
+    def _pair():
+        a = [50.0 + (index % 9) * 0.4 for index in range(60)]
+        b = [40.0 + (index % 9) * 0.4 for index in range(60)]
         return a, b
 
     def test_width_exactly_at_limit_is_valid(self):
-        from repro.stats.streaming import streaming_compare
-
-        a, b = self._digest_pair()
-        unbounded = streaming_compare(a, b)
+        a, b = self._pair()
+        unbounded = compare_medians(a, b)
         width = unbounded.ci_high - unbounded.ci_low
         assert width > 0.0
-        at_limit = streaming_compare(a, b, max_ci_width=width)
+        at_limit = compare_medians(a, b, max_ci_width=width)
         assert at_limit.valid
 
     def test_width_just_over_limit_is_invalid(self):
-        from repro.stats.streaming import streaming_compare
-
-        a, b = self._digest_pair()
-        unbounded = streaming_compare(a, b)
+        a, b = self._pair()
+        unbounded = compare_medians(a, b)
         width = unbounded.ci_high - unbounded.ci_low
-        over = streaming_compare(
-            a, b, max_ci_width=math.nextafter(width, 0.0)
-        )
+        over = compare_medians(a, b, max_ci_width=math.nextafter(width, 0.0))
         assert not over.valid
 
     def test_monitor_shift_survives_ci_exactly_at_max_width(self, monkeypatch):

@@ -6,7 +6,6 @@ refactor must not break.
 """
 
 import math
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -158,27 +157,3 @@ def test_io_round_trip_preserves_sample(rtt_ms, nbytes, duration, rank, hosting)
     assert restored.client_ip_is_hosting == hosting
     assert restored.duration == pytest.approx(sample.duration)
 
-
-# --------------------------------------------------------------------- #
-# Streaming vs exact comparison agreement
-# --------------------------------------------------------------------- #
-@settings(max_examples=40, deadline=None)
-@given(
-    shift=st.floats(min_value=-20.0, max_value=20.0),
-    sigma=st.floats(min_value=0.5, max_value=5.0),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_streaming_comparison_tracks_exact(shift, sigma, seed):
-    from repro.stats.median_ci import compare_medians
-    from repro.stats.streaming import streaming_compare
-    from repro.stats.tdigest import TDigest
-
-    rng = random.Random(seed)
-    a = [rng.gauss(50.0 + shift, sigma) for _ in range(400)]
-    b = [rng.gauss(50.0, sigma) for _ in range(400)]
-    exact = compare_medians(a, b)
-    streamed = streaming_compare(TDigest.of(a), TDigest.of(b))
-    assert streamed.difference == pytest.approx(exact.difference, abs=max(sigma, 0.5))
-    # Decisions agree away from the decision boundary.
-    if abs(shift) > 3 * sigma + 2.0:
-        assert streamed.exceeds(2.0) == exact.exceeds(2.0)

@@ -266,8 +266,8 @@ class TestFilteredQueries:
 
 
 class TestOneAccounting:
-    """Data counters reach the engine's registry once per (partition,
-    profile) build — whether that registry is the activated one (``repro
+    """Data counters reach the engine's registry once per partition
+    build — whether that registry is the activated one (``repro
     serve``), another one is, or none is — and a query that only merges
     partials built before it counts no data at all."""
 
@@ -333,14 +333,16 @@ class TestOneAccounting:
             if not name.startswith("serve.")
         }
 
-        ask("/v1/routing")  # the routing profile folds every partition once
-        assert registry.counter("pipeline.samples.read") == 2 * rows
-        assert registry.counter("serve.partials.built") == 2 * partitions
+        # Routing merges the same partials at hourly windows: it folds
+        # nothing and reads every partition's partial once.
+        ask("/v1/routing")
+        assert registry.counter("pipeline.samples.read") == rows
+        assert registry.counter("serve.partials.built") == partitions
         _, _, window_partitions = scanned(
             ScanFilter(min_end_time=0.0, max_end_time=2 * engine.window_seconds)
         )
         assert registry.counter("serve.partials.reused") == (
-            ams1_partitions + nl_partitions + window_partitions
+            ams1_partitions + nl_partitions + window_partitions + partitions
         )
         assert registry.counter("serve.partials.dropped") == 0
 

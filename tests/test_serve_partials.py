@@ -1,19 +1,22 @@
 """Served = batch over cached partials, and the partials' lifetime.
 
-A cold query is a merge: the engine keeps one partial per (profile, store
-partition), split by (PoP, country, window) cell, and answers a query by
-merging the cells its filters admit. This file holds that design to the
-batch pipeline:
+A cold query is a merge: the engine keeps one partial per store
+partition, folded at the store's window and split by (PoP, country,
+window) cell, and answers a query by merging the cells its filters
+admit — ``/v1/routing`` after re-keying each cell to its hour. This file
+holds that design to the batch pipeline:
 
 - a Hypothesis property over random PoPs x countries x window range x
   profile, on one live engine while its store is appended to, rewritten
   in place and compacted: the merged dataset equals ``build_dataset``
   over the equivalently filtered sample stream (rows, aggregations,
-  filter stats, data counters, verdicts), the payloads rendered from the
-  two are byte-identical, and merging the same partials again leaves
-  them byte-unchanged;
-- lifetime: an append builds exactly its new partitions' partials, and
-  an in-place rewrite or a compaction drops every partial;
+  filter stats, data counters, verdicts; a routing aggregation's value
+  lists as multisets, since its hour is merged window by window), the
+  payloads rendered from the two are byte-identical, and merging the same
+  partials again leaves them byte-unchanged;
+- lifetime: an append builds exactly its new partitions' partials, once
+  for both profiles, and an in-place rewrite or a compaction drops every
+  partial;
 - carry-over: after an append, a cold query extends its previous
   result with the appended partitions' cells, and over many appends —
   late samples into old windows, hourly routing windows that span
@@ -69,7 +72,7 @@ def dataset_kwargs(engine, profile):
         )
     return dict(
         study_windows=engine.routing_windows,
-        keep_response_sizes=False,
+        keep_response_sizes=True,
         window_seconds=engine.routing_window_seconds,
     )
 
@@ -121,8 +124,9 @@ def assert_served_equals_batch(engine, store, query):
     served = engine.cache.get(key).dataset
     kwargs = dataset_kwargs(engine, profile)
     batch = batch_dataset(list(read_samples(store)), kwargs, pops, countries, window)
+    multiset = profile == "routing"
 
-    assert_same_analysis_state(served, batch)
+    assert_same_analysis_state(served, batch, multiset=multiset)
     kind = "degradation" if profile == "analyze" else "opportunity"
     for metric in ("minrtt", "hdratio"):
         assert served.verdicts(metric, kind) == batch.verdicts(metric, kind)
@@ -140,7 +144,7 @@ def assert_served_equals_batch(engine, store, query):
     frozen = pickle.dumps(engine._partials)
     for _ in range(2):
         again = engine._merge_partials(profile, pops, countries, window)
-        assert_same_analysis_state(again.dataset, batch)
+        assert_same_analysis_state(again.dataset, batch, multiset=multiset)
         assert again.partitions == len(engine._partitions)
     assert pickle.dumps(engine._partials) == frozen
 
@@ -209,8 +213,9 @@ class TestPartialLifetime:
         engine = QueryEngine(store)
         self._warm(engine)
         before = len(TraceStoreReader(store).partitions)
+        # Routing merges the partials the analyze query built.
         assert self._partials(engine) == {
-            "cached": 2 * before, "built": 2 * before, "reused": 0, "dropped": 0,
+            "cached": before, "built": before, "reused": before, "dropped": 0,
         }
         assert self._merges(engine) == {"extended": 0, "full": 2}
         append_to_store(store, make_trace_samples(150, seed=17, windows=12))
@@ -218,16 +223,17 @@ class TestPartialLifetime:
         assert added > 0
         self._warm(engine)
         # Each cold query extends its carried dataset with the appended
-        # partitions' cells alone: it reads no earlier partial, so nothing
-        # is reused — the earlier partitions' cells are already merged in.
+        # partitions' cells alone: it reads no earlier partial — the
+        # earlier partitions' cells are already merged in — and routing
+        # reuses what the analyze query built.
         assert self._partials(engine) == {
-            "cached": 2 * (before + added),
-            "built": 2 * (before + added),
-            "reused": 0,
+            "cached": before + added,
+            "built": before + added,
+            "reused": before + added,
             "dropped": 0,
         }
         assert self._merges(engine) == {"extended": 2, "full": 2}
-        assert engine.metrics.counter("pipeline.samples.read") == 2 * 550
+        assert engine.metrics.counter("pipeline.samples.read") == 550
         fresh = QueryEngine(store)
         for path in ("/v1/quantiles", "/v1/degradation", "/v1/routing"):
             assert render_payload(engine.handle(path, {})[1]) == render_payload(
@@ -251,14 +257,14 @@ class TestPartialLifetime:
             assert not compact_store(store).skipped
         after = len(TraceStoreReader(store).partitions)
         assert self._partials(engine) == {
-            "cached": 0, "built": cached, "reused": 0, "dropped": cached,
+            "cached": 0, "built": cached, "reused": cached, "dropped": cached,
         }
         # Both query results were merged from dropped partials, and none
         # is carried: the next queries merge in full.
         assert engine.cache.invalidations == 2
         assert engine.cache.carried(("analyze", None, None, None)) is None
         self._warm(engine)
-        assert self._partials(engine)["built"] == cached + 2 * after
+        assert self._partials(engine)["built"] == cached + after
         assert self._merges(engine) == {"extended": 0, "full": 4}
         assert engine.handle("/v1/quantiles", {})[1]["sessions"] == (
             QueryEngine(store).handle("/v1/quantiles", {})[1]["sessions"]
