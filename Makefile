@@ -50,6 +50,10 @@
 #                 the column-vs-object differential, line-attributed record
 #                 errors, the io.rows_read ledger and the byte-mutation
 #                 decoder fuzz. Also part of tier-1.
+#   test-store  - just the columnar-store suite (`store` marker): codecs,
+#                 the partition frame and its decoder fuzz, writer, append
+#                 sessions, reader, compaction and store-backed analysis
+#                 equivalence. Also part of tier-1.
 #   test-netsim - just the simulator suite (`netsim` marker): the packet
 #                 simulator (engine, link, TCP), the CC-conformance contract
 #                 across all registered congestion controls, the validation
@@ -86,14 +90,14 @@ COV_SOURCES = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
               --cov=repro.pipeline.io
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
-	test-dist test-netsim test-io test-bench test-examples coverage bench \
+	test-dist test-netsim test-io test-store test-bench test-examples coverage bench \
 	bench-smoke bench-dist bench-cc-matrix src-lines doc-lines bench-ab
 
 test:
 	$(PYTEST) -x -q
 
 test-all: coverage test-faults test-kernels test-streaming test-serve \
-		test-dist test-netsim test-io test-bench test-examples
+		test-dist test-netsim test-io test-store test-bench test-examples
 	$(PYTEST) -q -m ""
 
 test-faults:
@@ -116,6 +120,9 @@ test-netsim:
 
 test-io:
 	$(PYTEST) -q -m io
+
+test-store:
+	$(PYTEST) -q -m store
 
 test-bench:
 	$(PYTHON) -m pytest bench/tests -q

@@ -19,9 +19,10 @@ The subcommands mirror the library's main entry points:
 - ``repro convert`` — convert a trace between JSONL and the columnar
   store;
 - ``repro verify-store`` — scan a columnar store for corruption
-  (per-block checksums — a block whose manifest entry records none is
-  corrupt — plus a full decode; exit 1 with ``CORRUPT:`` lines naming
-  partition/column/offset when anything fails);
+  (per-partition checksums — a partition whose descriptor records none is
+  corrupt — plus a full decode; exit 1 with ``CORRUPT:`` lines naming the
+  partition, its byte range and the column when one fails to decode; a
+  torn tail past ``data_bytes`` is reported, not damage);
 - ``repro serve`` — serve a columnar store over HTTP (DESIGN.md §12):
   ``/v1/quantiles``, ``/v1/degradation``, ``/v1/routing``, ``/v1/health``
   behind a hot-aggregation LRU cache that invalidates when a concurrent
@@ -624,6 +625,12 @@ def _cmd_verify_store(args: argparse.Namespace) -> int:
     from repro.store import verify_store
 
     report = verify_store(args.store, metrics=active_metrics())
+    if report.torn_tail_bytes:
+        print(
+            f"{args.store}: torn tail of {report.torn_tail_bytes} byte(s) past "
+            "data_bytes (a crashed append's; reclaimable, the next append "
+            "truncates it)"
+        )
     if report.ok:
         print(
             f"{args.store}: OK "

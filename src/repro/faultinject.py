@@ -24,10 +24,11 @@ Activation, two ways:
 Fault kinds (each an optional field of :class:`FaultPlan`; all are dicts
 so the JSON form is the API):
 
-- ``flip_byte`` — ``{"partition": id, "column": name, "offset": n,
-  "xor": mask, "times": k|null}``: XOR one byte inside the named column
-  block of the named store partition as its payload leaves the disk read.
-  ``times`` defaults to null (persistent corruption, like a bad sector).
+- ``flip_byte`` — ``{"partition": id, "offset": n, "xor": mask,
+  "times": k|null}``: XOR the byte ``offset`` bytes into the named store
+  partition's frame (clamped to its last byte) as the frame leaves the
+  disk read. ``times`` defaults to null (persistent corruption, like a
+  bad sector).
 - ``kill_shard`` — ``{"ordinal": n, "times": k|null, "error":
   "runtime"|"os"}``: raise at shard-worker entry. ``times: k`` makes the
   fault transient (first ``k`` attempts fail, then the shard succeeds —
@@ -202,24 +203,16 @@ def _matches_path(spec: dict, path) -> bool:
 # Hooks (called from the store reader / trace readers / shard workers)
 # --------------------------------------------------------------------- #
 def corrupt_block_payload(payload: bytes, partition: dict) -> bytes:
-    """Apply the plan's ``flip_byte`` fault to one partition payload."""
+    """Apply the plan's ``flip_byte`` fault to one partition frame."""
     plan = current_plan()
     if plan is None or plan.flip_byte is None:
         return payload
     spec = plan.flip_byte
-    if spec.get("partition") != partition["id"]:
+    if spec.get("partition") != partition["id"] or not payload:
         return payload
-    column = spec.get("column")
-    block = next(
-        (b for b in partition["blocks"] if b["column"] == column), None
-    )
-    if block is None or not block["length"]:
+    if not _consume(("flip_byte", partition["id"]), spec.get("times")):
         return payload
-    if not _consume(("flip_byte", partition["id"], column), spec.get("times")):
-        return payload
-    offset = block["offset"] + min(
-        int(spec.get("offset", 0)), block["length"] - 1
-    )
+    offset = min(int(spec.get("offset", 0)), len(payload) - 1)
     mutated = bytearray(payload)
     # A zero mask would be a silent no-op; force a real flip instead.
     mutated[offset] ^= (int(spec.get("xor", 0xFF)) & 0xFF) or 0xFF

@@ -47,10 +47,11 @@ Resolution pipeline per query:
    the same multisets, and every reader sorts them first. A store window
    that does not tile an hour answers ``/v1/routing`` with a 400. A
    partial is keyed by the data file's ``(st_dev, st_ino)`` and the
-   partition's byte range, row count and block CRCs: an append keeps
-   every earlier partial, an in-place rewrite or a compaction swap drops
-   them all. A partial's data counters (``pipeline.*``, ``store.*``, ...)
-   land in the engine's registry once, when it is built. A miss whose query has a carried
+   partition's byte range, row count, frame CRC, codec and column
+   lengths: an append keeps every earlier partial, an in-place rewrite or
+   a compaction swap drops them all. A partial's data counters
+   (``pipeline.*``, ``store.*``, ...) land in the engine's registry once,
+   when it is built. A miss whose query has a carried
    result merges only the appended partitions' admitted cells into the
    carried dataset, provided each comes after everything that dataset
    holds in order-key order; the merge is the same one, so the dataset is
@@ -79,7 +80,6 @@ never served, and it is retired the moment its extension is cached.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pathlib
@@ -276,6 +276,7 @@ class QueryEngine:
                     "partition": getattr(error, "partition_id", None),
                     "column": getattr(error, "column", None),
                     "offset": getattr(error, "offset", None),
+                    "length": getattr(error, "length", None),
                     "detail": str(error),
                 }
             self.metrics.inc("serve.responses.ok")
@@ -582,12 +583,12 @@ class QueryEngine:
         except OSError:
             data_file = None  # every decode raises the typed StoreError
         # Everything a partition's decode reads: bytes pinned by file
-        # identity, range and block CRCs, and the block layout.
+        # identity, range and frame CRC, the codec and the column layout.
         partitions = [
             (
                 p,
                 (data_file, p["offset"], p["length"], p["rows"],
-                 json.dumps(p["blocks"])),
+                 p.get("crc32"), p.get("codec"), tuple(p["lengths"])),
             )
             for p in reader.partitions
         ]

@@ -8,7 +8,7 @@ every ``analyze``/``routing`` run, traces can be converted once into a
 versioned binary **columnar** layout:
 
 - :mod:`repro.store.encoding` — struct-packed, varint/delta, dictionary,
-  and bitmap column codecs with optional per-block deflate;
+  and bitmap column codecs, the per-partition frame deflate and CRC32;
 - :mod:`repro.store.schema` — the versioned column set for
   :class:`~repro.core.records.SessionSample` rows;
 - :mod:`repro.store.writer` — :class:`TraceStoreWriter`: partitions keyed
@@ -27,7 +27,7 @@ versioned binary **columnar** layout:
   (and thus analyses) byte-identical before and after.
 
 Format and analysis-equivalence guarantees are specified in DESIGN.md §8,
-the failure model (per-block CRC32, typed errors, ``verify_store``) in
+the failure model (per-partition CRC32, typed errors, ``verify_store``) in
 DESIGN.md §9; ``repro convert`` (CLI) and :func:`repro.pipeline.io.convert`
 move traces between the two formats losslessly.
 """

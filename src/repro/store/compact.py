@@ -15,8 +15,8 @@ What is preserved, exactly:
   derived analysis is byte-identical before and after compaction
   (``tests/test_store_compact.py`` asserts this through the pipeline);
 - **integrity** — the rewrite round-trips through the CRC-verified
-  reader (every source block is checksum-checked as it is decoded), and
-  the freshly written blocks are CRC re-verified *from disk* before the
+  reader (every source frame is checksum-checked as it is decoded), and
+  the freshly written frames are CRC re-verified *from disk* before the
   manifest swap publishes them;
 - **crash safety** — the new payload goes to a new *generation* data
   file (``data-g1.bin``, ``data-g2.bin``, …) and the manifest is
@@ -44,11 +44,7 @@ from typing import List, Optional, Union
 
 from repro.fsutil import atomic_write_bytes
 from repro.obs import span
-from repro.store.reader import (
-    TraceStoreReader,
-    checksum_mismatches,
-    corrupt_block,
-)
+from repro.store.reader import TraceStoreReader, checksum_mismatch, corrupt_block
 from repro.store.writer import (
     DATA_NAME,
     MANIFEST_NAME,
@@ -87,22 +83,21 @@ def _next_generation_name(current: str) -> str:
 
 
 def _reverify_from_disk(data_path: pathlib.Path, partitions: List[dict]) -> None:
-    """CRC-check every freshly written block against the new manifest.
+    """CRC-check every freshly written frame against the new manifest.
 
     Reads back what the filesystem actually holds — not the in-memory
     payload — so torn or bit-flipped writes are caught *before* the
     manifest swap makes them the store.
     """
-    payload = data_path.read_bytes()
+    view = memoryview(data_path.read_bytes())
     for partition in partitions:
-        for column, detail in checksum_mismatches(
-            payload, partition["blocks"], base=partition["offset"]
-        ):
+        start = partition["offset"]
+        detail = checksum_mismatch(
+            view[start : start + partition["length"]], partition
+        )
+        if detail is not None:
             raise corrupt_block(
-                data_path,
-                partition,
-                column,
-                f"compaction re-verify failed: {detail}",
+                data_path, partition, None, f"compaction re-verify failed: {detail}"
             )
 
 

@@ -1,6 +1,6 @@
 """Column encodings for the binary trace store.
 
-Each column of a partition is encoded independently into one *block*:
+Each column of a partition is encoded independently:
 
 - ``f64`` — IEEE-754 doubles, struct-packed little-endian. Exact: a float
   written through ``struct`` decodes to the identical bits, which is what
@@ -15,17 +15,17 @@ Each column of a partition is encoded independently into one *block*:
   (list lengths, route ranks) and the string-dictionary tables.
 - ``bitmap`` — booleans packed eight to a byte, row count first.
 - ``strdict`` — dictionary-encoded strings: a table of UTF-8 entries in
-  first-seen order followed by one ``i64`` index per row (the index block
-  is highly repetitive, which per-block compression absorbs).
+  first-seen order followed by one ``i64`` index per row (the index column
+  is highly repetitive, which the partition's deflate absorbs).
 
-Blocks are optionally deflated (zlib) when that actually shrinks them; the
-choice is recorded per block in the partition manifest (``codec``), never
-guessed at read time.
+A partition's encoded columns are concatenated into one *frame*, deflated
+(zlib) when that actually shrinks it; the choice is recorded in the
+partition's manifest descriptor (``codec``), never guessed at read time.
 
-Every block also carries a CRC32 (:func:`block_checksum`, computed over
+Every frame also carries a CRC32 (:func:`block_checksum`, computed over
 the on-disk bytes — i.e. *after* compression) in the manifest, so a reader
 can detect a flipped or truncated byte range and attribute it to an exact
-(partition, column, offset) before any decoder touches it.
+(partition, byte range) before any decoder touches it.
 """
 
 from __future__ import annotations
@@ -95,6 +95,13 @@ def encode_varints(values: Sequence[int]) -> bytes:
     return bytes(out)
 
 
+#: A varint may run to 16 bytes (values below 2**112; columns hold counts,
+#: ranks and sequence deltas). Longer is damage, refused before the
+#: quadratic cost of shifting an ever-growing integer adds up.
+_MAX_VARINT_SHIFT = 7 * 15
+_LONG_VARINT = "varint longer than 16 bytes"
+
+
 def decode_varints(data: bytes) -> List[int]:
     # Fast path: no continuation bits means every value is one byte and
     # the stream *is* the value list. Most varint columns (ranks, list
@@ -111,6 +118,8 @@ def decode_varints(data: bytes) -> List[int]:
         value |= (byte & 0x7F) << shift
         if byte & 0x80:
             shift += 7
+            if shift > _MAX_VARINT_SHIFT:
+                raise ValueError(_LONG_VARINT)
         else:
             append(value)
             value = 0
@@ -176,6 +185,8 @@ def decode_bitmap(data: bytes) -> List[bool]:
         if not byte & 0x80:
             break
         shift += 7
+        if shift > _MAX_VARINT_SHIFT:
+            raise ValueError(_LONG_VARINT)
     bits = view[offset + 1 :]
     flags = list(
         itertools.chain.from_iterable(map(_BYTE_FLAGS.__getitem__, bits))
@@ -220,6 +231,8 @@ def decode_string_dict(data: bytes) -> List[str]:
             if not byte & 0x80:
                 return value
             shift += 7
+            if shift > _MAX_VARINT_SHIFT:
+                raise ValueError(_LONG_VARINT)
 
     table_size = read_varint()
     table: List[str] = []
@@ -232,16 +245,15 @@ def decode_string_dict(data: bytes) -> List[str]:
 
 
 # --------------------------------------------------------------------- #
-# Per-block compression and integrity
+# Frame compression and integrity
 # --------------------------------------------------------------------- #
 def block_checksum(payload: bytes) -> int:
-    """CRC32 of a block's on-disk bytes (post-compression)."""
+    """CRC32 of a frame's on-disk bytes (post-compression)."""
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
-
 def compress_block(payload: bytes, compress: bool = True) -> Tuple[bytes, str]:
-    """Deflate a block when it helps; returns ``(data, codec)``."""
+    """Deflate a frame when it helps; returns ``(data, codec)``."""
     if compress and len(payload) > 64:
         deflated = zlib.compress(payload, 6)
         if len(deflated) < len(payload):
@@ -249,9 +261,25 @@ def compress_block(payload: bytes, compress: bool = True) -> Tuple[bytes, str]:
     return payload, "raw"
 
 
-def decompress_block(payload: bytes, codec: str) -> bytes:
+def decompress_block(payload: bytes, codec: str, size: int) -> bytes:
+    """The ``size`` bytes ``payload`` holds under ``codec``; ``ValueError``
+    (``zlib.error`` for a broken stream) when it holds any other amount.
+
+    Inflation stops at ``size`` bytes, so a frame that would inflate past
+    what its descriptor declares costs no more than the declared size.
+    """
     if codec == "zlib":
-        return zlib.decompress(payload)
-    if codec == "raw":
-        return payload
-    raise ValueError(f"unknown block codec {codec!r}")
+        inflater = zlib.decompressobj()
+        # max_length 0 would mean "unbounded": ask for one byte instead.
+        raw = inflater.decompress(payload, size or 1)
+        if not inflater.eof or inflater.unconsumed_tail or inflater.unused_data:
+            raise ValueError(
+                f"deflate stream does not end at its declared {size} bytes"
+            )
+    elif codec == "raw":
+        raw = payload
+    else:
+        raise ValueError(f"unknown frame codec {codec!r}")
+    if len(raw) != size:
+        raise ValueError(f"frame holds {len(raw)} bytes; lengths sum to {size}")
+    return raw

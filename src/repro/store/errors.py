@@ -71,11 +71,13 @@ class TruncatedPartitionError(StoreError):
 
 
 class ColumnDecodeError(StoreError):
-    """One column block failed to decode (schema-level, pre-attribution).
+    """A partition frame or one of its columns failed to decode
+    (schema-level, pre-attribution).
 
-    Raised by :func:`repro.store.schema.decode_rows` with the *column*
-    named; the reader re-raises it as a :class:`CorruptBlockError` carrying
-    the partition and file-offset attribution only it knows.
+    Raised by :func:`repro.store.schema.decode_columns` with the *column*
+    named (``None``: the frame as a whole); the reader re-raises it as a
+    :class:`CorruptBlockError` carrying the partition and byte-range
+    attribution only it knows.
     """
 
     def __init__(self, column: Optional[str], detail: str) -> None:
@@ -89,10 +91,12 @@ class ColumnDecodeError(StoreError):
 
 
 class CorruptBlockError(StoreError):
-    """A column block failed its CRC32 check or its decode.
+    """A partition frame failed its CRC32 check or its decode.
 
-    ``offset``/``length`` locate the block in the data file (absolute
-    byte offset), so the message pins the exact corrupt range.
+    ``offset``/``length`` locate the partition's frame in the data file
+    (absolute byte offset), so the message pins the exact corrupt range;
+    ``column`` names the column when one failed to decode behind a clean
+    checksum.
     """
 
     def __init__(

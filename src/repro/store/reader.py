@@ -18,16 +18,19 @@ all derived statistics are order statistics or integer sums, so results
 stay byte-identical to the serial pass (asserted by
 ``tests/test_store_pipeline.py``).
 
-Integrity: every block read is CRC32-verified against the manifest before
-its decoder runs, and a block whose manifest entry records no checksum is
-damage like any other mismatch — the data cannot switch the check off.
-There is one path from a partition's bytes to anything decoded from them
-(:meth:`TraceStoreReader._decode`) and one checksum comparison
-(:func:`checksum_mismatches`). Damage raises a typed
-:class:`~repro.store.errors.StoreError` subclass naming the partition,
-column, and absolute byte range — never a bare ``struct.error`` — and
+Integrity: every partition frame read is CRC32-verified against its
+descriptor before it is inflated, and a descriptor that records no
+checksum is damage like any other mismatch — the data cannot switch the
+check off. There is one path from a partition's bytes to anything decoded
+from them (:meth:`TraceStoreReader._decode`) and one checksum comparison
+(:func:`checksum_mismatch`). Damage raises a typed
+:class:`~repro.store.errors.StoreError` subclass naming the partition and
+its frame's absolute byte range (and the column, when one column fails to
+decode after a clean checksum) — never a bare ``struct.error`` — and
 :func:`verify_store` scans a whole store and *reports* findings instead of
-raising, for ``repro verify-store``.
+raising, for ``repro verify-store``. A data file longer than the manifest's
+``data_bytes`` is a torn tail a crashed append left, not damage: readers
+never look past ``data_bytes`` and the next append truncates it.
 
 Observability (all data-fact counters, subject to the serial-vs-parallel
 counter-equality invariant):
@@ -35,7 +38,8 @@ counter-equality invariant):
 - ``store.partitions.scanned`` / ``store.partitions.pruned``
 - ``store.bytes.read`` / ``store.bytes.skipped``
 - ``store.rows.decoded``
-- ``store.blocks.verified`` (added once per partition that passes whole)
+- ``store.blocks.verified`` (one per verified frame, i.e. per partition
+  that passes whole)
 - plus the shared ``io.rows_read`` ledger per yielded sample.
 """
 
@@ -77,7 +81,7 @@ __all__ = [
     "StoreVerifyFinding",
     "StoreVerifyReport",
     "TraceStoreReader",
-    "checksum_mismatches",
+    "checksum_mismatch",
     "corrupt_block",
     "verify_store",
 ]
@@ -85,56 +89,44 @@ __all__ = [
 PathLike = Union[str, pathlib.Path]
 
 
-def checksum_mismatches(
-    payload: bytes, blocks: Sequence[dict], base: int = 0
-) -> Iterator[Tuple[str, str]]:
-    """Yield ``(column, detail)`` for every block that fails its checksum.
+def checksum_mismatch(frame: bytes, partition: dict) -> Optional[str]:
+    """Why ``frame`` fails ``partition``'s ``crc32``, or None when it
+    passes.
 
-    The one comparison of block bytes against the manifest's ``crc32``:
-    ``payload[base:]`` holds the blocks at their manifest offsets. An entry
-    whose ``crc32`` is not an integer is a mismatch too — no manifest this
-    build reads omits it, so its absence is damage, not a version.
+    The one comparison of frame bytes against the manifest. A descriptor
+    whose ``crc32`` is not an integer fails too — no manifest this build
+    reads omits it, so its absence is damage, not a version.
     """
-    view = memoryview(payload)
-    for block in blocks:
-        expected = block.get("crc32")
-        if type(expected) is not int:
-            yield block["column"], "manifest records no crc32"
-            continue
-        start = base + block["offset"]
-        actual = block_checksum(view[start : start + block["length"]])
-        if actual != expected:
-            yield block["column"], (
-                f"crc32 mismatch (manifest {expected:#010x}, "
-                f"data {actual:#010x})"
-            )
+    expected = partition.get("crc32")
+    if type(expected) is not int:
+        return "manifest records no crc32"
+    actual = block_checksum(frame)
+    if actual != expected:
+        return f"crc32 mismatch (manifest {expected:#010x}, data {actual:#010x})"
+    return None
 
 
 def corrupt_block(
     data_path, partition: dict, column: Optional[str], detail: str
 ) -> CorruptBlockError:
-    """A :class:`CorruptBlockError` locating ``column``'s block in the file
-    (``column=None``: the partition as a whole)."""
-    offset = length = None
-    if column is not None:
-        block = next(
-            (b for b in partition["blocks"] if b["column"] == column),
-            None,
-        )
-        if block is not None:
-            offset = partition["offset"] + block["offset"]
-            length = block["length"]
+    """A :class:`CorruptBlockError` naming ``partition``, its frame's byte
+    range in the file, and ``column`` when one column is to blame."""
     return CorruptBlockError(
-        data_path, partition["id"], column, offset, length, detail
+        data_path,
+        partition["id"],
+        column,
+        partition["offset"],
+        partition["length"],
+        detail,
     )
 
 
-def _decode_batch(payload: bytes, blocks: List[dict]):
+def _decode_batch(payload: bytes, frame: dict):
     # Late import: repro.kernels loads repro.pipeline, which loads this
     # package.
     from repro.kernels.columns import ColumnBatch
 
-    return ColumnBatch.from_store_columns(decode_columns(payload, blocks))
+    return ColumnBatch.from_store_columns(decode_columns(payload, frame))
 
 
 def _as_frozenset(values) -> Optional[frozenset]:
@@ -255,20 +247,31 @@ class TraceStoreReader:
     def partitions(self) -> List[dict]:
         return self.manifest["partitions"]
 
-    def _assemble(self, partition: dict, payload: bytes, assemble: Callable):
-        """``assemble(payload, blocks)`` under the one decode-error mapping:
-        whatever a decoder trips over — including a row count (``seq``'s
-        length) other than the manifest's ``rows`` — leaves as a
-        :class:`CorruptBlockError` naming the partition (and the column,
-        when one block is to blame)."""
+    def _decode(self, partition: dict, assemble: Callable, metrics=None):
+        """The one path from a partition's bytes to anything decoded.
+
+        One contiguous read, the frame's CRC32 against the manifest, then
+        ``assemble(payload, partition)`` under the one decode-error
+        mapping. Raises :class:`TruncatedPartitionError` when the data file
+        ends inside the partition, and :class:`CorruptBlockError` naming
+        the partition and its absolute byte range when the frame fails its
+        checksum or its decode — whatever a decoder trips over, including
+        a row count (``seq``'s length) other than the manifest's ``rows``;
+        the error also names the column when one column is to blame. The
+        ``store.*`` scan counters are added only for a partition that
+        passes whole.
+        """
+        payload = self._read_partition_payload(partition)
+        detail = checksum_mismatch(payload, partition)
+        if detail is not None:
+            raise corrupt_block(self.data_path, partition, None, detail)
         try:
-            decoded = assemble(payload, partition["blocks"])
+            decoded = assemble(payload, partition)
             if len(decoded) != partition["rows"]:
                 raise ColumnDecodeError(
                     "seq",
                     f"{len(decoded)} rows; manifest expects {partition['rows']}",
                 )
-            return decoded
         except ColumnDecodeError as error:
             raise corrupt_block(
                 self.data_path, partition, error.column, error.detail
@@ -278,30 +281,10 @@ class TraceStoreReader:
             # beyond its table, say): the payload is internally
             # inconsistent — attribute to the partition as a whole.
             raise corrupt_block(
-                self.data_path,
-                partition,
-                None,
-                f"row assembly failed ({error!r})",
+                self.data_path, partition, None, f"row assembly failed ({error!r})"
             ) from error
-
-    def _decode(self, partition: dict, assemble: Callable, metrics=None):
-        """The one path from a partition's bytes to anything decoded.
-
-        One contiguous read, every block's CRC32 against the manifest,
-        then ``assemble(payload, blocks)``. Raises
-        :class:`TruncatedPartitionError` when the data file ends inside
-        the partition, and :class:`CorruptBlockError` (naming the
-        partition, column, and absolute byte range) when a block fails
-        its checksum or its decode. The ``store.*`` scan counters are
-        added only for a partition that passes whole.
-        """
-        payload = self._read_partition_payload(partition)
-        blocks = partition["blocks"]
-        for column, detail in checksum_mismatches(payload, blocks):
-            raise corrupt_block(self.data_path, partition, column, detail)
-        decoded = self._assemble(partition, payload, assemble)
         if metrics is not None:
-            metrics.inc("store.blocks.verified", len(blocks))
+            metrics.inc("store.blocks.verified")
             metrics.inc("store.partitions.scanned")
             metrics.inc("store.bytes.read", partition["length"])
             metrics.inc("store.rows.decoded", len(decoded))
@@ -488,107 +471,20 @@ class TraceStoreReader:
             rows=sum(p["rows"] for p in partitions),
         )
 
-    # ------------------------------------------------------------------ #
-    def verify(self, metrics=None) -> List["StoreVerifyFinding"]:
-        """Scan every partition for corruption; returns findings, raises
-        nothing.
-
-        Checks, per partition: payload present and full-length, every
-        block's CRC32, a clean decode, and the decoded row count against
-        the manifest. Also checks the data file's total size against the
-        manifest's ``data_bytes``. An empty list means the store is clean.
-        """
-        findings: List[StoreVerifyFinding] = []
-        try:
-            size = self.data_path.stat().st_size
-        except FileNotFoundError:
-            return [
-                StoreVerifyFinding(
-                    partition_id=None,
-                    column=None,
-                    offset=None,
-                    error=f"data file {self.data_path.name} is missing",
-                )
-            ]
-        expected_bytes = self.manifest.get("data_bytes")
-        if expected_bytes is not None and size != expected_bytes:
-            findings.append(
-                StoreVerifyFinding(
-                    partition_id=None,
-                    column=None,
-                    offset=None,
-                    error=(
-                        f"data file is {size} bytes; manifest expects "
-                        f"{expected_bytes}"
-                    ),
-                )
-            )
-        for partition in self.partitions:
-            findings.extend(self._verify_partition(partition, metrics))
-        return findings
-
-    def _verify_partition(
-        self, partition: dict, metrics=None
-    ) -> List["StoreVerifyFinding"]:
-        try:
-            payload = self._read_partition_payload(partition)
-        except StoreError as error:
-            return [
-                StoreVerifyFinding(
-                    partition_id=partition["id"],
-                    column=None,
-                    offset=partition["offset"],
-                    error=str(error),
-                )
-            ]
-        findings: List[StoreVerifyFinding] = []
-        for column, detail in checksum_mismatches(payload, partition["blocks"]):
-            located = corrupt_block(self.data_path, partition, column, detail)
-            findings.append(
-                StoreVerifyFinding(
-                    partition_id=partition["id"],
-                    column=column,
-                    offset=located.offset,
-                    error=detail,
-                )
-            )
-        if findings:
-            # Decoding checksummed-bad blocks would only duplicate the
-            # attribution (or crash on garbage); report the CRCs.
-            if metrics is not None:
-                metrics.inc("store.partitions.corrupt", 1)
-            return findings
-        try:
-            self._assemble(partition, payload, decode_rows)
-        except CorruptBlockError as error:
-            findings.append(
-                StoreVerifyFinding(
-                    partition_id=partition["id"],
-                    column=error.column,
-                    offset=partition["offset"],
-                    error=error.detail,
-                )
-            )
-        if metrics is not None:
-            metrics.inc(
-                "store.partitions.corrupt" if findings
-                else "store.partitions.verified",
-                1,
-            )
-        return findings
-
 
 @dataclass(frozen=True)
 class StoreVerifyFinding:
-    """One corruption found by :meth:`TraceStoreReader.verify`.
+    """One corruption found by :func:`verify_store`.
 
-    ``partition_id``/``column`` are ``None`` for store-level damage (a
-    missing or mis-sized data file, an unreadable manifest).
+    ``offset``/``length`` are the damaged partition's frame in the data
+    file. All but ``error`` are ``None`` for store-level damage (a missing
+    or short data file, an unreadable manifest).
     """
 
     partition_id: Optional[int]
     column: Optional[str]
     offset: Optional[int]
+    length: Optional[int]
     error: str
 
     def describe(self) -> str:
@@ -598,7 +494,7 @@ class StoreVerifyFinding:
         if self.column is not None:
             where.append(f"column {self.column!r}")
         if self.offset is not None:
-            where.append(f"offset {self.offset}")
+            where.append(f"bytes [{self.offset}, {self.offset + self.length})")
         prefix = ", ".join(where) if where else "store"
         return f"{prefix}: {self.error}"
 
@@ -610,6 +506,10 @@ class StoreVerifyReport:
     path: str
     partitions_total: int = 0
     findings: List[StoreVerifyFinding] = field(default_factory=list)
+    #: Bytes past the manifest's ``data_bytes``: what a crashed append
+    #: leaves. Readers never read them and the next append truncates them,
+    #: so they are reclaimable, not damage.
+    torn_tail_bytes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -628,21 +528,61 @@ class StoreVerifyReport:
 
 def verify_store(path: PathLike, metrics=None) -> StoreVerifyReport:
     """Scan a store for corruption; reports (never raises) integrity
-    errors, including an unreadable manifest."""
+    errors, including an unreadable manifest.
+
+    Each partition goes through the read path itself
+    (:meth:`TraceStoreReader._decode`): payload present and full-length,
+    the frame's CRC32, a clean decode, and the decoded row count against
+    the manifest. A data file shorter than the manifest's ``data_bytes``
+    is a finding; bytes past it are a torn tail
+    (:attr:`StoreVerifyReport.torn_tail_bytes`), not damage. No findings
+    means the store is clean.
+    """
     try:
         reader = TraceStoreReader(path)
     except StoreError as error:
         return StoreVerifyReport(
             path=str(path),
-            findings=[
-                StoreVerifyFinding(
-                    partition_id=None, column=None, offset=None,
-                    error=str(error),
-                )
-            ],
+            findings=[StoreVerifyFinding(None, None, None, None, str(error))],
         )
-    return StoreVerifyReport(
-        path=str(path),
-        partitions_total=len(reader.partitions),
-        findings=reader.verify(metrics=metrics),
+    report = StoreVerifyReport(
+        path=str(path), partitions_total=len(reader.partitions)
     )
+    try:
+        size = reader.data_path.stat().st_size
+    except FileNotFoundError:
+        report.findings.append(
+            StoreVerifyFinding(
+                None, None, None, None, f"data file {reader.data_path.name} is missing"
+            )
+        )
+        return report
+    shortfall = reader.manifest["data_bytes"] - size
+    if shortfall > 0:
+        report.findings.append(
+            StoreVerifyFinding(
+                None, None, None, None,
+                f"data file is {size} bytes; manifest expects "
+                f"{reader.manifest['data_bytes']}",
+            )
+        )
+    report.torn_tail_bytes = max(-shortfall, 0)
+    for partition in reader.partitions:
+        try:
+            reader._decode(partition, decode_rows)
+        except StoreError as error:
+            report.findings.append(
+                StoreVerifyFinding(
+                    partition["id"],
+                    getattr(error, "column", None),
+                    partition["offset"],
+                    partition["length"],
+                    getattr(error, "detail", str(error)),
+                )
+            )
+            outcome = "store.partitions.corrupt"
+        else:
+            outcome = "store.partitions.verified"
+        if metrics is not None:
+            metrics.inc(outcome)
+    return report

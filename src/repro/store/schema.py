@@ -1,4 +1,4 @@
-"""Columnar schema of the trace store: SessionSample <-> column blocks.
+"""Columnar schema of the trace store: SessionSample <-> partition frames.
 
 One partition holds ``(seq, sample)`` rows — ``seq`` is the sample's
 position in the original stream, which is what lets readers reconstruct
@@ -68,7 +68,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: Column name -> encoding, in block order. The manifest records this per
+#: Column name -> encoding, in frame order. The manifest records this per
 #: store so an inspector can read the layout without the code.
 COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("seq", "dvarint"),
@@ -146,11 +146,13 @@ _DECODERS = {
 
 def encode_rows(
     rows: List[Tuple[int, SessionSample]], compress: bool = True
-) -> Tuple[bytes, List[dict]]:
-    """Shred ``(seq, sample)`` rows into one partition payload.
+) -> Tuple[bytes, dict]:
+    """Shred ``(seq, sample)`` rows into one partition frame.
 
-    Returns the concatenated block bytes and the per-block metadata
-    (column, relative offset, length, codec) the manifest records.
+    Returns the frame's on-disk bytes — every column encoded, concatenated
+    in :data:`COLUMNS` order and deflated once when that shrinks them —
+    and what the partition descriptor records about it: ``codec``,
+    ``crc32`` (of the on-disk bytes) and each column's encoded ``lengths``.
     """
     columns: Dict[str, list] = {name: [] for name, _ in COLUMNS}
     for seq, sample in rows:
@@ -192,22 +194,13 @@ def encode_rows(
             if present:
                 columns["txn_lbwt_values"].append(txn.last_byte_write_time)
 
-    payload = bytearray()
-    blocks: List[dict] = []
-    for name, encoding in COLUMNS:
-        raw = _ENCODERS[encoding](columns[name])
-        data, codec = compress_block(raw, compress)
-        blocks.append(
-            {
-                "column": name,
-                "offset": len(payload),
-                "length": len(data),
-                "codec": codec,
-                "crc32": block_checksum(data),
-            }
-        )
-        payload += data
-    return bytes(payload), blocks
+    encoded = [_ENCODERS[encoding](columns[name]) for name, encoding in COLUMNS]
+    data, codec = compress_block(b"".join(encoded), compress)
+    return data, {
+        "codec": codec,
+        "crc32": block_checksum(data),
+        "lengths": [len(column) for column in encoded],
+    }
 
 
 def _new_route(
@@ -306,53 +299,45 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def decode_rows(
-    payload: bytes, blocks: List[dict]
-) -> List[Tuple[int, SessionSample]]:
+def decode_rows(payload: bytes, frame: dict) -> List[Tuple[int, SessionSample]]:
     """Inverse of :func:`encode_rows`; rows come back in stored order."""
     with gc_paused():
-        return _decode_rows(payload, blocks)
+        return _decode_rows(payload, frame)
 
 
-def decode_columns(payload: bytes, blocks: List[dict]) -> Dict[str, list]:
-    """Decode a partition payload into the schema's flat column lists.
+def decode_columns(payload: bytes, frame: dict) -> Dict[str, list]:
+    """Decode a partition frame into the schema's flat column lists.
 
+    ``frame`` is the partition descriptor (its ``codec`` and ``lengths``).
     The first phase of :func:`decode_rows`, exposed on its own for the
     batch engine's column fast path
     (:meth:`repro.store.TraceStoreReader.decode_partition_columns`): the
-    blocks are decompressed and decoded with per-column error attribution
-    (:class:`ColumnDecodeError`), but no row objects are assembled. The
-    columns that come back agree in length (one entry per row, per unit
-    of a length column, or per set bit of a presence bitmap); the first
-    that does not raises :class:`ColumnDecodeError` naming it.
+    frame is inflated — never past the summed ``lengths`` — and sliced by
+    them, and each slice decoded with per-column error attribution
+    (:class:`ColumnDecodeError`), but no row objects are assembled. A
+    frame that does not inflate to exactly the summed lengths raises a
+    :class:`ColumnDecodeError` naming no column. The columns that come
+    back agree in length (one entry per row, per unit of a length column,
+    or per set bit of a presence bitmap); the first that does not raises
+    :class:`ColumnDecodeError` naming it.
     """
-    view = memoryview(payload)
-    encodings = dict(COLUMNS)
+    lengths = frame["lengths"]
+    try:
+        raw = decompress_block(payload, frame.get("codec"), sum(lengths))
+    except (zlib.error, ValueError) as error:
+        raise ColumnDecodeError(None, str(error)) from error
     decoded: Dict[str, list] = {}
-    for block in blocks:
-        name = block["column"]
-        encoding = encodings.get(name)
-        if encoding is None:
-            raise ColumnDecodeError(name, "not a schema column")
+    end = 0
+    for (name, encoding), length in zip(COLUMNS, lengths):
+        start, end = end, end + length
         try:
-            raw = decompress_block(
-                bytes(
-                    view[block["offset"] : block["offset"] + block["length"]]
-                ),
-                block["codec"],
-            )
-            decoded[name] = _DECODERS[encoding](raw)
-        except ColumnDecodeError:
-            raise
-        except (struct.error, zlib.error, ValueError) as error:
+            decoded[name] = _DECODERS[encoding](raw[start:end])
+        except (struct.error, ValueError) as error:
             # Attribute the failure to the column; the reader adds the
-            # partition and file-offset context only it knows.
+            # partition and its byte range, which only it knows.
             raise ColumnDecodeError(name, str(error)) from error
-    missing = [name for name, _ in COLUMNS if name not in decoded]
-    if missing:
-        raise ColumnDecodeError(missing[0], "column block missing")
-    # Every block decoded, but the columns must also agree with each other:
-    # a block one value short passes its CRC (it was written that way) and
+    # Every column decoded, but they must also agree with each other: a
+    # column one value short passes the CRC (it was written that way) and
     # would otherwise truncate a zip or overrun a cursor downstream.
     rows = len(decoded["seq"])
     for name, _ in COLUMNS:
@@ -366,10 +351,8 @@ def decode_columns(payload: bytes, blocks: List[dict]) -> Dict[str, list]:
     return decoded
 
 
-def _decode_rows(
-    payload: bytes, blocks: List[dict]
-) -> List[Tuple[int, SessionSample]]:
-    decoded = decode_columns(payload, blocks)
+def _decode_rows(payload: bytes, frame: dict) -> List[Tuple[int, SessionSample]]:
+    decoded = decode_columns(payload, frame)
 
     # Enum lookup tables beat Enum.__call__ in the per-row loop.
     http_versions = list(

@@ -25,13 +25,15 @@ The manifest is one compact JSON object (no whitespace, ``"partitions"``
 last) with one serialiser, :func:`dump_manifest`, beside its one parser,
 :func:`parse_manifest` (:func:`load_manifest` reads the file and calls
 it); ``python -m json.tool manifest.json`` renders it
-for reading. Manifests written indented by earlier builds load unchanged.
+for reading; an indented manifest loads unchanged.
 
-Integrity: the manifest records a CRC32 per column block (computed in
-:func:`repro.store.schema.encode_rows` over the on-disk bytes), which the
-reader verifies before decoding. Format version 2 is the only one read or
-written: :func:`parse_manifest` refuses any other, and a block entry
-without a checksum is damage (:func:`repro.store.reader.checksum_mismatches`).
+Integrity: each partition is one frame — its encoded columns
+concatenated and deflated once — and its descriptor records the frame's
+``codec``, a CRC32 of its on-disk bytes and each column's encoded
+``lengths`` (all from :func:`repro.store.schema.encode_rows`); the reader
+verifies the CRC before decoding. Format version 3 is the only one read
+or written: :func:`parse_manifest` refuses any other, and a descriptor
+without a checksum is damage (:func:`repro.store.reader.checksum_mismatch`).
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ __all__ = [
 ]
 
 STORE_FORMAT = "repro-store"
-#: Per-block ``crc32`` fields in the manifest; the one version this build
-#: writes and the one it reads.
-STORE_FORMAT_VERSION = 2
+#: One checksummed frame per partition; the one version this build writes
+#: and the one it reads.
+STORE_FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 DATA_NAME = "data.bin"
 
@@ -106,7 +108,11 @@ _HEAD_FIELDS = (
 _PARTITION_FIELDS = (
     ("id", _COUNT), ("pop", _STRING), ("band", _COUNT), ("rows", _COUNT),
     ("offset", _COUNT), ("length", _COUNT), ("stats", _OBJECT),
-    ("blocks", _LIST),
+    ("lengths", (
+        lambda v: type(v) is list and len(v) == len(COLUMNS)
+        and all(type(n) is int and n >= 0 for n in v),
+        f"a list of {len(COLUMNS)} non-negative integers",
+    )),
 )
 _STATS_FIELDS = (
     ("min_seq", _COUNT), ("max_seq", _COUNT),
@@ -116,7 +122,6 @@ _STATS_FIELDS = (
         "a list of strings",
     )),
 )
-_BLOCK_FIELDS = (("column", _STRING), ("offset", _COUNT), ("length", _COUNT))
 
 
 def _misshapen(entry, fields) -> Optional[str]:
@@ -135,23 +140,7 @@ def _partition_problem(partition) -> Optional[str]:
     if problem is not None:
         return problem
     problem = _misshapen(partition["stats"], _STATS_FIELDS)
-    if problem is not None:
-        return f"stats: {problem}"
-    for number, block in enumerate(partition["blocks"]):
-        # ``_misshapen(block, _BLOCK_FIELDS) is None``, spelled out: a
-        # 24k-session store's manifest holds ~9k blocks, and the calls per
-        # block double the check's cost.
-        if (
-            type(block) is dict
-            and type(block.get("column")) is str
-            and type(offset := block.get("offset")) is int
-            and type(length := block.get("length")) is int
-            and offset >= 0
-            and length >= 0
-        ):
-            continue
-        return f"block {number}: {_misshapen(block, _BLOCK_FIELDS)}"
-    return None
+    return None if problem is None else f"stats: {problem}"
 
 
 def manifest_identity(path: PathLike) -> Optional[Tuple[int, int, int, int]]:
@@ -193,9 +182,9 @@ def parse_manifest(manifest_path: pathlib.Path, raw: bytes) -> dict:
     version or schema version this build does not read, and
     :class:`CorruptManifestError` when ``raw`` is not JSON or not the
     shape every reader relies on: :data:`_HEAD_FIELDS`, and per partition
-    descriptor :data:`_PARTITION_FIELDS`, its :data:`_STATS_FIELDS` and
-    each block's :data:`_BLOCK_FIELDS` — the error names the partition,
-    the block and the field.
+    descriptor :data:`_PARTITION_FIELDS` and its :data:`_STATS_FIELDS` —
+    the error names the partition and the field. The frame's ``codec`` and
+    ``crc32`` are vetted where they are used, by the reader.
     """
     try:
         manifest = json.loads(raw.decode("utf-8"))
@@ -385,7 +374,7 @@ def _encode_buckets(
     payload = bytearray()
     partitions: List[dict] = []
     for part_id, ((pop, band), rows) in enumerate(ordered, start=first_part_id):
-        encoded, blocks = encode_rows(rows)
+        encoded, frame = encode_rows(rows)
         partitions.append(
             {
                 "id": part_id,
@@ -403,7 +392,7 @@ def _encode_buckets(
                         {s.client_country for _, s in rows}
                     ),
                 },
-                "blocks": blocks,
+                **frame,
             }
         )
         payload += encoded

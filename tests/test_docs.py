@@ -297,7 +297,7 @@ class TestSurfaceGuards:
                         callers.add(f"{path.name}:{function.name}")
         assert callers == {
             "schema.py:encode_rows",  # on write
-            "reader.py:checksum_mismatches",  # the one comparison on read
+            "reader.py:checksum_mismatch",  # the one comparison on read
         }
 
     def test_manifest_identity_has_one_definition_and_two_callers(self):
@@ -444,10 +444,7 @@ class TestSurfaceGuards:
                         if isinstance(node, ast.Attribute) and node.attr == "dumps"
                     }
         assert imports == []
-        assert dumps == {
-            "server.py:render_payload",
-            "engine.py:_parse_manifest",  # a partition's cache key, not a body
-        }
+        assert dumps == {"server.py:render_payload"}
 
         (commands,) = [
             action

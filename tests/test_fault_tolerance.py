@@ -3,7 +3,8 @@
 Three properties, proven with :mod:`repro.faultinject`:
 
 1. **Detection with attribution** — corrupted store bytes surface as typed
-   errors naming the exact partition, column, and byte range (never a bare
+   errors naming the exact partition and its frame's byte range (and the
+   column, when one fails to decode after a clean checksum; never a bare
    ``struct.error``), and ``verify_store`` finds them without raising.
 2. **Graceful degradation** — a shard that keeps failing is retried, then
    quarantined; the run completes and the dataset/manifest carry an exact
@@ -46,7 +47,12 @@ from repro.store import (
     write_store,
 )
 from repro.store import schema
-from repro.store.encoding import block_checksum, encode_i64, encode_string_dict
+from repro.store.encoding import (
+    block_checksum,
+    decompress_block,
+    encode_i64,
+    encode_string_dict,
+)
 from repro.store.schema import decode_columns
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
     in_process_pool,
@@ -87,53 +93,61 @@ def store_path(samples, tmp_path):
     return path
 
 
-def _flip_block_byte(store_path, partition_index=0, block_index=0, mask=0xFF):
-    """Corrupt one on-disk byte; returns (partition, block) manifest dicts."""
+def _flip_frame_byte(store_path, partition_index=0, at=0, mask=0xFF):
+    """Corrupt the byte ``at`` bytes into a partition's frame on disk
+    (negative: from its end); returns the partition's manifest dict."""
     manifest = json.loads((store_path / "manifest.json").read_text())
     partition = manifest["partitions"][partition_index]
-    block = partition["blocks"][block_index]
     data_path = store_path / "data.bin"
     data = bytearray(data_path.read_bytes())
-    data[partition["offset"] + block["offset"]] ^= mask
+    data[partition["offset"] + at % partition["length"]] ^= mask
     data_path.write_bytes(bytes(data))
-    return partition, block
+    return partition
+
+
+def _frame_range(partition):
+    return (partition["offset"], partition["length"])
+
+
+def _assert_names_frame(error, partition, detail):
+    """``error`` names ``partition`` and its exact byte range, no column."""
+    assert isinstance(error, CorruptBlockError)
+    assert error.partition_id == partition["id"]
+    assert error.column is None
+    assert (error.offset, error.length) == _frame_range(partition)
+    start, length = _frame_range(partition)
+    assert f"bytes [{start}, {start + length})" in str(error)
+    assert detail in str(error)
 
 
 # --------------------------------------------------------------------- #
 # 1. Corruption detection with exact attribution
 # --------------------------------------------------------------------- #
 class TestCorruptionDetection:
-    def test_flipped_byte_names_partition_column_offset(self, store_path):
-        partition, block = _flip_block_byte(store_path)
+    @pytest.mark.parametrize("at", [0, 1, -1])
+    def test_flipped_byte_names_partition_and_byte_range(self, store_path, at):
+        partition = _flip_frame_byte(store_path, at=at)
         reader = TraceStoreReader(store_path)
         with pytest.raises(CorruptBlockError) as excinfo:
             list(reader.scan())
-        error = excinfo.value
-        assert error.partition_id == partition["id"]
-        assert error.column == block["column"]
-        assert error.offset == partition["offset"] + block["offset"]
-        assert "crc32 mismatch" in str(error)
+        _assert_names_frame(excinfo.value, partition, "crc32 mismatch")
 
     def test_harness_flip_byte_matches_disk_flip(self, store_path):
         # The injection harness must be indistinguishable from real disk
-        # corruption: same typed error, same attribution.
+        # corruption: same typed error, same attribution, same message.
         reader = TraceStoreReader(store_path)
         partition = reader.partitions[0]
-        column = partition["blocks"][0]["column"]
-        plan = FaultPlan(
-            flip_byte={
-                "partition": partition["id"],
-                "column": column,
-                "offset": 0,
-            }
-        )
+        plan = FaultPlan(flip_byte={"partition": partition["id"], "offset": 3})
         with faultinject.inject(plan):
             with pytest.raises(CorruptBlockError) as excinfo:
                 list(reader.scan())
-        assert excinfo.value.partition_id == partition["id"]
-        assert excinfo.value.column == column
+        _assert_names_frame(excinfo.value, partition, "crc32 mismatch")
         # Nothing lingers after the context exits.
         assert len(list(reader.scan())) == reader.row_count
+        _flip_frame_byte(store_path, at=3)
+        with pytest.raises(CorruptBlockError) as on_disk:
+            list(TraceStoreReader(store_path).scan())
+        assert str(on_disk.value) == str(excinfo.value)
 
     def test_truncated_data_file(self, store_path):
         data_path = store_path / "data.bin"
@@ -158,18 +172,18 @@ class TestCorruptionDetection:
 
     def test_typed_errors_are_valueerrors(self, store_path):
         # Compatibility: pre-existing callers catch ValueError.
-        _flip_block_byte(store_path)
+        _flip_frame_byte(store_path)
         with pytest.raises(ValueError):
             list(TraceStoreReader(store_path).scan())
 
-    def test_v2_scan_counts_verified_blocks(self, store_path):
+    def test_scan_counts_one_verified_frame_per_partition(self, store_path):
         registry = MetricsRegistry()
         reader = TraceStoreReader(store_path)
         list(reader.scan(metrics=registry))
-        # Every block of every partition, each added once per partition
-        # that passed whole.
-        assert registry.counter("store.blocks.verified") == sum(
-            len(partition["blocks"]) for partition in reader.partitions
+        # One frame per partition, each added when its partition passed
+        # whole.
+        assert registry.counter("store.blocks.verified") == len(
+            reader.partitions
         )
 
 
@@ -183,17 +197,9 @@ def _rewrite_manifest(store_path, edit):
     manifest_path.write_text(json.dumps(manifest))
 
 
-def _block_of(partition, column):
-    return next(b for b in partition["blocks"] if b["column"] == column)
-
-
-def _flip_column(column):
+def _flip_frame(at):
     def damage(store_path):
-        manifest = json.loads((store_path / "manifest.json").read_text())
-        index = [b["column"] for b in manifest["partitions"][1]["blocks"]].index(
-            column
-        )
-        _flip_block_byte(store_path, partition_index=1, block_index=index)
+        _flip_frame_byte(store_path, partition_index=1, at=at)
 
     return damage
 
@@ -203,48 +209,55 @@ def _truncate_payload(store_path):
     data_path.write_bytes(data_path.read_bytes()[:-20])
 
 
-def _drop_block(store_path):
-    def edit(manifest):
-        blocks = manifest["partitions"][1]["blocks"]
-        blocks.remove(_block_of(manifest["partitions"][1], "bytes_sent"))
+def _edit_descriptor(edit):
+    """Damage partition 1's descriptor in a way its shape check admits."""
 
-    _rewrite_manifest(store_path, edit)
+    def damage(store_path):
+        _rewrite_manifest(store_path, lambda m: edit(m["partitions"][1]))
 
-
-def _unknown_block(store_path):
-    def edit(manifest):
-        _block_of(manifest["partitions"][1], "geo_tag")["column"] = "geo_tagz"
-
-    _rewrite_manifest(store_path, edit)
+    return damage
 
 
-def _replace_block(column, make):
-    """Re-point ``column``'s block of the *last* partition at
-    ``make(decoded values)``, appended raw to the data file and correctly
-    checksummed: every block verifies, the payload does not add up."""
+def _shift_lengths(partition):
+    # One byte moves from start_time to session_id: the sum (and so the
+    # inflated frame) is unchanged, the i64 column is 8n + 1 bytes.
+    partition["lengths"][1] += 1
+    partition["lengths"][2] -= 1
+
+
+def _replace_column(column, make):
+    """Re-frame the *last* partition with ``column``'s bytes replaced by
+    ``make(decoded values)``: appended raw to the data file and correctly
+    checksummed, so the frame verifies and its columns do not add up."""
 
     def damage(store_path):
         reader = TraceStoreReader(store_path)
         partition = max(reader.partitions, key=lambda p: p["offset"])
         payload = reader._read_partition_payload(partition)
-        values = decode_columns(payload, partition["blocks"])[column]
+        lengths = list(partition["lengths"])
+        raw = decompress_block(payload, partition["codec"], sum(lengths))
+        values = decode_columns(payload, partition)[column]
         assert len(values) > 1
-        raw = make(list(values))
+        index = [name for name, _ in schema.COLUMNS].index(column)
+        start = sum(lengths[:index])
+        replacement = make(list(values))
+        frame = raw[:start] + replacement + raw[start + lengths[index] :]
+        lengths[index] = len(replacement)
         with open(store_path / "data.bin", "ab") as handle:
-            handle.write(raw)
+            handle.write(frame)
 
         def edit(manifest):
             target = next(
                 p for p in manifest["partitions"] if p["id"] == partition["id"]
             )
-            _block_of(target, column).update(
-                offset=target["length"],
-                length=len(raw),
+            target.update(
+                offset=manifest["data_bytes"],
+                length=len(frame),
                 codec="raw",
-                crc32=block_checksum(raw),
+                crc32=block_checksum(frame),
+                lengths=lengths,
             )
-            target["length"] += len(raw)
-            manifest["data_bytes"] += len(raw)
+            manifest["data_bytes"] += len(frame)
 
         _rewrite_manifest(store_path, edit)
 
@@ -254,12 +267,12 @@ def _replace_block(column, make):
 def _short_child(column):
     """``column`` one value short, encoded as the schema encodes it."""
     encode = schema._ENCODERS[dict(schema.COLUMNS)[column]]
-    return _replace_block(column, lambda values: encode(values[:-1]))
+    return _replace_column(column, lambda values: encode(values[:-1]))
 
 
 def _dangling_dict_index(column):
     """A string-dictionary column whose indexes point past its table."""
-    return _replace_block(
+    return _replace_column(
         column,
         lambda values: encode_string_dict(values[:1])[:-8]
         + encode_i64([1] * len(values)),
@@ -267,16 +280,18 @@ def _dangling_dict_index(column):
 
 
 DAMAGE_KINDS = {
-    # One flipped byte per column encoding class.
-    "flip-seq": _flip_column("seq"),  # dvarint
-    "flip-bytes_sent": _flip_column("bytes_sent"),  # i64
-    "flip-min_rtt_seconds": _flip_column("min_rtt_seconds"),  # f64
-    "flip-pop": _flip_column("pop"),  # strdict
-    "flip-route_present": _flip_column("route_present"),  # bitmap
-    "flip-txn_lens": _flip_column("txn_lens"),  # varint
+    # On-disk flips: the frame's CRC catches each, wherever it lands.
+    "flip-first-byte": _flip_frame(0),
+    "flip-second-byte": _flip_frame(1),
+    "flip-last-byte": _flip_frame(-1),
     "truncated-payload": _truncate_payload,
-    "missing-block": _drop_block,
-    "unknown-block": _unknown_block,
+    # Descriptor damage the shape check admits: the frame is intact.
+    "unknown-codec": _edit_descriptor(lambda p: p.update(codec="lz77")),
+    "lengths-overrun": _edit_descriptor(
+        lambda p: p["lengths"].__setitem__(-1, p["lengths"][-1] + 1)
+    ),
+    "lengths-shifted": _edit_descriptor(_shift_lengths),
+    # A re-framed partition with a valid CRC whose columns disagree.
     "short-lbwt-values": _short_child("txn_lbwt_values"),
     "short-route-rank": _short_child("route_rank"),
     "dangling-pop-index": _dangling_dict_index("pop"),
@@ -322,12 +337,10 @@ class TestRowAndColumnReadsFailAlike:
         assert str(row_error) == str(col_error)
         assert row_counters == col_counters
         # The damaged partition added nothing: the counters describe the
-        # partitions that passed whole before it, block for block.
+        # partitions that passed whole before it, one frame each.
         reader = TraceStoreReader(store_path)
         passed = reader.partitions[: row_counters.get("store.partitions.scanned", 0)]
-        assert row_counters.get("store.blocks.verified", 0) == sum(
-            len(p["blocks"]) for p in passed
-        )
+        assert row_counters.get("store.blocks.verified", 0) == len(passed)
         assert row_counters.get("store.rows.decoded", 0) == sum(
             p["rows"] for p in passed
         )
@@ -349,9 +362,32 @@ class TestRowAndColumnReadsFailAlike:
     def test_assembly_failures_name_the_partition(self, store_path):
         DAMAGE_KINDS["dangling-pop-index"](store_path)
         error, _ = self._outcome(store_path, "decode_partition_columns")
+        partition = max(
+            TraceStoreReader(store_path).partitions, key=lambda p: p["offset"]
+        )
+        _assert_names_frame(error, partition, "row assembly failed (IndexError")
+
+    @pytest.mark.parametrize(
+        "kind, column, detail",
+        [
+            ("unknown-codec", None, "unknown frame codec 'lz77'"),
+            ("lengths-overrun", None, "lengths sum to"),
+            ("lengths-shifted", "session_id", "unpack requires"),
+        ],
+    )
+    def test_descriptor_damage_after_a_clean_checksum(
+        self, store_path, kind, column, detail
+    ):
+        """The frame verifies; what the descriptor says about it does not
+        hold. A frame that will not inflate to the summed lengths names
+        no column, a column that will not decode names it."""
+        DAMAGE_KINDS[kind](store_path)
+        error, _ = self._outcome(store_path, "decode_partition")
+        partition = TraceStoreReader(store_path).partitions[1]
         assert isinstance(error, CorruptBlockError)
-        assert error.column is None and error.offset is None
-        assert "row assembly failed (IndexError" in str(error)
+        assert (error.partition_id, error.column) == (partition["id"], column)
+        assert (error.offset, error.length) == _frame_range(partition)
+        assert detail in error.detail
 
 
 #: One short column of each kind ``decode_columns`` checks: per-session
@@ -368,7 +404,7 @@ SHORT_COLUMNS = (
 
 
 class TestShortColumnIsDamage:
-    """Regression: a column block one value short with every CRC valid
+    """Regression: a column one value short with every CRC valid
     raised a bare ``IndexError`` from the kernel loop, and ``scan()``
     yielded one row fewer (a ``zip`` truncated). Every read path now
     raises a :class:`CorruptBlockError` naming the partition and column,
@@ -451,99 +487,76 @@ class TestShortColumnIsDamage:
 # --------------------------------------------------------------------- #
 # 1c. The checks cannot be switched off by the data
 # --------------------------------------------------------------------- #
-def _raw_numeric_block(manifest):
-    """(partition, block) of the first raw-codec fixed-width block — any
-    bytes decode there, so a flipped bit is a wrong value, not an error."""
-    for partition in manifest["partitions"]:
-        for block in partition["blocks"]:
-            if (
-                block["codec"] == "raw"
-                and block["length"]
-                and block["column"] in ("bytes_sent", "session_id", "end_time")
-            ):
-                return partition, block
-    raise AssertionError("fixture store has no raw fixed-width block")
-
-
 @pytest.fixture(params=["bit-flipped", "bytes-intact"])
 def holed_store(store_path, request):
-    """A version-2 store with one block's ``crc32`` key deleted from the
-    manifest — and, in one arm, one bit flipped inside that block. The
-    other arm leaves the bytes alone: the check must not depend on the
-    damage being visible."""
+    """A store with partition 0's ``crc32`` key deleted from the manifest
+    — and, in one arm, one bit flipped inside its frame. The other arm
+    leaves the bytes alone: the check must not depend on the damage being
+    visible."""
     manifest_path = store_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["version"] == 2
-    partition, block = _raw_numeric_block(manifest)
-    del block["crc32"]
+    assert manifest["version"] == 3
+    partition = manifest["partitions"][0]
+    del partition["crc32"]
     manifest_path.write_text(json.dumps(manifest))
     if request.param == "bit-flipped":
-        data_path = store_path / "data.bin"
-        data = bytearray(data_path.read_bytes())
-        data[partition["offset"] + block["offset"]] ^= 0x01
-        data_path.write_bytes(bytes(data))
-    return store_path, partition, block
+        _flip_frame_byte(store_path, at=-1, mask=0x01)
+    return store_path, partition
 
 
 class TestMissingChecksumIsDamage:
-    """Regression: a block entry without ``crc32`` used to skip the check
+    """Regression: an entry without ``crc32`` used to skip the check
     whatever the manifest's version — 400 rows back, one with a different
     value, ``verify_store(...).ok is True``. Every surface now names it."""
 
-    @staticmethod
-    def _assert_names_block(error, partition, block):
-        assert isinstance(error, CorruptBlockError)
-        assert error.partition_id == partition["id"]
-        assert error.column == block["column"]
-        assert error.offset == partition["offset"] + block["offset"]
-        assert error.length == block["length"]
-        assert "manifest records no crc32" in str(error)
-
     def test_scan(self, holed_store):
-        store, partition, block = holed_store
+        store, partition = holed_store
         registry = MetricsRegistry()
         with pytest.raises(CorruptBlockError) as excinfo:
             list(TraceStoreReader(store).scan(metrics=registry))
-        self._assert_names_block(excinfo.value, partition, block)
+        _assert_names_frame(excinfo.value, partition, "manifest records no crc32")
 
     def test_read_column_batches(self, holed_store):
-        store, partition, block = holed_store
+        store, partition = holed_store
         with pytest.raises(CorruptBlockError) as excinfo:
             list(TraceStoreReader(store).read_column_batches())
-        self._assert_names_block(excinfo.value, partition, block)
+        _assert_names_frame(excinfo.value, partition, "manifest records no crc32")
 
     def test_verify_store(self, holed_store):
-        store, partition, block = holed_store
+        store, partition = holed_store
         report = verify_store(store)
         assert not report.ok
         assert report.partitions_corrupt == 1
         (finding,) = report.findings
         assert finding.partition_id == partition["id"]
-        assert finding.column == block["column"]
-        assert finding.offset == partition["offset"] + block["offset"]
+        assert finding.column is None
+        assert (finding.offset, finding.length) == _frame_range(partition)
         assert "manifest records no crc32" in finding.error
 
     def test_cli_verify_store(self, holed_store, capsys):
         from repro.cli import main
 
-        store, partition, block = holed_store
+        store, partition = holed_store
+        start, length = _frame_range(partition)
         assert main(["verify-store", str(store)]) == 1
         out = capsys.readouterr().out
-        assert "CORRUPT:" in out
-        assert f"partition {partition['id']}" in out
-        assert repr(block["column"]) in out
+        assert (
+            f"CORRUPT: partition {partition['id']}, bytes [{start}, "
+            f"{start + length}): manifest records no crc32"
+        ) in out
 
     @pytest.mark.serve
     def test_served_query_then_health(self, holed_store):
         from repro.serve import QueryEngine
 
-        store, partition, block = holed_store
+        store, partition = holed_store
         engine = QueryEngine(store)
         status, payload = engine.handle("/v1/quantiles", {})
         assert status == 503
         assert payload["error"] == "CorruptBlockError"
         assert payload["partition"] == partition["id"]
-        assert payload["column"] == block["column"]
+        assert payload["column"] is None
+        assert (payload["offset"], payload["length"]) == _frame_range(partition)
         assert "manifest records no crc32" in payload["detail"]
         assert "sessions" not in payload
         _, health = engine.handle("/v1/health", {})
@@ -553,19 +566,16 @@ class TestMissingChecksumIsDamage:
         assert audited["verify"]["ok"] is False
 
 
-class TestVersionOneIsRefused:
-    """No writer has emitted version 1 since checksums arrived; a manifest
-    that claims it is refused, typed, before any data byte moves."""
+@pytest.mark.parametrize("version", [1, 2])
+class TestOlderVersionsAreRefused:
+    """No writer has emitted version 1 since checksums arrived, nor
+    version 2 (a block descriptor per column) since partitions became one
+    frame; a manifest that claims either is refused, typed, before any
+    data byte moves."""
 
     @staticmethod
-    def _as_version_1(store_path):
-        def edit(manifest):
-            manifest["version"] = 1
-            for partition in manifest["partitions"]:
-                for block in partition["blocks"]:
-                    block.pop("crc32", None)
-
-        _rewrite_manifest(store_path, edit)
+    def _as_version(store_path, version):
+        _rewrite_manifest(store_path, lambda m: m.update(version=version))
 
     @staticmethod
     def _files(store_path):
@@ -573,33 +583,34 @@ class TestVersionOneIsRefused:
             path.name: path.read_bytes() for path in sorted(store_path.iterdir())
         }
 
-    def test_load_manifest_names_the_version(self, store_path):
+    def test_load_manifest_names_the_version(self, store_path, version):
         from repro.store import load_manifest
 
-        self._as_version_1(store_path)
-        with pytest.raises(StoreError, match="unsupported store version 1"):
+        self._as_version(store_path, version)
+        refused = f"unsupported store version {version} \\(supported: 3\\)"
+        with pytest.raises(StoreError, match=refused):
             load_manifest(store_path)
-        with pytest.raises(StoreError, match="unsupported store version 1"):
+        with pytest.raises(StoreError, match=refused):
             TraceStoreReader(store_path)
         report = verify_store(store_path)
         assert not report.ok
-        assert "unsupported store version 1" in report.findings[0].error
+        assert f"unsupported store version {version}" in report.findings[0].error
 
-    def test_append_refuses_before_writing(self, store_path, samples):
+    def test_append_refuses_before_writing(self, store_path, samples, version):
         from repro.store import StoreAppender
 
-        self._as_version_1(store_path)
+        self._as_version(store_path, version)
         before = self._files(store_path)
-        with pytest.raises(StoreError, match="unsupported store version 1"):
+        with pytest.raises(StoreError, match=f"unsupported store version {version}"):
             StoreAppender(store_path, band_windows=2).append(samples[:20])
         assert self._files(store_path) == before
 
-    def test_compact_refuses_before_writing(self, store_path):
+    def test_compact_refuses_before_writing(self, store_path, version):
         from repro.store import compact_store
 
-        self._as_version_1(store_path)
+        self._as_version(store_path, version)
         before = self._files(store_path)
-        with pytest.raises(StoreError, match="unsupported store version 1"):
+        with pytest.raises(StoreError, match=f"unsupported store version {version}"):
             compact_store(store_path, band_windows=4)
         assert self._files(store_path) == before
 
@@ -608,11 +619,10 @@ _DELETE = object()
 
 #: (where in partition 0, new value or _DELETE, what the error names).
 DESCRIPTOR_DAMAGE = [
-    (("blocks", 0, "length"), _DELETE, "block 0: 'length'"),
-    (("blocks", 0, "length"), 1.5, "block 0: 'length'"),
-    (("blocks", 0, "offset"), -4, "block 0: 'offset'"),
-    (("blocks", 0, "column"), 7, "block 0: 'column'"),
-    (("blocks", 0), "seq", "block 0: not an object"),
+    (("lengths",), _DELETE, "'lengths'"),
+    (("lengths", 0), 1.5, "'lengths'"),
+    (("lengths", 0), -4, "'lengths'"),
+    (("lengths", 0), "seq", "'lengths'"),
     (("id",), _DELETE, "'id'"),
     (("pop",), 3, "'pop'"),
     (("band",), "1", "'band'"),
@@ -623,8 +633,11 @@ DESCRIPTOR_DAMAGE = [
     (("stats", "min_seq"), _DELETE, "stats: 'min_seq'"),
     (("stats", "max_end_time"), "9", "stats: 'max_end_time'"),
     (("stats", "countries"), ["NL", 3], "stats: 'countries'"),
-    (("blocks",), {}, "'blocks'"),
+    (("lengths",), {}, "'lengths'"),
 ]
+
+#: What the vetting says of partition 0 without its ``lengths``.
+_NO_LENGTHS = "partition 0: 'lengths' is not a list of 32 non-negative integers"
 
 HEAD_DAMAGE = [
     ("row_count", -1),
@@ -652,7 +665,7 @@ def _damage_descriptor(store_path, where, value):
 class TestDamagedDescriptorIsTyped:
     """Regression: a partition descriptor missing a field (or holding the
     wrong type) escaped every surface as a bare ``KeyError`` /
-    ``TypeError`` from ``checksum_mismatches`` — ``verify_store`` raised,
+    ``TypeError`` from the per-block checksum loop — ``verify_store`` raised,
     ``repro verify-store`` printed a traceback, and a served query dropped
     its connection. ``load_manifest`` now vets each descriptor and names
     the partition and the field."""
@@ -688,21 +701,24 @@ class TestDamagedDescriptorIsTyped:
 
     @pytest.fixture()
     def lengthless(self, store_path):
-        """The reproducer: block 0 of partition 0 without its ``length``."""
-        _damage_descriptor(store_path, ("blocks", 0, "length"), _DELETE)
+        """The reproducer: partition 0 without its ``lengths``."""
+        _damage_descriptor(store_path, ("lengths",), _DELETE)
         return store_path
 
     def test_verify_store_reports_it(self, lengthless):
         report = verify_store(lengthless)
         (finding,) = report.findings
-        assert "partition 0: block 0: 'length'" in finding.error
+        assert _NO_LENGTHS in finding.error
 
     def test_cli_verify_store(self, lengthless, capsys):
         from repro.cli import main
 
         assert main(["verify-store", str(lengthless)]) == 1
         out = capsys.readouterr().out
-        assert "CORRUPT:" in out and "partition 0: block 0: 'length'" in out
+        assert (
+            f"CORRUPT: store: {lengthless}/manifest.json: corrupt store "
+            f"manifest ({_NO_LENGTHS})"
+        ) in out
 
     @pytest.mark.serve
     def test_served_query_then_health(self, store_path):
@@ -710,11 +726,11 @@ class TestDamagedDescriptorIsTyped:
 
         engine = QueryEngine(store_path)
         assert engine.handle("/v1/quantiles", {})[0] == 200
-        _damage_descriptor(store_path, ("blocks", 0, "length"), _DELETE)
+        _damage_descriptor(store_path, ("lengths",), _DELETE)
         status, payload = engine.handle("/v1/quantiles", {})
         assert status == 503
         assert payload["error"] == "CorruptManifestError"
-        assert "partition 0: block 0: 'length'" in payload["detail"]
+        assert _NO_LENGTHS in payload["detail"]
         _, health = engine.handle("/v1/health", {})
         assert health["status"] == "degraded"
         assert engine.metrics.counter("serve.requests") == sum(
@@ -733,33 +749,70 @@ class TestVerifyStore:
         assert report.partitions_corrupt == 0
 
     def test_corrupt_store_reports_without_raising(self, store_path):
-        partition, block = _flip_block_byte(store_path)
+        partition = _flip_frame_byte(store_path)
         report = verify_store(store_path)
         assert not report.ok
         assert report.partitions_corrupt == 1
-        finding = report.findings[0]
+        (finding,) = report.findings
         assert finding.partition_id == partition["id"]
-        assert finding.column == block["column"]
-        assert str(finding.offset) in finding.describe()
+        assert finding.column is None
+        assert (finding.offset, finding.length) == _frame_range(partition)
+        start, length = _frame_range(partition)
+        assert finding.describe().startswith(
+            f"partition {partition['id']}, bytes [{start}, {start + length}): "
+            "crc32 mismatch"
+        )
 
     def test_missing_manifest_is_a_finding(self, tmp_path):
         report = verify_store(tmp_path / "nope.store")
         assert not report.ok
         assert "manifest" in report.findings[0].error
 
-    def test_truncated_file_reports_size_and_partition(self, store_path):
+    def test_truncated_file_reports_size_and_partition(self, store_path, capsys):
+        from repro.cli import main
+
         data_path = store_path / "data.bin"
+        size = data_path.stat().st_size
         data_path.write_bytes(data_path.read_bytes()[:-20])
         report = verify_store(store_path)
         assert not report.ok
-        assert any("bytes" in f.error for f in report.findings)
+        assert report.torn_tail_bytes == 0
+        shortfall = f"data file is {size - 20} bytes; manifest expects {size}"
+        assert report.findings[0].describe() == f"store: {shortfall}"
+        last = TraceStoreReader(store_path).partitions[-1]
+        assert last["id"] in {f.partition_id for f in report.findings}
+        assert main(["verify-store", str(store_path)]) == 1
+        assert f"CORRUPT: store: {shortfall}" in capsys.readouterr().out
+
+    def test_torn_tail_is_reclaimable_not_damage(self, store_path, samples, capsys):
+        """Bytes past ``data_bytes`` are what a crashed append leaves:
+        readers never look at them and the next append truncates them."""
+        from repro.cli import main
+        from repro.store import append_to_store
+
+        data_path = store_path / "data.bin"
+        size = data_path.stat().st_size
+        tail = b"\x00torn append" * 3
+        with open(data_path, "ab") as handle:
+            handle.write(tail)
+        report = verify_store(store_path)
+        assert report.ok and report.findings == []
+        assert report.torn_tail_bytes == len(tail) == 36
+        assert main(["verify-store", str(store_path)]) == 0
+        out = capsys.readouterr().out
+        assert "torn tail of 36 byte(s) past data_bytes" in out
+        assert "OK" in out and "CORRUPT" not in out
+        append_to_store(store_path, samples[:20], band_windows=2)
+        report = verify_store(store_path)
+        assert report.ok and report.torn_tail_bytes == 0
+        assert tail not in data_path.read_bytes()[size:]
 
     def test_cli_exit_codes(self, store_path, capsys):
         from repro.cli import main
 
         assert main(["verify-store", str(store_path)]) == 0
         assert "OK" in capsys.readouterr().out
-        _flip_block_byte(store_path)
+        _flip_frame_byte(store_path)
         assert main(["verify-store", str(store_path)]) == 1
         out = capsys.readouterr().out
         assert "CORRUPT:" in out
@@ -884,7 +937,7 @@ class TestRetryAndQuarantine:
         )
 
     def test_corrupt_block_quarantined_not_fatal(self, store_path):
-        partition, _ = _flip_block_byte(store_path)
+        partition = _flip_frame_byte(store_path)
         dataset = build_dataset(
             store_path,
             study_windows=STUDY_WINDOWS,
@@ -1104,19 +1157,15 @@ class TestBatchEngineFaults:
     attribution as the row readers; retry/quarantine accounting over it is
     asserted absolutely by ``TestRetryAndQuarantine`` above."""
 
-    def test_column_read_names_partition_column_offset(self, store_path):
-        partition, block = _flip_block_byte(store_path)
+    def test_column_read_names_partition_and_byte_range(self, store_path):
+        partition = _flip_frame_byte(store_path)
         reader = TraceStoreReader(store_path)
         with pytest.raises(CorruptBlockError) as excinfo:
             list(reader.read_column_batches())
-        error = excinfo.value
-        assert error.partition_id == partition["id"]
-        assert error.column == block["column"]
-        assert error.offset == partition["offset"] + block["offset"]
-        assert "crc32 mismatch" in str(error)
+        _assert_names_frame(excinfo.value, partition, "crc32 mismatch")
 
     def test_corrupt_block_strict_fails_fast(self, store_path):
-        _flip_block_byte(store_path)
+        _flip_frame_byte(store_path)
         with pytest.raises(ShardError) as excinfo:
             build_dataset(
                 store_path,
@@ -1208,7 +1257,7 @@ class TestNoFaultTransparency:
 
         store = tmp_path / "t.store"
         write_store(store, samples, band_windows=2)
-        _flip_block_byte(store)
+        _flip_frame_byte(store)
         manifest_path = tmp_path / "m.json"
         code = main(
             [
@@ -1231,7 +1280,7 @@ class TestNoFaultTransparency:
 
         store = tmp_path / "t.store"
         write_store(store, samples, band_windows=2)
-        _flip_block_byte(store)
+        _flip_frame_byte(store)
         with pytest.raises(ShardError):
             main(
                 [
@@ -1297,12 +1346,13 @@ class TestServeFaults:
         from repro.serve import QueryEngine
 
         engine = QueryEngine(store_path)
-        partition, block = _flip_block_byte(store_path)
+        partition = _flip_frame_byte(store_path)
         status, payload = engine.handle("/v1/quantiles", {})
         assert status == 503
         assert payload["error"] == "CorruptBlockError"
         assert payload["partition"] == partition["id"]
-        assert payload["column"] == block["column"]
+        assert payload["column"] is None
+        assert (payload["offset"], payload["length"]) == _frame_range(partition)
         assert "crc32 mismatch" in payload["detail"]
         assert engine.metrics.counter("serve.responses.server_error") == 1
         # Silent zeros are the failure mode this forbids: the error body
@@ -1316,7 +1366,7 @@ class TestServeFaults:
         engine = QueryEngine(store_path)
         _, healthy = engine.handle("/v1/health", {})
         assert healthy["status"] == "ok"
-        partition, _ = _flip_block_byte(store_path)
+        partition = _flip_frame_byte(store_path)
         engine.handle("/v1/quantiles", {})  # quarantines the 503
         _, degraded = engine.handle("/v1/health", {})
         assert degraded["status"] == "degraded"
@@ -1327,7 +1377,7 @@ class TestServeFaults:
         from repro.serve import QueryEngine
 
         engine = QueryEngine(store_path)
-        partition, _ = _flip_block_byte(store_path)
+        partition = _flip_frame_byte(store_path)
         status, payload = engine.handle("/v1/health", {"verify": ["1"]})
         assert status == 200  # health itself must answer, degraded or not
         assert payload["verify"]["ok"] is False
@@ -1340,19 +1390,13 @@ class TestServeFaults:
 
         engine = QueryEngine(store_path)
         partition = TraceStoreReader(store_path).partitions[0]
-        column = partition["blocks"][0]["column"]
-        plan = FaultPlan(
-            flip_byte={
-                "partition": partition["id"],
-                "column": column,
-                "offset": 0,
-            }
-        )
+        plan = FaultPlan(flip_byte={"partition": partition["id"], "offset": 0})
         with faultinject.inject(plan):
             status, payload = engine.handle("/v1/quantiles", {})
         assert status == 503
         assert payload["error"] == "CorruptBlockError"
         assert payload["partition"] == partition["id"]
+        assert (payload["offset"], payload["length"]) == _frame_range(partition)
         # The fault context is gone; the same engine must recover without
         # a restart (the failed build was never cached).
         status, payload = engine.handle("/v1/quantiles", {})
@@ -1394,7 +1438,7 @@ class TestServeFaults:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            partition, _ = _flip_block_byte(store_path)
+            partition = _flip_frame_byte(store_path)
             host, port = server.server_address[:2]
             conn = http.client.HTTPConnection(host, port, timeout=30)
             conn.request("GET", "/v1/degradation")

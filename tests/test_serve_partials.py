@@ -440,18 +440,17 @@ class TestCarryOver:
         before = len(TraceStoreReader(store).partitions)
         append_to_store(store, in_window(make_trace_samples(90, seed=9, windows=1), 8))
         victim = TraceStoreReader(store).partitions[before]
-        column = victim["blocks"][0]["column"]
         engine.handle("/v1/health", {})  # the engine notices the append
         carried = engine.cache.carried(("analyze", None, None, None))
         frozen = pickle.dumps(carried.dataset)
-        plan = FaultPlan(
-            flip_byte={"partition": victim["id"], "column": column, "offset": 0}
-        )
+        plan = FaultPlan(flip_byte={"partition": victim["id"], "offset": 0})
         with faultinject.inject(plan):
             status, payload = engine.handle("/v1/quantiles", {})
         assert status == 503
         assert payload["error"] == "CorruptBlockError"
-        assert (payload["partition"], payload["column"]) == (victim["id"], column)
+        assert (payload["partition"], payload["offset"], payload["length"]) == (
+            victim["id"], victim["offset"], victim["length"]
+        )
         assert pickle.dumps(carried.dataset) == frozen
         # The fault is gone: the carried result is extended after all.
         status, payload = engine.handle("/v1/quantiles", {})
@@ -463,29 +462,25 @@ class TestCarryOver:
 
 
 class TestFaultIsolation:
-    """A flipped block fails the queries that admit its partition, with
-    today's attribution, and nothing else; its partial is never cached,
-    so the engine serves again once the fault is gone."""
+    """A flipped frame byte fails the queries that admit its partition,
+    naming the partition and its byte range, and nothing else; its partial
+    is never cached, so the engine serves again once the fault is gone."""
 
     def test_damage_is_confined_to_queries_that_admit_it(self, tmp_path):
         store = tmp_path / "live.store"
         write_store(store, make_trace_samples(400, seed=3, windows=8))
         partitions = TraceStoreReader(store).partitions
         victim = next(p for p in partitions if p["pop"] == "sjc1")
-        column = victim["blocks"][0]["column"]
         engine = QueryEngine(store)
-        plan = FaultPlan(
-            flip_byte={"partition": victim["id"], "column": column, "offset": 0}
-        )
+        plan = FaultPlan(flip_byte={"partition": victim["id"], "offset": 0})
         with faultinject.inject(plan):
             for params in ({}, {"pop": ["sjc1"]}, {}):
                 status, payload = engine.handle("/v1/quantiles", params)
                 assert status == 503
                 assert payload["error"] == "CorruptBlockError"
-                assert (payload["partition"], payload["column"]) == (
-                    victim["id"],
-                    column,
-                )
+                assert (
+                    payload["partition"], payload["offset"], payload["length"]
+                ) == (victim["id"], victim["offset"], victim["length"])
             for params in ({"pop": ["ams1"]}, {"pop": ["ams1", "gru1"]}):
                 assert engine.handle("/v1/quantiles", params)[0] == 200
             _, health = engine.handle("/v1/health", {})

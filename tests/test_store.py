@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import zlib
 from itertools import islice
 
 import pytest
@@ -83,6 +84,22 @@ class TestEncodings:
         with pytest.raises(ValueError):
             decode_varints(payload[:-1])
 
+    def test_varints_run_to_sixteen_bytes(self):
+        values = [2**112 - 1, 2**70, 0]
+        assert decode_varints(encode_varints(values)) == values
+        assert len(encode_varints([2**112 - 1])) == 16
+
+    @pytest.mark.parametrize(
+        "decode", [decode_varints, decode_bitmap, decode_string_dict]
+    )
+    def test_overlong_varint_rejected(self, decode):
+        # A 17-byte varint is damage, refused before its cost (quadratic
+        # in its length) adds up.
+        with pytest.raises(ValueError, match="varint longer than 16 bytes"):
+            decode(encode_varints([2**112]))
+        with pytest.raises(ValueError, match="varint longer than 16 bytes"):
+            decode(b"\xff" * (1 << 20) + b"\x01")
+
     def test_delta_varint_round_trip(self):
         values = [5, 3, 3, 100, -7, 0, 2**64, -(2**64)]
         assert decode_delta_varints(encode_delta_varints(values)) == values
@@ -103,7 +120,18 @@ class TestEncodings:
         payload = b"abcd" * 100
         data, codec = compress_block(payload, True)
         assert codec == "zlib" and len(data) < len(payload)
-        assert decompress_block(data, codec) == payload
+        assert decompress_block(data, codec, len(payload)) == payload
+
+    @pytest.mark.parametrize("size", [0, 399, 401])
+    def test_decompress_holds_exactly_the_declared_size(self, size):
+        """Inflation stops at the declared size: a frame that inflates to
+        more (or less) than its lengths sum to is refused, and never
+        inflated past them."""
+        data, codec = compress_block(b"abcd" * 100, True)
+        with pytest.raises(ValueError):
+            decompress_block(data, codec, size)
+        with pytest.raises(ValueError):
+            decompress_block(b"abcd", "raw", size)
 
     def test_compress_disabled(self):
         payload = b"abcd" * 100
@@ -112,7 +140,7 @@ class TestEncodings:
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ValueError):
-            decompress_block(b"", "lz77")
+            decompress_block(b"", "lz77", 0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=2**70)))
@@ -139,17 +167,24 @@ class TestSchema:
     def test_rows_round_trip_losslessly(self):
         rows = list(enumerate(make_trace_samples(120, seed=3)))
         for compress in (True, False):
-            payload, blocks = encode_rows(rows, compress=compress)
-            assert decode_rows(payload, blocks) == rows
+            payload, frame = encode_rows(rows, compress=compress)
+            assert frame["codec"] == ("zlib" if compress else "raw")
+            assert decode_rows(payload, frame) == rows
 
-    def test_every_column_has_a_block(self):
+    def test_one_frame_holds_every_column(self):
+        """One frame per partition: one length per schema column, summing
+        to the inflated frame, and one CRC over the on-disk bytes."""
         rows = list(enumerate(make_trace_samples(10, seed=4)))
-        _, blocks = encode_rows(rows)
-        assert [b["column"] for b in blocks] == [name for name, _ in COLUMNS]
+        payload, frame = encode_rows(rows)
+        assert sorted(frame) == ["codec", "crc32", "lengths"]
+        assert len(frame["lengths"]) == len(COLUMNS)
+        raw = decompress_block(payload, frame["codec"], sum(frame["lengths"]))
+        assert len(raw) == sum(frame["lengths"])
+        assert frame["crc32"] == zlib.crc32(payload)
 
     def test_empty_rows(self):
-        payload, blocks = encode_rows([])
-        assert decode_rows(payload, blocks) == []
+        payload, frame = encode_rows([])
+        assert decode_rows(payload, frame) == []
 
 
 # --------------------------------------------------------------------- #
@@ -465,7 +500,7 @@ class TestAppendSession:
         real = writer_mod._fragment
 
         def counting(value):
-            if "blocks" in value:
+            if "lengths" in value:
                 encoded.append(value["id"])
             return real(value)
 
@@ -565,6 +600,45 @@ class TestAppendSession:
         clean_session.append(samples[60:])
         for name in ("data.bin", MANIFEST_NAME):
             assert (store / name).read_bytes() == (clean / name).read_bytes()
+
+
+class TestManifestSize:
+    """One descriptor per partition, one length per column: the manifest
+    indexes the data, it does not rival it. Under the block-per-column
+    layout (store version 2) the golden trace streamed window by window
+    had a manifest 51% the size of its data (92% on ``stream_ingest``'s
+    smaller partitions); one frame per partition brings it to ~9%."""
+
+    #: The most manifest a store may carry per byte of data.
+    BOUND = 0.2
+
+    @pytest.fixture(scope="class")
+    def golden_stores(self, tmp_path_factory):
+        from repro.pipeline.ingest import StreamingIngestor
+
+        samples = list(
+            read_samples(pathlib.Path(__file__).parent / "data" / "golden_trace.jsonl.gz")
+        )
+        windows = max(window_index(s.end_time, 900.0) for s in samples) + 1
+        root = tmp_path_factory.mktemp("manifest-size")
+        written, streamed = root / "written.store", root / "streamed.store"
+        write_store(written, samples)
+        StreamingIngestor(study_windows=windows, out_store=streamed).offer_all(
+            samples
+        ).finish()
+        return {"written": written, "streamed": streamed}
+
+    @pytest.mark.parametrize("kind", ["written", "streamed"])
+    def test_one_length_per_column_and_a_bounded_manifest(self, golden_stores, kind):
+        store = golden_stores[kind]
+        manifest = load_manifest(store)
+        assert len(manifest["partitions"]) > 1
+        for partition in manifest["partitions"]:
+            assert len(partition["lengths"]) == len(COLUMNS)
+            assert "blocks" not in partition
+        manifest_bytes = (store / MANIFEST_NAME).stat().st_size
+        data_bytes = (store / manifest["data_file"]).stat().st_size
+        assert manifest_bytes < self.BOUND * data_bytes
 
 
 class TestAtomicity:
@@ -889,7 +963,7 @@ class TestManifestParsedOncePerContent:
         TraceStoreReader(store)
         manifest_path = store / MANIFEST_NAME
         raw = manifest_path.read_bytes()
-        flipped = raw.replace(b'"version":2,', b'"version":3,', 1)
+        flipped = raw.replace(b'"version":3,', b'"version":4,', 1)
         assert flipped != raw and len(flipped) == len(raw)
         before = os.stat(manifest_path)
         identity = manifest_identity(store)
@@ -897,7 +971,7 @@ class TestManifestParsedOncePerContent:
             handle.write(flipped)
         os.utime(manifest_path, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert manifest_identity(store) == identity
-        with pytest.raises(StoreError, match="unsupported store version 3"):
+        with pytest.raises(StoreError, match="unsupported store version 4"):
             TraceStoreReader(store)
         assert len(parses()) == 2
 

@@ -60,7 +60,7 @@ def streamed_store(samples, tmp_path):
 
 #: The data-fact counter namespaces (RunManifest.sample_accounting).
 #: ``store.*`` read counters are execution facts — fewer partitions mean
-#: fewer blocks verified and bytes read, which is the point of compacting.
+#: fewer frames verified and bytes read, which is the point of compacting.
 _DATA_PREFIXES = ("pipeline.", "methodology.", "core.", "io.")
 
 
@@ -208,16 +208,21 @@ class TestCrashSafety:
         assert data_files == {report.data_file}
 
     def test_compaction_rereads_with_crc_checks(self, streamed_store):
-        # A corrupt source block must fail the compaction read pass, not
+        # A corrupt source frame must fail the compaction read pass, not
         # silently propagate into the rewritten store.
         manifest = json.loads((streamed_store / "manifest.json").read_text())
         partition = manifest["partitions"][0]
         data_path = streamed_store / "data.bin"
         payload = bytearray(data_path.read_bytes())
-        payload[partition["offset"] + partition["blocks"][0]["offset"]] ^= 0xFF
+        payload[partition["offset"]] ^= 0xFF
         data_path.write_bytes(bytes(payload))
-        with pytest.raises(CorruptBlockError):
+        with pytest.raises(CorruptBlockError) as excinfo:
             compact_store(streamed_store)
+        error = excinfo.value
+        assert (error.partition_id, error.offset, error.length) == (
+            partition["id"], partition["offset"], partition["length"]
+        )
+        assert "crc32 mismatch" in error.detail
 
 
 class TestCompactStoreCLI:
