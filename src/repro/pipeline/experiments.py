@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import traced
@@ -141,21 +142,16 @@ MEDIA_RESPONSE_THRESHOLD_BYTES = 12_000
 @traced("pipeline.fig2")
 def fig2_transfer_sizes(dataset: StudyDataset) -> Fig2Result:
     """Figure 2: bytes per session, per response, and per media response."""
-    sessions = [float(r.bytes_sent) for r in dataset.rows if r.bytes_sent > 0]
-    responses: List[float] = []
-    media: List[float] = []
-    tagged = any(row.media_bytes for row in dataset.rows)
-    for row in dataset.rows:
-        responses.extend(float(size) for size in row.response_sizes)
-        if tagged:
-            media.extend(float(size) for size in row.media_bytes)
-        else:
-            # Untagged trace: fall back to the size heuristic.
-            media.extend(
-                float(size)
-                for size in row.response_sizes
-                if size >= MEDIA_RESPONSE_THRESHOLD_BYTES
-            )
+    rows = dataset.rows
+    sessions = [float(r.bytes_sent) for r in rows if r.bytes_sent > 0]
+    responses = list(map(float, chain.from_iterable(r.response_sizes for r in rows)))
+    if any(row.media_bytes for row in rows):
+        media = list(map(float, chain.from_iterable(r.media_bytes for r in rows)))
+    else:
+        # Untagged trace: fall back to the size heuristic.
+        media = [
+            size for size in responses if size >= MEDIA_RESPONSE_THRESHOLD_BYTES
+        ]
     return Fig2Result(
         session_bytes=CdfSeries.of("sessions", sessions),
         response_bytes=CdfSeries.of("all responses", responses),

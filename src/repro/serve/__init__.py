@@ -26,9 +26,10 @@ contract (byte-identical cold/warm/serial/threaded —
 ``tests/test_serve_api.py``).
 
 Layering: :mod:`repro.serve.cache` (exactly-accounted LRU of query
-results) → :mod:`repro.serve.engine` (per-partition partials merged on
-demand, generation-based invalidation on ``append_to_store``, typed
-400/503 mapping, response memos) → :mod:`repro.serve.server` (request
+results) → :mod:`repro.serve.engine` (request-target resolution and its
+memo, per-partition partials merged on demand, generation-based
+invalidation on ``append_to_store``, typed 400/503 mapping, response
+memos) → :mod:`repro.serve.server` (request
 parser, typed 400/414/431/501/505 rejections, and the one renderer, which
 renders a memoized payload once). ``repro serve`` is the CLI entry point;
 DESIGN.md §12 is the spec.

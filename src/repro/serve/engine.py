@@ -10,7 +10,14 @@ verdict/classification stack — so a served number is *defined* to be the
 batch number (the serving layer inherits the equivalence-to-serial
 contract; ``tests/test_serve_api.py`` pins it byte-for-byte).
 
-Resolution pipeline per query:
+A request is first *resolved*: its target's text alone decides the
+endpoint, the cache key (step 2) and the response memo key (step 4), or a
+400/404. Resolution is pure, so :meth:`QueryEngine.handle_target`, the
+server's entry, memoizes it per raw target for targets that answered 200,
+up to :data:`TARGET_MEMO_CHARS` target characters (then it starts over);
+no generation change clears it. :meth:`QueryEngine.handle` takes a parsed
+path and parameters and resolves every time. Both then answer through the
+same steps:
 
 1. **Generation check.** The manifest's ``(row_count, data_bytes,
    partitions)`` triple is the store's *generation*; an append, a
@@ -70,10 +77,11 @@ the engine's quarantine ledger, and surfaced by ``/v1/health`` as a
 
 Thread safety: one re-entrant lock serializes request handling, which is
 what makes ``serve.*`` counters sum exactly to per-client totals under a
-concurrent fleet (``tests/test_serve_concurrency.py``). A cache hit costs
-a ``stat`` under the lock; a cold query merges partials and decodes only
-partitions no earlier query built, and after an append merges only the
-appended cells. Extending a carried dataset mutates it in place, which
+concurrent fleet (``tests/test_serve_concurrency.py``). A warm request
+costs a target-memo lookup, a ``stat`` and two dict lookups (cache entry,
+then memoized response) under the lock; a cold query merges partials and
+decodes only partitions no earlier query built, and after an append
+merges only the appended cells. Extending a carried dataset mutates it in place, which
 is safe because only the lock holder can reach it: a carried entry is
 never served, and it is retired the moment its extension is cached.
 """
@@ -85,7 +93,8 @@ import os
 import pathlib
 import threading
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Collection, Dict, List, NamedTuple, Optional, Tuple, Union
+from urllib.parse import parse_qs, urlsplit
 
 from repro.core.aggregation import window_index
 from repro.core.classification import classify_group
@@ -134,6 +143,12 @@ DEFAULT_ROUTING_WINDOWS = 48
 
 #: MinRTT quantiles served by ``/v1/quantiles`` (fig6's headline points).
 QUANTILE_POINTS = (0.5, 0.8, 0.9, 0.99)
+
+#: The most request-target characters :meth:`QueryEngine.handle_target`
+#: keeps resolved. A dashboard fleet repeats tens of targets; past the
+#: bound the memo starts over, so a flood of distinct targets costs at
+#: most this much memory, not one entry per request.
+TARGET_MEMO_CHARS = 1 << 20
 
 
 class BadRequest(ValueError):
@@ -193,6 +208,147 @@ class _CacheEntry:
         self.responses: Dict[tuple, MemoizedPayload] = {}
 
 
+# ---------------------------------------------------------------------- #
+# Resolve step: a request target's text -> a _Request (pure: no store, no
+# counters, so a resolution can be memoized on the target alone)
+# ---------------------------------------------------------------------- #
+class _Request(NamedTuple):
+    """A resolved request: everything its target's text decides.
+
+    ``key`` is the LRU cache key — (profile, sorted PoPs, sorted
+    countries, window band) — or ``None`` for ``/v1/health``, which is
+    answered fresh every time. ``memo_key`` is ``(endpoint, *args)``: the
+    key of the response memoized on the cache entry, and the arguments
+    of the endpoint's payload builder.
+    """
+
+    key: Optional[tuple]
+    memo_key: tuple
+
+
+#: The parameters every data endpoint takes: the query's filters.
+_FILTERS = ("pop", "country", "window")
+
+
+def _resolve_quantiles(params: Dict[str, List[str]]) -> _Request:
+    return _Request(_query_key("analyze", params, _FILTERS), ("quantiles",))
+
+
+def _resolve_degradation(params: Dict[str, List[str]]) -> _Request:
+    key = _query_key("analyze", params, _FILTERS + ("metric", "threshold", "limit"))
+    metric = _one(params, "metric", "minrtt")
+    if metric not in ("minrtt", "hdratio"):
+        raise BadRequest("metric must be 'minrtt' or 'hdratio'")
+    default = (
+        DEFAULT_MINRTT_THRESHOLD_MS if metric == "minrtt" else DEFAULT_HDRATIO_THRESHOLD
+    )
+    threshold = _float(params, "threshold", default)
+    limit = _int(params, "limit", 100, minimum=1)
+    return _Request(key, ("degradation", metric, threshold, limit))
+
+
+def _resolve_routing(params: Dict[str, List[str]]) -> _Request:
+    key = _query_key(
+        "routing",
+        params,
+        _FILTERS + ("slack_ms", "minrtt_threshold", "hdratio_threshold"),
+    )
+    slack_ms = _float(params, "slack_ms", 3.0)
+    minrtt_threshold = _float(params, "minrtt_threshold", 5.0)
+    hdratio_threshold = _float(params, "hdratio_threshold", 0.05)
+    return _Request(key, ("routing", slack_ms, minrtt_threshold, hdratio_threshold))
+
+
+def _resolve_health(params: Dict[str, List[str]]) -> _Request:
+    _reject_unknown(params, allowed=("verify",))
+    verify = _one(params, "verify", "") in ("1", "true", "yes")
+    return _Request(None, ("health", verify))
+
+
+#: Path -> its resolve step.
+_RESOLVERS = {
+    "/v1/quantiles": _resolve_quantiles,
+    "/v1/degradation": _resolve_degradation,
+    "/v1/routing": _resolve_routing,
+    "/v1/health": _resolve_health,
+}
+
+
+def _query_key(
+    profile: str, params: Dict[str, List[str]], allowed: Tuple[str, ...]
+) -> tuple:
+    """The cache key of a query's filters: (profile, sorted PoPs, sorted
+    countries, window band), ``None`` for each filter not given."""
+    _reject_unknown(params, allowed)
+    pops = tuple(sorted(set(params["pop"]))) if params.get("pop") else None
+    countries = (
+        tuple(sorted(set(params["country"]))) if params.get("country") else None
+    )
+    return profile, pops, countries, _window_range(params)
+
+
+def _reject_unknown(params: Dict[str, List[str]], allowed: Tuple[str, ...]) -> None:
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise BadRequest(
+            f"unknown parameter(s) {', '.join(unknown)} "
+            f"(allowed: {', '.join(sorted(allowed))})"
+        )
+
+
+def _one(params: Dict[str, List[str]], name: str, default: str) -> str:
+    values = params.get(name)
+    if not values:
+        return default
+    if len(values) > 1:
+        raise BadRequest(f"parameter {name} given more than once")
+    return values[0]
+
+
+def _float(params: Dict[str, List[str]], name: str, default: float) -> float:
+    raw = _one(params, name, "")
+    if raw == "":
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    # nan != nan would mint a response memo per request, and neither
+    # NaN nor Infinity renders as JSON.
+    if not math.isfinite(value):
+        raise BadRequest(f"parameter {name} must be a finite number, got {raw!r}")
+    return value
+
+
+def _int(params: Dict[str, List[str]], name: str, default: int, minimum: int) -> int:
+    raw = _one(params, name, "")
+    if raw == "":
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise BadRequest(f"parameter {name} must be an integer, got {raw!r}")
+    if value < minimum:
+        raise BadRequest(f"parameter {name} must be >= {minimum}")
+    return value
+
+
+def _window_range(params: Dict[str, List[str]]) -> Optional[Tuple[int, int]]:
+    raw = _one(params, "window", "")
+    if raw == "":
+        return None
+    lo, _, hi = raw.partition("-")
+    try:
+        start = int(lo)
+        end = int(hi) if hi else start
+        float(end + 1)  # the scan bounds are float times
+    except (ValueError, OverflowError):
+        raise BadRequest(f"parameter window must be N or A-B, got {raw!r}")
+    if start < 0 or end < start:
+        raise BadRequest(f"parameter window range is empty or negative: {raw!r}")
+    return (start, end)
+
+
 class QueryEngine:
     """Resolve serving queries over one sealed columnar store.
 
@@ -232,75 +388,137 @@ class QueryEngine:
         #: with partition/column attribution — the serving face of the §9
         #: degraded-run ledger. Surfaced by /v1/health.
         self.quarantine: List[dict] = []
+        #: Raw target -> its resolution, for targets that answered 200,
+        #: and their total characters (bounded by TARGET_MEMO_CHARS). A
+        #: resolution depends only on the target's text, so no generation
+        #: change clears it.
+        self._targets: Dict[str, _Request] = {}
+        self._target_chars = 0
         # The store must exist to be served; a missing manifest raises the
         # same typed StoreError a scan would.
         self._parse_manifest(manifest_identity(self.path))
 
     # ------------------------------------------------------------------ #
-    # Request entry point
+    # Request entry points
     # ------------------------------------------------------------------ #
+    def handle_target(self, target: str) -> Tuple[int, dict]:
+        """Resolve one raw request target (``/v1/quantiles?pop=ams1``);
+        returns ``(http_status, payload_dict)``, as :meth:`handle` does.
+
+        A target that answered 200 before is looked up in the target memo
+        and skips URL parsing and parameter checks; everything after
+        resolution — the generation check, the cache lookup, the response
+        memo and every counter — is the path :meth:`handle` takes.
+        """
+        with self._lock:
+            request = self._targets.get(target)
+            if request is not None:
+                return self._respond(None, None, request)[:2]
+            split = urlsplit(target)
+            status, payload, request = self._respond(
+                split.path, parse_qs(split.query, keep_blank_values=True)
+            )
+            if status == 200:
+                if self._target_chars + len(target) > TARGET_MEMO_CHARS:
+                    self._targets.clear()
+                    self._target_chars = 0
+                self._targets[target] = request
+                self._target_chars += len(target)
+            return status, payload
+
     def handle(self, path: str, params: Dict[str, List[str]]) -> Tuple[int, dict]:
-        """Resolve one request; returns ``(http_status, payload_dict)``.
+        """Resolve one request given its parsed path and query parameters
+        (``parse_qs`` shape); returns ``(http_status, payload_dict)``.
 
         Never raises for store or parameter problems — they map to typed
         400/404/503 payloads — so the HTTP layer stays a thin renderer.
         Runs entirely under the engine lock: counters advance atomically
-        with the work they count.
+        with the work they count. Resolves ``params`` on every call.
         """
-        routes = {
-            "/v1/quantiles": self._quantiles,
-            "/v1/degradation": self._degradation,
-            "/v1/routing": self._routing,
-            "/v1/health": self._health,
-        }
         with self._lock:
-            self.metrics.inc("serve.requests")
-            handler = routes.get(path)
-            if handler is None:
-                self.metrics.inc("serve.responses.client_error")
-                return 404, {
-                    "error": "not_found",
-                    "detail": f"unknown path {path!r}",
-                    "paths": sorted(routes),
-                }
-            try:
-                payload = handler(params)
-            except BadRequest as error:
-                self.metrics.inc("serve.responses.client_error")
-                return 400, {"error": "bad_request", "detail": str(error)}
-            except StoreError as error:
-                self._record_quarantine(error)
-                self.metrics.inc("serve.responses.server_error")
-                return 503, {
-                    "error": type(error).__name__,
-                    "partition": getattr(error, "partition_id", None),
-                    "column": getattr(error, "column", None),
-                    "offset": getattr(error, "offset", None),
-                    "length": getattr(error, "length", None),
-                    "detail": str(error),
-                }
-            self.metrics.inc("serve.responses.ok")
-            return 200, payload
+            return self._respond(path, params)[:2]
+
+    def _respond(
+        self,
+        path: Optional[str],
+        params: Optional[Dict[str, List[str]]],
+        request: Optional[_Request] = None,
+    ) -> Tuple[int, dict, Optional[_Request]]:
+        """Count, resolve (unless ``request`` is given) and answer one
+        request; the resolved request comes back with a 200."""
+        self.metrics.inc("serve.requests")
+        try:
+            if request is None:
+                resolve = _RESOLVERS.get(path)
+                if resolve is None:
+                    self.metrics.inc("serve.responses.client_error")
+                    return 404, {
+                        "error": "not_found",
+                        "detail": f"unknown path {path!r}",
+                        "paths": sorted(_RESOLVERS),
+                    }, None
+                request = resolve(params)
+            payload = self._answer(request)
+        except BadRequest as error:
+            self.metrics.inc("serve.responses.client_error")
+            return 400, {"error": "bad_request", "detail": str(error)}, None
+        except StoreError as error:
+            self._record_quarantine(error)
+            self.metrics.inc("serve.responses.server_error")
+            return 503, {
+                "error": type(error).__name__,
+                "partition": getattr(error, "partition_id", None),
+                "column": getattr(error, "column", None),
+                "offset": getattr(error, "offset", None),
+                "length": getattr(error, "length", None),
+                "detail": str(error),
+            }, None
+        self.metrics.inc("serve.responses.ok")
+        return 200, payload, request
 
     def note_protocol_error(self) -> None:
-        """Count a request the transport rejected before :meth:`handle`:
+        """Count a request the transport rejected before :meth:`handle_target`:
         it is not one of ``serve.requests``."""
         with self._lock:
             self.metrics.inc("serve.responses.protocol_error")
 
     # ------------------------------------------------------------------ #
-    # Endpoints
+    # Answer step
     # ------------------------------------------------------------------ #
-    def _quantiles(self, params: Dict[str, List[str]]) -> dict:
-        pops, countries, window = self._common_filters(
-            params, allowed=("pop", "country", "window")
-        )
-        entry, generation = self._entry("analyze", pops, countries, window)
-        memo_key = ("quantiles",)
-        cached = entry.responses.get(memo_key)
-        if cached is not None:
-            return cached
-        result = fig6_global_performance(entry.dataset)
+    def _answer(self, request: _Request) -> dict:
+        """The payload for a resolved request.
+
+        Checks the store generation first: a changed manifest flushes the
+        cache *before* the lookup, so a pre-append result is unreachable
+        the moment an append lands. A miss merges the query's dataset; a
+        response not yet memoized on its entry is built once.
+        """
+        key, memo_key = request
+        if key is None:
+            return self._health(*memo_key[1:])
+        generation = self._refresh_generation()
+        entry = self.cache.get(key)
+        if entry is None:
+            entry = self._merge_partials(*key, self.cache.carried(key))
+            self.cache.put(key, entry)
+        payload = entry.responses.get(memo_key)
+        if payload is None:
+            endpoint, *args = memo_key
+            _, pops, countries, window = key
+            payload = entry.responses[memo_key] = MemoizedPayload(
+                _BUILDERS[endpoint](self, entry.dataset, *args),
+                endpoint=endpoint,
+                generation=generation,
+                filters={
+                    "pops": list(pops) if pops is not None else None,
+                    "countries": list(countries) if countries is not None else None,
+                    "window": list(window) if window is not None else None,
+                },
+            )
+        return payload
+
+    def _quantiles(self, dataset: StudyDataset) -> dict:
+        result = fig6_global_performance(dataset)
         minrtt = {
             f"p{int(q * 100)}": result.minrtt_all.quantile(q)
             for q in QUANTILE_POINTS
@@ -311,14 +529,12 @@ class QueryEngine:
         }
         hdratio["positive_fraction"] = result.hdratio_positive_fraction
         hdratio["full_fraction"] = result.hdratio_full_fraction
-        payload = MemoizedPayload({
-            "endpoint": "quantiles",
-            "generation": generation,
-            "filters": self._echo_filters(pops, countries, window),
+        return {
             "window_seconds": self.window_seconds,
-            "study_windows": entry.dataset.study_windows,
-            "sessions": entry.dataset.session_count,
-            "hd_sessions": len(entry.dataset.hd_rows()),
+            "study_windows": dataset.study_windows,
+            "sessions": dataset.session_count,
+            # fig6's HDratio series holds exactly the rows that have one.
+            "hd_sessions": len(result.hdratio_all),
             "minrtt_ms": minrtt,
             "hdratio": hdratio,
             # The exact strings `repro analyze` prints — the contract that
@@ -330,32 +546,11 @@ class QueryEngine:
                     result.hdratio_positive_fraction
                 ),
             },
-        })
-        entry.responses[memo_key] = payload
-        return payload
+        }
 
-    def _degradation(self, params: Dict[str, List[str]]) -> dict:
-        pops, countries, window = self._common_filters(
-            params,
-            allowed=("pop", "country", "window", "metric", "threshold", "limit"),
-        )
-        metric = self._one(params, "metric", "minrtt")
-        if metric not in ("minrtt", "hdratio"):
-            raise BadRequest("metric must be 'minrtt' or 'hdratio'")
-        default_threshold = (
-            DEFAULT_MINRTT_THRESHOLD_MS
-            if metric == "minrtt"
-            else DEFAULT_HDRATIO_THRESHOLD
-        )
-        threshold = self._float(params, "threshold", default_threshold)
-        limit = self._int(params, "limit", 100, minimum=1)
-        entry, generation = self._entry("analyze", pops, countries, window)
-        memo_key = ("degradation", metric, threshold, limit)
-        cached = entry.responses.get(memo_key)
-        if cached is not None:
-            return cached
-
-        dataset = entry.dataset
+    def _degradation(
+        self, dataset: StudyDataset, metric: str, threshold: float, limit: int
+    ) -> dict:
         verdict_map = dataset.verdicts(metric, "degradation")
         acc = WeightedDifferenceCdf()
         groups = []
@@ -391,10 +586,7 @@ class QueryEngine:
                     "event_traffic_bytes": classification.event_traffic_bytes,
                 }
             )
-        payload = MemoizedPayload({
-            "endpoint": "degradation",
-            "generation": generation,
-            "filters": self._echo_filters(pops, countries, window),
+        return {
             "metric": metric,
             "threshold": threshold,
             "study_windows": dataset.study_windows,
@@ -407,31 +599,16 @@ class QueryEngine:
                 threshold, use_ci_low=True
             ),
             "valid_traffic_fraction": acc.valid_traffic_fraction,
-        })
-        entry.responses[memo_key] = payload
-        return payload
+        }
 
-    def _routing(self, params: Dict[str, List[str]]) -> dict:
-        pops, countries, window = self._common_filters(
-            params,
-            allowed=(
-                "pop",
-                "country",
-                "window",
-                "slack_ms",
-                "minrtt_threshold",
-                "hdratio_threshold",
-            ),
-        )
-        slack_ms = self._float(params, "slack_ms", 3.0)
-        minrtt_threshold = self._float(params, "minrtt_threshold", 5.0)
-        hdratio_threshold = self._float(params, "hdratio_threshold", 0.05)
-        entry, generation = self._entry("routing", pops, countries, window)
-        memo_key = ("routing", slack_ms, minrtt_threshold, hdratio_threshold)
-        cached = entry.responses.get(memo_key)
-        if cached is not None:
-            return cached
-        result = fig9_opportunity(entry.dataset)
+    def _routing(
+        self,
+        dataset: StudyDataset,
+        slack_ms: float,
+        minrtt_threshold: float,
+        hdratio_threshold: float,
+    ) -> dict:
+        result = fig9_opportunity(dataset)
         minrtt_within = result.minrtt_within_of_optimal(slack_ms)
         minrtt_improvable = result.minrtt.traffic_fraction_at_least(
             minrtt_threshold, use_ci_low=True
@@ -439,13 +616,10 @@ class QueryEngine:
         hd_improvable = result.hdratio.traffic_fraction_at_least(
             hdratio_threshold, use_ci_low=True
         )
-        payload = MemoizedPayload({
-            "endpoint": "routing",
-            "generation": generation,
-            "filters": self._echo_filters(pops, countries, window),
+        return {
             "window_seconds": self.routing_window_seconds,
-            "study_windows": entry.dataset.study_windows,
-            "sessions": entry.dataset.session_count,
+            "study_windows": dataset.study_windows,
+            "sessions": dataset.session_count,
             "slack_ms": slack_ms,
             "minrtt_threshold": minrtt_threshold,
             "hdratio_threshold": hdratio_threshold,
@@ -464,13 +638,10 @@ class QueryEngine:
                 "minrtt_improvable": format_percent(minrtt_improvable),
                 "hdratio_improvable": format_percent(hd_improvable),
             },
-        })
-        entry.responses[memo_key] = payload
-        return payload
+        }
 
-    def _health(self, params: Dict[str, List[str]]) -> dict:
-        self._reject_unknown(params, allowed=("verify",))
-        verify = self._one(params, "verify", "") in ("1", "true", "yes")
+    def _health(self, verify: bool) -> dict:
+        """A fresh payload on every request: it reports live counters."""
         payload: dict = {
             "endpoint": "health",
             "store": str(self.path),
@@ -534,34 +705,6 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # Cache + dataset plumbing
     # ------------------------------------------------------------------ #
-    def _entry(
-        self,
-        profile: str,
-        pops: Optional[frozenset],
-        countries: Optional[frozenset],
-        window: Optional[Tuple[int, int]],
-    ) -> Tuple[_CacheEntry, dict]:
-        """Cached query result for the normalized query coordinates.
-
-        Checks the store generation first: a changed manifest flushes the
-        cache *before* the lookup, so a pre-append result is unreachable
-        the moment an append lands.
-        """
-        generation = self._refresh_generation()
-        key = (
-            profile,
-            tuple(sorted(pops)) if pops is not None else None,
-            tuple(sorted(countries)) if countries is not None else None,
-            window,
-        )
-        entry = self.cache.get(key)
-        if entry is None:
-            entry = self._merge_partials(
-                profile, pops, countries, window, self.cache.carried(key)
-            )
-            self.cache.put(key, entry)
-        return entry, generation
-
     def _refresh_generation(self) -> dict:
         """The generation triple, re-parsed only when the manifest moved."""
         # Identity is read before the manifest it vouches for, so an append
@@ -645,8 +788,8 @@ class QueryEngine:
     def _merge_partials(
         self,
         profile: str,
-        pops: Optional[frozenset],
-        countries: Optional[frozenset],
+        pops: Optional[Collection[str]],
+        countries: Optional[Collection[str]],
         window: Optional[Tuple[int, int]],
         carried: Optional[_CacheEntry] = None,
     ) -> _CacheEntry:
@@ -660,6 +803,8 @@ class QueryEngine:
         merged into a fresh dataset. Partials are built before the carried
         dataset is touched, so a ``StoreError`` leaves it as it was.
         """
+        pops = frozenset(pops) if pops is not None else None
+        countries = frozenset(countries) if countries is not None else None
         kwargs = self._dataset_kwargs(profile)
         window_seconds = kwargs["window_seconds"]
         # Store windows per window of this dataset: 1 for analyze, 4 for
@@ -768,109 +913,6 @@ class QueryEngine:
         return partial
 
     # ------------------------------------------------------------------ #
-    # Parameter parsing
-    # ------------------------------------------------------------------ #
-    def _common_filters(
-        self, params: Dict[str, List[str]], allowed: Tuple[str, ...]
-    ) -> Tuple[Optional[frozenset], Optional[frozenset], Optional[Tuple[int, int]]]:
-        self._reject_unknown(params, allowed)
-        pops = frozenset(params["pop"]) if params.get("pop") else None
-        countries = (
-            frozenset(params["country"]) if params.get("country") else None
-        )
-        window = self._window_range(params)
-        return pops, countries, window
-
-    @staticmethod
-    def _reject_unknown(
-        params: Dict[str, List[str]], allowed: Tuple[str, ...]
-    ) -> None:
-        unknown = sorted(set(params) - set(allowed))
-        if unknown:
-            raise BadRequest(
-                f"unknown parameter(s) {', '.join(unknown)} "
-                f"(allowed: {', '.join(sorted(allowed))})"
-            )
-
-    @staticmethod
-    def _one(params: Dict[str, List[str]], name: str, default: str) -> str:
-        values = params.get(name)
-        if not values:
-            return default
-        if len(values) > 1:
-            raise BadRequest(f"parameter {name} given more than once")
-        return values[0]
-
-    def _float(
-        self, params: Dict[str, List[str]], name: str, default: float
-    ) -> float:
-        raw = self._one(params, name, "")
-        if raw == "":
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        # nan != nan would mint a response memo per request, and neither
-        # NaN nor Infinity renders as JSON.
-        if not math.isfinite(value):
-            raise BadRequest(
-                f"parameter {name} must be a finite number, got {raw!r}"
-            )
-        return value
-
-    def _int(
-        self,
-        params: Dict[str, List[str]],
-        name: str,
-        default: int,
-        minimum: int,
-    ) -> int:
-        raw = self._one(params, name, "")
-        if raw == "":
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise BadRequest(f"parameter {name} must be an integer, got {raw!r}")
-        if value < minimum:
-            raise BadRequest(f"parameter {name} must be >= {minimum}")
-        return value
-
-    def _window_range(
-        self, params: Dict[str, List[str]]
-    ) -> Optional[Tuple[int, int]]:
-        raw = self._one(params, "window", "")
-        if raw == "":
-            return None
-        lo, _, hi = raw.partition("-")
-        try:
-            start = int(lo)
-            end = int(hi) if hi else start
-            float(end + 1)  # the scan bounds are float times
-        except (ValueError, OverflowError):
-            raise BadRequest(
-                f"parameter window must be N or A-B, got {raw!r}"
-            )
-        if start < 0 or end < start:
-            raise BadRequest(
-                f"parameter window range is empty or negative: {raw!r}"
-            )
-        return (start, end)
-
-    @staticmethod
-    def _echo_filters(
-        pops: Optional[frozenset],
-        countries: Optional[frozenset],
-        window: Optional[Tuple[int, int]],
-    ) -> dict:
-        return {
-            "pops": sorted(pops) if pops is not None else None,
-            "countries": sorted(countries) if countries is not None else None,
-            "window": list(window) if window is not None else None,
-        }
-
-    # ------------------------------------------------------------------ #
     # Quarantine ledger
     # ------------------------------------------------------------------ #
     def _record_quarantine(self, error: StoreError) -> None:
@@ -887,3 +929,11 @@ class QueryEngine:
         if entry not in self.quarantine:
             self.quarantine.append(entry)
             self.metrics.inc("serve.quarantined")
+
+
+#: Endpoint -> its payload builder, for a response not yet memoized.
+_BUILDERS = {
+    "quantiles": QueryEngine._quantiles,
+    "degradation": QueryEngine._degradation,
+    "routing": QueryEngine._routing,
+}

@@ -1,10 +1,11 @@
 """HTTP front-end for the query engine: a minimal HTTP/1.1 keep-alive loop.
 
-The server layer owns *only* transport: request parsing, status codes and
-byte rendering. Every decision — routing, validation, caching, error
-mapping — lives in :class:`~repro.serve.engine.QueryEngine`, which the
-tests drive both directly (in-process) and through a real socket; the two
-must be indistinguishable.
+The server layer owns *only* transport: request-line and header parsing,
+status codes and byte rendering. It hands each raw request target to
+:meth:`~repro.serve.engine.QueryEngine.handle_target`; every decision —
+URL parsing, routing, validation, caching, error mapping — lives in the
+engine, which the tests drive both directly (in-process) and through a
+real socket; the two must be indistinguishable.
 
 Rendering is deterministic by construction: :func:`render_payload` emits
 ``json.dumps(payload, sort_keys=True)`` + newline, so a byte-equality
@@ -44,7 +45,6 @@ import time
 from email.utils import formatdate
 from http import HTTPStatus
 from typing import Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.engine import MemoizedPayload, QueryEngine
 
@@ -204,10 +204,7 @@ class _Connection(socketserver.StreamRequestHandler):
                 if request is None:
                     return
                 target, keep_alive = request
-                split = urlsplit(target)
-                status, payload = engine.handle(
-                    split.path, parse_qs(split.query, keep_blank_values=True)
-                )
+                status, payload = engine.handle_target(target)
             response = _response(
                 status, render_payload(payload), keep_alive, server.date()
             )

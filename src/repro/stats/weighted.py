@@ -10,6 +10,8 @@ machinery used by the figure drivers in :mod:`repro.pipeline.experiments`.
 from __future__ import annotations
 
 import bisect
+from itertools import repeat
+from operator import truediv
 from typing import List, Sequence, Tuple
 
 __all__ = [
@@ -76,7 +78,7 @@ def ecdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
         raise ValueError("cannot build an ECDF from an empty sequence")
     ordered = sorted(map(float, values))
     n = len(ordered)
-    fractions = [(i + 1) / n for i in range(n)]
+    fractions = list(map(truediv, range(1, n + 1), repeat(n)))
     return ordered, fractions
 
 

@@ -148,7 +148,7 @@ def manifest_identity(path: PathLike) -> Optional[Tuple[int, int, int, int]]:
     (None: no manifest). While it holds, a parse of the manifest is current:
     every publisher renames a fresh temp file over it."""
     try:
-        stat = os.stat(pathlib.Path(path) / MANIFEST_NAME)
+        stat = os.stat(os.path.join(path, MANIFEST_NAME))
     except (FileNotFoundError, NotADirectoryError):
         return None
     return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)

@@ -279,6 +279,52 @@ class TestSurfaceGuards:
             largest = max(largest, len(table))
         assert largest == io.ROUTE_TABLE_LIMIT
 
+    def test_the_target_memo_stays_bounded(self, tmp_path):
+        """The server's engine memoizes each target's resolution in a
+        bounded memo: a flood of distinct valid targets as long as a
+        request line allows never grows it past ``TARGET_MEMO_CHARS``, and
+        a target that got a 4xx never enters it."""
+        from repro.serve import engine as serve_engine
+        from repro.serve.server import MAX_LINE
+        from repro.store import write_store
+        from tests.helpers import make_trace_samples
+
+        store = tmp_path / "flood.store"
+        write_store(store, make_trace_samples(60, seed=3, windows=2))
+        engine = serve_engine.QueryEngine(store)
+        # The longest target a request line "GET <target> HTTP/1.1\r\n" holds.
+        length = MAX_LINE - len("GET  HTTP/1.1\r\n")
+        largest = 0
+        for index in range(3 * serve_engine.TARGET_MEMO_CHARS // length):
+            head = f"/v1/quantiles?pop={index:05d}"
+            target = head + "x" * (length - len(head))
+            rejected = (
+                target[: -len("&limit=1")] + "&limit=1",  # 400: unknown parameter
+                "/v1/gone?" + target[len("/v1/gone?"):],  # 404
+            )
+            assert engine.handle_target(target)[0] == 200
+            assert [engine.handle_target(bad)[0] for bad in rejected] == [400, 404]
+            assert target in engine._targets
+            assert not any(bad in engine._targets for bad in rejected)
+            chars = sum(map(len, engine._targets))
+            assert chars == engine._target_chars <= serve_engine.TARGET_MEMO_CHARS
+            largest = max(largest, chars)
+        assert largest > serve_engine.TARGET_MEMO_CHARS - length
+
+    def test_the_server_parses_no_target(self):
+        """A request target is resolved in one place, the engine's
+        ``handle_target``: the transport imports no URL parser."""
+        import ast
+
+        server = ROOT / "src" / "repro" / "serve" / "server.py"
+        imported = set()
+        for node in ast.walk(ast.parse(server.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert not {name for name in imported if name.startswith("urllib")}
+
     def test_block_checksum_has_one_writer_and_one_reader(self):
         import ast
 

@@ -388,3 +388,72 @@ class TestManifestParsedOnlyWhenItChanges:
         _, after = engine.handle("/v1/health", {})
         assert after["generation"] == _generation_of(store)
         assert after["generation"]["row_count"] == 500
+
+
+class TestTargetMemo:
+    """``handle_target`` — the server's entry, which memoizes each raw
+    target's resolution — answers a request sequence exactly as
+    ``handle`` over ``parse_qs`` does on a fresh engine: the same
+    statuses, the same bytes and the same counters after every request."""
+
+    SEQUENCE = (
+        "/v1/quantiles",
+        "/v1/quantiles",
+        "/v1/quantiles?pop=ams1&country=NL",
+        "/v1/quantiles?country=NL&pop=ams1",
+        "/v1/quantiles?pop=ams1&pop=ams1&country=NL",
+        "/v1/quantiles?pop=sjc1&pop=ams1",
+        "/v1/quantiles?pop=ams1&pop=sjc1",
+        "/v1/degradation?metric=hdratio&window=1-4",
+        "/v1/degradation?window=1-4&metric=hdratio",
+        "/v1/degradation?metric=hdratio&metric=minrtt",  # 400
+        "/v1/quantiles?threshold=1",  # 400
+        "/v1/nope?pop=ams1",  # 404
+        "/v1/routing?slack_ms=3",
+        "/v1/routing?slack_ms=3.0",
+        "/v1/health?verify=1",
+        "/v1/health",
+        "APPEND",
+        "/v1/quantiles",
+        "/v1/quantiles?country=NL&pop=ams1",
+        "/v1/degradation?metric=hdratio&window=1-4",
+        "/v1/quantiles?threshold=1",
+        "/v1/routing?slack_ms=3",
+        "/v1/health?verify=1",
+        "/v1/quantiles?pop=ams1&pop=sjc1",
+        "/v1/quantiles",
+    )
+
+    @pytest.mark.parametrize("capacity", [64, 2])
+    def test_memoized_targets_answer_as_parsed_ones(self, tmp_path, capacity):
+        from urllib.parse import parse_qs, urlsplit
+
+        store = tmp_path / "live.store"
+        write_store(store, make_trace_samples(400, seed=3, windows=8))
+        by_target = QueryEngine(store, cache_capacity=capacity)
+        by_params = QueryEngine(store, cache_capacity=capacity)
+        statuses = set()
+        for target in self.SEQUENCE:
+            if target == "APPEND":
+                append_to_store(store, make_trace_samples(120, seed=17, windows=8))
+                continue
+            split = urlsplit(target)
+            status, payload = by_params.handle(
+                split.path, parse_qs(split.query, keep_blank_values=True)
+            )
+            memoized, answer = by_target.handle_target(target)
+            assert memoized == status, target
+            assert render_payload(answer) == render_payload(payload), target
+            assert by_target.metrics.counters == by_params.metrics.counters, target
+            statuses.add(status)
+        assert statuses == {200, 400, 404}
+        assert (by_target.cache.evictions > 0) == (capacity == 2)
+        # Only the targets that answered 200 were memoized.
+        assert set(by_target._targets) == {
+            target
+            for target in self.SEQUENCE
+            if target != "APPEND"
+            and "threshold=1" not in target
+            and "nope" not in target
+            and "metric=minrtt" not in target
+        }
