@@ -68,10 +68,11 @@
 #   doc-lines   - print the line counts of DESIGN.md, README.md,
 #                 CONTRIBUTING.md and docs/*.md, and their total: the prose
 #                 ROADMAP item 9 tracks beside src-lines.
-#   bench-ab    - PARENT=<rev> WORKLOAD=<name> [PAIRS=N] [SEED=N]: alternate
-#                 `python3 -m bench` runs (12 s, --trace 0) between a
-#                 `git archive` of PARENT and the working tree; prints each
-#                 pair, per-metric medians/quartiles, pairs won and the
+#   bench-ab    - PARENT=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=N] [SEED=N]:
+#                 alternate `python3 -m bench` runs (12 s, --trace 0)
+#                 between one `git archive` of PARENT and the working tree,
+#                 workload by workload; prints each pair, then per workload
+#                 the per-metric medians/quartiles, pairs won and the
 #                 gain/regression/unresolved verdict (tools/bench_ab.py,
 #                 which holds the defaults: 10 pairs from seed 1).
 
@@ -164,6 +165,6 @@ doc-lines:
 
 bench-ab:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \
-		{ echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<name> [PAIRS=N] [SEED=N]"; exit 2; }
+		{ echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=N] [SEED=N]"; exit 2; }
 	$(PYTHON) tools/bench_ab.py $(PARENT) $(WORKLOAD) \
 		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))

@@ -18,15 +18,26 @@ the closed file and fsyncing its descriptor flushes the same inode.
 Directory fsync is not supported everywhere (and fails on some network
 filesystems); :func:`fsync_dir` degrades to a no-op rather than turning a
 successful write into an error.
+
+A writer killed between steps 1 and 3 leaves its temp file behind, named
+for its pid; :func:`reap_dead_temp_files` removes such files once that
+process is provably gone.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
+import re
 from typing import Union
 
-__all__ = ["atomic_write_bytes", "fsync_dir", "fsync_file", "temp_path_for"]
+__all__ = [
+    "atomic_write_bytes",
+    "fsync_dir",
+    "fsync_file",
+    "reap_dead_temp_files",
+    "temp_path_for",
+]
 
 PathLike = Union[str, pathlib.Path]
 
@@ -35,6 +46,27 @@ def temp_path_for(path: PathLike) -> pathlib.Path:
     """The conventional temp-file name for an atomic write of ``path``."""
     path = pathlib.Path(path)
     return path.parent / f"{path.name}.tmp.{os.getpid()}"
+
+
+_TEMP_NAME = re.compile(r"\.tmp\.(\d+)$")
+
+
+def reap_dead_temp_files(directory: PathLike) -> None:
+    """Remove every :func:`temp_path_for` file in ``directory`` whose
+    writer is provably dead: ``os.kill(pid, 0)`` raises
+    ``ProcessLookupError``. A live pid — this process, another writer, or
+    a process that reuses a dead writer's pid — keeps its file, as does a
+    pid this process may not signal (``PermissionError``: it exists)."""
+    for name in os.listdir(directory):
+        match = _TEMP_NAME.search(name)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match.group(1)), 0)
+        except ProcessLookupError:
+            (pathlib.Path(directory) / name).unlink(missing_ok=True)
+        except (PermissionError, OverflowError):
+            pass
 
 
 def fsync_file(path: PathLike) -> None:

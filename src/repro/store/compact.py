@@ -23,7 +23,9 @@ What is preserved, exactly:
   swapped last, atomically. A crash at any point leaves the previous
   manifest pointing at the previous generation, fully intact. Stale
   generation files are unlinked only after the swap; a crash between
-  swap and cleanup leaves an orphan file the next compaction removes.
+  swap and cleanup leaves an orphan file the next compaction removes,
+  as it removes any temp file a dead writer left
+  (:func:`~repro.fsutil.reap_dead_temp_files`).
 - **appendability** — the manifest keeps the same format (``data_file``
   names the live generation), so :func:`~repro.store.writer.
   append_to_store` keeps working on a compacted store unchanged, and a
@@ -42,7 +44,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from repro.fsutil import atomic_write_bytes
+from repro.fsutil import atomic_write_bytes, reap_dead_temp_files
 from repro.obs import span
 from repro.store.reader import TraceStoreReader, checksum_mismatch, corrupt_block
 from repro.store.writer import (
@@ -125,6 +127,7 @@ def compact_store(
         raise ValueError("band_windows must be >= 1")
     bytes_before = int(manifest["data_bytes"])
     partitions_before = len(reader.partitions)
+    reap_dead_temp_files(store_path)
 
     with span("store.compact"):
         # One CRC-verified pass in seq order; bucketing by first

@@ -18,7 +18,9 @@ Each column of a partition is encoded independently:
   first-seen order followed by one ``i64`` index per row (the index column
   is highly repetitive, which the partition's deflate absorbs).
 
-A partition's encoded columns are concatenated into one *frame*, deflated
+A partition's encoded columns are laid out as one *frame* — the
+variable-width columns, then the ``f64`` / ``i64`` columns as 8 byte
+planes (:func:`repro.store.schema.layout_frame`) — and deflated at level 1
 (zlib) when that actually shrinks it; the choice is recorded in the
 partition's manifest descriptor (``codec``), never guessed at read time.
 
@@ -200,19 +202,18 @@ def decode_bitmap(data: bytes) -> List[bool]:
 # --------------------------------------------------------------------- #
 def encode_string_dict(values: Sequence[str]) -> bytes:
     """Dictionary table (first-seen order) + one packed index per value."""
-    table: dict = {}
-    indexes = []
-    for value in values:
-        index = table.get(value)
-        if index is None:
-            index = table[value] = len(table)
-        indexes.append(index)
+    table = dict.fromkeys(values)
     encoded = bytearray(encode_varints((len(table),)))
     for entry in table:
         raw = entry.encode("utf-8")
-        encoded += encode_varints((len(raw),))
+        # A one-byte varint is the byte itself; most entries are short.
+        if len(raw) < 0x80:
+            encoded.append(len(raw))
+        else:
+            encoded += encode_varints((len(raw),))
         encoded += raw
-    encoded += encode_i64(indexes)
+    index_of = {entry: index for index, entry in enumerate(table)}
+    encoded += encode_i64(list(map(index_of.__getitem__, values)))
     return bytes(encoded)
 
 
@@ -252,10 +253,15 @@ def block_checksum(payload: bytes) -> int:
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
+#: Deflate level of every frame. On byte-planed frames level 1 is both
+#: faster and smaller than level 6 on unplaned ones (DESIGN.md §8).
+_DEFLATE_LEVEL = 1
+
+
 def compress_block(payload: bytes, compress: bool = True) -> Tuple[bytes, str]:
     """Deflate a frame when it helps; returns ``(data, codec)``."""
     if compress and len(payload) > 64:
-        deflated = zlib.compress(payload, 6)
+        deflated = zlib.compress(payload, _DEFLATE_LEVEL)
         if len(deflated) < len(payload):
             return deflated, "zlib"
     return payload, "raw"

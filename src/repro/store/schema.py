@@ -28,7 +28,7 @@ import gc
 import struct
 import zlib
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.records import (
     HttpVersion,
@@ -61,6 +61,9 @@ __all__ = [
     "COLUMNS",
     "encode_rows",
     "decode_columns",
+    "layout_frame",
+    "shred_rows",
+    "split_frame",
     "decode_rows",
     "expand_routes",
     "gc_paused",
@@ -144,58 +147,164 @@ _DECODERS = {
 }
 
 
+#: Encodings of eight bytes per value.
+_FIXED_WIDTH = ("f64", "i64")
+#: Column indexes in frame order: the variable-width columns (the frame's
+#: *head*), then the fixed-width ones (its *plane region*).
+_HEAD = tuple(
+    index for index, (_, encoding) in enumerate(COLUMNS)
+    if encoding not in _FIXED_WIDTH
+)
+_REGION = tuple(
+    index for index, (_, encoding) in enumerate(COLUMNS)
+    if encoding in _FIXED_WIDTH
+)
+
+
+def shred_rows(rows: List[Tuple[int, SessionSample]]) -> Dict[str, list]:
+    """``(seq, sample)`` rows as the schema's flat column lists."""
+    columns: Dict[str, list] = {name: [] for name, _ in COLUMNS}
+    # Bind every append to a local: the loop below runs per sample and per
+    # transaction, where a dict lookup per field would dominate the shred.
+    add_seq = columns["seq"].append
+    add_session_id = columns["session_id"].append
+    add_start_time = columns["start_time"].append
+    add_end_time = columns["end_time"].append
+    add_http_version = columns["http_version"].append
+    add_min_rtt = columns["min_rtt_seconds"].append
+    add_bytes_sent = columns["bytes_sent"].append
+    add_busy_time = columns["busy_time_seconds"].append
+    add_pop = columns["pop"].append
+    add_country = columns["client_country"].append
+    add_continent = columns["client_continent"].append
+    add_hosting = columns["client_ip_is_hosting"].append
+    add_geo_tag = columns["geo_tag"].append
+    add_media_len = columns["media_lens"].append
+    add_media_values = columns["media_values"].extend
+    add_route_present = columns["route_present"].append
+    add_route_prefix = columns["route_prefix"].append
+    add_route_relationship = columns["route_relationship"].append
+    add_route_rank = columns["route_rank"].append
+    add_route_prepended = columns["route_prepended"].append
+    add_aspath_len = columns["route_aspath_lens"].append
+    add_aspath_values = columns["route_aspath_values"].extend
+    add_txn_len = columns["txn_lens"].append
+    add_first_byte_time = columns["txn_first_byte_time"].append
+    add_ack_time = columns["txn_ack_time"].append
+    add_response_bytes = columns["txn_response_bytes"].append
+    add_last_packet_bytes = columns["txn_last_packet_bytes"].append
+    add_cwnd = columns["txn_cwnd"].append
+    add_inflight = columns["txn_inflight"].append
+    add_coalesced = columns["txn_coalesced"].append
+    add_lbwt_present = columns["txn_lbwt_present"].append
+    add_lbwt = columns["txn_lbwt_values"].append
+    for seq, sample in rows:
+        add_seq(seq)
+        add_session_id(sample.session_id)
+        add_start_time(sample.start_time)
+        add_end_time(sample.end_time)
+        add_http_version(sample.http_version.value)
+        add_min_rtt(sample.min_rtt_seconds)
+        add_bytes_sent(sample.bytes_sent)
+        add_busy_time(sample.busy_time_seconds)
+        add_pop(sample.pop)
+        add_country(sample.client_country)
+        add_continent(sample.client_continent)
+        add_hosting(sample.client_ip_is_hosting)
+        add_geo_tag(sample.geo_tag)
+        media = sample.media_response_sizes
+        add_media_len(len(media))
+        add_media_values(media)
+        route = sample.route
+        add_route_present(route is not None)
+        if route is not None:
+            add_route_prefix(route.prefix)
+            add_route_relationship(route.relationship.value)
+            add_route_rank(route.preference_rank)
+            add_route_prepended(route.prepended)
+            add_aspath_len(len(route.as_path))
+            add_aspath_values(route.as_path)
+        transactions = sample.transactions
+        add_txn_len(len(transactions))
+        for txn in transactions:
+            add_first_byte_time(txn.first_byte_time)
+            add_ack_time(txn.ack_time)
+            add_response_bytes(txn.response_bytes)
+            add_last_packet_bytes(txn.last_packet_bytes)
+            add_cwnd(txn.cwnd_bytes_at_first_byte)
+            add_inflight(txn.bytes_in_flight_at_start)
+            add_coalesced(txn.coalesced_count)
+            lbwt = txn.last_byte_write_time
+            add_lbwt_present(lbwt is not None)
+            if lbwt is not None:
+                add_lbwt(lbwt)
+    return columns
+
+
+def layout_frame(encoded: Sequence[bytes]) -> bytes:
+    """One partition's inflated frame from its encoded columns (given in
+    :data:`COLUMNS` order).
+
+    The variable-width columns come first, in :data:`COLUMNS` order. The
+    fixed-width (``f64`` / ``i64``) columns follow as one region, also in
+    :data:`COLUMNS` order, written as 8 byte planes: byte 0 of every value,
+    then byte 1, and so on to byte 7. Neighbouring values of a column
+    share their high bytes (exponents, the zero top bytes of small
+    integers), so the planes hold long runs that deflate cheaply.
+    """
+    region = b"".join([encoded[index] for index in _REGION])
+    return b"".join(
+        [encoded[index] for index in _HEAD] + [region[k::8] for k in range(8)]
+    )
+
+
+def split_frame(raw: bytes, lengths: Sequence[int]) -> list:
+    """Inverse of :func:`layout_frame`: each column's encoded bytes, in
+    :data:`COLUMNS` order, from a frame of exactly ``sum(lengths)`` bytes.
+
+    A fixed-width column whose length is not a multiple of 8 raises
+    :class:`ColumnDecodeError` naming it. The plane region is interleaved
+    back once, into one buffer its columns are views of; the head's
+    columns are sliced from ``raw`` directly.
+    """
+    for index in _REGION:
+        if lengths[index] % 8:
+            raise ColumnDecodeError(
+                COLUMNS[index][0],
+                f"unpack requires a multiple of 8 bytes; {lengths[index]} given",
+            )
+    columns: list = [b""] * len(COLUMNS)
+    end = 0
+    for index in _HEAD:
+        start, end = end, end + lengths[index]
+        columns[index] = raw[start:end]
+    planes = memoryview(raw)[end:]
+    width = len(planes) // 8
+    region = bytearray(len(planes))
+    for k in range(8):
+        region[k::8] = planes[k * width : (k + 1) * width]
+    view = memoryview(region)
+    end = 0
+    for index in _REGION:
+        start, end = end, end + lengths[index]
+        columns[index] = view[start:end]
+    return columns
+
+
 def encode_rows(
     rows: List[Tuple[int, SessionSample]], compress: bool = True
 ) -> Tuple[bytes, dict]:
     """Shred ``(seq, sample)`` rows into one partition frame.
 
-    Returns the frame's on-disk bytes — every column encoded, concatenated
-    in :data:`COLUMNS` order and deflated once when that shrinks them —
-    and what the partition descriptor records about it: ``codec``,
-    ``crc32`` (of the on-disk bytes) and each column's encoded ``lengths``.
+    Returns the frame's on-disk bytes — every column encoded, laid out by
+    :func:`layout_frame` and deflated once when that shrinks them — and
+    what the partition descriptor records about it: ``codec``, ``crc32``
+    (of the on-disk bytes) and each column's encoded ``lengths``, in
+    :data:`COLUMNS` order.
     """
-    columns: Dict[str, list] = {name: [] for name, _ in COLUMNS}
-    for seq, sample in rows:
-        columns["seq"].append(seq)
-        columns["session_id"].append(sample.session_id)
-        columns["start_time"].append(sample.start_time)
-        columns["end_time"].append(sample.end_time)
-        columns["http_version"].append(sample.http_version.value)
-        columns["min_rtt_seconds"].append(sample.min_rtt_seconds)
-        columns["bytes_sent"].append(sample.bytes_sent)
-        columns["busy_time_seconds"].append(sample.busy_time_seconds)
-        columns["pop"].append(sample.pop)
-        columns["client_country"].append(sample.client_country)
-        columns["client_continent"].append(sample.client_continent)
-        columns["client_ip_is_hosting"].append(sample.client_ip_is_hosting)
-        columns["geo_tag"].append(sample.geo_tag)
-        columns["media_lens"].append(len(sample.media_response_sizes))
-        columns["media_values"].extend(sample.media_response_sizes)
-        route = sample.route
-        columns["route_present"].append(route is not None)
-        if route is not None:
-            columns["route_prefix"].append(route.prefix)
-            columns["route_relationship"].append(route.relationship.value)
-            columns["route_rank"].append(route.preference_rank)
-            columns["route_prepended"].append(route.prepended)
-            columns["route_aspath_lens"].append(len(route.as_path))
-            columns["route_aspath_values"].extend(route.as_path)
-        columns["txn_lens"].append(len(sample.transactions))
-        for txn in sample.transactions:
-            columns["txn_first_byte_time"].append(txn.first_byte_time)
-            columns["txn_ack_time"].append(txn.ack_time)
-            columns["txn_response_bytes"].append(txn.response_bytes)
-            columns["txn_last_packet_bytes"].append(txn.last_packet_bytes)
-            columns["txn_cwnd"].append(txn.cwnd_bytes_at_first_byte)
-            columns["txn_inflight"].append(txn.bytes_in_flight_at_start)
-            columns["txn_coalesced"].append(txn.coalesced_count)
-            present = txn.last_byte_write_time is not None
-            columns["txn_lbwt_present"].append(present)
-            if present:
-                columns["txn_lbwt_values"].append(txn.last_byte_write_time)
-
+    columns = shred_rows(rows)
     encoded = [_ENCODERS[encoding](columns[name]) for name, encoding in COLUMNS]
-    data, codec = compress_block(b"".join(encoded), compress)
+    data, codec = compress_block(layout_frame(encoded), compress)
     return data, {
         "codec": codec,
         "crc32": block_checksum(data),
@@ -312,14 +421,17 @@ def decode_columns(payload: bytes, frame: dict) -> Dict[str, list]:
     The first phase of :func:`decode_rows`, exposed on its own for the
     batch engine's column fast path
     (:meth:`repro.store.TraceStoreReader.decode_partition_columns`): the
-    frame is inflated — never past the summed ``lengths`` — and sliced by
-    them, and each slice decoded with per-column error attribution
-    (:class:`ColumnDecodeError`), but no row objects are assembled. A
-    frame that does not inflate to exactly the summed lengths raises a
-    :class:`ColumnDecodeError` naming no column. The columns that come
-    back agree in length (one entry per row, per unit of a length column,
-    or per set bit of a presence bitmap); the first that does not raises
-    :class:`ColumnDecodeError` naming it.
+    frame is inflated — never past the summed ``lengths`` — and split
+    into its columns (:func:`split_frame`), and each column decoded with
+    per-column error attribution (:class:`ColumnDecodeError`), but no row
+    objects are assembled. A frame that does not inflate to exactly the
+    summed lengths raises a :class:`ColumnDecodeError` naming no column;
+    a fixed-width column whose length is not a multiple of 8 raises one
+    naming that column. The columns that come back agree in length (one
+    entry per row, per unit of a length column, or per set bit of a
+    presence bitmap); the first that does not raises
+    :class:`ColumnDecodeError` naming it, as does an ``http_version``
+    that names no :class:`HttpVersion`.
     """
     lengths = frame["lengths"]
     try:
@@ -327,11 +439,9 @@ def decode_columns(payload: bytes, frame: dict) -> Dict[str, list]:
     except (zlib.error, ValueError) as error:
         raise ColumnDecodeError(None, str(error)) from error
     decoded: Dict[str, list] = {}
-    end = 0
-    for (name, encoding), length in zip(COLUMNS, lengths):
-        start, end = end, end + length
+    for (name, encoding), column in zip(COLUMNS, split_frame(raw, lengths)):
         try:
-            decoded[name] = _DECODERS[encoding](raw[start:end])
+            decoded[name] = _DECODERS[encoding](column)
         except (struct.error, ValueError) as error:
             # Attribute the failure to the column; the reader adds the
             # partition and its byte range, which only it knows.
@@ -348,6 +458,14 @@ def decode_columns(payload: bytes, frame: dict) -> Dict[str, list]:
             raise ColumnDecodeError(
                 name, f"{len(decoded[name])} entries; expected {expected} ({rule})"
             )
+    # The row assembler maps each HTTP version to its enum member, the
+    # column assembler only compares it with one: refuse an unknown value
+    # here, so both fail alike.
+    unknown = set(decoded["http_version"]).difference(_HTTP_BY_VALUE)
+    if unknown:
+        raise ColumnDecodeError(
+            "http_version", f"unknown HTTP version {min(unknown)!r}"
+        )
     return decoded
 
 

@@ -27,13 +27,15 @@ last) with one serialiser, :func:`dump_manifest`, beside its one parser,
 it); ``python -m json.tool manifest.json`` renders it
 for reading; an indented manifest loads unchanged.
 
-Integrity: each partition is one frame — its encoded columns
-concatenated and deflated once — and its descriptor records the frame's
-``codec``, a CRC32 of its on-disk bytes and each column's encoded
-``lengths`` (all from :func:`repro.store.schema.encode_rows`); the reader
-verifies the CRC before decoding. Format version 3 is the only one read
-or written: :func:`parse_manifest` refuses any other, and a descriptor
-without a checksum is damage (:func:`repro.store.reader.checksum_mismatch`).
+Integrity: each partition is one frame — its variable-width columns, then
+its fixed-width columns as 8 byte planes
+(:func:`repro.store.schema.layout_frame`), deflated once at level 1 — and
+its descriptor records the frame's ``codec``, a CRC32 of its on-disk
+bytes and each column's encoded ``lengths`` (all from
+:func:`repro.store.schema.encode_rows`); the reader verifies the CRC
+before decoding. Format version 4 is the only one read or written:
+:func:`parse_manifest` refuses any other, and a descriptor without a
+checksum is damage (:func:`repro.store.reader.checksum_mismatch`).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.aggregation import window_index
 from repro.core.records import SessionSample
-from repro.fsutil import atomic_write_bytes
+from repro.fsutil import atomic_write_bytes, reap_dead_temp_files
 from repro.store.errors import (
     CorruptManifestError,
     StoreError,
@@ -73,9 +75,9 @@ __all__ = [
 ]
 
 STORE_FORMAT = "repro-store"
-#: One checksummed frame per partition; the one version this build writes
-#: and the one it reads.
-STORE_FORMAT_VERSION = 3
+#: One checksummed frame per partition, its fixed-width columns byte-planed;
+#: the one version this build writes and the one it reads.
+STORE_FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 DATA_NAME = "data.bin"
 
@@ -451,7 +453,8 @@ class StoreAppender:
     that rename returns. A crash or error mid-append leaves the previous
     manifest pointing at the previous byte range — the trailing
     unreferenced bytes are invisible to readers and are truncated away by
-    the next successful append. A data file *shorter* than the manifest
+    the next successful append, which also removes any temp file a dead
+    writer left in the store (:func:`repro.fsutil.reap_dead_temp_files`). A data file *shorter* than the manifest
     says is damage, not a torn tail: the append is refused with a
     :class:`TruncatedPartitionError` before anything is written.
 
@@ -505,6 +508,7 @@ class StoreAppender:
         if identity != self._identity:
             self._load()
             self._identity = identity
+        reap_dead_temp_files(self.path)
 
         first_seq = self._head["row_count"]
         buckets: Buckets = {}

@@ -31,6 +31,7 @@ from repro.dist.client import parse_addr
 from repro.pipeline import ParallelOptions, StudyDataset, parallel, read_samples
 from repro.pipeline.io import write_samples
 from repro.store import write_store
+from repro.store.schema import COLUMNS
 
 
 @pytest.fixture
@@ -328,3 +329,49 @@ def row_oracle(source, **dataset_kwargs):
     if isinstance(source, (str, pathlib.Path)):
         source = read_samples(source, metrics=dataset.metrics)
     return dataset.ingest(source)
+
+
+def shred_oracle(rows) -> dict:
+    """The reference shred of ``(seq, sample)`` rows into the store
+    schema's flat column lists: one ``columns[name].append`` per field per
+    row. :func:`repro.store.schema.shred_rows` must agree with it."""
+    columns = {name: [] for name, _ in COLUMNS}
+    for seq, sample in rows:
+        columns["seq"].append(seq)
+        columns["session_id"].append(sample.session_id)
+        columns["start_time"].append(sample.start_time)
+        columns["end_time"].append(sample.end_time)
+        columns["http_version"].append(sample.http_version.value)
+        columns["min_rtt_seconds"].append(sample.min_rtt_seconds)
+        columns["bytes_sent"].append(sample.bytes_sent)
+        columns["busy_time_seconds"].append(sample.busy_time_seconds)
+        columns["pop"].append(sample.pop)
+        columns["client_country"].append(sample.client_country)
+        columns["client_continent"].append(sample.client_continent)
+        columns["client_ip_is_hosting"].append(sample.client_ip_is_hosting)
+        columns["geo_tag"].append(sample.geo_tag)
+        columns["media_lens"].append(len(sample.media_response_sizes))
+        columns["media_values"].extend(sample.media_response_sizes)
+        route = sample.route
+        columns["route_present"].append(route is not None)
+        if route is not None:
+            columns["route_prefix"].append(route.prefix)
+            columns["route_relationship"].append(route.relationship.value)
+            columns["route_rank"].append(route.preference_rank)
+            columns["route_prepended"].append(route.prepended)
+            columns["route_aspath_lens"].append(len(route.as_path))
+            columns["route_aspath_values"].extend(route.as_path)
+        columns["txn_lens"].append(len(sample.transactions))
+        for txn in sample.transactions:
+            columns["txn_first_byte_time"].append(txn.first_byte_time)
+            columns["txn_ack_time"].append(txn.ack_time)
+            columns["txn_response_bytes"].append(txn.response_bytes)
+            columns["txn_last_packet_bytes"].append(txn.last_packet_bytes)
+            columns["txn_cwnd"].append(txn.cwnd_bytes_at_first_byte)
+            columns["txn_inflight"].append(txn.bytes_in_flight_at_start)
+            columns["txn_coalesced"].append(txn.coalesced_count)
+            present = txn.last_byte_write_time is not None
+            columns["txn_lbwt_present"].append(present)
+            if present:
+                columns["txn_lbwt_values"].append(txn.last_byte_write_time)
+    return columns

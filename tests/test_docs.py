@@ -105,6 +105,19 @@ class TestReadme:
         assert [line for line in sharded if ".store" not in line] == []
 
 
+class TestStoreFormatVersion:
+    @pytest.mark.parametrize("name", ["README.md", "DESIGN.md"])
+    def test_every_store_format_named_is_the_current_one(self, name):
+        """Prose that names "store format vN" describes the format this
+        build reads and writes; a version bump updates it."""
+        from repro.store import STORE_FORMAT_VERSION
+
+        text = " ".join(read(name).split())
+        named = re.findall(r"store format v(\d+)", text)
+        assert named, f"{name} names no store format version"
+        assert set(named) == {str(STORE_FORMAT_VERSION)}
+
+
 class TestExamplesReadme:
     def test_listed_scripts_exist_and_vice_versa(self):
         examples_readme = read("examples/README.md")

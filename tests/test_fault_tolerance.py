@@ -239,10 +239,10 @@ def _replace_column(column, make):
         values = decode_columns(payload, partition)[column]
         assert len(values) > 1
         index = [name for name, _ in schema.COLUMNS].index(column)
-        start = sum(lengths[:index])
-        replacement = make(list(values))
-        frame = raw[:start] + replacement + raw[start + lengths[index] :]
-        lengths[index] = len(replacement)
+        columns = schema.split_frame(raw, lengths)
+        columns[index] = make(list(values))
+        frame = schema.layout_frame(columns)
+        lengths[index] = len(columns[index])
         with open(store_path / "data.bin", "ab") as handle:
             handle.write(frame)
 
@@ -295,6 +295,11 @@ DAMAGE_KINDS = {
     "short-lbwt-values": _short_child("txn_lbwt_values"),
     "short-route-rank": _short_child("route_rank"),
     "dangling-pop-index": _dangling_dict_index("pop"),
+    # Decodes and agrees in length, but names no HTTP version: the row
+    # assembler used to fail on it while the column assembler read it.
+    "unknown-http-version": _replace_column(
+        "http_version", lambda values: encode_string_dict(["HTTP/9"] * len(values))
+    ),
 }
 
 
@@ -495,7 +500,7 @@ def holed_store(store_path, request):
     visible."""
     manifest_path = store_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["version"] == 3
+    assert manifest["version"] == 4
     partition = manifest["partitions"][0]
     del partition["crc32"]
     manifest_path.write_text(json.dumps(manifest))
@@ -566,12 +571,13 @@ class TestMissingChecksumIsDamage:
         assert audited["verify"]["ok"] is False
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 class TestOlderVersionsAreRefused:
-    """No writer has emitted version 1 since checksums arrived, nor
-    version 2 (a block descriptor per column) since partitions became one
-    frame; a manifest that claims either is refused, typed, before any
-    data byte moves."""
+    """No writer has emitted version 1 since checksums arrived, version 2
+    (a block descriptor per column) since partitions became one frame, nor
+    version 3 (a frame's columns in schema order, unplaned) since its
+    fixed-width columns became byte planes; a manifest that claims any of
+    them is refused, typed, before any data byte moves."""
 
     @staticmethod
     def _as_version(store_path, version):
@@ -587,7 +593,7 @@ class TestOlderVersionsAreRefused:
         from repro.store import load_manifest
 
         self._as_version(store_path, version)
-        refused = f"unsupported store version {version} \\(supported: 3\\)"
+        refused = f"unsupported store version {version} \\(supported: 4\\)"
         with pytest.raises(StoreError, match=refused):
             load_manifest(store_path)
         with pytest.raises(StoreError, match=refused):

@@ -1,16 +1,19 @@
 """Fuzz of the partition frame decoder (DESIGN.md §9).
 
-A partition is one frame on disk — its columns concatenated, deflated
-once — described by its manifest descriptor's ``codec``, ``crc32``,
-``lengths`` and ``rows``. Hypothesis damages one partition of a small
-clean store at a time, in one of three ways:
+A partition is one frame on disk — its variable-width columns, then its
+fixed-width ones as byte planes, deflated once — described by its
+manifest descriptor's ``codec``, ``crc32``, ``lengths`` and ``rows``.
+Hypothesis damages one partition of a small clean store at a time, in
+one of three ways:
 
 - the frame's bytes, CRC left as written (a flipped, inserted, deleted or
   truncated byte on disk) — every change must be caught by the CRC and
   named by partition and byte range;
 - the frame's bytes with the CRC recomputed, either on disk or inside the
   inflated columns (re-framed raw), so the damage passes the checksum and
-  reaches the inflater and the column decoders;
+  reaches the inflater and the column decoders — ``plane-region`` damages
+  only the byte-planed fixed-width columns, and a byte it inserts or
+  deletes is charged to one of them, which must then be named;
 - one descriptor field (``codec``, ``crc32``, ``lengths``, ``rows``).
 
 Whatever the damage, a row scan and a column scan either both work or
@@ -46,7 +49,22 @@ from tests.helpers import make_trace_samples
 
 pytestmark = [pytest.mark.faults, pytest.mark.store]
 
-KINDS = ("on-disk", "reframed", "column-bytes", "codec", "crc32", "lengths", "rows")
+KINDS = (
+    "on-disk",
+    "reframed",
+    "column-bytes",
+    "plane-region",
+    "codec",
+    "crc32",
+    "lengths",
+    "rows",
+)
+#: Indexes of the fixed-width columns, which a frame stores as byte planes.
+FIXED = tuple(
+    index
+    for index, (_, encoding) in enumerate(schema.COLUMNS)
+    if encoding in ("f64", "i64")
+)
 #: Seconds one case may take; a clean scan of the fixture takes ~20 ms.
 CASE_SECONDS = 5.0
 
@@ -77,8 +95,37 @@ def _mutate_bytes(draw, data: bytes) -> bytes:
     return data[:at] + bytes((data[at] ^ (value or 0xFF),)) + data[at + 1 :]
 
 
+def _damage_planes(draw, partition, frame):
+    """Mutate the plane region of ``partition``'s inflated frame, re-framed
+    raw with its CRC recomputed. A byte inserted or deleted is charged to
+    one fixed-width column's length, which is returned; flips return None."""
+    lengths = partition["lengths"]
+    raw = decompress_block(frame, partition["codec"], sum(lengths))
+    region_start = len(raw) - sum(lengths[index] for index in FIXED)
+    at = draw(st.integers(region_start, len(raw) - 1))
+    change = draw(st.sampled_from(("flip", "insert", "delete")))
+    misaligned = None
+    if change == "flip":
+        raw = raw[:at] + bytes((raw[at] ^ draw(st.integers(1, 255)),)) + raw[at + 1 :]
+    else:
+        candidates = [index for index in FIXED if change == "insert" or lengths[index]]
+        index = draw(st.sampled_from(candidates))
+        if change == "insert":
+            raw = raw[:at] + bytes((draw(st.integers(0, 255)),)) + raw[at:]
+            lengths[index] += 1
+        else:
+            raw = raw[:at] + raw[at + 1 :]
+            lengths[index] -= 1
+        misaligned = schema.COLUMNS[index][0]
+    partition.update(codec="raw", crc32=block_checksum(raw))
+    return raw, misaligned
+
+
 def _damage(draw, kind, partition, frame):
-    """Damage ``partition`` (in place) and return its new frame bytes."""
+    """Damage ``partition`` (in place) and return its new frame bytes and
+    the fixed-width column the damage left misaligned, if any."""
+    if kind == "plane-region":
+        return _damage_planes(draw, partition, frame)
     if kind in ("on-disk", "reframed"):
         frame = _mutate_bytes(draw, frame)
         if kind == "reframed":
@@ -113,7 +160,7 @@ def _damage(draw, kind, partition, frame):
             }[kind]
         )
         partition[kind] = value
-    return frame
+    return frame, None
 
 
 def _typed(call):
@@ -134,7 +181,7 @@ def test_only_typed_errors_escape(stores, data):
     kind = data.draw(st.sampled_from(KINDS), label="kind")
     partition = manifest["partitions"][index]
     frame = clean_data[partition["offset"] : partition["offset"] + partition["length"]]
-    damaged = _damage(data.draw, kind, partition, frame)
+    damaged, misaligned = _damage(data.draw, kind, partition, frame)
     payload = clean_data
     if damaged != frame:
         # The damaged frame goes behind the clean data, where the
@@ -165,6 +212,15 @@ def test_only_typed_errors_escape(stores, data):
         assert (row_error.partition_id, row_error.column) == (partition["id"], None)
         assert (row_error.offset, row_error.length) == (len(clean_data), len(damaged))
         assert "crc32 mismatch" in row_error.detail
+    if misaligned is not None:
+        # One fixed-width column is no longer whole 8-byte values: the
+        # plane region cannot be interleaved, and that column is named.
+        assert isinstance(row_error, CorruptBlockError)
+        assert (row_error.partition_id, row_error.column) == (
+            partition["id"],
+            misaligned,
+        )
+        assert "multiple of 8" in row_error.detail
 
 
 def _publish_frame(store, manifest, clean_data, partition, frame):
@@ -189,10 +245,10 @@ def test_overlong_varints_cost_linear_time(stores, tmp_path):
     frame = clean_data[partition["offset"] : partition["offset"] + partition["length"]]
     raw = decompress_block(frame, partition["codec"], sum(lengths))
     index = [name for name, _ in schema.COLUMNS].index("txn_lens")
-    at = sum(lengths[:index])
-    column = b"\xff" * (1 << 20) + b"\x01"
-    raw = raw[:at] + column + raw[at + lengths[index] :]
-    lengths[index] = len(column)
+    columns = schema.split_frame(raw, lengths)
+    columns[index] = b"\xff" * (1 << 20) + b"\x01"
+    raw = schema.layout_frame(columns)
+    lengths[index] = len(columns[index])
     partition["codec"] = "zlib"
     frame = zlib.compress(raw)
     _publish_frame(tmp_path / "long.store", manifest, clean_data, partition, frame)

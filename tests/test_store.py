@@ -4,6 +4,9 @@ import json
 import multiprocessing
 import os
 import pathlib
+import struct
+import subprocess
+import sys
 import zlib
 from itertools import islice
 
@@ -13,6 +16,13 @@ from hypothesis import strategies as st
 
 import repro.store.reader as store_reader
 from repro.core.aggregation import window_index
+from repro.core.records import (
+    HttpVersion,
+    Relationship,
+    RouteInfo,
+    SessionSample,
+    TransactionRecord,
+)
 from repro.kernels.columns import ColumnBatch
 from repro.kernels.engine import iter_batches
 from repro.obs import MetricsRegistry
@@ -51,12 +61,123 @@ from repro.store.encoding import (
     encode_string_dict,
     encode_varints,
 )
-from repro.store.schema import COLUMNS, decode_rows, encode_rows
+from repro.store.errors import ColumnDecodeError
+from repro.store.schema import (
+    _ENCODERS,
+    COLUMNS,
+    decode_columns,
+    decode_rows,
+    encode_rows,
+    layout_frame,
+    shred_rows,
+    split_frame,
+)
 from repro.store.writer import MANIFEST_NAME, manifest_identity
 
-from tests.helpers import make_trace_samples
+from tests.helpers import make_trace_samples, shred_oracle
 
 pytestmark = pytest.mark.store
+
+
+GOLDEN_TRACE = pathlib.Path(__file__).parent / "data" / "golden_trace.jsonl.gz"
+
+INF = float("inf")
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+SUBNORMAL = 5e-324
+
+
+def _f64_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: A signalling NaN with a payload and its sign bit set.
+NAN_PAYLOAD = _f64_from_bits(0xFFF0_0000_DEAD_BEEF)
+
+#: Any double by its bits — NaNs with payloads, ±0.0, ±inf, subnormals.
+F64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(_f64_from_bits),
+    st.integers(1, 2**52 - 1).flatmap(
+        lambda mantissa: st.sampled_from((0x7FF, 0xFFF)).map(
+            lambda top: _f64_from_bits(top << 52 | mantissa)
+        )
+    ),
+    st.sampled_from((0.0, -0.0, INF, -INF, SUBNORMAL, -SUBNORMAL, 2.225e-308)),
+)
+I64 = st.one_of(
+    st.integers(I64_MIN, I64_MAX), st.sampled_from((I64_MIN, I64_MAX, 0, -1))
+)
+
+
+def _odd_sample(floats, ints, count=2):
+    """A sample with ``count`` transactions whose f64 / i64 fields hold
+    ``floats`` / ``ints`` (cycled), built the way the decoder builds one:
+    no ``__post_init__`` checks, which would refuse a NaN start time or a
+    negative byte count. One transaction means no route."""
+
+    def f(index):
+        return floats[index % len(floats)]
+
+    def n(index):
+        return ints[index % len(ints)]
+
+    transactions = []
+    for index in range(count):
+        txn = TransactionRecord.__new__(TransactionRecord)
+        txn.__dict__.update(
+            first_byte_time=f(index),
+            ack_time=f(index + 1),
+            response_bytes=n(index),
+            last_packet_bytes=n(index + 1),
+            cwnd_bytes_at_first_byte=n(index),
+            bytes_in_flight_at_start=n(index + 1),
+            coalesced_count=index,
+            last_byte_write_time=f(index + 2) if index % 2 else None,
+        )
+        transactions.append(txn)
+    route = RouteInfo.__new__(RouteInfo)
+    route.__dict__.update(
+        prefix="198.51.100.0/24",
+        as_path=(n(0), n(1)),
+        relationship=Relationship.TRANSIT,
+        preference_rank=1,
+        prepended=True,
+    )
+    sample = SessionSample.__new__(SessionSample)
+    sample.__dict__.update(
+        session_id=n(0),
+        start_time=f(0),
+        end_time=f(1),
+        http_version=HttpVersion.HTTP_1_1,
+        min_rtt_seconds=f(2),
+        bytes_sent=n(1),
+        busy_time_seconds=f(3),
+        transactions=transactions,
+        route=None if count == 1 else route,
+        pop="ams1",
+        client_country="NL",
+        client_continent="EU",
+        client_ip_is_hosting=bool(count % 2),
+        geo_tag="",
+        media_response_sizes=tuple(ints[:count]),
+    )
+    return sample
+
+
+def _assert_bit_exact(rows, compress):
+    """``decode_columns`` returns every column of ``rows`` exactly: floats
+    compared by their bits, so NaN payloads and -0.0 count."""
+    payload, frame = encode_rows(rows, compress=compress)
+    decoded = decode_columns(payload, frame)
+    expected = shred_rows(rows)
+    for name, encoding in COLUMNS:
+        if encoding == "f64":
+            n = len(expected[name])
+            assert len(decoded[name]) == n, name
+            assert struct.pack(f"<{n}d", *decoded[name]) == struct.pack(
+                f"<{n}d", *expected[name]
+            ), name
+        else:
+            assert list(decoded[name]) == expected[name], name
 
 
 # --------------------------------------------------------------------- #
@@ -185,6 +306,63 @@ class TestSchema:
     def test_empty_rows(self):
         payload, frame = encode_rows([])
         assert decode_rows(payload, frame) == []
+
+    def test_shred_matches_the_oracle_on_the_golden_trace(self):
+        rows = list(enumerate(read_samples(GOLDEN_TRACE)))
+        assert shred_rows(rows) == shred_oracle(rows)
+
+    def test_fixed_width_columns_are_byte_planes_after_the_head(self):
+        """The variable-width columns in schema order, then every f64 /
+        i64 column's bytes in schema order as one region, written plane
+        by plane; :func:`split_frame` undoes it."""
+        rows = list(enumerate(make_trace_samples(40, seed=6)))
+        payload, frame = encode_rows(rows, compress=False)
+        columns = shred_rows(rows)
+        encoded = [_ENCODERS[kind](columns[name]) for name, kind in COLUMNS]
+        fixed = [kind in ("f64", "i64") for _, kind in COLUMNS]
+        head = b"".join(c for c, f in zip(encoded, fixed) if not f)
+        region = b"".join(c for c, f in zip(encoded, fixed) if f)
+        assert len(region) % 8 == 0
+        planes = b"".join(region[k::8] for k in range(8))
+        assert payload == layout_frame(encoded) == head + planes
+        assert frame["lengths"] == [len(column) for column in encoded]
+        assert [bytes(c) for c in split_frame(payload, frame["lengths"])] == encoded
+
+    def test_misaligned_fixed_column_is_named(self):
+        rows = list(enumerate(make_trace_samples(10, seed=7)))
+        payload, frame = encode_rows(rows, compress=False)
+        lengths = frame["lengths"]
+        names = [name for name, _ in COLUMNS]
+        lengths[names.index("bytes_sent")] -= 3
+        lengths[names.index("txn_cwnd")] += 3
+        with pytest.raises(ColumnDecodeError) as excinfo:
+            decode_columns(payload, frame)
+        assert excinfo.value.column == "bytes_sent"
+        assert "multiple of 8" in excinfo.value.detail
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_zero_and_one_row_partitions_are_bit_exact(self, compress):
+        odd = _odd_sample(
+            (-0.0, NAN_PAYLOAD, INF, -INF, SUBNORMAL), (I64_MIN, I64_MAX)
+        )
+        _assert_bit_exact([], compress)
+        _assert_bit_exact([(7, odd)], compress)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=st.lists(
+            st.builds(
+                _odd_sample,
+                st.lists(F64, min_size=5, max_size=5),
+                st.lists(I64, min_size=2, max_size=2),
+                st.integers(0, 3),
+            ),
+            max_size=6,
+        ),
+        compress=st.booleans(),
+    )
+    def test_plane_region_round_trip_is_bit_exact(self, samples, compress):
+        _assert_bit_exact(list(enumerate(samples)), compress)
 
 
 # --------------------------------------------------------------------- #
@@ -607,7 +785,7 @@ class TestManifestSize:
     indexes the data, it does not rival it. Under the block-per-column
     layout (store version 2) the golden trace streamed window by window
     had a manifest 51% the size of its data (92% on ``stream_ingest``'s
-    smaller partitions); one frame per partition brings it to ~9%."""
+    smaller partitions); one frame per partition brings it to ~10%."""
 
     #: The most manifest a store may carry per byte of data.
     BOUND = 0.2
@@ -639,6 +817,13 @@ class TestManifestSize:
         manifest_bytes = (store / MANIFEST_NAME).stat().st_size
         data_bytes = (store / manifest["data_file"]).stat().st_size
         assert manifest_bytes < self.BOUND * data_bytes
+
+
+def _reaped_pid() -> int:
+    """The pid of a child process that has exited and been waited for."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 class TestAtomicity:
@@ -688,6 +873,27 @@ class TestAtomicity:
         store = tmp_path / "t.store"
         write_store(store, make_trace_samples(10, seed=16))
         assert not list(store.glob("*.tmp.*"))
+
+    @pytest.mark.parametrize("writer", ["append", "compact"])
+    def test_dead_writers_temp_files_are_reaped(self, tmp_path, writer):
+        """A writer killed mid-publish leaves ``<name>.tmp.<pid>``; the next
+        append or compaction removes it once that pid is provably dead,
+        and leaves a live process's temp file alone."""
+        store = tmp_path / "t.store"
+        samples = make_trace_samples(60, seed=17)
+        write_store(store, samples[:30], band_windows=1)
+        append_to_store(store, samples[30:], band_windows=1)
+        dead_pid = _reaped_pid()
+        dead = store / f"{MANIFEST_NAME}.tmp.{dead_pid}"
+        live = store / f"data-g9.bin.tmp.{os.getpid()}"
+        dead.write_bytes(b"left by a crashed writer")
+        live.write_bytes(b"still being written")
+        if writer == "append":
+            append_to_store(store, make_trace_samples(5, seed=18), band_windows=1)
+        else:
+            assert not compact_store(store, band_windows=2).skipped
+        assert not dead.exists()
+        assert live.read_bytes() == b"still being written"
 
 
 # --------------------------------------------------------------------- #
@@ -963,7 +1169,7 @@ class TestManifestParsedOncePerContent:
         TraceStoreReader(store)
         manifest_path = store / MANIFEST_NAME
         raw = manifest_path.read_bytes()
-        flipped = raw.replace(b'"version":3,', b'"version":4,', 1)
+        flipped = raw.replace(b'"version":4,', b'"version":5,', 1)
         assert flipped != raw and len(flipped) == len(raw)
         before = os.stat(manifest_path)
         identity = manifest_identity(store)
@@ -971,7 +1177,7 @@ class TestManifestParsedOncePerContent:
             handle.write(flipped)
         os.utime(manifest_path, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert manifest_identity(store) == identity
-        with pytest.raises(StoreError, match="unsupported store version 4"):
+        with pytest.raises(StoreError, match="unsupported store version 5"):
             TraceStoreReader(store)
         assert len(parses()) == 2
 
