@@ -288,12 +288,3 @@ class AggregationStore:
             raise KeyError(key)
         self._install(key, aggregation)
         self.mutation_count += 1
-
-    def merge_store(self, other: "AggregationStore") -> "AggregationStore":
-        """Key-wise merge of another store's aggregations (stream order:
-        ``other`` must hold samples later in the stream than ``self``)."""
-        if other.window_seconds != self.window_seconds:
-            raise ValueError("cannot merge stores with different windows")
-        for key, aggregation in other._store.items():
-            self.put(key, aggregation)
-        return self

@@ -53,14 +53,6 @@ PERSISTENT_WINDOW_FRACTION = 0.75
 DIURNAL_MIN_DAYS = 5
 MIN_COVERAGE_FRACTION = 0.60
 
-#: Linux's delayed-ACK timeout lower bound mentioned in §3.2.5 ("30ms+ for
-#: Linux"); the simulator uses 40 ms by default.
-DELAYED_ACK_TIMEOUT_SECONDS = 0.040
-
-#: Conventional TCP constants used by the models and the simulator.
-DEFAULT_MSS_BYTES = 1500
-DEFAULT_INITIAL_CWND_PACKETS = 10
-
 #: Number of alternate routes continuously measured per prefix (§6.2): "by
 #: default ... the two next best paths to the destination".
 DEFAULT_ALTERNATE_ROUTES = 2
@@ -68,6 +60,3 @@ DEFAULT_ALTERNATE_ROUTES = 2
 #: Fraction of sampled sessions kept on the policy-preferred path (§6.2):
 #: "approximately 47% of sampled HTTP sessions are routed via the best path".
 PREFERRED_ROUTE_SAMPLE_FRACTION = 0.47
-
-#: Share of measured traffic filtered out as hosting providers / VPNs (§2.2.4).
-HOSTING_PROVIDER_TRAFFIC_FRACTION = 0.02

@@ -77,10 +77,6 @@ class RouteInfo:
     def as_path_length(self) -> int:
         return len(self.as_path)
 
-    @property
-    def is_preferred(self) -> bool:
-        return self.preference_rank == 0
-
 
 def check_transaction(
     first_byte_time,

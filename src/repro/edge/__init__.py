@@ -3,10 +3,10 @@
 Stands in for the production serving infrastructure of §2.1: geography and
 PoPs (:mod:`repro.edge.geo`, :mod:`repro.edge.topology`), BGP route sets
 (:mod:`repro.edge.bgp`), Facebook's routing policy and alternate-route
-measurement (:mod:`repro.edge.routing`), Edge Fabric's capacity overrides
-(:mod:`repro.edge.edge_fabric`), Cartographer user→PoP steering
-(:mod:`repro.edge.cartographer`), and Proxygen session sampling
-(:mod:`repro.edge.proxygen`).
+measurement (:mod:`repro.edge.routing`), Cartographer user→PoP steering
+(:mod:`repro.edge.cartographer`), Proxygen session sampling
+(:mod:`repro.edge.proxygen`), and the §6.2.2 detour controllers
+(:mod:`repro.edge.detour`).
 """
 
 from repro.edge.bgp import BgpRoute, PathCondition, RouteGenerator
@@ -18,9 +18,7 @@ from repro.edge.detour import (
     GreedyShifter,
     simulate_control_loop,
 )
-from repro.edge.edge_fabric import EdgeFabric, InterfaceLoad
 from repro.edge.geo import Continent, Location, great_circle_km, propagation_rtt_ms
-from repro.edge.lpm import Ipv4Prefix, PrefixTrie, parse_ipv4
 from repro.edge.proxygen import LoadBalancer, SamplingDecision
 from repro.edge.routing import MeasurementRouter, RankedRoutes, rank_routes
 from repro.edge.topology import (
@@ -42,12 +40,7 @@ __all__ = [
     "simulate_control_loop",
     "Continent",
     "DEFAULT_METROS",
-    "EdgeFabric",
-    "InterfaceLoad",
-    "Ipv4Prefix",
     "LoadBalancer",
-    "PrefixTrie",
-    "parse_ipv4",
     "Location",
     "MeasurementRouter",
     "Metro",

@@ -3,91 +3,36 @@
 Facebook's Cartographer maps client networks to PoPs by controlling DNS and
 embedded URLs, using performance measurements to pick the ingress location.
 For the synthetic edge the dominant signal is geographic latency, so the
-model steers each client network to its nearest PoP by propagation RTT —
-with two paper-calibrated behaviours layered on top:
-
-- **Remote steering** — a fraction of Africa/Asia traffic is served from
-  European PoPs (the paper: 4.8% of all traffic is Asia-via-EU and 2.1%
-  Africa-via-EU), reflecting missing local capacity;
-- **Re-steering churn** — occasionally a network is temporarily remapped to
-  its second-best PoP (maintenance, load), which is one source of the
-  coverage gaps §3.4.2 has to tolerate.
+model maps each client network to its nearest PoP by propagation RTT. The
+paper's capacity overflow (a share of Africa/Asia traffic served from
+Europe) is a property of the generated trace, not of this mapping:
+``ScenarioConfig.overflow_steer_fraction`` sends that share of a network's
+sessions to its nearest out-of-continent PoP.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
-from repro.edge.geo import Continent, propagation_rtt_ms
+from repro.edge.geo import propagation_rtt_ms
 from repro.edge.topology import ClientNetwork, PoP
 
 __all__ = ["Cartographer"]
 
 
 class Cartographer:
-    """Steers client networks to serving PoPs (nearest by propagation RTT,
-    with remote-overflow and re-steering behaviours)."""
-    def __init__(
-        self,
-        pops: Sequence[PoP],
-        rng: random.Random,
-        remote_steer_probability: float = 0.07,
-        resteer_probability: float = 0.01,
-    ) -> None:
+    """Maps client networks to serving PoPs, nearest by propagation RTT."""
+
+    def __init__(self, pops: Sequence[PoP]) -> None:
         if not pops:
             raise ValueError("need at least one PoP")
         self.pops = list(pops)
-        self.rng = rng
-        self.remote_steer_probability = remote_steer_probability
-        self.resteer_probability = resteer_probability
-        self._cache: Dict[int, List[Tuple[float, PoP]]] = {}
-
-    def _ranked_pops(self, network: ClientNetwork) -> List[Tuple[float, PoP]]:
-        """PoPs sorted by propagation RTT from the network's metro."""
-        cached = self._cache.get(network.asn)
-        if cached is not None:
-            return cached
-        location = network.metro.location
-        ranked = sorted(
-            (
-                (propagation_rtt_ms(location.distance_km(pop.location)), pop)
-                for pop in self.pops
-            ),
-            key=lambda pair: pair[0],
-        )
-        self._cache[network.asn] = ranked
-        return ranked
 
     def primary_pop(self, network: ClientNetwork) -> PoP:
-        """The steady-state PoP for a client network."""
-        ranked = self._ranked_pops(network)
-        if network.continent in (Continent.AFRICA, Continent.ASIA):
-            nearest = ranked[0][1]
-            if nearest.continent is not network.continent:
-                # No same-continent PoP close enough: served remotely
-                # (typically from Europe) all the time.
-                return nearest
-        return ranked[0][1]
-
-    def steer(self, network: ClientNetwork) -> Tuple[PoP, float]:
-        """Pick the serving PoP for one session.
-
-        Returns ``(pop, base_rtt_ms)`` where ``base_rtt_ms`` is the
-        propagation RTT between the client metro and that PoP.
-        """
-        ranked = self._ranked_pops(network)
-        index = 0
-        if (
-            network.continent in (Continent.AFRICA, Continent.ASIA)
-            and self.rng.random() < self.remote_steer_probability
-        ):
-            # Overflow to the nearest out-of-continent PoP (usually EU).
-            for position, (_, pop) in enumerate(ranked):
-                if pop.continent is not network.continent:
-                    index = position
-                    break
-        elif len(ranked) > 1 and self.rng.random() < self.resteer_probability:
-            index = 1
-        rtt, pop = ranked[index]
-        return pop, rtt
+        """The steady-state PoP for a client network (the first nearest in
+        ``pops`` order; remote when its continent has no closer PoP)."""
+        location = network.metro.location
+        return min(
+            self.pops,
+            key=lambda pop: propagation_rtt_ms(location.distance_km(pop.location)),
+        )

@@ -51,15 +51,11 @@ class LoadBalancer:
         self.rng = rng
         self.sample_rate = sample_rate
         self.router = router or MeasurementRouter(rng)
-        self.sessions_seen = 0
-        self.sessions_sampled = 0
 
     def admit(self, ranked: RankedRoutes) -> SamplingDecision:
         """Decide sampling + measurement route for one arriving session."""
-        self.sessions_seen += 1
         if self.sample_rate < 1.0 and self.rng.random() >= self.sample_rate:
             return SamplingDecision(sampled=False)
-        self.sessions_sampled += 1
         route, rank = self.router.assign(ranked)
         return SamplingDecision(sampled=True, route=route, preference_rank=rank)
 
@@ -72,9 +68,3 @@ class LoadBalancer:
         sample.route = decision.route.to_route_info(decision.preference_rank)
         sample.pop = self.pop_name
         return sample
-
-    @property
-    def effective_sample_rate(self) -> float:
-        if self.sessions_seen == 0:
-            return 0.0
-        return self.sessions_sampled / self.sessions_seen

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.constants import (
     DEFAULT_ALTERNATE_ROUTES,
@@ -24,9 +24,8 @@ from repro.core.constants import (
 )
 from repro.core.records import Relationship
 from repro.edge.bgp import BgpRoute
-from repro.edge.lpm import Ipv4Prefix, PrefixTrie, parse_ipv4
 
-__all__ = ["RankedRoutes", "RoutingTable", "rank_routes", "MeasurementRouter"]
+__all__ = ["RankedRoutes", "rank_routes", "MeasurementRouter"]
 
 
 def _policy_key(route: BgpRoute) -> Tuple:
@@ -52,13 +51,6 @@ class RankedRoutes:
     def alternates(self, count: int = DEFAULT_ALTERNATE_ROUTES) -> Tuple[BgpRoute, ...]:
         return self.routes[1 : 1 + count]
 
-    @property
-    def has_alternates(self) -> bool:
-        return len(self.routes) > 1
-
-    def rank_of(self, route: BgpRoute) -> int:
-        return self.routes.index(route)
-
 
 def rank_routes(routes: Sequence[BgpRoute]) -> RankedRoutes:
     """Apply the policy tiebreak; stable for equal keys (announcement order)."""
@@ -66,58 +58,6 @@ def rank_routes(routes: Sequence[BgpRoute]) -> RankedRoutes:
         raise ValueError("cannot rank an empty route set")
     ordered = tuple(sorted(routes, key=_policy_key))
     return RankedRoutes(routes=ordered)
-
-
-class RoutingTable:
-    """A PoP's FIB: route announcements resolved per destination address.
-
-    Announcements may cover each other (a transit aggregate /16 and a
-    peer-announced more-specific /20); resolution collects every
-    announcement whose prefix contains the destination, then applies the
-    policy tiebreak — whose first rule, longest matching prefix, now does
-    real work. Built on the binary LPM trie in :mod:`repro.edge.lpm`.
-    """
-
-    def __init__(self) -> None:
-        self._trie: PrefixTrie = PrefixTrie()
-
-    def announce(self, route: BgpRoute) -> None:
-        """Add one announcement (appends to the prefix's route list)."""
-        prefix = Ipv4Prefix.parse(route.prefix)
-        if prefix.length != route.prefix_length:
-            raise ValueError(
-                f"route prefix_length {route.prefix_length} disagrees with "
-                f"{route.prefix}"
-            )
-        existing = self._trie.lookup_exact(prefix)
-        if existing is None:
-            self._trie.insert(prefix, [route])
-        else:
-            existing.append(route)
-
-    def announce_all(self, routes: Sequence[BgpRoute]) -> None:
-        for route in routes:
-            self.announce(route)
-
-    def resolve(self, address: str) -> Optional[RankedRoutes]:
-        """All usable routes for a destination IP, in policy order.
-
-        Collects the routes of *every* covering prefix (aggregates and
-        more-specifics alike): alternate-route measurement needs the
-        covering routes too, even though the most-specific one wins the
-        policy tiebreak.
-        """
-        value = parse_ipv4(address)
-        candidates: List[BgpRoute] = []
-        for _, routes in self._trie.covering(value):
-            candidates.extend(routes)
-        if not candidates:
-            return None
-        return rank_routes(candidates)
-
-    @property
-    def prefix_count(self) -> int:
-        return len(self._trie)
 
 
 class MeasurementRouter:

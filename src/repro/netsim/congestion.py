@@ -323,17 +323,6 @@ class BbrLikeControl(CongestionControl):
         self.loss_events = 0
         self.probe_rtt_entries = 0
 
-    # -- observable estimates ------------------------------------------ #
-    @property
-    def bottleneck_bw_bytes_per_sec(self) -> float:
-        """Current BtlBw estimate (0.0 before the first full round)."""
-        return self._btl_bw
-
-    @property
-    def min_rtt_estimate(self) -> Optional[float]:
-        """Current RTprop estimate."""
-        return self._min_rtt
-
     def _bdp_bytes(self) -> Optional[float]:
         if self._btl_bw <= 0.0 or not self._min_rtt:
             return None

@@ -215,7 +215,3 @@ class InstrumentedServer:
             retransmits=self.connection.state.retransmits,
             timeouts=self.connection.state.timeouts,
         )
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._pending) + len(self._queue)

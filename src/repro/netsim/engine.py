@@ -104,9 +104,6 @@ class Simulator:
         registry.inc("netsim.runs")
         registry.set_gauge("netsim.sim_time_seconds", self._now)
 
-    def run_until_idle(self) -> None:
-        self.run(until=None)
-
     @property
     def pending_events(self) -> int:
         return sum(1 for _, _, handle, _ in self._queue if not handle.cancelled)

@@ -53,10 +53,6 @@ class Packet:
     def end_seq(self) -> int:
         return self.seq + self.payload_bytes
 
-    @property
-    def is_ack(self) -> bool:
-        return self.ack_seq is not None and self.payload_bytes == 0
-
 
 @dataclass
 class LinkStats:
@@ -241,7 +237,3 @@ class Link:
             observer("deliver", packet, self.sim.now)
         assert self.receiver is not None
         self.receiver(packet)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queued

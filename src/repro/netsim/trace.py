@@ -75,20 +75,6 @@ class PacketTrace:
     def drops(self) -> int:
         return sum(1 for e in self.events if e.is_drop)
 
-    def round_trips(self) -> int:
-        """Rough count of sender round trips: bursts of data separated by
-        quiet periods longer than half the median data-send gap."""
-        sends = sorted(
-            e.time
-            for e in self.events
-            if e.direction == "data" and e.kind == "send"
-        )
-        if len(sends) < 2:
-            return min(len(sends), 1)
-        gaps = [b - a for a, b in zip(sends, sends[1:])]
-        threshold = max(sorted(gaps)[len(gaps) // 2] * 4, 1e-6)
-        return 1 + sum(1 for gap in gaps if gap > threshold)
-
     # ------------------------------------------------------------------ #
     def render(self, max_events: int = 80, mss: int = 1500) -> str:
         """Figure-4-style textual sequence diagram.

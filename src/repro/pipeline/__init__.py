@@ -23,12 +23,11 @@ from repro.pipeline.experiments import (
     fig1_session_behaviour,
     fig2_transfer_sizes,
     fig3_transaction_counts,
-    fig4_walkthrough,
     fig5_population_mix,
     fig6_global_performance,
     fig7_rtt_vs_hdratio,
 )
-from repro.pipeline.filters import FilterStats, filter_hosting_providers
+from repro.pipeline.filters import FilterStats
 from repro.pipeline.ingest import (
     DegradationAlert,
     IngestResult,
@@ -76,14 +75,12 @@ __all__ = [
     "fig1_session_behaviour",
     "fig2_transfer_sizes",
     "fig3_transaction_counts",
-    "fig4_walkthrough",
     "fig5_population_mix",
     "fig6_global_performance",
     "fig7_rtt_vs_hdratio",
     "fig8_degradation",
     "fig9_opportunity",
     "fig10_relationship_comparison",
-    "filter_hosting_providers",
     "table1_temporal_classes",
     "table2_opportunity_relationships",
 ]

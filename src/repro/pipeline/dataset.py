@@ -104,7 +104,7 @@ class StudyDataset:
 
         The cache lives exactly as long as the data it was computed from:
         every series is dropped once ``store.mutation_count`` has moved
-        (any ``add`` / ``put`` / ``merge_store`` since), so a live dataset
+        (any ``add`` / ``put`` / ``replace`` since), so a live dataset
         — ``StreamingIngestor.dataset`` between seals — answers for what it
         holds now, and a built-then-read-only one computes each series once.
         """
@@ -201,9 +201,6 @@ class StudyDataset:
     @property
     def session_count(self) -> int:
         return len(self.rows)
-
-    def rows_for_continent(self, code: str) -> List[SessionRow]:
-        return [row for row in self.rows if row.continent == code]
 
     def hd_rows(self) -> List[SessionRow]:
         """Rows whose session could test for HD goodput."""

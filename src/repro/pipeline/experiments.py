@@ -1,10 +1,12 @@
-"""Experiment drivers for the characterization figures (1–7) and ablations.
+"""Experiment drivers for the characterization figures (1–3, 5–7) and
+ablations.
 
-Each driver consumes a :class:`~repro.pipeline.dataset.StudyDataset` (or
-runs the packet simulator directly, for Figure 4) and returns a result
-object holding the same series/rows the paper's figure shows plus the
-headline statistics quoted in the text. The routing analyses (Figures 8–10,
-Tables 1–2) live in :mod:`repro.pipeline.routing_analysis`.
+Each driver consumes a :class:`~repro.pipeline.dataset.StudyDataset` and
+returns a result object holding the same series/rows the paper's figure
+shows plus the headline statistics quoted in the text. Figure 4 is a
+packet-simulator run, :func:`repro.netsim.scenarios.run_figure4_scenario`.
+The routing analyses (Figures 8–10, Tables 1–2) live in
+:mod:`repro.pipeline.routing_analysis`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "fig1_session_behaviour",
     "fig2_transfer_sizes",
     "fig3_transaction_counts",
-    "fig4_walkthrough",
     "fig5_population_mix",
     "fig6_global_performance",
     "fig7_rtt_vs_hdratio",
@@ -195,18 +196,6 @@ def fig3_transaction_counts(dataset: StudyDataset) -> Fig3Result:
 
 
 # --------------------------------------------------------------------- #
-# Figure 4 — the goodput walkthrough (packet simulator)
-# --------------------------------------------------------------------- #
-@traced("pipeline.fig4")
-def fig4_walkthrough():
-    """Run the Figure-4 scenario; see
-    :func:`repro.netsim.scenarios.run_figure4_scenario`."""
-    from repro.netsim.scenarios import run_figure4_scenario
-
-    return run_figure4_scenario()
-
-
-# --------------------------------------------------------------------- #
 # Figure 5 — client-population mixes move MinRTT_P50
 # --------------------------------------------------------------------- #
 @dataclass
@@ -373,13 +362,6 @@ class Fig7Result:
         index = MINRTT_BUCKETS.index(bounds)
         return _BUCKET_LABELS[index]
 
-    def median_hdratio(self, label: str) -> float:
-        return self.hdratio_by_bucket[label].quantile(0.5)
-
-    def majority_achieves_some_hd(self, label: str) -> bool:
-        """More than half the bucket's sessions have HDratio > 0."""
-        return self.hdratio_by_bucket[label].fraction_at_most(0.0) < 0.5
-
 
 @traced("pipeline.fig7")
 def fig7_rtt_vs_hdratio(dataset: StudyDataset) -> Fig7Result:
@@ -408,10 +390,6 @@ class AblationResult:
     model_median_hdratio: float
     naive_median_hdratio: float
     sessions: int
-
-    @property
-    def naive_underestimates(self) -> bool:
-        return self.naive_median_hdratio < self.model_median_hdratio
 
 
 @traced("pipeline.ablation_naive")

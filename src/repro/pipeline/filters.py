@@ -11,11 +11,10 @@ the filter and keeps the audit counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from repro.core.records import SessionSample
 
-__all__ = ["FilterStats", "filter_hosting_providers", "record_sample"]
+__all__ = ["FilterStats", "record_sample"]
 
 
 @dataclass
@@ -53,11 +52,3 @@ def record_sample(sample: SessionSample, stats: FilterStats) -> bool:
     stats.kept_bytes += sample.bytes_sent
     return True
 
-
-def filter_hosting_providers(
-    samples: Iterable[SessionSample], stats: FilterStats
-) -> Iterator[SessionSample]:
-    """Yield only samples from non-hosting client IPs, updating ``stats``."""
-    for sample in samples:
-        if record_sample(sample, stats):
-            yield sample

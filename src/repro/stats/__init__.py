@@ -12,22 +12,17 @@ which are implemented here from scratch:
   median and for the *difference* of two medians (McKean–Schrader standard
   errors combined in the Price & Bonett style), used to gate every
   degradation/opportunity decision.
-- :mod:`repro.stats.weighted` — weighted percentiles and empirical CDFs used
-  for traffic-weighted reporting.
+- :mod:`repro.stats.weighted` — percentiles and (weighted) empirical CDFs
+  used for traffic-weighted reporting.
 
 :mod:`repro.stats.sampling` provides the seeded random-variate machinery the
 synthetic workload generator is built on (mixtures, truncated lognormals,
 quantile-matched lognormal fitting).
 """
 
-from repro.stats.bootstrap import (
-    bootstrap_median_ci,
-    bootstrap_median_difference_ci,
-)
 from repro.stats.median_ci import (
     MedianComparison,
     compare_medians,
-    median_ci,
     median_standard_error,
 )
 from repro.stats.tdigest import TDigest
@@ -35,19 +30,14 @@ from repro.stats.weighted import (
     ecdf,
     weighted_ecdf,
     weighted_fraction_at_most,
-    weighted_percentile,
 )
 
 __all__ = [
     "MedianComparison",
     "TDigest",
-    "bootstrap_median_ci",
-    "bootstrap_median_difference_ci",
     "compare_medians",
     "ecdf",
-    "median_ci",
     "median_standard_error",
     "weighted_ecdf",
     "weighted_fraction_at_most",
-    "weighted_percentile",
 ]

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 __all__ = [
     "MedianComparison",
     "compare_medians",
-    "median_ci",
     "median_standard_error",
     "normal_quantile",
 ]
@@ -100,17 +99,6 @@ def median_standard_error(values: Sequence[float], confidence: float = 0.95) -> 
     return (upper - lower) / (2.0 * z)
 
 
-def median_ci(
-    values: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float, float]:
-    """Median and its distribution-free CI: ``(median, low, high)``."""
-    ordered = sorted(float(v) for v in values)
-    med = _median_of_sorted(ordered)
-    se = median_standard_error(ordered, confidence)
-    z = normal_quantile(0.5 + confidence / 2.0)
-    return med, med - z * se, med + z * se
-
-
 @dataclass(frozen=True)
 class MedianComparison:
     """Outcome of comparing two aggregations' medians (§3.4).
@@ -136,10 +124,6 @@ class MedianComparison:
     n_a: int
     n_b: int
 
-    @property
-    def ci_width(self) -> float:
-        return self.ci_high - self.ci_low
-
     def exceeds(self, threshold: float) -> bool:
         """True when the difference is confidently above ``threshold``.
 
@@ -148,10 +132,6 @@ class MedianComparison:
         count. Invalid comparisons never exceed.
         """
         return self.valid and self.ci_low > threshold
-
-    def below(self, threshold: float) -> bool:
-        """True when the difference is confidently below ``-threshold``."""
-        return self.valid and self.ci_high < -threshold
 
     def statistically_equal_or_greater(self, slack: float = 0.0) -> bool:
         """True when ``a`` is not confidently worse than ``b`` by > slack.

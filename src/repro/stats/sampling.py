@@ -20,15 +20,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "Distribution",
-    "Constant",
     "Uniform",
     "LogNormal",
     "Pareto",
-    "Exponential",
     "Mixture",
     "lognormal_from_quantiles",
     "normal_quantile_unit",
@@ -43,19 +41,6 @@ class Distribution:
     def sample(self, rng: random.Random) -> float:
         raise NotImplementedError
 
-    def sample_many(self, rng: random.Random, count: int) -> List[float]:
-        return [self.sample(rng) for _ in range(count)]
-
-
-@dataclass(frozen=True)
-class Constant(Distribution):
-    """Degenerate distribution — always returns ``value``."""
-
-    value: float
-
-    def sample(self, rng: random.Random) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
@@ -68,19 +53,6 @@ class Uniform(Distribution):
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
-
-
-@dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential with the given mean, optionally truncated to [low, high]."""
-
-    mean: float
-    low: float = 0.0
-    high: float = math.inf
-
-    def sample(self, rng: random.Random) -> float:
-        value = rng.expovariate(1.0 / self.mean)
-        return min(max(value + self.low, self.low), self.high)
 
 
 @dataclass(frozen=True)
@@ -126,7 +98,7 @@ class Mixture(Distribution):
     """Weighted mixture of component distributions.
 
     >>> rng = random.Random(7)
-    >>> m = Mixture([(0.5, Constant(1.0)), (0.5, Constant(2.0))])
+    >>> m = Mixture([(0.5, Uniform(1.0, 1.0)), (0.5, Uniform(2.0, 2.0))])
     >>> {m.sample(rng) for _ in range(100)} == {1.0, 2.0}
     True
     """
@@ -180,9 +152,3 @@ def lognormal_from_quantiles(
         raise ValueError("quantile points imply non-increasing CDF")
     mu = math.log(x1) - sigma * z1
     return LogNormal(mu=mu, sigma=sigma, low=low, high=high)
-
-
-def make_sampler(dist: Distribution, seed: int) -> Callable[[], float]:
-    """Bind a distribution to its own seeded RNG stream."""
-    rng = random.Random(seed)
-    return lambda: dist.sample(rng)

@@ -1,10 +1,10 @@
-"""Weighted percentiles and empirical CDFs.
+"""Percentiles and (weighted) empirical CDFs.
 
 The paper reports every distribution weighted by traffic volume (§3.3):
 "prefixes are arbitrary units of address space whose size may not map to the
 underlying userbase size", so user groups are weighted by the bytes their
-sessions carried. These helpers implement the weighted ECDF/percentile
-machinery used by the figure drivers in :mod:`repro.pipeline.experiments`.
+sessions carried. These helpers implement the weighted ECDF machinery used
+by the figure drivers in :mod:`repro.pipeline.experiments`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "percentile",
     "weighted_ecdf",
     "weighted_fraction_at_most",
-    "weighted_percentile",
 ]
 
 
@@ -41,35 +40,6 @@ def _percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     frac = rank - low
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-
-def weighted_percentile(
-    values: Sequence[float], weights: Sequence[float], q: float
-) -> float:
-    """Weighted percentile (q in [0, 100]) by cumulative weight.
-
-    The returned value is the smallest observation whose cumulative weight
-    share reaches ``q`` percent — the inverse of the weighted ECDF. This is
-    the "fraction of traffic" interpretation used throughout the paper's
-    figures.
-    """
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have equal length")
-    if not values:
-        raise ValueError("cannot take the percentile of an empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    pairs = sorted(zip((float(v) for v in values), (float(w) for w in weights)))
-    total = sum(weight for _, weight in pairs)
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    target = (q / 100.0) * total
-    cumulative = 0.0
-    for value, weight in pairs:
-        cumulative += weight
-        if cumulative >= target:
-            return value
-    return pairs[-1][0]
 
 
 def ecdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:

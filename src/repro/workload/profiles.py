@@ -102,15 +102,6 @@ class AccessProfile:
     jitter_ms: float = 0.0
     burst_loss_probability: float = 0.0
 
-    @property
-    def downlink_bytes_per_sec(self) -> float:
-        return self.downlink_mbps * 1e6 / 8.0
-
-    @property
-    def hd_capable_link(self) -> bool:
-        """Whether the raw link rate exceeds the 2.5 Mbps HD target."""
-        return self.downlink_mbps >= 2.5
-
 
 @dataclass(frozen=True)
 class ContinentProfile:

@@ -15,8 +15,9 @@ period, reproducing the structure of the paper's dataset (§2.2.4):
 - ~2% of networks are hosting providers/VPNs, to exercise the dataset
   filter (§2.2.4).
 
-Scale is configurable; :meth:`ScenarioConfig.small` is sized for tests and
-the larger presets for benchmarks.
+Scale is configurable through :class:`ScenarioConfig`;
+:meth:`ScenarioConfig.snapshot` is the single-day heavy preset of the
+distribution figures.
 """
 
 from __future__ import annotations
@@ -93,15 +94,6 @@ class ScenarioConfig:
         return self.days * WINDOWS_PER_DAY
 
     @classmethod
-    def small(cls, seed: int = 42) -> "ScenarioConfig":
-        """Test-sized: 2 days, light traffic."""
-        return cls(
-            seed=seed,
-            days=2,
-            base_sessions_per_window=40.0,
-        )
-
-    @classmethod
     def snapshot(cls, seed: int = 42) -> "ScenarioConfig":
         """Single-day heavy snapshot for distribution figures (6, 7)."""
         return cls(seed=seed, days=1, base_sessions_per_window=90.0)
@@ -127,10 +119,6 @@ class NetworkState:
     overflow_pop: Optional[PoP] = None
     overflow_rtt_ms: float = 0.0
 
-    @property
-    def group_country(self) -> str:
-        return self.network.country
-
 
 class EdgeScenario:
     """Generates the synthetic study trace."""
@@ -140,7 +128,7 @@ class EdgeScenario:
         self.rng = random.Random(config.seed)
         self.pops = default_pops()
         self.profiles = default_profiles()
-        self.cartographer = Cartographer(self.pops, random.Random(config.seed + 1))
+        self.cartographer = Cartographer(self.pops)
         self.workload = WorkloadModel(random.Random(config.seed + 2))
         self.channel = ChannelModel(random.Random(config.seed + 3))
         self.router = MeasurementRouter(random.Random(config.seed + 4))

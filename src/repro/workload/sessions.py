@@ -25,7 +25,6 @@ from typing import List
 
 from repro.core.records import HttpVersion
 from repro.stats.sampling import (
-    Constant,
     LogNormal,
     Mixture,
     Pareto,

@@ -184,19 +184,14 @@ class TestStoreMerge:
         with pytest.raises(ValueError):
             store.replace(key, _piece_for((DEFAULT_GROUP, 1, 0)))
 
-    def test_merge_store_requires_matching_window_seconds(self):
-        store = AggregationStore(window_seconds=900.0)
-        other = AggregationStore(window_seconds=60.0)
-        with pytest.raises(ValueError):
-            store.merge_store(other)
-
-    def test_merge_store_appends_new_keys_in_other_order(self):
+    def test_puts_append_new_keys_in_other_order(self):
         store = AggregationStore()
         store.add(make_sample(10.0, 40.0, route=make_route(rank=0)))
         other = AggregationStore()
         other.add(make_sample(10.0, 45.0, route=make_route(rank=1)))
         other.add(make_sample(10.0, 41.0, route=make_route(rank=0)))
-        store.merge_store(other)
+        for key, piece in other.items():
+            store.put(key, piece)
         assert [rank for (_, rank, _), _ in store.items()] == [0, 1]
         assert store.get(DEFAULT_GROUP, 0, 0).min_rtts_ms == [40.0, 41.0]
         assert store.get(DEFAULT_GROUP, 1, 0).min_rtts_ms == [45.0]
@@ -213,7 +208,8 @@ class TestStoreMerge:
         ((key, piece), _) = other.items()
         store.put(key, piece)  # a merge into an existing key counts too
         assert store.mutation_count == 3
-        store.merge_store(other)  # one put per key of ``other``
+        for key, piece in other.items():  # one mutation per key of ``other``
+            store.put(key, piece)
         assert store.mutation_count == 5
         assert len(store) == 2
 
@@ -238,7 +234,7 @@ _operations = st.one_of(
     st.tuples(st.just("add"), _keys),
     st.tuples(st.just("put"), _keys),
     st.tuples(st.just("replace"), _keys),
-    st.tuples(st.just("merge_store"), st.lists(_keys, max_size=6)),
+    st.tuples(st.just("put_all"), st.lists(_keys, max_size=6)),
 )
 
 
@@ -287,10 +283,12 @@ def _apply(store, operation):
         assert [key for key, _ in store.items()] == keys
         assert store.get(*argument) is piece
         return 1
+    # put_all: every key of a second store, in that store's order.
     other = AggregationStore()
     for key in argument:
         other.add(_sample_for(key), hdratio=0.5)
-    store.merge_store(other)
+    for key, piece in other.items():
+        store.put(key, piece)
     return len(other)
 
 

@@ -21,7 +21,7 @@ class TestRouteInfo:
             preference_rank=1,
         )
         assert route.as_path_length == 2
-        assert not route.is_preferred
+        assert route.preference_rank != 0
 
     def test_preferred_rank_zero(self):
         route = RouteInfo(
@@ -29,7 +29,7 @@ class TestRouteInfo:
             as_path=(64500,),
             relationship=Relationship.PRIVATE,
         )
-        assert route.is_preferred
+        assert route.preference_rank == 0
 
     def test_frozen(self):
         route = RouteInfo("10.0.0.0/20", (64500,), Relationship.PRIVATE)

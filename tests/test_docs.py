@@ -6,8 +6,14 @@ example README names must exist, and the README's module table must match
 the actual package layout.
 """
 
+import ast
+import functools
+import importlib
+import itertools
 import pathlib
 import re
+import sys
+import textwrap
 
 import pytest
 
@@ -529,3 +535,516 @@ class TestSurfaceGuards:
             if name in path.read_text(encoding="utf-8")
         ]
         assert offenders == []
+
+
+# --------------------------------------------------------------------- #
+# Reachability: src/ holds only what an entry point reaches
+# --------------------------------------------------------------------- #
+#: Definitions under ``src/repro`` that only the test suite reaches, kept on
+#: purpose: ``<path under src/repro>:<qualname>`` -> why.
+TEST_ONLY = {
+    "faultinject.py:inject": "installs a fault plan: the fault matrix's hook",
+    "faultinject.py:reset": "forgets consumed fault budgets between tests",
+    "obs/manifest.py:RunManifest.sample_accounting":
+        "read accessor the counter-equality tests compare manifests by",
+    "obs/manifest.py:RunManifest.stage_names":
+        "read accessor pinning a manifest's stage tree",
+    "obs/registry.py:MetricsRegistry.gauge": "read accessor for one gauge",
+    "obs/registry.py:MetricsRegistry.timer_stat": "read accessor for one timer",
+    "obs/registry.py:MetricsRegistry.timer":
+        "context-manager form of observe(), tested as registry API",
+    "obs/tracing.py:Tracer.open_depth": "read accessor: spans close on error",
+    "obs/tracing.py:active_tracer": "read accessor for the installed tracer",
+    "netsim/engine.py:Simulator.events_processed":
+        "event counter the engine tests assert",
+    "netsim/engine.py:Simulator.events_cancelled":
+        "tombstone counter the engine tests assert",
+    "netsim/engine.py:Simulator.pending_events":
+        "queue counter the engine tests assert",
+    "stats/tdigest.py:TDigest.total_weight":
+        "weight counter the t-digest merge tests assert",
+    "stats/tdigest.py:TDigest.centroid_count":
+        "size counter the t-digest bound test asserts",
+    "core/minrtt.py:MinRttEstimator.sample_count":
+        "sample counter the estimator tests assert",
+    "pipeline/ingest.py:StreamingIngestor.watermark":
+        "read accessor the watermark tests assert",
+}
+
+#: The console script; every other root is a module-level statement under
+#: src/ or a name bench/, benchmarks/, examples/ or tools/ uses.
+ENTRY_POINT = "cli.py:main"
+
+_UPPER_CASE = re.compile(r"_*[A-Z][A-Z0-9_]*$")
+
+
+def _uses(nodes) -> set:
+    """The names ``nodes`` read, and the attributes they access."""
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+class _Definition:
+    """A ``def`` or ``class`` at module level or in a class body, or a
+    module-level ``UPPER_CASE`` assignment, under ``src/repro``."""
+
+    def __init__(self, package, path, module, qualname, node, owner, uses):
+        self.module, self.qualname, self.owner = module, qualname, owner
+        self.name = qualname.rpartition(".")[2]
+        self.uses = uses
+        self.path = path.relative_to(package.parent.parent).as_posix()
+        self.key = f"{path.relative_to(package).as_posix()}:{qualname}"
+        decorators = getattr(node, "decorator_list", [])
+        self.line = min([node.lineno] + [decorator.lineno for decorator in decorators])
+        self.lines = node.end_lineno - self.line + 1
+
+    @functools.cached_property
+    def called_by_protocol(self) -> bool:
+        """A dunder, or an override of a method of a base class defined
+        outside the package (``pickle.Unpickler.find_class``): whoever holds
+        the object calls it without spelling the name here."""
+        if self.name.startswith("__") and self.name.endswith("__"):
+            return True
+        owner = importlib.import_module(self.module)
+        for part in self.qualname.split(".")[:-1]:
+            owner = getattr(owner, part)
+        package = self.module.partition(".")[0]
+        return any(
+            self.name in vars(base)
+            for base in owner.__mro__[1:]
+            if base.__module__.partition(".")[0] != package
+        )
+
+
+def _src_definitions(package=ROOT / "src" / "repro"):
+    """Every definition under ``package``, and the names its module-level
+    statements use (imports, ``__all__`` and the definitions excluded)."""
+    definitions, roots = [], set()
+
+    def define(path, module, qualname, node, owner, uses):
+        definition = _Definition(package, path, module, qualname, node, owner, uses)
+        definitions.append(definition)
+        return definition
+
+    def visit(path, module, body, owner=None, prefix=""):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                uses = _uses([*node.decorator_list, node.args, *node.body])
+                uses |= _uses([node.returns] if node.returns else [])
+                define(path, module, prefix + node.name, node, owner, uses)
+            elif isinstance(node, ast.ClassDef):
+                members = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                uses = _uses(
+                    [*node.bases, *node.keywords, *node.decorator_list]
+                    + [item for item in node.body if not isinstance(item, members)]
+                )
+                cls = define(path, module, prefix + node.name, node, owner, uses)
+                visit(path, module, node.body, cls, f"{prefix}{node.name}.")
+            elif owner is not None or isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue  # a class body's statements are the class's uses
+            elif isinstance(node, (ast.If, ast.Try)):
+                roots.update(_uses([node.test] if isinstance(node, ast.If) else []))
+                for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                    visit(path, module, block)
+                for handler in getattr(node, "handlers", []):
+                    visit(path, module, handler.body)
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                name = getattr(targets[0], "id", None) if len(targets) == 1 else None
+                if name == "__all__":
+                    continue
+                if name is not None and _UPPER_CASE.match(name):
+                    uses = _uses([node.value] if node.value else [])
+                    define(path, module, name, node, None, uses)
+                else:
+                    roots.update(_uses([node]))
+
+    for path in sorted(package.rglob("*.py")):
+        parts = (package.name,) + path.relative_to(package).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        visit(path, module, ast.parse(path.read_text(encoding="utf-8")).body)
+    return definitions, roots
+
+
+@functools.lru_cache(maxsize=1)
+def _reachability_inputs():
+    """The definitions under ``src/repro``, and the root names: those its
+    module-level statements use, and every name read, attribute accessed
+    or name imported under bench/, benchmarks/, examples/ and tools/."""
+    definitions, roots = _src_definitions()
+    for top in ("bench", "benchmarks", "examples", "tools"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            roots |= _uses([tree])
+            roots |= {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            }
+    return definitions, frozenset(roots)
+
+
+def _unreached(definitions, roots, seeds=()) -> list:
+    """The ``definitions`` nothing reaches, by name and transitively, from
+    ``ENTRY_POINT``, the ``roots`` names or ``seeds``. A method (or nested
+    class) counts only once its class is reached; an unreached class is
+    listed alone, not with its members."""
+    names, live = set(roots), set()
+    progress = True
+    while progress:
+        progress = False
+        for definition in definitions:
+            owner = definition.owner
+            if definition.key in live or (owner and owner.key not in live):
+                continue
+            if (
+                definition.key in seeds
+                or definition.key == ENTRY_POINT
+                or definition.name in names
+                or (owner and definition.called_by_protocol)
+            ):
+                live.add(definition.key)
+                names |= definition.uses
+                progress = True
+    return [
+        definition
+        for definition in definitions
+        if definition.key not in live
+        and (definition.owner is None or definition.owner.key in live)
+    ]
+
+
+def _unreached_report(dead) -> str:
+    """One ``path:line qualname (N lines)`` line per unreached definition,
+    then the totals."""
+    return (
+        "unreached definitions (delete them, or move them into tests/):\n"
+        + "".join(
+            f"{definition.path}:{definition.line} {definition.qualname} "
+            f"({definition.lines} lines)\n"
+            for definition in dead
+        )
+        + f"{len(dead)} definitions, "
+        f"{sum(definition.lines for definition in dead)} lines"
+    )
+
+
+def _stale_entries(allowlist, definitions, roots) -> list:
+    """The ``allowlist`` keys that name no definition, or a definition that
+    production reaches, each with why."""
+    keys = {definition.key for definition in definitions}
+    unreached = {definition.key for definition in _unreached(definitions, roots)}
+    return [
+        f"{key}: "
+        + ("no such definition" if key not in keys else "has a production caller")
+        for key in allowlist
+        if key not in unreached
+    ]
+
+
+class TestReachability:
+    def test_every_definition_in_src_is_reached(self):
+        """Nothing under ``src/`` is dead code: every definition is reached
+        from ``repro.cli.main``, a module-level statement (a table, a
+        registry) or a name bench/, benchmarks/, examples/ or tools/ uses
+        — or is on ``TEST_ONLY`` with its reason. A package re-export or an
+        ``__all__`` entry is not a use."""
+        dead = _unreached(*_reachability_inputs(), seeds=TEST_ONLY)
+        if dead:
+            pytest.fail(_unreached_report(dead))
+
+    def test_the_test_only_allowlist_is_current(self):
+        """Each ``TEST_ONLY`` entry names a definition that still exists and
+        that production still does not reach."""
+        stale = _stale_entries(TEST_ONLY, *_reachability_inputs())
+        assert not stale, "stale TEST_ONLY entries:\n" + "\n".join(stale)
+        assert len(TEST_ONLY) <= 20
+
+
+_package_names = itertools.count()
+
+
+@pytest.fixture
+def package(tmp_path, monkeypatch):
+    """Writes a throwaway package under ``tmp_path/src`` and returns a
+    function ``(files) -> package path``; ``files`` maps a path under the
+    package to its source. ``cli.py:main`` is the entry point, as in
+    ``src/repro``."""
+    name = f"reach_fixture_{next(_package_names)}"
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+
+    def write(files):
+        root = tmp_path / "src" / name
+        for relative, source in {"__init__.py": "", **files}.items():
+            path = root / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(textwrap.dedent(source).replace("PKG", name))
+        return root
+
+    yield write
+    for module in [module for module in sys.modules if module.startswith(name)]:
+        del sys.modules[module]
+
+
+def unreached_keys(root, seeds=()):
+    return {definition.key for definition in _unreached(*_src_definitions(root), seeds)}
+
+
+class TestReachabilityRule:
+    """The rule ``TestReachability`` applies, on small packages."""
+
+    def test_an_uncalled_function_is_unreached(self, package):
+        root = package({"cli.py": """
+            def main():
+                return 0
+
+            def helper():
+                return 1
+        """})
+        assert unreached_keys(root) == {"cli.py:helper"}
+
+    def test_what_the_entry_point_calls_is_reached(self, package):
+        root = package({
+            "cli.py": """
+                from PKG.util import helper
+
+                def main():
+                    return helper()
+            """,
+            "util.py": """
+                def helper():
+                    return 1
+            """,
+        })
+        assert unreached_keys(root) == set()
+
+    def test_what_only_dead_code_calls_is_unreached(self, package):
+        root = package({"cli.py": """
+            def main():
+                return 0
+
+            def dead():
+                return deader()
+
+            def deader():
+                return 1
+        """})
+        assert unreached_keys(root) == {"cli.py:dead", "cli.py:deader"}
+
+    def test_a_package_reexport_is_not_a_use(self, package):
+        root = package({
+            "__init__.py": """
+                from PKG.util import helper
+
+                __all__ = ["helper"]
+            """,
+            "cli.py": """
+                def main():
+                    return 0
+            """,
+            "util.py": """
+                def helper():
+                    return 1
+            """,
+        })
+        assert unreached_keys(root) == {"util.py:helper"}
+
+    def test_a_module_level_statement_is_a_root(self, package):
+        root = package({"cli.py": """
+            HANDLERS = []
+
+            def main():
+                return HANDLERS
+
+            def handle():
+                return 1
+
+            HANDLERS.append(handle)
+        """})
+        assert unreached_keys(root) == set()
+
+    def test_a_used_table_reaches_its_values(self, package):
+        root = package({"cli.py": """
+            def build_a():
+                return 1
+
+            def build_b():
+                return 2
+
+            _BUILDERS = {"a": build_a}
+
+            def main():
+                return _BUILDERS["a"]()
+        """})
+        assert unreached_keys(root) == {"cli.py:build_b"}
+
+    def test_an_unread_upper_case_constant_is_unreached(self, package):
+        root = package({"cli.py": """
+            TIMEOUT_SECONDS = 5.0
+            RETRIES = 3
+
+            def main():
+                return RETRIES
+        """})
+        assert unreached_keys(root) == {"cli.py:TIMEOUT_SECONDS"}
+
+    def test_an_override_of_an_outside_base_is_reached(self, package):
+        root = package({"cli.py": """
+            import pickle
+
+            class Loader(pickle.Unpickler):
+                def find_class(self, module, name):
+                    return super().find_class(module, name)
+
+                def unused(self):
+                    return 0
+
+            def main():
+                return Loader
+        """})
+        assert unreached_keys(root) == {"cli.py:Loader.unused"}
+
+    def test_an_override_of_an_inside_base_needs_a_caller(self, package):
+        root = package({"cli.py": """
+            class Base:
+                def hook(self):
+                    return 0
+
+            class Child(Base):
+                def hook(self):
+                    return 1
+
+            def main():
+                return Child()
+        """})
+        assert unreached_keys(root) == {"cli.py:Base.hook", "cli.py:Child.hook"}
+
+    def test_dunder_methods_of_a_reached_class_are_reached(self, package):
+        root = package({"cli.py": """
+            class Box:
+                def __init__(self, items):
+                    self.items = items
+
+                def __len__(self):
+                    return len(self.items)
+
+            def main():
+                return Box([])
+        """})
+        assert unreached_keys(root) == set()
+
+    def test_the_members_of_an_unreached_class_are_not_listed(self, package):
+        root = package({"cli.py": """
+            class Dead:
+                def method(self):
+                    return 0
+
+                def __repr__(self):
+                    return "Dead"
+
+            def main():
+                return 0
+        """})
+        assert unreached_keys(root) == {"cli.py:Dead"}
+
+    def test_a_seed_reaches_what_it_calls(self, package):
+        root = package({"cli.py": """
+            def main():
+                return 0
+
+            def test_hook():
+                return helper()
+
+            def helper():
+                return 1
+        """})
+        assert unreached_keys(root) == {"cli.py:test_hook", "cli.py:helper"}
+        assert unreached_keys(root, seeds={"cli.py:test_hook"}) == set()
+
+    def test_definitions_in_module_level_if_and_try_are_scanned(self, package):
+        root = package({"cli.py": """
+            import sys
+
+            if sys.maxsize > 2:
+                def wide():
+                    return 1
+            else:
+                def wide():
+                    return 0
+
+            try:
+                import zlib
+            except ImportError:
+                def fallback():
+                    return None
+
+            def main():
+                return wide()
+        """})
+        assert unreached_keys(root) == {"cli.py:fallback"}
+
+
+class TestReachabilityReports:
+    def test_the_report_gives_path_line_qualname_and_size(self, package):
+        root = package({"cli.py": """
+            def main():
+                return 0
+
+            def helper():
+                x = 1
+                return x
+        """})
+        report = _unreached_report(_unreached(*_src_definitions(root)))
+        package_path = f"src/{root.name}/cli.py"
+        assert f"{package_path}:5 helper (3 lines)\n" in report
+        assert report.endswith("1 definitions, 3 lines")
+
+    def test_a_decorated_definition_starts_at_its_decorator(self, package):
+        root = package({"cli.py": """
+            import functools
+
+            def main():
+                return 0
+
+            @functools.lru_cache(maxsize=None)
+            def cached():
+                return 1
+        """})
+        [dead] = _unreached(*_src_definitions(root))
+        assert (dead.qualname, dead.line, dead.lines) == ("cached", 7, 3)
+
+    def test_an_allowlist_entry_for_a_missing_definition_is_stale(self, package):
+        root = package({"cli.py": """
+            def main():
+                return 0
+        """})
+        stale = _stale_entries({"cli.py:gone": "why"}, *_src_definitions(root))
+        assert stale == ["cli.py:gone: no such definition"]
+
+    def test_an_allowlist_entry_with_a_production_caller_is_stale(self, package):
+        root = package({"cli.py": """
+            def main():
+                return helper()
+
+            def helper():
+                return 1
+        """})
+        stale = _stale_entries({"cli.py:helper": "why"}, *_src_definitions(root))
+        assert stale == ["cli.py:helper: has a production caller"]
+
+    def test_an_allowlist_entry_nothing_reaches_is_current(self, package):
+        root = package({"cli.py": """
+            def main():
+                return 0
+
+            def accessor():
+                return 1
+        """})
+        assert _stale_entries({"cli.py:accessor": "why"}, *_src_definitions(root)) == []

@@ -74,12 +74,81 @@ class TestPolicyRanking:
         with pytest.raises(ValueError):
             rank_routes([])
 
+    @pytest.mark.parametrize(
+        "winner,loser",
+        [
+            # Each earlier tiebreaker overrides every later one.
+            pytest.param(
+                dict(relationship=Relationship.TRANSIT, prefix_length=24,
+                     as_path=(1299, 64500)),
+                dict(relationship=Relationship.PUBLIC, prefix_length=20),
+                id="prefix-over-peer",
+            ),
+            pytest.param(
+                dict(relationship=Relationship.TRANSIT, prefix_length=24,
+                     as_path=(1299, 64777, 64500)),
+                dict(relationship=Relationship.TRANSIT, prefix_length=20,
+                     as_path=(3356, 64500)),
+                id="prefix-over-path-length",
+            ),
+            pytest.param(
+                dict(relationship=Relationship.PUBLIC, prefix_length=24),
+                dict(relationship=Relationship.PRIVATE, prefix_length=20),
+                id="prefix-over-pni",
+            ),
+            pytest.param(
+                dict(relationship=Relationship.PUBLIC, as_path=(64499, 64498, 64500)),
+                dict(relationship=Relationship.TRANSIT, as_path=(1299, 64500)),
+                id="peer-over-path-length",
+            ),
+            pytest.param(
+                dict(relationship=Relationship.PUBLIC),
+                dict(relationship=Relationship.TRANSIT, as_path=(64500,)),
+                id="peer-over-transit-of-equal-length",
+            ),
+            pytest.param(
+                dict(relationship=Relationship.PUBLIC, as_path=(64500,)),
+                dict(relationship=Relationship.PRIVATE, as_path=(64499, 64500)),
+                id="path-length-over-pni",
+            ),
+        ],
+    )
+    def test_earlier_tiebreaker_dominates(self, winner, loser):
+        first, second = route(**winner), route(**loser)
+        assert rank_routes([second, first]).preferred is first
+        assert rank_routes([first, second]).preferred is first
+
+    def test_equal_keys_keep_announcement_order(self):
+        a = route(Relationship.PUBLIC, as_path=(64501, 64500))
+        b = route(Relationship.PUBLIC, as_path=(64502, 64500))
+        assert rank_routes([a, b]).routes == (a, b)
+        assert rank_routes([b, a]).routes == (b, a)
+
+    def test_ranking_ignores_path_condition(self):
+        # Policy ranks on BGP attributes only: a measured RTT penalty (a
+        # congested or mis-preferred path) never reorders routes.
+        slow = route(Relationship.PRIVATE, rtt_penalty=80.0)
+        fast = route(Relationship.TRANSIT, as_path=(1299, 64500))
+        assert rank_routes([fast, slow]).preferred is slow
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
+    def test_alternates_are_the_next_ranked_routes(self, count):
+        routes = [
+            route(Relationship.PRIVATE),
+            route(Relationship.PUBLIC),
+            route(Relationship.TRANSIT, as_path=(1299, 64500)),
+            route(Relationship.TRANSIT, as_path=(3356, 64777, 64500)),
+        ]
+        ranked = rank_routes(list(reversed(routes)))
+        assert ranked.alternates(count) == tuple(routes[1 : 1 + count])
+        assert ranked.preferred not in ranked.alternates(count)
+
     def test_rank_of(self):
         pni = route(Relationship.PRIVATE)
         transit = route(Relationship.TRANSIT, as_path=(1299, 64500))
         ranked = rank_routes([transit, pni])
-        assert ranked.rank_of(pni) == 0
-        assert ranked.rank_of(transit) == 1
+        assert ranked.routes.index(pni) == 0
+        assert ranked.routes.index(transit) == 1
 
 
 class TestRouteGenerator:
@@ -145,10 +214,67 @@ class TestMeasurementRouter:
             assert chosen is only
             assert rank == 0
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.2, 1.01])
+    def test_preferred_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError):
+            MeasurementRouter(random.Random(1), preferred_fraction=fraction)
+
+    def test_full_preferred_fraction_never_measures_alternates(self):
+        ranked = rank_routes(RouteGenerator(random.Random(5)).routes_for_prefix(
+            "10.0.0.0/20", 65000))
+        router = MeasurementRouter(random.Random(9), preferred_fraction=1.0)
+        assert {router.assign(ranked)[1] for _ in range(500)} == {0}
+
+    def test_one_alternate_takes_every_non_preferred_session(self):
+        ranked = rank_routes([
+            route(Relationship.PRIVATE),
+            route(Relationship.PUBLIC),
+            route(Relationship.TRANSIT, as_path=(1299, 64500)),
+        ])
+        router = MeasurementRouter(random.Random(10), alternate_count=1)
+        assert {router.assign(ranked)[1] for _ in range(500)} == {0, 1}
+
+    def test_assigned_rank_indexes_the_ranked_routes(self):
+        ranked = rank_routes(RouteGenerator(random.Random(11)).routes_for_prefix(
+            "10.0.0.0/20", 65000))
+        router = MeasurementRouter(random.Random(12))
+        for _ in range(500):
+            chosen, rank = router.assign(ranked)
+            assert ranked.routes[rank] is chosen
+
+    def test_assignments_ignore_path_condition(self):
+        # Sampled sessions follow the policy ranking whatever a path's
+        # current condition: the measurement overrides capacity detours
+        # (§2.2.3), so a congested preferred route is still measured.
+        healthy = rank_routes([
+            route(Relationship.PRIVATE),
+            route(Relationship.PUBLIC),
+            route(Relationship.TRANSIT, as_path=(1299, 64500)),
+        ])
+        congested = rank_routes([
+            route(Relationship.PRIVATE, rtt_penalty=200.0),
+            route(Relationship.PUBLIC),
+            route(Relationship.TRANSIT, as_path=(1299, 64500)),
+        ])
+        a = MeasurementRouter(random.Random(13))
+        b = MeasurementRouter(random.Random(13))
+        ranks_a = [a.assign(healthy)[1] for _ in range(300)]
+        ranks_b = [b.assign(congested)[1] for _ in range(300)]
+        assert ranks_a == ranks_b
+        assert ranks_b.count(0) > 100
+
+    def test_same_seed_same_assignments(self):
+        ranked = rank_routes(RouteGenerator(random.Random(14)).routes_for_prefix(
+            "10.0.0.0/20", 65000))
+        first = MeasurementRouter(random.Random(15))
+        second = MeasurementRouter(random.Random(15))
+        assert [first.assign(ranked) for _ in range(100)] == [
+            second.assign(ranked) for _ in range(100)
+        ]
+
     def test_route_info_annotation(self):
         pni = route(Relationship.PRIVATE)
         info = pni.to_route_info(preference_rank=1)
         assert info.prefix == pni.prefix
         assert info.relationship is Relationship.PRIVATE
         assert info.preference_rank == 1
-        assert not info.is_preferred

@@ -183,7 +183,7 @@ class TestBbr:
         for _ in range(30):
             now = feed_round(cc, rtt=0.05, start=now, rate_bytes_per_sec=self.RATE)
         assert cc.phase == "probe_bw"
-        bdp = cc.bottleneck_bw_bytes_per_sec * 0.05
+        bdp = cc._btl_bw * 0.05  # the BtlBw estimate × the path RTT
         assert bdp > 0
         # Window tracks gain × BDP (gains span 0.75–1.25).
         assert 0.5 * bdp <= cc.cwnd_bytes <= 1.5 * bdp

@@ -14,7 +14,7 @@ class TestScheduling:
         sim.schedule(2.0, lambda: order.append("b"))
         sim.schedule(1.0, lambda: order.append("a"))
         sim.schedule(3.0, lambda: order.append("c"))
-        sim.run_until_idle()
+        sim.run()
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_insertion_order(self):
@@ -22,14 +22,14 @@ class TestScheduling:
         order = []
         for name in "abc":
             sim.schedule(1.0, lambda n=name: order.append(n))
-        sim.run_until_idle()
+        sim.run()
         assert order == ["a", "b", "c"]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
         sim.schedule(5.0, lambda: seen.append(sim.now))
-        sim.run_until_idle()
+        sim.run()
         assert seen == [5.0]
         assert sim.now == 5.0
 
@@ -42,7 +42,7 @@ class TestScheduling:
             sim.schedule(1.0, lambda: seen.append(sim.now))
 
         sim.schedule(1.0, first)
-        sim.run_until_idle()
+        sim.run()
         assert seen == [1.0, 2.0]
 
     def test_negative_delay_rejected(self):
@@ -54,7 +54,7 @@ class TestScheduling:
         sim = Simulator()
         seen = []
         sim.schedule(1.0, lambda: sim.schedule_at(5.0, lambda: seen.append(sim.now)))
-        sim.run_until_idle()
+        sim.run()
         assert seen == [5.0]
 
 
@@ -64,7 +64,7 @@ class TestCancellation:
         seen = []
         handle = sim.schedule(1.0, lambda: seen.append("x"))
         handle.cancel()
-        sim.run_until_idle()
+        sim.run()
         assert seen == []
 
     def test_pending_events_excludes_cancelled(self):
@@ -84,7 +84,7 @@ class TestRunControl:
         sim.run(until=5.0)
         assert seen == [1]
         assert sim.now == 5.0
-        sim.run_until_idle()
+        sim.run()
         assert seen == [1, 10]
 
     def test_event_budget_guard(self):
@@ -101,5 +101,5 @@ class TestRunControl:
         sim = Simulator()
         for _ in range(5):
             sim.schedule(1.0, lambda: None)
-        sim.run_until_idle()
+        sim.run()
         assert sim.events_processed == 5

@@ -22,7 +22,7 @@ class TestDelays:
         link = Link(sim, rate_bps=None, propagation_delay=0.030)
         received = collect(link)
         link.send(Packet(seq=0, payload_bytes=1500))
-        sim.run_until_idle()
+        sim.run()
         assert received[0][0] == pytest.approx(0.030)
 
     def test_serialization_delay(self):
@@ -31,7 +31,7 @@ class TestDelays:
         link = Link(sim, rate_bps=1e6, propagation_delay=0.0)
         received = collect(link)
         link.send(Packet(seq=0, payload_bytes=1500))
-        sim.run_until_idle()
+        sim.run()
         assert received[0][0] == pytest.approx(1540 * 8 / 1e6)
 
     def test_back_to_back_packets_queue(self):
@@ -41,7 +41,7 @@ class TestDelays:
         ser = 1540 * 8 / 1e6
         link.send(Packet(seq=0, payload_bytes=1500))
         link.send(Packet(seq=1500, payload_bytes=1500))
-        sim.run_until_idle()
+        sim.run()
         assert received[0][0] == pytest.approx(ser)
         assert received[1][0] == pytest.approx(2 * ser)
 
@@ -50,7 +50,7 @@ class TestDelays:
         link = Link(sim, rate_bps=1e6, propagation_delay=0.0)
         received = collect(link)
         link.send(Packet(seq=0, payload_bytes=0, ack_seq=100))
-        sim.run_until_idle()
+        sim.run()
         assert received[0][0] == pytest.approx(40 * 8 / 1e6)
 
 
@@ -61,7 +61,7 @@ class TestDrops:
         received = collect(link)
         for i in range(10):
             link.send(Packet(seq=i * 1500, payload_bytes=1500))
-        sim.run_until_idle()
+        sim.run()
         # One in service + two queued survive the burst.
         assert link.stats.dropped_queue == 7
         assert len(received) == 3
@@ -78,7 +78,7 @@ class TestDrops:
         received = collect(link)
         for i in range(2000):
             link.send(Packet(seq=i, payload_bytes=100))
-        sim.run_until_idle()
+        sim.run()
         loss_rate = link.stats.dropped_random / 2000
         assert 0.25 < loss_rate < 0.35
         assert len(received) == 2000 - link.stats.dropped_random
@@ -102,7 +102,7 @@ class TestJitter:
         received = collect(link)
         for i in range(200):
             link.send(Packet(seq=i, payload_bytes=100))
-        sim.run_until_idle()
+        sim.run()
         delays = [t for t, _ in received]
         assert min(delays) >= 0.010
         assert max(delays) <= 0.015 + 1e-12
@@ -115,7 +115,7 @@ class TestStats:
         link = Link(sim, rate_bps=None, propagation_delay=0.0)
         collect(link)
         link.send(Packet(seq=0, payload_bytes=500))
-        sim.run_until_idle()
+        sim.run()
         assert link.stats.sent == 1
         assert link.stats.delivered == 1
         assert link.stats.bytes_delivered == 500

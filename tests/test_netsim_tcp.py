@@ -45,21 +45,21 @@ class TestBasicTransfer:
     def test_single_window_completes_in_one_rtt(self):
         sim, conn = make_connection()
         conn.write(5 * MSS)
-        sim.run_until_idle()
+        sim.run()
         assert conn.all_acked
         assert sim.now == pytest.approx(0.060, abs=1e-6)
 
     def test_two_round_transfer(self):
         sim, conn = make_connection()
         conn.write(24 * MSS)  # 10 in round 1, 14 in round 2
-        sim.run_until_idle()
+        sim.run()
         assert conn.all_acked
         assert sim.now == pytest.approx(0.120, abs=1e-6)
 
     def test_slow_start_doubles_window(self):
         sim, conn = make_connection(icw=2)
         conn.write(100 * MSS)  # rounds: 2,4,8,16,32,38 -> 6 RTTs
-        sim.run_until_idle()
+        sim.run()
         assert conn.all_acked
         assert sim.now == pytest.approx(0.360, abs=1e-6)
 
@@ -72,7 +72,7 @@ class TestBasicTransfer:
     def test_delivered_bytes_counted(self):
         sim, conn = make_connection()
         conn.write(7 * MSS)
-        sim.run_until_idle()
+        sim.run()
         assert conn.state.delivered_bytes == 7 * MSS
 
     def test_write_rejects_nonpositive(self):
@@ -87,7 +87,7 @@ class TestBottleneck:
         total = 300 * MSS
         sim, conn = make_connection(bottleneck_mbps=2.0)
         conn.write(total)
-        sim.run_until_idle()
+        sim.run()
         assert conn.all_acked
         wire_time = (total + 300 * 40) * 8 / 2e6
         assert sim.now >= wire_time
@@ -96,7 +96,7 @@ class TestBottleneck:
     def test_min_rtt_measured(self):
         sim, conn = make_connection(rtt_ms=80.0)
         conn.write(10 * MSS)
-        sim.run_until_idle()
+        sim.run()
         assert conn.min_rtt.at_termination(sim.now) == pytest.approx(0.080, rel=0.05)
 
 
@@ -179,14 +179,14 @@ class TestDelayedAck:
     def test_delayed_ack_single_packet_waits_for_timeout(self):
         sim, conn = make_connection(delayed_ack=True)
         conn.write(1 * MSS)
-        sim.run_until_idle()
+        sim.run()
         # One packet: ACK held for the 40 ms delayed-ACK timeout.
         assert sim.now == pytest.approx(0.060 + 0.040, abs=1e-6)
 
     def test_delayed_ack_pairs_acked_immediately(self):
         sim, conn = make_connection(delayed_ack=True)
         conn.write(2 * MSS)
-        sim.run_until_idle()
+        sim.run()
         assert sim.now == pytest.approx(0.060, abs=1e-6)
 
     def test_delayed_ack_slows_small_transfer_metrics(self):
@@ -199,5 +199,5 @@ class TestAppLimited:
     def test_idle_connection_does_not_grow_cwnd(self):
         sim, conn = make_connection(icw=10)
         conn.write(1 * MSS)  # tiny write, far below the window
-        sim.run_until_idle()
+        sim.run()
         assert conn.state.cwnd_bytes == 10 * MSS

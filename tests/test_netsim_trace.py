@@ -56,10 +56,6 @@ class TestCapture:
         times = [e.time for e in trace.events]
         assert times == sorted(times)
 
-    def test_round_trip_estimate(self):
-        _, trace = traced_transfer(24 * MSS)  # icw 10 => 2 rounds
-        assert trace.round_trips() == 2
-
 
 class TestRender:
     def test_render_contains_rails_and_summary(self):

@@ -300,7 +300,7 @@ class TestNetsimMetrics:
             handle = sim.schedule(0.5, lambda: None)
             handle.cancel()
             sim.schedule(1.0, lambda: None)
-            sim.run_until_idle()
+            sim.run()
         assert registry.counter("netsim.events_processed") == 1
         assert registry.counter("netsim.events_cancelled") == 1
         assert registry.counter("netsim.runs") == 1
@@ -311,6 +311,6 @@ class TestNetsimMetrics:
 
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        sim.run_until_idle()  # must not raise
+        sim.run()  # must not raise
         assert sim.events_processed == 1
         assert sim.events_cancelled == 0

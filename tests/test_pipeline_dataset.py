@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.records import HttpVersion, SessionSample, TransactionRecord
 from repro.pipeline.dataset import StudyDataset
-from repro.pipeline.filters import FilterStats, filter_hosting_providers
+from repro.pipeline.filters import FilterStats, record_sample
 
 from tests.helpers import make_route, make_sample
 
@@ -19,7 +19,7 @@ class TestFilter:
     def test_drops_hosting(self):
         stats = FilterStats()
         samples = [make_sample(1.0, 40.0), hosting_sample(), make_sample(2.0, 40.0)]
-        kept = list(filter_hosting_providers(samples, stats))
+        kept = [sample for sample in samples if record_sample(sample, stats)]
         assert len(kept) == 2
         assert stats.dropped_sessions == 1
         assert stats.kept_sessions == 2
@@ -29,13 +29,11 @@ class TestFilter:
         keep = make_sample(1.0, 40.0, bytes_sent=980_000)
         drop = hosting_sample()
         drop.bytes_sent = 20_000
-        list(filter_hosting_providers([keep, drop], stats))
+        assert [record_sample(sample, stats) for sample in (keep, drop)] == [True, False]
         assert stats.dropped_traffic_fraction == pytest.approx(0.02)
 
     def test_empty_stream(self):
-        stats = FilterStats()
-        assert list(filter_hosting_providers([], stats)) == []
-        assert stats.dropped_traffic_fraction == 0.0
+        assert FilterStats().dropped_traffic_fraction == 0.0
 
 
 class TestStudyDataset:
@@ -103,8 +101,7 @@ class TestStudyDataset:
         af = make_sample(2.0, 80.0)
         af.client_continent = "AF"
         ds.ingest([eu, af])
-        assert len(ds.rows_for_continent("EU")) == 1
-        assert len(ds.rows_for_continent("AF")) == 1
+        assert sorted(row.continent for row in ds.rows) == ["AF", "EU"]
 
     def test_invalid_study_windows(self):
         with pytest.raises(ValueError):

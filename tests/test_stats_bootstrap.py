@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from repro.stats.bootstrap import bootstrap_median_ci, bootstrap_median_difference_ci
-from repro.stats.median_ci import compare_medians, median_ci
+from repro.stats.median_ci import compare_medians
+from tests.bootstrap import bootstrap_median_ci, bootstrap_median_difference_ci
 
 
 class TestBootstrapMedian:
@@ -56,11 +56,13 @@ class TestAgreementWithFastPath:
     def test_median_ci_widths_agree(self):
         rng = random.Random(11)
         values = [rng.lognormvariate(3.5, 0.6) for _ in range(500)]
-        _, fast_lo, fast_hi = median_ci(values)
+        # Against a constant sample (standard error 0) the difference CI is
+        # the median's own.
+        fast = compare_medians(values, [0.0] * len(values))
         _, boot_lo, boot_hi = bootstrap_median_ci(
             values, resamples=2000, rng=random.Random(12)
         )
-        fast_width = fast_hi - fast_lo
+        fast_width = fast.ci_high - fast.ci_low
         boot_width = boot_hi - boot_lo
         assert fast_width == pytest.approx(boot_width, rel=0.5)
 

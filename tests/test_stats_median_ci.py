@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats import compare_medians, median_ci, median_standard_error
+from repro.stats import compare_medians, median_standard_error
 from repro.stats.median_ci import normal_quantile
+
+
+def median_interval(values):
+    """A median and its 95% CI, ``(median, low, high)``, as
+    :func:`compare_medians` gives them against a constant zero sample (whose
+    standard error is 0, so the interval is the median's own)."""
+    result = compare_medians(values, [0.0] * len(values))
+    return result.difference, result.ci_low, result.ci_high
 
 
 class TestNormalQuantile:
@@ -67,7 +75,7 @@ class TestMedianCI:
     def test_ci_brackets_median(self):
         rng = random.Random(17)
         values = [rng.expovariate(0.1) for _ in range(500)]
-        med, low, high = median_ci(values)
+        med, low, high = median_interval(values)
         assert low <= med <= high
 
     def test_coverage_is_approximately_nominal(self):
@@ -78,7 +86,7 @@ class TestMedianCI:
         trials = 300
         for _ in range(trials):
             values = [rng.expovariate(1.0) for _ in range(200)]
-            _, low, high = median_ci(values)
+            _, low, high = median_interval(values)
             if low <= math.log(2) <= high:
                 hits += 1
         assert hits / trials > 0.88
@@ -101,7 +109,7 @@ class TestCompareMedians:
         result = compare_medians(a, b)
         assert result.valid
         assert not result.exceeds(2.0)
-        assert not result.below(2.0)
+        assert result.ci_high >= -2.0
 
     def test_min_samples_rule(self):
         a = [1.0] * 29
@@ -123,6 +131,32 @@ class TestCompareMedians:
         result = compare_medians(a, b, max_ci_width=10.0)
         assert not result.valid
 
+    def test_ci_narrows_as_samples_grow(self):
+        rng = random.Random(41)
+        small = compare_medians(
+            [rng.gauss(40, 5) for _ in range(50)], [rng.gauss(40, 5) for _ in range(50)]
+        )
+        large = compare_medians(
+            [rng.gauss(40, 5) for _ in range(2000)],
+            [rng.gauss(40, 5) for _ in range(2000)],
+        )
+        assert large.ci_high - large.ci_low < small.ci_high - small.ci_low
+
+    def test_higher_confidence_widens_the_ci(self):
+        rng = random.Random(43)
+        a = [rng.expovariate(0.05) for _ in range(400)]
+        b = [rng.expovariate(0.05) for _ in range(400)]
+        narrow = compare_medians(a, b, confidence=0.90)
+        wide = compare_medians(a, b, confidence=0.99)
+        assert narrow.difference == wide.difference
+        assert wide.ci_low < narrow.ci_low
+        assert wide.ci_high > narrow.ci_high
+
+    def test_difference_uses_the_even_sample_midpoint(self):
+        result = compare_medians([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.0] * 5)
+        assert result.difference == 3.5
+        assert (result.n_a, result.n_b) == (6, 5)
+
     def test_statistically_equal_or_greater(self):
         rng = random.Random(37)
         a = [rng.gauss(0.9, 0.05) for _ in range(200)]
@@ -131,13 +165,6 @@ class TestCompareMedians:
         worse = compare_medians(b, a)
         assert better.statistically_equal_or_greater()
         assert not worse.statistically_equal_or_greater()
-
-    def test_ci_width_property(self):
-        rng = random.Random(41)
-        a = [rng.gauss(10, 1) for _ in range(100)]
-        b = [rng.gauss(10, 1) for _ in range(100)]
-        result = compare_medians(a, b)
-        assert result.ci_width == pytest.approx(result.ci_high - result.ci_low)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,4 @@
-"""Tests for weighted percentiles and ECDFs."""
+"""Tests for percentiles and weighted ECDFs."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from repro.stats import (
     ecdf,
     weighted_ecdf,
     weighted_fraction_at_most,
-    weighted_percentile,
 )
 from repro.stats.weighted import percentile
 
@@ -34,28 +33,6 @@ class TestPercentile:
             percentile([1.0], 101.0)
 
 
-class TestWeightedPercentile:
-    def test_uniform_weights_match_rank(self):
-        values = [10.0, 20.0, 30.0, 40.0]
-        weights = [1.0] * 4
-        assert weighted_percentile(values, weights, 50.0) == 20.0
-        assert weighted_percentile(values, weights, 100.0) == 40.0
-
-    def test_heavy_weight_dominates(self):
-        values = [1.0, 100.0]
-        weights = [99.0, 1.0]
-        assert weighted_percentile(values, weights, 90.0) == 1.0
-        assert weighted_percentile(values, weights, 99.9) == 100.0
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError):
-            weighted_percentile([1.0], [1.0, 2.0], 50.0)
-
-    def test_zero_total_weight_raises(self):
-        with pytest.raises(ValueError):
-            weighted_percentile([1.0, 2.0], [0.0, 0.0], 50.0)
-
-
 class TestEcdf:
     def test_unweighted_fractions(self):
         xs, fs = ecdf([3.0, 1.0, 2.0])
@@ -71,6 +48,18 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf([])
 
+    def test_weighted_mismatched_lengths_raise(self):
+        with pytest.raises(ValueError):
+            weighted_ecdf([1.0, 2.0], [1.0])
+
+    def test_weighted_zero_total_weight_raises(self):
+        with pytest.raises(ValueError):
+            weighted_ecdf([1.0, 2.0], [0.0, 0.0])
+
+    def test_weighted_empty_raises(self):
+        with pytest.raises(ValueError):
+            weighted_ecdf([], [])
+
 
 class TestFractionAtMost:
     def test_basic(self):
@@ -83,34 +72,32 @@ class TestFractionAtMost:
     def test_threshold_between_points(self):
         assert weighted_fraction_at_most([1.0, 3.0], [1.0, 1.0], 2.0) == pytest.approx(0.5)
 
+    def test_heavy_weight_dominates(self):
+        values = [1.0, 100.0]
+        weights = [1.0, 99.0]
+        assert weighted_fraction_at_most(values, weights, 50.0) == pytest.approx(0.01)
 
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=-1e3, max_value=1e3),
-            st.floats(min_value=0.01, max_value=10.0),
-        ),
-        min_size=1,
-        max_size=100,
-    )
+
+values_strategy = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50
 )
-def test_weighted_percentile_monotone_in_q(pairs):
-    values = [v for v, _ in pairs]
-    weights = [w for _, w in pairs]
-    results = [weighted_percentile(values, weights, q) for q in (0, 25, 50, 75, 100)]
-    assert results == sorted(results)
-    assert min(values) <= results[0]
-    assert results[-1] <= max(values)
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=100),
-)
-def test_weighted_matches_unweighted_with_unit_weights(values):
-    weights = [1.0] * len(values)
-    # The weighted definition is the inverse ECDF (lower step); it must agree
-    # with the unweighted rank definition at q=100 and never exceed max.
-    assert weighted_percentile(values, weights, 100.0) == max(values)
-    assert weighted_percentile(values, weights, 0.0) == min(values)
+@given(values_strategy)
+def test_unit_weights_give_the_unweighted_ecdf(values):
+    xs, fractions = weighted_ecdf(values, [1.0] * len(values))
+    expected_xs, expected_fractions = ecdf(values)
+    assert xs == expected_xs
+    assert fractions == pytest.approx(expected_fractions)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values_strategy, st.floats(min_value=0.0, max_value=100.0),
+       st.floats(min_value=0.0, max_value=100.0))
+def test_percentile_monotone_in_q(values, q1, q2):
+    # Linear interpolation rounds: allow one part in 1e12 of the scale.
+    slack = 1e-12 * (1.0 + max(abs(v) for v in values))
+    low, high = sorted((q1, q2))
+    assert percentile(values, low) <= percentile(values, high) + slack
+    assert min(values) - slack <= percentile(values, low) <= max(values) + slack

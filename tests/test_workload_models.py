@@ -47,7 +47,8 @@ class TestProfiles:
 
         def non_hd_fraction(continent):
             draws = [profiles[continent].sample(rng) for _ in range(3000)]
-            return sum(1 for d in draws if not d.hd_capable_link) / len(draws)
+            # Below the 2.5 Mbps HD target at the raw link rate.
+            return sum(1 for d in draws if d.downlink_mbps < 2.5) / len(draws)
 
         assert non_hd_fraction(Continent.AFRICA) > non_hd_fraction(
             Continent.EUROPE
