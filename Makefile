@@ -88,7 +88,7 @@ COV_SOURCES = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
               --cov=repro.kernels --cov=repro.pipeline.ingest \
               --cov=repro.pipeline.streaming \
               --cov=repro.serve --cov=repro.dist --cov=repro.netsim.congestion \
-              --cov=repro.pipeline.io
+              --cov=repro.pipeline.io --cov=repro.fsutil
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
 	test-dist test-netsim test-io test-store test-bench test-examples coverage bench \

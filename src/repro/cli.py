@@ -778,11 +778,24 @@ _COMMANDS = {
 
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Turn sharding values ``ParallelOptions`` rejects into usage errors,
-    and sharding flags with no columnar store to shard (a generated
-    stream, or a JSONL trace)."""
+    """Turn option values a command would reject into usage errors: a
+    count below 1, a negative lateness, ``--band-windows`` where no store
+    is written, sharding values ``ParallelOptions`` rejects, and sharding
+    flags with no columnar store to shard (a generated stream, or a JSONL
+    trace)."""
     from repro.pipeline.io import detect_format
 
+    least = {"windows": 1, "cache_capacity": 1, "band_windows": 1, "lateness": 0}
+    for name, bound in least.items():
+        value = getattr(args, name, None)
+        if value is not None and not value >= bound:
+            parser.error(f"--{name.replace('_', '-')} must be >= {bound}")
+    if getattr(args, "band_windows", None) is not None and (
+        args.out_store is None
+        if args.command == "ingest"
+        else args.command == "convert" and detect_format(args.dst) != "store"
+    ):
+        parser.error("--band-windows needs a store to write, and this writes none")
     if not hasattr(args, "workers"):
         return
     try:

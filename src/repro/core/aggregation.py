@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.constants import AGGREGATION_WINDOW_SECONDS, MIN_AGGREGATION_SAMPLES
 from repro.core.hdratio import compute_hdratio
@@ -194,10 +194,6 @@ class AggregationStore:
             if hdratio is not None:
                 self.metrics.inc("core.aggregation.hd_samples")
         return aggregation
-
-    def add_all(self, samples: Iterable[SessionSample]) -> None:
-        for sample in samples:
-            self.add(sample)
 
     # ------------------------------------------------------------------ #
     # Lookups

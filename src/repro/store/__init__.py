@@ -11,20 +11,22 @@ versioned binary **columnar** layout:
   and bitmap column codecs, the per-partition frame deflate and CRC32;
 - :mod:`repro.store.schema` — the versioned column set for
   :class:`~repro.core.records.SessionSample` rows;
-- :mod:`repro.store.writer` — :class:`TraceStoreWriter`: partitions keyed
-  by (PoP, time-window band) plus a JSON manifest of offsets and min/max
-  statistics, written atomically; :class:`StoreAppender`: an append
-  session whose every append costs what it adds (:func:`append_to_store`
-  is its one-shot spelling); :func:`load_manifest` / :func:`dump_manifest`:
-  the one parser and the one (compact) serialiser of ``manifest.json``;
+- :mod:`repro.store.writer` — :func:`write_store`: partitions keyed by
+  (PoP, time-window band) plus a JSON manifest of offsets and min/max
+  statistics, published as the store's next data generation by the one
+  publisher, which swaps the manifest last (an interrupted write keeps the
+  previous store); :class:`StoreAppender`: an append session whose every
+  append costs what it adds (:func:`append_to_store` is its one-shot
+  spelling); :func:`load_manifest` / :func:`dump_manifest`: the one parser
+  and the one (compact) serialiser of ``manifest.json``;
 - :mod:`repro.store.reader` — :class:`TraceStoreReader`:
   ``scan(filter)`` with manifest-level partition pruning, and
   partition-aligned :class:`StoreChunk` planning for the sharded pipeline;
   rows and column batches come off one read → CRC → decode path;
 - :mod:`repro.store.compact` — :func:`compact_store`: merge the many
   small partitions a long-running stream seals into one partition per
-  (PoP, band), CRC re-verified and swapped in crash-safely, with scans
-  (and thus analyses) byte-identical before and after.
+  (PoP, band), published by the same publisher as :func:`write_store`,
+  with scans (and thus analyses) byte-identical before and after.
 
 Format and analysis-equivalence guarantees are specified in DESIGN.md §8,
 the failure model (per-partition CRC32, typed errors, ``verify_store``) in
@@ -54,7 +56,6 @@ from repro.store.writer import (
     STORE_FORMAT,
     STORE_FORMAT_VERSION,
     StoreAppender,
-    TraceStoreWriter,
     append_to_store,
     dump_manifest,
     is_store_path,
@@ -78,7 +79,6 @@ __all__ = [
     "StoreVerifyFinding",
     "StoreVerifyReport",
     "TraceStoreReader",
-    "TraceStoreWriter",
     "TruncatedPartitionError",
     "append_to_store",
     "compact_store",

@@ -228,7 +228,7 @@ def _shared_manifest(path: pathlib.Path) -> dict:
 
 class TraceStoreReader:
     """Read a partitioned columnar trace store written by
-    :class:`repro.store.writer.TraceStoreWriter`."""
+    :func:`repro.store.writer.write_store` (and appended to, compacted)."""
 
     def __init__(self, path: PathLike, manifest: Optional[dict] = None) -> None:
         """``manifest``: ``load_manifest(path)``'s result, so a caller that

@@ -4,22 +4,27 @@ A store is a directory::
 
     trace.store/
         manifest.json    # schema + partition index (written last, atomically)
-        data.bin         # concatenated partition payloads
+        data.bin         # concatenated partition payloads: the live data
+                         # generation, data-gN.bin after a rewrite
 
 Samples are bucketed into partitions keyed by ``(PoP, time-window band)``
 — a band is ``band_windows`` consecutive aggregation windows — mirroring
 how the paper's aggregation tier fans sessions out by PoP and 15-minute
 window (§2.2.2, §3.3). Each partition carries min/max statistics
 (timestamp range, sequence range, countries) in the manifest so readers
-can prune it without touching ``data.bin``.
+can prune it without touching the data file.
 
-Durability: ``data.bin`` and ``manifest.json`` are each written to a
-temporary file, fsync'd, and renamed into place (manifest last), with the
-directory entry fsync'd after each rename (:mod:`repro.fsutil`). An
-interrupted write therefore leaves either the previous store intact or a
-directory without a valid manifest — never a truncated store that parses
-as a short-but-valid trace — and a rename that returned cannot be undone
-by a crash.
+Publishing: :func:`write_store` and compaction
+(:func:`repro.store.compact.compact_store`) publish a whole store one way,
+:func:`_publish_generation`: the rows go to a fresh data *generation*
+(``data.bin``, then ``data-g1.bin``, …), are CRC re-verified from disk,
+and the manifest swap comes last. Each file is written to a temp file,
+fsync'd and renamed into place, the directory fsync'd after each rename
+(:mod:`repro.fsutil`). An interrupted publish leaves the previous store
+intact (for a new store, a directory without a valid manifest) — never a
+truncated store that parses as a short-but-valid trace.
+:class:`StoreAppender` adds to the live generation in place, manifest
+last too.
 
 The manifest is one compact JSON object (no whitespace, ``"partitions"``
 last) with one serialiser, :func:`dump_manifest`, beside its one parser,
@@ -44,6 +49,7 @@ import json
 import math
 import os
 import pathlib
+import re
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.aggregation import window_index
@@ -63,7 +69,6 @@ __all__ = [
     "MANIFEST_NAME",
     "DATA_NAME",
     "StoreAppender",
-    "TraceStoreWriter",
     "append_to_store",
     "dump_manifest",
     "is_store_path",
@@ -250,12 +255,6 @@ def dump_manifest(manifest: dict) -> bytes:
     return _splice_manifest(head, map(_fragment, manifest["partitions"]))
 
 
-def _atomic_write(path: pathlib.Path, data: bytes) -> None:
-    # Module-level indirection kept for tests that monkeypatch the write
-    # path; the durable temp+fsync+rename protocol lives in fsutil.
-    atomic_write_bytes(path, data)
-
-
 Buckets = Dict[Tuple[str, int], List[Tuple[int, SessionSample]]]
 
 
@@ -272,91 +271,6 @@ def _bucket(
     """
     band = window_index(sample.end_time, window_seconds) // band_windows
     buckets.setdefault((sample.pop, band), []).append((seq, sample))
-
-
-class TraceStoreWriter:
-    """Buffer samples into (PoP, band) partitions; flush on :meth:`close`.
-
-    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry` receiving
-    ``store.rows.written``, ``store.partitions.written``,
-    ``store.bytes.written``, and the shared ``io.rows_written`` ledger.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        band_windows: int = DEFAULT_BAND_WINDOWS,
-        window_seconds: float = 900.0,
-        metrics=None,
-    ) -> None:
-        if band_windows < 1:
-            raise ValueError("band_windows must be >= 1")
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        self.path = pathlib.Path(path)
-        self.band_windows = band_windows
-        self.window_seconds = window_seconds
-        self.metrics = metrics
-        self._buckets: Buckets = {}
-        self._next_seq = 0
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    def add(self, sample: SessionSample) -> int:
-        """Buffer one sample; returns its sequence number (stream order)."""
-        if self._closed:
-            raise ValueError("writer is closed")
-        seq = self._next_seq
-        self._next_seq += 1
-        _bucket(
-            self._buckets, seq, sample, self.window_seconds, self.band_windows
-        )
-        return seq
-
-    def add_all(self, samples: Iterable[SessionSample]) -> int:
-        for sample in samples:
-            self.add(sample)
-        return self._next_seq
-
-    def close(self) -> dict:
-        """Encode partitions, write ``data.bin`` then the manifest.
-
-        Returns the manifest dict. Idempotent guard: a closed writer
-        rejects further use.
-        """
-        if self._closed:
-            raise ValueError("writer is closed")
-        self._closed = True
-
-        payload, partitions = _encode_buckets(self._buckets)
-
-        manifest = {
-            "format": STORE_FORMAT,
-            "version": STORE_FORMAT_VERSION,
-            "schema_version": SCHEMA_VERSION,
-            "columns": [
-                {"column": name, "encoding": encoding}
-                for name, encoding in COLUMNS
-            ],
-            "row_count": self._next_seq,
-            "band_windows": self.band_windows,
-            "window_seconds": self.window_seconds,
-            "data_file": DATA_NAME,
-            "data_bytes": len(payload),
-            "partitions": partitions,
-        }
-
-        self.path.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.path / DATA_NAME, bytes(payload))
-        _atomic_write(self.path / MANIFEST_NAME, dump_manifest(manifest))
-
-        if self.metrics is not None:
-            self.metrics.inc("store.rows.written", self._next_seq)
-            self.metrics.inc("store.partitions.written", len(partitions))
-            self.metrics.inc("store.bytes.written", len(payload))
-            self.metrics.inc("io.rows_written", self._next_seq)
-        self._buckets.clear()
-        return manifest
 
 
 def _encode_buckets(
@@ -401,6 +315,84 @@ def _encode_buckets(
     return bytes(payload), partitions
 
 
+_GENERATION_RE = re.compile(r"^data-g(\d+)\.bin$")
+
+
+def _next_generation_name(current: str) -> str:
+    """``data.bin`` → ``data-g1.bin`` → ``data-g2.bin`` …"""
+    match = _GENERATION_RE.match(current)
+    return f"data-g{int(match.group(1)) + 1 if match else 1}.bin"
+
+
+def _publish_generation(
+    path: PathLike,
+    buckets: Buckets,
+    row_count: int,
+    band_windows: int,
+    window_seconds: float,
+) -> dict:
+    """Publish ``buckets`` as the whole store at ``path``; returns its
+    manifest. The one way a store is written whole.
+
+    The rows go to the next data generation: ``data.bin`` when ``path``
+    holds no readable manifest, else the file after the one it names. Its
+    frames are CRC re-verified from what the filesystem holds, then the
+    manifest swap publishes them; until that rename lands readers see the
+    previous store. Then every other ``data*.bin`` (the superseded
+    generation, any orphan of a crashed publish) is unlinked and dead
+    writers' temp files are reaped.
+    """
+    # Late import: the reader imports this module.
+    from repro.store.reader import checksum_mismatch, corrupt_block
+
+    path = pathlib.Path(path)
+    payload, partitions = _encode_buckets(buckets)
+    try:
+        current = load_manifest(path).get("data_file", DATA_NAME)
+    except StoreError:
+        data_name = DATA_NAME
+    else:
+        data_name = _next_generation_name(current)
+    manifest = {
+        "format": STORE_FORMAT,
+        "version": STORE_FORMAT_VERSION,
+        "schema_version": SCHEMA_VERSION,
+        "columns": [
+            {"column": name, "encoding": encoding} for name, encoding in COLUMNS
+        ],
+        "row_count": row_count,
+        "band_windows": band_windows,
+        "window_seconds": window_seconds,
+        "data_file": data_name,
+        "data_bytes": len(payload),
+        "partitions": partitions,
+    }
+
+    path.mkdir(parents=True, exist_ok=True)
+    data_path = path / data_name
+    atomic_write_bytes(data_path, payload)
+    written = memoryview(data_path.read_bytes())
+    for partition in partitions:
+        start = partition["offset"]
+        detail = checksum_mismatch(
+            written[start : start + partition["length"]], partition
+        )
+        if detail is not None:
+            raise corrupt_block(
+                data_path, partition, None, f"re-verify failed: {detail}"
+            )
+    atomic_write_bytes(path / MANIFEST_NAME, dump_manifest(manifest))
+
+    for stale in path.glob("data*.bin"):
+        if stale.name != data_name:
+            try:
+                stale.unlink()
+            except OSError:
+                pass  # the swap stands; the next publish tries again
+    reap_dead_temp_files(path)
+    return manifest
+
+
 def write_store(
     path: PathLike,
     samples: Iterable[SessionSample],
@@ -408,15 +400,29 @@ def write_store(
     window_seconds: float = 900.0,
     metrics=None,
 ) -> int:
-    """Write a whole sample stream as a store; returns the row count."""
-    writer = TraceStoreWriter(
-        path,
-        band_windows=band_windows,
-        window_seconds=window_seconds,
-        metrics=metrics,
+    """Write a whole sample stream as the store at ``path``, replacing any
+    store there (:func:`_publish_generation`); returns the row count.
+
+    ``metrics`` is an optional :class:`repro.obs.MetricsRegistry` receiving
+    ``store.rows.written``, ``store.partitions.written``,
+    ``store.bytes.written``, and the shared ``io.rows_written`` ledger.
+    """
+    if band_windows < 1:
+        raise ValueError("band_windows must be >= 1")
+    if window_seconds <= 0:
+        raise ValueError("window_seconds must be positive")
+    buckets: Buckets = {}
+    count = 0
+    for count, sample in enumerate(samples, start=1):
+        _bucket(buckets, count - 1, sample, window_seconds, band_windows)
+    manifest = _publish_generation(
+        path, buckets, count, band_windows, window_seconds
     )
-    count = writer.add_all(samples)
-    writer.close()
+    if metrics is not None:
+        metrics.inc("store.rows.written", count)
+        metrics.inc("store.partitions.written", len(manifest["partitions"]))
+        metrics.inc("store.bytes.written", manifest["data_bytes"])
+        metrics.inc("io.rows_written", count)
     return count
 
 
@@ -428,10 +434,10 @@ class StoreAppender:
     into fresh (PoP, band) partitions whose sequence numbers continue the
     store's ``row_count``, so a full :meth:`~repro.store.TraceStoreReader.scan`
     yields the concatenation of every append in order — byte-identical to
-    having written the whole stream at once through a
-    :class:`TraceStoreWriter` **when sample (PoP, band) runs don't repeat**;
-    in general each append seals its own partitions (the reader's seq-merge
-    absorbs duplicates of a (PoP, band) key).
+    having written the whole stream at once with :func:`write_store`
+    **when sample (PoP, band) runs don't repeat**; in general each append
+    seals its own partitions (the reader's seq-merge absorbs duplicates of
+    a (PoP, band) key).
 
     The session parses and vets the manifest once (:func:`load_manifest`,
     plus the ``band_windows`` / ``window_seconds`` match — partitions
@@ -445,22 +451,25 @@ class StoreAppender:
     ``manifest.json`` by renaming a fresh temp file, so before each append
     the session compares :func:`manifest_identity` with what it saw after
     its own last publish and, when they differ — a second appender, a
-    compaction's generation swap — loads and vets the manifest again.
+    rewrite's or a compaction's generation swap — loads and vets the
+    manifest again.
 
-    Durability keeps the writer's manifest-last protocol: new payload bytes
+    Unlike :func:`_publish_generation`, an append writes the live data
+    file in place, but also manifest last: new payload bytes
     are appended to the data file and fsync'd *before* the manifest is
     atomically replaced, and the session's own state advances only after
     that rename returns. A crash or error mid-append leaves the previous
     manifest pointing at the previous byte range — the trailing
     unreferenced bytes are invisible to readers and are truncated away by
     the next successful append, which also removes any temp file a dead
-    writer left in the store (:func:`repro.fsutil.reap_dead_temp_files`). A data file *shorter* than the manifest
-    says is damage, not a torn tail: the append is refused with a
-    :class:`TruncatedPartitionError` before anything is written.
+    writer left in the store (:func:`repro.fsutil.reap_dead_temp_files`).
+    A data file *shorter* than the manifest says is damage, not a torn
+    tail: the append is refused with a :class:`TruncatedPartitionError`
+    before anything is written.
 
-    A missing store is created (even for an empty sample stream, so a
-    streaming run's output is always scannable). ``metrics`` receives the
-    same counters as :class:`TraceStoreWriter`.
+    A missing store is created by :func:`write_store` (even for an empty
+    sample stream, so a streaming run's output is always scannable).
+    ``metrics`` receives the same counters as :func:`write_store`'s.
     """
 
     def __init__(
@@ -555,7 +564,7 @@ class StoreAppender:
             data_bytes=base_offset + len(payload),
         )
         fragments = self._fragments + [_fragment(p) for p in partitions]
-        _atomic_write(
+        atomic_write_bytes(
             self.path / MANIFEST_NAME, _splice_manifest(head, fragments)
         )
         self._head = head

@@ -110,7 +110,8 @@ class TestNewSubcommands:
 class TestShardsValidation:
     """The sharding flags: bad values are usage errors, they need a store
     to shard, and nothing but ``--workers`` / ``--workers-addr`` decides
-    where the shards run."""
+    where the shards run. Other option values a command would reject are
+    usage errors too."""
 
     # ``flags`` is the whole command line after ``repro``; the parameter
     # keeps its name so the ids of the value-check cases stay put.
@@ -155,6 +156,43 @@ class TestShardsValidation:
         line-block plan) instead of argparse usage errors."""
         with pytest.raises(SystemExit) as excinfo:
             main(flags)
+        assert excinfo.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("repro: error: ") and message in last
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "s.store", "--windows", "0"], "--windows must be >= 1"),
+            (
+                ["serve", "s.store", "--cache-capacity", "0"],
+                "--cache-capacity must be >= 1",
+            ),
+            (["analyze", "t.jsonl", "--windows", "0"], "--windows must be >= 1"),
+            (["ingest", "t.jsonl", "--windows", "0"], "--windows must be >= 1"),
+            (
+                ["convert", "t.jsonl", "t.store", "--band-windows", "0"],
+                "--band-windows must be >= 1",
+            ),
+            (
+                ["compact-store", "t.store", "--band-windows", "0"],
+                "--band-windows must be >= 1",
+            ),
+            (["ingest", "t.jsonl", "--lateness", "-1"], "--lateness must be >= 0"),
+            (["ingest", "t.jsonl", "--lateness", "nan"], "--lateness must be >= 0"),
+            # --band-windows where no store is written was silently ignored.
+            (["ingest", "t.jsonl", "--band-windows", "2"], "writes none"),
+            (
+                ["convert", "t.store", "t.jsonl", "--band-windows", "2"],
+                "writes none",
+            ),
+        ],
+    )
+    def test_bad_option_values_are_usage_errors(self, argv, message, capsys):
+        """Regression: these escaped as ValueError tracebacks (exit 1) from
+        the command, or were ignored, instead of argparse usage errors."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
         assert excinfo.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("repro: error: ") and message in last

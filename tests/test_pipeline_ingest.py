@@ -332,7 +332,7 @@ class TestSealIsAllOrNothing:
         clean.offer_all(ordered)
         expected = clean.finish()
 
-        real = writer_mod._atomic_write
+        real = writer_mod.atomic_write_bytes
         publishes = []
 
         def flaky(path, data):
@@ -341,7 +341,7 @@ class TestSealIsAllOrNothing:
                 raise OSError(errno.ENOSPC, "No space left on device")
             real(path, data)
 
-        monkeypatch.setattr(writer_mod, "_atomic_write", flaky)
+        monkeypatch.setattr(writer_mod, "atomic_write_bytes", flaky)
         store = tmp_path / "flaky.store"
         metrics = MetricsRegistry()
         ingestor = StreamingIngestor(
@@ -384,16 +384,16 @@ class TestSealIsAllOrNothing:
             study_windows=4, out_store=store, allowed_lateness_seconds=0.0
         )
         ingestor.offer(in_window(0, 10.0))
-        real = writer_mod._atomic_write
+        real = writer_mod.atomic_write_bytes
         monkeypatch.setattr(
             writer_mod,
-            "_atomic_write",
+            "atomic_write_bytes",
             lambda path, data: (_ for _ in ()).throw(OSError("boom")),
         )
         with pytest.raises(OSError):
             ingestor.offer(in_window(1, 10.0))
         assert ingestor.windows_sealed == 0
-        monkeypatch.setattr(writer_mod, "_atomic_write", real)
+        monkeypatch.setattr(writer_mod, "atomic_write_bytes", real)
         result = ingestor.finish()
         assert result.windows_sealed == 2
         assert result.samples_sealed == len(_scan(store)) == 2

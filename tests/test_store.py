@@ -35,7 +35,6 @@ from repro.store import (
     StoreAppender,
     StoreError,
     TraceStoreReader,
-    TraceStoreWriter,
     TruncatedPartitionError,
     append_to_store,
     compact_store,
@@ -436,20 +435,13 @@ class TestWriter:
         assert counters["store.partitions.written"] > 1
         assert counters["store.bytes.written"] > 0
 
-    def test_closed_writer_rejects_use(self, tmp_path):
-        writer = TraceStoreWriter(tmp_path / "t.store")
-        writer.add_all(make_trace_samples(5, seed=10))
-        writer.close()
-        with pytest.raises(ValueError):
-            writer.add(make_trace_samples(1, seed=11)[0])
-        with pytest.raises(ValueError):
-            writer.close()
-
     def test_invalid_parameters(self, tmp_path):
+        samples = make_trace_samples(5, seed=10)
         with pytest.raises(ValueError):
-            TraceStoreWriter(tmp_path / "t.store", band_windows=0)
+            write_store(tmp_path / "t.store", samples, band_windows=0)
         with pytest.raises(ValueError):
-            TraceStoreWriter(tmp_path / "t.store", window_seconds=0.0)
+            write_store(tmp_path / "t.store", samples, window_seconds=0.0)
+        assert not (tmp_path / "t.store").exists()
 
     def test_is_store_path(self, tmp_path):
         store = tmp_path / "t.store"
@@ -749,6 +741,10 @@ class TestAppendSession:
         assert load_manifest(store)["data_file"] == "data-g1.bin"
         assert list(TraceStoreReader(store).scan()) == samples
         assert verify_store(store).ok
+        # A rewrite publishes the next generation and unlinks the rest.
+        write_store(store, samples)
+        assert [p.name for p in store.glob("data*.bin")] == ["data-g2.bin"]
+        assert load_manifest(store)["data_file"] == "data-g2.bin"
 
     def test_failed_publish_leaves_session_retryable(
         self, tmp_path, monkeypatch
@@ -761,15 +757,15 @@ class TestAppendSession:
             write_store(target, samples[:30])
         session = StoreAppender(store)
         session.append(samples[30:60])
-        real = writer_mod._atomic_write
+        real = writer_mod.atomic_write_bytes
         monkeypatch.setattr(
             writer_mod,
-            "_atomic_write",
+            "atomic_write_bytes",
             lambda path, data: (_ for _ in ()).throw(OSError(28, "full")),
         )
         with pytest.raises(OSError):
             session.append(samples[60:])
-        monkeypatch.setattr(writer_mod, "_atomic_write", real)
+        monkeypatch.setattr(writer_mod, "atomic_write_bytes", real)
         # The torn tail is invisible, and the retry reclaims it.
         assert list(TraceStoreReader(store).scan()) == samples[:60]
         session.append(samples[60:])
@@ -834,14 +830,14 @@ class TestAtomicity:
         store that reads back as a short-but-valid trace."""
         import repro.store.writer as writer_mod
 
-        real = writer_mod._atomic_write
+        real = writer_mod.atomic_write_bytes
 
         def fail_on_manifest(path, data):
             if path.name == MANIFEST_NAME:
                 raise OSError("disk full")
             real(path, data)
 
-        monkeypatch.setattr(writer_mod, "_atomic_write", fail_on_manifest)
+        monkeypatch.setattr(writer_mod, "atomic_write_bytes", fail_on_manifest)
         store = tmp_path / "t.store"
         with pytest.raises(OSError):
             write_store(store, make_trace_samples(20, seed=13))
@@ -849,24 +845,40 @@ class TestAtomicity:
         with pytest.raises(ValueError, match="missing manifest"):
             TraceStoreReader(store)
 
+    @pytest.mark.faults
+    @pytest.mark.parametrize("fails", ["data", "manifest"])
+    @pytest.mark.parametrize("publish", ["write", "compact"])
     def test_interrupted_rewrite_keeps_previous_store(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, publish, fails
     ):
+        """A publish over an existing store that dies writing the new data
+        generation, or at the manifest swap after it, leaves the previous
+        store: same manifest bytes, verifying, scanning the same rows."""
         import repro.store.writer as writer_mod
 
         store = tmp_path / "t.store"
-        samples = make_trace_samples(30, seed=14)
-        write_store(store, samples)
+        samples = make_trace_samples(60, seed=14)
+        write_store(store, samples[:30], band_windows=1)
+        append_to_store(store, samples[30:], band_windows=1)
         before = (store / MANIFEST_NAME).read_bytes()
+        real = writer_mod.atomic_write_bytes
 
-        monkeypatch.setattr(
-            writer_mod,
-            "_atomic_write",
-            lambda path, data: (_ for _ in ()).throw(OSError("boom")),
-        )
-        with pytest.raises(OSError):
-            write_store(store, make_trace_samples(5, seed=15))
+        def interrupted(path, data):
+            if (path.name == MANIFEST_NAME) == (fails == "manifest"):
+                raise OSError("boom")
+            real(path, data)
+
+        monkeypatch.setattr(writer_mod, "atomic_write_bytes", interrupted)
+        with pytest.raises(OSError, match="boom"):
+            if publish == "write":
+                write_store(
+                    store, make_trace_samples(5, seed=15), band_windows=1
+                )
+            else:
+                compact_store(store, band_windows=2)
+        monkeypatch.undo()
         assert (store / MANIFEST_NAME).read_bytes() == before
+        assert verify_store(store).ok
         assert list(TraceStoreReader(store).scan()) == samples
 
     def test_no_temp_files_survive(self, tmp_path):
@@ -874,11 +886,11 @@ class TestAtomicity:
         write_store(store, make_trace_samples(10, seed=16))
         assert not list(store.glob("*.tmp.*"))
 
-    @pytest.mark.parametrize("writer", ["append", "compact"])
+    @pytest.mark.parametrize("writer", ["append", "compact", "write"])
     def test_dead_writers_temp_files_are_reaped(self, tmp_path, writer):
         """A writer killed mid-publish leaves ``<name>.tmp.<pid>``; the next
-        append or compaction removes it once that pid is provably dead,
-        and leaves a live process's temp file alone."""
+        append, compaction or rewrite removes it once that pid is provably
+        dead, and leaves a live process's temp file alone."""
         store = tmp_path / "t.store"
         samples = make_trace_samples(60, seed=17)
         write_store(store, samples[:30], band_windows=1)
@@ -890,8 +902,10 @@ class TestAtomicity:
         live.write_bytes(b"still being written")
         if writer == "append":
             append_to_store(store, make_trace_samples(5, seed=18), band_windows=1)
-        else:
+        elif writer == "compact":
             assert not compact_store(store, band_windows=2).skipped
+        else:
+            write_store(store, make_trace_samples(5, seed=18), band_windows=1)
         assert not dead.exists()
         assert live.read_bytes() == b"still being written"
 

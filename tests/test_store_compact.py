@@ -25,7 +25,7 @@ from repro.store import (
     verify_store,
     write_store,
 )
-from repro.store.compact import _next_generation_name
+from repro.store.writer import _next_generation_name
 
 from tests.helpers import make_trace_samples
 
@@ -175,15 +175,17 @@ class TestCompaction:
 
 
 class TestCrashSafety:
+    @pytest.mark.faults
+    @pytest.mark.parametrize("publish", ["compact", "write"])
     def test_torn_write_caught_before_manifest_swap(
-        self, streamed_store, monkeypatch
+        self, streamed_store, samples, monkeypatch, publish
     ):
         # Corrupt the new generation's bytes as they hit disk: the
         # re-verify pass must refuse to publish them, and the store must
         # still read from the old generation as if nothing happened.
-        import repro.store.compact as compact_module
+        import repro.store.writer as writer_mod
 
-        real_write = compact_module.atomic_write_bytes
+        real_write = writer_mod.atomic_write_bytes
         before = list(TraceStoreReader(streamed_store).scan_pairs())
 
         def torn_write(path, payload):
@@ -191,9 +193,12 @@ class TestCrashSafety:
                 payload = bytes([payload[0] ^ 0xFF]) + payload[1:]
             return real_write(path, payload)
 
-        monkeypatch.setattr(compact_module, "atomic_write_bytes", torn_write)
+        monkeypatch.setattr(writer_mod, "atomic_write_bytes", torn_write)
         with pytest.raises(CorruptBlockError, match="re-verify"):
-            compact_store(streamed_store)
+            if publish == "compact":
+                compact_store(streamed_store)
+            else:
+                write_store(streamed_store, samples, band_windows=1)
         monkeypatch.undo()
 
         manifest = json.loads((streamed_store / "manifest.json").read_text())
