@@ -75,6 +75,11 @@
 #                 the per-metric medians/quartiles, pairs won and the
 #                 gain/regression/unresolved verdict (tools/bench_ab.py,
 #                 which holds the defaults: 10 pairs from seed 1).
+#   mutate      - MODULE=<path>[,<path>...] TESTS=<path>[,<path>...] [REV=<rev>]:
+#                 swap each comparison operator of MODULE one at a time
+#                 (< <=, > >=, == !=) in a `git archive` copy and run TESTS
+#                 against each mutant; prints the survivors as path:line
+#                 (tools/mutate.py). Not tier-1.
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
@@ -92,7 +97,7 @@ COV_SOURCES = --cov=repro.obs --cov=repro.store --cov=repro.faultinject \
 
 .PHONY: test test-all test-faults test-kernels test-streaming test-serve \
 	test-dist test-netsim test-io test-store test-bench test-examples coverage bench \
-	bench-smoke bench-dist bench-cc-matrix src-lines doc-lines bench-ab
+	bench-smoke bench-dist bench-cc-matrix src-lines doc-lines bench-ab mutate
 
 test:
 	$(PYTEST) -x -q
@@ -168,3 +173,8 @@ bench-ab:
 		{ echo "usage: make bench-ab PARENT=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=N] [SEED=N]"; exit 2; }
 	$(PYTHON) tools/bench_ab.py $(PARENT) $(WORKLOAD) \
 		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
+
+mutate:
+	@test -n "$(MODULE)" -a -n "$(TESTS)" || \
+		{ echo "usage: make mutate MODULE=<path>[,<path>...] TESTS=<path>[,<path>...] [REV=<rev>]"; exit 2; }
+	$(PYTHON) tools/mutate.py $(MODULE) --tests $(TESTS) $(if $(REV),--rev $(REV))

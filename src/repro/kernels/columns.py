@@ -28,22 +28,21 @@ Layout contract (DESIGN.md §10):
   per-row cost while the per-sample and per-transaction work stays
   object-free.
 
-A batch is filled three ways: :meth:`ColumnBatch.from_pairs` shreds
-already-materialized samples (in-memory sources, a streaming seal's
-window); :meth:`ColumnBatch.from_store_columns` adopts a store
-partition's decoded column dict directly; and the JSONL column assembler
-in :mod:`repro.pipeline.io` appends each parsed trace line straight into
-a working batch, drained (:meth:`~ColumnBatch.drain`) every
-:data:`BATCH_ROWS` rows. Only the first takes records, and only because
-its caller already had them.
+A batch is filled two ways: :meth:`ColumnBatch.from_store_columns` adopts
+the store schema's column lists — a partition's decoded columns, or
+:func:`repro.store.schema.shred_rows` of in-memory samples (the one
+shredder of a ``SessionSample``); and the JSONL column assembler in
+:mod:`repro.pipeline.io` appends each parsed trace line straight into a
+working batch, drained (:meth:`~ColumnBatch.drain`) every
+:data:`BATCH_ROWS` rows.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.records import HttpVersion, RouteInfo, SessionSample
+from repro.core.records import HttpVersion, RouteInfo
 
 __all__ = ["BATCH_ROWS", "ColumnBatch"]
 
@@ -159,80 +158,13 @@ class ColumnBatch:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_pairs(
-        cls, pairs: List[Tuple[int, SessionSample]]
-    ) -> "ColumnBatch":
-        """Shred ``(order_key, sample)`` pairs into columns.
-
-        The sample-object path (in-memory streams, a streaming seal's
-        window): objects already exist upstream, so this only flattens
-        them; the per-row saving comes from the kernels not re-walking
-        objects afterwards.
-        """
-        batch = cls()
-        order_keys = batch.order_keys
-        start_times = batch.start_times
-        end_times = batch.end_times
-        is_http2 = batch.is_http2
-        min_rtts = batch.min_rtts
-        bytes_sents = batch.bytes_sents
-        busy_times = batch.busy_times
-        pops = batch.pops
-        countries = batch.countries
-        continents = batch.continents
-        hostings = batch.hostings
-        geo_tags = batch.geo_tags
-        routes = batch.routes
-        media_lens = batch.media_lens
-        media_values = batch.media_values
-        txn_lens = batch.txn_lens
-        txn_fbt = batch.txn_fbt
-        txn_ack = batch.txn_ack
-        txn_resp = batch.txn_resp
-        txn_last = batch.txn_last
-        txn_cwnd = batch.txn_cwnd
-        txn_inflight = batch.txn_inflight
-        txn_lbwt = batch.txn_lbwt
-        http2 = HttpVersion.HTTP_2
-        for order_key, sample in pairs:
-            order_keys.append(order_key)
-            start_times.append(sample.start_time)
-            end_times.append(sample.end_time)
-            is_http2.append(sample.http_version is http2)
-            min_rtts.append(sample.min_rtt_seconds)
-            bytes_sents.append(sample.bytes_sent)
-            busy_times.append(sample.busy_time_seconds)
-            pops.append(sample.pop)
-            countries.append(sample.client_country)
-            continents.append(sample.client_continent)
-            hostings.append(sample.client_ip_is_hosting)
-            geo_tags.append(sample.geo_tag)
-            routes.append(sample.route)
-            media = sample.media_response_sizes
-            media_lens.append(len(media))
-            media_values.extend(media)
-            transactions = sample.transactions
-            txn_lens.append(len(transactions))
-            for txn in transactions:
-                fbt = txn.first_byte_time
-                txn_fbt.append(fbt)
-                txn_ack.append(txn.ack_time)
-                txn_resp.append(txn.response_bytes)
-                txn_last.append(txn.last_packet_bytes)
-                txn_cwnd.append(txn.cwnd_bytes_at_first_byte)
-                txn_inflight.append(txn.bytes_in_flight_at_start)
-                lbwt = txn.last_byte_write_time
-                txn_lbwt.append(fbt if lbwt is None else lbwt)
-        return batch
-
-    # ------------------------------------------------------------------ #
-    @classmethod
     def from_store_columns(cls, decoded: Dict[str, list]) -> "ColumnBatch":
-        """Adopt one store partition's decoded columns (the fast path).
+        """Adopt the store schema's flat columns.
 
-        ``decoded`` is :func:`repro.store.schema.decode_columns` output:
-        the schema's flat columns, one partition's worth, seq-sorted. Most
-        columns transfer by reference — zero copies, zero objects; only
+        ``decoded`` is :func:`repro.store.schema.decode_columns` or
+        :func:`~repro.store.schema.shred_rows` output, ``seq``
+        non-decreasing. Most columns transfer by reference — zero copies,
+        zero objects, and a change to ``decoded`` changes the batch; only
         the presence-compacted columns (route, ``last_byte_write_time``)
         are expanded, and routes are interned by the row decoder's own
         :func:`~repro.store.schema.expand_routes`, so repeated routes cost

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import pathlib
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -40,6 +41,7 @@ from repro.kernels.columns import BATCH_ROWS, ColumnBatch
 from repro.kernels.goodput import funnel_single, session_funnel
 from repro.obs import MetricsRegistry
 from repro.pipeline.filters import FilterStats
+from repro.store.schema import shred_rows
 
 __all__ = [
     "BatchIngestor",
@@ -361,15 +363,14 @@ class BatchIngestor:
 def batches_from_pairs(
     pairs: Iterable[Tuple[int, SessionSample]],
 ) -> Iterator[ColumnBatch]:
-    """Slice an ``(order_key, sample)`` stream into column batches."""
-    buffer: List[Tuple[int, SessionSample]] = []
-    for pair in pairs:
-        buffer.append(pair)
-        if len(buffer) >= BATCH_ROWS:
-            yield ColumnBatch.from_pairs(buffer)
-            buffer = []
-    if buffer:
-        yield ColumnBatch.from_pairs(buffer)
+    """Slice an ``(order_key, sample)`` stream into column batches of
+    :data:`BATCH_ROWS` rows, each the store's shred of its slice."""
+    iterator = iter(pairs)
+    while True:
+        chunk = list(islice(iterator, BATCH_ROWS))
+        if not chunk:
+            return
+        yield ColumnBatch.from_store_columns(shred_rows(chunk))
 
 
 def iter_batches(
@@ -384,7 +385,7 @@ def iter_batches(
     keys, so shard results merge in exact stream order; a JSONL trace
     yields :data:`BATCH_ROWS`-row batches under stream position. Neither
     builds a row object. In-memory streams are sliced into
-    :data:`BATCH_ROWS`-row batches by :meth:`ColumnBatch.from_pairs`.
+    :data:`BATCH_ROWS`-row batches by :func:`batches_from_pairs`.
     ``metrics`` receives the same ``io.*``/``store.*`` counters as the row
     readers.
     """

@@ -231,9 +231,9 @@ def _column_assembler():
     """The column assembler: parsed records straight into batch columns.
 
     Returns ``(assemble, finish)``. ``assemble(payload, routes)`` appends
-    one record — exactly the values :meth:`ColumnBatch.from_pairs` would
-    take from ``sample_from_dict(payload, routes)``, keyed by stream
-    position as ``batches_from_pairs(enumerate(...))`` keys them — and
+    one record — exactly the values ``batches_from_pairs`` would shred
+    from ``sample_from_dict(payload, routes)``, keyed by stream position
+    as ``batches_from_pairs(enumerate(...))`` keys them — and
     hands back a full batch every :data:`BATCH_ROWS` rows, else ``None``;
     ``finish()`` hands back the rest. No record object is built.
 
@@ -425,7 +425,7 @@ def read_column_batches(path: PathLike, metrics=None) -> Iterator[ColumnBatch]:
     (:meth:`repro.store.TraceStoreReader.read_column_batches`). A JSONL
     trace goes through the column assembler: :data:`BATCH_ROWS`-row
     batches keyed by stream position, equal field by field to
-    ``ColumnBatch.from_pairs`` over :func:`read_samples`' samples, with no
+    ``batches_from_pairs`` over :func:`read_samples`' samples, with no
     sample built. The same counters and the same errors as
     :func:`read_samples`.
     """

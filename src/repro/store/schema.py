@@ -2,9 +2,12 @@
 
 One partition holds ``(seq, sample)`` rows — ``seq`` is the sample's
 position in the original stream, which is what lets readers reconstruct
-the exact serial order across partitions. The schema shreds every
+the exact serial order across partitions. :func:`shred_rows` shreds every
 :class:`~repro.core.records.SessionSample` field (including the nested
-route and transaction records) into flat columns:
+route and transaction records) into flat columns — the one place a sample
+becomes columns; the store's writers and the batch kernels
+(:meth:`repro.kernels.columns.ColumnBatch.from_store_columns`) both take
+its output:
 
 - nested lists (transactions, AS paths, media sizes) become a per-row
   length column plus flattened child columns;
@@ -59,8 +62,8 @@ from repro.store.errors import ColumnDecodeError
 __all__ = [
     "SCHEMA_VERSION",
     "COLUMNS",
-    "encode_rows",
     "decode_columns",
+    "encode_columns",
     "layout_frame",
     "shred_rows",
     "split_frame",
@@ -291,10 +294,10 @@ def split_frame(raw: bytes, lengths: Sequence[int]) -> list:
     return columns
 
 
-def encode_rows(
-    rows: List[Tuple[int, SessionSample]], compress: bool = True
+def encode_columns(
+    columns: Dict[str, list], compress: bool = True
 ) -> Tuple[bytes, dict]:
-    """Shred ``(seq, sample)`` rows into one partition frame.
+    """One partition frame from its :func:`shred_rows` columns.
 
     Returns the frame's on-disk bytes — every column encoded, laid out by
     :func:`layout_frame` and deflated once when that shrinks them — and
@@ -302,7 +305,6 @@ def encode_rows(
     (of the on-disk bytes) and each column's encoded ``lengths``, in
     :data:`COLUMNS` order.
     """
-    columns = shred_rows(rows)
     encoded = [_ENCODERS[encoding](columns[name]) for name, encoding in COLUMNS]
     data, codec = compress_block(layout_frame(encoded), compress)
     return data, {
@@ -409,7 +411,8 @@ def gc_paused() -> Iterator[None]:
 
 
 def decode_rows(payload: bytes, frame: dict) -> List[Tuple[int, SessionSample]]:
-    """Inverse of :func:`encode_rows`; rows come back in stored order."""
+    """Inverse of :func:`encode_columns` over :func:`shred_rows`; rows come
+    back in stored order."""
     with gc_paused():
         return _decode_rows(payload, frame)
 

@@ -37,7 +37,7 @@ its fixed-width columns as 8 byte planes
 (:func:`repro.store.schema.layout_frame`), deflated once at level 1 — and
 its descriptor records the frame's ``codec``, a CRC32 of its on-disk
 bytes and each column's encoded ``lengths`` (all from
-:func:`repro.store.schema.encode_rows`); the reader verifies the CRC
+:func:`repro.store.schema.encode_columns`); the reader verifies the CRC
 before decoding. Format version 4 is the only one read or written:
 :func:`parse_manifest` refuses any other, and a descriptor without a
 checksum is damage (:func:`repro.store.reader.checksum_mismatch`).
@@ -50,7 +50,7 @@ import math
 import os
 import pathlib
 import re
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.aggregation import window_index
 from repro.core.records import SessionSample
@@ -60,7 +60,7 @@ from repro.store.errors import (
     StoreError,
     TruncatedPartitionError,
 )
-from repro.store.schema import COLUMNS, SCHEMA_VERSION, encode_rows
+from repro.store.schema import COLUMNS, SCHEMA_VERSION, encode_columns, shred_rows
 
 __all__ = [
     "DEFAULT_BAND_WINDOWS",
@@ -76,6 +76,7 @@ __all__ = [
     "manifest_identity",
     "parse_manifest",
     "read_manifest_bytes",
+    "shred_partitions",
     "write_store",
 ]
 
@@ -255,64 +256,83 @@ def dump_manifest(manifest: dict) -> bytes:
     return _splice_manifest(head, map(_fragment, manifest["partitions"]))
 
 
-Buckets = Dict[Tuple[str, int], List[Tuple[int, SessionSample]]]
+#: ``((pop, band), columns)``: one partition's key and its
+#: :func:`~repro.store.schema.shred_rows` columns.
+Partition = Tuple[Tuple[str, int], Dict[str, list]]
 
 
-def _bucket(
-    buckets: Buckets,
-    seq: int,
-    sample: SessionSample,
+def shred_partitions(
+    rows: Iterable[Tuple[int, SessionSample]],
     window_seconds: float,
     band_windows: int,
-) -> None:
-    """File ``(seq, sample)`` under its (PoP, band) partition key.
+) -> Iterator[Partition]:
+    """``(seq, sample)`` rows as one shredded column dict per (PoP, band)
+    partition — the one step from samples to what a store holds.
 
-    A sample's band is keyed by session end, like its window.
+    A sample's band is keyed by session end, like its window. Partitions
+    come in order of first appearance (smallest ``seq``), so a full
+    scan's k-way merge starts near the front of every partition and the
+    layout does not depend on dict iteration quirks. Each partition is
+    shredded as it is taken, so a whole-store write holds one partition's
+    columns at a time.
     """
-    band = window_index(sample.end_time, window_seconds) // band_windows
-    buckets.setdefault((sample.pop, band), []).append((seq, sample))
+    buckets: Dict[Tuple[str, int], List[Tuple[int, SessionSample]]] = {}
+    for row in rows:
+        sample = row[1]
+        band = window_index(sample.end_time, window_seconds) // band_windows
+        buckets.setdefault((sample.pop, band), []).append(row)
+    for key, bucket in sorted(buckets.items(), key=lambda item: item[1][0][0]):
+        yield key, shred_rows(bucket)
 
 
 def _encode_buckets(
-    buckets: Buckets,
+    partitions: Iterable[Partition],
     first_part_id: int = 0,
     base_offset: int = 0,
 ) -> Tuple[bytes, List[dict]]:
-    """Encode (PoP, band) buckets into a payload + manifest partition list.
+    """Encode partitions into a payload + manifest partition list.
 
-    Deterministic partition order: by first appearance in the stream, so a
-    full scan's k-way merge starts near the front of every partition and
-    the layout does not depend on dict iteration quirks. ``first_part_id``
+    Each partition's ``stats`` are read off its columns. ``first_part_id``
     and ``base_offset`` let an append continue an existing manifest's id
     and offset sequences.
     """
-    ordered = sorted(buckets.items(), key=lambda item: item[1][0][0])
     payload = bytearray()
-    partitions: List[dict] = []
-    for part_id, ((pop, band), rows) in enumerate(ordered, start=first_part_id):
-        encoded, frame = encode_rows(rows)
-        partitions.append(
+    descriptors: List[dict] = []
+    for part_id, ((pop, band), columns) in enumerate(
+        partitions, start=first_part_id
+    ):
+        encoded, frame = encode_columns(columns)
+        seqs = columns["seq"]
+        end_times = columns["end_time"]
+        descriptors.append(
             {
                 "id": part_id,
                 "pop": pop,
                 "band": band,
-                "rows": len(rows),
+                "rows": len(seqs),
                 "offset": base_offset + len(payload),
                 "length": len(encoded),
                 "stats": {
-                    "min_seq": rows[0][0],
-                    "max_seq": rows[-1][0],
-                    "min_end_time": min(s.end_time for _, s in rows),
-                    "max_end_time": max(s.end_time for _, s in rows),
-                    "countries": sorted(
-                        {s.client_country for _, s in rows}
-                    ),
+                    "min_seq": seqs[0],
+                    "max_seq": seqs[-1],
+                    "min_end_time": min(end_times),
+                    "max_end_time": max(end_times),
+                    "countries": sorted(set(columns["client_country"])),
                 },
                 **frame,
             }
         )
         payload += encoded
-    return bytes(payload), partitions
+    return bytes(payload), descriptors
+
+
+def _count_written(metrics, rows: int, partitions: int, data_bytes: int) -> None:
+    """The write counters of :func:`write_store` and every append."""
+    if metrics is not None:
+        metrics.inc("store.rows.written", rows)
+        metrics.inc("store.partitions.written", partitions)
+        metrics.inc("store.bytes.written", data_bytes)
+        metrics.inc("io.rows_written", rows)
 
 
 _GENERATION_RE = re.compile(r"^data-g(\d+)\.bin$")
@@ -326,13 +346,15 @@ def _next_generation_name(current: str) -> str:
 
 def _publish_generation(
     path: PathLike,
-    buckets: Buckets,
+    partitions: Iterable[Partition],
     row_count: int,
     band_windows: int,
     window_seconds: float,
+    metrics=None,
 ) -> dict:
-    """Publish ``buckets`` as the whole store at ``path``; returns its
-    manifest. The one way a store is written whole.
+    """Publish ``partitions`` as the whole store at ``path``; returns its
+    manifest. The one way a store is written whole; ``metrics`` receives
+    the write counters (:func:`write_store`).
 
     The rows go to the next data generation: ``data.bin`` when ``path``
     holds no readable manifest, else the file after the one it names. Its
@@ -346,7 +368,7 @@ def _publish_generation(
     from repro.store.reader import checksum_mismatch, corrupt_block
 
     path = pathlib.Path(path)
-    payload, partitions = _encode_buckets(buckets)
+    payload, descriptors = _encode_buckets(partitions)
     try:
         current = load_manifest(path).get("data_file", DATA_NAME)
     except StoreError:
@@ -365,14 +387,14 @@ def _publish_generation(
         "window_seconds": window_seconds,
         "data_file": data_name,
         "data_bytes": len(payload),
-        "partitions": partitions,
+        "partitions": descriptors,
     }
 
     path.mkdir(parents=True, exist_ok=True)
     data_path = path / data_name
     atomic_write_bytes(data_path, payload)
     written = memoryview(data_path.read_bytes())
-    for partition in partitions:
+    for partition in descriptors:
         start = partition["offset"]
         detail = checksum_mismatch(
             written[start : start + partition["length"]], partition
@@ -390,7 +412,15 @@ def _publish_generation(
             except OSError:
                 pass  # the swap stands; the next publish tries again
     reap_dead_temp_files(path)
+    _count_written(metrics, row_count, len(descriptors), len(payload))
     return manifest
+
+
+def _check_banding(band_windows: int, window_seconds: float) -> None:
+    if band_windows < 1:
+        raise ValueError("band_windows must be >= 1")
+    if window_seconds <= 0:
+        raise ValueError("window_seconds must be positive")
 
 
 def write_store(
@@ -407,23 +437,17 @@ def write_store(
     ``store.rows.written``, ``store.partitions.written``,
     ``store.bytes.written``, and the shared ``io.rows_written`` ledger.
     """
-    if band_windows < 1:
-        raise ValueError("band_windows must be >= 1")
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be positive")
-    buckets: Buckets = {}
-    count = 0
-    for count, sample in enumerate(samples, start=1):
-        _bucket(buckets, count - 1, sample, window_seconds, band_windows)
-    manifest = _publish_generation(
-        path, buckets, count, band_windows, window_seconds
+    _check_banding(band_windows, window_seconds)
+    rows = list(enumerate(samples))
+    _publish_generation(
+        path,
+        shred_partitions(rows, window_seconds, band_windows),
+        len(rows),
+        band_windows,
+        window_seconds,
+        metrics,
     )
-    if metrics is not None:
-        metrics.inc("store.rows.written", count)
-        metrics.inc("store.partitions.written", len(manifest["partitions"]))
-        metrics.inc("store.bytes.written", manifest["data_bytes"])
-        metrics.inc("io.rows_written", count)
-    return count
+    return len(rows)
 
 
 class StoreAppender:
@@ -431,8 +455,9 @@ class StoreAppender:
 
     The incremental-write path for streaming ingest
     (:mod:`repro.pipeline.ingest`): each :meth:`append` packs its samples
-    into fresh (PoP, band) partitions whose sequence numbers continue the
-    store's ``row_count``, so a full :meth:`~repro.store.TraceStoreReader.scan`
+    (:meth:`append_partitions`: already shredded partitions) into fresh
+    (PoP, band) partitions whose sequence numbers continue the store's
+    ``row_count``, so a full :meth:`~repro.store.TraceStoreReader.scan`
     yields the concatenation of every append in order — byte-identical to
     having written the whole stream at once with :func:`write_store`
     **when sample (PoP, band) runs don't repeat**; in general each append
@@ -467,8 +492,8 @@ class StoreAppender:
     tail: the append is refused with a :class:`TruncatedPartitionError`
     before anything is written.
 
-    A missing store is created by :func:`write_store` (even for an empty
-    sample stream, so a streaming run's output is always scannable).
+    A missing store is published whole by :func:`_publish_generation`
+    (even for no rows, so a streaming run's output is always scannable).
     ``metrics`` receives the same counters as :func:`write_store`'s.
     """
 
@@ -479,6 +504,7 @@ class StoreAppender:
         window_seconds: float = 900.0,
         metrics=None,
     ) -> None:
+        _check_banding(band_windows, window_seconds)
         self.path = pathlib.Path(path)
         self.band_windows = band_windows
         self.window_seconds = window_seconds
@@ -502,40 +528,47 @@ class StoreAppender:
 
     def append(self, samples: Iterable[SessionSample]) -> int:
         """Append samples as new partitions; returns the row count."""
+        rows = enumerate(samples)
+        return self.append_partitions(
+            list(shred_partitions(rows, self.window_seconds, self.band_windows))
+        )
+
+    def append_partitions(self, partitions: List[Partition]) -> int:
+        """Append :func:`shred_partitions` output; returns the row count.
+
+        ``seq`` counts from 0 across the partitions; the store's rows get
+        ``row_count + seq``, in new lists: the caller's columns may back a
+        :class:`~repro.kernels.columns.ColumnBatch` that adopted them.
+        """
+        count = sum(len(columns["seq"]) for _, columns in partitions)
         # Identity is read before the manifest it vouches for, so a writer
         # racing the load is caught by the next append's comparison.
         identity = manifest_identity(self.path)
         if identity is None:
             # Nothing cached: the next append loads what this one writes.
-            return write_store(
+            _publish_generation(
                 self.path,
-                samples,
-                band_windows=self.band_windows,
-                window_seconds=self.window_seconds,
-                metrics=self.metrics,
+                partitions,
+                count,
+                self.band_windows,
+                self.window_seconds,
+                self.metrics,
             )
+            return count
         if identity != self._identity:
             self._load()
             self._identity = identity
         reap_dead_temp_files(self.path)
-
-        first_seq = self._head["row_count"]
-        buckets: Buckets = {}
-        count = 0
-        for count, sample in enumerate(samples, start=1):
-            _bucket(
-                buckets,
-                first_seq + count - 1,
-                sample,
-                self.window_seconds,
-                self.band_windows,
-            )
         if count == 0:
             return 0
 
+        first_seq = self._head["row_count"]
         base_offset = self._head["data_bytes"]
-        payload, partitions = _encode_buckets(
-            buckets,
+        payload, descriptors = _encode_buckets(
+            [
+                (key, {**columns, "seq": [first_seq + s for s in columns["seq"]]})
+                for key, columns in partitions
+            ],
             first_part_id=len(self._fragments),
             base_offset=base_offset,
         )
@@ -563,19 +596,14 @@ class StoreAppender:
             row_count=first_seq + count,
             data_bytes=base_offset + len(payload),
         )
-        fragments = self._fragments + [_fragment(p) for p in partitions]
+        fragments = self._fragments + [_fragment(p) for p in descriptors]
         atomic_write_bytes(
             self.path / MANIFEST_NAME, _splice_manifest(head, fragments)
         )
         self._head = head
         self._fragments = fragments
         self._identity = manifest_identity(self.path)
-
-        if self.metrics is not None:
-            self.metrics.inc("store.rows.written", count)
-            self.metrics.inc("store.partitions.written", len(partitions))
-            self.metrics.inc("store.bytes.written", len(payload))
-            self.metrics.inc("io.rows_written", count)
+        _count_written(self.metrics, count, len(descriptors), len(payload))
         return count
 
 

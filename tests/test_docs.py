@@ -111,6 +111,35 @@ class TestReadme:
         assert [line for line in sharded if ".store" not in line] == []
 
 
+class TestPackaging:
+    def test_the_library_declares_no_runtime_dependency(self):
+        """``pip install -e .`` pulls nothing in: numpy is the ``bench``
+        extra, read only by ``python3 -m bench`` for its host record."""
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads(read("pyproject.toml"))["project"]
+        assert project["dependencies"] == []
+        assert project["optional-dependencies"]["bench"] == ["numpy>=1.21"]
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 10), reason="needs sys.stdlib_module_names"
+    )
+    def test_src_imports_only_the_standard_library_and_itself(self):
+        outside = set()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.partition(".")[0]
+                    if top != "repro" and top not in sys.stdlib_module_names:
+                        outside.add(f"{path.relative_to(ROOT)}: {name}")
+        assert not outside, sorted(outside)
+
+
 class TestStoreFormatVersion:
     @pytest.mark.parametrize("name", ["README.md", "DESIGN.md"])
     def test_every_store_format_named_is_the_current_one(self, name):
@@ -361,7 +390,7 @@ class TestSurfaceGuards:
                     ):
                         callers.add(f"{path.name}:{function.name}")
         assert callers == {
-            "schema.py:encode_rows",  # on write
+            "schema.py:encode_columns",  # on write
             "reader.py:checksum_mismatch",  # the one comparison on read
         }
 
@@ -387,7 +416,7 @@ class TestSurfaceGuards:
                         callers.add(f"{path.name}:{function.name}")
         assert spelled == {"writer.py"}
         assert callers == {
-            "writer.py:append",  # StoreAppender, before and after a publish
+            "writer.py:append_partitions",  # StoreAppender, before and after a publish
             "engine.py:__init__",  # QueryEngine's seed
             "engine.py:_refresh_generation",  # and its per-request check
         }

@@ -2,7 +2,7 @@
 
 ``read_column_batches`` fills :class:`ColumnBatch` columns straight from
 the parsed JSON of each line; ``read_samples`` builds a ``SessionSample``
-per line, which ``ColumnBatch.from_pairs`` then shreds. Over generated
+per line, which ``batches_from_pairs`` then shreds. Over generated
 traces — hosting rows without a route, empty or absent media, null or
 absent ``last_byte_write_time``, absent ``coalesced_count`` and
 ``geo_tag``, blank lines, plain and gzip files, batches of one row up to

@@ -166,6 +166,8 @@ class TestWatermarkSealing:
             StreamingIngestor(study_windows=4, window_seconds=0.0)
         with pytest.raises(ValueError):
             StreamingIngestor(study_windows=4, allowed_lateness_seconds=-1.0)
+        with pytest.raises(ValueError, match="band_windows"):
+            StreamingIngestor(study_windows=4, band_windows=0)
 
     def test_gauges_match_batch_convention(self):
         samples = make_trace_samples(120, seed=21, windows=4)

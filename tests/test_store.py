@@ -7,6 +7,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tempfile
 import zlib
 from itertools import islice
 
@@ -27,7 +28,7 @@ from repro.kernels.columns import ColumnBatch
 from repro.kernels.engine import iter_batches
 from repro.obs import MetricsRegistry
 from repro.pipeline import ParallelOptions, build_dataset
-from repro.pipeline.io import read_samples, write_samples
+from repro.pipeline.io import read_column_batches, read_samples, write_samples
 from repro.store import (
     DEFAULT_BAND_WINDOWS,
     STORE_FORMAT_VERSION,
@@ -66,7 +67,7 @@ from repro.store.schema import (
     COLUMNS,
     decode_columns,
     decode_rows,
-    encode_rows,
+    encode_columns,
     layout_frame,
     shred_rows,
     split_frame,
@@ -165,7 +166,7 @@ def _odd_sample(floats, ints, count=2):
 def _assert_bit_exact(rows, compress):
     """``decode_columns`` returns every column of ``rows`` exactly: floats
     compared by their bits, so NaN payloads and -0.0 count."""
-    payload, frame = encode_rows(rows, compress=compress)
+    payload, frame = encode_columns(shred_rows(rows), compress=compress)
     decoded = decode_columns(payload, frame)
     expected = shred_rows(rows)
     for name, encoding in COLUMNS:
@@ -283,11 +284,67 @@ class TestEncodings:
         assert decode_bitmap(encode_bitmap(values)) == values
 
 
+_ROUTES = st.builds(
+    RouteInfo,
+    prefix=st.sampled_from(("203.0.112.0/20", "198.51.1.0/24")),
+    as_path=st.lists(st.integers(1, 2**32 - 1), max_size=4).map(tuple),
+    relationship=st.sampled_from(Relationship),
+    preference_rank=st.integers(0, 3),
+    prepended=st.booleans(),
+)
+_SECONDS = st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False)
+_SPAN = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _transactions(draw):
+    first_byte = draw(_SECONDS)
+    response = draw(st.integers(1, 10**7))
+    written = draw(st.none() | _SPAN)
+    return TransactionRecord(
+        first_byte_time=first_byte,
+        ack_time=first_byte + draw(_SPAN),
+        response_bytes=response,
+        last_packet_bytes=draw(st.integers(0, response)),
+        cwnd_bytes_at_first_byte=draw(st.integers(1, 10**6)),
+        bytes_in_flight_at_start=draw(st.integers(0, 10**6)),
+        coalesced_count=draw(st.integers(1, 4)),
+        last_byte_write_time=None if written is None else first_byte + written,
+    )
+
+
+@st.composite
+def _samples(draw):
+    """A valid sample of any edge shape: a hosting sample with or without
+    a route, no transactions, no media sizes, every HTTP version."""
+    start = draw(_SECONDS)
+    hosting = draw(st.booleans())
+    return SessionSample(
+        session_id=draw(st.integers(0, 2**40)),
+        start_time=start,
+        end_time=start + draw(_SPAN),
+        http_version=draw(st.sampled_from(HttpVersion)),
+        min_rtt_seconds=draw(st.floats(1e-4, 2.0)),
+        bytes_sent=draw(st.integers(0, 10**9)),
+        busy_time_seconds=draw(_SPAN),
+        transactions=draw(st.lists(_transactions(), max_size=3)),
+        route=draw(st.none() | _ROUTES) if hosting else draw(_ROUTES),
+        pop=draw(st.sampled_from(("ams1", "sjc1"))),
+        client_country=draw(st.sampled_from(("NL", "US"))),
+        client_continent=draw(st.sampled_from(("EU", "NA"))),
+        client_ip_is_hosting=hosting,
+        geo_tag=draw(st.sampled_from(("", "metro"))),
+        media_response_sizes=tuple(
+            draw(st.lists(st.integers(0, 10**7), max_size=3))
+        ),
+    )
+
+
 class TestSchema:
     def test_rows_round_trip_losslessly(self):
         rows = list(enumerate(make_trace_samples(120, seed=3)))
         for compress in (True, False):
-            payload, frame = encode_rows(rows, compress=compress)
+            payload, frame = encode_columns(shred_rows(rows), compress=compress)
             assert frame["codec"] == ("zlib" if compress else "raw")
             assert decode_rows(payload, frame) == rows
 
@@ -295,7 +352,7 @@ class TestSchema:
         """One frame per partition: one length per schema column, summing
         to the inflated frame, and one CRC over the on-disk bytes."""
         rows = list(enumerate(make_trace_samples(10, seed=4)))
-        payload, frame = encode_rows(rows)
+        payload, frame = encode_columns(shred_rows(rows))
         assert sorted(frame) == ["codec", "crc32", "lengths"]
         assert len(frame["lengths"]) == len(COLUMNS)
         raw = decompress_block(payload, frame["codec"], sum(frame["lengths"]))
@@ -303,19 +360,38 @@ class TestSchema:
         assert frame["crc32"] == zlib.crc32(payload)
 
     def test_empty_rows(self):
-        payload, frame = encode_rows([])
+        payload, frame = encode_columns(shred_rows([]))
         assert decode_rows(payload, frame) == []
 
     def test_shred_matches_the_oracle_on_the_golden_trace(self):
         rows = list(enumerate(read_samples(GOLDEN_TRACE)))
         assert shred_rows(rows) == shred_oracle(rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_samples(), max_size=6))
+    def test_one_shred_feeds_the_store_and_the_kernels(self, samples):
+        """``shred_rows`` is the oracle's shred; its columns encode and
+        decode back to the rows, and as a kernel batch they equal the JSONL
+        column assembler's batch over the same samples."""
+        rows = list(enumerate(samples))
+        columns = shred_rows(rows)
+        assert columns == shred_oracle(rows)
+        assert decode_rows(*encode_columns(columns)) == rows
+        with tempfile.TemporaryDirectory() as workdir:
+            path = pathlib.Path(workdir) / "trace.jsonl"
+            write_samples(path, samples)
+            assembled = [
+                row for batch in read_column_batches(path)
+                for row in batch_rows(batch)
+            ]
+        assert batch_rows(ColumnBatch.from_store_columns(columns)) == assembled
+
     def test_fixed_width_columns_are_byte_planes_after_the_head(self):
         """The variable-width columns in schema order, then every f64 /
         i64 column's bytes in schema order as one region, written plane
         by plane; :func:`split_frame` undoes it."""
         rows = list(enumerate(make_trace_samples(40, seed=6)))
-        payload, frame = encode_rows(rows, compress=False)
+        payload, frame = encode_columns(shred_rows(rows), compress=False)
         columns = shred_rows(rows)
         encoded = [_ENCODERS[kind](columns[name]) for name, kind in COLUMNS]
         fixed = [kind in ("f64", "i64") for _, kind in COLUMNS]
@@ -329,7 +405,7 @@ class TestSchema:
 
     def test_misaligned_fixed_column_is_named(self):
         rows = list(enumerate(make_trace_samples(10, seed=7)))
-        payload, frame = encode_rows(rows, compress=False)
+        payload, frame = encode_columns(shred_rows(rows), compress=False)
         lengths = frame["lengths"]
         names = [name for name, _ in COLUMNS]
         lengths[names.index("bytes_sent")] -= 3
@@ -611,6 +687,16 @@ def _as_indented(store):
 class TestAppendSession:
     """One StoreAppender ≡ the same appends one-shot, at a cost per append
     that does not grow with the store."""
+
+    def test_a_session_refuses_a_bad_banding_up_front(self, tmp_path):
+        """Before any store exists to compare them with, as write_store
+        refuses them."""
+        store = tmp_path / "t.store"
+        with pytest.raises(ValueError, match="band_windows"):
+            StoreAppender(store, band_windows=0)
+        with pytest.raises(ValueError, match="window_seconds"):
+            StoreAppender(store, window_seconds=0.0)
+        assert not store.exists()
 
     def test_manifest_is_compact_json_with_partitions_last(self, tmp_path):
         store = tmp_path / "t.store"
@@ -1050,10 +1136,12 @@ class TestColumnBatchTake:
         ``take``; each slice must be the batch its samples would shred to,
         transactions and media sizes included."""
         pairs = list(enumerate(trace_samples))
-        batch = ColumnBatch.from_pairs(pairs)
+        batch = ColumnBatch.from_store_columns(shred_rows(pairs))
         for rows in ([i for i in range(len(pairs)) if i % 3 != 1], [5], []):
             assert batch_rows(batch.take(rows)) == batch_rows(
-                ColumnBatch.from_pairs([pairs[i] for i in rows])
+                ColumnBatch.from_store_columns(
+                    shred_rows([pairs[i] for i in rows])
+                )
             )
 
 
@@ -1108,7 +1196,11 @@ class TestChunkPlanning:
                 rows.extend(batch_rows(batch))
         rows.sort(key=lambda row: row[0])
         assert len(rows) == len(trace_samples)
-        stream = batch_rows(ColumnBatch.from_pairs(list(enumerate(trace_samples))))
+        stream = batch_rows(
+            ColumnBatch.from_store_columns(
+                shred_rows(list(enumerate(trace_samples)))
+            )
+        )
         assert [row[1:] for row in rows] == [row[1:] for row in stream]
 
     def test_iter_batches_over_a_store_chunk_is_its_partitions(self, store_path):
