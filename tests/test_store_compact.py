@@ -138,6 +138,19 @@ class TestCompaction:
         # Skipping rewrites nothing: the manifest is untouched.
         assert (streamed_store / "manifest.json").read_bytes() == manifest_bytes
 
+    def test_the_skip_is_decided_from_the_manifest(
+        self, streamed_store, monkeypatch
+    ):
+        compact_store(streamed_store)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("an already-compact store was scanned")
+
+        monkeypatch.setattr(TraceStoreReader, "scan_pairs", no_scan)
+        report = compact_store(streamed_store)
+        assert report.skipped
+        assert report.rows == TraceStoreReader(streamed_store).row_count
+
     def test_rebanding_widens_partitions(self, streamed_store):
         first = compact_store(streamed_store)
         rebanded = compact_store(streamed_store, band_windows=8)
