@@ -61,15 +61,107 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
-def _add_observability_options(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--metrics-out", default=None, metavar="PATH", dest="metrics_out",
+def _option(*flags, bound=None, **kwargs):
+    """One ``add_argument`` call's flags and keyword arguments, plus an
+    optional ``(text, check)`` bound: :func:`_validate_args` turns a value
+    that fails ``check`` into the usage error ``<flag> must be <text>``."""
+    return flags, kwargs, bound
+
+
+def _listen_address(text: str):
+    """``--listen HOST:PORT`` as ``(host, port)``: unlike a client address
+    (``parse_addr``) it may name port 0, any free port, as a bare host does.
+    A non-numeric port exits with a message."""
+    host, sep, port = text.rpartition(":")
+    if not sep:
+        return text, 0
+    try:
+        return host, int(port)
+    except ValueError:
+        raise SystemExit(f"--listen {text!r} has a non-numeric port")
+
+
+_AT_LEAST_1 = (">= 1", lambda value: value >= 1)
+_POSITIVE = ("finite and > 0", lambda value: 0 < value < float("inf"))
+_PORT = ("in 0-65535", lambda port: 0 <= port <= 65535)
+
+_CC = _option(
+    "--cc", dest="congestion_control", default="reno", metavar="NAME",
+    help="congestion control: reno (default), cubic, bbr, or any "
+    "registered name",
+)
+
+#: The sharding flags, which :func:`_parallel_options` reads.
+_SHARDING = (
+    _option(
+        "--workers", type=int, default=1,
+        help="process-pool size for sharded ingestion (1 = run inline)",
+    ),
+    _option(
+        "--shards", type=int, help="number of partitions (defaults to --workers)"
+    ),
+    _option(
+        "--workers-addr", metavar="HOST:PORT,...",
+        help="fan the shards out over these `repro worker` daemons "
+        "(comma-separated) instead of a local pool",
+    ),
+    _option(
+        "--max-retries", type=int, default=2, metavar="N",
+        help="re-run a failing shard up to N times before quarantining "
+        "it (default 2)",
+    ),
+    _option(
+        "--retry-backoff", type=float, default=0.05, metavar="SECONDS",
+        help="base delay between shard retries, doubled per attempt "
+        "(default 0.05)",
+    ),
+    _option(
+        "--strict", action="store_true",
+        help="fail fast on the first exhausted shard instead of "
+        "quarantining it and completing degraded",
+    ),
+)
+
+#: Every subcommand takes these after its own options.
+_OBSERVABILITY = (
+    _option(
+        "--metrics-out", metavar="PATH",
         help="write a JSON run manifest (metrics, stage timings, config)",
-    )
-    command.add_argument(
+    ),
+    _option(
         "--profile", action="store_true",
         help="print a per-stage wall-time table after the run",
-    )
+    ),
+)
+
+#: Options several subcommands share, each with its own help (and default).
+_WINDOWS = _option("--windows", type=int, bound=_AT_LEAST_1)
+_BAND_WINDOWS = _option(
+    "--band-windows", type=int, metavar="N", bound=_AT_LEAST_1
+)
+
+
+def _with(option, **kwargs):
+    """A shared ``option`` with one subcommand's ``kwargs`` (help, default)."""
+    flags, shared, bound = option
+    return flags, {**shared, **kwargs}, bound
+
+
+def _generator(seed, rate, days=None, networks_per_metro=None, rate_help=None):
+    """The scenario generator's flags with one subcommand's defaults; a
+    flag whose default is None is one the subcommand does not take."""
+    options = [
+        _option("--seed", type=int, default=seed),
+        _option("--days", type=int, default=days, bound=_AT_LEAST_1),
+        _option(
+            "--rate", type=float, default=rate, help=rate_help, bound=_POSITIVE
+        ),
+        _option(
+            "--networks-per-metro", type=int, default=networks_per_metro,
+            bound=_AT_LEAST_1,
+        ),
+    ]
+    return [option for option in options if option[1]["default"] is not None]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,232 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parallel_options(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--workers", type=int, default=1,
-            help="process-pool size for sharded ingestion (1 = run inline)",
-        )
-        command.add_argument(
-            "--shards", type=int, default=None,
-            help="number of partitions (defaults to --workers)",
-        )
-        command.add_argument(
-            "--workers-addr", default=None, metavar="HOST:PORT,...",
-            dest="workers_addr",
-            help="fan the shards out over these `repro worker` daemons "
-            "(comma-separated) instead of a local pool",
-        )
-        command.add_argument(
-            "--max-retries", type=int, default=2, dest="max_retries",
-            metavar="N",
-            help="re-run a failing shard up to N times before quarantining "
-            "it (default 2)",
-        )
-        command.add_argument(
-            "--retry-backoff", type=float, default=0.05, dest="retry_backoff",
-            metavar="SECONDS",
-            help="base delay between shard retries, doubled per attempt "
-            "(default 0.05)",
-        )
-        command.add_argument(
-            "--strict", action="store_true",
-            help="fail fast on the first exhausted shard instead of "
-            "quarantining it and completing degraded",
-        )
-
-    fig4 = sub.add_parser("figure4", help="run the Figure-4 goodput walkthrough")
-    fig4.add_argument(
-        "--delayed-ack", action="store_true", help="enable delayed ACKs"
-    )
-    fig4.add_argument(
-        "--trace", action="store_true",
-        help="print the packet-level sequence diagram",
-    )
-    fig4.add_argument(
-        "--cc", dest="congestion_control", default="reno", metavar="NAME",
-        help="congestion control: reno (default), cubic, bbr, or any "
-        "registered name",
-    )
-    _add_observability_options(fig4)
-
-    sweep = sub.add_parser("sweep", help="run the §3.2.3 validation sweep")
-    sweep.add_argument(
-        "--dense", action="store_true", help="use the dense, paper-shaped grid"
-    )
-    sweep.add_argument(
-        "--cc", dest="congestion_control", default="reno", metavar="NAME",
-        help="congestion control: reno (default), cubic, bbr, or any "
-        "registered name",
-    )
-    _add_observability_options(sweep)
-
-    snapshot = sub.add_parser("snapshot", help="generate + analyse a snapshot")
-    snapshot.add_argument("--seed", type=int, default=42)
-    snapshot.add_argument("--days", type=int, default=1)
-    snapshot.add_argument(
-        "--rate", type=float, default=10.0,
-        help="base sessions per 15-minute window per network",
-    )
-    snapshot.add_argument(
-        "--networks-per-metro", type=int, default=3, dest="networks_per_metro"
-    )
-    _add_observability_options(snapshot)
-
-    routing = sub.add_parser("routing", help="run the §6 routing audit")
-    routing.add_argument("--seed", type=int, default=42)
-    routing.add_argument("--days", type=int, default=2)
-    routing.add_argument("--rate", type=float, default=60.0)
-    routing.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="audit a saved trace (JSONL or store) instead of generating "
-        "a scenario; --seed/--rate are ignored",
-    )
-    add_parallel_options(routing)
-    _add_observability_options(routing)
-
-    trace = sub.add_parser(
-        "trace", help="generate a synthetic trace file (JSONL or store)"
-    )
-    trace.add_argument("output", help="path (.jsonl, .jsonl.gz, or .store)")
-    trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument("--days", type=int, default=1)
-    trace.add_argument("--rate", type=float, default=10.0)
-    trace.add_argument(
-        "--networks-per-metro", type=int, default=1, dest="networks_per_metro"
-    )
-    _add_observability_options(trace)
-
-    analyze = sub.add_parser(
-        "analyze", help="run the global-performance report over a saved trace"
-    )
-    analyze.add_argument(
-        "trace", help="trace produced by `repro trace` (JSONL or store)"
-    )
-    analyze.add_argument(
-        "--windows", type=int, default=96,
-        help="number of 15-minute windows the trace spans",
-    )
-    add_parallel_options(analyze)
-    _add_observability_options(analyze)
-
-    ingest = sub.add_parser(
-        "ingest",
-        help="stream a trace through watermarked windows, sealing to a "
-        "store and analyzing online",
-    )
-    ingest.add_argument(
-        "trace",
-        help="trace to stream (JSONL or store), or '-' for JSONL on stdin",
-    )
-    ingest.add_argument(
-        "--windows", type=int, default=96,
-        help="nominal number of 15-minute windows the study spans",
-    )
-    ingest.add_argument(
-        "--lateness", type=float, default=None, metavar="SECONDS",
-        dest="lateness",
-        help="allowed event-time lateness before a window seals "
-        "(default: two aggregation windows)",
-    )
-    ingest.add_argument(
-        "--out", default=None, metavar="STORE", dest="out_store",
-        help="append sealed windows to this *.store directory "
-        "(created on first seal)",
-    )
-    ingest.add_argument(
-        "--band-windows", type=int, default=None, dest="band_windows",
-        metavar="N",
-        help="aggregation windows per store partition band for --out",
-    )
-    _add_observability_options(ingest)
-
-    convert = sub.add_parser(
-        "convert",
-        help="convert a trace between JSONL and the columnar store",
-    )
-    convert.add_argument("src", help="source trace (JSONL or store)")
-    convert.add_argument(
-        "dst", help="destination (a *.store directory or a JSONL path)"
-    )
-    convert.add_argument(
-        "--band-windows", type=int, default=None, dest="band_windows",
-        metavar="N",
-        help="aggregation windows per store partition band (default 4 = "
-        "one hour of 15-minute windows)",
-    )
-    _add_observability_options(convert)
-
-    verify = sub.add_parser(
-        "verify-store",
-        help="scan a columnar store for corruption (checksums + decode)",
-    )
-    verify.add_argument("store", help="trace-store directory to verify")
-    _add_observability_options(verify)
-
-    serve = sub.add_parser(
-        "serve",
-        help="serve a columnar store over HTTP with a hot-aggregation cache",
-    )
-    serve.add_argument("store", help="trace-store directory to serve")
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default loopback)"
-    )
-    serve.add_argument(
-        "--port", type=int, default=8321,
-        help="TCP port (0 picks a free port; default 8321)",
-    )
-    serve.add_argument(
-        "--cache-capacity", type=int, default=64, dest="cache_capacity",
-        metavar="N",
-        help="hot-aggregation LRU entries kept resident (default 64)",
-    )
-    serve.add_argument(
-        "--windows", type=int, default=None,
-        help="study windows for the analyze profile (default: derived "
-        "from the store manifest's partition bands)",
-    )
-    serve.add_argument(
-        "--max-requests", type=int, default=None, dest="max_requests",
-        metavar="N",
-        help="exit after serving N responses (smoke tests / CI)",
-    )
-    _add_observability_options(serve)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a shard-executing worker daemon for --workers-addr",
-    )
-    worker.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="bind address (port 0 picks a free port; default loopback)",
-    )
-    worker.add_argument(
-        "--max-tasks", type=int, default=None, dest="max_tasks", metavar="N",
-        help="exit after executing N shard tasks (smoke tests / CI)",
-    )
-    _add_observability_options(worker)
-
-    compact = sub.add_parser(
-        "compact-store",
-        help="merge a store's many small partitions into few large ones",
-    )
-    compact.add_argument("store", help="trace-store directory to compact")
-    compact.add_argument(
-        "--band-windows", type=int, default=None, dest="band_windows",
-        metavar="N",
-        help="aggregation windows per compacted partition band (default: "
-        "the store's current banding)",
-    )
-    _add_observability_options(compact)
-
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="check the synthetic universe against the paper's anchors",
-    )
-    calibrate.add_argument("--seed", type=int, default=101)
-    calibrate.add_argument("--rate", type=float, default=9.0)
-    _add_observability_options(calibrate)
+    for name, (summary, _, *options) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flags, kwargs, _ in (*options, *_OBSERVABILITY):
+            command.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -333,6 +203,18 @@ def _parallel_options(args: argparse.Namespace):
         strict=args.strict,
         worker_addrs=tuple(part.strip() for part in addrs),
     )
+
+
+def _scenario(args: argparse.Namespace, **settings):
+    """The generator flags (plus a command's fixed ``settings``) as an
+    ``EdgeScenario``."""
+    from repro.workload import EdgeScenario, ScenarioConfig
+
+    for name in ("seed", "days", "networks_per_metro"):
+        if hasattr(args, name):
+            settings[name] = getattr(args, name)
+    config = ScenarioConfig(base_sessions_per_window=args.rate, **settings)
+    return EdgeScenario(config)
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
@@ -408,21 +290,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.pipeline import build_dataset, fig6_global_performance
     from repro.pipeline.report import format_metric, format_percent, format_table
-    from repro.workload import EdgeScenario, ScenarioConfig
 
-    config = ScenarioConfig(
-        seed=args.seed,
-        days=args.days,
-        networks_per_metro=args.networks_per_metro,
-        base_sessions_per_window=args.rate,
-    )
-    scenario = EdgeScenario(config)
+    scenario = _scenario(args)
     print(
         f"Generating {args.days} day(s), {len(scenario.networks)} networks, "
         f"{len(scenario.pops)} PoPs…"
     )
     dataset = build_dataset(
-        scenario.generate(), study_windows=config.total_windows
+        scenario.generate(), study_windows=scenario.config.total_windows
     )
     print(f"{dataset.session_count:,} sampled sessions")
 
@@ -450,16 +325,12 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 def _cmd_routing(args: argparse.Namespace) -> int:
     from repro.pipeline import build_dataset, fig9_opportunity
     from repro.pipeline.report import format_percent
-    from repro.workload import EdgeScenario, ScenarioConfig
 
     if args.trace is not None:
         print(f"Auditing saved trace {args.trace}…")
         source = args.trace
     else:
-        config = ScenarioConfig(
-            seed=args.seed, days=args.days, base_sessions_per_window=args.rate
-        )
-        scenario = EdgeScenario(config)
+        scenario = _scenario(args)
         print(
             f"Measuring preferred + alternates for "
             f"{len(scenario.networks)} groups…"
@@ -496,15 +367,8 @@ def _cmd_routing(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import active_metrics
     from repro.pipeline.io import detect_format, write_samples
-    from repro.workload import EdgeScenario, ScenarioConfig
 
-    config = ScenarioConfig(
-        seed=args.seed,
-        days=args.days,
-        networks_per_metro=args.networks_per_metro,
-        base_sessions_per_window=args.rate,
-    )
-    scenario = EdgeScenario(config)
+    scenario = _scenario(args)
     print(f"Generating {args.days} day(s) across {len(scenario.networks)} networks…")
     count = write_samples(
         args.output, scenario.generate(), metrics=active_metrics()
@@ -513,7 +377,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"wrote {count:,} samples to {args.output} "
         f"({detect_format(args.output)})"
     )
-    print(f"(the trace spans {config.total_windows} fifteen-minute windows)")
+    print(
+        f"(the trace spans {scenario.config.total_windows} fifteen-minute "
+        "windows)"
+    )
     return 0
 
 
@@ -694,15 +561,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.dist import WorkerDaemon
 
-    # Unlike client addresses, a listen address may use port 0 (bind to
-    # any free port), so this is parsed locally rather than via parse_addr.
-    host, sep, port_text = args.listen.rpartition(":")
-    if not sep:
-        host, port_text = args.listen, "0"
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise SystemExit(f"--listen {args.listen!r} has a non-numeric port")
+    host, port = _listen_address(args.listen)
     daemon = WorkerDaemon(host=host, port=port, max_tasks=args.max_tasks)
     daemon.start()
     # Flushed eagerly so a wrapping process (tests, scripts) can read the
@@ -741,55 +600,190 @@ def _cmd_compact_store(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.pipeline import build_dataset
-    from repro.workload import EdgeScenario, ScenarioConfig
     from repro.workload.calibration import render_report, run_calibration
 
-    config = ScenarioConfig(
-        seed=args.seed,
-        days=1,
-        networks_per_metro=3,
-        base_sessions_per_window=args.rate,
-    )
-    scenario = EdgeScenario(config)
+    scenario = _scenario(args, days=1, networks_per_metro=3)
     print(f"Generating calibration snapshot ({len(scenario.networks)} networks)…")
     dataset = build_dataset(
-        scenario.generate(), study_windows=config.total_windows
+        scenario.generate(), study_windows=scenario.config.total_windows
     )
     results = run_calibration(dataset)
     print(render_report(results))
     return 0 if all(result.passed for result in results) else 1
 
 
-_COMMANDS = {
-    "figure4": _cmd_figure4,
-    "sweep": _cmd_sweep,
-    "snapshot": _cmd_snapshot,
-    "routing": _cmd_routing,
-    "trace": _cmd_trace,
-    "analyze": _cmd_analyze,
-    "ingest": _cmd_ingest,
-    "convert": _cmd_convert,
-    "verify-store": _cmd_verify_store,
-    "serve": _cmd_serve,
-    "worker": _cmd_worker,
-    "compact-store": _cmd_compact_store,
-    "calibrate": _cmd_calibrate,
+#: Each subcommand: its help line, its handler, then its options in
+#: ``--help`` order.
+_SUBCOMMANDS = {
+    "figure4": (
+        "run the Figure-4 goodput walkthrough", _cmd_figure4,
+        _option(
+            "--delayed-ack", action="store_true", help="enable delayed ACKs"
+        ),
+        _option(
+            "--trace", action="store_true",
+            help="print the packet-level sequence diagram",
+        ),
+        _CC,
+    ),
+    "sweep": (
+        "run the §3.2.3 validation sweep", _cmd_sweep,
+        _option(
+            "--dense", action="store_true",
+            help="use the dense, paper-shaped grid",
+        ),
+        _CC,
+    ),
+    "snapshot": (
+        "generate + analyse a snapshot", _cmd_snapshot,
+        *_generator(
+            42, 10.0, days=1, networks_per_metro=3,
+            rate_help="base sessions per 15-minute window per network",
+        ),
+    ),
+    "routing": (
+        "run the §6 routing audit", _cmd_routing,
+        *_generator(42, 60.0, days=2),
+        _option(
+            "--trace", metavar="PATH",
+            help="audit a saved trace (JSONL or store) instead of generating "
+            "a scenario; --seed/--rate are ignored",
+        ),
+        *_SHARDING,
+    ),
+    "trace": (
+        "generate a synthetic trace file (JSONL or store)", _cmd_trace,
+        _option("output", help="path (.jsonl, .jsonl.gz, or .store)"),
+        *_generator(42, 10.0, days=1, networks_per_metro=1),
+    ),
+    "analyze": (
+        "run the global-performance report over a saved trace", _cmd_analyze,
+        _option(
+            "trace", help="trace produced by `repro trace` (JSONL or store)"
+        ),
+        _with(
+            _WINDOWS, default=96,
+            help="number of 15-minute windows the trace spans",
+        ),
+        *_SHARDING,
+    ),
+    "ingest": (
+        "stream a trace through watermarked windows, sealing to a store and "
+        "analyzing online",
+        _cmd_ingest,
+        _option(
+            "trace",
+            help="trace to stream (JSONL or store), or '-' for JSONL on stdin",
+        ),
+        _with(
+            _WINDOWS, default=96,
+            help="nominal number of 15-minute windows the study spans",
+        ),
+        _option(
+            "--lateness", type=float, metavar="SECONDS",
+            help="allowed event-time lateness before a window seals "
+            "(default: two aggregation windows)",
+            bound=(">= 0", lambda seconds: seconds >= 0),
+        ),
+        _option(
+            "--out", metavar="STORE", dest="out_store",
+            help="append sealed windows to this *.store directory "
+            "(created on first seal)",
+        ),
+        _with(
+            _BAND_WINDOWS,
+            help="aggregation windows per store partition band for --out",
+        ),
+    ),
+    "convert": (
+        "convert a trace between JSONL and the columnar store", _cmd_convert,
+        _option("src", help="source trace (JSONL or store)"),
+        _option(
+            "dst", help="destination (a *.store directory or a JSONL path)"
+        ),
+        _with(
+            _BAND_WINDOWS,
+            help="aggregation windows per store partition band "
+            "(default 4 = one hour of 15-minute windows)",
+        ),
+    ),
+    "verify-store": (
+        "scan a columnar store for corruption (checksums + decode)",
+        _cmd_verify_store,
+        _option("store", help="trace-store directory to verify"),
+    ),
+    "serve": (
+        "serve a columnar store over HTTP with a hot-aggregation cache",
+        _cmd_serve,
+        _option("store", help="trace-store directory to serve"),
+        _option(
+            "--host", default="127.0.0.1", help="bind address (default loopback)"
+        ),
+        _option(
+            "--port", type=int, default=8321, bound=_PORT,
+            help="TCP port (0 picks a free port; default 8321)",
+        ),
+        _option(
+            "--cache-capacity", type=int, default=64, metavar="N",
+            bound=_AT_LEAST_1,
+            help="hot-aggregation LRU entries kept resident (default 64)",
+        ),
+        _with(
+            _WINDOWS,
+            help="study windows for the analyze profile (default: derived "
+            "from the store manifest's partition bands)",
+        ),
+        _option(
+            "--max-requests", type=int, metavar="N", bound=_AT_LEAST_1,
+            help="exit after serving N responses (smoke tests / CI)",
+        ),
+    ),
+    "worker": (
+        "run a shard-executing worker daemon for --workers-addr", _cmd_worker,
+        _option(
+            "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
+            help="bind address (port 0 picks a free port; default loopback)",
+            bound=(
+                f"HOST:PORT with a port {_PORT[0]}",
+                lambda text: _PORT[1](_listen_address(text)[1]),
+            ),
+        ),
+        _option(
+            "--max-tasks", type=int, metavar="N", bound=_AT_LEAST_1,
+            help="exit after executing N shard tasks (smoke tests / CI)",
+        ),
+    ),
+    "compact-store": (
+        "merge a store's many small partitions into few large ones",
+        _cmd_compact_store,
+        _option("store", help="trace-store directory to compact"),
+        _with(
+            _BAND_WINDOWS,
+            help="aggregation windows per compacted partition band "
+            "(default: the store's current banding)",
+        ),
+    ),
+    "calibrate": (
+        "check the synthetic universe against the paper's anchors",
+        _cmd_calibrate,
+        *_generator(101, 9.0),
+    ),
 }
 
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Turn option values a command would reject into usage errors: a
-    count below 1, a negative lateness, ``--band-windows`` where no store
-    is written, sharding values ``ParallelOptions`` rejects, and sharding
-    flags with no columnar store to shard (a generated stream, or a JSONL
-    trace)."""
+    value outside its option's bound in :data:`_SUBCOMMANDS`,
+    ``--band-windows`` where no store is written, sharding values
+    ``ParallelOptions`` rejects, and sharding flags with no columnar store
+    to shard (a generated stream, or a JSONL trace)."""
     from repro.pipeline.io import detect_format
 
-    least = {"windows": 1, "cache_capacity": 1, "band_windows": 1, "lateness": 0}
-    for name, bound in least.items():
-        value = getattr(args, name, None)
-        if value is not None and not value >= bound:
-            parser.error(f"--{name.replace('_', '-')} must be >= {bound}")
+    for flags, kwargs, bound in _SUBCOMMANDS[args.command][2:]:
+        dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+        value = getattr(args, dest)
+        if bound is not None and value is not None and not bound[1](value):
+            parser.error(f"{flags[0]} must be {bound[0]}")
     if getattr(args, "band_windows", None) is not None and (
         args.out_store is None
         if args.command == "ingest"
@@ -866,7 +860,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Metric names reject hyphens, and the tracer mints a
         # "stage.cli.<command>" timer from this span's path.
         with span(f"cli.{args.command.replace('-', '_')}"):
-            code = _COMMANDS[args.command](args)
+            code = _SUBCOMMANDS[args.command][1](args)
 
     if args.profile:
         rows = [

@@ -10,21 +10,10 @@ keeps *data facts* and *execution facts* in separate sections:
   counter-equality invariant; see ``repro.obs``).
 - ``stages`` / ``timers`` / ``shard_plan`` — properties of this execution:
   wall times and partitioning, expected to differ across plans.
-- ``degraded`` — what this execution lost to quarantined shards (the
-  ``fault.*`` counters, summarized; see DESIGN.md §9). Empty (``{}``) for
-  clean runs, so fault-free manifests are unchanged.
-- ``streaming`` — what a streaming-ingest execution did (the ``stream.*``
-  counters, summarized; see DESIGN.md §11): windows sealed/empty, samples
-  sealed, late samples ledgered, alerts raised. Empty (``{}``) for batch
-  runs, so non-streaming manifests are unchanged.
-- ``serving`` — what a query-serving execution did (the ``serve.*``
-  counters, summarized; see DESIGN.md §12): requests by outcome, cache
-  hits/misses/evictions/invalidations, quarantined store errors. Empty
-  (``{}``) for non-serving runs, so batch manifests are unchanged.
-- ``dist`` — what a dispatch execution did (the ``dist.*`` counters,
-  summarized; see DESIGN.md §13): workers connected/lost, tasks
-  dispatched/completed/reassigned/stranded, remote failures, wire bytes.
-  Empty (``{}``) for single-host runs, so local manifests are unchanged.
+- ``degraded`` / ``streaming`` / ``serving`` / ``dist`` — what this
+  execution lost to quarantined shards, streamed, served and dispatched:
+  each a summary of its counters, all declared in one table
+  (``_SUMMARY_SECTIONS``), and ``{}`` for a run that did no such work.
 
 The format is versioned; :meth:`RunManifest.read` rejects manifests from a
 different format version rather than misinterpreting them.
@@ -53,89 +42,59 @@ PathLike = Union[str, pathlib.Path]
 _ACCOUNTING_PREFIXES = ("pipeline.", "methodology.", "core.", "io.")
 
 
-def _degraded_from_counters(counters: Dict[str, int]) -> Dict[str, object]:
-    """Degradation summary from the ``fault.*`` execution counters.
-
-    Returns ``{}`` when no shard was quarantined and nothing was retried,
-    so clean manifests stay byte-identical to the pre-fault-tolerance
-    format.
-    """
-    summary = {
-        "shards_lost": counters.get("fault.shards_quarantined", 0),
-        "samples_lost": counters.get("fault.samples_lost", 0),
-        "partitions_skipped": counters.get("fault.partitions_skipped", 0),
-        "retries": counters.get("fault.shard_retries", 0),
-    }
-    if not any(summary.values()):
-        return {}
-    return summary
-
-
-def _streaming_from_counters(counters: Dict[str, int]) -> Dict[str, object]:
-    """Streaming summary from the ``stream.*`` execution counters.
-
-    Returns ``{}`` when the run sealed no windows (a batch run), so
-    non-streaming manifests stay byte-identical to the prior format.
-    """
-    summary = {
-        "windows_sealed": counters.get("stream.windows.sealed", 0),
-        "windows_empty": counters.get("stream.windows.empty", 0),
-        "samples_sealed": counters.get("stream.samples.sealed", 0),
-        "late_samples": counters.get("stream.late_samples", 0),
-        "alerts": counters.get("stream.alerts", 0),
-    }
-    if not any(summary.values()):
-        return {}
-    return summary
-
-
-def _serving_from_counters(counters: Dict[str, int]) -> Dict[str, object]:
-    """Serving summary from the ``serve.*`` execution counters.
-
-    Returns ``{}`` when no request was handled (a non-serving run), so
-    batch manifests stay byte-identical to the prior format.
-    """
-    summary = {
-        "requests": counters.get("serve.requests", 0),
-        "responses_ok": counters.get("serve.responses.ok", 0),
-        "responses_client_error": counters.get(
-            "serve.responses.client_error", 0
-        ),
-        "responses_server_error": counters.get(
-            "serve.responses.server_error", 0
-        ),
-        "cache_hits": counters.get("serve.cache.hits", 0),
-        "cache_misses": counters.get("serve.cache.misses", 0),
-        "cache_evictions": counters.get("serve.cache.evictions", 0),
-        "cache_invalidations": counters.get("serve.cache.invalidations", 0),
-        "quarantined": counters.get("serve.quarantined", 0),
-    }
-    if not any(summary.values()):
-        return {}
-    return summary
+#: The execution-summary sections, each ``{summary key: counter}``: what
+#: a run lost to quarantined shards (``fault.*``, DESIGN.md §9), did as a
+#: streaming ingest (``stream.*``, §11), served (``serve.*``, §12) and
+#: dispatched to workers (``dist.*``, §13). A section none of whose
+#: counters fired is ``{}``, so a run that did no such work writes the
+#: manifest it wrote before the section existed.
+_SUMMARY_SECTIONS = {
+    "degraded": {
+        "shards_lost": "fault.shards_quarantined",
+        "samples_lost": "fault.samples_lost",
+        "partitions_skipped": "fault.partitions_skipped",
+        "retries": "fault.shard_retries",
+    },
+    "streaming": {
+        "windows_sealed": "stream.windows.sealed",
+        "windows_empty": "stream.windows.empty",
+        "samples_sealed": "stream.samples.sealed",
+        "late_samples": "stream.late_samples",
+        "alerts": "stream.alerts",
+    },
+    "serving": {
+        "requests": "serve.requests",
+        "responses_ok": "serve.responses.ok",
+        "responses_client_error": "serve.responses.client_error",
+        "responses_server_error": "serve.responses.server_error",
+        "cache_hits": "serve.cache.hits",
+        "cache_misses": "serve.cache.misses",
+        "cache_evictions": "serve.cache.evictions",
+        "cache_invalidations": "serve.cache.invalidations",
+        "quarantined": "serve.quarantined",
+    },
+    "dist": {
+        "workers_connected": "dist.workers.connected",
+        "workers_unreachable": "dist.workers.unreachable",
+        "workers_lost": "dist.workers.lost",
+        "tasks_dispatched": "dist.tasks.dispatched",
+        "tasks_completed": "dist.tasks.completed",
+        "tasks_reassigned": "dist.tasks.reassigned",
+        "tasks_stranded": "dist.tasks.stranded",
+        "remote_failures": "dist.remote_failures",
+        "bytes_sent": "dist.bytes.sent",
+        "bytes_received": "dist.bytes.received",
+    },
+}
 
 
-def _dist_from_counters(counters: Dict[str, int]) -> Dict[str, object]:
-    """Dispatch summary from the ``dist.*`` execution counters.
-
-    Returns ``{}`` when no worker was involved (a single-host run), so
-    local manifests stay byte-identical to the prior format.
-    """
-    summary = {
-        "workers_connected": counters.get("dist.workers.connected", 0),
-        "workers_unreachable": counters.get("dist.workers.unreachable", 0),
-        "workers_lost": counters.get("dist.workers.lost", 0),
-        "tasks_dispatched": counters.get("dist.tasks.dispatched", 0),
-        "tasks_completed": counters.get("dist.tasks.completed", 0),
-        "tasks_reassigned": counters.get("dist.tasks.reassigned", 0),
-        "tasks_stranded": counters.get("dist.tasks.stranded", 0),
-        "remote_failures": counters.get("dist.remote_failures", 0),
-        "bytes_sent": counters.get("dist.bytes.sent", 0),
-        "bytes_received": counters.get("dist.bytes.received", 0),
-    }
-    if not any(summary.values()):
-        return {}
-    return summary
+def _summaries(counters: Dict[str, int]) -> Dict[str, Dict[str, object]]:
+    """Each :data:`_SUMMARY_SECTIONS` section summarized from ``counters``."""
+    summaries = {}
+    for section, names in _SUMMARY_SECTIONS.items():
+        summary = {key: counters.get(name, 0) for key, name in names.items()}
+        summaries[section] = summary if any(summary.values()) else {}
+    return summaries
 
 
 @dataclass
@@ -151,18 +110,12 @@ class RunManifest:
     timers: Dict[str, dict] = field(default_factory=dict)
     exit_code: Optional[int] = None
     python_version: str = field(default_factory=platform.python_version)
-    #: Degradation summary for runs that quarantined shards: shards_lost,
-    #: samples_lost, partitions_skipped, retries (and, when collected via
-    #: the CLI, the ledger's per-shard entries). Empty for clean runs.
+    #: The execution summaries, each keyed as ``_SUMMARY_SECTIONS`` says:
+    #: quarantined shards and retries (empty for a clean run), streaming
+    #: ingest, query serving and dispatch (each empty for a run without).
     degraded: Dict[str, object] = field(default_factory=dict)
-    #: Streaming summary for ingest runs: windows sealed/empty, samples
-    #: sealed, late samples, alerts. Empty for batch runs.
     streaming: Dict[str, object] = field(default_factory=dict)
-    #: Serving summary for query-serving runs: requests by outcome, cache
-    #: accounting, quarantined store errors. Empty for non-serving runs.
     serving: Dict[str, object] = field(default_factory=dict)
-    #: Dispatch summary for distributed runs: worker and task accounting
-    #: plus wire bytes. Empty for single-host runs.
     dist: Dict[str, object] = field(default_factory=dict)
 
     @classmethod
@@ -174,30 +127,11 @@ class RunManifest:
         tracer: Optional[Tracer] = None,
         shard_plan: Optional[Dict[str, object]] = None,
         exit_code: Optional[int] = None,
-        degraded: Optional[Dict[str, object]] = None,
-        streaming: Optional[Dict[str, object]] = None,
-        serving: Optional[Dict[str, object]] = None,
-        dist: Optional[Dict[str, object]] = None,
     ) -> "RunManifest":
-        """Snapshot a registry and tracer into a manifest.
-
-        ``degraded`` defaults to a summary derived from the registry's
-        ``fault.*`` counters (empty when none fired); pass a
-        ``DegradedLedger.to_dict()`` for the richer per-shard record.
-        ``streaming`` likewise defaults to a ``stream.*`` counter summary
-        (empty for batch runs); pass a richer dict — e.g. including a
-        ``LateSampleLedger.to_dict()`` — to keep the per-window record.
-        """
+        """Snapshot a registry and tracer into a manifest, its summary
+        sections derived from the registry's counters."""
         snapshot = registry.to_dict() if registry is not None else {}
         counters = snapshot.get("counters", {})
-        if degraded is None:
-            degraded = _degraded_from_counters(counters)
-        if streaming is None:
-            streaming = _streaming_from_counters(counters)
-        if serving is None:
-            serving = _serving_from_counters(counters)
-        if dist is None:
-            dist = _dist_from_counters(counters)
         return cls(
             command=command,
             config=dict(config or {}),
@@ -207,10 +141,7 @@ class RunManifest:
             gauges=snapshot.get("gauges", {}),
             timers=snapshot.get("timers", {}),
             exit_code=exit_code,
-            degraded=dict(degraded),
-            streaming=dict(streaming),
-            serving=dict(serving),
-            dist=dict(dist),
+            **_summaries(counters),
         )
 
     # ------------------------------------------------------------------ #
@@ -242,10 +173,10 @@ class RunManifest:
             "timers": dict(sorted(self.timers.items())),
             "exit_code": self.exit_code,
             "python_version": self.python_version,
-            "degraded": dict(self.degraded),
-            "streaming": dict(self.streaming),
-            "serving": dict(self.serving),
-            "dist": dict(self.dist),
+            **{
+                section: dict(getattr(self, section))
+                for section in _SUMMARY_SECTIONS
+            },
         }
 
     @classmethod
@@ -263,10 +194,10 @@ class RunManifest:
             timers=dict(payload.get("timers", {})),
             exit_code=payload.get("exit_code"),
             python_version=payload.get("python_version", ""),
-            degraded=dict(payload.get("degraded", {})),
-            streaming=dict(payload.get("streaming", {})),
-            serving=dict(payload.get("serving", {})),
-            dist=dict(payload.get("dist", {})),
+            **{
+                section: dict(payload.get(section, {}))
+                for section in _SUMMARY_SECTIONS
+            },
         )
 
     def to_json(self, indent: int = 2) -> str:

@@ -301,11 +301,15 @@ class Fig6Result:
         full = sum(1 for x in xs if x >= 1.0)
         return full / len(xs)
 
-    def continent_median_minrtt(self, code: str) -> float:
-        return self.minrtt_by_continent[code].quantile(0.5)
+    def continent_median_minrtt(self, code: str) -> Optional[float]:
+        """None when no session came from continent ``code``."""
+        series = self.minrtt_by_continent.get(code)
+        return None if series is None else series.quantile(0.5)
 
-    def continent_zero_hd_fraction(self, code: str) -> float:
-        return self.hdratio_by_continent[code].fraction_at_most(0.0)
+    def continent_zero_hd_fraction(self, code: str) -> Optional[float]:
+        """None when no HD-testable session came from continent ``code``."""
+        series = self.hdratio_by_continent.get(code)
+        return None if series is None else series.fraction_at_most(0.0)
 
 
 @traced("pipeline.fig6")

@@ -273,8 +273,8 @@ class ParallelOptions:
             raise ValueError("shards must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
+        if not 0 <= self.retry_backoff < float("inf"):
+            raise ValueError("retry_backoff must be >= 0 and finite")
         object.__setattr__(self, "worker_addrs", tuple(self.worker_addrs))
         if self.worker_addrs:
             # Imported lazily: repro.dist imports this module for the

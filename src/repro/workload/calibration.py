@@ -35,22 +35,23 @@ class CalibrationTarget:
     paper_value: float
     low: float
     high: float
-    extract: Callable[[dict], float]
+    extract: Callable[[dict], Optional[float]]
     section: str = ""
 
     def check(self, context: dict) -> "CalibrationResult":
+        """Score ``context``; a measurement the data lacks (None) fails."""
         measured = self.extract(context)
         return CalibrationResult(
             target=self,
             measured=measured,
-            passed=self.low <= measured <= self.high,
+            passed=measured is not None and self.low <= measured <= self.high,
         )
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
     target: CalibrationTarget
-    measured: float
+    measured: Optional[float]
     passed: bool
 
 
@@ -129,14 +130,14 @@ def run_calibration(
 
 def render_report(results: Sequence[CalibrationResult]) -> str:
     """Human-readable pass/fail table."""
-    from repro.pipeline.report import format_table
+    from repro.pipeline.report import format_metric, format_table
 
     rows = [
         (
             "PASS" if result.passed else "FAIL",
             result.target.name,
             f"{result.target.paper_value:g}",
-            f"{result.measured:.4g}",
+            format_metric(result.measured, ".4g"),
             f"[{result.target.low:g}, {result.target.high:g}]",
         )
         for result in results

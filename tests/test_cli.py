@@ -38,6 +38,71 @@ class TestParser:
             assert args.congestion_control == "reno"
 
 
+#: Every subcommand's parsed defaults (with its positionals filled in), in
+#: parse order: the ``config`` section a run manifest records.
+OBS = {"metrics_out": None, "profile": False}
+SHARDING = {
+    "workers": 1, "shards": None, "workers_addr": None, "max_retries": 2,
+    "retry_backoff": 0.05, "strict": False,
+}
+PARSED_DEFAULTS = {
+    ("figure4",): {
+        "delayed_ack": False, "trace": False, "congestion_control": "reno", **OBS,
+    },
+    ("sweep",): {"dense": False, "congestion_control": "reno", **OBS},
+    ("snapshot",): {
+        "seed": 42, "days": 1, "rate": 10.0, "networks_per_metro": 3, **OBS,
+    },
+    ("routing",): {
+        "seed": 42, "days": 2, "rate": 60.0, "trace": None, **SHARDING, **OBS,
+    },
+    ("trace", "out.jsonl"): {
+        "output": "out.jsonl", "seed": 42, "days": 1, "rate": 10.0,
+        "networks_per_metro": 1, **OBS,
+    },
+    ("analyze", "t.store"): {
+        "trace": "t.store", "windows": 96, **SHARDING, **OBS,
+    },
+    ("ingest", "t.jsonl"): {
+        "trace": "t.jsonl", "windows": 96, "lateness": None, "out_store": None,
+        "band_windows": None, **OBS,
+    },
+    ("convert", "a.jsonl", "b.store"): {
+        "src": "a.jsonl", "dst": "b.store", "band_windows": None, **OBS,
+    },
+    ("verify-store", "s.store"): {"store": "s.store", **OBS},
+    ("serve", "s.store"): {
+        "store": "s.store", "host": "127.0.0.1", "port": 8321,
+        "cache_capacity": 64, "windows": None, "max_requests": None, **OBS,
+    },
+    ("worker",): {"listen": "127.0.0.1:0", "max_tasks": None, **OBS},
+    ("compact-store", "s.store"): {"store": "s.store", "band_windows": None, **OBS},
+    ("calibrate",): {"seed": 101, "rate": 9.0, **OBS},
+}
+
+
+class TestParsedDefaults:
+    def test_every_subcommand_is_pinned(self):
+        import argparse
+
+        (commands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(commands.choices) == [argv[0] for argv in PARSED_DEFAULTS]
+
+    @pytest.mark.parametrize("argv", list(PARSED_DEFAULTS), ids=lambda a: a[0])
+    def test_parsed_defaults(self, argv):
+        """Values, types and order: a manifest's ``config`` is this dict."""
+        parsed = list(vars(build_parser().parse_args(list(argv))).items())
+        expected = [("command", argv[0]), *PARSED_DEFAULTS[argv].items()]
+        assert parsed == expected
+        assert [type(value) for _, value in parsed] == [
+            type(value) for _, value in expected
+        ]
+
+
 class TestCommands:
     def test_figure4_runs(self, capsys):
         assert main(["figure4"]) == 0
@@ -131,6 +196,16 @@ class TestShardsValidation:
                 ["analyze", "t.jsonl", "--retry-backoff", "-1"],
                 "retry_backoff must be >= 0",
             ),
+            # An infinite backoff overflowed time.sleep on the retry that
+            # would have recovered the shard; nan slept not at all.
+            (
+                ["analyze", "t.jsonl", "--retry-backoff", "inf"],
+                "retry_backoff must be >= 0 and finite",
+            ),
+            (
+                ["analyze", "t.jsonl", "--retry-backoff", "nan"],
+                "retry_backoff must be >= 0 and finite",
+            ),
             (
                 ["analyze", "t.jsonl", "--workers-addr", "nonsense"],
                 "'nonsense' is not host:port",
@@ -186,11 +261,38 @@ class TestShardsValidation:
                 ["convert", "t.store", "t.jsonl", "--band-windows", "2"],
                 "writes none",
             ),
+            # The generator flags: a ValueError traceback, an empty trace,
+            # an all-n/a report with exit 0, an OverflowError, a TypeError.
+            (["snapshot", "--days", "0"], "--days must be >= 1"),
+            (["routing", "--days", "0"], "--days must be >= 1"),
+            (["trace", "t.jsonl", "--days", "0"], "--days must be >= 1"),
+            (
+                ["snapshot", "--networks-per-metro", "0"],
+                "--networks-per-metro must be >= 1",
+            ),
+            (["snapshot", "--rate", "-5"], "--rate must be finite and > 0"),
+            (["snapshot", "--rate", "nan"], "--rate must be finite and > 0"),
+            (["routing", "--rate", "inf"], "--rate must be finite and > 0"),
+            (["calibrate", "--rate", "0"], "--rate must be finite and > 0"),
+            # The daemons' lifetimes and ports: a ValueError traceback, and
+            # an OverflowError from bind().
+            (["worker", "--max-tasks", "0"], "--max-tasks must be >= 1"),
+            (
+                ["serve", "s.store", "--max-requests", "0"],
+                "--max-requests must be >= 1",
+            ),
+            (["serve", "s.store", "--port", "65536"], "--port must be in 0-65535"),
+            (["serve", "s.store", "--port", "-1"], "--port must be in 0-65535"),
+            (
+                ["worker", "--listen", "127.0.0.1:65536"],
+                "--listen must be HOST:PORT with a port in 0-65535",
+            ),
         ],
     )
     def test_bad_option_values_are_usage_errors(self, argv, message, capsys):
-        """Regression: these escaped as ValueError tracebacks (exit 1) from
-        the command, or were ignored, instead of argparse usage errors."""
+        """Regression: these escaped as tracebacks from the command, ran
+        to an empty or all-n/a result, or were ignored, instead of argparse
+        usage errors."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

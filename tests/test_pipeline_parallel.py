@@ -160,6 +160,9 @@ class TestSharding:
             ParallelOptions(workers=1, shards=0)
         with pytest.raises(ValueError, match="not host:port"):
             ParallelOptions(worker_addrs=("nonsense",))
+        for backoff in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="retry_backoff must be >= 0 and finite"):
+                ParallelOptions(retry_backoff=backoff)
         assert ParallelOptions(workers=3).effective_shards == 3
         assert ParallelOptions(workers=3, shards=5).effective_shards == 5
 

@@ -54,6 +54,25 @@ class TestTargets:
         assert "anchors within band" in text
         assert "paper" in text
 
+    def test_empty_dataset_fails_every_anchor_and_renders(self):
+        """Regression: a missing measurement (no session at all, or none
+        from a continent) raised TypeError / KeyError instead of failing."""
+        from repro.pipeline import build_dataset
+        from repro.workload.calibration import _targets
+
+        results = run_calibration(build_dataset([], study_windows=96))
+        assert [r.target.name for r in results] == [t.name for t in _targets()]
+        assert not any(r.passed for r in results)
+        missing = [r.target.name for r in results if r.measured is None]
+        assert "global MinRTT p50 (ms)" in missing
+        assert "Africa HDratio=0 share" in missing
+        lines = render_report(results).splitlines()
+        for result in results:
+            (line,) = [line for line in lines if f"  {result.target.name}  " in line]
+            assert line.startswith("FAIL")
+            assert ("n/a" in line.split()) == (result.measured is None)
+        assert lines[-1] == f"0/{len(results)} anchors within band"
+
     def test_custom_target_subset(self, dataset):
         only = [
             CalibrationTarget(
