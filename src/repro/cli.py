@@ -71,19 +71,19 @@ def _option(*flags, bound=None, **kwargs):
 def _listen_address(text: str):
     """``--listen HOST:PORT`` as ``(host, port)``: unlike a client address
     (``parse_addr``) it may name port 0, any free port, as a bare host does.
-    A non-numeric port exits with a message."""
+    A non-numeric port is ``None``, which the option's bound refuses."""
     host, sep, port = text.rpartition(":")
     if not sep:
         return text, 0
     try:
         return host, int(port)
     except ValueError:
-        raise SystemExit(f"--listen {text!r} has a non-numeric port")
+        return host, None
 
 
 _AT_LEAST_1 = (">= 1", lambda value: value >= 1)
 _POSITIVE = ("finite and > 0", lambda value: 0 < value < float("inf"))
-_PORT = ("in 0-65535", lambda port: 0 <= port <= 65535)
+_PORT = ("in 0-65535", lambda port: port is not None and 0 <= port <= 65535)
 
 _CC = _option(
     "--cc", dest="congestion_control", default="reno", metavar="NAME",

@@ -23,10 +23,10 @@ Layout contract (DESIGN.md §10):
   which is the row path's fallback
   (:func:`repro.core.coalesce.coalesce_transactions`) applied once at
   build time instead of once per analysis pass;
-- ``routes[i]`` is the row's interned :class:`RouteInfo` (or ``None``) —
-  routes repeat heavily, so interning keeps route construction off the
-  per-row cost while the per-sample and per-transaction work stays
-  object-free.
+- ``routes[i]`` is the row's :class:`RouteInfo` (or ``None``), its sample's
+  own or interned when decoded — routes repeat heavily, so interning keeps
+  route construction off the per-row cost while the per-sample and
+  per-transaction work stays object-free.
 
 A batch is filled two ways: :meth:`ColumnBatch.from_store_columns` adopts
 the store schema's column lists — a partition's decoded columns, or
@@ -158,7 +158,9 @@ class ColumnBatch:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_store_columns(cls, decoded: Dict[str, list]) -> "ColumnBatch":
+    def from_store_columns(
+        cls, decoded: Dict[str, list], routes: Optional[list] = None
+    ) -> "ColumnBatch":
         """Adopt the store schema's flat columns.
 
         ``decoded`` is :func:`repro.store.schema.decode_columns` or
@@ -166,7 +168,8 @@ class ColumnBatch:
         non-decreasing. Most columns transfer by reference — zero copies,
         zero objects, and a change to ``decoded`` changes the batch; only
         the presence-compacted columns (route, ``last_byte_write_time``)
-        are expanded, and routes are interned by the row decoder's own
+        are expanded. Routes are ``routes`` (one per row) when the caller
+        shredded samples that hold them, else interned by the row decoder's
         :func:`~repro.store.schema.expand_routes`, so repeated routes cost
         one ``RouteInfo`` each.
         """
@@ -209,5 +212,5 @@ class ColumnBatch:
             for present, fallback in zip(decoded["txn_lbwt_present"], fbt)
         ]
 
-        batch.routes = expand_routes(decoded)
+        batch.routes = expand_routes(decoded) if routes is None else routes
         return batch

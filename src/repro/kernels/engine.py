@@ -240,10 +240,11 @@ class BatchIngestor:
             else:
                 busy_fraction = min(busy_times[i] / duration, 1.0)
 
+            min_rtt_ms = min_rtt * 1000.0
             # SessionRow's field order; tuple.__new__ skips the NamedTuple
             # constructor's per-field keyword binding.
             row = new_row(SessionRow, (
-                min_rtt * 1000.0,
+                min_rtt_ms,
                 hd,
                 naive,
                 sent,
@@ -281,7 +282,7 @@ class BatchIngestor:
                     route=route,
                 )
                 pieces.setdefault(akey, []).append((order_key, aggregation))
-            aggregation.min_rtts_ms.append(min_rtt * 1000.0)
+            aggregation.min_rtts_ms.append(min_rtt_ms)
             if hd is not None:
                 aggregation.hdratios.append(hd)
                 hd_samples += 1
@@ -364,13 +365,15 @@ def batches_from_pairs(
     pairs: Iterable[Tuple[int, SessionSample]],
 ) -> Iterator[ColumnBatch]:
     """Slice an ``(order_key, sample)`` stream into column batches of
-    :data:`BATCH_ROWS` rows, each the store's shred of its slice."""
+    :data:`BATCH_ROWS` rows: each slice's shred, with its samples' routes."""
     iterator = iter(pairs)
     while True:
         chunk = list(islice(iterator, BATCH_ROWS))
         if not chunk:
             return
-        yield ColumnBatch.from_store_columns(shred_rows(chunk))
+        yield ColumnBatch.from_store_columns(
+            shred_rows(chunk), [sample.route for _, sample in chunk]
+        )
 
 
 def iter_batches(

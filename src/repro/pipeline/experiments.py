@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import traced
 from repro.pipeline.dataset import StudyDataset
-from repro.stats.weighted import _percentile_of_sorted, ecdf, percentile
+from repro.stats.weighted import _percentile_of_sorted, percentile
 
 __all__ = [
     "CdfSeries",
@@ -35,7 +35,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CdfSeries:
-    """One CDF line: sorted x values and cumulative fractions.
+    """One CDF line: its x values in ascending order, nothing else — the
+    fraction at ``xs[i]`` is ``(i + 1) / len(xs)``, computed when asked.
+    Integer series stay ints (exact against float thresholds below 2**53).
 
     An empty series (a zero-session population split) is representable:
     its quantiles are ``None`` and its ``fraction_at_most`` is 0 — report
@@ -44,28 +46,26 @@ class CdfSeries:
 
     label: str
     xs: List[float]
-    fractions: List[float]
 
     @classmethod
     def of(cls, label: str, values: Sequence[float]) -> "CdfSeries":
-        if not values:
-            return cls(label=label, xs=[], fractions=[])
-        xs, fractions = ecdf(values)
-        return cls(label=label, xs=xs, fractions=fractions)
+        return cls(label=label, xs=sorted(values))
 
     def __len__(self) -> int:
         return len(self.xs)
 
     def fraction_at_most(self, x: float) -> float:
-        index = bisect.bisect_right(self.xs, x)
-        if index == 0:
-            return 0.0
-        return self.fractions[index - 1]
+        xs = self.xs
+        return bisect.bisect_right(xs, x) / len(xs) if xs else 0.0
+
+    def fraction_above(self, x: float) -> Optional[float]:
+        """``1 - fraction_at_most(x)``; ``None`` for an empty series."""
+        return 1.0 - self.fraction_at_most(x) if self.xs else None
 
     def quantile(self, q: float) -> Optional[float]:
         if not self.xs:
             return None
-        return _percentile_of_sorted(self.xs, q * 100.0)
+        return float(_percentile_of_sorted(self.xs, q * 100.0))
 
 
 # --------------------------------------------------------------------- #
@@ -89,8 +89,8 @@ class Fig1Result:
         return self.duration_all.fraction_at_most(60.0)
 
     @property
-    def over_three_minutes(self) -> float:
-        return 1.0 - self.duration_all.fraction_at_most(180.0)
+    def over_three_minutes(self) -> Optional[float]:
+        return self.duration_all.fraction_above(180.0)
 
     @property
     def mostly_idle_fraction(self) -> float:
@@ -128,8 +128,8 @@ class Fig2Result:
         return self.session_bytes.fraction_at_most(10_000.0)
 
     @property
-    def sessions_over_1mb(self) -> float:
-        return 1.0 - self.session_bytes.fraction_at_most(1_000_000.0)
+    def sessions_over_1mb(self) -> Optional[float]:
+        return self.session_bytes.fraction_above(1_000_000.0)
 
     @property
     def median_response(self) -> float:
@@ -144,10 +144,10 @@ MEDIA_RESPONSE_THRESHOLD_BYTES = 12_000
 def fig2_transfer_sizes(dataset: StudyDataset) -> Fig2Result:
     """Figure 2: bytes per session, per response, and per media response."""
     rows = dataset.rows
-    sessions = [float(r.bytes_sent) for r in rows if r.bytes_sent > 0]
-    responses = list(map(float, chain.from_iterable(r.response_sizes for r in rows)))
+    sessions = [r.bytes_sent for r in rows if r.bytes_sent > 0]
+    responses = list(chain.from_iterable(r.response_sizes for r in rows))
     if any(row.media_bytes for row in rows):
-        media = list(map(float, chain.from_iterable(r.media_bytes for r in rows)))
+        media = list(chain.from_iterable(r.media_bytes for r in rows))
     else:
         # Untagged trace: fall back to the size heuristic.
         media = [
@@ -188,9 +188,9 @@ def fig3_transaction_counts(dataset: StudyDataset) -> Fig3Result:
     total_bytes = sum(r.bytes_sent for r in rows) or 1
     heavy_bytes = sum(r.bytes_sent for r in rows if r.transaction_count >= 50)
     return Fig3Result(
-        count_all=CdfSeries.of("all", [float(r.transaction_count) for r in rows]),
-        count_h1=CdfSeries.of("http/1.1", [float(r.transaction_count) for r in h1]),
-        count_h2=CdfSeries.of("http/2", [float(r.transaction_count) for r in h2]),
+        count_all=CdfSeries.of("all", [r.transaction_count for r in rows]),
+        count_h1=CdfSeries.of("http/1.1", [r.transaction_count for r in h1]),
+        count_h2=CdfSeries.of("http/2", [r.transaction_count for r in h2]),
         heavy_session_byte_share=heavy_bytes / total_bytes,
     )
 
@@ -288,9 +288,7 @@ class Fig6Result:
 
         ``None`` when no session was HD-testable (rendered as ``n/a``).
         """
-        if not self.hdratio_all.xs:
-            return None
-        return 1.0 - self.hdratio_all.fraction_at_most(0.0)
+        return self.hdratio_all.fraction_above(0.0)
 
     @property
     def hdratio_full_fraction(self) -> float:
@@ -298,8 +296,7 @@ class Fig6Result:
         xs = self.hdratio_all.xs
         if not xs:
             return 0.0
-        full = sum(1 for x in xs if x >= 1.0)
-        return full / len(xs)
+        return (len(xs) - bisect.bisect_left(xs, 1.0)) / len(xs)
 
     def continent_median_minrtt(self, code: str) -> Optional[float]:
         """None when no session came from continent ``code``."""

@@ -489,8 +489,11 @@ class StreamingIngestor:
                     self._appender.band_windows,
                 )
             )
+            # ``seq`` indexes ``samples`` until the append renumbers it.
             batches = (
-                ColumnBatch.from_store_columns(columns)
+                ColumnBatch.from_store_columns(
+                    columns, [samples[seq].route for seq in columns["seq"]]
+                )
                 for _, columns in partitions
             )
         # Stage, append, install (module docstring): both steps that can

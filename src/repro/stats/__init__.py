@@ -26,17 +26,12 @@ from repro.stats.median_ci import (
     median_standard_error,
 )
 from repro.stats.tdigest import TDigest
-from repro.stats.weighted import (
-    ecdf,
-    weighted_ecdf,
-    weighted_fraction_at_most,
-)
+from repro.stats.weighted import weighted_ecdf, weighted_fraction_at_most
 
 __all__ = [
     "MedianComparison",
     "TDigest",
     "compare_medians",
-    "ecdf",
     "median_standard_error",
     "weighted_ecdf",
     "weighted_fraction_at_most",

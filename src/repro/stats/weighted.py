@@ -3,19 +3,17 @@
 The paper reports every distribution weighted by traffic volume (§3.3):
 "prefixes are arbitrary units of address space whose size may not map to the
 underlying userbase size", so user groups are weighted by the bytes their
-sessions carried. These helpers implement the weighted ECDF machinery used
-by the figure drivers in :mod:`repro.pipeline.experiments`.
+sessions carried. These helpers implement the percentiles of the figure
+drivers in :mod:`repro.pipeline.experiments` and the weighted ECDFs of
+:mod:`repro.pipeline.routing_analysis`.
 """
 
 from __future__ import annotations
 
 import bisect
-from itertools import repeat
-from operator import truediv
 from typing import List, Sequence, Tuple
 
 __all__ = [
-    "ecdf",
     "percentile",
     "weighted_ecdf",
     "weighted_fraction_at_most",
@@ -40,16 +38,6 @@ def _percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     frac = rank - low
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-
-def ecdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
-    """Unweighted ECDF as ``(sorted_values, cumulative_fractions)``."""
-    if not values:
-        raise ValueError("cannot build an ECDF from an empty sequence")
-    ordered = sorted(map(float, values))
-    n = len(ordered)
-    fractions = list(map(truediv, range(1, n + 1), repeat(n)))
-    return ordered, fractions
 
 
 def weighted_ecdf(

@@ -12,7 +12,7 @@ import random
 import socket
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import pytest
 
@@ -375,3 +375,15 @@ def shred_oracle(rows) -> dict:
             if present:
                 columns["txn_lbwt_values"].append(txn.last_byte_write_time)
     return columns
+
+
+def ecdf(values) -> Tuple[List[float], List[float]]:
+    """The reference unweighted ECDF: ``(sorted_values, fractions)`` with
+    the cumulative fraction ``(i + 1) / n`` stored beside every value.
+    :class:`repro.pipeline.experiments.CdfSeries`, which derives each
+    fraction when asked, must agree with it bit for bit."""
+    if not values:
+        raise ValueError("cannot build an ECDF from an empty sequence")
+    ordered = sorted(map(float, values))
+    n = len(ordered)
+    return ordered, [(i + 1) / n for i in range(n)]

@@ -961,11 +961,15 @@ class TestDistCLI:
             err = capsys.readouterr().err
             assert "worker address '' is not host:port" in err
 
-    def test_worker_rejects_non_numeric_port(self):
+    def test_worker_rejects_non_numeric_port(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="non-numeric"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["worker", "--listen", "127.0.0.1:abc"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro: error: --listen must be HOST:PORT with a port in 0-65535"
+        )
 
     def test_worker_subprocess_serves_dispatch_run(
         self, trace_store, serial_dataset

@@ -1,15 +1,21 @@
 """Tests for the figure drivers (1–7) on a small synthetic dataset."""
 
+import bisect
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline.dataset import StudyDataset
+from repro.pipeline import build_dataset
+from repro.pipeline.dataset import SessionRow, StudyDataset
 from repro.pipeline.experiments import (
     CONTINENT_CODES,
     CdfSeries,
+    Fig1Result,
+    Fig2Result,
+    Fig6Result,
     ablation_naive_goodput,
     fig1_session_behaviour,
     fig2_transfer_sizes,
@@ -20,6 +26,7 @@ from repro.pipeline.experiments import (
 )
 from repro.stats.weighted import percentile
 from repro.workload.scenario import EdgeScenario, ScenarioConfig
+from tests.helpers import ecdf, make_route, make_sample, make_trace_samples
 
 # Three networks per metro: per-continent statistics need a few networks to
 # average over their (random) dominant access classes.
@@ -88,6 +95,170 @@ class TestCdfSeries:
         # quantile interpolates over the series' own sorted xs; percentile
         # sorts first — same arithmetic, so the same bits, not approx.
         assert CdfSeries.of("x", values).quantile(q) == percentile(values, 100 * q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+            st.lists(st.integers(-(2**53), 2**53), max_size=40),
+            # Few distinct values: duplicates in nearly every example.
+            st.lists(st.sampled_from((0, 1, 4, 0.0, 0.5, 1.0, 1e6)), max_size=40),
+        ),
+        st.lists(st.floats(allow_nan=False), max_size=4),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_matches_the_stored_fraction_oracle(self, values, others, q):
+        """Fractions derived from positions equal the ECDF's stored ones,
+        ``==`` not approx, at every value (ties included) and between."""
+        series = CdfSeries.of("x", values)
+        thresholds = [*values, *map(float, values), *others]
+        if not values:
+            assert series.xs == [] and series.quantile(q) is None
+            assert all(series.fraction_at_most(t) == 0.0 for t in thresholds)
+            assert series.fraction_above(0.0) is None
+            return
+        xs, fractions = ecdf(values)
+        assert series.xs == xs
+        for threshold in thresholds:
+            index = bisect.bisect_right(xs, threshold)
+            expected = fractions[index - 1] if index else 0.0
+            assert series.fraction_at_most(threshold) == expected
+            assert series.fraction_above(threshold) == 1.0 - expected
+        assert type(series.quantile(q)) is float
+
+    def test_integer_series_keep_their_ints(self):
+        series = CdfSeries.of("bytes", [10_000, 3, 10_000])
+        assert series.xs == [3, 10_000, 10_000]
+        assert all(type(x) is int for x in series.xs)
+        assert series.quantile(0.0) == 3.0 and type(series.quantile(0.0)) is float
+        assert type(CdfSeries.of("one", [7]).quantile(0.5)) is float
+
+
+def _rows(**columns):
+    """SessionRows with the given columns and neutral values elsewhere."""
+    count = len(next(iter(columns.values())))
+    base = dict(
+        min_rtt_ms=[20.0] * count, hdratio=[None] * count,
+        naive_hdratio=[None] * count, bytes_sent=[1] * count,
+        duration=[1.0] * count, busy_fraction=[1.0] * count,
+        transaction_count=[1] * count, is_http2=[False] * count,
+        continent=["EU"] * count, geo_tag=[""] * count,
+        response_sizes=[()] * count, media_bytes=[()] * count,
+    )
+    base.update(columns)
+    return [SessionRow(*values) for values in zip(*base.values())]
+
+
+def _dataset(rows):
+    dataset = StudyDataset(study_windows=1)
+    dataset.rows = rows
+    return dataset
+
+
+class TestExactThresholds:
+    """Each headline share at a value exactly on its threshold: ``at most``
+    counts the value, ``over`` / ``under`` the rest."""
+
+    def test_fig1_durations_on_1_60_and_180_seconds(self):
+        durations = [0.5, 1.0, 1.5, 59.0, 60.0, 61.0, 180.0, 181.0]
+        busy = [0.05, 0.10, 0.10, 0.2, 0.5, 0.9, 1.0, 1.0]
+        result = fig1_session_behaviour(
+            _dataset(_rows(duration=durations, busy_fraction=busy))
+        )
+        assert result.under_one_second == 2 / 8
+        assert result.under_one_minute == 5 / 8
+        assert result.over_three_minutes == 1.0 - 7 / 8
+        assert result.mostly_idle_fraction == 3 / 8
+
+    def test_fig2_bytes_on_10kb_and_1mb(self):
+        sent = [0, 5_000, 10_000, 10_001, 999_999, 1_000_000, 1_000_001]
+        result = fig2_transfer_sizes(_dataset(_rows(bytes_sent=sent)))
+        # A session that sent nothing is not on the curve.
+        assert len(result.session_bytes) == 6
+        assert result.sessions_under_10kb == 2 / 6
+        assert result.sessions_over_1mb == 1.0 - 5 / 6
+
+    def test_fig2_untagged_media_threshold_is_inclusive(self):
+        rows = _rows(response_sizes=[(11_999, 12_000), (12_001,)])
+        result = fig2_transfer_sizes(_dataset(rows))
+        assert result.media_response_bytes.xs == [12_000, 12_001]
+        assert result.median_response == 12_000.0
+
+    def test_fig3_on_4_and_50_transactions(self):
+        counts = [4, 5, 49, 50]
+        sent = [1, 1, 1, 7]
+        result = fig3_transaction_counts(
+            _dataset(_rows(transaction_count=counts, bytes_sent=sent))
+        )
+        assert result.h1_under_5 == 1 / 4
+        assert result.heavy_session_byte_share == 7 / 10
+
+    def test_fig6_hdratio_on_0_and_1(self):
+        hd = [0.0, 0.0, 0.5, 0.999, 1.0, 1.0]
+        result = fig6_global_performance(_dataset(_rows(hdratio=hd)))
+        assert result.hdratio_positive_fraction == 1.0 - 2 / 6
+        assert result.hdratio_full_fraction == 2 / 6
+        assert result.continent_zero_hd_fraction("EU") == 2 / 6
+
+    def test_fig7_bucket_edges_belong_below(self):
+        rtts = [30.0, 30.5, 50.0, 80.0, 80.5]
+        result = fig7_rtt_vs_hdratio(
+            _dataset(_rows(min_rtt_ms=rtts, hdratio=[1.0] * 5))
+        )
+        sizes = {k: len(v) for k, v in result.hdratio_by_bucket.items()}
+        assert sizes == {"0-30": 1, "31-50": 2, "51-80": 1, "81+": 1}
+
+    def test_fig5_takes_preferred_routes_in_windows_of_five(self):
+        def sessions(window, rtt_ms, rank, count):
+            route = make_route("198.51.0.0/16", rank=rank)
+            return [
+                dataclasses.replace(
+                    make_sample(window * 900.0 + 10.0, rtt_ms, route=route),
+                    geo_tag="sanfrancisco",
+                )
+                for _ in range(count)
+            ]
+
+        result = fig5_population_mix(
+            sessions(0, 20.0, 0, 5) + sessions(0, 90.0, 1, 5)
+            + sessions(1, 20.0, 0, 4)
+        )
+        assert result.windows == [0, 1]
+        assert result.all_clients == [20.0, None]
+        assert result.primary_clients == [20.0, None]
+        assert result.secondary_clients == [None, None]
+
+    def test_empty_study_has_no_share_over_a_threshold(self):
+        empty = CdfSeries.of("all", [])
+        fig1 = Fig1Result(*[empty] * 6)
+        assert fig1.over_three_minutes is None
+        assert fig1.under_one_second == 0.0
+        assert Fig2Result(empty, empty, empty).sessions_over_1mb is None
+        fig6 = Fig6Result(empty, empty, {}, {})
+        assert fig6.hdratio_positive_fraction is None
+        assert fig6.hdratio_full_fraction == 0.0
+
+
+def test_figure_results_hold_little_per_session():
+    """The CDF drivers' results retain each distribution once: sorted
+    values only, ints kept as ints. Storing a fraction beside every value
+    and a float copy of every byte count held ~720 B per session here."""
+    dataset = build_dataset(make_trace_samples(3000, seed=3), study_windows=8)
+    drivers = (
+        fig1_session_behaviour, fig2_transfer_sizes, fig3_transaction_counts,
+        fig6_global_performance, fig7_rtt_vs_hdratio,
+    )
+    for driver in drivers:
+        driver(dataset)  # first-call imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [driver(dataset) for driver in drivers]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(drivers)
+    assert retained / len(dataset.rows) < 250
 
 
 class TestFig1(object):

@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats import (
-    ecdf,
-    weighted_ecdf,
-    weighted_fraction_at_most,
-)
+from repro.stats import weighted_ecdf, weighted_fraction_at_most
 from repro.stats.weighted import percentile
+from tests.helpers import ecdf
 
 
 class TestPercentile:
@@ -34,6 +31,8 @@ class TestPercentile:
 
 
 class TestEcdf:
+    """``ecdf`` is the tests' oracle (``tests.helpers``) for ``CdfSeries``."""
+
     def test_unweighted_fractions(self):
         xs, fs = ecdf([3.0, 1.0, 2.0])
         assert xs == [1.0, 2.0, 3.0]

@@ -73,6 +73,18 @@ class TestTargets:
             assert ("n/a" in line.split()) == (result.measured is None)
         assert lines[-1] == f"0/{len(results)} anchors within band"
 
+    def test_empty_study_reads_no_share_over_a_threshold(self):
+        """Regression: ``1 - fraction_at_most`` over zero sessions read 1,
+        as if every session lasted over three minutes and sent over 1 MB."""
+        from repro.pipeline import build_dataset
+
+        lines = render_report(
+            run_calibration(build_dataset([], study_windows=96))
+        ).splitlines()
+        for name in ("sessions > 180 s", "sessions > 1 MB"):
+            (line,) = [line for line in lines if f"  {name}  " in line]
+            assert "n/a" in line.split(), line
+
     def test_custom_target_subset(self, dataset):
         only = [
             CalibrationTarget(
