@@ -16,7 +16,7 @@ from repro.pipeline import (
     fig6_global_performance,
     fig7_rtt_vs_hdratio,
 )
-from repro.pipeline.report import format_percent, format_table
+from repro.pipeline.report import format_metric, format_percent, format_table
 from repro.workload import EdgeScenario, ScenarioConfig
 
 CONTINENT_NAMES = {
@@ -84,8 +84,8 @@ def main() -> None:
     rows = [
         (
             label,
-            f"{series.quantile(0.5):.2f}",
-            format_percent(1 - series.fraction_at_most(0.0)),
+            format_metric(series.quantile(0.5), ".2f"),
+            format_percent(series.fraction_above(0.0)),
         )
         for label, series in buckets.hdratio_by_bucket.items()
     ]

@@ -8,12 +8,14 @@ set, exact types — raising
 daemon, the only reader of task frames, never unpickles what a peer sent.
 
 **Results are pickles** — ``ShardResult``'s own wire form, the one the
-process pool pickles back from its children (rows as plain tuples) — read
+process pool pickles back from its children (rows as field columns) — read
 only by the client, from daemons it chose to dial (DESIGN.md §13), and
 only through an unpickler that resolves the seven globals a result
 references (:data:`RESULT_GLOBALS`): a frame naming any other raises
 :class:`~repro.dist.protocol.ProtocolError`, as does any frame that does
-not decode, so a result frame cannot run code.
+not decode, so a result frame cannot run code. A frame is walked for
+memo writes before it is unpickled (protocol 4 writes none), so a mangled
+one cannot make the unpickler allocate gigabytes either.
 **Failures are JSON**: a worker's exception can hold anything, so it is
 stringified to ``{"type", "message"}`` at the worker and a failure reply
 cannot itself fail to decode; the client
@@ -27,6 +29,10 @@ import dataclasses
 import io
 import json
 import pickle
+import pickletools
+import re
+import struct
+import sys
 
 from repro.dist.protocol import ProtocolError
 from repro.pipeline.parallel import RemoteCause, ShardResult, _ShardTask
@@ -121,6 +127,82 @@ def encode_result(result: ShardResult) -> bytes:
     return pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
 
 
+#: The opcodes PUT, BINPUT and LONG_BINPUT.
+_MEMO_WRITES = frozenset(b"pqr")
+
+
+def _opcode_tables():
+    """A regex matching a run of opcodes whose argument ends where the
+    opcode says (fixed width, or up to one or two newlines), and the
+    length prefix of every other opcode but ``STOP`` and the memo writes."""
+    lines = {
+        "stringnl_noescape_pair": rb"[^\n]*\n[^\n]*\n",  # GLOBAL, INST
+    }
+    prefixes = {
+        pickletools.TAKEN_FROM_ARGUMENT1: struct.Struct("<B"),
+        pickletools.TAKEN_FROM_ARGUMENT4: struct.Struct("<i"),
+        pickletools.TAKEN_FROM_ARGUMENT4U: struct.Struct("<I"),
+        pickletools.TAKEN_FROM_ARGUMENT8U: struct.Struct("<Q"),
+    }
+    runs: dict = {}
+    prefixed: dict = {}
+    for op in pickletools.opcodes:
+        if op.name == "STOP" or ord(op.code) in _MEMO_WRITES:
+            continue
+        width = op.arg.n if op.arg is not None else 0
+        if width in prefixes:
+            prefixed[ord(op.code)] = prefixes[width]
+            continue
+        if width == pickletools.UP_TO_NEWLINE:
+            argument = lines.get(op.arg.name, rb"[^\n]*\n")
+        else:
+            argument = rb"[\s\S]{%d}" % width if width else b""
+        runs.setdefault(argument, []).append(re.escape(op.code.encode("latin-1")))
+    alternatives = [
+        b"[" + b"".join(codes) + b"]" + argument for argument, codes in runs.items()
+    ]
+    # Possessive (3.11+) keeps no backtracking state: greedy matches the
+    # same end, as the alternatives start with disjoint opcodes.
+    repeat = b"*+" if sys.version_info >= (3, 11) else b"*"
+    return re.compile(b"(?:" + b"|".join(alternatives) + b")" + repeat), prefixed
+
+
+_OPCODE_RUN, _LENGTH_PREFIXED = _opcode_tables()
+
+
+def _refuse_memo_writes(payload: bytes) -> None:
+    """Walk ``payload``'s opcodes up to ``STOP``, raising
+    :class:`pickle.UnpicklingError` at a memo write (``PUT``, ``BINPUT``,
+    ``LONG_BINPUT``), an unknown opcode, a length past the end of the
+    frame, or that end.
+
+    Protocol 4 memoizes with ``MEMOIZE`` only, so a result frame holds no
+    memo write; in a mangled one, the C unpickler sizes its memo to twice
+    the index written — a five-byte ``LONG_BINPUT`` asks for gigabytes.
+    Runs of fixed-width opcodes (most of a frame: the row columns) are
+    skipped by one regex match."""
+    pos, end = 0, len(payload)
+    while True:
+        pos = _OPCODE_RUN.match(payload, pos).end()
+        if pos >= end:
+            raise pickle.UnpicklingError("result frame ends before STOP")
+        code = payload[pos]
+        if code == pickle.STOP[0]:
+            return
+        if code in _MEMO_WRITES:
+            raise pickle.UnpicklingError(f"memo write at byte {pos}")
+        prefix = _LENGTH_PREFIXED.get(code)
+        if prefix is None:
+            raise pickle.UnpicklingError(f"unreadable opcode at byte {pos}")
+        try:
+            (length,) = prefix.unpack_from(payload, pos + 1)
+        except struct.error:
+            length = -1
+        if not 0 <= length <= end - pos:
+            raise pickle.UnpicklingError(f"bad argument length at byte {pos}")
+        pos += 1 + prefix.size + length
+
+
 class _ResultUnpickler(pickle.Unpickler):
     """Unpickles a result frame, resolving only :data:`RESULT_GLOBALS`: a
     frame that names any other global (``os.system``, ``builtins.eval``,
@@ -137,9 +219,11 @@ class _ResultUnpickler(pickle.Unpickler):
 
 def decode_result(payload: bytes) -> ShardResult:
     """Rebuild a shard result; :class:`ProtocolError` if the frame does not
-    decode, names a global outside :data:`RESULT_GLOBALS`, or decodes to
+    decode (row columns that disagree included), names a global outside
+    :data:`RESULT_GLOBALS`, or decodes to
     anything but a :class:`ShardResult`."""
     try:
+        _refuse_memo_writes(payload)
         result = _ResultUnpickler(io.BytesIO(payload)).load()
     except Exception as error:  # noqa: BLE001 — whatever a mangled frame raises
         raise ProtocolError(

@@ -145,9 +145,8 @@ class BatchIngestor:
         any_txn = False
         hd_testable_sessions = 0
         hd_samples = 0
-        #: Batch-local aggregations: one piece per key per batch, so the
-        #: finalize merge sees at most one piece per (key, batch).
-        local: Dict[AggregationKey, Aggregation] = {}
+        #: Batch-local aggregations by plain tuple key, one per key per batch.
+        local: Dict[tuple, Aggregation] = {}
 
         txn_cursor = 0
         media_cursor = 0
@@ -265,23 +264,23 @@ class BatchIngestor:
                 raise ValueError("sample is missing its egress route annotation")
             pop = pops[i]
             country = countries[i]
-            group_key = (pop, route.prefix, country)
-            group = groups.get(group_key)
-            if group is None:
-                group = groups[group_key] = UserGroupKey(
-                    pop=pop, prefix=route.prefix, country=country
-                )
+            rank = route.preference_rank
             window = int(floor(end_time / window_seconds))
-            akey = (group, route.preference_rank, window)
-            aggregation = local.get(akey)
+            local_key = (pop, route.prefix, country, rank, window)
+            aggregation = local.get(local_key)
             if aggregation is None:
-                aggregation = local[akey] = Aggregation(
+                group = groups.get(local_key[:3])
+                if group is None:
+                    group = groups[local_key[:3]] = UserGroupKey(*local_key[:3])
+                aggregation = local[local_key] = Aggregation(
                     group=group,
-                    route_rank=route.preference_rank,
+                    route_rank=rank,
                     window=window,
                     route=route,
                 )
-                pieces.setdefault(akey, []).append((order_key, aggregation))
+                pieces.setdefault((group, rank, window), []).append(
+                    (order_key, aggregation)
+                )
             aggregation.min_rtts_ms.append(min_rtt_ms)
             if hd is not None:
                 aggregation.hdratios.append(hd)

@@ -29,8 +29,8 @@ class SessionRow(NamedTuple):
     """One session flattened for distribution analysis.
 
     A ``tuple`` subclass, so the batch engine builds one with a single
-    ``tuple.__new__(SessionRow, values)`` and a shard result carries it
-    across a process boundary as a plain tuple (CONTRIBUTING.md).
+    ``tuple.__new__(SessionRow, values)`` and a shard result carries its
+    fields across a process boundary as plain columns (CONTRIBUTING.md).
     """
 
     min_rtt_ms: float

@@ -27,6 +27,7 @@ __all__ = [
     "fig2_transfer_sizes",
     "fig3_transaction_counts",
     "fig5_population_mix",
+    "fig6_global",
     "fig6_global_performance",
     "fig7_rtt_vs_hdratio",
     "ablation_naive_goodput",
@@ -156,7 +157,7 @@ def fig2_transfer_sizes(dataset: StudyDataset) -> Fig2Result:
     return Fig2Result(
         session_bytes=CdfSeries.of("sessions", sessions),
         response_bytes=CdfSeries.of("all responses", responses),
-        media_response_bytes=CdfSeries.of("media responses", media or [0.0]),
+        media_response_bytes=CdfSeries.of("media responses", media),
     )
 
 
@@ -345,6 +346,18 @@ def fig6_global_performance(dataset: StudyDataset) -> Fig6Result:
     )
 
 
+def fig6_global(dataset: StudyDataset) -> Fig6Result:
+    """Figure 6's two global series alone, the continent dicts empty:
+    equal to :func:`fig6_global_performance`'s, at a fraction of its cost
+    (``/v1/quantiles`` serves these and nothing else)."""
+    return Fig6Result(
+        minrtt_all=CdfSeries.of("all", [row.min_rtt_ms for row in dataset.rows]),
+        hdratio_all=CdfSeries.of("all", [row.hdratio for row in dataset.hd_rows()]),
+        minrtt_by_continent={},
+        hdratio_by_continent={},
+    )
+
+
 # --------------------------------------------------------------------- #
 # Figure 7 — HDratio by MinRTT bucket
 # --------------------------------------------------------------------- #
@@ -377,7 +390,7 @@ def fig7_rtt_vs_hdratio(dataset: StudyDataset) -> Fig7Result:
                 break
     return Fig7Result(
         hdratio_by_bucket={
-            label: CdfSeries.of(label, values or [0.0])
+            label: CdfSeries.of(label, values)
             for label, values in buckets.items()
         }
     )

@@ -56,6 +56,7 @@ from repro.store import (
     is_store_path,
     write_store,
 )
+from repro.store.schema import ROUTE_TABLE_LIMIT
 
 if TYPE_CHECKING:
     from repro.kernels.columns import ColumnBatch
@@ -188,12 +189,6 @@ def _http_version(value) -> HttpVersion:
     """``HttpVersion(value)`` at dict-lookup cost; a miss still raises the
     enum's own error."""
     return _HTTP_VERSIONS.get(value) or HttpVersion(value)
-
-
-#: Distinct routes one stream keeps interned. Generated traces carry tens
-#: to hundreds; past the bound the table starts over, so an adversarial
-#: trace costs at most this many routes of memory, not one per line.
-ROUTE_TABLE_LIMIT = 4096
 
 
 class _RouteTable(dict):

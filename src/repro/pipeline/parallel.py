@@ -58,8 +58,10 @@ accounting.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import pathlib
 import pickle
+import sys
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -69,6 +71,8 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import faultinject
@@ -320,17 +324,23 @@ class ShardResult:
     samples_ingested: int = 0
 
     # The one wire form, for the process pool and the dispatch client
-    # alike: rows travel as ``(order_key, plain tuple)``, so no SessionRow
-    # global and no per-row reduce call is pickled, and each row is
-    # wrapped once on arrival.
+    # alike: rows travel as order keys plus one tuple per SessionRow field,
+    # so nothing is pickled per row; columns that disagree are refused.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["rows"] = [(key, tuple(row)) for key, row in self.rows]
+        state["rows"] = ([k for k, _ in self.rows], list(zip(*[r for _, r in self.rows])))
         return state
 
     def __setstate__(self, state: dict) -> None:
-        new = tuple.__new__
-        state["rows"] = [(key, new(SessionRow, row)) for key, row in state["rows"]]
+        keys, columns = state["rows"]
+        width = len(SessionRow._fields) if keys else 0
+        if len(columns) != width or any(len(c) != len(keys) for c in columns):
+            raise ValueError(
+                f"{len(keys)} rows carry {len(columns)} field columns of "
+                f"lengths {sorted({len(c) for c in columns})}"
+            )
+        rows = map(tuple.__new__, repeat(SessionRow), zip(*columns))
+        state["rows"] = list(zip(keys, rows))
         self.__dict__.update(state)
 
 
@@ -454,7 +464,11 @@ def _executor_for(options: ParallelOptions, task_count: int) -> Executor:
 
         return DispatchPool(options.worker_addrs)
     if options.backend == "process" and task_count > 1:
-        return ProcessPoolExecutor(max_workers=min(options.workers, task_count))
+        # Forked on Linux, whatever the default (DESIGN.md §6); elsewhere
+        # the platform's own default (macOS spawns: fork is unsafe there).
+        method = "fork" if sys.platform.startswith("linux") else None
+        context = multiprocessing.get_context(method)
+        return ProcessPoolExecutor(min(options.workers, task_count), context)
     # A one-task plan gains nothing from a pool — run it inline.
     # (Dispatch still ships it: its point is *where* the task runs.)
     return _InlineExecutor()
@@ -514,6 +528,10 @@ def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> Stu
     condition that every order key in ``results`` comes after every order
     key it holds; the outcome is then the merge of all results at once.
 
+    Each result's rows and triples are sorted, so one sort of each list
+    merges runs; first order keys never tie (results are disjoint), so
+    the sorted triples give first-seen key order and each key's pieces.
+
     Copy-on-merge: no result, and no aggregation ``dataset`` already
     holds, is mutated. A new key with one piece installs that piece; a
     key with several pieces, or one the dataset already holds, gets a
@@ -521,9 +539,10 @@ def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> Stu
     over cached partials — yields the same dataset twice.
     """
     indexed_rows: List[Tuple[int, SessionRow]] = []
-    parts: Dict[AggregationKey, List[Tuple[int, Aggregation]]] = {}
+    triples: List[Tuple[int, AggregationKey, Aggregation]] = []
     for result in results:
         indexed_rows.extend(result.rows)
+        triples.extend(result.aggregations)
         dataset.filter_stats.merge(result.filter_stats)
         dataset.metrics.merge(result.metrics)
         dataset.metrics.observe("pipeline.shard_wall_seconds", result.wall_seconds)
@@ -535,14 +554,16 @@ def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> Stu
                 "wall_seconds": result.wall_seconds,
             }
         )
-        for first_index, key, aggregation in result.aggregations:
-            parts.setdefault(key, []).append((first_index, aggregation))
-    indexed_rows.sort(key=lambda item: item[0])
-    dataset.rows.extend(row for _, row in indexed_rows)
+    indexed_rows.sort(key=itemgetter(0))
+    dataset.rows.extend(map(itemgetter(1), indexed_rows))
+    triples.sort(key=itemgetter(0))
+    parts: Dict[AggregationKey, List[Aggregation]] = {}
+    for _, key, aggregation in triples:
+        parts.setdefault(key, []).append(aggregation)
     store = dataset.store
-    for key in sorted(parts, key=lambda k: min(i for i, _ in parts[k])):
-        pieces = [piece for _, piece in sorted(parts[key], key=lambda item: item[0])]
-        installed = store.get(*key)
+    carried = len(store)  # only a served query's carried dataset holds any
+    for key, pieces in parts.items():
+        installed = store.get(*key) if carried else None
         if installed is not None:
             pieces.insert(0, installed)
         merged = pieces[0]

@@ -4,7 +4,7 @@
 columnar store (:mod:`repro.store`). Every query resolves through the
 batch pipeline's own pieces — the column kernels and the sharded merge of
 :mod:`repro.pipeline.parallel`, then
-:func:`~repro.pipeline.experiments.fig6_global_performance`,
+:func:`~repro.pipeline.experiments.fig6_global`,
 :func:`~repro.pipeline.routing_analysis.fig9_opportunity`, the §5
 verdict/classification stack — so a served number is *defined* to be the
 batch number (the serving layer inherits the equivalence-to-serial
@@ -104,7 +104,7 @@ from repro.core.constants import (
 )
 from repro.obs import MetricsRegistry
 from repro.pipeline.dataset import StudyDataset
-from repro.pipeline.experiments import fig6_global_performance
+from repro.pipeline.experiments import fig6_global
 from repro.pipeline.parallel import ShardResult, _fold, _merge_results
 from repro.pipeline.report import format_metric, format_percent
 from repro.pipeline.routing_analysis import (
@@ -518,7 +518,7 @@ class QueryEngine:
         return payload
 
     def _quantiles(self, dataset: StudyDataset) -> dict:
-        result = fig6_global_performance(dataset)
+        result = fig6_global(dataset)
         minrtt = {
             f"p{int(q * 100)}": result.minrtt_all.quantile(q)
             for q in QUANTILE_POINTS

@@ -67,7 +67,7 @@ from repro.store.errors import (
     StoreError,
     TruncatedPartitionError,
 )
-from repro.store.schema import decode_columns, decode_rows
+from repro.store.schema import decode_columns, decode_rows, expand_routes
 from repro.store.writer import (
     DATA_NAME,
     MANIFEST_NAME,
@@ -121,12 +121,13 @@ def corrupt_block(
     )
 
 
-def _decode_batch(payload: bytes, frame: dict):
+def _decode_batch(payload: bytes, frame: dict, routes=None):
     # Late import: repro.kernels loads repro.pipeline, which loads this
     # package.
     from repro.kernels.columns import ColumnBatch
 
-    return ColumnBatch.from_store_columns(decode_columns(payload, frame))
+    decoded = decode_columns(payload, frame)
+    return ColumnBatch.from_store_columns(decoded, expand_routes(decoded, routes))
 
 
 def _as_frozenset(values) -> Optional[frozenset]:
@@ -296,15 +297,17 @@ class TraceStoreReader:
         """One partition as ``(seq, sample)`` rows, in stored order."""
         return self._decode(partition, decode_rows, metrics)
 
-    def decode_partition_columns(self, partition: dict, metrics=None):
+    def decode_partition_columns(self, partition: dict, metrics=None, routes=None):
         """Column fast path: one partition as a :class:`ColumnBatch`.
 
         The decoded columns are handed to the batch engine directly
         instead of being assembled into ``SessionSample`` rows.
         ``io.rows_read`` is counted here per decoded row, so a column
-        scan's ledger matches a row scan's.
+        scan's ledger matches a row scan's. ``routes``: a scan's route table.
         """
-        batch = self._decode(partition, _decode_batch, metrics)
+        batch = self._decode(
+            partition, lambda data, frame: _decode_batch(data, frame, routes), metrics
+        )
         if metrics is not None and len(batch):
             metrics.inc("io.rows_read", len(batch))
         return batch
@@ -319,13 +322,14 @@ class TraceStoreReader:
         to exactly a serial scan's. Batches carry the store's ``seq``
         column as their order keys, so a consumer that sorts on them
         reconstructs exact stream order — the same contract
-        :meth:`scan_pairs` satisfies row by row.
+        :meth:`scan_pairs` satisfies row by row; partitions share one route table.
         """
         candidates = (
             self.partitions if chunk is None else self._chunk_partitions(chunk)
         )
+        routes = {}
         for partition in candidates:
-            yield self.decode_partition_columns(partition, metrics)
+            yield self.decode_partition_columns(partition, metrics, routes)
 
     def _chunk_partitions(self, chunk: StoreChunk) -> List[dict]:
         """``chunk``'s partitions, or a :class:`StoreError` when the plan is

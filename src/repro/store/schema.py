@@ -336,12 +336,18 @@ _HTTP_BY_VALUE = {member.value: member for member in HttpVersion}
 _RELATIONSHIP_BY_VALUE = {member.value: member for member in Relationship}
 
 
-def expand_routes(decoded: Dict[str, list]) -> List[Optional[RouteInfo]]:
+#: Distinct routes one stream or scan keeps interned. Generated traces carry
+#: tens to hundreds; past the bound the table starts over, so an adversarial
+#: trace costs at most this many routes of memory, not one per row.
+ROUTE_TABLE_LIMIT = 4096
+
+
+def expand_routes(decoded: Dict[str, list], table=None) -> List[Optional[RouteInfo]]:
     """One :class:`RouteInfo` (or ``None``) per row of a decoded partition.
 
     The route columns are presence-compacted; this spreads them back over
-    the rows. Identical routes repeat across a partition's rows, so they
-    are interned: one ``RouteInfo`` construction per distinct route.
+    the rows. Identical routes repeat, so they are interned in ``table`` (a
+    scan's) or the partition's own: one ``RouteInfo`` per distinct route.
     """
     route_prefixes = decoded["route_prefix"]
     # The cache key keeps the relationship as its dictionary *string* (1:1
@@ -352,7 +358,7 @@ def expand_routes(decoded: Dict[str, list]) -> List[Optional[RouteInfo]]:
     route_prepends = decoded["route_prepended"]
     aspath_lens = decoded["route_aspath_lens"]
     aspath_values = decoded["route_aspath_values"]
-    route_cache: Dict[tuple, RouteInfo] = {}
+    route_cache: Dict[tuple, RouteInfo] = {} if table is None else table
     routes: List[Optional[RouteInfo]] = []
     append = routes.append
     route_cursor = 0
@@ -375,6 +381,8 @@ def expand_routes(decoded: Dict[str, list]) -> List[Optional[RouteInfo]]:
         )
         route = route_cache.get(key)
         if route is None:
+            if len(route_cache) >= ROUTE_TABLE_LIMIT:
+                route_cache.clear()
             route = route_cache[key] = _new_route(
                 key[0],
                 as_path,

@@ -7,6 +7,7 @@ be tested without running the workload generator.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import random
 import socket
@@ -34,6 +35,14 @@ from repro.store import write_store
 from repro.store.schema import COLUMNS
 
 
+class _ThreadPool(ThreadPoolExecutor):
+    """A thread pool that takes ``ProcessPoolExecutor``'s arguments; the
+    pool's start-method context means nothing to threads."""
+
+    def __init__(self, max_workers=None, mp_context=None):
+        super().__init__(max_workers)
+
+
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Run the pool backend's shards on threads of this process.
@@ -45,7 +54,7 @@ def in_process_pool(monkeypatch):
     env-var activation a real process pool needs, every child has its
     own). Import the fixture into a test module to use it.
     """
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _ThreadPool)
 
 
 def request_shutdown(addr: str, timeout: float = 5.0) -> bool:
@@ -315,6 +324,52 @@ def assert_same_analysis_state(
         assert agg_a.route == agg_b.route
     assert a.filter_stats == b.filter_stats
     assert data_counters(a) == data_counters(b)
+
+
+def merge_oracle(dataset: StudyDataset, results) -> StudyDataset:
+    """The reference shard merge: ``parallel._merge_results`` as it was
+    before it sorted once, with a per-key ``min()`` for the install order
+    and a per-key ``sorted()`` for each key's pieces. The property tests
+    hold the one-sort merge to it."""
+    indexed_rows = []
+    parts = {}
+    for result in results:
+        indexed_rows.extend(result.rows)
+        dataset.filter_stats.merge(result.filter_stats)
+        dataset.metrics.merge(result.metrics)
+        dataset.metrics.observe("pipeline.shard_wall_seconds", result.wall_seconds)
+        dataset.shard_report.append(
+            {
+                "ordinal": result.ordinal,
+                "samples": result.samples_ingested,
+                "rows_kept": len(result.rows),
+                "wall_seconds": result.wall_seconds,
+            }
+        )
+        for first_index, key, aggregation in result.aggregations:
+            parts.setdefault(key, []).append((first_index, aggregation))
+    indexed_rows.sort(key=lambda item: item[0])
+    dataset.rows.extend(row for _, row in indexed_rows)
+    store = dataset.store
+    for key in sorted(parts, key=lambda k: min(i for i, _ in parts[k])):
+        pieces = [piece for _, piece in sorted(parts[key], key=lambda item: item[0])]
+        installed = store.get(*key)
+        if installed is not None:
+            pieces.insert(0, installed)
+        merged = pieces[0]
+        if len(pieces) > 1:
+            merged = dataclasses.replace(
+                merged,
+                min_rtts_ms=list(merged.min_rtts_ms),
+                hdratios=list(merged.hdratios),
+            )
+            for piece in pieces[1:]:
+                merged.merge(piece)
+        if installed is None:
+            store.put(key, merged)
+        else:
+            store.replace(key, merged)
+    return dataset
 
 
 def row_oracle(source, **dataset_kwargs):

@@ -18,6 +18,8 @@ which is how its retry loop meets a count-limited fault plan.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.context
 import pathlib
 
 import pytest
@@ -32,6 +34,7 @@ from repro.pipeline import (
     StudyDataset,
     build_dataset,
 )
+from repro.pipeline import parallel
 from repro.pipeline.io import plan_chunks
 
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
@@ -247,3 +250,33 @@ class TestExecutorRegistry:
             if "ThreadPoolExecutor" in path.read_text(encoding="utf-8")
         ]
         assert offenders == []
+
+    @pytest.mark.parametrize(
+        "platform, method",
+        [
+            pytest.param(
+                "linux", "fork", marks=pytest.mark.skipif(
+                    "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="this platform cannot fork",
+                ),
+            ),
+            ("darwin", "spawn"),
+        ],
+    )
+    def test_the_pool_forks_on_linux_whatever_the_default(
+        self, monkeypatch, platform, method
+    ):
+        # Python 3.14 stops defaulting to fork on Linux; a forked worker
+        # inherits the coordinator's manifest parse (DESIGN.md §6). Where
+        # fork is not the platform's choice (macOS spawns), it stays so.
+        default = multiprocessing.context._default_context
+        monkeypatch.setattr(
+            default, "_actual_context", multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(parallel.sys, "platform", platform)
+        assert multiprocessing.get_start_method() == "spawn"
+        pool = parallel._executor_for(ParallelOptions(workers=2), 2)
+        try:
+            assert pool._mp_context.get_start_method() == method
+        finally:
+            pool.shutdown()

@@ -21,6 +21,7 @@ from repro.pipeline.experiments import (
     fig2_transfer_sizes,
     fig3_transaction_counts,
     fig5_population_mix,
+    fig6_global,
     fig6_global_performance,
     fig7_rtt_vs_hdratio,
 )
@@ -208,6 +209,24 @@ class TestExactThresholds:
         sizes = {k: len(v) for k, v in result.hdratio_by_bucket.items()}
         assert sizes == {"0-30": 1, "31-50": 2, "51-80": 1, "81+": 1}
 
+    def test_empty_buckets_stay_empty(self):
+        # Over no sessions, and over a study with no session in 31-50 ms:
+        # an empty bucket or media list is an empty series (rendered n/a),
+        # never the one-value series [0.0].
+        fig7 = fig7_rtt_vs_hdratio(build_dataset([], study_windows=96))
+        assert {k: len(v) for k, v in fig7.hdratio_by_bucket.items()} == {
+            "0-30": 0, "31-50": 0, "51-80": 0, "81+": 0,
+        }
+        assert fig7.hdratio_by_bucket["0-30"].quantile(0.5) is None
+        fig2 = fig2_transfer_sizes(build_dataset([], study_windows=96))
+        assert fig2.media_response_bytes.xs == []
+        result = fig7_rtt_vs_hdratio(
+            _dataset(_rows(min_rtt_ms=[10.0, 60.0, 90.0], hdratio=[0.5] * 3))
+        )
+        gap = result.hdratio_by_bucket["31-50"]
+        assert gap.xs == [] and gap.fraction_above(0.0) is None
+        assert result.hdratio_by_bucket["51-80"].xs == [0.5]
+
     def test_fig5_takes_preferred_routes_in_windows_of_five(self):
         def sessions(window, rtt_ms, rank, count):
             route = make_route("198.51.0.0/16", rank=rank)
@@ -374,6 +393,15 @@ class TestFig6:
             expected_minrtt.items()
         )
         assert list(result.hdratio_by_continent.items()) == list(expected_hd.items())
+
+    def test_the_global_series_alone_equal_the_full_figures(self, dataset):
+        # /v1/quantiles serves fig6_global; its numbers are fig6's own.
+        for study in (dataset, build_dataset([], study_windows=96)):
+            full, alone = fig6_global_performance(study), fig6_global(study)
+            assert (alone.minrtt_all, alone.hdratio_all) == (
+                full.minrtt_all, full.hdratio_all
+            )
+            assert alone.minrtt_by_continent == alone.hdratio_by_continent == {}
 
 
 class TestFig7:

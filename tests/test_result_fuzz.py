@@ -8,7 +8,8 @@ pins that set against real frames, walking their opcodes with
 ``tests/test_task_fuzz.py`` holds the task decoder: a mutated frame — a
 byte replaced, inserted or deleted, or the frame truncated — and a
 hostile one (``os.system`` by ``GLOBAL``, a ``__reduce__`` to any
-callable, a frame that is not a result) may only return a
+callable, a frame that is not a result, rows whose field columns
+disagree) may only return a
 :class:`~repro.pipeline.parallel.ShardResult` or raise
 :class:`~repro.dist.protocol.ProtocolError`, within a bounded time, and
 never runs what it names.
@@ -16,14 +17,19 @@ never runs what it names.
 
 from __future__ import annotations
 
+import copyreg
+import io
 import os
 import pickle
 import pickletools
+import socket
+import struct
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dist import protocol, serialization
 from repro.dist.protocol import ProtocolError
 from repro.dist.serialization import RESULT_GLOBALS, decode_result, encode_result
 from repro.pipeline.io import plan_chunks
@@ -155,6 +161,33 @@ def test_hostile_frames_are_protocol_errors(frame):
     assert CALLS == []
 
 
+@pytest.mark.parametrize(
+    "memo_write",
+    [b"p4294967295\n", b"q\x00", b"r\xff\xff\xff\xff"],
+    ids=["PUT", "BINPUT", "LONG_BINPUT"],
+)
+def test_a_memo_write_is_refused_before_the_memo_grows(memo_write):
+    # Protocol 4 memoizes with MEMOIZE only. One inserted byte once made a
+    # LONG_BINPUT that sized the unpickler's memo to twice its index.
+    with pytest.raises(ProtocolError, match="memo write at byte 3"):
+        decode_result(b"\x80\x04N" + memo_write + b".")
+
+
+def test_the_walk_reads_alike_without_a_possessive_repeat(frames, monkeypatch):
+    # Python before 3.11 has no possessive ``*+``; the greedy run it gets
+    # instead must end where the possessive one does, from every opcode.
+    with monkeypatch.context() as patched:
+        patched.setattr(serialization.sys, "version_info", (3, 9, 0))
+        greedy, _ = serialization._opcode_tables()
+    assert greedy.pattern.endswith(b")*")
+    for frame in frames:
+        for _, _, pos in list(pickletools.genops(frame))[::25]:
+            assert (
+                greedy.match(frame, pos).end()
+                == serialization._OPCODE_RUN.match(frame, pos).end()
+            )
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_only_protocol_errors_escape(frames, data):
@@ -172,3 +205,70 @@ def test_only_protocol_errors_escape(frames, data):
     result = decode_within_budget(mutated)
     assert result is None or type(result) is ShardResult
     assert CALLS == []
+
+
+def frame_with_state(result: ShardResult, state: dict) -> bytes:
+    """``result``'s frame carrying ``state`` as its wire form (NEWOBJ, then
+    BUILD), as a peer's frame would."""
+
+    class Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if obj is result:
+                return copyreg.__newobj__, (ShardResult,), state
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    Pickler(buffer, protocol=4).dump(result)
+    return buffer.getvalue()
+
+
+#: Manglings of a result's row columns (order keys, one list per field).
+ROW_MANGLES = {
+    "as-sent": lambda keys, columns: (keys, columns),
+    "a-column-one-short": lambda keys, columns: (
+        keys, [*columns[:-1], columns[-1][:-1]]
+    ),
+    "11-fields": lambda keys, columns: (keys, columns[:11]),
+    "13-fields": lambda keys, columns: (keys, [*columns, columns[0]]),
+    "more-keys-than-rows": lambda keys, columns: (
+        [*keys, keys[-1] + 1], columns
+    ),
+}
+
+
+@pytest.mark.parametrize("mangle", sorted(ROW_MANGLES))
+def test_rows_whose_columns_disagree_are_refused(frames, mangle):
+    result = decode_result(frames[0])
+    state = result.__getstate__()
+    keys, columns = state["rows"]
+    state["rows"] = ROW_MANGLES[mangle](list(keys), [list(c) for c in columns])
+    frame = frame_with_state(result, state)
+    assert referenced_globals(frame) == {
+        ("repro.pipeline.parallel", "ShardResult")
+    } | referenced_globals(frames[0])
+    if mangle == "as-sent":
+        assert decode_result(frame).rows == result.rows
+        return
+    with pytest.raises(ProtocolError, match="does not decode"):
+        decode_result(frame)
+
+
+@pytest.mark.parametrize("fields", [11, 13])
+def test_a_result_with_rows_of_the_wrong_arity_does_not_decode(frames, fields):
+    # Once decoded silently into SessionRows of the wrong length.
+    result = decode_result(frames[0])
+    result.rows = [
+        (key, (tuple(row) + (None,))[:fields]) for key, row in result.rows
+    ]
+    with pytest.raises(ProtocolError, match="field columns"):
+        decode_result(encode_result(result))
+
+
+def test_a_peer_on_the_previous_wire_fails_at_its_first_frame():
+    # The result frame changed shape with the magic: an RDW1 peer is
+    # refused at its header, never half-read.
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(struct.pack(">4sBI", b"RDW1", protocol.MSG_RESULT, 0))
+        with pytest.raises(ProtocolError, match="bad frame magic"):
+            protocol.recv_frame(right)

@@ -39,6 +39,7 @@ from repro import faultinject
 from repro.core.aggregation import window_index
 from repro.faultinject import FaultPlan
 from repro.pipeline import build_dataset, read_samples
+from repro.pipeline.experiments import CdfSeries
 from repro.serve import QueryEngine, render_payload
 from repro.serve.engine import _CacheEntry
 from repro.store import TraceStoreReader, compact_store, write_store
@@ -492,3 +493,26 @@ class TestFaultIsolation:
         assert status == 200
         assert payload == QueryEngine(store).handle("/v1/quantiles", {})[1]
         assert engine.metrics.counter("serve.partials.built") == len(partitions)
+
+
+def test_a_cold_quantiles_query_builds_only_the_series_it_serves(
+    tmp_path, monkeypatch
+):
+    """``/v1/quantiles`` serves fig6's two global series; the per-continent
+    splits fig6 also draws are never served, so a cold query builds none."""
+    store = tmp_path / "t.store"
+    write_store(store, make_trace_samples(300, seed=3, windows=4))
+    engine = QueryEngine(store)
+    labels = []
+    of = CdfSeries.of.__func__
+
+    def recording_of(cls, label, values):
+        labels.append(label)
+        return of(cls, label, values)
+
+    monkeypatch.setattr(CdfSeries, "of", classmethod(recording_of))
+    for params in ({}, {"pop": ["ams1"]}):
+        status, payload = engine.handle("/v1/quantiles", params)
+        assert status == 200 and payload["hd_sessions"] > 0
+    assert labels == ["all"] * 4
+

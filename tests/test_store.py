@@ -1,7 +1,6 @@
 """Tests for the columnar trace store (encodings, writer, reader, pruning)."""
 
 import json
-import multiprocessing
 import os
 import pathlib
 import struct
@@ -65,9 +64,11 @@ from repro.store.errors import ColumnDecodeError
 from repro.store.schema import (
     _ENCODERS,
     COLUMNS,
+    ROUTE_TABLE_LIMIT,
     decode_columns,
     decode_rows,
     encode_columns,
+    expand_routes,
     layout_frame,
     shred_rows,
     split_frame,
@@ -1054,6 +1055,39 @@ class TestReader:
         assert counters["store.bytes.read"] == reader.manifest["data_bytes"]
         assert "store.partitions.pruned" not in counters
 
+    def test_a_column_scan_builds_each_route_once(self, store_path):
+        # Shard results pickle every RouteInfo their aggregations hold: a
+        # route shared across a scan's partitions is one object, while a
+        # partition decoded on its own (a served partial) interns its own.
+        reader = TraceStoreReader(store_path)
+        batches = list(reader.read_column_batches())
+        assert len(batches) > 1
+        routes = [route for batch in batches for route in batch.routes if route]
+        by_value = {}
+        for route in routes:
+            assert by_value.setdefault(route, route) is route
+        assert len({id(route) for route in routes}) == len(by_value)
+        alone = [reader.decode_partition_columns(p) for p in reader.partitions[:2]]
+        ours = {id(route) for batch in alone for route in batch.routes}
+        assert ours.isdisjoint(id(route) for route in batches[0].routes)
+
+    def test_a_scan_route_table_stays_bounded(self):
+        table = {}
+        for index in range(ROUTE_TABLE_LIMIT + 500):
+            columns = {
+                "route_present": [True, True],
+                "route_prefix": [f"10.{index // 256}.{index % 256}.0/24"] * 2,
+                "route_relationship": ["transit"] * 2,
+                "route_rank": [0, 0],
+                "route_prepended": [False, False],
+                "route_aspath_lens": [2, 2],
+                "route_aspath_values": [64500, index, 64500, index],
+            }
+            first, second = expand_routes(columns, table)
+            assert first is second and first.as_path == (64500, index)
+            assert len(table) <= ROUTE_TABLE_LIMIT
+        assert len(table) == 500
+
 
 class TestPruning:
     @pytest.mark.parametrize(
@@ -1256,8 +1290,8 @@ class TestManifestParsedOncePerContent:
         return lambda: log.read_text().split() if log.exists() else []
 
     def test_a_pool_build_parses_once(self, store_path, parses):
-        if multiprocessing.get_context().get_start_method() != "fork":
-            pytest.skip("pool workers inherit the parse only when forked")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("the pool forks, and its workers inherit the parse, on Linux")
         options = ParallelOptions(workers=2, shards=4)
         for _ in range(2):
             dataset = build_dataset(store_path, study_windows=8, options=options)

@@ -82,12 +82,19 @@ def mutants(source: str):
                      _char_col(lines, left.end_lineno, left.end_col_offset))
             before = (right.lineno,
                       _char_col(lines, right.lineno, right.col_offset))
-            (token,) = [
-                tok for tok in ops
+            starts = [
+                tok.start for tok in ops
                 if tok.string == swap[0] and after <= tok.start
                 and tok.end <= before
             ]
-            found.append((token.start[0], token.start[1], *swap))
+            if not starts and after[0] == before[0]:
+                # Inside an f-string the tokenizer yields one STRING
+                # token; the operator is the text between the operands.
+                gap = lines[after[0] - 1][after[1] : before[1]]
+                if gap.strip() == swap[0]:
+                    starts = [(after[0], after[1] + gap.index(swap[0]))]
+            (start,) = starts
+            found.append((*start, *swap))
     return sorted(found)
 
 
