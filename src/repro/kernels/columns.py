@@ -28,13 +28,12 @@ Layout contract (DESIGN.md §10):
   route construction off the per-row cost while the per-sample and
   per-transaction work stays object-free.
 
-A batch is filled two ways: :meth:`ColumnBatch.from_store_columns` adopts
-the store schema's column lists — a partition's decoded columns, or
+A batch is filled one way: :meth:`ColumnBatch.from_store_columns` adopts
+the store schema's column lists — a partition's decoded columns,
 :func:`repro.store.schema.shred_rows` of in-memory samples (the one
-shredder of a ``SessionSample``); and the JSONL column assembler in
-:mod:`repro.pipeline.io` appends each parsed trace line straight into a
-working batch, drained (:meth:`~ColumnBatch.drain`) every
-:data:`BATCH_ROWS` rows.
+shredder of a ``SessionSample``), or the columns the JSONL column
+assembler in :mod:`repro.pipeline.io` fills from :data:`BATCH_ROWS`
+parsed trace lines.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, List, Optional
 
-from repro.core.records import HttpVersion, RouteInfo
+from repro.core.records import HttpVersion
 
 __all__ = ["BATCH_ROWS", "ColumnBatch"]
 
@@ -69,56 +68,7 @@ _TXN_COLUMNS = (
 class ColumnBatch:
     """One batch of samples as parallel columns (see module docstring)."""
 
-    __slots__ = (
-        "order_keys",
-        "start_times",
-        "end_times",
-        "is_http2",
-        "min_rtts",
-        "bytes_sents",
-        "busy_times",
-        "pops",
-        "countries",
-        "continents",
-        "hostings",
-        "geo_tags",
-        "routes",
-        "media_lens",
-        "media_values",
-        "txn_lens",
-        "txn_fbt",
-        "txn_ack",
-        "txn_resp",
-        "txn_last",
-        "txn_cwnd",
-        "txn_inflight",
-        "txn_lbwt",
-    )
-
-    def __init__(self) -> None:
-        self.order_keys: List[int] = []
-        self.start_times: List[float] = []
-        self.end_times: List[float] = []
-        self.is_http2: List[bool] = []
-        self.min_rtts: List[float] = []
-        self.bytes_sents: List[int] = []
-        self.busy_times: List[float] = []
-        self.pops: List[str] = []
-        self.countries: List[str] = []
-        self.continents: List[str] = []
-        self.hostings: List[bool] = []
-        self.geo_tags: List[str] = []
-        self.routes: List[Optional[RouteInfo]] = []
-        self.media_lens: List[int] = []
-        self.media_values: List[int] = []
-        self.txn_lens: List[int] = []
-        self.txn_fbt: List[float] = []
-        self.txn_ack: List[float] = []
-        self.txn_resp: List[int] = []
-        self.txn_last: List[int] = []
-        self.txn_cwnd: List[int] = []
-        self.txn_inflight: List[int] = []
-        self.txn_lbwt: List[float] = []
+    __slots__ = _ROW_COLUMNS + ("media_values",) + _TXN_COLUMNS
 
     def __len__(self) -> int:
         return len(self.order_keys)
@@ -139,21 +89,6 @@ class ColumnBatch:
             for name in children:
                 column = getattr(self, name)
                 setattr(batch, name, [column[j] for j in flat])
-        return batch
-
-    def drain(self) -> "ColumnBatch":
-        """Move every row into a new batch and leave this one empty.
-
-        The columns keep their identity, so appends bound to them stay
-        valid: the JSONL column assembler (:mod:`repro.pipeline.io`) fills
-        one working batch through bound appends and drains it every
-        :data:`BATCH_ROWS` rows.
-        """
-        batch = ColumnBatch()
-        for name in self.__slots__:
-            column = getattr(self, name)
-            setattr(batch, name, column.copy())
-            column.clear()
         return batch
 
     # ------------------------------------------------------------------ #
@@ -181,9 +116,9 @@ class ColumnBatch:
         batch.order_keys = decoded["seq"]
         batch.start_times = decoded["start_time"]
         batch.end_times = decoded["end_time"]
-        batch.is_http2 = [
-            value == _HTTP2_VALUE for value in decoded["http_version"]
-        ]
+        batch.is_http2 = list(
+            map(_HTTP2_VALUE.__eq__, decoded["http_version"])
+        )
         batch.min_rtts = decoded["min_rtt_seconds"]
         batch.bytes_sents = decoded["bytes_sent"]
         batch.busy_times = decoded["busy_time_seconds"]
@@ -204,13 +139,18 @@ class ColumnBatch:
 
         # Effective last-byte-write-time: presence-compacted values spread
         # back over the flat transaction rows, absent rows falling back to
-        # first_byte_time (the coalescer's rule, applied once here).
+        # first_byte_time (the coalescer's rule, applied once here). When
+        # every transaction has one, the values are the column.
         fbt = batch.txn_fbt
-        next_lbwt = iter(decoded["txn_lbwt_values"]).__next__
-        batch.txn_lbwt = [
-            next_lbwt() if present else fallback
-            for present, fallback in zip(decoded["txn_lbwt_present"], fbt)
-        ]
+        values = decoded["txn_lbwt_values"]
+        if len(values) == len(fbt):
+            batch.txn_lbwt = values
+        else:
+            next_lbwt = iter(values).__next__
+            batch.txn_lbwt = [
+                next_lbwt() if present else fallback
+                for present, fallback in zip(decoded["txn_lbwt_present"], fbt)
+            ]
 
         batch.routes = expand_routes(decoded) if routes is None else routes
         return batch

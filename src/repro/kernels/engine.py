@@ -385,9 +385,11 @@ def iter_batches(
     :func:`repro.pipeline.io.read_column_batches`: a store (whole, or a
     chunk's partitions) yields one batch per partition with ``seq`` order
     keys, so shard results merge in exact stream order; a JSONL trace
-    yields :data:`BATCH_ROWS`-row batches under stream position. Neither
-    builds a row object. In-memory streams are sliced into
-    :data:`BATCH_ROWS`-row batches by :func:`batches_from_pairs`.
+    yields :data:`BATCH_ROWS`-row batches of the column assembler's
+    store-schema columns under stream position. Neither builds a row
+    object. In-memory streams are sliced into :data:`BATCH_ROWS`-row
+    batches by :func:`batches_from_pairs`. Every batch is made by
+    :meth:`ColumnBatch.from_store_columns`.
     ``metrics`` receives the same ``io.*``/``store.*`` counters as the row
     readers.
     """

@@ -24,11 +24,13 @@ JSONL decodes through one line loop (:func:`_decode_lines`) with two
 assemblers, as a store partition's decoded columns feed both its row
 decoder and :meth:`~repro.kernels.columns.ColumnBatch.from_store_columns`
 (DESIGN.md §8, §10): :func:`sample_from_dict` builds the samples
-:func:`read_samples`, :func:`read_samples_stream` and :func:`convert`
-hand out, and the column assembler fills the batches
-:func:`read_column_batches` hands the kernels, building no record. Both
-apply the :mod:`repro.core.records` check functions, so they accept and
-reject the same lines with the same messages.
+:func:`read_samples` and :func:`read_samples_stream` hand out, and the
+column assembler fills store-schema columns, building no record — one
+bucket per :data:`BATCH_ROWS` rows for the batches
+:func:`read_column_batches` hands the kernels, one per partition for
+:func:`convert` to a store. Both apply the :mod:`repro.core.records`
+check functions, so they accept and reject the same lines with the same
+messages.
 """
 
 from __future__ import annotations
@@ -37,9 +39,16 @@ import gzip
 import json
 import os
 import pathlib
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from functools import partial
+from itertools import repeat
+from operator import is_not, itemgetter
+from typing import (
+    IO, TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional,
+    Union,
+)
 
 from repro import faultinject
+from repro.core.constants import AGGREGATION_WINDOW_SECONDS
 from repro.core.records import (
     HttpVersion,
     Relationship,
@@ -56,7 +65,12 @@ from repro.store import (
     is_store_path,
     write_store,
 )
-from repro.store.schema import ROUTE_TABLE_LIMIT
+from repro.store.schema import COLUMNS, ROUTE_TABLE_LIMIT, shred_routes
+from repro.store.writer import (
+    _check_banding,
+    _publish_generation,
+    partition_key,
+)
 
 if TYPE_CHECKING:
     from repro.kernels.columns import ColumnBatch
@@ -182,7 +196,7 @@ def sample_from_dict(
 
 
 _HTTP_VERSIONS = {member.value: member for member in HttpVersion}
-_HTTP_2 = HttpVersion.HTTP_2
+_HTTP_VALUES = {member.value: member.value for member in HttpVersion}
 
 
 def _http_version(value) -> HttpVersion:
@@ -222,115 +236,148 @@ class _RouteTable(dict):
         return route
 
 
-def _column_assembler():
-    """The column assembler: parsed records straight into batch columns.
+class _Bucket:
+    """One partition's (or batch's) store columns and its rows' routes,
+    filled through ``add``: a bound append per :data:`_FILLED` column, then
+    the routes'. Until :meth:`seal`, ``txn_lbwt_values`` holds every
+    transaction's ``last_byte_write_time``, ``None`` included, and the
+    route columns are empty."""
 
-    Returns ``(assemble, finish)``. ``assemble(payload, routes)`` appends
-    one record — exactly the values ``batches_from_pairs`` would shred
-    from ``sample_from_dict(payload, routes)``, keyed by stream position
-    as ``batches_from_pairs(enumerate(...))`` keys them — and
-    hands back a full batch every :data:`BATCH_ROWS` rows, else ``None``;
-    ``finish()`` hands back the rest. No record object is built.
+    __slots__ = ("columns", "routes", "add")
 
-    It accepts what the object assembler accepts: the same field lookups
-    in the same order, the same :func:`check_transaction` /
-    :func:`check_session` rules. A record it rejects is handed to
-    :func:`sample_from_dict` to be rejected again, so the error that
-    escapes is the object assembler's, message included.
+    def __init__(self) -> None:
+        self.columns: Dict[str, list] = {name: [] for name, _ in COLUMNS}
+        self.routes: List[Optional[RouteInfo]] = []
+        self.add = tuple(
+            getattr(self.columns[name], method) for name, method in _FILLED
+        ) + (self.routes.append,)
+
+    def seal(self, route_columns: bool = False) -> Dict[str, list]:
+        """The columns, ``last_byte_write_time`` presence-compacted; with
+        ``route_columns`` (a batch adopts ``routes`` instead), the route
+        columns too: the :func:`~repro.store.schema.shred_rows` shape."""
+        columns = self.columns
+        lbwts = columns["txn_lbwt_values"]
+        columns["txn_lbwt_present"] = list(map(is_not, lbwts, repeat(None)))
+        columns["txn_lbwt_values"] = list(filter(partial(is_not, None), lbwts))
+        if route_columns:
+            columns.update(shred_routes(self.routes))
+        return columns
+
+
+#: The columns a record is appended to, in :attr:`_Bucket.add` order, and
+#: how: a record's media sizes extend theirs.
+_FILLED = tuple(
+    (name, "extend" if name == "media_values" else "append")
+    for name, _ in COLUMNS
+    if not name.startswith("route_") and name != "txn_lbwt_present"
+)
+#: A record's required fields, and a transaction's, in one C call each.
+_session_fields = itemgetter(
+    "transactions", "session_id", "start_time", "end_time", "http_version",
+    "min_rtt_seconds", "bytes_sent", "busy_time_seconds", "pop",
+    "client_country", "client_continent", "client_ip_is_hosting",
+)
+_txn_fields = itemgetter(
+    "first_byte_time", "ack_time", "response_bytes", "last_packet_bytes",
+    "cwnd_bytes_at_first_byte", "bytes_in_flight_at_start",
+)
+
+
+def _column_assembler(
+    place: Callable[[object, object], _Bucket], batch_rows: int = 0
+):
+    """The column assembler: parsed records straight into store columns.
+
+    ``assemble(payload, routes)`` fills one record into the bucket
+    ``place(end_time, pop)`` picks: exactly the columns
+    :func:`~repro.store.schema.shred_rows` would shred from
+    ``sample_from_dict(payload, routes)``, keyed by stream position as
+    ``enumerate`` keys it, and the sample's interned route. It returns
+    the bucket when that fills it to ``batch_rows`` rows, else ``None``.
+    No record object is built. Repeated strings (PoP, country, continent,
+    geo tag) are interned per stream, in a table bounded like the route
+    table.
+
+    It accepts what the object assembler accepts: the same fields, the
+    same :func:`check_transaction` / :func:`check_session` rules. A record
+    it rejects is handed to :func:`sample_from_dict` to be rejected again,
+    so the error that escapes is the object assembler's, message included.
     """
-    # Imported here, not at module top: a process that never folds a JSONL
-    # trace (``repro serve`` starting up) should not load the kernels.
-    from repro.kernels.columns import BATCH_ROWS, ColumnBatch
+    strings: Dict[str, str] = {}
+    intern = strings.setdefault
+    seq = 0
 
-    work = ColumnBatch()
-    order_keys = work.order_keys.append
-    start_times = work.start_times.append
-    end_times = work.end_times.append
-    is_http2 = work.is_http2.append
-    min_rtts = work.min_rtts.append
-    bytes_sents = work.bytes_sents.append
-    busy_times = work.busy_times.append
-    pops = work.pops.append
-    countries = work.countries.append
-    continents = work.continents.append
-    hostings = work.hostings.append
-    geo_tags = work.geo_tags.append
-    routes_column = work.routes.append
-    media_lens = work.media_lens.append
-    media_values = work.media_values.extend
-    txn_lens = work.txn_lens.append
-    txn_fbt = work.txn_fbt.append
-    txn_ack = work.txn_ack.append
-    txn_resp = work.txn_resp.append
-    txn_last = work.txn_last.append
-    txn_cwnd = work.txn_cwnd.append
-    txn_inflight = work.txn_inflight.append
-    txn_lbwt = work.txn_lbwt.append
-    rows = 0
-
-    def assemble(payload: dict, routes: _RouteTable) -> Optional[ColumnBatch]:
-        nonlocal rows
+    def assemble(payload: dict, routes: _RouteTable) -> Optional[_Bucket]:
+        nonlocal seq
         try:
             if payload.get("v") != FORMAT_VERSION:
                 raise ValueError  # worded below, by the object assembler
             route = payload.get("route")
             if route is not None:
                 route = routes.route(route)
-            count = 0
-            for raw in payload["transactions"]:
-                fbt = raw["first_byte_time"]
-                ack = raw["ack_time"]
-                response = raw["response_bytes"]
-                last = raw["last_packet_bytes"]
-                cwnd = raw["cwnd_bytes_at_first_byte"]
-                inflight = raw["bytes_in_flight_at_start"]
-                lbwt = raw.get("last_byte_write_time")
-                check_transaction(fbt, ack, response, last, cwnd, lbwt)
-                txn_fbt(fbt)
-                txn_ack(ack)
-                txn_resp(response)
-                txn_last(last)
-                txn_cwnd(cwnd)
-                txn_inflight(inflight)
-                txn_lbwt(fbt if lbwt is None else lbwt)
-                count += 1
-            payload["session_id"]  # not a column, but every record has one
-            start = payload["start_time"]
-            end = payload["end_time"]
-            http2 = _http_version(payload["http_version"]) is _HTTP_2
-            min_rtt = payload["min_rtt_seconds"]
-            sent = payload["bytes_sent"]
-            busy = payload["busy_time_seconds"]
-            pop = payload["pop"]
-            country = payload["client_country"]
-            continent = payload["client_continent"]
-            hosting = payload["client_ip_is_hosting"]
+            (
+                transactions, session_id, start, end, version, min_rtt, sent,
+                busy, pop, country, continent, hosting,
+            ) = _session_fields(payload)
+            version = _HTTP_VALUES.get(version) or HttpVersion(version).value
             geo_tag = payload.get("geo_tag", "")
             media = payload.get("media_response_sizes", ())
-            media_values(media)
             check_session(start, end, min_rtt, sent)
+            bucket = place(end, pop)
+            (
+                add_seq, add_session_id, add_start, add_end, add_version,
+                add_min_rtt, add_sent, add_busy, add_pop, add_country,
+                add_continent, add_hosting, add_geo_tag, add_media_len,
+                add_media, add_txn_len, add_fbt, add_ack, add_response,
+                add_last, add_cwnd, add_inflight, add_coalesced, add_lbwt,
+                add_route,
+            ) = bucket.add
+            for raw in transactions:
+                fbt, ack, response, last, cwnd, inflight = _txn_fields(raw)
+                lbwt = raw.get("last_byte_write_time")
+                check_transaction(fbt, ack, response, last, cwnd, lbwt)
+                add_fbt(fbt)
+                add_ack(ack)
+                add_response(response)
+                add_last(last)
+                add_cwnd(cwnd)
+                add_inflight(inflight)
+                add_coalesced(raw.get("coalesced_count", 1))
+                add_lbwt(lbwt)
+            add_media(media)  # what tuple() accepts, extend() accepts
         except _RECORD_ERRORS:
             sample_from_dict(payload, routes)
             raise
-        order_keys(rows)
-        start_times(start)
-        end_times(end)
-        is_http2(http2)
-        min_rtts(min_rtt)
-        bytes_sents(sent)
-        busy_times(busy)
-        pops(pop)
-        countries(country)
-        continents(continent)
-        hostings(hosting)
-        geo_tags(geo_tag)
-        routes_column(route)
-        media_lens(len(media))
-        txn_lens(count)
-        rows += 1
-        return None if rows % BATCH_ROWS else work.drain()
+        if len(strings) >= ROUTE_TABLE_LIMIT:
+            strings.clear()
+        add_seq(seq)
+        add_session_id(session_id)
+        add_start(start)
+        add_end(end)
+        add_version(version)
+        add_min_rtt(min_rtt)
+        add_sent(sent)
+        add_busy(busy)
+        add_pop(intern(pop, pop) if type(pop) is str else pop)
+        add_country(
+            intern(country, country) if type(country) is str else country
+        )
+        add_continent(
+            intern(continent, continent)
+            if type(continent) is str else continent
+        )
+        add_hosting(hosting)
+        add_geo_tag(
+            intern(geo_tag, geo_tag) if type(geo_tag) is str else geo_tag
+        )
+        add_media_len(len(media))
+        add_txn_len(len(transactions))
+        add_route(route)
+        seq += 1
+        return bucket if len(bucket.routes) == batch_rows else None
 
-    return assemble, work.drain
+    return assemble
 
 
 def _open(path: PathLike, mode: str, compressed: Optional[bool] = None) -> IO:
@@ -430,11 +477,17 @@ def read_column_batches(path: PathLike, metrics=None) -> Iterator[ColumnBatch]:
 
 
 def _read_batches_jsonl(path: PathLike, metrics) -> Iterator[ColumnBatch]:
-    assemble, finish = _column_assembler()
-    yield from _read_jsonl(path, metrics, assemble)
-    tail = finish()
-    if len(tail):
-        yield tail
+    # Imported here, not at module top: a process that never folds a JSONL
+    # trace (``repro serve`` starting up) should not load the kernels.
+    from repro.kernels.columns import BATCH_ROWS, ColumnBatch
+
+    bucket = _Bucket()
+    assemble = _column_assembler(lambda end_time, pop: bucket, BATCH_ROWS)
+    for _ in _read_jsonl(path, metrics, assemble):
+        yield ColumnBatch.from_store_columns(bucket.seal(), bucket.routes)
+        bucket = _Bucket()
+    if bucket.routes:
+        yield ColumnBatch.from_store_columns(bucket.seal(), bucket.routes)
 
 
 def _read_jsonl(path: PathLike, metrics, assemble) -> Iterator:
@@ -465,7 +518,7 @@ def _decode_lines(handle: IO, metrics, name: str, assemble) -> Iterator:
     not exactly one JSON value goes to ``json.loads``, the reference, only
     for its exact error. Each JSON object is handed with the stream's
     route table to ``assemble`` — :func:`sample_from_dict` (yields every
-    sample) or :func:`_column_assembler`'s (yields each full batch; a
+    sample) or :func:`_column_assembler`'s (yields each full bucket; a
     ``None`` result yields nothing).
 
     A bad line raises one ``ValueError`` naming ``{name}:{line number}``
@@ -530,13 +583,48 @@ def convert(
     ``*.store`` packs the trace into the columnar store; store → JSONL
     unpacks it. Round-tripping either way reproduces the sample stream
     exactly — same samples, same order (tested against the golden trace).
+
+    A JSONL import builds no record: the column assembler fills one bucket
+    per :func:`~repro.store.writer.partition_key`, and the store's one
+    publisher writes them in order of first appearance — the store,
+    counters and errors of ``write_store(dst, read_samples(src))``, whose
+    bucketing raises for a row without a key only once every line decoded.
     """
-    samples = read_samples(src, metrics=metrics)
-    if detect_format(dst) == "store":
+    if detect_format(dst) != "store":
+        return write_samples(dst, read_samples(src, metrics), metrics=metrics)
+    if detect_format(src) == "store":
         return write_store(
-            dst, samples, band_windows=band_windows, metrics=metrics
+            dst, read_samples(src, metrics), band_windows, metrics=metrics
         )
-    return write_samples(dst, samples, metrics=metrics)
+    window_seconds = AGGREGATION_WINDOW_SECONDS
+    _check_banding(band_windows, window_seconds)
+    buckets: Dict[tuple, _Bucket] = {}
+    unkeyed: List[Exception] = []
+
+    def place(end_time, pop) -> _Bucket:
+        try:
+            key = partition_key(pop, end_time, window_seconds, band_windows)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = _Bucket()
+        except (TypeError, ValueError, ArithmeticError) as error:
+            # write_store's bucketing raises the first once all rows decode
+            if not unkeyed:
+                unkeyed.append(error)
+            return _Bucket()  # the row is still checked, then dropped
+        return bucket
+
+    for _ in _read_jsonl(src, metrics, _column_assembler(place)):
+        pass  # no bucket is ever full: nothing is yielded
+    if unkeyed:
+        raise unkeyed[0]
+    rows = sum(len(bucket.routes) for bucket in buckets.values())
+    # Each bucket is let go once encoded: the payload grows as they go.
+    partitions = ((key, buckets.pop(key).seal(True)) for key in list(buckets))
+    _publish_generation(
+        dst, partitions, rows, band_windows, window_seconds, metrics
+    )
+    return rows
 
 
 def plan_chunks(path: PathLike, num_chunks: int) -> list:

@@ -66,6 +66,7 @@ __all__ = [
     "encode_columns",
     "layout_frame",
     "shred_rows",
+    "shred_routes",
     "split_frame",
     "decode_rows",
     "expand_routes",
@@ -184,13 +185,6 @@ def shred_rows(rows: List[Tuple[int, SessionSample]]) -> Dict[str, list]:
     add_geo_tag = columns["geo_tag"].append
     add_media_len = columns["media_lens"].append
     add_media_values = columns["media_values"].extend
-    add_route_present = columns["route_present"].append
-    add_route_prefix = columns["route_prefix"].append
-    add_route_relationship = columns["route_relationship"].append
-    add_route_rank = columns["route_rank"].append
-    add_route_prepended = columns["route_prepended"].append
-    add_aspath_len = columns["route_aspath_lens"].append
-    add_aspath_values = columns["route_aspath_values"].extend
     add_txn_len = columns["txn_lens"].append
     add_first_byte_time = columns["txn_first_byte_time"].append
     add_ack_time = columns["txn_ack_time"].append
@@ -218,15 +212,6 @@ def shred_rows(rows: List[Tuple[int, SessionSample]]) -> Dict[str, list]:
         media = sample.media_response_sizes
         add_media_len(len(media))
         add_media_values(media)
-        route = sample.route
-        add_route_present(route is not None)
-        if route is not None:
-            add_route_prefix(route.prefix)
-            add_route_relationship(route.relationship.value)
-            add_route_rank(route.preference_rank)
-            add_route_prepended(route.prepended)
-            add_aspath_len(len(route.as_path))
-            add_aspath_values(route.as_path)
         transactions = sample.transactions
         add_txn_len(len(transactions))
         for txn in transactions:
@@ -241,7 +226,25 @@ def shred_rows(rows: List[Tuple[int, SessionSample]]) -> Dict[str, list]:
             add_lbwt_present(lbwt is not None)
             if lbwt is not None:
                 add_lbwt(lbwt)
+    columns.update(shred_routes([sample.route for _, sample in rows]))
     return columns
+
+
+def shred_routes(routes: Sequence[Optional[RouteInfo]]) -> Dict[str, list]:
+    """One route (or ``None``) per row as the schema's presence-compacted
+    route columns; the inverse of :func:`expand_routes`."""
+    present = [route for route in routes if route is not None]
+    return {
+        "route_present": [route is not None for route in routes],
+        "route_prefix": [route.prefix for route in present],
+        "route_relationship": [route.relationship.value for route in present],
+        "route_rank": [route.preference_rank for route in present],
+        "route_prepended": [route.prepended for route in present],
+        "route_aspath_lens": [len(route.as_path) for route in present],
+        "route_aspath_values": [
+            asn for route in present for asn in route.as_path
+        ],
+    }
 
 
 def layout_frame(encoded: Sequence[bytes]) -> bytes:

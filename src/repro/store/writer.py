@@ -75,6 +75,7 @@ __all__ = [
     "load_manifest",
     "manifest_identity",
     "parse_manifest",
+    "partition_key",
     "read_manifest_bytes",
     "shred_partitions",
     "write_store",
@@ -261,6 +262,14 @@ def dump_manifest(manifest: dict) -> bytes:
 Partition = Tuple[Tuple[str, int], Dict[str, list]]
 
 
+def partition_key(
+    pop: str, end_time: float, window_seconds: float, band_windows: int
+) -> Tuple[str, int]:
+    """A row's ``(PoP, band)`` partition; the band is keyed by session end,
+    like the row's window."""
+    return pop, window_index(end_time, window_seconds) // band_windows
+
+
 def shred_partitions(
     rows: Iterable[Tuple[int, SessionSample]],
     window_seconds: float,
@@ -269,18 +278,19 @@ def shred_partitions(
     """``(seq, sample)`` rows as one shredded column dict per (PoP, band)
     partition — the one step from samples to what a store holds.
 
-    A sample's band is keyed by session end, like its window. Partitions
-    come in order of first appearance (smallest ``seq``), so a full
-    scan's k-way merge starts near the front of every partition and the
-    layout does not depend on dict iteration quirks. Each partition is
-    shredded as it is taken, so a whole-store write holds one partition's
-    columns at a time.
+    Rows are keyed by :func:`partition_key`. Partitions come in order of
+    first appearance (smallest ``seq``), so a full scan's k-way merge
+    starts near the front of every partition and the layout does not
+    depend on dict iteration quirks. Each partition is shredded as it is
+    taken, so a whole-store write holds one partition's columns at a time.
     """
     buckets: Dict[Tuple[str, int], List[Tuple[int, SessionSample]]] = {}
     for row in rows:
         sample = row[1]
-        band = window_index(sample.end_time, window_seconds) // band_windows
-        buckets.setdefault((sample.pop, band), []).append(row)
+        key = partition_key(
+            sample.pop, sample.end_time, window_seconds, band_windows
+        )
+        buckets.setdefault(key, []).append(row)
     for key, bucket in sorted(buckets.items(), key=lambda item: item[1][0][0]):
         yield key, shred_rows(bucket)
 

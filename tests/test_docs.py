@@ -111,7 +111,99 @@ class TestReadme:
         assert [line for line in sharded if ".store" not in line] == []
 
 
+#: A possessive repeat (``*+``, ``++``, ``?+``, ``}+``) or an atomic group:
+#: regex syntax from Python 3.11, in a string literal.
+_POSSESSIVE = re.compile(r"(?<!\\)[*+?}]\+|\(\?>")
+
+
+def _newer_than_floor(tree: ast.AST):
+    """``(line, what)`` for each use in ``tree`` of an API the 3.9 grammar
+    parses but 3.9 lacks, outside the body of a ``sys.version_info >=``
+    test: ``zip(strict=)``, ``dataclass(slots=/kw_only=)``,
+    ``itertools.pairwise``, ``int.bit_count`` and possessive or atomic
+    regex syntax."""
+    gated = set()
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if (
+            isinstance(node, (ast.If, ast.IfExp))
+            and isinstance(test, ast.Compare)
+            and ast.unparse(test.left) == "sys.version_info"
+            and isinstance(test.ops[0], ast.GtE)
+        ):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for part in body:
+                gated.update(map(id, ast.walk(part)))
+    for node in ast.walk(tree):
+        if id(node) in gated:
+            continue
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func).rpartition(".")[2]
+            keywords = {keyword.arg for keyword in node.keywords}
+            if name == "zip" and "strict" in keywords:
+                yield node.lineno, "zip(strict=)"
+            for keyword in sorted(keywords & {"slots", "kw_only"}):
+                if name == "dataclass":
+                    yield node.lineno, f"dataclass({keyword}=)"
+        elif isinstance(node, ast.Attribute) and node.attr in (
+            "pairwise", "bit_count"
+        ):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name == "pairwise" for alias in node.names):
+                yield node.lineno, "pairwise"
+        elif isinstance(node, ast.Constant) and isinstance(
+            node.value, (str, bytes)
+        ):
+            text = node.value
+            if isinstance(text, bytes):
+                text = text.decode("latin-1")
+            if _POSSESSIVE.search(text):
+                yield node.lineno, "possessive or atomic regex"
+
+
 class TestPackaging:
+    def test_src_keeps_to_the_declared_python_floor(self):
+        """``requires-python`` says 3.9: every ``src/`` file parses under
+        the 3.9 grammar and uses no newer API the parse cannot see."""
+        floor = re.search(r'requires-python = ">=3\.(\d+)"', read("pyproject.toml"))
+        assert floor and floor.group(1) == "9"
+        found = []
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 9))
+            found += [
+                f"{path.relative_to(ROOT)}:{line}: {what}"
+                for line, what in _newer_than_floor(tree)
+            ]
+        assert not found, found
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "zip(a, b, strict=True)",
+            "@dataclass(slots=True)\nclass A: pass",
+            "@dataclasses.dataclass(kw_only=True)\nclass A: pass",
+            "from itertools import pairwise",
+            "itertools.pairwise(values)",
+            "(5).bit_count()",
+            "re.compile(r'a*+b')",
+            "re.compile(rb'(?>ab)c')",
+            "match x:\n    case 1: pass",
+        ],
+    )
+    def test_the_floor_check_can_fail(self, source):
+        try:
+            tree = ast.parse(source, feature_version=(3, 9))
+        except SyntaxError:
+            return
+        assert list(_newer_than_floor(tree))
+
+    def test_a_version_gated_use_passes_the_floor_check(self):
+        tree = ast.parse(
+            'repeat = b"*+" if sys.version_info >= (3, 11) else b"*"\n'
+            "if sys.version_info >= (3, 10):\n    pairs = zip(a, b, strict=True)"
+        )
+        assert list(_newer_than_floor(tree)) == []
     def test_the_library_declares_no_runtime_dependency(self):
         """``pip install -e .`` pulls nothing in: numpy is the ``bench``
         extra, read only by ``python3 -m bench`` for its host record."""

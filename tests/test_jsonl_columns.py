@@ -8,6 +8,9 @@ absent ``last_byte_write_time``, absent ``coalesced_count`` and
 ``geo_tag``, blank lines, plain and gzip files, batches of one row up to
 the whole trace — the two must give the same batches, field by field,
 order keys included, and ``build_dataset`` must never build a sample.
+``convert`` to a store fills partition columns the same way: the same
+store bytes and counters as ``write_store`` over ``read_samples``, and no
+record built.
 """
 
 from __future__ import annotations
@@ -24,11 +27,18 @@ from hypothesis import strategies as st
 import repro.kernels.columns as columns
 import repro.kernels.engine as engine
 import repro.pipeline.io as io_module
-from repro.core.records import SessionSample
+from repro.core.records import SessionSample, TransactionRecord
 from repro.kernels.columns import ColumnBatch
 from repro.kernels.engine import batches_from_pairs, iter_batches
+from repro.obs import MetricsRegistry
 from repro.pipeline import build_dataset
-from repro.pipeline.io import read_column_batches, read_samples, sample_to_dict
+from repro.pipeline.io import (
+    convert,
+    read_column_batches,
+    read_samples,
+    sample_to_dict,
+)
+from repro.store import write_store
 
 from tests.helpers import make_trace_samples
 from tests.test_pipeline_io import samples_strategy
@@ -142,3 +152,43 @@ def test_build_dataset_on_jsonl_builds_no_sample(tmp_path, monkeypatch):
     assert constructed == []
     assert got.rows == expected.rows
     assert list(got.store.items()) == list(expected.store.items())
+
+
+def _refuse(self, *args, **kwargs):
+    raise AssertionError(f"built a {type(self).__name__}")
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    payloads=st.lists(records(), max_size=12),
+    blank_after=st.dictionaries(st.integers(0, 11), st.integers(1, 2)),
+    band_windows=st.integers(1, 3),
+)
+def test_convert_to_a_store_builds_no_record(
+    payloads, blank_after, band_windows, tmp_path_factory
+):
+    """``convert`` JSONL -> store writes ``write_store`` over
+    ``read_samples``'s bytes and counters, and constructs no record."""
+    root = tmp_path_factory.mktemp("convert")
+    path = root / "trace.jsonl"
+    write_trace(path, payloads, blank_after, compressed=False)
+    expected = MetricsRegistry()
+    write_store(
+        root / "objects.store", read_samples(path, expected), band_windows,
+        metrics=expected,
+    )
+    got = MetricsRegistry()
+    with mock.patch.object(SessionSample, "__init__", _refuse), \
+            mock.patch.object(TransactionRecord, "__init__", _refuse):
+        assert convert(path, root / "columns.store", band_windows, got) == len(
+            payloads
+        )
+    for name in ("data.bin", "manifest.json"):
+        assert (root / "columns.store" / name).read_bytes() == (
+            root / "objects.store" / name
+        ).read_bytes()
+    assert got.counters == expected.counters

@@ -1,21 +1,26 @@
 """Byte-level fuzz of the JSONL trace decoder (ROADMAP item 8).
 
 One line loop decodes every JSONL trace, under two assemblers: the object
-assembler (``read_samples_stream``, behind ``read_samples``, ``convert``
-and ``repro ingest -``) and the column assembler (``read_column_batches``,
-behind ``build_dataset`` on a JSONL path). Hypothesis mutates the bytes of
-real golden-trace lines — a digit replaced by another digit (the JSON
-stays valid and a number moves), a byte replaced, inserted or deleted, a
-line truncated — and feeds the three-line trace through both. Only a
-``ValueError`` may escape, within a bounded time per example, and both
-assemblers must reach the same outcome: the same error message, or the
-same decoded values.
+assembler (``read_samples_stream``, behind ``read_samples`` and ``repro
+ingest -``) and the column assembler (``read_column_batches``, behind
+``build_dataset`` on a JSONL path, and ``convert`` to a store). Hypothesis
+mutates the bytes of real golden-trace lines — a digit replaced by another
+digit (the JSON stays valid and a number moves), a byte replaced, inserted
+or deleted, a line truncated — and feeds the three-line trace through
+both. Only a ``ValueError`` may escape a decode, within a bounded time per
+example, and both assemblers must reach the same outcome: the same error
+message, or the same decoded values. ``convert`` to a store must do what
+``write_store`` over ``read_samples`` does: raise the same error, or
+write the same data file and manifest.
 """
 
 from __future__ import annotations
 
 import functools
 import gzip
+import json
+import re
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -25,7 +30,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernels.columns import ColumnBatch
 from repro.kernels.engine import batches_from_pairs
-from repro.pipeline.io import read_column_batches, read_samples_stream
+from repro.pipeline.io import (
+    convert,
+    read_column_batches,
+    read_samples,
+    read_samples_stream,
+    sample_from_dict,
+)
+from repro.store import write_store
 
 pytestmark = pytest.mark.io
 
@@ -77,6 +89,40 @@ def _mutate(draw, line: bytes) -> bytes:
     return line
 
 
+def _first_bad_line(written: bytes) -> int:
+    """The line a bad trace's error must name: the first non-blank line,
+    split as the text layer splits (``\\n``, ``\\r``, ``\\r\\n``), that
+    is not one valid record. A mutation that writes a line break into a
+    record moves the rest of it to the next line."""
+    for number, line in enumerate(re.split(rb"\r\n|\r|\n", written), start=1):
+        text = line.decode("utf-8").strip()
+        if not text:
+            continue
+        try:
+            payload = json.loads(text)
+            if type(payload) is not dict:
+                return number
+            sample_from_dict(payload)
+        except (KeyError, TypeError, ValueError):
+            return number
+    raise AssertionError("every line is a valid record")
+
+
+def _stored(write, store: Path):
+    """``("ok", data file, manifest)`` bytes of the store ``write`` makes
+    at ``store``, or the error it raises, as ``(type, message)``."""
+    shutil.rmtree(store, ignore_errors=True)
+    try:
+        write(store)
+    except Exception as error:  # not only ValueErrors, on either path
+        return type(error).__name__, str(error)
+    return (
+        "ok",
+        (store / "data.bin").read_bytes(),
+        (store / "manifest.json").read_bytes(),
+    )
+
+
 def _outcome(decode):
     """``("ok", columns)`` or ``(error type, message)``; anything but a
     ``ValueError`` escapes and fails the test."""
@@ -97,7 +143,8 @@ def test_both_assemblers_agree_on_mutated_lines(scratch, data):
         data.draw(st.sampled_from(golden_lines()), label=label)
         for label in ("first", "line", "last")
     )
-    scratch.write_bytes(b"\n".join([first, _mutate(data.draw, line), last]))
+    written = b"\n".join([first, _mutate(data.draw, line), last])
+    scratch.write_bytes(written)
 
     def objects():
         with open(scratch, encoding="utf-8") as handle:
@@ -112,6 +159,15 @@ def test_both_assemblers_agree_on_mutated_lines(scratch, data):
     # A bad line is named; bytes that are not UTF-8 fail in the text
     # layer, a decoded chunk (not a line) ahead of the loop.
     if via_objects[0] == "ValueError":
-        assert via_objects[1].startswith(f"{scratch}:2: invalid ")
+        line_number = _first_bad_line(written)
+        assert via_objects[1].startswith(f"{scratch}:{line_number}: invalid ")
     else:
         assert via_objects[0] in ("ok", "UnicodeDecodeError")
+
+    stores = scratch.parent
+    assert _stored(
+        lambda store: convert(scratch, store), stores / "columns.store"
+    ) == _stored(
+        lambda store: write_store(store, read_samples(scratch)),
+        stores / "objects.store",
+    )
