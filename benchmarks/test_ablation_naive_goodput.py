@@ -17,9 +17,10 @@ def test_ablation_naive_goodput(benchmark, snapshot_dataset, record_result):
 
     # Median comparison plus the mean gap, which is more sensitive than the
     # (bimodal) median at our scale.
-    model_mean = sum(
+    model_values = [
         r.hdratio for r in snapshot_dataset.rows if r.hdratio is not None
-    ) / max(len(snapshot_dataset.hd_rows()), 1)
+    ]
+    model_mean = sum(model_values) / max(len(model_values), 1)
     naive_values = [
         r.naive_hdratio for r in snapshot_dataset.rows if r.naive_hdratio is not None
     ]

@@ -14,6 +14,7 @@ synthetic session-level workload.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -78,12 +79,42 @@ class RouteInfo:
         return len(self.as_path)
 
 
+#: What the store's ``i64`` columns hold.
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+#: The finite float range: a time or RTT outside it (``inf``, an int too
+#: large for a float) or NaN fails a chained comparison against it.
+_FLOAT_MIN, _FLOAT_MAX = -sys.float_info.max, sys.float_info.max
+
+
+def _is_finite(value) -> bool:
+    return value is None or _FLOAT_MIN <= value <= _FLOAT_MAX
+
+
+def _is_int64(value) -> bool:
+    return type(value) is int and INT64_MIN <= value <= INT64_MAX
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _refuse(what: str, test, **fields) -> None:
+    """Raise ``ValueError`` naming the first of ``fields`` that fails
+    ``test``: it must be ``what``. The checks call it only once a chained
+    comparison over all of them failed."""
+    for name, value in fields.items():
+        if not test(value):
+            raise ValueError(f"{name} must be {what}")
+
+
 def check_transaction(
     first_byte_time,
     ack_time,
     response_bytes,
     last_packet_bytes,
     cwnd_bytes_at_first_byte,
+    bytes_in_flight_at_start,
+    coalesced_count,
     last_byte_write_time,
 ) -> None:
     """The :class:`TransactionRecord` rules, raising ``ValueError``.
@@ -91,7 +122,36 @@ def check_transaction(
     The one definition: ``__post_init__`` calls it for every constructed
     record, and the JSONL column assembler (:mod:`repro.pipeline.io`) calls
     it for every transaction it fills into a batch without building one.
+    Besides the order of the values, it refuses what the store's columns
+    cannot hold: a time that is not a finite number, and a byte count,
+    window or count that is not an integer in the int64 range (the
+    coalesced count, a varint, also not negative).
     """
+    if not (
+        _FLOAT_MIN <= first_byte_time <= _FLOAT_MAX
+        and _FLOAT_MIN <= ack_time <= _FLOAT_MAX
+        and (
+            last_byte_write_time is None
+            or _FLOAT_MIN <= last_byte_write_time <= _FLOAT_MAX
+        )
+    ):
+        _refuse("a finite number", _is_finite, first_byte_time=first_byte_time,
+                ack_time=ack_time, last_byte_write_time=last_byte_write_time)
+    if not (
+        type(response_bytes) is type(last_packet_bytes) is int
+        and type(cwnd_bytes_at_first_byte) is type(bytes_in_flight_at_start) is int
+        and type(coalesced_count) is int
+        and response_bytes <= INT64_MAX
+        and cwnd_bytes_at_first_byte <= INT64_MAX
+        and INT64_MIN <= bytes_in_flight_at_start <= INT64_MAX
+        and 0 <= coalesced_count <= INT64_MAX
+    ):
+        _refuse("an integer in the int64 range", _is_int64,
+                response_bytes=response_bytes, last_packet_bytes=last_packet_bytes,
+                cwnd_bytes_at_first_byte=cwnd_bytes_at_first_byte,
+                bytes_in_flight_at_start=bytes_in_flight_at_start,
+                coalesced_count=coalesced_count)
+        raise ValueError("coalesced_count must be non-negative")
     if ack_time < first_byte_time:
         raise ValueError("ack_time precedes first_byte_time")
     if last_byte_write_time is not None and last_byte_write_time < first_byte_time:
@@ -104,9 +164,49 @@ def check_transaction(
         raise ValueError("cwnd_bytes_at_first_byte must be positive")
 
 
-def check_session(start_time, end_time, min_rtt_seconds, bytes_sent) -> None:
+def check_session(
+    session_id,
+    start_time,
+    end_time,
+    min_rtt_seconds,
+    bytes_sent,
+    busy_time_seconds,
+    pop,
+    client_country,
+    client_continent,
+    geo_tag,
+    media_response_sizes,
+) -> None:
     """The :class:`SessionSample` rules, raising ``ValueError`` (called like
-    :func:`check_transaction`)."""
+    :func:`check_transaction`, and refusing the same kinds of value: a
+    non-finite time, RTT or busy time, a session id, byte count or media
+    size that is not an int64, and a PoP, country, continent or geo tag
+    that is not a string)."""
+    if not (
+        _FLOAT_MIN <= start_time <= _FLOAT_MAX
+        and _FLOAT_MIN <= end_time <= _FLOAT_MAX
+        and _FLOAT_MIN <= min_rtt_seconds <= _FLOAT_MAX
+        and _FLOAT_MIN <= busy_time_seconds <= _FLOAT_MAX
+    ):
+        _refuse("a finite number", _is_finite, start_time=start_time,
+                end_time=end_time, min_rtt_seconds=min_rtt_seconds,
+                busy_time_seconds=busy_time_seconds)
+    if not (
+        type(session_id) is type(bytes_sent) is int
+        and INT64_MIN <= session_id <= INT64_MAX
+        and bytes_sent <= INT64_MAX
+    ):
+        _refuse("an integer in the int64 range", _is_int64,
+                session_id=session_id, bytes_sent=bytes_sent)
+    for size in media_response_sizes:
+        if not (type(size) is int and INT64_MIN <= size <= INT64_MAX):
+            raise ValueError("media_response_sizes must be integers in the int64 range")
+    if not (
+        type(pop) is type(client_country) is type(client_continent) is str
+        and type(geo_tag) is str
+    ):
+        _refuse("a string", _is_str, pop=pop, client_country=client_country,
+                client_continent=client_continent, geo_tag=geo_tag)
     if end_time < start_time:
         raise ValueError("session ends before it starts")
     if min_rtt_seconds <= 0:
@@ -157,6 +257,8 @@ class TransactionRecord:
             self.response_bytes,
             self.last_packet_bytes,
             self.cwnd_bytes_at_first_byte,
+            self.bytes_in_flight_at_start,
+            self.coalesced_count,
             self.last_byte_write_time,
         )
 
@@ -200,7 +302,17 @@ class SessionSample:
 
     def __post_init__(self) -> None:
         check_session(
-            self.start_time, self.end_time, self.min_rtt_seconds, self.bytes_sent
+            self.session_id,
+            self.start_time,
+            self.end_time,
+            self.min_rtt_seconds,
+            self.bytes_sent,
+            self.busy_time_seconds,
+            self.pop,
+            self.client_country,
+            self.client_continent,
+            self.geo_tag,
+            self.media_response_sizes,
         )
 
     @property

@@ -4,7 +4,7 @@ Every message on a worker connection is one *frame*:
 
 ``
 +------+------+----------+-----------------+
-| RDW2 | type | length   | payload         |
+| RDW3 | type | length   | payload         |
 | 4 B  | 1 B  | 4 B (BE) | ``length`` bytes|
 +------+------+----------+-----------------+
 ``
@@ -52,7 +52,7 @@ __all__ = [
     "send_frame",
 ]
 
-MAGIC = b"RDW2"
+MAGIC = b"RDW3"
 _HEADER = struct.Struct(">4sBI")
 #: Wire size of one frame header (magic + type + length).
 HEADER_BYTES = _HEADER.size

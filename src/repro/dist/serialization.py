@@ -8,8 +8,9 @@ set, exact types — raising
 daemon, the only reader of task frames, never unpickles what a peer sent.
 
 **Results are pickles** — ``ShardResult``'s own wire form, the one the
-process pool pickles back from its children (rows as field columns) — read
-only by the client, from daemons it chose to dial (DESIGN.md §13), and
+process pool pickles back from its children (sessions as raw column
+bytes, every length checked before an array is built) — read only by
+the client, from daemons it chose to dial (DESIGN.md §13), and
 only through an unpickler that resolves the seven globals a result
 references (:data:`RESULT_GLOBALS`): a frame naming any other raises
 :class:`~repro.dist.protocol.ProtocolError`, as does any frame that does
@@ -179,7 +180,7 @@ def _refuse_memo_writes(payload: bytes) -> None:
     Protocol 4 memoizes with ``MEMOIZE`` only, so a result frame holds no
     memo write; in a mangled one, the C unpickler sizes its memo to twice
     the index written — a five-byte ``LONG_BINPUT`` asks for gigabytes.
-    Runs of fixed-width opcodes (most of a frame: the row columns) are
+    Runs of fixed-width opcodes (most of a frame: the aggregations) are
     skipped by one regex match."""
     pos, end = 0, len(payload)
     while True:
@@ -219,9 +220,9 @@ class _ResultUnpickler(pickle.Unpickler):
 
 def decode_result(payload: bytes) -> ShardResult:
     """Rebuild a shard result; :class:`ProtocolError` if the frame does not
-    decode (row columns that disagree included), names a global outside
-    :data:`RESULT_GLOBALS`, or decodes to
-    anything but a :class:`ShardResult`."""
+    decode (session columns whose lengths disagree included), names a
+    global outside :data:`RESULT_GLOBALS`, or decodes to anything but a
+    :class:`ShardResult`."""
     try:
         _refuse_memo_writes(payload)
         result = _ResultUnpickler(io.BytesIO(payload)).load()

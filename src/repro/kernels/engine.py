@@ -2,15 +2,17 @@
 
 :class:`BatchIngestor` is the batch path's counterpart of
 :meth:`repro.pipeline.dataset.StudyDataset.ingest_one` — same filters, same
-§3.2 funnel (via :func:`repro.kernels.goodput.session_funnel`), same rows,
+§3.2 funnel (via :func:`repro.kernels.goodput.session_funnel`), same sessions,
 aggregations, filter accounting, and observability counters — driven by
-column cursors instead of per-row objects. Its output plugs into both
-execution topologies:
+column cursors instead of per-row objects. It fills one
+:class:`~repro.pipeline.table.SessionChunk` (typed columns, no object per
+session), and its output plugs into every execution topology:
 
-- **serial**: :func:`fold_into_dataset` installs the finalized rows and
-  aggregations into a :class:`StudyDataset`, restoring exact stream order
-  (batches may interleave: store partitions are keyed by PoP and time
-  band, not stream position);
+- **serial**: :func:`fold_into_dataset` installs the finalized chunk and
+  aggregations into a :class:`StudyDataset` (batches may interleave: store
+  partitions are keyed by PoP and time band, not stream position; the
+  chunk keeps each session's order key, and only aggregations need
+  order-key order here);
 - **sharded**: ``repro.pipeline.parallel`` builds one ingestor per shard
   and ships ``finalize()``'s output as a ``ShardResult`` through the
   order-independent merge;
@@ -31,8 +33,8 @@ from __future__ import annotations
 
 import math
 import pathlib
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, not_
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.aggregation import Aggregation
@@ -41,6 +43,7 @@ from repro.kernels.columns import BATCH_ROWS, ColumnBatch
 from repro.kernels.goodput import funnel_single, session_funnel
 from repro.obs import MetricsRegistry
 from repro.pipeline.filters import FilterStats
+from repro.pipeline.table import SessionChunk
 from repro.store.schema import shred_rows
 
 __all__ = [
@@ -54,7 +57,7 @@ AggregationKey = Tuple[UserGroupKey, int, int]
 
 
 class BatchIngestor:
-    """Accumulate batches; finalize into rows + aggregation pieces.
+    """Accumulate batches; finalize into a session chunk + aggregations.
 
     Constructor arguments match :class:`StudyDataset`'s, so one
     ``dataset_kwargs`` dict builds the ingestor and the dataset it fills.
@@ -75,7 +78,8 @@ class BatchIngestor:
         self.window_seconds = window_seconds
         self.metrics = MetricsRegistry()
         self.filter_stats = FilterStats()
-        self._rows: List[Tuple[int, object]] = []
+        #: The fold's sessions, handed on by :meth:`finalize`.
+        self.chunk = SessionChunk()
         #: Per-key aggregation pieces: each batch that touches a key adds
         #: one (first order key in that batch, Aggregation) piece; finalize
         #: merges them in order-key order, the parallel merger's rule.
@@ -99,10 +103,6 @@ class BatchIngestor:
     # ------------------------------------------------------------------ #
     def ingest_batch(self, batch: ColumnBatch) -> None:
         """Fold one batch; every sample's full contribution happens here."""
-        # Import here, not at module top: dataset.py must stay importable
-        # without the kernels package (the row path owes it nothing).
-        from repro.pipeline.dataset import SessionRow
-
         order_keys = batch.order_keys
         start_times = batch.start_times
         end_times = batch.end_times
@@ -133,8 +133,13 @@ class BatchIngestor:
         window_seconds = self.window_seconds
         groups = self._groups
         pieces = self._pieces
-        rows_append = self._rows.append
-        new_row = tuple.__new__
+        # The five values computed per kept session go to batch-local lists
+        # (a list append is a third of an array's), and into the chunk's
+        # columns after the loop, with the columns copied from the batch.
+        computed = ([], [], [], [], [])
+        min_rtt_append, hdratio_append, naive_append, duration_append, busy_append = (
+            column.append for column in computed
+        )
         floor = math.floor
         funnel = session_funnel
         single = funnel_single
@@ -225,13 +230,6 @@ class BatchIngestor:
             else:
                 hd = None
 
-            if keep_sizes:
-                sizes = tuple(txn_resp[t0:txn_cursor])
-                media = tuple(media_values[m0:media_cursor])
-            else:
-                sizes = ()
-                media = ()
-
             end_time = end_times[i]
             duration = end_time - start_times[i]
             if duration <= 0:
@@ -240,24 +238,12 @@ class BatchIngestor:
                 busy_fraction = min(busy_times[i] / duration, 1.0)
 
             min_rtt_ms = min_rtt * 1000.0
-            # SessionRow's field order; tuple.__new__ skips the NamedTuple
-            # constructor's per-field keyword binding.
-            row = new_row(SessionRow, (
-                min_rtt_ms,
-                hd,
-                naive,
-                sent,
-                duration,
-                busy_fraction,
-                tlen,
-                is_http2[i],
-                continents[i],
-                geo_tags[i],
-                sizes,
-                media,
-            ))
+            min_rtt_append(min_rtt_ms)
+            hdratio_append(hd)
+            naive_append(naive)
+            duration_append(duration)
+            busy_append(busy_fraction)
             order_key = order_keys[i]
-            rows_append((order_key, row))
 
             route = routes[i]
             if route is None:
@@ -300,16 +286,44 @@ class BatchIngestor:
         self._hd_testable_sessions += hd_testable_sessions
         self._hd_samples += hd_samples
 
+        keep = list(map(not_, hostings)) if dropped else None
+        if keep_sizes:
+            kept_size_lens = _where(txn_lens, keep)
+            kept_sizes = _where(txn_resp, _spread(keep, txn_lens))
+            kept_media_lens = _where(media_lens, keep)
+            kept_media = _where(media_values, _spread(keep, media_lens))
+        else:
+            kept_size_lens = kept_media_lens = [0] * kept
+            kept_sizes = kept_media = []
+        min_rtts_ms, hdratios, naive_hdratios, durations, busy_fractions = computed
+        self.chunk.extend(
+            keys=_where(order_keys, keep),
+            min_rtt_ms=min_rtts_ms,
+            hdratio=hdratios,
+            naive_hdratio=naive_hdratios,
+            bytes_sent=_where(bytes_sents, keep),
+            duration=durations,
+            busy_fraction=busy_fractions,
+            transaction_count=_where(txn_lens, keep),
+            is_http2=_where(is_http2, keep),
+            continent=_where(continents, keep),
+            geo_tag=_where(geo_tags, keep),
+            size_lens=kept_size_lens,
+            media_lens=kept_media_lens,
+            sizes=kept_sizes,
+            media=kept_media,
+        )
+
     # ------------------------------------------------------------------ #
     def finalize(
         self,
-    ) -> Tuple[List[Tuple[int, object]], List[Tuple[int, AggregationKey, Aggregation]]]:
-        """Flush counters; return (sorted rows, merged aggregations).
+    ) -> Tuple[SessionChunk, List[Tuple[int, AggregationKey, Aggregation]]]:
+        """Flush counters; return (the session chunk, merged aggregations).
 
-        Rows come back as ``(order_key, SessionRow)`` sorted globally;
-        aggregations as ``(first order key, key, Aggregation)`` sorted by
-        first appearance — exactly the shapes the parallel merger and the
-        serial fold consume. Call once.
+        The chunk holds the kept sessions in fold order, each with its
+        order key; aggregations come back as ``(first order key, key,
+        Aggregation)`` sorted by first appearance — exactly the shapes the
+        parallel merger and the serial fold consume. Call once.
         """
         if self._finalized:
             raise RuntimeError("BatchIngestor.finalize() already called")
@@ -345,7 +359,6 @@ class BatchIngestor:
             metrics.inc("core.aggregation.hd_samples", self._hd_samples)
 
         first = itemgetter(0)
-        self._rows.sort(key=first)
         aggregations: List[Tuple[int, AggregationKey, Aggregation]] = []
         for akey, parts in self._pieces.items():
             parts.sort(key=first)
@@ -354,7 +367,21 @@ class BatchIngestor:
                 merged.merge(piece)
             aggregations.append((first_key, akey, merged))
         aggregations.sort(key=first)
-        return self._rows, aggregations
+        return self.chunk, aggregations
+
+
+def _where(column, keep) -> list:
+    """``column``'s entries where ``keep`` is true (all of them for
+    ``None``), as a list."""
+    if keep is not None:
+        return list(compress(column, keep))
+    return column if type(column) is list else list(column)
+
+
+def _spread(keep, lens):
+    """Each session's ``keep`` flag once per entry its ``lens`` counts, for
+    a flat column; ``None`` for ``None``."""
+    return None if keep is None else chain.from_iterable(map(repeat, keep, lens))
 
 
 # --------------------------------------------------------------------- #
@@ -410,14 +437,15 @@ def iter_batches(
 def fold_into_dataset(dataset, ingestor: BatchIngestor):
     """Install an ingestor's finalized state into a ``StudyDataset``.
 
-    The serial batch path's last step: rows in global order, aggregations
-    installed in first-seen order (reproducing serial insertion order),
-    filter stats and counters merged. Returns the installed
+    The serial batch path's last step: the session chunk appended to the
+    dataset's table, aggregations installed in first-seen order
+    (reproducing serial insertion order), filter stats and counters
+    merged. Returns the installed
     ``(first order key, key, Aggregation)`` list — what this fold added to
     the store, which a streaming seal hands to its analyzer.
     """
-    rows, aggregations = ingestor.finalize()
-    dataset.rows.extend(row for _, row in rows)
+    chunk, aggregations = ingestor.finalize()
+    dataset.table.chunks.append(chunk)
     for _, key, aggregation in aggregations:
         dataset.store.put(key, aggregation)
     dataset.filter_stats.merge(ingestor.filter_stats)

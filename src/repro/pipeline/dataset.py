@@ -3,8 +3,10 @@
 :class:`StudyDataset` ingests the (filtered) session stream once and keeps
 both views the experiments need:
 
-- **per-session rows** (:class:`SessionRow`) — named tuples for the
-  distribution figures (1, 2, 3, 6, 7) where each session is one point;
+- **per-session table** (:class:`~repro.pipeline.table.SessionTable`) —
+  one typed column per session field, for the distribution figures (1, 2,
+  3, 6, 7) where each session is one point (``rows`` is its read-only
+  :class:`SessionRow` view);
 - **aggregations** — the (user group, route rank, window) store driving the
   temporal/routing analyses (Figures 5, 8, 9, 10, Tables 1–2).
 
@@ -14,37 +16,21 @@ full §3.2 path (coalescing → eligibility → capability → achievement).
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, Optional
 
 from repro.core.aggregation import AggregationStore
 from repro.core.hdratio import naive_hdratio, session_goodput
 from repro.core.records import HttpVersion, SessionSample
 from repro.obs import MetricsRegistry
 from repro.pipeline.filters import FilterStats, record_sample
+from repro.pipeline.table import (
+    SessionChunk,
+    SessionRow,
+    SessionRows,
+    SessionTable,
+)
 
 __all__ = ["SessionRow", "StudyDataset"]
-
-
-class SessionRow(NamedTuple):
-    """One session flattened for distribution analysis.
-
-    A ``tuple`` subclass, so the batch engine builds one with a single
-    ``tuple.__new__(SessionRow, values)`` and a shard result carries its
-    fields across a process boundary as plain columns (CONTRIBUTING.md).
-    """
-
-    min_rtt_ms: float
-    hdratio: Optional[float]
-    naive_hdratio: Optional[float]
-    bytes_sent: int
-    duration: float
-    busy_fraction: float
-    transaction_count: int
-    is_http2: bool
-    continent: str
-    geo_tag: str
-    response_sizes: tuple
-    media_bytes: tuple
 
 
 class StudyDataset:
@@ -69,7 +55,10 @@ class StudyDataset:
         self.keep_response_sizes = keep_response_sizes
         self.compute_naive = compute_naive
         self.window_seconds = window_seconds
-        self.rows: List[SessionRow] = []
+        #: The kept sessions, one typed column per field (DESIGN.md §10).
+        self.table = SessionTable()
+        #: The row oracle's chunk, opened by its first kept session.
+        self._oracle_chunk: Optional[SessionChunk] = None
         #: Per-dataset observability registry. Always freshly constructed —
         #: never inherited from an activation — so every shard worker (even
         #: a thread sharing this process) counts into its own registry and
@@ -133,7 +122,7 @@ class StudyDataset:
     def ingest_one(self, sample: SessionSample) -> bool:
         """Filter, measure, and aggregate one sample; True if it was kept.
 
-        The reference fold: everything a sample contributes — row,
+        The reference fold: everything a sample contributes — session,
         aggregation, filter accounting, counters — spelled per record.
         Nothing under ``src/repro`` calls it; the tests hold
         ``build_dataset`` (the column kernels) to it byte for byte.
@@ -166,27 +155,25 @@ class StudyDataset:
             if self.compute_naive and sample.transactions
             else None
         )
-        if self.keep_response_sizes:
-            sizes = tuple(t.response_bytes for t in sample.transactions)
-            media = tuple(sample.media_response_sizes)
-        else:
-            sizes = ()
-            media = ()
-        self.rows.append(
-            SessionRow(
-                min_rtt_ms=sample.min_rtt_ms,
-                hdratio=hd,
-                naive_hdratio=naive,
-                bytes_sent=sample.bytes_sent,
-                duration=sample.duration,
-                busy_fraction=sample.busy_fraction,
-                transaction_count=sample.transaction_count,
-                is_http2=sample.http_version is HttpVersion.HTTP_2,
-                continent=sample.client_continent,
-                geo_tag=sample.geo_tag,
-                response_sizes=sizes,
-                media_bytes=media,
-            )
+        chunk = self._oracle_chunk
+        if chunk is None:
+            chunk = self._oracle_chunk = SessionChunk()
+            self.table.chunks.append(chunk)
+        keep_sizes = self.keep_response_sizes
+        chunk.add(
+            len(chunk),
+            sample.min_rtt_ms,
+            hd,
+            naive,
+            sample.bytes_sent,
+            sample.duration,
+            sample.busy_fraction,
+            sample.transaction_count,
+            sample.http_version is HttpVersion.HTTP_2,
+            sample.client_continent,
+            sample.geo_tag,
+            [t.response_bytes for t in sample.transactions] if keep_sizes else (),
+            sample.media_response_sizes if keep_sizes else (),
         )
         self.store.add(sample, hdratio=hd)
         return True
@@ -199,9 +186,11 @@ class StudyDataset:
 
     # ------------------------------------------------------------------ #
     @property
-    def session_count(self) -> int:
-        return len(self.rows)
+    def rows(self) -> SessionRows:
+        """The sessions as :class:`SessionRow` tuples in stream order: a
+        read-only view that builds them when iterated."""
+        return SessionRows(self.table)
 
-    def hd_rows(self) -> List[SessionRow]:
-        """Rows whose session could test for HD goodput."""
-        return [row for row in self.rows if row.hdratio is not None]
+    @property
+    def session_count(self) -> int:
+        return len(self.table)

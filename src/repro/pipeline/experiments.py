@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import not_
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import traced
 from repro.pipeline.dataset import StudyDataset
@@ -38,7 +40,9 @@ __all__ = [
 class CdfSeries:
     """One CDF line: its x values in ascending order, nothing else — the
     fraction at ``xs[i]`` is ``(i + 1) / len(xs)``, computed when asked.
-    Integer series stay ints (exact against float thresholds below 2**53).
+    The values are a typed array, 8 bytes each: integer series stay ints
+    (``q``, exact against float thresholds below 2**53), any other is
+    ``d``.
 
     An empty series (a zero-session population split) is representable:
     its quantiles are ``None`` and its ``fraction_at_most`` is 0 — report
@@ -46,11 +50,13 @@ class CdfSeries:
     """
 
     label: str
-    xs: List[float]
+    xs: array
 
     @classmethod
-    def of(cls, label: str, values: Sequence[float]) -> "CdfSeries":
-        return cls(label=label, xs=sorted(values))
+    def of(cls, label: str, values: Iterable[float]) -> "CdfSeries":
+        xs = sorted(values)
+        typecode = "q" if set(map(type, xs)) <= {int} else "d"
+        return cls(label=label, xs=array(typecode, xs))
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -99,19 +105,28 @@ class Fig1Result:
         return self.busy_all.fraction_at_most(0.10)
 
 
+def _by_protocol(values: list, http2: Iterable[int]) -> Tuple[list, list]:
+    """``values`` split into (HTTP/1.1, HTTP/2) lists by an ``is_http2``
+    column."""
+    return list(compress(values, map(not_, http2))), list(compress(values, http2))
+
+
 @traced("pipeline.fig1")
 def fig1_session_behaviour(dataset: StudyDataset) -> Fig1Result:
     """Figure 1: session-duration and busy-time CDFs, split by protocol."""
-    rows = dataset.rows
-    h1 = [r for r in rows if not r.is_http2]
-    h2 = [r for r in rows if r.is_http2]
+    table = dataset.table
+    http2 = table.values("is_http2")
+    durations = table.values("duration")
+    busy = table.values("busy_fraction")
+    duration_h1, duration_h2 = _by_protocol(durations, http2)
+    busy_h1, busy_h2 = _by_protocol(busy, http2)
     return Fig1Result(
-        duration_all=CdfSeries.of("all", [r.duration for r in rows]),
-        duration_h1=CdfSeries.of("http/1.1", [r.duration for r in h1]),
-        duration_h2=CdfSeries.of("http/2", [r.duration for r in h2]),
-        busy_all=CdfSeries.of("all", [r.busy_fraction for r in rows]),
-        busy_h1=CdfSeries.of("http/1.1", [r.busy_fraction for r in h1]),
-        busy_h2=CdfSeries.of("http/2", [r.busy_fraction for r in h2]),
+        duration_all=CdfSeries.of("all", durations),
+        duration_h1=CdfSeries.of("http/1.1", duration_h1),
+        duration_h2=CdfSeries.of("http/2", duration_h2),
+        busy_all=CdfSeries.of("all", busy),
+        busy_h1=CdfSeries.of("http/1.1", busy_h1),
+        busy_h2=CdfSeries.of("http/2", busy_h2),
     )
 
 
@@ -144,12 +159,11 @@ MEDIA_RESPONSE_THRESHOLD_BYTES = 12_000
 @traced("pipeline.fig2")
 def fig2_transfer_sizes(dataset: StudyDataset) -> Fig2Result:
     """Figure 2: bytes per session, per response, and per media response."""
-    rows = dataset.rows
-    sessions = [r.bytes_sent for r in rows if r.bytes_sent > 0]
-    responses = list(chain.from_iterable(r.response_sizes for r in rows))
-    if any(row.media_bytes for row in rows):
-        media = list(chain.from_iterable(r.media_bytes for r in rows))
-    else:
+    table = dataset.table
+    sessions = [sent for sent in table.values("bytes_sent") if sent > 0]
+    responses = table.values("sizes")
+    media = table.values("media")
+    if not media:
         # Untagged trace: fall back to the size heuristic.
         media = [
             size for size in responses if size >= MEDIA_RESPONSE_THRESHOLD_BYTES
@@ -183,15 +197,16 @@ class Fig3Result:
 @traced("pipeline.fig3")
 def fig3_transaction_counts(dataset: StudyDataset) -> Fig3Result:
     """Figure 3: transactions per session and the heavy-session byte share."""
-    rows = dataset.rows
-    h1 = [r for r in rows if not r.is_http2]
-    h2 = [r for r in rows if r.is_http2]
-    total_bytes = sum(r.bytes_sent for r in rows) or 1
-    heavy_bytes = sum(r.bytes_sent for r in rows if r.transaction_count >= 50)
+    table = dataset.table
+    counts = table.values("transaction_count")
+    sent = table.values("bytes_sent")
+    total_bytes = sum(sent) or 1
+    heavy_bytes = sum(compress(sent, [count >= 50 for count in counts]))
+    count_h1, count_h2 = _by_protocol(counts, table.values("is_http2"))
     return Fig3Result(
-        count_all=CdfSeries.of("all", [r.transaction_count for r in rows]),
-        count_h1=CdfSeries.of("http/1.1", [r.transaction_count for r in h1]),
-        count_h2=CdfSeries.of("http/2", [r.transaction_count for r in h2]),
+        count_all=CdfSeries.of("all", counts),
+        count_h1=CdfSeries.of("http/1.1", count_h1),
+        count_h2=CdfSeries.of("http/2", count_h2),
         heavy_session_byte_share=heavy_bytes / total_bytes,
     )
 
@@ -313,23 +328,25 @@ class Fig6Result:
 @traced("pipeline.fig6")
 def fig6_global_performance(dataset: StudyDataset) -> Fig6Result:
     """Figure 6: MinRTT and HDratio distributions, global and per continent."""
-    # One pass groups the values: stream order within each list, and the
-    # per-continent dicts keep CONTINENT_CODES order (empty ones left out).
-    minrtt_all: List[float] = []
+    # One pass groups the values (fold order within each list; every series
+    # is sorted), and the per-continent dicts keep CONTINENT_CODES order
+    # (empty ones left out).
+    table = dataset.table
+    minrtt_all = table.values("min_rtt_ms")
+    hdratios = table.optional("hdratio")
     hdratio_all: List[float] = []
     minrtt_of: Dict[str, List[float]] = {code: [] for code in CONTINENT_CODES}
     hdratio_of: Dict[str, List[float]] = {code: [] for code in CONTINENT_CODES}
-    for row in dataset.rows:
-        minrtt = row.min_rtt_ms
-        minrtt_all.append(minrtt)
-        continent_minrtts = minrtt_of.get(row.continent)
+    for minrtt, hdratio, continent in zip(
+        minrtt_all, hdratios, table.labels("continent")
+    ):
+        continent_minrtts = minrtt_of.get(continent)
         if continent_minrtts is not None:
             continent_minrtts.append(minrtt)
-        hdratio = row.hdratio
         if hdratio is not None:
             hdratio_all.append(hdratio)
             if continent_minrtts is not None:
-                hdratio_of[row.continent].append(hdratio)
+                hdratio_of[continent].append(hdratio)
     return Fig6Result(
         minrtt_all=CdfSeries.of("all", minrtt_all),
         hdratio_all=CdfSeries.of("all", hdratio_all),
@@ -350,9 +367,10 @@ def fig6_global(dataset: StudyDataset) -> Fig6Result:
     """Figure 6's two global series alone, the continent dicts empty:
     equal to :func:`fig6_global_performance`'s, at a fraction of its cost
     (``/v1/quantiles`` serves these and nothing else)."""
+    table = dataset.table
     return Fig6Result(
-        minrtt_all=CdfSeries.of("all", [row.min_rtt_ms for row in dataset.rows]),
-        hdratio_all=CdfSeries.of("all", [row.hdratio for row in dataset.hd_rows()]),
+        minrtt_all=CdfSeries.of("all", table.values("min_rtt_ms")),
+        hdratio_all=CdfSeries.of("all", table.present("hdratio")),
         minrtt_by_continent={},
         hdratio_by_continent={},
     )
@@ -383,10 +401,15 @@ def fig7_rtt_vs_hdratio(dataset: StudyDataset) -> Fig7Result:
     buckets: Dict[str, List[float]] = {
         Fig7Result.bucket_label(bounds): [] for bounds in MINRTT_BUCKETS
     }
-    for row in dataset.hd_rows():
+    table = dataset.table
+    for minrtt, hdratio in zip(
+        table.values("min_rtt_ms"), table.optional("hdratio")
+    ):
+        if hdratio is None:
+            continue  # not HD-testable
         for bounds in MINRTT_BUCKETS:
-            if row.min_rtt_ms <= bounds[1]:
-                buckets[Fig7Result.bucket_label(bounds)].append(row.hdratio)
+            if minrtt <= bounds[1]:
+                buckets[Fig7Result.bucket_label(bounds)].append(hdratio)
                 break
     return Fig7Result(
         hdratio_by_bucket={
@@ -412,10 +435,14 @@ def ablation_naive_goodput(dataset: StudyDataset) -> AblationResult:
 
     Requires the dataset to have been built with ``compute_naive=True``.
     """
+    table = dataset.table
     pairs = [
-        (row.hdratio, row.naive_hdratio)
-        for row in dataset.rows
-        if row.hdratio is not None and row.naive_hdratio is not None
+        (model, naive)
+        for model, naive in zip(
+            table.optional("hdratio"),
+            table.optional("naive_hdratio"),
+        )
+        if model is not None and naive is not None
     ]
     if not pairs:
         raise ValueError("dataset has no naive HDratio values")

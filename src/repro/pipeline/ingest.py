@@ -21,7 +21,7 @@ per window, and **sealed** by an event-time watermark:
 
 Sealed windows feed four sinks, in canonical order:
 
-1. the :class:`~repro.pipeline.dataset.StudyDataset` (rows, aggregations,
+1. the :class:`~repro.pipeline.dataset.StudyDataset` (sessions, aggregations,
    filter accounting — each window folds through the column kernels
    ``build_dataset`` runs, :mod:`repro.kernels.engine`);
 2. the output store, appended as new CRC'd, prunable partitions through
@@ -414,7 +414,7 @@ class StreamingIngestor:
             if self._pending:
                 self._seal_through(max(self._pending))
             metrics = self.dataset.metrics
-            metrics.set_gauge("pipeline.rows", len(self.dataset.rows))
+            metrics.set_gauge("pipeline.rows", self.dataset.session_count)
             metrics.set_gauge(
                 "pipeline.aggregations", len(self.dataset.store)
             )
@@ -477,10 +477,13 @@ class StreamingIngestor:
         # Shredded once, keyed by window position. With a store, the same
         # column dicts are staged and appended (the appender offsets
         # ``seq`` in new lists, so the staged batches are untouched);
-        # without one, nothing needs partitions.
+        # without one, nothing needs partitions. The staged order keys
+        # continue the previous seals' (``first``), so the dataset's
+        # sessions read back in seal order.
+        first = self._samples_sealed
         partitions = []
         if self._appender is None:
-            batches = batches_from_pairs(enumerate(samples))
+            batches = batches_from_pairs(enumerate(samples, first))
         else:
             partitions = list(
                 shred_partitions(
@@ -492,7 +495,8 @@ class StreamingIngestor:
             # ``seq`` indexes ``samples`` until the append renumbers it.
             batches = (
                 ColumnBatch.from_store_columns(
-                    columns, [samples[seq].route for seq in columns["seq"]]
+                    {**columns, "seq": [first + seq for seq in columns["seq"]]},
+                    [samples[seq].route for seq in columns["seq"]],
                 )
                 for _, columns in partitions
             )

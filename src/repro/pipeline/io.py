@@ -323,7 +323,10 @@ def _column_assembler(
             version = _HTTP_VALUES.get(version) or HttpVersion(version).value
             geo_tag = payload.get("geo_tag", "")
             media = payload.get("media_response_sizes", ())
-            check_session(start, end, min_rtt, sent)
+            check_session(
+                session_id, start, end, min_rtt, sent, busy, pop, country,
+                continent, geo_tag, media,
+            )
             bucket = place(end, pop)
             (
                 add_seq, add_session_id, add_start, add_end, add_version,
@@ -335,15 +338,18 @@ def _column_assembler(
             ) = bucket.add
             for raw in transactions:
                 fbt, ack, response, last, cwnd, inflight = _txn_fields(raw)
+                coalesced = raw.get("coalesced_count", 1)
                 lbwt = raw.get("last_byte_write_time")
-                check_transaction(fbt, ack, response, last, cwnd, lbwt)
+                check_transaction(
+                    fbt, ack, response, last, cwnd, inflight, coalesced, lbwt
+                )
                 add_fbt(fbt)
                 add_ack(ack)
                 add_response(response)
                 add_last(last)
                 add_cwnd(cwnd)
                 add_inflight(inflight)
-                add_coalesced(raw.get("coalesced_count", 1))
+                add_coalesced(coalesced)
                 add_lbwt(lbwt)
             add_media(media)  # what tuple() accepts, extend() accepts
         except _RECORD_ERRORS:
@@ -585,10 +591,10 @@ def convert(
     exactly — same samples, same order (tested against the golden trace).
 
     A JSONL import builds no record: the column assembler fills one bucket
-    per :func:`~repro.store.writer.partition_key`, and the store's one
-    publisher writes them in order of first appearance — the store,
-    counters and errors of ``write_store(dst, read_samples(src))``, whose
-    bucketing raises for a row without a key only once every line decoded.
+    per :func:`~repro.store.writer.partition_key` (a row that passes the
+    record checks always has one), and the store's one publisher writes
+    them in order of first appearance — the store, counters and errors of
+    ``write_store(dst, read_samples(src))``.
     """
     if detect_format(dst) != "store":
         return write_samples(dst, read_samples(src, metrics), metrics=metrics)
@@ -599,25 +605,16 @@ def convert(
     window_seconds = AGGREGATION_WINDOW_SECONDS
     _check_banding(band_windows, window_seconds)
     buckets: Dict[tuple, _Bucket] = {}
-    unkeyed: List[Exception] = []
 
     def place(end_time, pop) -> _Bucket:
-        try:
-            key = partition_key(pop, end_time, window_seconds, band_windows)
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = _Bucket()
-        except (TypeError, ValueError, ArithmeticError) as error:
-            # write_store's bucketing raises the first once all rows decode
-            if not unkeyed:
-                unkeyed.append(error)
-            return _Bucket()  # the row is still checked, then dropped
+        key = partition_key(pop, end_time, window_seconds, band_windows)
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = buckets[key] = _Bucket()
         return bucket
 
     for _ in _read_jsonl(src, metrics, _column_assembler(place)):
         pass  # no bucket is ever full: nothing is yielded
-    if unkeyed:
-        raise unkeyed[0]
     rows = sum(len(bucket.routes) for bucket in buckets.values())
     # Each bucket is let go once encoded: the payload grows as they go.
     partitions = ((key, buckets.pop(key).seal(True)) for key in list(buckets))

@@ -5,8 +5,8 @@ over 15-minute windows from every load balancer in the fleet; the serial
 :class:`~repro.pipeline.dataset.StudyDataset` pass reproduces the math but
 not the throughput. This module fans the same pass out over a worker pool
 and merges the partial states back into a ``StudyDataset`` that is
-**bit-identical** to the serial one — same rows in the same order, same
-aggregation insertion order, same per-group medians and confidence
+**bit-identical** to the serial one — same session columns in the same
+order, same aggregation insertion order, same per-group medians and confidence
 intervals. The equivalence is enforced by ``tests/test_pipeline_parallel.py``.
 
 One partitioning strategy, exact — **chunk sharding** of a columnar store:
@@ -19,18 +19,21 @@ never cross a process boundary. A JSONL trace is folded in one pass, or
 folded together with
 :meth:`~repro.core.aggregation.Aggregation.merge` in order-key order.
 Chunks carry interleaved sequence ranges (partitions are keyed by PoP and
-time band, not by stream position); the merger's order-key sort absorbs
-that, and every derived statistic is an order statistic or an integer
-sum, so the bit-identical guarantee holds.
+time band, not by stream position); the merger's order-key sort of the
+aggregation pieces absorbs that, and every derived statistic is an order
+statistic or an integer sum, so the bit-identical guarantee holds.
 
 Exactness argument: every sample carries a monotone *order key* (its
 store sequence number).
 Workers preserve relative order within a partition, and the merger (a)
-re-sorts rows by order key, (b) rebuilds the aggregation store inserting
-keys by first-seen order key, and (c) concatenates each aggregation's raw
-value lists in order-key order. Since the serial pass is a fold over the
-same samples in the same order, every derived statistic — medians,
-McKean–Schrader CIs, window tables, verdict series — is exactly equal.
+appends each shard's session chunk in plan order (the plan cuts
+contiguous runs of the manifest, so the columns read in the serial
+fold's partition order, each session with its order key), (b) rebuilds
+the aggregation store inserting keys by first-seen order key, and (c)
+concatenates each aggregation's raw value lists in order-key order.
+Since the serial pass is a fold over the same samples in the same order,
+every derived statistic — medians, McKean–Schrader CIs, window tables,
+verdict series — is exactly equal.
 
 Fault tolerance (DESIGN.md §9): a failing shard is retried with
 exponential backoff (``max_retries`` × ``retry_backoff``), and a shard
@@ -71,7 +74,6 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -84,9 +86,10 @@ from repro.obs import (
     merge_into_active,
     span,
 )
-from repro.pipeline.dataset import SessionRow, StudyDataset
+from repro.pipeline.dataset import StudyDataset
 from repro.pipeline.filters import FilterStats
 from repro.pipeline.io import PathLike, detect_format, plan_chunks
+from repro.pipeline.table import SessionChunk
 from repro.store import StoreChunk
 from repro.store.schema import gc_paused
 
@@ -310,7 +313,8 @@ class ShardResult:
     #: Task ordinal this result answers (results can complete out of order
     #: under retry; the merge sorts on this to restore the plan order).
     ordinal: int = 0
-    rows: List[Tuple[int, SessionRow]] = field(default_factory=list)
+    #: The shard's kept sessions, one typed column per field.
+    sessions: SessionChunk = field(default_factory=SessionChunk)
     #: (first order key seen for the key, aggregation key, aggregation)
     aggregations: List[Tuple[int, AggregationKey, Aggregation]] = field(
         default_factory=list
@@ -324,23 +328,16 @@ class ShardResult:
     samples_ingested: int = 0
 
     # The one wire form, for the process pool and the dispatch client
-    # alike: rows travel as order keys plus one tuple per SessionRow field,
-    # so nothing is pickled per row; columns that disagree are refused.
+    # alike: the session chunk travels as raw column bytes, so nothing is
+    # pickled per session; columns whose lengths disagree are refused
+    # before an array is built (SessionChunk.from_wire).
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["rows"] = ([k for k, _ in self.rows], list(zip(*[r for _, r in self.rows])))
+        state["sessions"] = self.sessions.to_wire()
         return state
 
     def __setstate__(self, state: dict) -> None:
-        keys, columns = state["rows"]
-        width = len(SessionRow._fields) if keys else 0
-        if len(columns) != width or any(len(c) != len(keys) for c in columns):
-            raise ValueError(
-                f"{len(keys)} rows carry {len(columns)} field columns of "
-                f"lengths {sorted({len(c) for c in columns})}"
-            )
-        rows = map(tuple.__new__, repeat(SessionRow), zip(*columns))
-        state["rows"] = list(zip(keys, rows))
+        state["sessions"] = SessionChunk.from_wire(state["sessions"])
         self.__dict__.update(state)
 
 
@@ -358,8 +355,8 @@ def _fold(batches: Iterable, dataset_kwargs: dict, ordinal: int = 0) -> ShardRes
     """Fold column batches through one batch ingestor into a ShardResult.
 
     A shard's fold and a served partial's (:mod:`repro.serve.engine`): the
-    finalized rows/aggregations are already in the (order key, payload)
-    shapes :func:`_merge_results` consumes. Cyclic GC is paused across the
+    finalized session chunk and (order key, key, aggregation) triples are
+    the shapes :func:`_merge_results` consumes. Cyclic GC is paused across the
     fold, batch decoding included.
     """
     # Imported here, not at module top: repro.kernels.engine imports
@@ -372,10 +369,10 @@ def _fold(batches: Iterable, dataset_kwargs: dict, ordinal: int = 0) -> ShardRes
         for batch in batches:
             samples_ingested += len(batch)
             ingestor.ingest_batch(batch)
-        rows, aggregations = ingestor.finalize()
+        sessions, aggregations = ingestor.finalize()
     return ShardResult(
         ordinal=ordinal,
-        rows=rows,
+        sessions=sessions,
         aggregations=aggregations,
         filter_stats=ingestor.filter_stats,
         metrics=ingestor.metrics,
@@ -528,20 +525,21 @@ def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> Stu
     condition that every order key in ``results`` comes after every order
     key it holds; the outcome is then the merge of all results at once.
 
-    Each result's rows and triples are sorted, so one sort of each list
-    merges runs; first order keys never tie (results are disjoint), so
-    the sorted triples give first-seen key order and each key's pieces.
+    Each result's session chunk is appended to the dataset's table as it
+    is, in result order: no row is sorted or copied (the chunks keep their
+    order keys). Each result's triples are sorted, so one sort merges
+    them; first order keys never tie (results are disjoint), so the
+    sorted triples give first-seen key order and each key's pieces.
 
-    Copy-on-merge: no result, and no aggregation ``dataset`` already
-    holds, is mutated. A new key with one piece installs that piece; a
+    Copy-on-merge: no result, no chunk, and no aggregation ``dataset``
+    already holds, is mutated. A new key with one piece installs that piece; a
     key with several pieces, or one the dataset already holds, gets a
     fresh aggregation. So merging the same results twice — a served query
     over cached partials — yields the same dataset twice.
     """
-    indexed_rows: List[Tuple[int, SessionRow]] = []
     triples: List[Tuple[int, AggregationKey, Aggregation]] = []
     for result in results:
-        indexed_rows.extend(result.rows)
+        dataset.table.chunks.append(result.sessions)
         triples.extend(result.aggregations)
         dataset.filter_stats.merge(result.filter_stats)
         dataset.metrics.merge(result.metrics)
@@ -550,12 +548,10 @@ def _merge_results(dataset: StudyDataset, results: Iterable[ShardResult]) -> Stu
             {
                 "ordinal": result.ordinal,
                 "samples": result.samples_ingested,
-                "rows_kept": len(result.rows),
+                "rows_kept": len(result.sessions),
                 "wall_seconds": result.wall_seconds,
             }
         )
-    indexed_rows.sort(key=itemgetter(0))
-    dataset.rows.extend(map(itemgetter(1), indexed_rows))
     triples.sort(key=itemgetter(0))
     parts: Dict[AggregationKey, List[Aggregation]] = {}
     for _, key, aggregation in triples:
@@ -668,7 +664,7 @@ def build_dataset(
                     _merge_results(dataset, results)
     # Dataset-shape gauges are plan-invariant (same rows and store whatever
     # the shard plan), so they participate in the equality invariant too.
-    dataset.metrics.set_gauge("pipeline.rows", len(dataset.rows))
+    dataset.metrics.set_gauge("pipeline.rows", dataset.session_count)
     dataset.metrics.set_gauge("pipeline.aggregations", len(dataset.store))
     dataset.metrics.set_gauge("pipeline.groups", len(dataset.store.groups()))
     # Fault counters are execution facts: they describe how *this* run

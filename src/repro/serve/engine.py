@@ -45,9 +45,10 @@ same steps:
    prunes partitions on the manifest with a :class:`ScanFilter`, builds
    the partials it lacks, keeps the cells its filters admit and merges
    them with the sharded pipeline's merger, so its dataset is the one
-   ``build_dataset`` folds from the filtered stream: rows, aggregations,
-   filter stats and data counters. ``/v1/routing`` merges the same cells
-   at one-hour windows: a store window that tiles an hour ``k`` times
+   ``build_dataset`` folds from the filtered stream: sessions,
+   aggregations, filter stats and data counters. The dataset's table
+   holds the cells' own session chunks, which no merge mutates.
+   ``/v1/routing`` merges the same cells at one-hour windows: a store window that tiles an hour ``k`` times
    puts cell window ``w`` in hour ``w // k``, so each cell's aggregations
    are re-keyed to their hour before the merge. Its value lists then
    hold the hour's values window by window rather than in stream order —
@@ -169,8 +170,8 @@ def _coarsened(result: ShardResult, factor: int) -> ShardResult:
 
 
 def _max_order_key(results: List[ShardResult], floor: int) -> int:
-    """The largest of ``floor`` and the order keys of ``results``' rows."""
-    return max([floor] + [result.rows[-1][0] for result in results if result.rows])
+    """The largest of ``floor`` and the order keys of ``results``' sessions."""
+    return max([floor] + [max(r.sessions.keys) for r in results if r.sessions])
 
 
 class MemoizedPayload(dict):
@@ -851,9 +852,9 @@ class QueryEngine:
         covered = len(self._partitions)
         if carried is not None:
             results = cells(carried.partitions)
-            # A cell's rows are sorted by order key: its first is its least.
             if all(
-                not result.rows or result.rows[0][0] > carried.max_order_key
+                not result.sessions
+                or min(result.sessions.keys) > carried.max_order_key
                 for result in results
             ):
                 dataset = carried.dataset

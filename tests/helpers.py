@@ -31,6 +31,7 @@ from repro.dist import protocol
 from repro.dist.client import parse_addr
 from repro.pipeline import ParallelOptions, StudyDataset, parallel, read_samples
 from repro.pipeline.io import write_samples
+from repro.pipeline.table import SessionChunk
 from repro.store import write_store
 from repro.store.schema import COLUMNS
 
@@ -329,12 +330,13 @@ def assert_same_analysis_state(
 def merge_oracle(dataset: StudyDataset, results) -> StudyDataset:
     """The reference shard merge: ``parallel._merge_results`` as it was
     before it sorted once, with a per-key ``min()`` for the install order
-    and a per-key ``sorted()`` for each key's pieces. The property tests
-    hold the one-sort merge to it."""
-    indexed_rows = []
+    and a per-key ``sorted()`` for each key's pieces. Sessions are copied
+    into one chunk of the dataset's own, row by row in order-key order.
+    The property tests hold the one-sort merge to it."""
+    keyed_rows = []
     parts = {}
     for result in results:
-        indexed_rows.extend(result.rows)
+        keyed_rows.extend(result.sessions.keyed_rows())
         dataset.filter_stats.merge(result.filter_stats)
         dataset.metrics.merge(result.metrics)
         dataset.metrics.observe("pipeline.shard_wall_seconds", result.wall_seconds)
@@ -342,14 +344,17 @@ def merge_oracle(dataset: StudyDataset, results) -> StudyDataset:
             {
                 "ordinal": result.ordinal,
                 "samples": result.samples_ingested,
-                "rows_kept": len(result.rows),
+                "rows_kept": len(result.sessions),
                 "wall_seconds": result.wall_seconds,
             }
         )
         for first_index, key, aggregation in result.aggregations:
             parts.setdefault(key, []).append((first_index, aggregation))
-    indexed_rows.sort(key=lambda item: item[0])
-    dataset.rows.extend(row for _, row in indexed_rows)
+    keyed_rows.sort(key=lambda item: item[0])
+    chunk = SessionChunk()
+    for key, row in keyed_rows:
+        chunk.add(key, *row)
+    dataset.table.chunks.append(chunk)
     store = dataset.store
     for key in sorted(parts, key=lambda k: min(i for i, _ in parts[k])):
         pieces = [piece for _, piece in sorted(parts[key], key=lambda item: item[0])]

@@ -320,7 +320,7 @@ class TestSerialization:
         decoded = decode_result(encode_result(result))
         assert isinstance(decoded, ShardResult)
         assert decoded.ordinal == 1
-        assert decoded.rows == result.rows
+        assert decoded.sessions == result.sessions
         assert decoded.filter_stats == result.filter_stats
 
     def test_result_decode_type_checked(self):
@@ -368,7 +368,7 @@ class TestWorkerDaemon:
                 msg_type, payload = protocol.recv_frame(sock)
         assert msg_type == protocol.MSG_RESULT
         result = decode_result(payload)
-        assert result.rows == expected.rows and result.rows
+        assert result.sessions == expected.sessions and result.sessions
         assert result.aggregations == expected.aggregations
         assert result.metrics.counters == expected.metrics.counters
 
@@ -550,7 +550,7 @@ class TestMalformedTaskFrame:
             protocol.send_frame(sock, protocol.MSG_TASK, valid)
             msg_type, reply = protocol.recv_frame(sock)
         assert msg_type == protocol.MSG_RESULT
-        assert decode_result(reply).rows
+        assert decode_result(reply).sessions
 
 
 # --------------------------------------------------------------------- #

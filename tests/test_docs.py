@@ -383,8 +383,9 @@ class TestSurfaceGuards:
             and function.name in ("check_transaction", "check_session")
             for node in ast.walk(function)
             if isinstance(node, ast.Raise)
+            and isinstance(node.exc.args[0], ast.Constant)
         ]
-        assert len(messages) == 8
+        assert len(messages) == 10
         sources = {
             path: path.read_text(encoding="utf-8")
             for path in (ROOT / "src" / "repro").rglob("*.py")

@@ -5,8 +5,10 @@ assembler (``read_samples_stream``, behind ``read_samples`` and ``repro
 ingest -``) and the column assembler (``read_column_batches``, behind
 ``build_dataset`` on a JSONL path, and ``convert`` to a store). Hypothesis
 mutates the bytes of real golden-trace lines — a digit replaced by another
-digit (the JSON stays valid and a number moves), a byte replaced, inserted
-or deleted, a line truncated — and feeds the three-line trace through
+digit (the JSON stays valid and a number moves), a decimal point replaced
+by an exponent (``1823.27…`` becomes ``1823e27…``, past a float's range:
+``inf``), a byte replaced, inserted or deleted, a line truncated — and
+feeds the three-line trace through
 both. Only a ``ValueError`` may escape a decode, within a bounded time per
 example, and both assemblers must reach the same outcome: the same error
 message, or the same decoded values. ``convert`` to a store must do what
@@ -45,7 +47,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_trace.jsonl.gz"
 #: Bytes that keep a mutation close to JSON: digits, number syntax and
 #: structure. Half the replaced or inserted bytes come from here.
 JSON_BYTES = b'0123456789-+.eE"{}[],: '
-MUTATIONS = ("digit", "byte", "insert", "delete", "truncate")
+MUTATIONS = ("digit", "exponent", "byte", "insert", "delete", "truncate")
 #: Seconds one example may take through both assemblers (a three-line
 #: trace decodes in well under a millisecond).
 BUDGET_S = 2.0
@@ -75,6 +77,12 @@ def _mutate(draw, line: bytes) -> bytes:
                 continue
             at = draw(st.sampled_from(digits), label="at")
             value = draw(st.sampled_from(b"0123456789"), label="digit")
+        elif kind == "exponent":
+            points = [at for at, byte in enumerate(line) if byte == ord(".")]
+            if not points:
+                continue
+            at = draw(st.sampled_from(points), label="at")
+            value = ord("e")
         else:
             at = draw(st.integers(0, len(line) - 1), label="at")
             value = draw(

@@ -74,7 +74,7 @@ class TestStudyDataset:
         ds = StudyDataset(study_windows=96)
         ds.ingest([make_sample(1.0, 40.0)])
         assert ds.rows[0].hdratio is None
-        assert ds.hd_rows() == []
+        assert [row for row in ds.rows if row.hdratio is not None] == []
 
     def test_naive_hdratio_optional(self):
         ds = StudyDataset(study_windows=96, compute_naive=True)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.pipeline import build_dataset
 from repro.pipeline.dataset import SessionRow, StudyDataset
+from repro.pipeline.table import SessionChunk
 from repro.pipeline.experiments import (
     CONTINENT_CODES,
     CdfSeries,
@@ -114,12 +115,12 @@ class TestCdfSeries:
         series = CdfSeries.of("x", values)
         thresholds = [*values, *map(float, values), *others]
         if not values:
-            assert series.xs == [] and series.quantile(q) is None
+            assert list(series.xs) == [] and series.quantile(q) is None
             assert all(series.fraction_at_most(t) == 0.0 for t in thresholds)
             assert series.fraction_above(0.0) is None
             return
         xs, fractions = ecdf(values)
-        assert series.xs == xs
+        assert list(series.xs) == xs
         for threshold in thresholds:
             index = bisect.bisect_right(xs, threshold)
             expected = fractions[index - 1] if index else 0.0
@@ -129,7 +130,7 @@ class TestCdfSeries:
 
     def test_integer_series_keep_their_ints(self):
         series = CdfSeries.of("bytes", [10_000, 3, 10_000])
-        assert series.xs == [3, 10_000, 10_000]
+        assert list(series.xs) == [3, 10_000, 10_000]
         assert all(type(x) is int for x in series.xs)
         assert series.quantile(0.0) == 3.0 and type(series.quantile(0.0)) is float
         assert type(CdfSeries.of("one", [7]).quantile(0.5)) is float
@@ -151,8 +152,14 @@ def _rows(**columns):
 
 
 def _dataset(rows):
+    """A dataset whose table holds ``rows``, one chunk filled as the row
+    oracle fills it."""
     dataset = StudyDataset(study_windows=1)
-    dataset.rows = rows
+    chunk = SessionChunk()
+    for key, row in enumerate(rows):
+        chunk.add(key, *row)
+    dataset.table.chunks.append(chunk)
+    assert list(dataset.rows) == rows
     return dataset
 
 
@@ -182,7 +189,7 @@ class TestExactThresholds:
     def test_fig2_untagged_media_threshold_is_inclusive(self):
         rows = _rows(response_sizes=[(11_999, 12_000), (12_001,)])
         result = fig2_transfer_sizes(_dataset(rows))
-        assert result.media_response_bytes.xs == [12_000, 12_001]
+        assert list(result.media_response_bytes.xs) == [12_000, 12_001]
         assert result.median_response == 12_000.0
 
     def test_fig3_on_4_and_50_transactions(self):
@@ -219,13 +226,13 @@ class TestExactThresholds:
         }
         assert fig7.hdratio_by_bucket["0-30"].quantile(0.5) is None
         fig2 = fig2_transfer_sizes(build_dataset([], study_windows=96))
-        assert fig2.media_response_bytes.xs == []
+        assert list(fig2.media_response_bytes.xs) == []
         result = fig7_rtt_vs_hdratio(
             _dataset(_rows(min_rtt_ms=[10.0, 60.0, 90.0], hdratio=[0.5] * 3))
         )
         gap = result.hdratio_by_bucket["31-50"]
-        assert gap.xs == [] and gap.fraction_above(0.0) is None
-        assert result.hdratio_by_bucket["51-80"].xs == [0.5]
+        assert list(gap.xs) == [] and gap.fraction_above(0.0) is None
+        assert list(result.hdratio_by_bucket["51-80"].xs) == [0.5]
 
     def test_fig5_takes_preferred_routes_in_windows_of_five(self):
         def sessions(window, rtt_ms, rank, count):
@@ -374,9 +381,7 @@ class TestFig6:
         rows = list(dataset.rows)
         rows.append(rows[0]._replace(continent="??"))
         rows = [row for row in rows if row.continent != "OC"]
-        copy = StudyDataset(study_windows=1)
-        copy.rows = rows
-        result = fig6_global_performance(copy)
+        result = fig6_global_performance(_dataset(rows))
         hd_rows = [row for row in rows if row.hdratio is not None]
         expected_minrtt, expected_hd = {}, {}
         for code in CONTINENT_CODES:

@@ -465,6 +465,72 @@ BAD_RECORDS = {
         ),
         "'cousin' is not a valid Relationship",
     ),
+    # What a typed column or the store cannot hold is refused at its line,
+    # not by an encoder or a kernel far from it.
+    "end-time-infinite": (
+        lambda: _with(_good_record(), end_time=float("inf")),
+        "end_time must be a finite number",
+    ),
+    "start-time-nan": (
+        lambda: _with(_good_record(), start_time=float("nan")),
+        "start_time must be a finite number",
+    ),
+    "busy-time-too-large-for-a-float": (
+        lambda: _with(_good_record(), busy_time_seconds=10**400),
+        "busy_time_seconds must be a finite number",
+    ),
+    "transaction-time-nan": (
+        lambda: _with_txn(_good_record(), last_byte_write_time=float("nan")),
+        "last_byte_write_time must be a finite number",
+    ),
+    "session-id-not-an-integer": (
+        lambda: _with(_good_record(), session_id=1.5),
+        "session_id must be an integer in the int64 range",
+    ),
+    "bytes-sent-a-float": (
+        lambda: _with(_good_record(), bytes_sent=1000.0),
+        "bytes_sent must be an integer in the int64 range",
+    ),
+    "bytes-sent-past-int64": (
+        lambda: _with(_good_record(), bytes_sent=2**63),
+        "bytes_sent must be an integer in the int64 range",
+    ),
+    "response-size-a-float": (
+        lambda: _with_txn(_good_record(), response_bytes=1.5),
+        "response_bytes must be an integer in the int64 range",
+    ),
+    "cwnd-past-int64": (
+        lambda: _with_txn(_good_record(), cwnd_bytes_at_first_byte=2**64),
+        "cwnd_bytes_at_first_byte must be an integer in the int64 range",
+    ),
+    "in-flight-a-bool": (
+        lambda: _with_txn(_good_record(), bytes_in_flight_at_start=True),
+        "bytes_in_flight_at_start must be an integer in the int64 range",
+    ),
+    "coalesced-negative": (
+        lambda: _with_txn(_good_record(), coalesced_count=-1),
+        "coalesced_count must be non-negative",
+    ),
+    "media-size-a-string": (
+        lambda: _with(_good_record(), media_response_sizes=[20_000, "big"]),
+        "media_response_sizes must be integers in the int64 range",
+    ),
+    "pop-not-a-string": (
+        lambda: _with(_good_record(), pop=7),
+        "pop must be a string",
+    ),
+    "country-not-a-string": (
+        lambda: _with(_good_record(), client_country=None),
+        "client_country must be a string",
+    ),
+    "continent-not-a-string": (
+        lambda: _with(_good_record(), client_continent=["EU"]),
+        "client_continent must be a string",
+    ),
+    "geo-tag-not-a-string": (
+        lambda: _with(_good_record(), geo_tag=0),
+        "geo_tag must be a string",
+    ),
 }
 
 
@@ -487,7 +553,7 @@ class TestBadRecordIsNamedExactly:
     @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
     @pytest.mark.parametrize(
         "way", ["read_samples", "read_samples_stream", "read_column_batches",
-                "build_dataset"],
+                "build_dataset", "convert"],
     )
     def test_named_and_counted_once(self, tmp_path, monkeypatch, case, way):
         import re
@@ -505,6 +571,8 @@ class TestBadRecordIsNamedExactly:
                     list(read_samples_stream(handle, metrics=registry))
             elif way == "read_column_batches":
                 list(read_column_batches(path, metrics=registry))
+            elif way == "convert":
+                convert(path, tmp_path / "trace.store", metrics=registry)
             else:
                 registries = _capture_build_registries(monkeypatch)
                 build_dataset(path, study_windows=4)
@@ -513,6 +581,55 @@ class TestBadRecordIsNamedExactly:
             (registry,) = registries
         assert registry.counter("io.decode_errors") == 1
         assert registry.counter("io.rows_read") == 2
+
+
+#: Golden-trace line 1 edited by hand, one way per kind of value a typed
+#: column or the store cannot hold: (old text, new text, detail).
+GOLDEN_EDITS = {
+    "1e999": (
+        '"end_time": 1823.274', '"end_time": 1e999',
+        "end_time must be a finite number",
+    ),
+    "NaN": (
+        '"start_time": 1737.5227219221333', '"start_time": NaN',
+        "start_time must be a finite number",
+    ),
+    "fractional-id": (
+        '"session_id": 1,', '"session_id": 1.5,',
+        "session_id must be an integer in the int64 range",
+    ),
+    "past-int64": (
+        '"bytes_sent": 211907', '"bytes_sent": 9223372036854775808',
+        "bytes_sent must be an integer in the int64 range",
+    ),
+    "numeric-pop": ('"pop": "ams1"', '"pop": 7', "pop must be a string"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(GOLDEN_EDITS))
+def test_an_unholdable_value_is_refused_at_its_line(tmp_path, edit):
+    """Each way in: the same ``invalid record`` naming line 2, counted
+    once. (These once passed the record checks and failed in ``convert``
+    as a bare ``OverflowError``, ``struct.error`` or ``AttributeError``.)"""
+    import gzip
+
+    golden = pathlib.Path(__file__).parent / "data" / "golden_trace.jsonl.gz"
+    with gzip.open(golden, "rt", encoding="utf-8") as handle:
+        line = handle.readline()
+    old, new, detail = GOLDEN_EDITS[edit]
+    assert old in line
+    path = tmp_path / "trace.jsonl"
+    path.write_text(line + line.replace(old, new, 1), encoding="utf-8")
+    for read in (
+        lambda metrics: list(read_samples(path, metrics=metrics)),
+        lambda metrics: list(read_column_batches(path, metrics=metrics)),
+        lambda metrics: convert(path, tmp_path / "t.store", metrics=metrics),
+    ):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError) as raised:
+            read(registry)
+        assert str(raised.value) == f"{path}:2: invalid record ({detail})"
+        assert registry.counter("io.decode_errors") == 1
 
 
 class TestRowsReadLedger:

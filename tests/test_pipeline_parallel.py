@@ -28,6 +28,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.io import plan_chunks, write_samples
 from repro.pipeline.parallel import RemoteCause, ShardResult, _run_shard, _ShardTask
+from repro.pipeline.table import SessionChunk, SessionRows, SessionTable
 
 from tests.helpers import (  # noqa: F401 — fixtures are used by name
     LOCAL_BACKENDS,
@@ -274,8 +275,9 @@ class TestSharding:
 # ShardError transport: the error must survive any pickle boundary
 # --------------------------------------------------------------------- #
 class TestShardResultWireForm:
-    """What a shard result costs on the wire: rows cross as plain tuples
-    and are wrapped once on arrival (DESIGN.md §6)."""
+    """What a shard result costs on the wire: its session chunk crosses as
+    raw column bytes and is rebuilt as typed arrays on arrival (DESIGN.md
+    §6)."""
 
     def test_session_row_fields_are_unchanged(self):
         assert SessionRow._fields == (
@@ -293,31 +295,44 @@ class TestShardResultWireForm:
             "media_bytes",
         )
 
-    def test_pickle_names_no_session_row_and_round_trips(self, trace_paths):
+    def test_pickle_carries_column_bytes_and_round_trips(self, trace_paths):
         (chunk, *_) = plan_chunks(trace_paths["store"], 2)
         result = _run_shard(
             _ShardTask(
                 dataset_kwargs=dict(study_windows=STUDY_WINDOWS), chunk=chunk
             )
         )
-        assert result.rows and all(
-            type(row) is SessionRow for _, row in result.rows
-        )
+        assert type(result.sessions) is SessionChunk and result.sessions
         payload = pickle.dumps(result, protocol=4)
         strings = {
             arg for _, arg, _ in pickletools.genops(payload) if isinstance(arg, str)
         }
-        assert "SessionRow" not in strings
+        assert not {"SessionRow", "SessionChunk", "array"} & strings
         assert "ShardResult" in strings  # the scan sees the globals it should
+        # One bytes object per column: the per-session minimum RTTs cross as
+        # 8 bytes each, not as pickled floats.
+        blobs = [
+            arg for _, arg, _ in pickletools.genops(payload) if isinstance(arg, bytes)
+        ]
+        assert result.sessions.min_rtt_ms.tobytes() in blobs
         loaded = pickle.loads(payload)
         assert type(loaded) is ShardResult
-        assert all(type(row) is SessionRow for _, row in loaded.rows)
+        assert type(loaded.sessions) is SessionChunk
         for name in (
-            "ordinal", "rows", "aggregations", "filter_stats",
+            "ordinal", "sessions", "aggregations", "filter_stats",
             "wall_seconds", "samples_ingested",
         ):
             assert getattr(loaded, name) == getattr(result, name), name
         assert loaded.metrics.to_dict() == result.metrics.to_dict()
+        assert list(SessionRows(_table(loaded.sessions))) == list(
+            SessionRows(_table(result.sessions))
+        )
+
+
+def _table(chunk: SessionChunk) -> SessionTable:
+    table = SessionTable()
+    table.chunks.append(chunk)
+    return table
 
 
 class _ArityBomb(Exception):
@@ -381,3 +396,15 @@ class TestShardErrorTransport:
         assert isinstance(twice.cause, RemoteCause)
         assert twice.cause.type_name == once.cause.type_name
         assert twice.cause.message == once.cause.message
+
+
+def test_a_one_task_plan_runs_inline_and_two_on_the_pool():
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.pipeline import parallel
+
+    options = ParallelOptions(workers=2)
+    assert type(parallel._executor_for(options, 1)) is parallel._InlineExecutor
+    pool = parallel._executor_for(options, 2)  # starts no process until used
+    assert type(pool) is ProcessPoolExecutor
+    pool.shutdown()

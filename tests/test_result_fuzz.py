@@ -8,7 +8,7 @@ pins that set against real frames, walking their opcodes with
 ``tests/test_task_fuzz.py`` holds the task decoder: a mutated frame — a
 byte replaced, inserted or deleted, or the frame truncated — and a
 hostile one (``os.system`` by ``GLOBAL``, a ``__reduce__`` to any
-callable, a frame that is not a result, rows whose field columns
+callable, a frame that is not a result, session columns whose lengths
 disagree) may only return a
 :class:`~repro.pipeline.parallel.ShardResult` or raise
 :class:`~repro.dist.protocol.ProtocolError`, within a bounded time, and
@@ -25,6 +25,7 @@ import pickletools
 import socket
 import struct
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from repro.dist.protocol import ProtocolError
 from repro.dist.serialization import RESULT_GLOBALS, decode_result, encode_result
 from repro.pipeline.io import plan_chunks
 from repro.pipeline.parallel import ShardResult, _run_shard, _ShardTask
+from repro.pipeline.table import RAGGED_COLUMNS, ROW_COLUMNS
 from repro.store import write_store
 
 from tests.helpers import make_trace_samples
@@ -122,7 +124,7 @@ def test_a_result_references_exactly_the_allowed_globals(frames):
     for frame in frames:
         seen |= referenced_globals(frame)
         result = decode_result(frame)
-        assert type(result) is ShardResult and result.rows
+        assert type(result) is ShardResult and result.sessions
         assert encode_result(result) == frame
     assert seen == RESULT_GLOBALS
     assert len(RESULT_GLOBALS) == 7
@@ -222,53 +224,99 @@ def frame_with_state(result: ShardResult, state: dict) -> bytes:
     return buffer.getvalue()
 
 
-#: Manglings of a result's row columns (order keys, one list per field).
-ROW_MANGLES = {
-    "as-sent": lambda keys, columns: (keys, columns),
-    "a-column-one-short": lambda keys, columns: (
-        keys, [*columns[:-1], columns[-1][:-1]]
+def _columns(state: dict) -> dict:
+    """A wire state's session columns by name, as arrays."""
+    columns, _, _ = state["sessions"]
+    names = [name for name, _ in ROW_COLUMNS] + [flat for flat, _ in RAGGED_COLUMNS]
+    return {
+        name: array(typecode, data) for name, (typecode, data) in zip(names, columns)
+    }
+
+
+def _with_columns(state: dict, **replaced) -> tuple:
+    _, continents, geo_tags = state["sessions"]
+    arrays = _columns(state)
+    arrays.update(replaced)
+    raw = tuple(
+        column if isinstance(column, tuple) else (column.typecode, column.tobytes())
+        for column in arrays.values()
+    )
+    return (raw, continents, geo_tags)
+
+
+def _negative_length(state: dict) -> tuple:
+    # Sums as before: only the sign of one length is wrong.
+    lens = array("q", _columns(state)["size_lens"])
+    lens[0], lens[1] = -1, lens[0] + lens[1] + 1
+    return _with_columns(state, size_lens=lens)
+
+
+def _negative_code(state: dict) -> tuple:
+    # A signed column is the only way to send one: -1 would decode as the
+    # dictionary's last value.
+    codes = array("q", _columns(state)["continent"])
+    codes[0] = -1
+    return _with_columns(state, continent=codes)
+
+
+#: Manglings of a result's session columns (raw bytes in wire order, then
+#: the two dictionaries).
+SESSION_MANGLES = {
+    "as-sent": lambda state: state["sessions"],
+    "a-column-one-short": lambda state: _with_columns(
+        state, min_rtt_ms=_columns(state)["min_rtt_ms"][:-1]
     ),
-    "11-fields": lambda keys, columns: (keys, columns[:11]),
-    "13-fields": lambda keys, columns: (keys, [*columns, columns[0]]),
-    "more-keys-than-rows": lambda keys, columns: (
-        [*keys, keys[-1] + 1], columns
+    "an-odd-byte-length": lambda state: _with_columns(
+        state, keys=("q", array("q", _columns(state)["keys"]).tobytes()[:-3])
+    ),
+    "a-float-typecode-for-an-integer-column": lambda state: _with_columns(
+        state, bytes_sent=array("d", _columns(state)["bytes_sent"])
+    ),
+    "lengths-disagree-with-values": lambda state: _with_columns(
+        state, sizes=_columns(state)["sizes"][:-1]
+    ),
+    "a-negative-length": _negative_length,
+    "a-column-missing": lambda state: (
+        state["sessions"][0][:-1], *state["sessions"][1:]
+    ),
+    "an-extra-column": lambda state: (
+        state["sessions"][0] + (b"",), *state["sessions"][1:]
+    ),
+    "a-negative-code": _negative_code,
+    "a-code-past-its-dictionary": lambda state: (
+        state["sessions"][0], state["sessions"][1][:-1], state["sessions"][2]
+    ),
+    "a-dictionary-repeats-a-value": lambda state: (
+        state["sessions"][0],
+        state["sessions"][1] + state["sessions"][1][:1],
+        state["sessions"][2],
     ),
 }
 
 
-@pytest.mark.parametrize("mangle", sorted(ROW_MANGLES))
-def test_rows_whose_columns_disagree_are_refused(frames, mangle):
+@pytest.mark.parametrize("mangle", sorted(SESSION_MANGLES))
+def test_sessions_whose_columns_disagree_are_refused(frames, mangle):
     result = decode_result(frames[0])
     state = result.__getstate__()
-    keys, columns = state["rows"]
-    state["rows"] = ROW_MANGLES[mangle](list(keys), [list(c) for c in columns])
+    state["sessions"] = SESSION_MANGLES[mangle](state)
     frame = frame_with_state(result, state)
     assert referenced_globals(frame) == {
         ("repro.pipeline.parallel", "ShardResult")
     } | referenced_globals(frames[0])
     if mangle == "as-sent":
-        assert decode_result(frame).rows == result.rows
+        assert decode_result(frame).sessions == result.sessions
         return
-    with pytest.raises(ProtocolError, match="does not decode"):
+    with pytest.raises(ProtocolError, match="does not decode: ValueError"):
         decode_result(frame)
 
 
-@pytest.mark.parametrize("fields", [11, 13])
-def test_a_result_with_rows_of_the_wrong_arity_does_not_decode(frames, fields):
-    # Once decoded silently into SessionRows of the wrong length.
-    result = decode_result(frames[0])
-    result.rows = [
-        (key, (tuple(row) + (None,))[:fields]) for key, row in result.rows
-    ]
-    with pytest.raises(ProtocolError, match="field columns"):
-        decode_result(encode_result(result))
-
-
-def test_a_peer_on_the_previous_wire_fails_at_its_first_frame():
-    # The result frame changed shape with the magic: an RDW1 peer is
-    # refused at its header, never half-read.
+@pytest.mark.parametrize("magic", [b"RDW1", b"RDW2"])
+def test_a_peer_on_a_previous_wire_fails_at_its_first_frame(magic):
+    # The result frame changed shape with the magic (RDW2: rows as field
+    # tuples; RDW3: session column bytes): an older peer is refused at its
+    # header, never half-read.
     left, right = socket.socketpair()
     with left, right:
-        left.sendall(struct.pack(">4sBI", b"RDW1", protocol.MSG_RESULT, 0))
+        left.sendall(struct.pack(">4sBI", magic, protocol.MSG_RESULT, 0))
         with pytest.raises(ProtocolError, match="bad frame magic"):
             protocol.recv_frame(right)
